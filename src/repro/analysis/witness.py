@@ -14,10 +14,6 @@ build and one ``zlib.crc32`` fold; checkpoints (every
 ``checkpoint_interval`` events) bound memory to O(events/interval), and
 full per-event detail is retained only inside an explicit
 ``detail_range`` window, so the bisector's re-runs stay cheap.
-
-The label deliberately excludes ``Message.msg_id``: it comes from a
-process-global counter, so a second run in the same process would differ
-in ids while being behaviorally identical.
 """
 
 from __future__ import annotations

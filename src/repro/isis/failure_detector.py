@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.net import Node
-from repro.net.message import Message
 
 
 class FailureDetector:
@@ -112,27 +111,30 @@ class FailureDetector:
                 for fn in self._on_suspect:
                     fn(peer)
 
-    def observe(self, msg: Message) -> None:
+    def observe(self, src: str) -> None:
         """Feed any received message as evidence of the sender's liveness.
 
-        Heartbeats carry the sender's crash epoch; an epoch bump means the
-        peer crashed and recovered since we last saw it, so it must rejoin
-        groups rather than resume — callers read :attr:`peer_epochs`.
+        A heartbeat additionally carries the sender's crash epoch — a bump
+        means the peer crashed and recovered since we last saw it, so it
+        must rejoin groups rather than resume (callers read
+        :attr:`peer_epochs`).  ``IsisProcess.on_message`` stores it, with
+        this method unrolled beside the store: heartbeats are the O(n²)
+        traffic, everything else comes through here.
         """
-        src = msg.src
         last = self.last_heard
         if src not in last and src not in self.peers:
             return
         last[src] = self.kernel.now
-        payload = msg.payload
-        if type(payload) is dict and payload.get("type") == "heartbeat":
-            self.peer_epochs[src] = payload.get("epoch", 0)
         if src in self.suspected:
-            self.suspected.discard(src)
-            self.suspected_since.pop(src, None)
-            self.node.network.metrics.incr("fd.rejoins")
-            for fn in self._on_alive:
-                fn(src)
+            self.unsuspect(src)
+
+    def unsuspect(self, src: str) -> None:
+        """A suspected peer was heard from again: clear it and notify."""
+        self.suspected.discard(src)
+        self.suspected_since.pop(src, None)
+        self.node.network.metrics.incr("fd.rejoins")
+        for fn in self._on_alive:
+            fn(src)
 
     def is_suspected(self, addr: str) -> bool:
         """Current suspicion status of ``addr``."""

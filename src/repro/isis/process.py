@@ -405,16 +405,25 @@ class IsisProcess(Node):
     # ------------------------------------------------------------------ #
 
     def on_message(self, msg: Message) -> None:
-        self.fd.observe(msg)
         payload = msg.payload
-        if not isinstance(payload, dict):
+        kind = payload.get("type") if isinstance(payload, dict) else None
+        if kind == "heartbeat":
+            # FailureDetector.observe unrolled, plus the epoch store: at
+            # O(n^2) heartbeats per interval, the call is measurable
+            fd = self.fd
+            src = msg.src
+            last = fd.last_heard
+            if src in last or src in fd.peers:
+                last[src] = self.kernel.now
+                fd.peer_epochs[src] = payload.get("epoch", 0)
+                if src in fd.suspected:
+                    fd.unsuspect(src)
             return
-        kind = payload.get("type")
+        self.fd.observe(msg.src)
         if kind == "mcast":
             self._on_mcast(payload)
         elif kind == "mreply":
             self._on_mreply(payload)
-        # heartbeats already consumed by fd.observe
 
     def _on_mcast(self, msg: dict) -> None:
         group = msg["group"]

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from typing import Any
-
-_msg_ids = itertools.count(1)
 
 
 class MsgKind(Enum):
@@ -30,12 +27,13 @@ class Message:
     millions of these, so construction cost and per-instance memory are on
     the simulator's critical path.  The payload's estimated wire size is
     computed at most once per message (:meth:`payload_bytes`) — callers
-    that already know it (RPC replies size themselves by payload; heartbeat
-    bursts share one payload) pass it in and skip the walk entirely.
+    that already know it (an RPC envelope is a constant plus the size of
+    the caller's args or result; heartbeat bursts share one payload) pass
+    it in and skip the walk entirely.
     """
 
     __slots__ = ("src", "dst", "kind", "payload", "size_bytes", "tag",
-                 "msg_id", "_psize", "trace")
+                 "_psize", "trace")
 
     def __init__(self, src: str, dst: str, kind: MsgKind, payload: Any,
                  size_bytes: int = 256, tag: str = "",
@@ -46,7 +44,6 @@ class Message:
         self.payload = payload
         self.size_bytes = size_bytes
         self.tag = tag
-        self.msg_id = next(_msg_ids)
         self._psize = payload_bytes
         #: request-trace id riding this message (repro.obs.tracer); stamped
         #: by Node.rpc/send only while a tracer is armed, else always None
@@ -61,7 +58,7 @@ class Message:
 
     def __repr__(self) -> str:  # compact for traces
         return (
-            f"Message(#{self.msg_id} {self.src}->{self.dst} "
+            f"Message({self.src}->{self.dst} "
             f"{self.kind.value}{'/' + self.tag if self.tag else ''})"
         )
 
@@ -96,6 +93,8 @@ def payload_size(obj: Any) -> int:
             extend(o.values())
         elif t is list or t is tuple:
             extend(o)
+        elif o is None or t is bool or t is float:
+            total += 8
         elif isinstance(o, (bytes, bytearray, str)):
             total += len(o)
         elif isinstance(o, dict):

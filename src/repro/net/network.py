@@ -6,12 +6,16 @@ Communication is symmetric — if ``a`` can reach ``b`` then ``b`` can reach
 ``a`` — which the partition representation guarantees by construction
 (partitions are disjoint address sets).
 
-Every send funnels through :meth:`Network.transmit`, which makes it the
-simulator's single hottest function at scale.  The fast-path rules it
-follows: counter keys are interned per message kind (no per-message
-f-strings), payload sizes are computed at most once per message, per-tag
-counters are an opt-in (:class:`NetConfig.tag_metrics`), and metric bumps
-go straight at the counter dict instead of through a method call.
+Every send funnels through :meth:`Network.transmit` and every delivery
+through :meth:`Network._arrive`, which makes them the simulator's hottest
+functions at scale.  The fast-path rules they follow: the per-kind counter
+key is picked by identity tests on the message kind (no per-message
+f-string, no Python-level ``Enum.__hash__``), payload sizes are computed at
+most once per message and an RPC envelope walks only the caller's part of
+it, per-tag counters are an opt-in (:class:`NetConfig.tag_metrics`), metric
+bumps go straight at the counter dict instead of through a method call, and
+arrival dispatches on the message kind itself — one frame between the
+kernel and ``on_message``.
 """
 
 from __future__ import annotations
@@ -29,9 +33,18 @@ from repro.sim import Kernel, SimFuture
 
 DEFAULT_RPC_TIMEOUT_MS = 200.0
 
-#: Interned per-kind counter keys — built once, so transmit never
-#: constructs a key string per message.
-_KIND_COUNTER = {kind: f"net.msgs.{kind.value}" for kind in MsgKind}
+# Kinds as module globals: the hot paths compare by identity.
+_DATAGRAM = MsgKind.DATAGRAM
+_RPC_REQUEST = MsgKind.RPC_REQUEST
+_RPC_REPLY = MsgKind.RPC_REPLY
+
+#: ``payload_size`` of the constant part of each RPC envelope (its keys and
+#: the ``req_id`` int).  Envelopes are sized as this plus a walk of the
+#: caller's part only; derived here so the sum cannot drift from a full
+#: walk — ``net.bytes_moved`` and reply latency depend on it.
+_REQUEST_FIXED = payload_size({"req_id": 0, "method": "", "args": {}})
+_RESULT_FIXED = payload_size({"req_id": 0, "result": ""})
+_ERROR_FIXED = payload_size({"req_id": 0, "error": ""})
 
 
 @dataclass
@@ -156,7 +169,15 @@ class Network:
         partition after the modeled latency."""
         counters = self.metrics.counters
         counters["net.msgs"] += 1
-        counters[_KIND_COUNTER[msg.kind]] += 1
+        kind = msg.kind
+        if kind is _RPC_REQUEST:
+            counters["net.msgs.rpc_req"] += 1
+        elif kind is _RPC_REPLY:
+            counters["net.msgs.rpc_reply"] += 1
+        elif kind is _DATAGRAM:
+            counters["net.msgs.dgram"] += 1
+        else:
+            counters["net.msgs." + kind.value] += 1
         if msg.tag and self.config.tag_metrics:
             counters["net.msgs.tag." + msg.tag] += 1
         counters["net.bytes"] += msg.size_bytes
@@ -194,7 +215,7 @@ class Network:
         psize = payload_size(payload)
         counters = self.metrics.counters
         counters["net.msgs"] += n
-        counters[_KIND_COUNTER[MsgKind.DATAGRAM]] += n
+        counters["net.msgs.dgram"] += n
         if tag and self.config.tag_metrics:
             counters["net.msgs.tag." + tag] += n
         counters["net.bytes"] += size_bytes * n
@@ -206,8 +227,8 @@ class Network:
         post = self.kernel.post
         arrive = self._arrive
         for dst in dsts:
-            msg = Message(src, dst, MsgKind.DATAGRAM, payload, size_bytes,
-                          tag, payload_bytes=psize)
+            msg = Message(src, dst, _DATAGRAM, payload, size_bytes, tag,
+                          psize)
             if trace is not None:
                 trace.append(msg)
             if drop and rng.random() < drop:
@@ -230,7 +251,17 @@ class Network:
                     != self._partition_of.get(dst, 0))):
             self.metrics.counters["net.lost_unreachable"] += 1
             return
-        b._deliver(msg)
+        kind = msg.kind
+        if kind is _RPC_REQUEST:
+            method = msg.payload["method"]
+            name = b._serve_names.get(method)
+            if name is None:
+                name = b._serve_names[method] = f"{dst}:rpc:{method}"
+            b.spawn(b._serve_rpc(msg), name)
+        elif kind is _RPC_REPLY:
+            b._accept_reply(msg)
+        else:
+            b.on_message(msg)
 
 
 class Node:
@@ -256,6 +287,8 @@ class Node:
         # server would otherwise pay
         self._tasks: dict[Any, None] = {}
         self._handlers: dict[str, Callable] = {}
+        #: serving-task names by method — one f-string per method, not per RPC
+        self._serve_names: dict[str, str] = {}
         network.register(self)
 
     # ------------------------------------------------------------------ #
@@ -315,7 +348,7 @@ class Node:
         """
         if not self.alive:
             return
-        msg = Message(self.addr, dst, MsgKind.DATAGRAM, payload, size_bytes,
+        msg = Message(self.addr, dst, _DATAGRAM, payload, size_bytes,
                       tag, payload_bytes=payload_bytes)
         kernel = self.kernel
         if kernel._tracer is not None and kernel._current is not None:
@@ -353,50 +386,42 @@ class Node:
         caller cannot distinguish them, per the failure model), or with
         :class:`RpcRemoteError` when the remote handler raised.
         """
-        out = self.kernel.create_future()
+        kernel = self.kernel
+        out = SimFuture(kernel)
         if not self.alive:
             out.set_exception(Unreachable(f"{self.addr} is down"))
             return out
         req_id = next(self._rpc_seq)
         self._pending_rpcs[req_id] = out
-        payload = {"req_id": req_id, "method": method, "args": args or {}}
-        msg = Message(self.addr, dst, MsgKind.RPC_REQUEST, payload,
-                      size_bytes, tag or method)
-        kernel = self.kernel
+        if not args:
+            args = {}
+        msg = Message(self.addr, dst, _RPC_REQUEST,
+                      {"req_id": req_id, "method": method, "args": args},
+                      size_bytes, tag or method,
+                      _REQUEST_FIXED + len(method) + payload_size(args))
         if kernel._tracer is not None and kernel._current is not None:
             msg.trace = kernel._current.trace
         self.network.transmit(msg)
-
-        def _expire() -> None:
-            if self._pending_rpcs.pop(req_id, None) is not None:
-                out.try_set_exception(
-                    RpcTimeout(f"rpc {method} to {dst} timed out after {timeout}ms")
-                )
-
-        handle = self.kernel.schedule(timeout, _expire)
-        out.add_done_callback(lambda _f: handle.cancel())
+        handle = kernel.schedule(timeout, self._expire, req_id, method, dst,
+                                 timeout)
+        out.add_done_callback(handle.cancel)
         return out
 
-    async def call(self, dst: str, method: str, timeout: float = DEFAULT_RPC_TIMEOUT_MS,
-                   size_bytes: int = 256, tag: str = "", **kwargs: Any) -> Any:
-        """``await``-style RPC convenience wrapper around :meth:`rpc`."""
-        return await self.rpc(dst, method, kwargs, timeout=timeout,
-                              size_bytes=size_bytes, tag=tag)
+    def _expire(self, req_id: int, method: str, dst: str,
+                timeout: float) -> None:
+        out = self._pending_rpcs.pop(req_id, None)
+        if out is not None:
+            out.try_set_exception(
+                RpcTimeout(f"rpc {method} to {dst} timed out after {timeout}ms"))
+
+    def call(self, dst: str, method: str, timeout: float = DEFAULT_RPC_TIMEOUT_MS,
+             size_bytes: int = 256, tag: str = "", **kwargs: Any) -> SimFuture:
+        """:meth:`rpc` with the arguments as keywords; ``await`` the result."""
+        return self.rpc(dst, method, kwargs, timeout, size_bytes, tag)
 
     # ------------------------------------------------------------------ #
-    # delivery
+    # delivery (Network._arrive dispatches here by message kind)
     # ------------------------------------------------------------------ #
-
-    def _deliver(self, msg: Message) -> None:
-        if not self.alive:
-            return
-        kind = msg.kind
-        if kind is MsgKind.RPC_REQUEST:
-            self.spawn(self._serve_rpc(msg), name=f"{self.addr}:rpc:{msg.payload['method']}")
-        elif kind is MsgKind.RPC_REPLY:
-            self._accept_reply(msg)
-        else:
-            self.on_message(msg)
 
     async def _serve_rpc(self, msg: Message) -> None:
         payload = msg.payload
@@ -409,36 +434,33 @@ class Node:
             served_since = kernel.now
             if msg.trace is not None and kernel._current is not None:
                 kernel._current.trace = msg.trace
-        handler = self._handlers.get(payload["method"])
-        reply: dict[str, Any]
+        method = payload["method"]
+        handler = self._handlers.get(method)
+        error: tuple[str, str] | None = None
         if handler is None:
-            reply = {
-                "req_id": payload["req_id"],
-                "error": ("NoSuchMethod", payload["method"]),
-            }
+            error = ("NoSuchMethod", method)
         else:
             epoch = self.epoch
             try:
                 result = await handler(msg.src, **payload["args"])
-                reply = {"req_id": payload["req_id"], "result": result}
             except Exception as exc:  # surfaces to caller as RpcRemoteError
-                reply = {
-                    "req_id": payload["req_id"],
-                    "error": (type(exc).__name__, str(exc)),
-                }
+                error = (type(exc).__name__, str(exc))
             if self.epoch != epoch or not self.alive:
                 return  # crashed while serving: reply dies with us
         # replies are sized by their payload: a 2 MB read reply pays 2 MB
         # of transfer latency, a stat reply the minimum — without this,
         # bulk reads looked free and striping could not be measured
         # honestly.  Sized once here; transmit reuses the cached figure.
-        psize = payload_size(reply)
-        reply_msg = Message(self.addr, msg.src, MsgKind.RPC_REPLY, reply,
-                            max(256, psize), tag=payload["method"] + ".reply",
-                            payload_bytes=psize)
+        if error is None:
+            reply = {"req_id": payload["req_id"], "result": result}
+            psize = _RESULT_FIXED + payload_size(result)
+        else:
+            reply = {"req_id": payload["req_id"], "error": error}
+            psize = _ERROR_FIXED + payload_size(error)
+        reply_msg = Message(self.addr, msg.src, _RPC_REPLY, reply,
+                            max(256, psize), method + ".reply", psize)
         if tracer is not None and msg.trace is not None:
-            tracer.record(msg.trace, served_since, kernel.now, "rpc",
-                          payload["method"])
+            tracer.record(msg.trace, served_since, kernel.now, "rpc", method)
             reply_msg.trace = msg.trace
         self.network.transmit(reply_msg)
 

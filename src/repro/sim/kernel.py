@@ -1,7 +1,7 @@
 """Virtual-time event loop with awaitable futures and coroutine tasks.
 
 The kernel is a classic discrete-event simulator: a priority queue of
-``(time, sequence, event)`` entries and a virtual clock that jumps from
+``[when, seq, fn, args]`` entries and a virtual clock that jumps from
 event to event.  On top of that sits a minimal coroutine runtime so protocol
 code can be written with ``async``/``await`` instead of callback chains.
 
@@ -11,14 +11,18 @@ driven by seeded RNGs is exactly reproducible.
 
 Scale fast paths (the hot loops every simulated operation funnels through):
 
-- the heap holds plain ``(when, seq, event)`` tuples, so ordering is
-  resolved by C-level tuple comparison instead of a Python ``__lt__``;
+- a queued event is one list ``[when, seq, fn, args]`` — the only
+  allocation scheduling makes — and ``(when, seq)`` is unique, so ordering
+  is resolved by C-level list comparison that never reaches ``fn``;
 - zero-delay events (coroutine steps, future callbacks) go through a FIFO
-  deque and never touch the heap — ``(when, seq)`` order is preserved by
-  merging the two sorted streams at pop time;
-- cancelled events (one RPC timeout per RPC, nearly always cancelled) are
-  counted, and the queue is compacted once they dominate it, instead of
-  letting dead timers linger until their deadline;
+  deque of the same entries and never touch the heap — ``(when, seq)``
+  order is preserved by merging the two sorted streams at pop time, one
+  list comparison per event;
+- an entry whose ``fn`` is ``None`` is dead: cancelled, or already handed
+  to dispatch (it is marked *before* its callback runs, so a timer that
+  cancels its own handle is a no-op).  Cancelled entries (one RPC timeout
+  per RPC, nearly always cancelled) are counted, and the queue is compacted
+  once they dominate it, instead of lingering until their deadline;
 - :meth:`run` drains same-timestamp batches without re-checking the
   ``until`` bound per event, and :meth:`run_until_complete` drives the
   loop inline rather than paying a ``run(max_events=1)`` call per event.
@@ -51,14 +55,6 @@ from typing import Any
 #    its warning is suppressed, so an address reused by a user coroutine is
 #    not silenced.
 _adopted_coro_ids: set[int] = set()
-
-
-def _adopt(coro) -> None:
-    _adopted_coro_ids.add(id(coro))
-
-
-def _unadopt(coro) -> None:
-    _adopted_coro_ids.discard(id(coro))
 
 
 def _install_scoped_unawaited_filter() -> None:
@@ -188,7 +184,7 @@ class Task(SimFuture):
         #: request-trace id this task runs on behalf of (repro.obs.tracer);
         #: inherited by spawned children while a tracer is armed
         self.trace: Any = None
-        _adopt(coro)
+        _adopted_coro_ids.add(id(coro))
 
     def cancel(self) -> bool:
         """Request cancellation; returns ``False`` if already done."""
@@ -199,7 +195,7 @@ class Task(SimFuture):
             # Never entered the coroutine: close it outright so it cannot
             # leak as a "never awaited" object at interpreter teardown.
             self._coro.close()
-            _unadopt(self._coro)
+            _adopted_coro_ids.discard(id(self._coro))
             self.try_set_exception(TaskCancelled())
             return True
         self.kernel._schedule_now(self._step, None)
@@ -214,14 +210,15 @@ class Task(SimFuture):
                 self._coro.close()
             except Exception:
                 pass
-        _unadopt(self._coro)
+        _adopted_coro_ids.discard(id(self._coro))
 
     def _step(self, wakeup_value: Any) -> None:
         if self._done:
             return
         if not self._started:
-            _unadopt(self._coro)  # running now; no unawaited risk remains
-        self._started = True
+            self._started = True
+            # running now; no unawaited risk remains
+            _adopted_coro_ids.discard(id(self._coro))
         # yield sanitizer (repro.analysis.ysan): attribute shared-state
         # accesses made during this step to this task.  Off by default;
         # the fast path pays one attribute load and `is None` test.
@@ -273,37 +270,28 @@ class Task(SimFuture):
             self.kernel._schedule_now(self._step, fut._result)
 
 
-class _Event:
-    __slots__ = ("when", "seq", "fn", "args", "cancelled")
-
-    def __init__(self, when: float, seq: int, fn: Callable, args: tuple):
-        self.when = when
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-
-
 class EventHandle:
     """Handle returned by :meth:`Kernel.schedule`; supports cancellation."""
 
-    __slots__ = ("_event", "_kernel")
+    __slots__ = ("_entry", "_kernel")
 
-    def __init__(self, event: _Event, kernel: "Kernel"):
-        self._event = event
+    def __init__(self, entry: list, kernel: "Kernel"):
+        self._entry = entry
         self._kernel = kernel
 
-    def cancel(self) -> None:
-        """Prevent the scheduled callback from firing (idempotent).
+    def cancel(self, _fut: Any = None) -> None:
+        """Prevent the scheduled callback from firing (idempotent, and a
+        no-op once the callback has been dispatched).
 
-        The event stays queued but dead; the kernel counts dead entries and
+        The entry stays queued but dead; the kernel counts dead entries and
         compacts the queue when they dominate it (an RPC-heavy run otherwise
-        drags a heap full of never-to-fire timeout timers)."""
-        event = self._event
-        if not event.cancelled:
-            event.cancelled = True
-            event.fn = None
-            event.args = ()
+        drags a heap full of never-to-fire timeout timers).  The ignored
+        argument lets the bound method serve directly as a
+        :meth:`SimFuture.add_done_callback` callback."""
+        entry = self._entry
+        if entry[2] is not None:
+            entry[2] = None
+            entry[3] = ()
             kernel = self._kernel
             kernel._cancelled += 1
             if (kernel._cancelled >= kernel.COMPACT_MIN_DEAD
@@ -312,8 +300,8 @@ class EventHandle:
 
     @property
     def cancelled(self) -> bool:
-        """Whether the event has been cancelled."""
-        return self._event.cancelled
+        """Whether the event is dead: cancelled, or already dispatched."""
+        return self._entry[2] is None
 
 
 class Kernel:
@@ -331,15 +319,18 @@ class Kernel:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: list[tuple[float, int, _Event]] = []
-        #: zero-delay events, in (when, seq) order by construction — `now`
-        #: never decreases and seq only grows, so appends stay sorted
-        self._fifo: deque[_Event] = deque()
+        #: timed events: a heap of ``[when, seq, fn, args]`` entries;
+        #: ``fn is None`` marks an entry dead (cancelled or dispatched)
+        self._queue: list[list] = []
+        #: zero-delay events (same entries), in (when, seq) order by
+        #: construction — `now` never decreases and seq only grows, so
+        #: appends stay sorted
+        self._fifo: deque[list] = deque()
         #: how zero-delay events enter the fifo.  Default: the deque's own
         #: append (the fifo's identity never changes — see _compact — so
         #: binding it once is safe).  `set_perturbation` swaps in the
         #: tie-break shuffler; the hot path itself stays branch-free.
-        self._fifo_push: Callable[[_Event], None] = self._fifo.append
+        self._fifo_push: Callable[[list], None] = self._fifo.append
         self._seq = itertools.count()
         self._events_processed = 0
         self._cancelled = 0  # dead events still sitting in queue or fifo
@@ -426,26 +417,27 @@ class Kernel:
         self._fifo_push = (self._fifo.append if rng is None
                            else self._perturbed_push)
 
-    def _perturbed_push(self, event: _Event) -> None:
+    def _perturbed_push(self, entry: list) -> None:
         """Insert a zero-delay event at a random same-timestamp position.
 
-        Only the trailing run of fifo entries sharing ``event.when`` is a
-        legal insertion window (the fifo is sorted by ``when``; earlier
-        timestamps must stay ahead).  During normal dispatch the whole
-        fifo shares the current timestamp, so this is a full shuffle of
-        the pending zero-delay batch.
+        Only the trailing run of fifo entries sharing the entry's ``when``
+        is a legal insertion window (the fifo is sorted by ``when``;
+        earlier timestamps must stay ahead).  During normal dispatch the
+        whole fifo shares the current timestamp, so this is a full shuffle
+        of the pending zero-delay batch.
         """
         fifo = self._fifo
+        when = entry[0]
         n = 0
         for queued in reversed(fifo):
-            if queued.when != event.when:
+            if queued[0] != when:
                 break
             n += 1
         pos = self._perturb.randint(0, n)
         if pos == n:
-            fifo.append(event)
+            fifo.append(entry)
         else:
-            fifo.insert(len(fifo) - n + pos, event)
+            fifo.insert(len(fifo) - n + pos, entry)
 
     # ------------------------------------------------------------------ #
     # scheduling primitives
@@ -455,23 +447,23 @@ class Kernel:
         """Run ``fn(*args)`` after ``delay`` units of virtual time."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        event = _Event(self.now + delay, next(self._seq), fn, args)
+        entry = [self.now + delay, next(self._seq), fn, args]
         if delay == 0:
-            self._fifo_push(event)
+            self._fifo_push(entry)
         else:
-            heapq.heappush(self._queue, (event.when, event.seq, event))
-        return EventHandle(event, self)
+            heapq.heappush(self._queue, entry)
+        return EventHandle(entry, self)
 
     def call_at(self, when: float, fn: Callable, *args: Any) -> EventHandle:
         """Run ``fn(*args)`` at absolute virtual time ``when``."""
         if when < self.now:
             raise ValueError(f"cannot schedule in the past: {when} < {self.now}")
-        event = _Event(when, next(self._seq), fn, args)
+        entry = [when, next(self._seq), fn, args]
         if when == self.now:
-            self._fifo_push(event)
+            self._fifo_push(entry)
         else:
-            heapq.heappush(self._queue, (when, event.seq, event))
-        return EventHandle(event, self)
+            heapq.heappush(self._queue, entry)
+        return EventHandle(entry, self)
 
     def post(self, delay: float, fn: Callable, *args: Any) -> None:
         """Fire-and-forget :meth:`schedule`: no cancellation handle.
@@ -481,14 +473,14 @@ class Kernel:
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        event = _Event(self.now + delay, next(self._seq), fn, args)
+        entry = [self.now + delay, next(self._seq), fn, args]
         if delay == 0:
-            self._fifo_push(event)
+            self._fifo_push(entry)
         else:
-            heapq.heappush(self._queue, (event.when, event.seq, event))
+            heapq.heappush(self._queue, entry)
 
     def _schedule_now(self, fn: Callable, *args: Any) -> None:
-        self._fifo_push(_Event(self.now, next(self._seq), fn, args))
+        self._fifo_push([self.now, next(self._seq), fn, args])
 
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify (both queues).
@@ -497,10 +489,10 @@ class Kernel:
         and fifo containers, so their identities must never change.
         """
         self._queue[:] = [entry for entry in self._queue
-                          if not entry[2].cancelled]
+                          if entry[2] is not None]
         heapq.heapify(self._queue)
-        if any(event.cancelled for event in self._fifo):
-            live = [e for e in self._fifo if not e.cancelled]
+        if any(entry[2] is None for entry in self._fifo):
+            live = [entry for entry in self._fifo if entry[2] is not None]
             self._fifo.clear()
             self._fifo.extend(live)
         self._cancelled = 0
@@ -598,48 +590,39 @@ class Kernel:
     # execution
     # ------------------------------------------------------------------ #
 
-    def _next_live(self) -> _Event | None:
-        """Pop-and-return the next live event in (when, seq) order, or
+    def _next_live(self) -> list | None:
+        """Pop-and-return the next live entry in (when, seq) order, or
         ``None`` when both queues are drained of live events.  Dead entries
         encountered on the way out are discarded."""
         queue, fifo = self._queue, self._fifo
         while True:
-            while fifo and fifo[0].cancelled:
-                fifo.popleft()
-                self._cancelled -= 1
-            while queue and queue[0][2].cancelled:
-                heapq.heappop(queue)
-                self._cancelled -= 1
-            if fifo:
-                if queue:
-                    head = queue[0]
-                    first = fifo[0]
-                    if (head[0], head[1]) < (first.when, first.seq):
-                        event = heapq.heappop(queue)[2]
-                    else:
-                        event = fifo.popleft()
-                else:
-                    event = fifo.popleft()
+            # a dead fifo head is dropped without consulting the heap:
+            # under perturbation the fifo is not seq-sorted, so comparing
+            # on a corpse could let the heap overtake a live entry behind it
+            if fifo and (fifo[0][2] is None or not queue
+                         or fifo[0] < queue[0]):
+                entry = fifo.popleft()
             elif queue:
-                event = heapq.heappop(queue)[2]
+                entry = heapq.heappop(queue)
             else:
                 return None
-            if not event.cancelled:
-                return event
+            if entry[2] is not None:
+                return entry
+            self._cancelled -= 1
 
     def _peek_when(self) -> float | None:
         """Virtual time of the next live event (``None`` when idle)."""
         queue, fifo = self._queue, self._fifo
-        while fifo and fifo[0].cancelled:
+        while fifo and fifo[0][2] is None:
             fifo.popleft()
             self._cancelled -= 1
-        while queue and queue[0][2].cancelled:
+        while queue and queue[0][2] is None:
             heapq.heappop(queue)
             self._cancelled -= 1
         if fifo and queue:
-            return min(fifo[0].when, queue[0][0])
+            return min(fifo[0][0], queue[0][0])
         if fifo:
-            return fifo[0].when
+            return fifo[0][0]
         if queue:
             return queue[0][0]
         return None
@@ -676,22 +659,21 @@ class Kernel:
                 # another bound check
                 self.now = when
                 while True:
-                    event = self._next_live()
-                    if event is None:
+                    entry = self._next_live()
+                    if entry is None:
                         break
-                    if event.when != when:
+                    if entry[0] != when:
                         # overshot into the next timestamp: put it back un-run
-                        heapq.heappush(self._queue,
-                                       (event.when, event.seq, event))
+                        heapq.heappush(self._queue, entry)
                         break
-                    event.fn(*event.args)
+                    _when, seq, fn, args = entry
+                    # dead before dispatch: a callback cancelling its own
+                    # handle (every RPC timeout does) must find nothing
+                    # left to cancel, or the dead count would skew
+                    entry[2] = None
+                    fn(*args)
                     if witness is not None:
-                        witness.fold_event(when, event.seq,
-                                           event.fn, event.args)
-                    # mark fired so a later handle.cancel() (RPC replies
-                    # cancel their own just-fired timeout) cannot skew the
-                    # dead count
-                    event.cancelled = True
+                        witness.fold_event(when, seq, fn, args)
                     processed += 1
                     self._events_processed += 1
                     if max_events is not None and processed >= max_events:
@@ -709,62 +691,48 @@ class Kernel:
         raised.
         """
         fut = awaitable if isinstance(awaitable, SimFuture) else self.spawn(awaitable)
-        # this loop drives every simulation in the repository: the merge of
-        # the two queues is inlined (no per-event helper calls) because one
-        # long scale run pumps millions of events through here
-        queue, fifo = self._queue, self._fifo
-        heappop = heapq.heappop
-        witness = self._witness
         guard = self._det_guard
         engaged_before = False
         if guard is not None:
             engaged_before = guard.engaged
             guard.engaged = True
         try:
-            return self._drive(fut, limit, queue, fifo, heappop, witness)
+            return self._drive(fut, limit)
         finally:
             if guard is not None:
                 guard.engaged = engaged_before
 
-    def _drive(self, fut: SimFuture, limit: float | None, queue, fifo,
-               heappop, witness) -> Any:
+    def _drive(self, fut: SimFuture, limit: float | None) -> Any:
+        # this loop drives every simulation in the repository: the merge of
+        # the two queues is inlined (no per-event helper calls) because one
+        # long scale run pumps millions of events through here.  It is
+        # _next_live() unrolled, plus the `limit` check on heap entries.
+        queue, fifo = self._queue, self._fifo
+        heappop, popleft = heapq.heappop, fifo.popleft
+        witness = self._witness
         while not fut._done:
-            while fifo and fifo[0].cancelled:
-                fifo.popleft()
-                self._cancelled -= 1
-            while queue and queue[0][2].cancelled:
-                heappop(queue)
-                self._cancelled -= 1
-            if fifo:
-                event = fifo[0]
-                if queue:
-                    head = queue[0]
-                    if head[0] < event.when or (head[0] == event.when
-                                                and head[1] < event.seq):
-                        event = head[2]
-                        if limit is not None and event.when > limit:
-                            raise SimTimeoutError(
-                                f"virtual-time limit {limit} reached")
-                        heappop(queue)
-                    else:
-                        fifo.popleft()
-                else:
-                    fifo.popleft()
+            if fifo and (fifo[0][2] is None or not queue
+                         or fifo[0] < queue[0]):
+                entry = popleft()
             elif queue:
-                event = queue[0][2]
-                if limit is not None and event.when > limit:
+                entry = queue[0]
+                if (limit is not None and entry[0] > limit
+                        and entry[2] is not None):
                     raise SimTimeoutError(f"virtual-time limit {limit} reached")
                 heappop(queue)
             else:
                 raise RuntimeError(
                     "simulation deadlock: no live events but future pending "
                     f"({self.live_events} live events)")
-            self.now = event.when
-            event.fn(*event.args)
+            when, seq, fn, args = entry
+            if fn is None:
+                self._cancelled -= 1
+                continue
+            entry[2] = None  # dead before dispatch; see note in run()
+            self.now = when
+            fn(*args)
             if witness is not None:
-                witness.fold_event(event.when, event.seq,
-                                   event.fn, event.args)
-            event.cancelled = True  # fired; see note in run()
+                witness.fold_event(when, seq, fn, args)
             self._events_processed += 1
         return fut.result()
 
@@ -772,17 +740,15 @@ class Kernel:
         """Tear down a simulation mid-flight: drop every queued event and
         close the coroutines of tasks that never got to run, so nothing
         lingers to be flagged at garbage collection.  Idempotent."""
-        for event in [entry[2] for entry in self._queue] + list(self._fifo):
-            if event.cancelled:
-                continue
-            owner = getattr(event.fn, "__self__", None)
+        for entry in self._queue + list(self._fifo):
+            owner = getattr(entry[2], "__self__", None)
             if isinstance(owner, Task) and not owner._started \
                     and not owner._done:
                 # closing before GC means no never-awaited warning can fire
                 owner._coro.close()
-                _unadopt(owner._coro)
+                _adopted_coro_ids.discard(id(owner._coro))
                 owner.try_set_exception(TaskCancelled())
-            event.cancelled = True
+            entry[2] = None
         self._queue.clear()
         self._fifo.clear()
         self._cancelled = 0

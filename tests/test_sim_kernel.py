@@ -1,8 +1,10 @@
 """Unit tests for the discrete-event kernel and coroutine runtime."""
 
+import random
+
 import pytest
 
-from repro.sim import SimTimeoutError, TaskCancelled
+from repro.sim import Kernel, SimTimeoutError, TaskCancelled
 from tests.conftest import run
 
 
@@ -316,3 +318,138 @@ def test_run_until_complete_drains_fifo_and_heap(kernel):
         return order
 
     assert run(kernel, main()) == ["zero", "post"]
+
+
+# ---- one-list events: dead-before-dispatch, cross-queue seq order ---------- #
+
+def _drain(kernel, how):
+    """Empty the queues through either dispatch loop."""
+    if how == "run":
+        kernel.run()
+    else:
+        run(kernel, kernel.sleep(1_000.0))
+
+
+@pytest.mark.parametrize("how", ["run", "run_until_complete"])
+def test_timer_cancelling_its_own_handle_keeps_live_events_honest(kernel, how):
+    # every RPC timeout does this: the fired timer fails the future, whose
+    # done-callback cancels the timer's own handle.  The entry was already
+    # popped, so counting it as a dead *queued* entry drove live_events
+    # negative (and made the deadlock diagnostic and compaction trigger lie)
+    handles, fired = [], []
+
+    def fire(i):
+        fired.append(i)
+        handles[i].cancel()
+
+    for i in range(5):
+        handles.append(kernel.schedule(float(i + 1), fire, i))
+    handles.append(kernel.schedule(0.0, fire, 5))      # fifo entry too
+    _drain(kernel, how)
+    assert fired == [5, 0, 1, 2, 3, 4]
+    assert all(h.cancelled for h in handles)
+    assert kernel.live_events == 0
+
+
+@pytest.mark.parametrize("how", ["run", "run_until_complete"])
+def test_mixed_primitives_at_equal_timestamps_fire_in_seq_order(kernel, how):
+    # heap entries due at t=5 (scheduled earlier, smaller seq) and every
+    # zero-delay primitive issued *at* t=5 share one timestamp; they fire
+    # strictly by seq, whichever queue holds them
+    order = []
+
+    async def task(label):
+        order.append(label)
+
+    def burst():
+        order.append("burst")
+        kernel.schedule(0.0, order.append, "schedule0")
+        kernel.call_at(kernel.now, order.append, "call_at_now")
+        kernel.post(0.0, order.append, "post0")
+        kernel.spawn(task("spawn"))
+        kernel.post(1.0, order.append, "next-tick")
+        kernel.post(0.0, order.append, "post0-again")
+
+    kernel.post(5.0, burst)
+    kernel.schedule(5.0, order.append, "heap-schedule")
+    kernel.call_at(5.0, order.append, "heap-call_at")
+    kernel.post(5.0, order.append, "heap-post")
+    _drain(kernel, how)
+    assert order == ["burst", "heap-schedule", "heap-call_at", "heap-post",
+                     "schedule0", "call_at_now", "post0", "spawn",
+                     "post0-again", "next-tick"]
+
+
+@pytest.mark.parametrize("how", ["run", "run_until_complete"])
+def test_forced_compaction_preserves_order_across_both_queues(kernel, how):
+    kernel.COMPACT_MIN_DEAD = 4         # compact after a handful of corpses
+    order, expect, doomed = [], [], []
+
+    def burst():
+        # zero-delay entries join the fifo while the heap still holds
+        # later timers; every third of either kind is cancelled
+        for i in range(12):
+            h = kernel.schedule(0.0, order.append, ("fifo", i))
+            (doomed if i % 3 == 0 else expect).append((h, ("fifo", i)))
+        for h, _label in doomed:
+            h.cancel()
+
+    heap_expect = []
+    for i in range(12):
+        h = kernel.schedule(2.0 + i, order.append, ("heap", i))
+        (doomed if i % 3 == 0 else heap_expect).append((h, ("heap", i)))
+    kernel.post(1.0, burst)
+    _drain(kernel, how)
+    assert order == [label for _h, label in expect + heap_expect]
+    assert kernel.live_events == 0
+    assert kernel._cancelled == 0       # every corpse reaped exactly once
+
+
+def test_perturbation_permutes_only_same_timestamp_ties():
+    def scenario(perturb_seed):
+        k = Kernel()
+        if perturb_seed is not None:
+            k.set_perturbation(random.Random(perturb_seed))
+        fired = []
+
+        def burst(t):
+            for i in range(5):
+                k.post(0.0, fired.append, (t, i))
+
+        for t in (1.0, 2.0, 3.0):
+            k.post(t, burst, t)
+            k.post(t, fired.append, (t, "heap"))   # same instant, on the heap
+        k.run()
+        return fired
+
+    plain = scenario(None)
+    shuffled = {seed: scenario(seed) for seed in range(1, 6)}
+    for fired in shuffled.values():
+        assert sorted(fired, key=str) == sorted(plain, key=str)  # nothing lost or doubled
+        assert [t for t, _ in fired] == sorted(t for t, _ in fired)
+        # heap entries due at t were sequenced before anything posted at t
+        for t in (1.0, 2.0, 3.0):
+            assert [x for x in fired if x[0] == t][0] == (t, "heap")
+    assert any(fired != plain for fired in shuffled.values())
+    assert shuffled[3] == scenario(3)   # reproducible from the perturb seed
+
+
+def test_shutdown_with_dead_and_live_entries_closes_unstarted_tasks(kernel):
+    import gc
+    import warnings as w
+
+    async def never_runs():
+        pass
+
+    tasks = [kernel.spawn(never_runs()) for _ in range(3)]
+    kernel.schedule(0.0, lambda: None).cancel()         # dead, fifo
+    kernel.schedule(5.0, lambda: None).cancel()         # dead, heap
+    kernel.schedule(5.0, lambda: None)                  # live, heap
+    kernel.shutdown()
+    assert all(t.done() for t in tasks)
+    assert kernel.live_events == 0
+    with w.catch_warnings(record=True) as caught:
+        w.simplefilter("always")
+        del tasks
+        gc.collect()
+    assert not [x for x in caught if "never awaited" in str(x.message)]

@@ -1,24 +1,22 @@
-"""P4 — namespace-path performance evidence: commuting server-side dirops
-vs the seed's whole-table optimistic directory transactions.
+"""P4 — namespace-path performance evidence: commuting server-side dirops.
 
 The paper calls the root directory the hottest file in the system (§7) and
 builds the namespace on §5.1's optimistic version-pair transaction — which
 makes *every* pair of concurrent mutations of one directory conflict.
-Three claims, measured in virtual time with pinned counters:
+Dirops commute instead.  Three claims, measured in virtual time with
+pinned counters:
 
-1. N agents creating into one shared directory under dirops complete with
-   **zero** version-conflict retries (`nfs.dir_retries == 0`) and a lower
-   p50 create latency than the whole-table path, which burns a retry storm
-   on the same workload;
+1. N agents creating into one shared directory complete with **zero**
+   name conflicts, zero directory reads and one directory major — every
+   file visible;
 2. a create is **segment-create + one dirop** — no directory read before
    the mutation and no follow-up getattr round (reply attrs derive from
-   the create itself), pinned against the seed path's read+getattr cost;
+   the create itself);
 3. the agent's version-validated readdir cache turns a listing poll of an
    unchanged hot directory into "unchanged" answers that move no entry
    bytes.
 """
 
-from repro.errors import NfsError
 from repro.testbed import build_cluster
 from benchmarks.conftest import run_once
 
@@ -47,17 +45,7 @@ def _shared_dir_storm(cluster):
 
         async def one_create(agent, i):
             t0 = kernel.now
-            try:
-                await agent.create("/shared", f"f{i}")
-            except NfsError:
-                # the whole-table path's retry storm can now exhaust the
-                # client's RPC budget outright: with honest §4 commit
-                # points every retried table write pays a real durable
-                # round, so contention compounds into client-visible
-                # failure — the extreme end of the badness this
-                # comparison exists to show
-                latencies.append(kernel.now - t0)
-                return
+            await agent.create("/shared", f"f{i}")
             latencies.append(kernel.now - t0)
 
         snap = m.snapshot()
@@ -78,96 +66,75 @@ def _shared_dir_storm(cluster):
 
 
 def test_hot_directory_creates_commute(benchmark, report):
-    """Claim 1: retries collapse to zero; p50 create latency drops."""
-    results = {}
+    """Claim 1: concurrent creates in one directory never conflict."""
+    r = {}
 
     def scenario():
-        for label, dirops in (("dirops", True), ("seed whole-table", False)):
-            cluster = build_cluster(3, n_agents=N_AGENTS, seed=37,
-                                    namespace_dirops=dirops)
-            latencies, delta, names = _shared_dir_storm(cluster)
-            results[label] = {
-                "p50": latencies[len(latencies) // 2],
-                "p_max": latencies[-1],
-                "dir_retries": delta.get("nfs.dir_retries", 0),
-                "dirop_conflicts": delta.get("nfs.dirop_conflicts", 0),
-                "updates": delta.get("deceit.updates", 0),
-                "reads": delta.get("deceit.reads", 0)
-                + delta.get("deceit.stats", 0),
-                "branches": delta.get("deceit.tokens_generated", 0),
-                "lost": N_CREATES - len(names),
-            }
-            cluster.close()
-        return results
+        cluster = build_cluster(3, n_agents=N_AGENTS, seed=37)
+        latencies, delta, names = _shared_dir_storm(cluster)
+        r.update({
+            "p50": latencies[len(latencies) // 2],
+            "p_max": latencies[-1],
+            "dirop_conflicts": delta.get("nfs.dirop_conflicts", 0),
+            "reads": delta.get("deceit.reads", 0)
+            + delta.get("deceit.stats", 0),
+            "branches": delta.get("deceit.tokens_generated", 0),
+            "lost": N_CREATES - len(names),
+        })
+        cluster.close()
+        return r
 
     run_once(benchmark, scenario)
     report(
         f"P4.1 — {N_CREATES} concurrent creates, {N_AGENTS} agents, "
         "one shared directory",
-        ["namespace path", "p50 create ms", "max create ms",
-         "dir retries", "name conflicts", "segment reads+stats",
-         "dir majors branched", "files not visible"],
-        [[label, f"{r['p50']:.1f}", f"{r['p_max']:.1f}", r["dir_retries"],
-          r["dirop_conflicts"], r["reads"], r["branches"], r["lost"]]
-         for label, r in results.items()],
+        ["p50 create ms", "max create ms", "name conflicts",
+         "segment reads+stats", "dir majors branched", "files not visible"],
+        [[f"{r['p50']:.1f}", f"{r['p_max']:.1f}", r["dirop_conflicts"],
+          r["reads"], r["branches"], r["lost"]]],
     )
-    new, seed = results["dirops"], results["seed whole-table"]
-    # dirops: all creates visible, one directory major, zero retries —
-    # forwarded single updates keep the hot directory's token put
-    assert new["lost"] == 0 and new["branches"] == 0
-    assert new["dir_retries"] == 0          # commuting creates never retry
-    assert new["dirop_conflicts"] == 0
-    assert new["reads"] == 0                # dirops never read the table
-    assert new["p50"] < seed["p50"]
-    # the whole-table path burns a retry storm — and under cross-server
-    # contention its token ping-pong times out into token *generation*,
-    # branching the directory into divergent majors that hide files
-    assert seed["dir_retries"] > 0
-    assert seed["reads"] > N_CREATES        # read per attempt, plus retries
+    # all creates visible, one directory major — forwarded single updates
+    # keep the hot directory's token put
+    assert r["lost"] == 0 and r["branches"] == 0
+    assert r["dirop_conflicts"] == 0
+    assert r["reads"] == 0                  # dirops never read the table
 
 
 def test_create_is_two_segment_ops(benchmark, report):
     """Claim 2: one quiet create = segment-create + one dirop update,
     zero directory reads, zero getattr stats (reply attrs are derived)."""
-    results = {}
+    r = {}
 
     def scenario():
-        for label, dirops in (("dirops", True), ("seed whole-table", False)):
-            cluster = build_cluster(3, n_agents=1, seed=41,
-                                    namespace_dirops=dirops)
-            agent = cluster.agents[0]
-            m = cluster.metrics
+        cluster = build_cluster(3, n_agents=1, seed=41)
+        agent = cluster.agents[0]
+        m = cluster.metrics
 
-            async def run():
-                await agent.mount()
-                await agent.lookup_path("/")
-                snap = m.snapshot()
-                t0 = cluster.kernel.now
-                await agent.create("/", "solo")
-                return {"ms": cluster.kernel.now - t0, **m.delta(snap)}
+        async def run():
+            await agent.mount()
+            await agent.lookup_path("/")
+            snap = m.snapshot()
+            t0 = cluster.kernel.now
+            await agent.create("/", "solo")
+            return {"ms": cluster.kernel.now - t0, **m.delta(snap)}
 
-            results[label] = cluster.run(run())
-            cluster.close()
-        return results
+        r.update(cluster.run(run()))
+        cluster.close()
+        return r
 
     run_once(benchmark, scenario)
     report(
         "P4.2 — cost of one uncontended create",
-        ["namespace path", "NFS rounds", "segment updates",
-         "segment reads", "segment stats", "virtual ms"],
-        [[label, r.get("nfs.requests", 0), r.get("deceit.updates", 0),
+        ["NFS rounds", "segment updates", "segment reads", "segment stats",
+         "virtual ms"],
+        [[r.get("nfs.requests", 0), r.get("deceit.updates", 0),
           r.get("deceit.reads", 0), r.get("deceit.stats", 0),
-          f"{r['ms']:.1f}"]
-         for label, r in results.items()],
+          f"{r['ms']:.1f}"]],
     )
-    new, seed = results["dirops"], results["seed whole-table"]
-    assert new.get("nfs.requests", 0) == 1
-    assert new.get("deceit.updates", 0) == 1     # the single dirop
-    assert new.get("deceit.reads", 0) == 0       # no table read
-    assert new.get("deceit.stats", 0) == 0       # no getattr round
-    assert seed.get("deceit.reads", 0) >= 1      # whole-table read
-    assert seed.get("deceit.stats", 0) >= 1      # follow-up getattr
-    assert new["ms"] <= seed["ms"]
+    assert r.get("nfs.requests", 0) == 1
+    assert r.get("deceit.updates", 0) == 1     # the single dirop
+    assert r.get("deceit.reads", 0) == 0       # no table read
+    assert r.get("deceit.stats", 0) == 0       # no getattr round
 
 
 def test_readdir_poll_revalidates_without_bytes(benchmark, report):

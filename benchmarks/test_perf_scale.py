@@ -12,14 +12,10 @@ charts:
 - kernel events/sec — simulator throughput independent of op mix;
 - p50/p99 *virtual* latency — what the simulated clients experienced.
 
-The ``PRE_PR`` constants are the same runs measured on this repository
-immediately before the fast-path overhaul (kernel heap with tuple
-ordering + cancelled-event compaction, interned counter keys, cached
-payload sizes, multicast heartbeats, creator-hinted group joins, scaled
-FD / merge-audit intervals).  They ride along in the exported JSON so
-``BENCH_scale-<py>.json`` carries the before/after story in one
-artifact.  The headline acceptance: the 64-server cell runs at least
-4x faster than it did pre-overhaul.
+The table is a chart, not a gate: the wall-clock numbers depend on the
+host, so the committed ruler for simulator speed is ``bench/``'s
+``scale_hotspot`` ``sim_ops_per_s`` (parent vs change on one machine).
+What this suite asserts is that every op succeeds at every size.
 """
 
 import time
@@ -34,20 +30,6 @@ from benchmarks.conftest import run_once
 CELLS = [(4, 8), (16, 16), (64, 32), (128, 48)]
 DURATION_MS = 10_000.0
 SEED = 42
-
-#: The identical workload/seed measured at the pre-overhaul commit with
-#: the then-only builder (``build_cluster`` defaults) on the reference
-#: container.  wall seconds and wall ops/sec; virtual quantities are in
-#: the table for context.
-PRE_PR = {
-    4: {"wall_s": 0.324, "ops_per_sec": 1641.6},
-    16: {"wall_s": 1.252, "ops_per_sec": 424.8},
-    64: {"wall_s": 15.137, "ops_per_sec": 35.1},
-    128: {"wall_s": 70.500, "ops_per_sec": 7.4},
-}
-
-#: Headline acceptance for the 64-server cell vs its PRE_PR entry.
-MIN_SPEEDUP_64 = 4.0
 
 
 def _run_cell(n_servers: int, n_agents: int) -> dict:
@@ -89,39 +71,20 @@ def test_perf_scale_cells(benchmark, report):
 
     run_once(benchmark, scenario)
     for n_servers, r in sorted(results.items()):
-        base = PRE_PR[n_servers]
         rows.append([
             f"{n_servers}x{r['n_agents']}", r["ops"],
             f"{r['wall_s']:.2f}", f"{r['ops_per_sec']:.0f}",
             f"{r['events_per_sec'] / 1000:.0f}k",
             f"{r['p50_ms']:.1f}", f"{r['p99_ms']:.0f}",
-            f"{base['wall_s']:.2f}",
-            f"{base['wall_s'] / r['wall_s']:.1f}x",
         ])
     report(
         "S1: simulator throughput vs cell size — zipf hotspot, "
         f"{DURATION_MS / 1000:.0f}s virtual",
         ["cell (srv x ag)", "ops", "wall s", "ops/s", "events/s",
-         "p50 ms", "p99 ms", "pre-PR wall s", "speedup"],
+         "p50 ms", "p99 ms"],
         rows,
     )
     # every op the workload attempted succeeded, at every size
     for r in results.values():
         assert r["ok"] == r["ops"]
-    # the whole point: the 64-server cell is dramatically faster to
-    # simulate than before the fast-path overhaul
-    speedup_64 = PRE_PR[64]["wall_s"] / results[64]["wall_s"]
-    assert speedup_64 >= MIN_SPEEDUP_64, (
-        f"64-server zipf run regressed: {speedup_64:.2f}x vs pre-PR "
-        f"(wall {results[64]['wall_s']:.2f}s, "
-        f"pre-PR {PRE_PR[64]['wall_s']:.2f}s)")
-    # throughput should not collapse with cell size: 128 servers costs
-    # more than 16, but the slope stays far from the pre-PR cliff
-    # (pre-PR: 4 -> 128 servers lost 220x in ops/sec; the scaled FD and
-    # audit intervals keep the background O(n^2) load bounded)
-    assert results[128]["ops_per_sec"] > PRE_PR[128]["ops_per_sec"] * 4
-    benchmark.extra_info.update({
-        "cells": {str(n): r for n, r in results.items()},
-        "pre_pr": {str(n): dict(b) for n, b in PRE_PR.items()},
-        "speedup_64": speedup_64,
-    })
+    benchmark.extra_info["cells"] = {str(n): r for n, r in results.items()}

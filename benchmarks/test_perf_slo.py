@@ -20,8 +20,6 @@ Acceptance — graceful degradation, both halves of it:
   ``MAX_GATED_P99_VS_KNEE`` of the knee's own p99, while actually
   engaging (``busy_rejected > 0`` — a gate that never says BUSY proves
   nothing).
-
-``BENCH_slo-<py>.json`` carries the full ramp plus both overload runs.
 """
 
 from benchmarks.conftest import run_once

@@ -46,10 +46,6 @@ class AgentConfig:
     shortcut: bool = False
     attr_ttl_ms: float = 3000.0
     data_ttl_ms: float = 3000.0
-    #: After the TTL expires, revalidate the cached copy by version pair
-    #: instead of refetching the payload: the server answers "unchanged"
-    #: (no data bytes) when the segment is still at the cached version.
-    version_validate: bool = True
     #: The agent-side router: learn replica locations from the placement
     #: hints piggybacked on read replies and send subsequent reads
     #: directly to a current replica holder instead of always the mount
@@ -64,10 +60,6 @@ class AgentConfig:
     #: level >= 1 acks when the flush returns — i.e. after the server has
     #: collected ``write_safety`` replica replies.
     write_behind: bool = False
-    #: Sequential readahead for striped files: when ranged reads walk the
-    #: file front to back, the next stripe is prefetched in the background
-    #: so a scan's next request is answered from agent memory.
-    readahead: bool = True
     #: How long a ``write_safety >= 1`` buffered write waits for peers to
     #: join its flush (group commit at the agent: concurrent writers to one
     #: handle coalesce into a single batched update).
@@ -451,7 +443,7 @@ class Agent(Node):
         **only** when the new version is the immediate successor of the
         cached one — i.e. this mutation was provably the only change since
         the listing was taken; anything else (a gap means other clients
-        mutated in between, a missing version means the fallback path ran)
+        mutated in between, a missing version means an idempotent replay)
         drops the listing so the next readdir refetches.
         """
         if not self.config.cache:
@@ -568,7 +560,9 @@ class Agent(Node):
             data, version = await self._read_striped(key, *hint)
         else:
             args: dict[str, Any] = {"fh": key}
-            if cached and cached[2] is not None and self.config.version_validate:
+            if cached and cached[2] is not None:
+                # TTL lapsed: revalidate by version pair — the server
+                # answers "unchanged" (no data bytes) when still current
                 args["verify"] = list(cached[2])
             to = await self._route_target(fh)
             reply = await self._nfs("read", args, to=to,
@@ -755,7 +749,7 @@ class Agent(Node):
         # from its first read
         sequential = self._seq_read.get(key, 0) == offset
         self._seq_read[key] = offset + count
-        if not sequential or not self.config.readahead:
+        if not sequential:
             return
         hint = self._stripe_hint(key)
         if hint is None:
@@ -1181,19 +1175,15 @@ class Agent(Node):
         self._invalidate(fromfh)
         self._invalidate(tofh)
         versions = reply.get("dir_versions") or {}
-        moved = reply.get("moved_entry")
         # to-side first: a same-directory rename bumps the one directory
         # twice (install sub+1, drop sub+2), so the patches only chain as
         # contiguous in server order
-        if moved is not None and versions.get("to") is not None:
+        if versions.get("to") is not None:
             # the entry the SERVER says it installed — never this agent's
             # own (possibly stale) cached listing of the source directory
-            self._feed_dir_cache(tofh, toname, {"name": toname, **moved},
+            self._feed_dir_cache(tofh, toname,
+                                 {"name": toname, **reply["moved_entry"]},
                                  versions["to"])
-        elif moved is None:
-            # fallback-path server reply: can't patch the target listing
-            self._dir_cache.pop(tofh.encode(), None)
-            self._neg_cache.pop((tofh.encode(), toname), None)
         else:
             # POSIX no-op rename (both names already link the same file):
             # nothing changed server-side, the listings stay — but both
@@ -1202,12 +1192,11 @@ class Agent(Node):
             self._neg_cache.pop((fromfh.encode(), fromname), None)
         if versions.get("from") is not None:
             self._feed_dir_cache(fromfh, fromname, None, versions["from"])
-        elif versions.get("to") is not None or moved is None:
-            # the server abandoned (or didn't report) the from-side drop —
-            # e.g. a concurrent re-create owns the name now; a negative
-            # entry would assert a removal that may not have happened.
-            # (A no-op rename — both versions None WITH a moved entry —
-            # changed nothing, so the caches stay.)
+        elif versions.get("to") is not None:
+            # the server abandoned the from-side drop — e.g. a concurrent
+            # re-create owns the name now; a negative entry would assert a
+            # removal that may not have happened.  (A no-op rename — both
+            # versions None — changed nothing, so the caches stay.)
             self._dir_cache.pop(fromfh.encode(), None)
             self._neg_cache.pop((fromfh.encode(), fromname), None)
 
@@ -1222,16 +1211,12 @@ class Agent(Node):
         # without this, getattr serves a stale nlink until the TTL lapses
         self._invalidate(fh)
         self._invalidate(tofh)
-        if reply.get("entry_type") is not None:
-            # cache the entry as the server recorded it: its real type and
-            # the version-unqualified handle (keeping `home` — stripping it
-            # would make a foreign entry dispatch locally and mis-resolve)
-            self._note_new_entry(tofh, name, reply["entry_type"],
-                                 FileHandle(sid=fh.sid, home=fh.home).encode(),
-                                 reply.get("dir_version"))
-        else:
-            self._dir_cache.pop(tofh.encode(), None)
-            self._neg_cache.pop((tofh.encode(), name), None)
+        # cache the entry as the server recorded it: its real type and the
+        # version-unqualified handle (keeping `home` — stripping it would
+        # make a foreign entry dispatch locally and mis-resolve)
+        self._note_new_entry(tofh, name, reply["entry_type"],
+                             FileHandle(sid=fh.sid, home=fh.home).encode(),
+                             reply.get("dir_version"))
 
     async def readdir(self, path_or_fh: str | FileHandle) -> list[dict]:
         """List a directory, served from the agent's readdir cache.
@@ -1250,7 +1235,7 @@ class Agent(Node):
             self.metrics.incr("agent.dir_cache_hits")
             return [dict(e) for e in cached[0]]
         args: dict[str, Any] = {"fh": key}
-        if cached and cached[2] is not None and self.config.version_validate:
+        if cached and cached[2] is not None:
             args["verify"] = list(cached[2])
         reply = await self._nfs("readdir", args)
         version = tuple(reply["version"]) if reply.get("version") else None

@@ -37,21 +37,14 @@ def _run_once(workload: str, n_servers: int, n_agents: int,
               limit: float = 10_000_000.0) -> WitnessRecorder:
     """One seeded workload run with a witness attached; returns the witness.
 
-    Everything that feeds behavior is derived from ``seed``; the only
-    process-global state touched (message ids, metrics registries) is
-    deliberately excluded from the witness label, so repeated calls in
-    one process produce identical chains.
+    Everything that feeds behavior is derived from ``seed`` and no
+    process-global state is touched, so repeated calls in one process
+    produce identical chains.
     """
     from repro.testbed import build_scale_cluster
-    from repro.workloads import (WorkloadConfig, WorkloadGenerator,
-                                 hotspot_config, streaming_config)
-    from repro.workloads.replay import replay
+    from repro.workloads import named_ops, replay
 
-    factory = {"hotspot": hotspot_config, "zipf": hotspot_config,
-               "baseline": WorkloadConfig,
-               "streaming": streaming_config}[workload]
-    cfg = factory(n_clients=n_agents, duration_ms=duration_ms, seed=seed)
-    ops = WorkloadGenerator(cfg).generate()
+    ops = named_ops(workload, n_agents, duration_ms, seed)
     cluster = build_scale_cluster(n_servers=n_servers, n_agents=n_agents,
                                   seed=seed)
     witness = WitnessRecorder(checkpoint_interval=checkpoint_interval,

@@ -51,11 +51,8 @@ per rule in :data:`ALLOWLIST`, each entry with its reason.
 from __future__ import annotations
 
 import ast
-import io
-import os
-import re
-import tokenize
-from dataclasses import dataclass
+
+from repro.analysis.lintcore import Allowlist, LintTool, Violation
 
 #: rule name -> one-line description (the linter's public contract).
 RULES: dict[str, str] = {
@@ -73,7 +70,7 @@ RULES: dict[str, str] = {
 
 #: (path suffix, exempt rules or None for all, reason).  The real-time
 #: seam: code that measures or persists in *host* time on purpose.
-ALLOWLIST: list[tuple[str, frozenset[str] | None, str]] = [
+ALLOWLIST: Allowlist = [
     ("repro/cli.py", frozenset({"wallclock"}),
      "profile/restart-bench subcommands report real wall time"),
     ("repro/restartbench.py", frozenset({"wallclock"}),
@@ -86,10 +83,6 @@ ALLOWLIST: list[tuple[str, frozenset[str] | None, str]] = [
      "saturation harness reports real wall seconds per ramp step; "
      "simulated time comes from kernel.now"),
 ]
-
-_PRAGMA_RE = re.compile(
-    r"#\s*detlint:\s*ok\(\s*([a-z_]+(?:\s*,\s*[a-z_]+)*)\s*\)"
-    r"\s*(?:[-—:]+\s*(\S.*))?$")
 
 _WALLCLOCK_TIME_FNS = frozenset({
     "time", "monotonic", "perf_counter", "process_time",
@@ -124,82 +117,6 @@ _EFFECT_METHODS = frozenset({
 _ORDER_PRESERVING_WRAPPERS = frozenset({
     "list", "tuple", "enumerate", "reversed", "iter",
 })
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One detlint finding, addressable as ``path:line``."""
-
-    path: str
-    line: int
-    rule: str
-    message: str
-
-    def format(self) -> str:
-        return f"{self.path}:{self.line}: {self.rule}: {self.message}"
-
-
-@dataclass(frozen=True)
-class _Pragma:
-    line: int
-    rules: frozenset[str]
-    reason: str
-
-
-def _collect_pragmas(source: str, path: str) -> tuple[dict[int, _Pragma],
-                                                      list[Violation]]:
-    """Parse ``# detlint: ok(...)`` comments; malformed ones are findings.
-
-    Scans actual COMMENT tokens (not raw lines), so pragma examples
-    quoted inside docstrings and string literals never count.
-    """
-    pragmas: dict[int, _Pragma] = {}
-    bad: list[Violation] = []
-    comments: list[tuple[int, str]] = []
-    try:
-        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            if tok.type == tokenize.COMMENT:
-                comments.append((tok.start[0], tok.string))
-    except (tokenize.TokenError, IndentationError):
-        pass  # lint_source already rejects files that do not parse
-    for lineno, text in comments:
-        if "detlint:" not in text:
-            continue
-        match = _PRAGMA_RE.search(text)
-        if match is None:
-            bad.append(Violation(
-                path, lineno, "pragma",
-                "unparseable pragma; write "
-                "'# detlint: ok(<rule>) - <reason>'"))
-            continue
-        rules = frozenset(r.strip() for r in match.group(1).split(","))
-        unknown = rules - RULES.keys()
-        if unknown:
-            bad.append(Violation(
-                path, lineno, "pragma",
-                f"pragma names unknown rule(s): {', '.join(sorted(unknown))}"))
-            continue
-        reason = (match.group(2) or "").strip()
-        if not reason:
-            bad.append(Violation(
-                path, lineno, "pragma",
-                f"suppression of {', '.join(sorted(rules))} carries no "
-                "reason; a pragma is a reviewed claim — state it"))
-            continue
-        pragmas[lineno] = _Pragma(lineno, rules, reason)
-    return pragmas, bad
-
-
-def _exempt_rules(path: str) -> frozenset[str] | None:
-    """Rules the allowlist exempts for ``path`` (None = not exempt)."""
-    norm = path.replace(os.sep, "/")
-    exempt: set[str] = set()
-    for suffix, rules, _reason in ALLOWLIST:
-        if norm.endswith(suffix):
-            if rules is None:
-                return frozenset(RULES)
-            exempt |= rules
-    return frozenset(exempt) if exempt else None
 
 
 class _SetSymbols(ast.NodeVisitor):
@@ -529,88 +446,11 @@ class _Linter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def lint_source(source: str, path: str = "<string>") -> list[Violation]:
-    """Lint one module's source text; returns unsuppressed violations.
-
-    Applies the allowlist (by ``path`` suffix) and honors suppression
-    pragmas on the violation's line or the line directly above it.
-    Malformed pragmas are themselves violations and cannot be suppressed.
-    """
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [Violation(path, exc.lineno or 0, "pragma",
-                          f"file does not parse: {exc.msg}")]
-    pragmas, bad_pragmas = _collect_pragmas(source, path)
-    linter = _Linter(path, tree)
-    linter.visit(tree)
-    exempt = _exempt_rules(path)
-    out: list[Violation] = list(bad_pragmas)
-    for violation in linter.violations:
-        if exempt is not None and violation.rule in exempt:
-            continue
-        pragma = pragmas.get(violation.line) or pragmas.get(violation.line - 1)
-        if pragma is not None and violation.rule in pragma.rules:
-            continue
-        out.append(violation)
-    out.sort(key=lambda v: (v.path, v.line, v.rule))
-    return out
-
-
-def lint_paths(paths: list[str]) -> list[Violation]:
-    """Lint ``.py`` files under each path (file or directory tree)."""
-    files: list[str] = []
-    for path in paths:
-        if os.path.isdir(path):
-            for dirpath, dirnames, filenames in os.walk(path):
-                dirnames[:] = sorted(
-                    d for d in dirnames if d != "__pycache__")
-                files.extend(os.path.join(dirpath, name)
-                             for name in sorted(filenames)
-                             if name.endswith(".py"))
-        elif path.endswith(".py"):
-            files.append(path)
-    out: list[Violation] = []
-    for filename in files:
-        with open(filename, encoding="utf-8") as handle:
-            out.extend(lint_source(handle.read(), filename))
-    out.sort(key=lambda v: (v.path, v.line, v.rule))
-    return out
-
-
-def format_violations(violations: list[Violation]) -> str:
-    """Human-readable report, one finding per line plus a summary."""
-    if not violations:
-        return "detlint: clean (0 violations)"
-    lines = [v.format() for v in violations]
-    by_rule: dict[str, int] = {}
-    for v in violations:
-        by_rule[v.rule] = by_rule.get(v.rule, 0) + 1
-    summary = "  ".join(f"{rule}: {count}"
-                        for rule, count in sorted(by_rule.items()))
-    lines.append(f"detlint: {len(violations)} violation(s)  [{summary}]")
-    return "\n".join(lines)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Entry point for ``repro detlint`` (returns the exit code)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro detlint",
-        description="Determinism-contract linter over sim-domain sources.")
-    parser.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to lint (default: src)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalog and exit")
-    args = parser.parse_args(argv)
-    if args.list_rules:
-        for rule, description in RULES.items():
-            print(f"{rule:<12} {description}")
-        return 0
-    violations = lint_paths(args.paths)
-    print(format_violations(violations))
-    return 1 if violations else 0
+_TOOL = LintTool("detlint", "Determinism", RULES, ALLOWLIST, _Linter)
+lint_source = _TOOL.lint_source
+lint_paths = _TOOL.lint_paths
+format_violations = _TOOL.format_violations
+main = _TOOL.main
 
 
 if __name__ == "__main__":

@@ -56,15 +56,9 @@ def _run_once(workload: str, n_servers: int, n_agents: int,
               limit: float = 10_000_000.0) -> dict[str, Any]:
     """One perturbed, sanitized workload run; returns its findings."""
     from repro.testbed import build_scale_cluster
-    from repro.workloads import (WorkloadConfig, WorkloadGenerator,
-                                 hotspot_config, streaming_config)
-    from repro.workloads.replay import replay
+    from repro.workloads import named_ops, replay
 
-    factory = {"hotspot": hotspot_config, "zipf": hotspot_config,
-               "baseline": WorkloadConfig,
-               "streaming": streaming_config}[workload]
-    cfg = factory(n_clients=n_agents, duration_ms=duration_ms, seed=seed)
-    ops = WorkloadGenerator(cfg).generate()
+    ops = named_ops(workload, n_agents, duration_ms, seed)
     cluster = build_scale_cluster(n_servers=n_servers, n_agents=n_agents,
                                   seed=seed, ysan=True,
                                   perturb_seed=perturb_seed)

@@ -55,11 +55,8 @@ and the claim must be stated.
 from __future__ import annotations
 
 import ast
-import io
-import os
-import re
-import tokenize
-from dataclasses import dataclass
+
+from repro.analysis.lintcore import Allowlist, LintTool, Violation
 
 #: rule name -> one-line description (the linter's public contract).
 RULES: dict[str, str] = {
@@ -78,17 +75,13 @@ RULES: dict[str, str] = {
 #: (path suffix, exempt rules or None for all, reason).  Code outside the
 #: cooperative protocol domain, where the rules' atomicity model does not
 #: apply.
-ALLOWLIST: list[tuple[str, frozenset[str] | None, str]] = [
+ALLOWLIST: Allowlist = [
     ("repro/analysis/ysan.py", None,
      "the sanitizer itself: its bookkeeping mirrors the shared-attr "
      "names it instruments"),
     ("repro/analysis/racelint.py", None,
      "rule tables quote the very shapes the linter flags"),
 ]
-
-_PRAGMA_RE = re.compile(
-    r"#\s*racelint:\s*ok\(\s*([a-z_]+(?:\s*,\s*[a-z_]+)*)\s*\)"
-    r"\s*(?:[-—:]+\s*(\S.*))?$")
 
 #: terminal attribute names of containers the atomicity contract covers —
 #: the token table, replica records, catalogs and their major maps, token
@@ -110,82 +103,6 @@ _READING_METHODS = frozenset({"get", "keys", "values", "items"})
 #: call names that register a callback in their arguments.
 _CALLBACK_SINKS = frozenset({"add_done_callback", "schedule", "post",
                              "call_at"})
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One racelint finding, addressable as ``path:line``."""
-
-    path: str
-    line: int
-    rule: str
-    message: str
-
-    def format(self) -> str:
-        return f"{self.path}:{self.line}: {self.rule}: {self.message}"
-
-
-@dataclass(frozen=True)
-class _Pragma:
-    line: int
-    rules: frozenset[str]
-    reason: str
-
-
-def _collect_pragmas(source: str, path: str) -> tuple[dict[int, _Pragma],
-                                                      list[Violation]]:
-    """Parse ``# racelint: ok(...)`` comments; malformed ones are findings.
-
-    Scans actual COMMENT tokens (not raw lines), so pragma examples quoted
-    inside docstrings and string literals never count.
-    """
-    pragmas: dict[int, _Pragma] = {}
-    bad: list[Violation] = []
-    comments: list[tuple[int, str]] = []
-    try:
-        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            if tok.type == tokenize.COMMENT:
-                comments.append((tok.start[0], tok.string))
-    except (tokenize.TokenError, IndentationError):
-        pass  # lint_source already rejects files that do not parse
-    for lineno, text in comments:
-        if "racelint:" not in text:
-            continue
-        match = _PRAGMA_RE.search(text)
-        if match is None:
-            bad.append(Violation(
-                path, lineno, "pragma",
-                "unparseable pragma; write "
-                "'# racelint: ok(<rule>) - <reason>'"))
-            continue
-        rules = frozenset(r.strip() for r in match.group(1).split(","))
-        unknown = rules - RULES.keys()
-        if unknown:
-            bad.append(Violation(
-                path, lineno, "pragma",
-                f"pragma names unknown rule(s): {', '.join(sorted(unknown))}"))
-            continue
-        reason = (match.group(2) or "").strip()
-        if not reason:
-            bad.append(Violation(
-                path, lineno, "pragma",
-                f"suppression of {', '.join(sorted(rules))} carries no "
-                "reason; a pragma is a reviewed claim — state it"))
-            continue
-        pragmas[lineno] = _Pragma(lineno, rules, reason)
-    return pragmas, bad
-
-
-def _exempt_rules(path: str) -> frozenset[str] | None:
-    """Rules the allowlist exempts for ``path`` (None = not exempt)."""
-    norm = path.replace(os.sep, "/")
-    exempt: set[str] = set()
-    for suffix, rules, _reason in ALLOWLIST:
-        if norm.endswith(suffix):
-            if rules is None:
-                return frozenset(RULES)
-            exempt |= rules
-    return frozenset(exempt) if exempt else None
 
 
 def _expr_key(node: ast.AST) -> str:
@@ -613,93 +530,11 @@ class _Linter(ast.NodeVisitor):
         return None
 
 
-def lint_source(source: str, path: str = "<string>") -> list[Violation]:
-    """Lint one module's source text; returns unsuppressed violations.
-
-    Applies the allowlist (by ``path`` suffix) and honors suppression
-    pragmas on the violation's line or the line directly above it.
-    Malformed pragmas are themselves violations and cannot be suppressed.
-    """
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [Violation(path, exc.lineno or 0, "pragma",
-                          f"file does not parse: {exc.msg}")]
-    pragmas, bad_pragmas = _collect_pragmas(source, path)
-    linter = _Linter(path, tree)
-    linter.visit(tree)
-    exempt = _exempt_rules(path)
-    out: list[Violation] = list(bad_pragmas)
-    seen: set[tuple[int, str, str]] = set()
-    for violation in linter.violations:
-        if exempt is not None and violation.rule in exempt:
-            continue
-        pragma = pragmas.get(violation.line) or pragmas.get(violation.line - 1)
-        if pragma is not None and violation.rule in pragma.rules:
-            continue
-        key = (violation.line, violation.rule, violation.message)
-        if key in seen:
-            continue  # nested-block scans can visit a statement twice
-        seen.add(key)
-        out.append(violation)
-    out.sort(key=lambda v: (v.path, v.line, v.rule))
-    return out
-
-
-def lint_paths(paths: list[str]) -> list[Violation]:
-    """Lint ``.py`` files under each path (file or directory tree)."""
-    files: list[str] = []
-    for path in paths:
-        if os.path.isdir(path):
-            for dirpath, dirnames, filenames in os.walk(path):
-                dirnames[:] = sorted(
-                    d for d in dirnames if d != "__pycache__")
-                files.extend(os.path.join(dirpath, name)
-                             for name in sorted(filenames)
-                             if name.endswith(".py"))
-        elif path.endswith(".py"):
-            files.append(path)
-    out: list[Violation] = []
-    for filename in files:
-        with open(filename, encoding="utf-8") as handle:
-            out.extend(lint_source(handle.read(), filename))
-    out.sort(key=lambda v: (v.path, v.line, v.rule))
-    return out
-
-
-def format_violations(violations: list[Violation]) -> str:
-    """Human-readable report, one finding per line plus a summary."""
-    if not violations:
-        return "racelint: clean (0 violations)"
-    lines = [v.format() for v in violations]
-    by_rule: dict[str, int] = {}
-    for v in violations:
-        by_rule[v.rule] = by_rule.get(v.rule, 0) + 1
-    summary = "  ".join(f"{rule}: {count}"
-                        for rule, count in sorted(by_rule.items()))
-    lines.append(f"racelint: {len(violations)} violation(s)  [{summary}]")
-    return "\n".join(lines)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Entry point for ``repro racelint`` (returns the exit code)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro racelint",
-        description="Atomicity-contract linter over sim-domain sources.")
-    parser.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to lint (default: src)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalog and exit")
-    args = parser.parse_args(argv)
-    if args.list_rules:
-        for rule, description in RULES.items():
-            print(f"{rule:<12} {description}")
-        return 0
-    violations = lint_paths(args.paths)
-    print(format_violations(violations))
-    return 1 if violations else 0
+_TOOL = LintTool("racelint", "Atomicity", RULES, ALLOWLIST, _Linter)
+lint_source = _TOOL.lint_source
+lint_paths = _TOOL.lint_paths
+format_violations = _TOOL.format_violations
+main = _TOOL.main
 
 
 if __name__ == "__main__":

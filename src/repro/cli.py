@@ -56,6 +56,7 @@ import pstats
 import time
 
 from repro.testbed import build_cluster, build_scale_cluster
+from repro.workloads import NAMED_WORKLOADS, named_ops, replay
 
 
 def quickstart() -> bytes:
@@ -110,14 +111,7 @@ def profile(workload: str = "hotspot", n_servers: int = 16,
     cost — the thing the kernel/network fast paths optimize — not
     cluster construction.
     """
-    from repro.workloads import (WorkloadConfig, WorkloadGenerator,
-                                 hotspot_config, streaming_config)
-    from repro.workloads.replay import replay
-
-    factory = {"hotspot": hotspot_config, "baseline": WorkloadConfig,
-               "streaming": streaming_config}[workload]
-    cfg = factory(n_clients=n_agents, duration_ms=duration_ms, seed=seed)
-    ops = WorkloadGenerator(cfg).generate()
+    ops = named_ops(workload, n_agents, duration_ms, seed)
     cluster = build_scale_cluster(n_servers=n_servers, n_agents=n_agents,
                                   seed=seed)
     profiler = cProfile.Profile()
@@ -186,14 +180,7 @@ def trace_cmd(workload: str = "hotspot", n_servers: int = 4,
               n_agents: int = 4, duration_ms: float = 1_000.0,
               seed: int = 42, slowest: int = 5) -> None:
     """Run a traced seeded workload; print the slowest-request waterfalls."""
-    from repro.workloads import (WorkloadConfig, WorkloadGenerator,
-                                 hotspot_config, streaming_config)
-    from repro.workloads.replay import replay
-
-    factory = {"hotspot": hotspot_config, "baseline": WorkloadConfig,
-               "streaming": streaming_config}[workload]
-    cfg = factory(n_clients=n_agents, duration_ms=duration_ms, seed=seed)
-    ops = WorkloadGenerator(cfg).generate()
+    ops = named_ops(workload, n_agents, duration_ms, seed)
     cluster = build_scale_cluster(n_servers=n_servers, n_agents=n_agents,
                                   seed=seed, tracing=True)
     stats = cluster.run(replay(cluster, ops), limit=10_000_000.0)
@@ -214,7 +201,7 @@ def main(argv: list[str] | None = None) -> None:
     prof = sub.add_parser(
         "profile", help="cProfile a seeded workload on a scale-profile cell")
     prof.add_argument("--workload", default="hotspot",
-                      choices=["hotspot", "baseline", "streaming"],
+                      choices=list(NAMED_WORKLOADS),
                       help="named workload mix (default: hotspot)")
     prof.add_argument("--servers", type=int, default=16,
                       help="cell size (default: 16)")
@@ -249,7 +236,7 @@ def main(argv: list[str] | None = None) -> None:
         "detcheck",
         help="run a seeded workload twice and bisect any divergence")
     dc.add_argument("--workload", default="hotspot",
-                    choices=["hotspot", "zipf", "baseline", "streaming"],
+                    choices=list(NAMED_WORKLOADS),
                     help="named workload mix (default: hotspot)")
     dc.add_argument("--servers", type=int, default=16,
                     help="cell size (default: 16)")
@@ -275,7 +262,7 @@ def main(argv: list[str] | None = None) -> None:
         "racecheck",
         help="run N perturbed schedules with the yield sanitizer armed")
     rc.add_argument("--workload", default="zipf",
-                    choices=["hotspot", "zipf", "baseline", "streaming"],
+                    choices=list(NAMED_WORKLOADS),
                     help="named workload mix (default: zipf)")
     rc.add_argument("--servers", type=int, default=16,
                     help="cell size (default: 16)")
@@ -309,7 +296,7 @@ def main(argv: list[str] | None = None) -> None:
         "trace",
         help="run a traced workload; print the slowest request waterfalls")
     tr.add_argument("--workload", default="hotspot",
-                    choices=["hotspot", "baseline", "streaming"],
+                    choices=list(NAMED_WORKLOADS),
                     help="named workload mix (default: hotspot)")
     tr.add_argument("--servers", type=int, default=4,
                     help="cell size (default: 4)")

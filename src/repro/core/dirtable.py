@@ -4,7 +4,7 @@ A directory segment's data is a JSON document::
 
     {"entries": {name: {"h": segment-handle, "t": file-type}}, "sealed": bool}
 
-The NFS envelope historically mutated it with a whole-table optimistic
+The paper (§5.1) mutates it with a whole-table optimistic
 transaction (read the table, rewrite it, version-guard the write) — which
 makes *every* pair of concurrent mutations of one directory conflict, even
 when they touch different names.  A **dirop** is the commuting alternative:

@@ -13,17 +13,15 @@ updates that commute — no whole-table version guard, no retry storm on the
 hot root (§7 flags the root as the hottest file in the system).  The check
 half of every check-and-mutate (name exists?, handle unchanged?, directory
 empty?) runs *inside* the dirop guard at the write-token holder, closing
-the lost/leaked-file TOCTOU races the read-then-rewrite path had.
-
-The §5.1 optimistic version-pair transaction (read the directory, rewrite
-the whole table conditionally on its version pair, restart on conflict)
-survives in :meth:`Envelope._update_dir` — as the fallback for multi-entry
-mutations and as the measurable baseline (``use_dirops=False``).
+the lost/leaked-file TOCTOU races of a read-then-rewrite directory
+transaction.  The §5.1 conditional-write *primitive* (``guard=`` /
+:class:`~repro.errors.VersionConflict`) remains in the segment layer, where
+the striper installs stripe maps with it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from repro.core import SegmentServer, WriteOp
 from repro.core.dirtable import decode_dir, encode_dir
@@ -73,19 +71,12 @@ __all__ = ["Envelope", "GLOBAL_ROOT_SID", "decode_dir", "encode_dir",
 
 
 class Envelope:
-    """One per server; translates NFS calls onto the local segment server.
+    """One per server; translates NFS calls onto the local segment server."""
 
-    ``use_dirops`` selects the namespace path: ``True`` (default) ships
-    every directory mutation as a commuting server-side dirop; ``False``
-    falls back to the whole-table optimistic transaction — kept as the
-    baseline the namespace benchmark measures against.
-    """
-
-    def __init__(self, segments: SegmentServer, use_dirops: bool = True):
+    def __init__(self, segments: SegmentServer):
         self.segments = segments
         self.kernel = segments.kernel
         self.metrics = segments.metrics
-        self.use_dirops = use_dirops
         self.striper = Striper(segments, metrics=self.metrics)
         self.root_fh: FileHandle | None = None
 
@@ -161,31 +152,6 @@ class Envelope:
             # produced by THIS call — callers must not report one
             return None
         return (version.major, version.sub)
-
-    async def _update_dir(
-        self, fh: FileHandle,
-        mutate: Callable[[dict[str, dict[str, str]]], dict[str, dict[str, str]]],
-    ) -> None:
-        """Optimistic directory transaction with restart on conflict.
-
-        The §5.1 whole-table fallback: still the right tool for
-        *multi-entry* mutations (e.g. bootstrap installing several names at
-        once) and the baseline the dirop path is benchmarked against."""
-        for _attempt in range(MAX_DIR_RETRIES):
-            entries, result = await self._require_dir(fh)
-            new_entries = mutate(dict(entries))
-            data = encode_dir(new_entries)
-            op = WriteOp(kind="setdata", data=data,
-                         meta={"mtime": self.kernel.now,
-                               "length": len(data)})
-            try:
-                await self.segments.write(fh.sid, op, guard=result.version,
-                                          version=result.major)
-                return
-            except VersionConflict:
-                self.metrics.incr("nfs.dir_retries")
-                continue
-        raise nfs_error(NfsStat.ERR_IO, f"directory contention on {fh.sid}")
 
     async def _touch_meta(self, fh: FileHandle, patch: dict[str, Any]) -> None:
         await self.segments.write(fh.sid, WriteOp(kind="setmeta", meta=patch),
@@ -463,7 +429,8 @@ class Envelope:
                      params: FileParams | None = None,
                      ) -> tuple[FileHandle, FileAttrs, DirVersion | None]:
         """CREATE — new regular file; returns handle, attributes, and the
-        directory's post-op version pair (``None`` on the fallback path)."""
+        directory's post-op version pair (``None`` on an idempotent
+        replay, which produced no version of its own)."""
         self.metrics.incr("nfs.ops.create")
         return await self._create_node(dirfh, name, FileType.REGULAR,
                                        b"", sattr, params)
@@ -521,30 +488,16 @@ class Envelope:
         sid = await self.segments.create(params=params, data=data, meta=meta)
         fh = FileHandle(sid=sid)
 
-        if self.use_dirops:
-            try:
-                dir_version = await self._dir_write(dirfh, [
-                    {"action": "add", "name": base,
-                     "entry": {"h": sid, "t": ftype.value}}])
-            except Exception as exc:
-                await self.segments.delete(sid)  # roll back the orphan
-                if isinstance(exc, DirOpConflict):
-                    raise self._map_dirop_conflict(exc, base) from exc
-                raise
-            return fh, FileAttrs.from_meta(meta, len(data)), dir_version
-
-        def add_entry(entries: dict) -> dict:
-            if base in entries:
-                raise nfs_error(NfsStat.ERR_EXIST, base)
-            entries[base] = {"h": sid, "t": ftype.value}
-            return entries
-
         try:
-            await self._update_dir(dirfh, add_entry)
-        except Exception:
-            await self.segments.delete(sid)  # roll back the orphan segment
+            dir_version = await self._dir_write(dirfh, [
+                {"action": "add", "name": base,
+                 "entry": {"h": sid, "t": ftype.value}}])
+        except Exception as exc:
+            await self.segments.delete(sid)  # roll back the orphan
+            if isinstance(exc, DirOpConflict):
+                raise self._map_dirop_conflict(exc, base) from exc
             raise
-        return fh, await self.getattr(fh), None
+        return fh, FileAttrs.from_meta(meta, len(data)), dir_version
 
     @staticmethod
     def _map_dirop_conflict(exc: DirOpConflict, name: str) -> NfsError:
@@ -574,8 +527,6 @@ class Envelope:
         """
         self.metrics.incr("nfs.ops.remove")
         base, _version = split_version(name)
-        if not self.use_dirops:
-            return await self._remove_whole_table(dirfh, base)
         for _attempt in range(MAX_DIR_RETRIES):
             entries, _result = await self._require_dir(dirfh)
             entry = entries.get(base)
@@ -601,26 +552,6 @@ class Envelope:
             return dir_version
         raise nfs_error(NfsStat.ERR_IO, f"remove contention on {base}")
 
-    async def _remove_whole_table(self, dirfh: FileHandle, base: str) -> None:
-        """Seed fallback: reads the target handle outside the transaction."""
-        entries, _result = await self._require_dir(dirfh)
-        entry = entries.get(base)
-        if entry is None:
-            raise nfs_error(NfsStat.ERR_NOENT, base)
-        if entry["t"] == FileType.DIRECTORY.value:
-            raise nfs_error(NfsStat.ERR_ISDIR, base)
-        target = FileHandle(sid=entry["h"])
-
-        def drop_entry(dir_entries: dict) -> dict:
-            if base not in dir_entries:
-                raise nfs_error(NfsStat.ERR_NOENT, base)
-            del dir_entries[base]
-            return dir_entries
-
-        await self._update_dir(dirfh, drop_entry)
-        await self._decrement_link(target)
-        return None
-
     async def rmdir(self, dirfh: FileHandle, name: str) -> DirVersion | None:
         """RMDIR — remove an *empty* directory.
 
@@ -634,8 +565,6 @@ class Envelope:
         """
         self.metrics.incr("nfs.ops.rmdir")
         base, _version = split_version(name)
-        if not self.use_dirops:
-            return await self._rmdir_whole_table(dirfh, base)
         for _attempt in range(MAX_DIR_RETRIES):
             entries, _result = await self._require_dir(dirfh)
             entry = entries.get(base)
@@ -684,33 +613,9 @@ class Envelope:
         except (DirOpConflict, NfsError):
             pass
 
-    async def _rmdir_whole_table(self, dirfh: FileHandle, base: str) -> None:
-        """Seed fallback: emptiness checked in a separate read."""
-        entries, _result = await self._require_dir(dirfh)
-        entry = entries.get(base)
-        if entry is None:
-            raise nfs_error(NfsStat.ERR_NOENT, base)
-        if entry["t"] != FileType.DIRECTORY.value:
-            raise nfs_error(NfsStat.ERR_NOTDIR, base)
-        victim = FileHandle(sid=entry["h"])
-        victim_entries, _r = await self._require_dir(victim)
-        if victim_entries:
-            raise nfs_error(NfsStat.ERR_NOTEMPTY, base)
-
-        def drop_entry(dir_entries: dict) -> dict:
-            if base not in dir_entries:
-                raise nfs_error(NfsStat.ERR_NOENT, base)
-            del dir_entries[base]
-            return dir_entries
-
-        await self._update_dir(dirfh, drop_entry)
-        await self.segments.delete(victim.sid)
-        return None
-
     async def rename(self, fromdir: FileHandle, fromname: str,
                      todir: FileHandle, toname: str,
-                     ) -> tuple[DirVersion | None, DirVersion | None,
-                                dict | None]:
+                     ) -> tuple[DirVersion | None, DirVersion | None, dict]:
         """RENAME — move a directory entry; updates the file's uplink list.
 
         §5.2 notes a move touches "two directories, a link count, and an
@@ -736,9 +641,6 @@ class Envelope:
         frombase, _v1 = split_version(fromname)
         tobase, _v2 = split_version(toname)
         validate_name(tobase)
-        if not self.use_dirops:
-            return await self._rename_whole_table(fromdir, frombase,
-                                                  todir, tobase)
         if fromdir.sid == todir.sid and frombase == tobase:
             # rename onto itself: POSIX says do nothing, successfully.
             # No version is reported: this op produced none, and a current
@@ -826,43 +728,6 @@ class Envelope:
         except (DirOpConflict, NfsError):
             pass
 
-    async def _rename_whole_table(self, fromdir: FileHandle, frombase: str,
-                                  todir: FileHandle, tobase: str,
-                                  ) -> tuple[None, None, None]:
-        """Seed fallback: silently replaces (and leaks) an overwritten
-        target; the dirop path above fixes that."""
-        entries, _result = await self._require_dir(fromdir)
-        entry = entries.get(frombase)
-        if entry is None:
-            raise nfs_error(NfsStat.ERR_NOENT, frombase)
-        target = FileHandle(sid=entry["h"])
-
-        def add_entry(dir_entries: dict) -> dict:
-            existing = dir_entries.get(tobase)
-            if existing is not None and existing["h"] != entry["h"]:
-                if existing["t"] == FileType.DIRECTORY.value:
-                    raise nfs_error(NfsStat.ERR_EXIST, tobase)
-            dir_entries[tobase] = dict(entry)
-            return dir_entries
-
-        await self._update_dir(todir, add_entry)
-        if fromdir.sid != todir.sid:
-            stat = await self._stat_segment(target)
-            uplinks = list(stat.meta.get("uplinks", []))
-            if todir.sid not in uplinks:
-                uplinks.append(todir.sid)
-            if fromdir.sid in uplinks and fromdir.sid != todir.sid:
-                uplinks.remove(fromdir.sid)
-            await self._touch_meta(target, {"uplinks": uplinks})
-
-        def drop_entry(dir_entries: dict) -> dict:
-            if dir_entries.get(frombase, {}).get("h") == entry["h"]:
-                del dir_entries[frombase]
-            return dir_entries
-
-        await self._update_dir(fromdir, drop_entry)
-        return None, None, None
-
     async def link(self, fh: FileHandle, todir: FileHandle,
                    name: str) -> tuple[DirVersion | None, str]:
         """LINK — hard link: new entry + uplink record + link-count hint.
@@ -879,24 +744,13 @@ class Envelope:
         if stat.meta.get("ftype") == FileType.DIRECTORY.value:
             raise nfs_error(NfsStat.ERR_ISDIR, fh.sid)
 
-        if self.use_dirops:
-            try:
-                dir_version = await self._dir_write(todir, [
-                    {"action": "add", "name": base,
-                     "entry": {"h": fh.sid,
-                               "t": stat.meta.get("ftype", "reg")}}])
-            except DirOpConflict as exc:
-                raise self._map_dirop_conflict(exc, base) from exc
-        else:
-            def add_entry(dir_entries: dict) -> dict:
-                if base in dir_entries:
-                    raise nfs_error(NfsStat.ERR_EXIST, base)
-                dir_entries[base] = {"h": fh.sid,
-                                     "t": stat.meta.get("ftype", "reg")}
-                return dir_entries
-
-            await self._update_dir(todir, add_entry)
-            dir_version = None
+        try:
+            dir_version = await self._dir_write(todir, [
+                {"action": "add", "name": base,
+                 "entry": {"h": fh.sid,
+                           "t": stat.meta.get("ftype", "reg")}}])
+        except DirOpConflict as exc:
+            raise self._map_dirop_conflict(exc, base) from exc
         uplinks = list(stat.meta.get("uplinks", []))
         if todir.sid not in uplinks:
             uplinks.append(todir.sid)

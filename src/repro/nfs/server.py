@@ -143,11 +143,9 @@ class DeceitServer:
         return root
 
     async def _add_global_entry(self, priv: FileHandle) -> None:
-        def add(entries: dict) -> dict:
-            entries["global"] = {"h": GLOBAL_ROOT_SID, "t": "dir"}
-            return entries
-
-        await self.envelope._update_dir(priv, add)
+        await self.envelope._dir_write(priv, [
+            {"action": "add", "name": "global",
+             "entry": {"h": GLOBAL_ROOT_SID, "t": "dir"}}])
 
     def set_root(self, fh: FileHandle) -> None:
         """Install the (already bootstrapped) cell root on this server.
@@ -307,13 +305,12 @@ class DeceitServer:
                 reply["dir_versions"] = {
                     "from": list(from_v) if from_v else None,
                     "to": list(to_v) if to_v else None}
-            if moved is not None:
-                # the entry actually installed at toname — what agents
-                # feed their readdir caches with (never their own possibly
-                # stale listings)
-                reply["moved_entry"] = {
-                    "type": moved["t"],
-                    "fh": FileHandle(sid=moved["h"]).encode()}
+            # the entry actually installed at toname — what agents feed
+            # their readdir caches with (never their own possibly stale
+            # listings)
+            reply["moved_entry"] = {
+                "type": moved["t"],
+                "fh": FileHandle(sid=moved["h"]).encode()}
             return reply
         if op == "link":
             dirv, entry_type = await env.link(

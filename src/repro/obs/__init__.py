@@ -17,8 +17,8 @@ gate is a ``None`` attribute on servers until the testbed installs one.
   reply and scrapes a whole cell (dead servers come back as a
   distinguishable ``ERR_UNREACHABLE`` row, not a hung RPC).
 - :mod:`repro.obs.loadtest` — the saturation/SLO harness behind
-  ``repro loadtest`` and ``BENCH_slo`` (imported directly, not
-  re-exported here, because it imports the testbed).
+  ``repro loadtest`` and ``benchmarks/test_perf_slo.py`` (imported
+  directly, not re-exported here, because it imports the testbed).
 """
 
 from repro.obs.admission import AdmissionConfig, AdmissionGate

@@ -64,7 +64,7 @@ def server_health(server: Any) -> dict:
         "groups": len(proc.group_names()),
         "queues": {
             "disk_async_buffered": len(disk._buffer) + len(disk._deleted_buffer),
-            "disk_pending_batches": len(disk._pending) + len(disk._serial_pending),
+            "disk_pending_batches": len(disk._pending),
             "rpc_tasks": len(proc._tasks),
         },
         "backend": type(disk.backend).__name__,

@@ -16,7 +16,8 @@ benchmark rig.
 
 The same driver powers the overload comparison: run at 2x the knee with
 the admission gate off (queueing: p99 collapses) and on (BUSY + agent
-backoff: p99 bounded, goodput held) — ``BENCH_slo`` pins both.
+backoff: p99 bounded, goodput held) — ``benchmarks/test_perf_slo.py``
+pins both.
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ def overload_comparison(n_servers: int = 4, duration_ms: float = 1500.0,
                         payload_bytes: int = 2048,
                         rate_margin: float = 1.1,
                         burst: float | None = None) -> dict:
-    """Gate-off vs gate-on at 2x the knee (the ``BENCH_slo`` headline).
+    """Gate-off vs gate-on at 2x the knee (the SLO benchmark's headline).
 
     First the ungated ramp finds the knee; then the cell is driven at
     twice the knee concurrency, once ungated (queueing) and once with a

@@ -10,8 +10,7 @@ Synchronous writes go through a **group-commit engine**: the disk has one
 commit unit, and every record enqueued while a commit window is open rides
 the same ``write_ms`` platter operation.  N sync writes issued in the same
 virtual-time window therefore cost one commit, not N — the amortization
-write-safety ≥ 1 needs to stay cheap.  ``group_commit=False`` models the
-naive serial disk (one commit per record, FIFO) for comparison benchmarks.
+write-safety ≥ 1 needs to stay cheap.
 A batch is atomic: a crash before its commit fires loses every record in
 it, exactly like the asynchronous write-behind buffer.
 
@@ -49,8 +48,8 @@ class Disk:
     mechanism behind write-safety-level 0 ("asynchronous unsafe writes").
 
     ``write_batch`` commits many records under a single latency charge;
-    with ``group_commit`` (the default) independent sync writes that land
-    in the same commit window are coalesced the same way.
+    independent sync writes that land in the same commit window are
+    coalesced the same way.
 
     Values are deep-copied on both write and read so that in-memory mutation
     of live objects can never retroactively alter "disk" contents.
@@ -64,7 +63,6 @@ class Disk:
         read_ms: float = 8.0,
         flush_interval_ms: float = 500.0,
         metrics: Metrics | None = None,
-        group_commit: bool = True,
         backend: StorageBackend | None = None,
     ):
         self.kernel = kernel
@@ -73,7 +71,6 @@ class Disk:
         self.read_ms = read_ms
         self.flush_interval_ms = flush_interval_ms
         self.metrics = metrics or Metrics()
-        self.group_commit = group_commit
         # The backend mirrors the stable store on real media; opening a
         # disk on a non-empty backend *is* the cold-start read of the
         # superblock — everything the previous incarnation committed.
@@ -84,15 +81,11 @@ class Disk:
         self._buffer: dict[str, tuple[int, Any]] = {}
         self._deleted_buffer: dict[str, int] = {}
         self._flusher_scheduled = False
-        # group-commit engine state: batches awaiting the next commit, the
-        # armed commit event, and (serial mode) the FIFO of scheduled
-        # per-batch commits plus when the commit unit frees up.  Batch
-        # records are (key, value-or-_DELETE, seq).
+        # group-commit engine state: batches awaiting the next commit and
+        # the armed commit event.  Batch records are
+        # (key, value-or-_DELETE, seq).
         self._pending: list[tuple[list[tuple[str, Any, int]], SimFuture]] = []
         self._commit_handle = None
-        self._serial_pending: list[
-            tuple[Any, list[tuple[str, Any, int]], SimFuture]] = []
-        self._serial_free_at = 0.0
         # fsync() callers whose commit has not fired yet: a crash must fail
         # these futures too, not just the per-write ones
         self._sync_waiters: list[tuple[Any, SimFuture]] = []
@@ -174,21 +167,12 @@ class Disk:
                     tracer.record(_tid, _t0, kernel.now, "disk", "commit")
 
                 done.add_done_callback(_commit_span)
-        if self.group_commit:
-            self._pending.append((records, done))
-            if self._commit_handle is None:
-                self._commit_handle = self.kernel.schedule(
-                    self.write_ms, self._commit_pending)
-            else:
-                self.metrics.incr("disk.group_commit_joins")
+        self._pending.append((records, done))
+        if self._commit_handle is None:
+            self._commit_handle = self.kernel.schedule(
+                self.write_ms, self._commit_pending)
         else:
-            # serial disk: one commit per batch, FIFO through the one unit
-            start = max(self._serial_free_at, self.kernel.now)
-            self._serial_free_at = start + self.write_ms
-            handle = self.kernel.schedule(
-                self._serial_free_at - self.kernel.now,
-                self._commit_one, records, done)
-            self._serial_pending.append((handle, records, done))
+            self.metrics.incr("disk.group_commit_joins")
         return done
 
     def _commit_pending(self) -> None:
@@ -208,19 +192,6 @@ class Disk:
         self.metrics.incr("disk.commits")
         self.metrics.incr("disk.commit_records", size)
         self.metrics.latency("disk.commit_batch_size").record(float(size))
-
-    def _commit_one(self, records: list[tuple[str, Any, int]],
-                    done: SimFuture) -> None:
-        effective: dict[str, Any] = {}
-        self._apply_records(records, effective)
-        self._mirror_to_backend(effective)
-        self.metrics.incr("disk.commits")
-        self.metrics.incr("disk.commit_records", len(records))
-        self.metrics.latency("disk.commit_batch_size").record(float(len(records)))
-        done.try_set_result(None)
-        # commits fire FIFO, so the completed batch is always at the head
-        if self._serial_pending and self._serial_pending[0][2] is done:
-            self._serial_pending.pop(0)
 
     def _apply_records(self, records: list[tuple[str, Any, int]],
                        effective: dict[str, Any] | None = None) -> None:
@@ -324,13 +295,6 @@ class Disk:
         """Zero-latency read used by recovery code scanning local state."""
         return copy.deepcopy(self._live_value(key))
 
-    def _uncommitted_batches(self):
-        """Sync batches awaiting their commit, either mode."""
-        for records, _done in self._pending:
-            yield records
-        for _handle, records, _done in self._serial_pending:
-            yield records
-
     def _latest_op(self, key: str) -> tuple[int, Any]:
         """The highest-seq operation on ``key`` across the stable store,
         the write-behind buffer, and uncommitted sync batches."""
@@ -342,7 +306,7 @@ class Disk:
         deleted = self._deleted_buffer.get(key)
         if deleted is not None and deleted > seq:
             seq, value = deleted, _DELETE
-        for records in self._uncommitted_batches():
+        for records, _done in self._pending:
             for rkey, rvalue, rseq in records:
                 if rkey == key and rseq > seq:
                     seq, value = rseq, rvalue
@@ -356,7 +320,7 @@ class Disk:
         """All live keys with the given prefix (buffered writes included)."""
         candidates = set(self._stable) | set(self._buffer) | \
             set(self._deleted_buffer)
-        for records in self._uncommitted_batches():
+        for records, _done in self._pending:
             candidates.update(key for key, _v, _s in records)
         return sorted(
             key for key in candidates
@@ -373,7 +337,7 @@ class Disk:
         still awaiting a destroyed commit get :class:`DiskCrashed` so they
         resume (and fail) instead of hanging forever."""
         lost = len(self._buffer) + len(self._deleted_buffer)
-        lost += sum(len(records) for records in self._uncommitted_batches())
+        lost += sum(len(records) for records, _done in self._pending)
         if lost:
             self.metrics.incr("disk.lost_on_crash", lost)
         self._buffer.clear()
@@ -383,14 +347,7 @@ class Disk:
         if self._commit_handle is not None:
             self._commit_handle.cancel()
             self._commit_handle = None
-        serial, self._serial_pending = self._serial_pending, []
-        for handle, _records, _done in serial:
-            handle.cancel()
-        self._serial_free_at = self.kernel.now
         for _records, done in pending:
-            done.try_set_exception(
-                DiskCrashed(f"{self.name}: crashed before commit"))
-        for _handle, _records, done in serial:
             done.try_set_exception(
                 DiskCrashed(f"{self.name}: crashed before commit"))
         waiters, self._sync_waiters = self._sync_waiters, []

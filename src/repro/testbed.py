@@ -10,6 +10,7 @@ Used by the examples, the test suite, and every benchmark.  Two levels:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 from repro.agent import Agent, AgentConfig
@@ -73,7 +74,6 @@ def build_core_cluster(
     seed: int = 0,
     drop_probability: float = 0.0,
     fd_timeout_ms: float = 200.0,
-    disk_group_commit: bool = True,
     rebalance: bool = False,
     placement: PlacementConfig | None = None,
     net_config: NetConfig | None = None,
@@ -82,8 +82,6 @@ def build_core_cluster(
 
     Every server joins the cell-wide conflict group at boot (scheduled; run
     the kernel briefly or await your first operation before relying on it).
-    ``disk_group_commit=False`` swaps in the naive serial disk (one commit
-    per record) — the baseline the batching benchmarks compare against.
     ``rebalance=True`` arms the heat-driven placement control loop on
     every server (see :mod:`repro.core.placement`); ``placement`` tunes
     its thresholds.  ``net_config`` tunes network accounting (e.g.
@@ -101,8 +99,7 @@ def build_core_cluster(
     for rank, addr in enumerate(addrs):
         proc = IsisProcess(network, addr, cell_peers=addrs,
                            fd_timeout_ms=fd_timeout_ms)
-        disk = Disk(kernel, name=f"{addr}.disk", metrics=metrics,
-                    group_commit=disk_group_commit)
+        disk = Disk(kernel, name=f"{addr}.disk", metrics=metrics)
         server = SegmentServer(proc, disk, rank, metrics=metrics,
                                placement_config=placement)
         proc.set_cell_peers(addrs)
@@ -231,46 +228,45 @@ class Cluster:
         if not self.killed:
             self.kill()
         self.incarnation += 1
-        a = self.build_args
         backends = [server.disk.backend.reopen() for server in self.servers]
-        kernel = Kernel()
-        network = Network(
-            kernel, latency=a.get("latency") or UniformLatency(1.0, 3.0),
-            seed=a.get("seed", 0) + 7919 * self.incarnation,
-            metrics=self.metrics, config=a.get("net_config"))
-        fresh = _build_cell(
-            kernel, network, self.metrics, len(self.servers),
-            len(self.agents), a.get("agent_config"),
-            a.get("fd_timeout_ms", 200.0), a.get("cell", ""),
-            rebalance=a.get("rebalance", False),
-            placement=a.get("placement"),
-            namespace_dirops=a.get("namespace_dirops", True),
-            fd_interval_ms=a.get("fd_interval_ms", 50.0),
-            merge_audit_interval_ms=a.get("merge_audit_interval_ms"),
-            scatter_agents=a.get("scatter_agents", False),
-            backends=backends, bootstrap=False)
+        fresh = _incarnate(self.build_args, self.metrics, self.incarnation,
+                           backends, bootstrap=False)
         self.kernel, self.network = fresh.kernel, fresh.network
         self.servers, self.agents = fresh.servers, fresh.agents
         self.root = fresh.root
         self.killed = False
-        if self.det_guard is not None:
-            # the guard survives the incarnation; arm it on the new kernel
-            self.kernel.set_det_guard(self.det_guard)
-        if self.tracer is not None:
-            # spans keep accumulating across incarnations (trace ids are
-            # cell-lifetime unique; the new kernel's clock restarts at 0)
-            self.kernel.set_tracer(self.tracer)
-        if self.sampler is not None:
-            self.sampler.attach(self.kernel)
-        if a.get("admission") is not None:
-            from repro.obs.admission import AdmissionGate
-            for server in self.servers:
-                server.set_admission(AdmissionGate(self.kernel,
-                                                   a["admission"],
-                                                   self.metrics))
+        self._arm()
         if reconcile:
             self.reconcile(settle_ms=settle_ms)
         return self
+
+    def _arm(self) -> None:
+        """Attach every instrument the cell was built with to the current
+        kernel and servers: once at build, again after each
+        :meth:`restart` — the instruments outlive an incarnation, the
+        kernel and servers they hook do not.  (Schedule perturbation is the
+        exception: it has to be in force before bootstrap runs, so
+        :func:`_incarnate` seeds it where the kernel is made.)
+        """
+        kernel = self.kernel
+        if self.det_guard is not None:
+            kernel.set_det_guard(self.det_guard)
+        if self.tracer is not None:
+            # spans keep accumulating across incarnations (trace ids are
+            # cell-lifetime unique; the new kernel's clock restarts at 0)
+            kernel.set_tracer(self.tracer)
+        if self.sampler is not None:
+            self.sampler.attach(kernel)
+        admission = self.build_args["admission"]
+        if admission is not None:
+            from repro.obs.admission import AdmissionGate
+            for server in self.servers:
+                server.set_admission(AdmissionGate(kernel, admission,
+                                                   self.metrics))
+        if self.ysan is not None:
+            from repro.analysis.ysan import arm_cluster
+            kernel.set_ysan(self.ysan)
+            arm_cluster(self.ysan, self.servers)
 
     def reconcile(self, settle_ms: float = 2000.0) -> None:
         """Drive every server's recovery merge to completion.
@@ -297,7 +293,6 @@ def build_cluster(
     cell: str = "",
     rebalance: bool = False,
     placement: PlacementConfig | None = None,
-    namespace_dirops: bool = True,
     net_config: NetConfig | None = None,
     fd_interval_ms: float = 50.0,
     merge_audit_interval_ms: float | None = None,
@@ -320,9 +315,6 @@ def build_cluster(
     mounts ring-style (agent *i* mounts server ``i mod n`` — the large-cell
     default, where a single mount point would be a hotspot).
     ``rebalance=True`` arms the placement control loop on every server.
-    ``namespace_dirops=False`` drops every envelope back to the seed's
-    whole-table optimistic directory transactions — the baseline the
-    namespace benchmark measures against.
 
     ``backend`` selects each server's durable store: ``"memory"`` (the
     default — state survives :meth:`Cluster.restart` but not the process),
@@ -343,8 +335,10 @@ def build_cluster(
     are recorded on ``cluster.ysan``.  ``perturb_seed`` additionally arms
     seeded schedule perturbation (``Kernel.set_perturbation``): a
     dedicated RNG shuffles same-timestamp zero-delay tie-breaking, so the
-    run explores a different but reproducible interleaving.  Both are off
-    by default and cost nothing when off.
+    run explores a different but reproducible interleaving (each
+    :meth:`Cluster.restart` incarnation re-seeds it as
+    ``random.Random(perturb_seed)``).  Both are off by default and cost
+    nothing when off.
 
     The observability plane (:mod:`repro.obs`) arms the same way:
     ``tracing=True`` attaches a request :class:`~repro.obs.tracer.Tracer`
@@ -353,17 +347,11 @@ def build_cluster(
     :class:`~repro.obs.sampler.MetricsSampler` on ``cluster.sampler``
     snapshotting the counters every that-many virtual ms; ``admission``
     (an :class:`~repro.obs.admission.AdmissionConfig`) installs a
-    per-server token-bucket gate at the NFS envelope.  All three survive
-    :meth:`Cluster.restart` and are off by default at one ``is None``
-    test per hook.
+    per-server token-bucket gate at the NFS envelope.  All three are off
+    by default at one ``is None`` test per hook, and — like the guard and
+    the sanitizer — are re-armed on the new kernel by
+    :meth:`Cluster.restart`.
     """
-    kernel = Kernel()
-    if perturb_seed is not None:
-        import random
-        kernel.set_perturbation(random.Random(perturb_seed))
-    metrics = Metrics()
-    network = Network(kernel, latency=latency or UniformLatency(1.0, 3.0),
-                      seed=seed, metrics=metrics, config=net_config)
     if backends is None and backend != "memory":
         if storage_dir is None:
             raise ValueError(f"backend={backend!r} needs storage_dir=")
@@ -376,60 +364,40 @@ def build_cluster(
                          path=os.path.join(storage_dir, f"{prefix}s{i}.{ext}"))
             for i in range(n_servers)
         ]
-    cluster = _build_cell(kernel, network, metrics, n_servers, n_agents,
-                          agent_config, fd_timeout_ms, cell,
-                          rebalance=rebalance, placement=placement,
-                          namespace_dirops=namespace_dirops,
-                          fd_interval_ms=fd_interval_ms,
-                          merge_audit_interval_ms=merge_audit_interval_ms,
-                          scatter_agents=scatter_agents, backends=backends)
-    cluster.build_args = dict(
-        latency=latency, seed=seed, agent_config=agent_config,
-        fd_timeout_ms=fd_timeout_ms, cell=cell, rebalance=rebalance,
-        placement=placement, namespace_dirops=namespace_dirops,
-        net_config=net_config, fd_interval_ms=fd_interval_ms,
-        merge_audit_interval_ms=merge_audit_interval_ms,
-        scatter_agents=scatter_agents)
-    cluster.build_args["admission"] = admission
+    build_args = dict(
+        latency=latency, seed=seed, net_config=net_config,
+        perturb_seed=perturb_seed, admission=admission,
+        cell=dict(n_servers=n_servers, n_agents=n_agents,
+                  agent_config=agent_config, fd_timeout_ms=fd_timeout_ms,
+                  cell=cell, rebalance=rebalance, placement=placement,
+                  fd_interval_ms=fd_interval_ms,
+                  merge_audit_interval_ms=merge_audit_interval_ms,
+                  scatter_agents=scatter_agents))
+    cluster = _incarnate(build_args, Metrics(), 0, backends, bootstrap=True)
+    cluster.build_args = build_args
     if tracing:
         from repro.obs.tracer import Tracer
         cluster.tracer = Tracer()
-        kernel.set_tracer(cluster.tracer)
     if sampler_period_ms is not None:
         from repro.obs.sampler import MetricsSampler
-        cluster.sampler = MetricsSampler(metrics, period_ms=sampler_period_ms)
-        cluster.sampler.attach(kernel)
-    if admission is not None:
-        from repro.obs.admission import AdmissionGate
-        for server in cluster.servers:
-            server.set_admission(AdmissionGate(kernel, admission, metrics))
+        cluster.sampler = MetricsSampler(cluster.metrics,
+                                         period_ms=sampler_period_ms)
     if det_guard:
         from repro.analysis import guard as _guard
         cluster.det_guard = _guard.acquire()
-        kernel.set_det_guard(cluster.det_guard)
     if ysan:
-        from repro.analysis.ysan import YieldSanitizer, arm_cluster
-        sanitizer = YieldSanitizer()
-        kernel.set_ysan(sanitizer)
-        arm_cluster(sanitizer, cluster.servers)
-        cluster.ysan = sanitizer
+        from repro.analysis.ysan import YieldSanitizer
+        cluster.ysan = YieldSanitizer()
+    cluster._arm()
     return cluster
 
 
 def build_scale_cluster(
     n_servers: int,
     n_agents: int,
-    seed: int = 0,
-    agent_config: AgentConfig | None = None,
-    latency: LatencyModel | None = None,
-    net_config: NetConfig | None = None,
     fd_interval_ms: float | None = None,
     merge_audit_interval_ms: float | None = None,
-    ysan: bool = False,
-    perturb_seed: int | None = None,
-    tracing: bool = False,
-    sampler_period_ms: float | None = None,
-    admission=None,
+    **kwargs,
 ) -> Cluster:
     """A large-cell profile of :func:`build_cluster` for O(100)-server runs.
 
@@ -451,25 +419,40 @@ def build_scale_cluster(
       evictions, not the primary heal path;
     - per-tag message counters stay off (the default) so ``transmit()``
       never builds key strings.
+
+    Every other keyword is :func:`build_cluster`'s and is forwarded as is.
     """
     if fd_interval_ms is None:
         fd_interval_ms = max(50.0, n_servers * 4.0)
     if merge_audit_interval_ms is None:
         merge_audit_interval_ms = max(2000.0, n_servers * 250.0)
     return build_cluster(
-        n_servers=n_servers, n_agents=n_agents, seed=seed,
-        agent_config=agent_config, latency=latency, net_config=net_config,
+        n_servers=n_servers, n_agents=n_agents,
         fd_interval_ms=fd_interval_ms, fd_timeout_ms=4 * fd_interval_ms,
         merge_audit_interval_ms=merge_audit_interval_ms,
-        scatter_agents=True, ysan=ysan, perturb_seed=perturb_seed,
-        tracing=tracing, sampler_period_ms=sampler_period_ms,
-        admission=admission)
+        scatter_agents=True, **kwargs)
+
+
+def _incarnate(build_args: dict, metrics: Metrics, incarnation: int,
+               backends: list[StorageBackend] | None,
+               bootstrap: bool) -> Cluster:
+    """One incarnation of a :func:`build_cluster` cell: a fresh kernel and
+    network with the cell built (``bootstrap``) or cold-started over
+    ``backends``.  The network stream is re-seeded per incarnation."""
+    kernel = Kernel()
+    if build_args["perturb_seed"] is not None:
+        kernel.set_perturbation(random.Random(build_args["perturb_seed"]))
+    network = Network(
+        kernel, latency=build_args["latency"] or UniformLatency(1.0, 3.0),
+        seed=build_args["seed"] + 7919 * incarnation, metrics=metrics,
+        config=build_args["net_config"])
+    return _build_cell(kernel, network, metrics, **build_args["cell"],
+                       backends=backends, bootstrap=bootstrap)
 
 
 def _build_cell(kernel, network, metrics, n_servers, n_agents,
                 agent_config, fd_timeout_ms, cell,
-                rebalance=False, placement=None,
-                namespace_dirops=True, fd_interval_ms=50.0,
+                rebalance=False, placement=None, fd_interval_ms=50.0,
                 merge_audit_interval_ms=None,
                 scatter_agents=False, backends=None,
                 bootstrap=True) -> Cluster:
@@ -485,7 +468,6 @@ def _build_cell(kernel, network, metrics, n_servers, n_agents,
         for rank, addr in enumerate(addrs)
     ]
     for server in servers:
-        server.envelope.use_dirops = namespace_dirops
         server.proc.set_cell_peers(addrs)
         server.start()
         if rebalance:
@@ -521,7 +503,6 @@ def build_cells(
     agent_config: AgentConfig | None = None,
     rebalance: bool = False,
     placement: PlacementConfig | None = None,
-    namespace_dirops: bool = True,
 ) -> dict[str, Cluster]:
     """Multiple independent cells on one wide-area network (§2.2, Figure 3).
 
@@ -538,6 +519,5 @@ def build_cells(
     for name, count in cells.items():
         out[name] = _build_cell(kernel, network, metrics, count,
                                 n_agents_per_cell, agent_config, 200.0, name,
-                                rebalance=rebalance, placement=placement,
-                                namespace_dirops=namespace_dirops)
+                                rebalance=rebalance, placement=placement)
     return out

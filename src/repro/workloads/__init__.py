@@ -10,18 +10,21 @@ Floyd's reference patterns) motivate the distributions used here.
 """
 
 from repro.workloads.generator import (
+    NAMED_WORKLOADS,
     FileProfile,
     Op,
     OpKind,
     WorkloadConfig,
     WorkloadGenerator,
     hotspot_config,
+    named_ops,
     streaming_config,
     zipf_weights,
 )
 from repro.workloads.replay import ReplayStats, replay
 
 __all__ = [
+    "NAMED_WORKLOADS",
     "FileProfile",
     "Op",
     "OpKind",
@@ -29,6 +32,7 @@ __all__ = [
     "WorkloadConfig",
     "WorkloadGenerator",
     "hotspot_config",
+    "named_ops",
     "replay",
     "streaming_config",
     "zipf_weights",

@@ -276,6 +276,25 @@ class WorkloadGenerator:
         }
 
 
+#: The named workload mixes the ``repro`` tools (``profile``, ``trace``,
+#: ``detcheck``, ``racecheck``) accept: name -> :class:`WorkloadConfig`
+#: factory.  ``zipf`` is an alias of ``hotspot``.
+NAMED_WORKLOADS = {
+    "hotspot": hotspot_config,
+    "zipf": hotspot_config,
+    "baseline": WorkloadConfig,
+    "streaming": streaming_config,
+}
+
+
+def named_ops(name: str, n_clients: int, duration_ms: float,
+              seed: int) -> list[Op]:
+    """The seeded op trace of one :data:`NAMED_WORKLOADS` mix."""
+    cfg = NAMED_WORKLOADS[name](n_clients=n_clients, duration_ms=duration_ms,
+                                seed=seed)
+    return WorkloadGenerator(cfg).generate()
+
+
 def _ln(x: float) -> float:
     import math
     return math.log(x)

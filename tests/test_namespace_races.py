@@ -1,6 +1,5 @@
-"""Namespace race tests: the four lost/leaked-file bugs the dirop path
-closes, each demonstrated against the seed whole-table path
-(``namespace_dirops=False``) and proven fixed on the dirop path.
+"""Namespace race tests: the four lost/leaked-file bugs a read-then-rewrite
+directory transaction has, each proven closed on the dirop path.
 
 The interleavings are forced deterministically: the victim operation's
 directory mutation is gated on a future, the racing operation runs to
@@ -11,12 +10,11 @@ import pytest
 
 from repro.errors import NfsError, NfsStat
 from repro.nfs import FileHandle
-from repro.nfs.links import count_references
 from repro.testbed import build_cluster
 
 
 def gate_first_dir_write(env, gate, match=None):
-    """Pause the next matching ``_dir_write`` on ``gate`` (dirop path).
+    """Pause the next matching ``_dir_write`` on ``gate``.
 
     ``match(dirops)`` selects which call to gate; the original method is
     restored at the gated call, so retries and other mutations proceed.
@@ -30,18 +28,6 @@ def gate_first_dir_write(env, gate, match=None):
         return await orig(fh, dirops, extra_meta)
 
     env._dir_write = gated
-
-
-def gate_first_update_dir(env, gate):
-    """Pause the next whole-table ``_update_dir`` on ``gate`` (seed path)."""
-    orig = env._update_dir
-
-    async def gated(fh, mutate):
-        env._update_dir = orig
-        await gate
-        return await orig(fh, mutate)
-
-    env._update_dir = gated
 
 
 def segment_gone(cluster, sid: str) -> bool:
@@ -77,29 +63,6 @@ def test_rename_over_file_collects_overwritten_target():
     # the overwritten target's storage was garbage collected, not leaked
     assert cluster.metrics.get("nfs.gc_collected") == 1
     assert segment_gone(cluster, old.sid)
-    cluster.close()
-
-
-def test_rename_over_file_leaks_on_seed_path():
-    """The whole-table path replaces the entry but never decrements the
-    overwritten target's nlink: its segment stays allocated forever with
-    a wrong link count — unreachable yet alive."""
-    cluster = build_cluster(3, n_agents=1, seed=5, namespace_dirops=False)
-    agent = cluster.agents[0]
-    env = cluster.servers[0].envelope
-
-    async def main():
-        await agent.mount()
-        old = await agent.create("/", "a")
-        await agent.create("/", "b")
-        await agent.rename("/", "b", "/", "a")
-        live = await count_references(env, old.sid)
-        return old, live
-
-    old, live = cluster.run(main())
-    assert cluster.metrics.get("nfs.gc_collected") == 0
-    assert live == 0                                 # unreachable...
-    assert not segment_gone(cluster, old.sid)        # ...but still on disk
     cluster.close()
 
 
@@ -222,34 +185,6 @@ def test_remove_vs_rename_over_race_is_serialized():
     cluster.close()
 
 
-def test_remove_vs_rename_over_race_leaks_on_seed_path():
-    """Seed: remove captured the old handle outside the transaction, so it
-    drops the *new* entry while decrementing the *old* target — the moved
-    file's segment is left allocated with no reference to it."""
-    cluster = build_cluster(3, n_agents=1, seed=11, namespace_dirops=False)
-    agent, (victim, other) = _remove_vs_rename_setup(cluster)
-    env = cluster.servers[0].envelope
-    kernel = cluster.kernel
-
-    async def race():
-        # remove captures its target handle, then blocks at the mutation;
-        # the rename-over completes inside that window
-        gate = kernel.create_future()
-        gate_first_update_dir(env, gate)
-        root = env.root_fh
-        task = kernel.spawn(env.remove(root, "victim"))
-        await kernel.sleep(100.0)
-        await env.rename(root, "other", root, "victim")
-        gate.set_result(None)
-        await task
-        return await count_references(env, other.sid)
-
-    live = cluster.run(race())
-    assert live == 0                                 # unreachable...
-    assert not segment_gone(cluster, other.sid)      # ...but leaked
-    cluster.close()
-
-
 # --------------------------------------------------------------------- #
 # bug 3 — rmdir racing a create inside the victim must never delete a
 # non-empty directory / orphan the new child
@@ -339,37 +274,6 @@ def test_rmdir_vs_create_race_rmdir_wins():
     cluster.close()
 
 
-def test_rmdir_vs_create_race_orphans_child_on_seed_path():
-    """Seed: emptiness is checked in a separate read; the create slips in
-    between check and drop, the directory is deleted anyway, and the new
-    child's segment is orphaned (alive, zero references)."""
-    cluster = build_cluster(3, n_agents=1, seed=19, namespace_dirops=False)
-    agent = cluster.agents[0]
-    env = cluster.servers[0].envelope
-    kernel = cluster.kernel
-
-    async def race():
-        await agent.mount()
-        d = await agent.mkdir("/", "d")
-        gate = kernel.create_future()
-        gate_first_update_dir(env, gate)
-        root = env.root_fh
-        task = kernel.spawn(env.rmdir(root, "d"))
-        await kernel.sleep(100.0)   # rmdir saw "empty", blocks before drop
-        child, _attrs, _v = await env.create(
-            FileHandle(sid=d.sid), "child", None)
-        gate.set_result(None)
-        await task                   # deletes the non-empty directory
-        live = await count_references(env, child.sid)
-        return d, child, live
-
-    d, child, live = cluster.run(race())
-    assert segment_gone(cluster, d.sid)              # directory destroyed
-    assert live == 0                                 # child unreachable...
-    assert not segment_gone(cluster, child.sid)      # ...but still alive
-    cluster.close()
-
-
 # --------------------------------------------------------------------- #
 # bug 4 — listing a foreign directory must return handles that resolve
 # from the client's own cell
@@ -440,18 +344,9 @@ def test_hot_directory_commuting_creates_no_retries():
     cluster = build_cluster(3, n_agents=4, seed=23)
     names = _concurrent_creates(cluster)
     assert names == sorted(f"f{i}" for i in range(N_HOT))
-    # commuting dirops: zero whole-table conflicts, zero name conflicts
-    assert cluster.metrics.get("nfs.dir_retries") == 0
+    # commuting dirops: zero name conflicts
     assert cluster.metrics.get("nfs.dirop_conflicts") == 0
     assert cluster.metrics.get("deceit.dirops") >= N_HOT
-    cluster.close()
-
-
-def test_hot_directory_whole_table_retries_on_seed_path():
-    cluster = build_cluster(3, n_agents=4, seed=23, namespace_dirops=False)
-    names = _concurrent_creates(cluster)
-    assert names == sorted(f"f{i}" for i in range(N_HOT))
-    assert cluster.metrics.get("nfs.dir_retries") > 0
     cluster.close()
 
 

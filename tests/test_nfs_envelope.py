@@ -50,6 +50,24 @@ def test_bootstrap_gives_priv_global(cluster):
     assert [e["name"] for e in priv] == ["global"]
 
 
+def test_bootstrap_installs_global_entry_by_dirop():
+    """/priv holds exactly ``global`` → the reserved global-root handle,
+    and bootstrap wrote both of its directory entries (``priv`` into the
+    root, ``global`` into /priv) as dirops, not table rewrites."""
+    cluster = build_cluster(3, 1)
+    metrics = cluster.metrics
+    assert metrics.get("deceit.dirops") == metrics.get("deceit.updates") == 2
+    agent = cluster.agents[0]
+
+    async def main():
+        await agent.mount()
+        return await agent.readdir("/priv")
+
+    assert cluster.run(main()) == [
+        {"name": "global", "type": "dir", "fh": "@global||"}]
+    cluster.close()
+
+
 def test_global_root_cannot_be_listed(cluster):
     agent = cluster.agents[0]
 

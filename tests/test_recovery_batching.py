@@ -166,21 +166,20 @@ def test_crash_fails_pending_sync_writers_instead_of_hanging():
     from repro.storage import Disk, DiskCrashed
     from repro.sim import Kernel
 
-    for group_commit in (True, False):
-        kernel = Kernel()
-        disk = Disk(kernel, group_commit=group_commit)
-        outcome = []
+    kernel = Kernel()
+    disk = Disk(kernel)
+    outcome = []
 
-        async def writer():
-            try:
-                await disk.write("k", 1, sync=True)
-                outcome.append("committed")
-            except DiskCrashed:
-                outcome.append("crashed")
+    async def writer():
+        try:
+            await disk.write("k", 1, sync=True)
+            outcome.append("committed")
+        except DiskCrashed:
+            outcome.append("crashed")
 
-        kernel.spawn(writer())
-        kernel.run(until=5.0)           # inside the commit window
-        disk.crash()
-        kernel.run(until=100.0)
-        assert outcome == ["crashed"], (group_commit, outcome)
-        assert disk.read_now("k") is None
+    kernel.spawn(writer())
+    kernel.run(until=5.0)           # inside the commit window
+    disk.crash()
+    kernel.run(until=100.0)
+    assert outcome == ["crashed"]
+    assert disk.read_now("k") is None

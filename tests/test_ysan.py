@@ -274,6 +274,35 @@ def test_small_workload_with_ysan_is_clean():
         cluster.close()
 
 
+def test_restart_rearms_ysan_and_perturbation():
+    """kill(); restart() builds a fresh kernel and fresh servers: the
+    sanitizer must be hooked into both again (a ``cluster.ysan`` attached
+    to nothing reports zero violations forever) and the perturbation
+    stream re-seeded on the new kernel."""
+    from repro.testbed import build_cluster
+    cluster = build_cluster(3, 1, seed=3, ysan=True, perturb_seed=7)
+
+    async def wl():
+        agent = cluster.agents[0]
+        await agent.create("/", "f")
+        await agent.write_file("/f", b"x")
+
+    try:
+        cluster.run(wl())
+        cluster.kill()
+        cluster.restart()
+        assert cluster.kernel._ysan is cluster.ysan
+        assert cluster.ysan.kernel is cluster.kernel
+        assert cluster.kernel._perturb is not None
+        for server in cluster.servers:
+            store = server.segments.store
+            assert isinstance(store.tokens, TrackedDict)
+            assert isinstance(store.replicas, TrackedDict)
+            assert isinstance(server.segments.cat.catalogs, TrackedDict)
+    finally:
+        cluster.close()
+
+
 def test_racecheck_smoke_reports_clean():
     from repro.analysis.racecheck import format_report, racecheck
     report = racecheck(workload="zipf", n_servers=4, n_agents=2,

@@ -9,14 +9,13 @@ wall-clock of each simulation for regression tracking.
 
 Each benchmark prints a paper-shaped table (visible with ``-s`` or in the
 captured section) and stores the same rows in ``benchmark.extra_info`` so
-``--benchmark-json`` output carries them.
+``--benchmark-json`` output carries them.  There is no cross-simulation
+summary here: the performance ledger is ``bench/`` (``python -m bench.run``).
 """
 
 from __future__ import annotations
 
 import pytest
-
-from repro.metrics import Metrics
 
 
 def run_once(benchmark, fn):
@@ -38,20 +37,6 @@ def table(title: str, headers: list[str], rows: list[list]) -> str:
     for row in rows:
         lines.append("".join(str(c).ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """Print the per-layer pipeline histograms — disk commit sizes and
-    batch occupancy, read-cache hit rates, hot-path timing distributions —
-    aggregated over every simulation this process built (when tests and
-    benchmarks run in one session, both contribute; the title says so)."""
-    text = Metrics.merged().layer_report()
-    if text.count("\n") <= 1:
-        return  # nothing instrumented ran (e.g. collection-only)
-    terminalreporter.ensure_newline()
-    terminalreporter.section("pipeline layer summary (all simulations this "
-                             "process)", sep="-")
-    terminalreporter.write_line(text)
 
 
 @pytest.fixture

@@ -8,7 +8,9 @@ the local hop between the user program and the agent.
 Agent functions, each independently switchable (the F8 experiment sweeps
 them):
 
-- **caching** of file data, attributes, and path→handle bindings;
+- **caching** of file data, attributes, and path→handle bindings — every
+  cache is one ``_Cache`` (poll-with-TTL plus version revalidation), so
+  the coherence policy lives in one place;
 - **failover**: when the connected server fails, pick another and continue
   (Deceit handles are server-independent, so this just works — "standard
   NFS client software does not provide this capability", §2.1);

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, replace as dc_replace
 from enum import Enum
@@ -16,6 +17,14 @@ from repro.nfs.fhandle import FileHandle
 from repro.nfs.names import split_path
 
 RPC_TIMEOUT_MS = 600.0
+#: How long a ``write_safety >= 1`` buffered write waits for peers to join
+#: its flush (group commit at the agent: concurrent writers to one handle
+#: coalesce into a single batched update).
+WRITE_BEHIND_WINDOW_MS = 5.0
+#: Ceiling on one BUSY backoff sleep: the doubling stops here, so a patient
+#: client (high ``busy_retries``) waits out a long overload in bounded
+#: slices rather than milliseconds-to-seconds doubling.
+BUSY_BACKOFF_CAP_MS = 64.0
 
 
 class Placement(Enum):
@@ -38,7 +47,11 @@ class Placement(Enum):
 
 @dataclass
 class AgentConfig:
-    """Feature switches for one agent instance."""
+    """Feature switches for one agent instance.
+
+    ``cache`` and the two TTLs are read once, where :class:`Agent` builds
+    its :class:`_Cache` instances; everything after that asks the cache.
+    """
 
     placement: Placement = Placement.KERNEL
     cache: bool = True
@@ -60,10 +73,6 @@ class AgentConfig:
     #: level >= 1 acks when the flush returns — i.e. after the server has
     #: collected ``write_safety`` replica replies.
     write_behind: bool = False
-    #: How long a ``write_safety >= 1`` buffered write waits for peers to
-    #: join its flush (group commit at the agent: concurrent writers to one
-    #: handle coalesce into a single batched update).
-    write_behind_window_ms: float = 5.0
     #: Flush deadline for ``write_safety == 0`` buffered data — the bound
     #: on how long an acked-but-unflushed write may live only in agent
     #: memory.
@@ -80,10 +89,6 @@ class AgentConfig:
     #: refill) in the gaps.  CRC-derived stagger desynchronizes them
     #: while keeping same-seed runs byte-identical.
     busy_backoff_ms: float = 2.0
-    #: Ceiling on one BUSY backoff sleep: the doubling stops here, so a
-    #: patient client (high ``busy_retries``) waits out a long overload
-    #: in bounded slices rather than milliseconds-to-seconds doubling.
-    busy_backoff_cap_ms: float = 64.0
 
 
 class _WriteBuffer:
@@ -197,6 +202,67 @@ def _split_at_stripes(patches: list[tuple[int, bytes]],
     return groups
 
 
+def _join(dirpath: str, name: str) -> str:
+    return dirpath.rstrip("/") + "/" + name
+
+
+class _Cache:
+    """One agent cache, ``key -> (value, expiry, version)``, and the one
+    place the coherence policy lives (poll-with-TTL; a lapsed versioned
+    entry is revalidated by its caller, not refetched).
+
+    Every cache the agent keeps is an instance, so "may this be served
+    without asking the server?" is :meth:`fresh` alone — a lease design
+    changes that method and has its invalidate handler call :meth:`pop`.
+    Built disabled (``AgentConfig.cache`` off) it stores nothing, so
+    every lookup misses and no call site tests the switch.
+    """
+
+    def __init__(self, kernel, ttl_ms: float, enabled: bool = True,
+                 limit: int | None = None) -> None:
+        self.kernel = kernel
+        self.ttl_ms = ttl_ms
+        self.enabled = enabled
+        self.limit = limit
+        self._entries: dict[Any, tuple[Any, float, tuple | None]] = {}
+
+    def fresh(self, key) -> tuple[Any, float, tuple | None] | None:
+        """The entry while its TTL holds, else ``None``."""
+        entry = self._entries.get(key)
+        if entry is not None and entry[1] > self.kernel.now:
+            return entry
+        return None
+
+    def peek(self, key) -> tuple[Any, float, tuple | None] | None:
+        """The entry whether or not it lapsed — what version revalidation
+        and best-known-size probes read."""
+        return self._entries.get(key)
+
+    def put(self, key, value, version: tuple | None = None) -> None:
+        if not self.enabled:
+            return
+        if self.limit is not None and len(self._entries) >= self.limit:
+            # keep the map bounded (distinct missed names are unbounded,
+            # live files are not): lapsed entries go first; if everything
+            # is still live, the soonest-to-expire half is evicted
+            self._entries = {k: e for k, e in self._entries.items()
+                             if self.fresh(k) is not None}
+            if len(self._entries) >= self.limit:
+                by_expiry = sorted(self._entries.items(),
+                                   key=lambda item: item[1][1])
+                self._entries = dict(by_expiry[len(by_expiry) // 2:])
+        self._entries[key] = (value, self.kernel.now + self.ttl_ms, version)
+
+    def pop(self, key) -> None:
+        self._entries.pop(key, None)
+
+    def keys(self) -> list:
+        return list(self._entries)
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+
 class Agent(Node):
     """A client machine running the agent.
 
@@ -214,24 +280,28 @@ class Agent(Node):
         self.config = config or AgentConfig()
         self.current = 0
         self.root_fh: FileHandle | None = None
-        self._attr_cache: dict[str, tuple[FileAttrs, float]] = {}
-        # fh -> (data, expiry, version pair or None)
-        self._data_cache: dict[str, tuple[bytes, float, tuple | None]] = {}
-        # dirfh -> (entries, expiry, version pair or None): the readdir
-        # cache, version-validated on expiry and kept coherent by the
-        # dir_version pairs riding this agent's own mutation replies
-        self._dir_cache: dict[str, tuple[list[dict], float, tuple | None]] = {}
-        # (dirfh, name) -> expiry: names this agent recently saw ERR_NOENT
+        cfg, kernel = self.config, self.kernel
+        # fh -> FileAttrs
+        self._attr_cache = _Cache(kernel, cfg.attr_ttl_ms, cfg.cache)
+        # fh -> whole-file bytes, versioned: revalidated once the TTL lapses
+        self._data_cache = _Cache(kernel, cfg.data_ttl_ms, cfg.cache)
+        # dirfh -> entries, versioned: the readdir cache, revalidated on
+        # expiry and kept coherent by the dir_version pairs riding this
+        # agent's own mutation replies
+        self._dir_cache = _Cache(kernel, cfg.attr_ttl_ms, cfg.cache)
+        # (dirfh, name) -> True: names this agent recently saw ERR_NOENT
         # for — a fresh entry answers the repeat lookup with no RPC
-        self._neg_cache: dict[tuple[str, str], float] = {}
-        self._handle_cache: dict[str, FileHandle] = {}
+        self._neg_cache = _Cache(kernel, cfg.attr_ttl_ms, cfg.cache,
+                                 limit=512)
+        # path -> FileHandle; handles are server-independent, never lapse
+        self._handle_cache = _Cache(kernel, math.inf, cfg.cache)
         self._location_cache: dict[str, str] = {}
         # sid -> replica holders, learned from read-reply placement hints
         # (preferred holder first)
         self._placement_cache: dict[str, list[str]] = {}
-        # fh-key -> (start, data, expiry): the last prefetched (or could-be
-        # -reused) range of a striped file — one entry per handle
-        self._range_cache: dict[str, tuple[int, bytes, float]] = {}
+        # fh-key -> (start, data): the last prefetched range of a striped
+        # file — one entry per handle
+        self._range_cache = _Cache(kernel, cfg.data_ttl_ms)
         # fh-key -> next sequential offset (the readahead trigger)
         self._seq_read: dict[str, int] = {}
         # fh-key -> invalidation generation: an in-flight prefetch may only
@@ -241,8 +311,8 @@ class Agent(Node):
         # write-behind: fh-key -> buffer (+ the handle to flush it with)
         self._write_buffers: dict[str, _WriteBuffer] = {}
         self._wb_handles: dict[str, FileHandle] = {}
-        # sid -> (write_safety, expiry): the ack-point decision cache
-        self._params_cache: dict[str, tuple[int, float]] = {}
+        # sid -> write_safety: the ack-point decision cache
+        self._params_cache = _Cache(kernel, cfg.attr_ttl_ms)
         # fh-key -> asynchronous (safety-0) flush failures, surfaced on
         # the next flush()/close() of THAT handle (or a flush-all)
         self._wb_errors: dict[str, list[NfsError]] = {}
@@ -319,8 +389,7 @@ class Agent(Node):
                     busy_left -= 1
                     self.metrics.incr("agent.busy_retries")
                     await kernel.sleep(busy_wait)
-                    busy_wait = min(busy_wait * 2.0,
-                                    self.config.busy_backoff_cap_ms)
+                    busy_wait = min(busy_wait * 2.0, BUSY_BACKOFF_CAP_MS)
                     continue
                 if status != 0:
                     raise NfsError(status, reply.get("error", ""))
@@ -358,40 +427,38 @@ class Agent(Node):
         """Walk a slash path from the root, one LOOKUP per component."""
         if self.root_fh is None:
             await self.mount()
-        if self.config.cache and path in self._handle_cache:
+        hit = self._handle_cache.fresh(path)
+        if hit is not None:
             self.metrics.incr("agent.handle_cache_hits")
-            return self._handle_cache[path]
+            return hit[0]
         fh = self.root_fh
         walked: list[str] = []
         for part in split_path(path):
             walked.append(part)
             prefix = "/" + "/".join(walked)
-            if self.config.cache and prefix in self._handle_cache:
-                fh = self._handle_cache[prefix]
+            hit = self._handle_cache.fresh(prefix)
+            if hit is not None:
+                fh = hit[0]
                 continue
-            cached = self._lookup_cached(fh, part)
-            if cached is not None:
-                hit_fh, _entry = cached
-                fh = hit_fh
-                if self.config.cache:
-                    self._handle_cache[prefix] = fh
+            listed = self._lookup_cached(fh, part)
+            if listed is not None:
+                fh = listed
+                self._handle_cache.put(prefix, fh)
                 continue
             try:
                 reply = await self._nfs("lookup", {"fh": fh.encode(),
                                                    "name": part})
             except NfsError as exc:
-                if exc.status == NfsStat.ERR_NOENT and self.config.cache \
-                        and ";" not in part:
-                    self._remember_negative(fh.encode(), part)
+                if exc.status == NfsStat.ERR_NOENT and ";" not in part:
+                    self._neg_cache.put((fh.encode(), part), True)
                 raise
             fh = FileHandle.decode(reply["fh"])
-            if self.config.cache:
-                self._handle_cache[prefix] = fh
-                self._remember_attrs(fh, FileAttrs.from_wire(reply["attrs"]))
+            self._handle_cache.put(prefix, fh)
+            self._attr_cache.put(fh.encode(),
+                                 FileAttrs.from_wire(reply["attrs"]))
         return fh
 
-    def _lookup_cached(self, dirfh: FileHandle,
-                       name: str) -> tuple[FileHandle, dict] | None:
+    def _lookup_cached(self, dirfh: FileHandle, name: str) -> FileHandle | None:
         """Resolve one component from the agent-side directory caches.
 
         Two sources, both fed by this agent's own traffic: a fresh
@@ -401,32 +468,28 @@ class Agent(Node):
         authoritative-as-of-that-version miss.  Version-qualified names
         (``foo;3``) always go to the server.
         """
-        if not self.config.cache or ";" in name:
+        if ";" in name:
             return None
         key = dirfh.encode()
-        if self._neg_cache.get((key, name), 0.0) > self.kernel.now:
+        if self._neg_cache.fresh((key, name)) is not None:
             self.metrics.incr("agent.neg_lookup_hits")
             raise nfs_error(NfsStat.ERR_NOENT, f"{name} (cached miss)")
-        cached = self._dir_cache.get(key)
-        if cached and cached[1] > self.kernel.now:
+        cached = self._dir_cache.fresh(key)
+        if cached is not None:
             entry = next((e for e in cached[0] if e["name"] == name), None)
             if entry is None:
                 self.metrics.incr("agent.neg_lookup_hits")
                 raise nfs_error(NfsStat.ERR_NOENT,
                                 f"{name} (not in cached listing)")
             self.metrics.incr("agent.dir_cache_hits")
-            return FileHandle.decode(entry["fh"]), entry
+            return FileHandle.decode(entry["fh"])
         return None
-
-    def _remember_attrs(self, fh: FileHandle, attrs: FileAttrs) -> None:
-        self._attr_cache[fh.encode()] = (attrs, self.kernel.now +
-                                         self.config.attr_ttl_ms)
 
     def _invalidate(self, fh: FileHandle) -> None:
         key = fh.encode()
-        self._attr_cache.pop(key, None)
-        self._data_cache.pop(key, None)
-        self._range_cache.pop(key, None)
+        self._attr_cache.pop(key)
+        self._data_cache.pop(key)
+        self._range_cache.pop(key)
         self._cache_gen[key] = self._cache_gen.get(key, 0) + 1
 
     # ------------------------------------------------------------------ #
@@ -446,14 +509,12 @@ class Agent(Node):
         mutated in between, a missing version means an idempotent replay)
         drops the listing so the next readdir refetches.
         """
-        if not self.config.cache:
-            return
         key = dirfh.encode()
         if entry is not None:
-            self._neg_cache.pop((key, name), None)
+            self._neg_cache.pop((key, name))
         else:
-            self._remember_negative(key, name)
-        cached = self._dir_cache.get(key)
+            self._neg_cache.put((key, name), True)
+        cached = self._dir_cache.peek(key)
         if cached is None:
             return
         entries, _expiry, version = cached
@@ -462,31 +523,14 @@ class Agent(Node):
                       and new_version[0] == version[0]
                       and new_version[1] == version[1] + 1)
         if not contiguous:
-            self._dir_cache.pop(key, None)
+            self._dir_cache.pop(key)
             return
         entries = [e for e in entries if e["name"] != name]
         if entry is not None:
             entries.append(dict(entry))
             entries.sort(key=lambda e: e["name"])
-        self._dir_cache[key] = (entries,
-                                self.kernel.now + self.config.attr_ttl_ms,
-                                new_version)
+        self._dir_cache.put(key, entries, new_version)
         self.metrics.incr("agent.dir_cache_patched")
-
-    def _remember_negative(self, dirkey: str, name: str) -> None:
-        """Record a miss, keeping the map bounded — distinct missed names
-        are unbounded, live files are not.  Expired entries are swept
-        first; if everything is still live, the soonest-to-expire half is
-        evicted (a re-miss just re-asks the server)."""
-        now = self.kernel.now
-        if len(self._neg_cache) >= 512:
-            self._neg_cache = {k: exp for k, exp in self._neg_cache.items()
-                               if exp > now}
-            if len(self._neg_cache) >= 512:
-                by_expiry = sorted(self._neg_cache.items(),
-                                   key=lambda item: item[1])
-                self._neg_cache = dict(by_expiry[len(by_expiry) // 2:])
-        self._neg_cache[(dirkey, name)] = now + self.config.attr_ttl_ms
 
     def _note_new_entry(self, dirfh: FileHandle, name: str, ftype: str,
                         raw_fh: str, dir_version) -> None:
@@ -506,17 +550,14 @@ class Agent(Node):
         (read-your-writes covers attributes too)."""
         fh = await self._resolve(path_or_fh)
         key = fh.encode()
-        attrs = None
-        if self.config.cache:
-            cached = self._attr_cache.get(key)
-            if cached and cached[1] > self.kernel.now:
-                self.metrics.incr("agent.attr_cache_hits")
-                attrs = cached[0]
-        if attrs is None:
+        cached = self._attr_cache.fresh(key)
+        if cached is not None:
+            self.metrics.incr("agent.attr_cache_hits")
+            attrs = cached[0]
+        else:
             reply = await self._nfs("getattr", {"fh": key})
             attrs = FileAttrs.from_wire(reply["attrs"])
-            if self.config.cache:
-                self._remember_attrs(fh, attrs)
+            self._attr_cache.put(key, attrs)
         buf = self._write_buffers.get(key)
         if buf is not None and buf.dirty:
             # copy: the overlay must not poison the cached server attrs
@@ -544,15 +585,16 @@ class Agent(Node):
             # read-your-writes: the buffered image IS the current contents
             self.metrics.incr("agent.wb_read_your_writes")
             return buf.whole
-        cached = self._data_cache.get(key) if self.config.cache else None
-        if cached and cached[1] > self.kernel.now:
+        cached = self._data_cache.fresh(key)
+        if cached is not None:
             self.metrics.incr("agent.data_cache_hits")
             if buf is not None and buf.patches:
                 self.metrics.incr("agent.wb_read_your_writes")
                 return buf.overlay(cached[0])
             return cached[0]
-        if self.config.cache:
+        if self._data_cache.enabled:
             self.metrics.incr("agent.data_cache_misses")
+        cached = self._data_cache.peek(key)      # lapsed, if anything
         hint = self._stripe_hint(key)
         if hint is not None and hint[1] > hint[0]:
             # striped file: gather it in parallel, one ranged read per
@@ -575,9 +617,7 @@ class Agent(Node):
                 data = cached[0]
             else:
                 data = reply["data"]
-        if self.config.cache:
-            self._data_cache[key] = (data, self.kernel.now +
-                                     self.config.data_ttl_ms, version)
+        self._data_cache.put(key, data, version)
         if buf is not None and buf.patches:
             # overlay buffered positioned writes on the fetched base; the
             # data cache above keeps the *server's* copy (version-exact)
@@ -592,10 +632,8 @@ class Agent(Node):
     def _stripe_hint(self, key: str) -> tuple[int, int] | None:
         """(stripe_size, size) when fresh cached attrs say the file is
         striped — the piggybacked hint every attr-bearing reply carries."""
-        if not self.config.cache:
-            return None
-        cached = self._attr_cache.get(key)
-        if cached and cached[1] > self.kernel.now and cached[0].stripe_size:
+        cached = self._attr_cache.fresh(key)
+        if cached is not None and cached[0].stripe_size:
             return cached[0].stripe_size, cached[0].size
         return None
 
@@ -617,22 +655,16 @@ class Agent(Node):
         resolves the map once.
         """
         self.metrics.incr("agent.striped_reads")
-
-        async def one(index: int) -> dict:
-            return await self._nfs("read", {"fh": key,
-                                            "offset": index * stripe_size,
-                                            "count": stripe_size})
-
         count = max(1, -(-size // stripe_size))
-        tasks = [self.spawn(one(i), name=f"{self.addr}:fanout:{i}")
-                 for i in range(count)]
-        replies = list(await self.kernel.all_of(tasks))
+        replies = await self._fanout(key, [(i * stripe_size, stripe_size)
+                                           for i in range(count)])
         # chase the tail only while the server-reported length says bytes
         # exist past what we fetched (the file grew since the hint)
         known = max([size] + [int(r.get("size", 0)) for r in replies])
         while replies[-1]["data"] and len(replies[-1]["data"]) == stripe_size \
                 and len(replies) * stripe_size < known:
-            reply = await one(len(replies))
+            reply = await self._read_range(key, len(replies) * stripe_size,
+                                           stripe_size)
             replies.append(reply)
             known = max(known, int(reply.get("size", 0)))
         self.metrics.incr("agent.striped_fanout_parts", len(replies))
@@ -680,17 +712,16 @@ class Agent(Node):
                           count: int) -> bytes:
         """The server's bytes for one range: agent caches, then the
         readahead range cache, then RPC (fanned out across stripes)."""
-        cached = self._data_cache.get(key) if self.config.cache else None
-        if cached and cached[1] > self.kernel.now:
+        cached = self._data_cache.fresh(key)
+        if cached is not None:
             self.metrics.incr("agent.data_cache_hits")
             return cached[0][offset:offset + count]
-        ra = self._range_cache.get(key)
-        if ra is not None and ra[2] > self.kernel.now and \
-                ra[0] <= offset and offset + count <= ra[0] + len(ra[1]):
+        ra = self._range_cache.fresh(key)
+        start, ahead = ra[0] if ra is not None else (0, b"")
+        if start <= offset and offset + count <= start + len(ahead):
             self.metrics.incr("agent.readahead_hits")
-            data = ra[1][offset - ra[0]:offset - ra[0] + count]
             self._note_sequential(fh, key, offset, count)
-            return data
+            return ahead[offset - start:offset - start + count]
         hint = self._stripe_hint(key)
         if hint is not None and \
                 offset // hint[0] != (offset + count - 1) // hint[0]:
@@ -715,20 +746,11 @@ class Agent(Node):
         """
         pieces = split_range(offset, offset + count, stripe_size)
         self.metrics.incr("agent.striped_fanout_parts", len(pieces))
-
-        async def one(o: int, c: int) -> dict:
-            return await self._nfs("read", {"fh": key, "offset": o,
-                                            "count": c})
-
-        tasks = [self.spawn(one(o, c), name=f"{self.addr}:fanout-range")
-                 for o, c in pieces]
-        replies = await self.kernel.all_of(tasks)
+        replies = await self._fanout(key, pieces)
         versions = {tuple(r["version"]) for r in replies if "version" in r}
         if len(versions) > 1:
             self.metrics.incr("agent.striped_read_fallbacks")
-            reply = await self._nfs("read", {"fh": key, "offset": offset,
-                                             "count": count})
-            return reply["data"]
+            return (await self._read_range(key, offset, count))["data"]
         # interior short pieces were padded by the server (sparse holes);
         # a short trailing piece is EOF — concatenation is exact
         out = bytearray()
@@ -740,6 +762,19 @@ class Agent(Node):
                     out.extend(b"\x00" * (rel - len(out)))
                 out[rel:rel + len(part)] = part
         return bytes(out)
+
+    async def _read_range(self, key: str, offset: int, count: int) -> dict:
+        return await self._nfs("read", {"fh": key, "offset": offset,
+                                        "count": count})
+
+    async def _fanout(self, key: str,
+                      pieces: list[tuple[int, int]]) -> list[dict]:
+        """One parallel ranged read per ``(offset, count)`` piece; the
+        replies come back in piece order."""
+        tasks = [self.spawn(self._read_range(key, o, c),
+                            name=f"{self.addr}:fanout:{i}")
+                 for i, (o, c) in enumerate(pieces)]
+        return list(await self.kernel.all_of(tasks))
 
     def _note_sequential(self, fh: FileHandle, key: str, offset: int,
                          count: int) -> None:
@@ -757,9 +792,9 @@ class Agent(Node):
         next_off = offset + count
         if next_off >= hint[1]:
             return                       # the scan reached the hinted EOF
-        ra = self._range_cache.get(key)
-        if ra is not None and ra[2] > self.kernel.now and \
-                ra[0] <= next_off < ra[0] + len(ra[1]):
+        ra = self._range_cache.fresh(key)
+        start, ahead = ra[0] if ra is not None else (0, b"")
+        if start <= next_off < start + len(ahead):
             return                       # already prefetched past here
         self.metrics.incr("agent.readahead_prefetches")
         self.spawn(self._prefetch(key, next_off, hint[0]),
@@ -768,16 +803,14 @@ class Agent(Node):
     async def _prefetch(self, key: str, offset: int, length: int) -> None:
         gen = self._cache_gen.get(key, 0)
         try:
-            reply = await self._nfs("read", {"fh": key, "offset": offset,
-                                             "count": length})
+            reply = await self._read_range(key, offset, length)
         except NfsError:
             return                       # readahead is strictly best-effort
         if self._cache_gen.get(key, 0) != gen:
             # a write invalidated this handle while the prefetch was in
             # flight: storing the reply would resurrect pre-write bytes
             return
-        self._range_cache[key] = (offset, reply["data"],
-                                  self.kernel.now + self.config.data_ttl_ms)
+        self._range_cache.put(key, (offset, reply["data"]))
 
     async def _route_target(self, fh: FileHandle) -> str | None:
         """Where to aim a read: a hinted replica holder, the §5.3 shortcut
@@ -862,10 +895,14 @@ class Agent(Node):
     async def _write_through(self, fh: FileHandle, args: dict[str, Any],
                              size: int) -> FileAttrs:
         reply = await self._nfs("write", args, size_bytes=max(256, size))
+        return self._written(fh, reply)
+
+    def _written(self, fh: FileHandle, reply: dict) -> FileAttrs:
+        """A write landed: drop what the caches held about the file, keep
+        the post-write attrs its reply carries."""
         self._invalidate(fh)
         attrs = FileAttrs.from_wire(reply["attrs"])
-        if self.config.cache:
-            self._remember_attrs(fh, attrs)
+        self._attr_cache.put(fh.encode(), attrs)
         return attrs
 
     # ------------------------------------------------------------------ #
@@ -899,8 +936,8 @@ class Agent(Node):
         if not buf.dirty:
             # remember the pre-buffer size so synthesized attrs for
             # positioned writes don't report the file shrunk to the patch
-            cached_attrs = self._attr_cache.get(key)
-            cached_data = self._data_cache.get(key)
+            cached_attrs = self._attr_cache.peek(key)
+            cached_data = self._data_cache.peek(key)
             buf.base_size = (cached_attrs[0].size if cached_attrs
                              else len(cached_data[0]) if cached_data else 0)
         if whole is not None:
@@ -909,15 +946,15 @@ class Agent(Node):
             buf.add_patch(offset, data)
         self.metrics.incr("agent.wb_buffered_writes")
         # buffered bytes supersede whatever the caches say about this file
-        self._data_cache.pop(key, None)
-        self._attr_cache.pop(key, None)
+        self._data_cache.pop(key)
+        self._attr_cache.pop(key)
         if safety == 0:
             self._arm_flush(key, self.config.write_behind_ttl_ms)
             return self._buffered_attrs(buf)
         fut = buf.pending_fut
         if fut is None:
             fut = buf.pending_fut = self.kernel.create_future()
-        self._arm_flush(key, self.config.write_behind_window_ms)
+        self._arm_flush(key, WRITE_BEHIND_WINDOW_MS)
         return await fut
 
     def _arm_flush(self, key: str, delay_ms: float) -> None:
@@ -975,10 +1012,7 @@ class Agent(Node):
         self.metrics.incr("agent.wb_flushes")
         if n_ops > 1:
             self.metrics.incr("agent.wb_writes_coalesced", n_ops - 1)
-        self._invalidate(fh)
-        attrs = FileAttrs.from_wire(reply["attrs"])
-        if self.config.cache:
-            self._remember_attrs(fh, attrs)
+        attrs = self._written(fh, reply)
         if not fut.done():
             fut.set_result(attrs)
         return fut
@@ -1062,8 +1096,8 @@ class Agent(Node):
 
     async def _write_safety(self, fh: FileHandle) -> int:
         """The file's §4 write_safety level (cached; decides ack points)."""
-        cached = self._params_cache.get(fh.sid)
-        if cached and cached[1] > self.kernel.now:
+        cached = self._params_cache.fresh(fh.sid)
+        if cached is not None:
             return cached[0]
         try:
             reply = await self._cmd("getparam", {"fh": fh.encode()})
@@ -1073,8 +1107,7 @@ class Agent(Node):
             # ack on durability — the flush itself goes through _nfs and
             # gets failover, so the write must not fail here
             safety = 1
-        self._params_cache[fh.sid] = (
-            safety, self.kernel.now + self.config.attr_ttl_ms)
+        self._params_cache.put(fh.sid, safety)
         return safety
 
     def _buffered_attrs(self, buf: _WriteBuffer) -> FileAttrs:
@@ -1089,35 +1122,29 @@ class Agent(Node):
     async def create(self, dirpath: str, name: str,
                      sattr: dict | None = None) -> FileHandle:
         """Create a file in the directory at ``dirpath``."""
-        dirfh = await self._resolve(dirpath)
-        reply = await self._nfs("create", {"fh": dirfh.encode(), "name": name,
-                                           "sattr": sattr or {}})
-        fh = FileHandle.decode(reply["fh"])
-        if self.config.cache:
-            self._handle_cache[dirpath.rstrip("/") + "/" + name] = fh
-        self._note_new_entry(dirfh, name, "reg", reply["fh"],
-                             reply.get("dir_version"))
-        return fh
+        return await self._make_node("create", "reg", dirpath, name,
+                                     sattr=sattr or {})
 
     async def mkdir(self, dirpath: str, name: str) -> FileHandle:
         """Create a directory."""
-        dirfh = await self._resolve(dirpath)
-        reply = await self._nfs("mkdir", {"fh": dirfh.encode(), "name": name})
-        fh = FileHandle.decode(reply["fh"])
-        if self.config.cache:
-            self._handle_cache[dirpath.rstrip("/") + "/" + name] = fh
-        self._note_new_entry(dirfh, name, "dir", reply["fh"],
-                             reply.get("dir_version"))
-        return fh
+        return await self._make_node("mkdir", "dir", dirpath, name)
 
     async def symlink(self, dirpath: str, name: str, target: str) -> FileHandle:
         """Create a soft link."""
+        return await self._make_node("symlink", "lnk", dirpath, name,
+                                     target=target)
+
+    async def _make_node(self, op: str, ftype: str, dirpath: str, name: str,
+                         **args) -> FileHandle:
         dirfh = await self._resolve(dirpath)
-        reply = await self._nfs("symlink", {"fh": dirfh.encode(), "name": name,
-                                            "target": target})
-        self._note_new_entry(dirfh, name, "lnk", reply["fh"],
+        reply = await self._nfs(op, {"fh": dirfh.encode(), "name": name,
+                                     **args})
+        fh = FileHandle.decode(reply["fh"])
+        if ftype != "lnk":       # a link's own path is never bound
+            self._handle_cache.put(_join(dirpath, name), fh)
+        self._note_new_entry(dirfh, name, ftype, reply["fh"],
                              reply.get("dir_version"))
-        return FileHandle.decode(reply["fh"])
+        return fh
 
     async def readlink(self, path_or_fh: str | FileHandle) -> str:
         """Read a soft link's target."""
@@ -1134,31 +1161,31 @@ class Agent(Node):
         """
         path = path.rstrip("/")
         prefix = path + "/"
-        for cached in list(self._handle_cache):
+        for cached in self._handle_cache.keys():
             if cached == path or cached.startswith(prefix):
-                del self._handle_cache[cached]
+                self._handle_cache.pop(cached)
 
     async def remove(self, dirpath: str, name: str) -> None:
         """Unlink a file."""
-        dirfh = await self._resolve(dirpath)
-        target = self._handle_cache.get(dirpath.rstrip("/") + "/" + name)
-        reply = await self._nfs("remove", {"fh": dirfh.encode(), "name": name})
-        self._prune_handle_cache(dirpath.rstrip("/") + "/" + name)
-        if target is not None:
-            self._invalidate(target)    # nlink/ctime changed (or file gone)
-        self._invalidate(dirfh)
-        self._feed_dir_cache(dirfh, name, None, reply.get("dir_version"))
+        await self._unlink("remove", dirpath, name)
 
     async def rmdir(self, dirpath: str, name: str) -> None:
         """Remove an empty directory."""
+        await self._unlink("rmdir", dirpath, name)
+
+    async def _unlink(self, op: str, dirpath: str, name: str) -> None:
         dirfh = await self._resolve(dirpath)
-        removed = self._handle_cache.get(dirpath.rstrip("/") + "/" + name)
-        reply = await self._nfs("rmdir", {"fh": dirfh.encode(), "name": name})
-        self._prune_handle_cache(dirpath.rstrip("/") + "/" + name)
+        path = _join(dirpath, name)
+        target = self._handle_cache.peek(path)
+        reply = await self._nfs(op, {"fh": dirfh.encode(), "name": name})
+        self._prune_handle_cache(path)
+        if target is not None:
+            # nlink/ctime changed (or the file is gone); a removed
+            # directory's listing goes with it
+            self._invalidate(target[0])
+            self._dir_cache.pop(target[0].encode())
         self._invalidate(dirfh)
         self._feed_dir_cache(dirfh, name, None, reply.get("dir_version"))
-        if removed is not None:
-            self._dir_cache.pop(removed.encode(), None)
 
     async def rename(self, fromdir: str, fromname: str,
                      todir: str, toname: str) -> None:
@@ -1170,8 +1197,8 @@ class Agent(Node):
                                  "tofh": tofh.encode(), "toname": toname})
         # prune descendants of BOTH names: old paths under a renamed
         # directory are dead, and a rename-over replaced the target
-        self._prune_handle_cache(fromdir.rstrip("/") + "/" + fromname)
-        self._prune_handle_cache(todir.rstrip("/") + "/" + toname)
+        self._prune_handle_cache(_join(fromdir, fromname))
+        self._prune_handle_cache(_join(todir, toname))
         self._invalidate(fromfh)
         self._invalidate(tofh)
         versions = reply.get("dir_versions") or {}
@@ -1188,8 +1215,8 @@ class Agent(Node):
             # POSIX no-op rename (both names already link the same file):
             # nothing changed server-side, the listings stay — but both
             # names provably exist, so negative entries for them are wrong
-            self._neg_cache.pop((tofh.encode(), toname), None)
-            self._neg_cache.pop((fromfh.encode(), fromname), None)
+            self._neg_cache.pop((tofh.encode(), toname))
+            self._neg_cache.pop((fromfh.encode(), fromname))
         if versions.get("from") is not None:
             self._feed_dir_cache(fromfh, fromname, None, versions["from"])
         elif versions.get("to") is not None:
@@ -1197,8 +1224,8 @@ class Agent(Node):
             # re-create owns the name now; a negative entry would assert a
             # removal that may not have happened.  (A no-op rename — both
             # versions None — changed nothing, so the caches stay.)
-            self._dir_cache.pop(fromfh.encode(), None)
-            self._neg_cache.pop((fromfh.encode(), fromname), None)
+            self._dir_cache.pop(fromfh.encode())
+            self._neg_cache.pop((fromfh.encode(), fromname))
 
     async def link(self, filepath: str, todir: str, name: str) -> None:
         """Create a hard link."""
@@ -1230,10 +1257,11 @@ class Agent(Node):
         """
         fh = await self._resolve(path_or_fh)
         key = fh.encode()
-        cached = self._dir_cache.get(key) if self.config.cache else None
-        if cached and cached[1] > self.kernel.now:
+        cached = self._dir_cache.fresh(key)
+        if cached is not None:
             self.metrics.incr("agent.dir_cache_hits")
             return [dict(e) for e in cached[0]]
+        cached = self._dir_cache.peek(key)       # lapsed, if anything
         args: dict[str, Any] = {"fh": key}
         if cached and cached[2] is not None:
             args["verify"] = list(cached[2])
@@ -1244,10 +1272,7 @@ class Agent(Node):
             entries = cached[0]
         else:
             entries = reply["entries"]
-        if self.config.cache:
-            self._dir_cache[key] = (entries,
-                                    self.kernel.now + self.config.attr_ttl_ms,
-                                    version)
+        self._dir_cache.put(key, entries, version)
         return [dict(e) for e in entries]
 
     # ------------------------------------------------------------------ #
@@ -1264,9 +1289,7 @@ class Agent(Node):
         self._invalidate(fh)
         params = reply["params"]
         # keep the write-behind ack-point decision in step with the change
-        self._params_cache[fh.sid] = (
-            int(params["write_safety"]),
-            self.kernel.now + self.config.attr_ttl_ms)
+        self._params_cache.put(fh.sid, int(params["write_safety"]))
         return params
 
     async def list_versions(self, path_or_fh: str | FileHandle) -> dict[int, tuple]:

@@ -105,7 +105,7 @@ _EFFECT_METHODS = frozenset({
     "schedule", "post", "call_at", "spawn", "sleep", "wait_for",
     "_schedule_now", "run_until_complete",
     # network / group sends
-    "send", "multicast", "transmit", "rpc", "call", "cbcast", "abcast",
+    "send", "multicast", "transmit", "rpc", "call", "cbcast",
     # future completion (wakes awaiting tasks in completion order)
     "set_result", "set_exception", "try_set_result", "try_set_exception",
     # RNG draws (consume the shared seeded stream)

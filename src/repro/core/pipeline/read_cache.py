@@ -62,15 +62,6 @@ class VersionedReadCache:
             return True
         return False
 
-    def invalidate_segment(self, sid: str) -> int:
-        """Drop every major of one segment (delete / reconcile)."""
-        victims = [key for key in self._warm if key[0] == sid]
-        for key in victims:
-            del self._warm[key]
-        if victims:
-            self.metrics.incr("deceit.read_cache_invalidations", len(victims))
-        return len(victims)
-
     def clear(self) -> None:
         """Forget everything (host crashed: page cache is volatile)."""
         self._warm.clear()

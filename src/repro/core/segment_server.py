@@ -192,9 +192,6 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
     def _disk_majors(self, sid: str) -> list[int]:
         return self.store.disk_majors(sid)
 
-    def _pick_major(self, cat: SegmentCatalog, version: int | None) -> int:
-        return self.cat.pick_major(cat, version)
-
     def restore_counter(self, counter: int) -> None:
         """Recovery found the durable segment counter; never go backwards."""
         self._sid_counter = max(self._sid_counter, counter)

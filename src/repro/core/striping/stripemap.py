@@ -94,9 +94,6 @@ class StripeMap:
         """Every allocated stripe segment (holes excluded)."""
         return [sid for sid in self.sids if sid is not None]
 
-    def index_of(self, offset: int) -> int:
-        return offset // self.stripe_size
-
     def ranges(self, offset: int, count: int | None) -> list[StripeRange]:
         """Per-stripe pieces of the byte range ``[offset, offset+count)``,
         clipped to the file length (a read past EOF truncates; a read at or

@@ -55,20 +55,6 @@ class Relation(Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class BranchPoint:
-    """Record that major ``child`` branched off ``parent`` at ``parent_sub``.
-
-    Created whenever a new write token is generated (§3.5 "Token
-    Generation"): the generating server picks a fresh unique major and
-    remembers where in the old history it branched.
-    """
-
-    child: int
-    parent: int
-    parent_sub: int
-
-
 class HistoryIndex:
     """The recorded branch points for one file; answers ancestry queries.
 
@@ -161,13 +147,6 @@ class HistoryIndex:
         """Union of branch records (state transfer between replicas)."""
         for child, (parent, sub) in other._parent.items():
             self.record_branch(child, parent, sub)
-
-    def majors_known(self) -> set[int]:
-        """All majors mentioned in branch records (children and parents)."""
-        out = set(self._parent)
-        for parent, _sub in self._parent.values():
-            out.add(parent)
-        return out
 
     def to_dict(self) -> dict[int, tuple[int, int]]:
         """Serializable form."""

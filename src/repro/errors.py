@@ -47,10 +47,6 @@ class GroupNotFound(IsisError):
     """No live member of the named group could be located."""
 
 
-class ViewChangeInProgress(IsisError):
-    """Operation rejected while a membership change is being installed."""
-
-
 # --------------------------------------------------------------------- #
 # Deceit core (segment server)
 # --------------------------------------------------------------------- #
@@ -119,10 +115,6 @@ class WriteUnavailable(SegmentError):
 
 class ReplicaUnavailable(SegmentError):
     """No replica of the segment is reachable from this server."""
-
-
-class StabilityViolation(SegmentError):
-    """Internal invariant breach in the stability-notification protocol."""
 
 
 # --------------------------------------------------------------------- #

@@ -8,10 +8,9 @@ ISIS facilities Deceit depends on:
   coordinator runs a flush protocol so every message multicast in a view is
   delivered in that view at every surviving member before the next view is
   installed;
-- **broadcast primitives**: FIFO/causal multicast (``cbcast``, vector-clock
-  delivery order, after Birman-Schiper-Stephenson) and totally ordered
-  multicast (``abcast``, coordinator-as-sequencer), both with ISIS-style
-  "collect the first *k* replies" semantics;
+- **the broadcast primitive**: FIFO/causal multicast (``cbcast``,
+  vector-clock delivery order, after Birman-Schiper-Stephenson) with
+  ISIS-style "collect the first *k* replies" semantics;
 - **failure detection coordinated with communication** (§3.4 footnote: "ISIS
   provides a clean notion of availability"): heartbeat-driven suspicion that
   feeds view changes, with shunning of stale epochs;

@@ -15,10 +15,6 @@ the sender asks for the first *k* replies (or all) within a timeout and gets
 whatever arrived — counting correct replies is exactly how Deceit's token
 holder detects replica loss (§3.1).
 
-*Totally ordered multicast (abcast)* — forwarded to the view coordinator,
-which emits it as its own FIFO multicast; since one process sequences every
-abcast of the view, all members deliver in one order.
-
 *View change* — the coordinator flushes the old view (members pause sends
 and surrender their message logs), merges the logs so every message seen by
 any survivor is delivered at all survivors (virtual synchrony), then
@@ -140,7 +136,6 @@ class IsisProcess(Node):
         self.register_handler("isis_leave_req", self._h_leave_req)
         self.register_handler("isis_flush", self._h_flush)
         self.register_handler("isis_install", self._h_install)
-        self.register_handler("isis_abc_fwd", self._h_abc_fwd)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -354,44 +349,6 @@ class IsisProcess(Node):
         self.kernel.schedule(audit_timeout or timeout, _finish_audit)
         return early
 
-    async def abcast(
-        self,
-        group: str,
-        payload: Any,
-        nreplies: int | str = 0,
-        timeout: float = REPLY_TIMEOUT_MS,
-        size_bytes: int = 512,
-        tag: str = "abcast",
-    ) -> list[tuple[str, Any]]:
-        """Totally ordered multicast via the coordinator-sequencer."""
-        state = self.groups.get(group)
-        if state is None:
-            raise NotMember(f"{self.addr} not in {group}")
-        coord = state.view.coordinator
-        if coord == self.addr:
-            return await self.cbcast(group, payload, nreplies=nreplies,
-                                     timeout=timeout, size_bytes=size_bytes, tag=tag)
-        # Forward to sequencer; replies still flow directly to us.
-        want = len(state.view.members) if nreplies == "all" else int(nreplies)
-        req_id = None
-        collector_fut = None
-        if want > 0:
-            req_id = next(self._collector_ids)
-            collector_fut = self.kernel.create_future()
-            self._collectors[req_id] = {"fut": collector_fut, "replies": [], "want": want}
-        self.network.metrics.incr("isis.abcast_forwards")
-        await self.call(coord, "isis_abc_fwd", group=group, payload=payload,
-                        reply_req=req_id, origin=self.addr,
-                        size_bytes=size_bytes, tag=tag, timeout=timeout)
-        if collector_fut is None:
-            return []
-        try:
-            await self.kernel.wait_for(collector_fut, timeout)
-        except SimTimeoutError:
-            pass
-        record = self._collectors.pop(req_id, None)
-        return list(record["replies"]) if record else []
-
     def _wait_not_flushing(self, state: _GroupState) -> SimFuture:
         fut = self.kernel.create_future()
         if not state.flushing:
@@ -464,21 +421,16 @@ class IsisProcess(Node):
         self.spawn(self._apply_and_reply(msg), name=f"{self.addr}:deliver")
 
     async def _apply_and_reply(self, msg: dict) -> None:
-        payload = msg["payload"]
         sender = msg["sender"]
-        # abcast wrapping: the sequencer forwards on behalf of the origin
-        if isinstance(payload, dict) and payload.get("_abc_origin"):
-            sender = payload["_abc_origin"]
-            payload = payload["_abc_payload"]
         try:
-            value = await self.app.deliver(msg["group"], sender, payload)
+            value = await self.app.deliver(msg["group"], sender, msg["payload"])
         except Exception as exc:
             value = {"_error": f"{type(exc).__name__}: {exc}"}
         req_id = msg.get("reply_req")
         if req_id is not None:
             reply = {"type": "mreply", "req_id": req_id,
                      "member": self.addr, "value": value}
-            origin = msg.get("origin", msg["sender"])
+            origin = msg["origin"]
             if origin == self.addr:
                 self._on_mreply(reply)
             else:
@@ -489,11 +441,11 @@ class IsisProcess(Node):
         if record is None:
             return  # late reply after collection closed
         record["replies"].append((payload["member"], payload["value"]))
-        predicate = record.get("count")
+        predicate = record["count"]
         if predicate is None:
             record["counted"] = len(record["replies"])
         elif predicate(payload["value"]):
-            record["counted"] = record.get("counted", 0) + 1
+            record["counted"] += 1
         if record["counted"] >= record["want"]:
             record["fut"].try_set_result(None)
 
@@ -547,34 +499,6 @@ class IsisProcess(Node):
         self._install_view(group, view_id, members, log, state_snapshot,
                            joined or [], left or [])
         return {"ok": True}
-
-    async def _h_abc_fwd(self, src: str, group: str, payload: Any,
-                         reply_req: int | None, origin: str) -> dict:
-        state = self.groups.get(group)
-        if state is None:
-            raise NotMember(f"{self.addr} not in {group}")
-        if state.view.coordinator != self.addr:
-            # coordinator moved; forward along
-            return await self.call(state.view.coordinator, "isis_abc_fwd",
-                                   group=group, payload=payload,
-                                   reply_req=reply_req, origin=origin)
-        wrapped = {"_abc_origin": origin, "_abc_payload": payload}
-        await self._wait_not_flushing(state)
-        view = state.view
-        vc = state.vc.copy()
-        vc.increment(self.addr)
-        msg = {
-            "type": "mcast", "group": group, "view_id": view.view_id,
-            "sender": self.addr, "seq": vc.get(self.addr),
-            "vc": vc.as_dict(), "payload": wrapped,
-            "reply_req": reply_req, "origin": origin,
-        }
-        self.network.metrics.incr("isis.mcasts")
-        for member in view.members:
-            if member != self.addr:
-                self.send(member, msg, size_bytes=512, tag="abcast")
-        self._deliver_mcast(state, msg)
-        return {"sequenced": True}
 
     # ------------------------------------------------------------------ #
     # view change engine (runs at the coordinator)

@@ -25,7 +25,7 @@ class View:
 
     @property
     def coordinator(self) -> str:
-        """Rank-0 member; runs view changes and sequences abcasts."""
+        """Rank-0 member; runs view changes."""
         if not self.members:
             raise ValueError(f"empty view for group {self.group}")
         return self.members[0]

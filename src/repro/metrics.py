@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-import weakref
 from collections import Counter, defaultdict
 
 
@@ -75,43 +74,6 @@ class LatencyStats:
         rank = max(0, min(len(ordered) - 1, math.ceil(p / 100.0 * len(ordered)) - 1))
         return ordered[rank]
 
-    def absorb(self, other: "LatencyStats", sample_cap: int | None = None) -> None:
-        """Fold another series in: count/total/min/max exactly; samples
-        (and therefore percentiles) capped at ``sample_cap`` (at most the
-        reservoir cap) to bound the memory of process-lifetime aggregates.
-
-        The merged reservoir is a *weighted* draw: each side contributes
-        samples in proportion to the population (``count``) its reservoir
-        represents, and the contribution is a uniform subsample of that
-        reservoir — never its first-k prefix.  (The old prefix-copy
-        stopped admitting anything once the cap was hit, so an aggregate
-        over many instances reported percentiles of whichever happened to
-        be absorbed first.)  Draws use the instance's seeded RNG, so
-        merges stay deterministic.
-        """
-        mine_count = self.count  # population weights, pre-merge
-        self.count += other.count
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-        if not other.samples:
-            return
-        cap = self.RESERVOIR_CAP if sample_cap is None else min(
-            sample_cap, self.RESERVOIR_CAP)
-        mine, theirs = self.samples, other.samples
-        want = min(cap, len(mine) + len(theirs))
-        weight = mine_count / (mine_count + other.count)
-        take_mine = min(len(mine), round(want * weight))
-        take_theirs = min(len(theirs), want - take_mine)
-        take_mine = min(len(mine), want - take_theirs)  # rebalance remainder
-        rng = self._rng
-        keep_mine = (mine if take_mine == len(mine)
-                     else rng.sample(mine, take_mine))
-        keep_theirs = (list(theirs) if take_theirs == len(theirs)
-                       else rng.sample(theirs, take_theirs))
-        self.samples = keep_mine + keep_theirs
-        self._sorted = None
-
 
 class Metrics:
     """A hierarchical counter/latency registry.
@@ -121,35 +83,9 @@ class Metrics:
     are plain integers; reading an absent counter yields zero.
     """
 
-    #: Weak registry of every live instance, so harness-level reporting
-    #: (e.g. the benchmark terminal summary) can aggregate across the many
-    #: independent simulations one pytest session builds.  Instances the
-    #: GC reclaims first are folded into the class-level residual via a
-    #: finalizer (which captures the counter dicts, not the instance — it
-    #: pins nothing), so the aggregate never undercounts.
-    _instances: list["weakref.ref[Metrics]"] = []
-    _residual_counters: Counter[str] = Counter()
-    _residual_latencies: dict[str, LatencyStats] = defaultdict(LatencyStats)
-
-    def __init__(self, _register: bool = True) -> None:
+    def __init__(self) -> None:
         self.counters: Counter[str] = Counter()
         self._latencies: dict[str, LatencyStats] = defaultdict(LatencyStats)
-        if _register:
-            Metrics._instances.append(weakref.ref(self))
-            weakref.finalize(self, Metrics._absorb_dead,
-                             self.counters, self._latencies)
-
-    #: Residual series keep exact count/total/min/max but at most this many
-    #: raw samples, bounding process-lifetime memory.
-    RESIDUAL_SAMPLE_CAP = 4096
-
-    @classmethod
-    def _absorb_dead(cls, counters: Counter,
-                     latencies: dict[str, LatencyStats]) -> None:
-        cls._residual_counters.update(counters)
-        for name, stats in latencies.items():
-            cls._residual_latencies[name].absorb(
-                stats, sample_cap=cls.RESIDUAL_SAMPLE_CAP)
 
     def incr(self, name: str, amount: int = 1) -> None:
         """Increment counter ``name`` by ``amount``."""
@@ -184,105 +120,6 @@ class Metrics:
         """Clear all counters and latency series."""
         self.counters.clear()
         self._latencies.clear()
-
-    def hit_rate(self, hits: str, misses: str) -> float | None:
-        """``hits / (hits + misses)`` over two counters; None when unused."""
-        total = self.counters[hits] + self.counters[misses]
-        if total == 0:
-            return None
-        return self.counters[hits] / total
-
-    @classmethod
-    def merged(cls) -> "Metrics":
-        """Sum the counters and latency series of every instance this
-        process created — live ones directly, already-collected ones via
-        the residual their finalizers folded in.
-
-        The merged object is *not* registered (it would otherwise feed back
-        into the next merge).
-        """
-        out = cls(_register=False)
-        out.counters.update(cls._residual_counters)
-        for name, stats in cls._residual_latencies.items():
-            out._latencies[name].absorb(stats)
-        live: list[weakref.ref[Metrics]] = []
-        for ref in cls._instances:
-            inst = ref()
-            if inst is None:
-                continue
-            live.append(ref)
-            out.counters.update(inst.counters)
-            for name, stats in inst._latencies.items():
-                out._latencies[name].absorb(stats)
-        cls._instances[:] = live
-        return out
-
-    def layer_report(self) -> str:
-        """Per-layer pipeline summary: disk commit sizes / batch occupancy,
-        read-cache hit rate, and the hot-path timing histograms."""
-        lines = ["per-layer pipeline summary", "-" * 60]
-        commits = self.counters["disk.commits"]
-        records = self.counters["disk.commit_records"]
-        if commits:
-            sizes = self._latencies.get("disk.commit_batch_size")
-            lines.append(
-                f"disk commits: {commits}  records: {records}  "
-                f"batch occupancy: {records / commits:.2f} rec/commit  "
-                f"max batch: {sizes.maximum:.0f}" if sizes else
-                f"disk commits: {commits}  records: {records}")
-        joins = self.counters["disk.group_commit_joins"]
-        if joins:
-            lines.append(f"group-commit joins (sync writes amortized): {joins}")
-        for label, hits, misses in (
-            ("segment read cache hit rate", "deceit.read_cache_hits",
-             "deceit.read_cache_misses"),
-            ("agent data cache hit rate", "agent.data_cache_hits",
-             "agent.data_cache_misses"),
-        ):
-            rate = self.hit_rate(hits, misses)
-            if rate is not None:
-                lines.append(f"{label}: {rate:.1%} "
-                             f"({self.counters[hits]} hits)")
-        invalidations = self.counters["deceit.read_cache_invalidations"]
-        if invalidations:
-            lines.append(f"read cache invalidations: {invalidations}")
-        revalidations = self.counters["agent.data_cache_revalidations"]
-        if revalidations:
-            lines.append(f"agent version revalidations "
-                         f"(payload refetch avoided): {revalidations}")
-        buffered = self.counters["agent.wb_buffered_writes"]
-        if buffered:
-            flushes = self.counters["agent.wb_flushes"]
-            lines.append(
-                f"agent write-behind: {buffered} writes buffered  "
-                f"{flushes} flush rounds  "
-                f"{self.counters['agent.wb_writes_coalesced']} coalesced away  "
-                f"{self.counters['agent.wb_read_your_writes']} "
-                f"read-your-writes serves")
-        for name in ("pipeline.write_ms", "pipeline.read_ms"):
-            stats = self._latencies.get(name)
-            if stats and stats.count:
-                lines.append(
-                    f"{name}: n={stats.count} mean={stats.mean:.2f} "
-                    f"p50={stats.percentile(50):.2f} "
-                    f"p99={stats.percentile(99):.2f} max={stats.maximum:.2f}")
-        placement = {
-            "heat-driven migrations": self.counters["placement.attractions"],
-            "replicas shed": self.counters["placement.sheds"],
-            "replicas regenerated": self.counters["placement.regenerations"],
-            "heat reports": self.counters["placement.heat_reports"],
-        }
-        if any(placement.values()):
-            lines.append("placement: " + "  ".join(
-                f"{label}: {value}" for label, value in placement.items()))
-        for name in ("placement.read_rate", "placement.write_rate"):
-            stats = self._latencies.get(name)
-            if stats and stats.count:
-                lines.append(
-                    f"{name} (events/s): n={stats.count} "
-                    f"mean={stats.mean:.2f} p50={stats.percentile(50):.2f} "
-                    f"max={stats.maximum:.2f}")
-        return "\n".join(lines)
 
     def report(self, prefix: str = "") -> str:
         """Human-readable dump, optionally filtered by counter prefix."""

@@ -102,21 +102,3 @@ async def scrape_cell(cluster: Any, via: Any = None,
         except (RpcTimeout, Unreachable):
             rows.append(_unreachable_row(server.addr))
     return rows
-
-
-def format_health(rows: list[dict]) -> str:
-    """Render a scrape as an operator-facing table."""
-    lines = [f"{'server':<10} {'state':<12} {'epoch':>5} {'tokens':>7} "
-             f"{'replicas':>9} {'queued':>7} {'suspects':<20} backend"]
-    for row in rows:
-        if row["status"] == ERR_UNREACHABLE:
-            lines.append(f"{row['addr']:<10} {'UNREACHABLE':<12}")
-            continue
-        q = row["queues"]
-        suspects = ",".join(row["suspected"]) or "-"
-        lines.append(
-            f"{row['addr']:<10} {'up':<12} {row['epoch']:>5} "
-            f"{row['tokens_held']:>7} {row['replicas']:>9} "
-            f"{q['disk_async_buffered'] + q['disk_pending_batches']:>7} "
-            f"{suspects:<20} {row['backend']}")
-    return "\n".join(lines)

@@ -767,13 +767,3 @@ class Kernel:
         reports.
         """
         return len(self._queue) + len(self._fifo) - self._cancelled
-
-    @property
-    def pending_events(self) -> int:
-        """Alias of :attr:`live_events`.
-
-        Historical note: this used to report raw queue length *including*
-        cancelled timers, which made an idle simulation with a heap of dead
-        RPC-timeout entries look busy.
-        """
-        return self.live_events

@@ -1,8 +1,11 @@
 """Tests for the client agent: caching, failover, shortcuts (§5.3)."""
 
+import math
+
 import pytest
 
 from repro.agent import Agent, AgentConfig, Placement
+from repro.agent.agent import _Cache
 from repro.errors import NfsError
 from repro.testbed import build_cluster
 
@@ -174,3 +177,58 @@ def test_handle_cache_speeds_path_walks():
         return cluster.metrics.get("nfs.ops.lookup") - before
 
     assert cluster.run(main()) == 0  # fully cached path walk
+
+
+# --------------------------------------------------------------------- #
+# _Cache: the one coherence type behind all seven agent caches
+# --------------------------------------------------------------------- #
+
+def test_cache_disabled_stores_nothing(kernel):
+    cache = _Cache(kernel, 100.0, enabled=False)
+    cache.put("k", "v", version=(1, 2))
+    assert cache.fresh("k") is None and cache.peek("k") is None
+    assert cache.keys() == []
+
+
+def test_cache_peek_returns_lapsed_entry_fresh_refuses(kernel):
+    cache = _Cache(kernel, 100.0)
+    cache.put("k", "v", version=(1, 2))
+    assert cache.fresh("k") == ("v", 100.0, (1, 2))
+    kernel.run(until=100.0)             # expiry is exclusive: lapsed at 100
+    assert cache.fresh("k") is None
+    assert cache.peek("k") == ("v", 100.0, (1, 2))
+    cache.pop("k")
+    cache.pop("k")                      # popping a missing key is fine
+    assert cache.peek("k") is None
+
+
+def test_cache_infinite_ttl_never_lapses(kernel):
+    cache = _Cache(kernel, math.inf)
+    cache.put("/a", "fh")
+    kernel.run(until=1e12)
+    assert cache.fresh("/a") == ("fh", math.inf, None)
+
+
+def test_cache_limit_sweeps_expired_first(kernel):
+    cache = _Cache(kernel, 100.0, limit=512)
+    for i in range(300):
+        cache.put(("old", i), True)
+    kernel.run(until=100.0)             # the first 300 lapse
+    for i in range(211):
+        cache.put(("new", i), True)
+    assert len(cache.keys()) == 511     # one short of the limit: no sweep
+    cache.put(("new", 211), True)
+    assert len(cache.keys()) == 512
+    cache.put("trigger", True)          # at the limit: lapsed entries go
+    assert len(cache.keys()) == 213
+    assert not any(k[0] == "old" for k in cache.keys())
+
+
+def test_cache_limit_evicts_soonest_to_expire_half_when_all_live(kernel):
+    cache = _Cache(kernel, 1000.0, limit=512)
+    for i in range(512):
+        kernel.run(until=float(i))      # entry i expires at i + 1000
+        cache.put(i, True)
+    assert len(cache.keys()) == 512     # the 512th insert did not sweep
+    cache.put(512, True)                # this one does: all 512 are live
+    assert cache.keys() == list(range(256, 513))

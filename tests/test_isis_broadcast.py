@@ -1,4 +1,4 @@
-"""Tests for cbcast/abcast ordering and reply-collection semantics."""
+"""Tests for cbcast ordering and reply-collection semantics."""
 
 import pytest
 
@@ -121,55 +121,6 @@ def test_cbcast_causal_across_senders(kernel):
     for log in logs:
         tags = [payload["tag"] for _g, _s, payload in log]
         assert tags.index("cause") < tags.index("effect")
-
-
-def test_abcast_total_order_across_concurrent_senders(kernel):
-    _net, procs = make_cell(kernel, 4)
-
-    async def main():
-        await _form_group(procs)
-        # all four senders abcast concurrently, twice each
-        sends = []
-        for burst in range(2):
-            for p in procs:
-                sends.append(kernel.spawn(
-                    p.abcast("g", {"from": p.addr, "burst": burst})
-                ))
-        await kernel.all_of(sends)
-        await kernel.sleep(300.0)
-        return [p.app.delivered for p in procs]
-
-    logs = run(kernel, main())
-    sequences = [[(s, payload["from"], payload["burst"]) for _g, s, payload in log]
-                 for log in logs]
-    # every member sees the same total order of the 8 abcasts
-    assert all(seq == sequences[0] for seq in sequences)
-    assert len(sequences[0]) == 8
-
-
-def test_abcast_preserves_origin_sender(kernel):
-    _net, procs = make_cell(kernel, 3)
-
-    async def main():
-        await _form_group(procs)
-        await procs[2].abcast("g", {"op": "x"}, nreplies="all")
-        await kernel.sleep(100.0)
-        return procs[0].app.delivered
-
-    log = run(kernel, main())
-    # delivered with the *origin's* address even though the coordinator sent it
-    assert ("g", "s2", {"op": "x"}) in log
-
-
-def test_abcast_replies_reach_origin(kernel):
-    _net, procs = make_cell(kernel, 3)
-
-    async def main():
-        await _form_group(procs)
-        return await procs[1].abcast("g", {"op": "x"}, nreplies="all")
-
-    replies = run(kernel, main())
-    assert sorted(m for m, _ in replies) == ["s0", "s1", "s2"]
 
 
 def test_messages_in_view_delivered_before_new_view(kernel):

@@ -12,18 +12,13 @@ Covers the ops control plane end to end:
   whole-cell kill/restart matrix;
 - the admission token bucket: BUSY at the envelope, agent backoff/retry,
   eventual ERR_BUSY surfacing when patience runs out;
-- the saturation ramp: a 4-server ramp finds a knee (tier-1 smoke);
-- the :meth:`LatencyStats.absorb` weighted reservoir merge (regression:
-  the old first-k prefix copy ignored the absorbed side at cap).
+- the saturation ramp: a 4-server ramp finds a knee (tier-1 smoke).
 """
-
-import math
 
 import pytest
 
 from repro.agent import AgentConfig
 from repro.errors import NfsError, NfsStat
-from repro.metrics import LatencyStats
 from repro.obs import AdmissionConfig, AdmissionGate, ERR_UNREACHABLE, Tracer
 from repro.sim import Kernel
 from repro.testbed import build_cluster
@@ -389,69 +384,3 @@ def test_find_knee_plateau_detection():
     assert find_knee(ramp).concurrency == 2       # first sub-10% step stops
     rising = [step(1, 100.0), step(2, 200.0), step(4, 400.0)]
     assert find_knee(rising).concurrency == 4     # never plateaus: last
-
-
-# --------------------------------------------------------------------- #
-# LatencyStats.absorb: weighted reservoir merge (regression)
-# --------------------------------------------------------------------- #
-
-def test_absorb_merges_proportionally_at_cap():
-    # two full reservoirs with disjoint value ranges and equal weight:
-    # the merge must draw about half its samples from each side.  The
-    # old first-k prefix copy admitted *nothing* from `other` once self
-    # was at cap, so percentiles reported only whichever series was
-    # absorbed first.
-    a, b = LatencyStats(), LatencyStats()
-    for _ in range(LatencyStats.RESERVOIR_CAP):
-        a.record(10.0)
-        b.record(1000.0)
-    a.absorb(b)
-    assert a.count == 2 * LatencyStats.RESERVOIR_CAP
-    assert a.minimum == 10.0 and a.maximum == 1000.0
-    assert len(a.samples) == LatencyStats.RESERVOIR_CAP
-    share = sum(1 for s in a.samples if s == 1000.0) / len(a.samples)
-    assert 0.4 <= share <= 0.6
-    assert a.percentile(25) == 10.0
-    assert a.percentile(75) == 1000.0
-
-
-def test_absorb_weights_by_population_not_reservoir_size():
-    # `other` represents 9x the population: it should dominate the
-    # merged reservoir even though both reservoirs are the same size
-    a, b = LatencyStats(), LatencyStats()
-    for i in range(1000):
-        a.record(10.0)
-    for i in range(9000):
-        b.record(1000.0)
-    a.absorb(b)
-    assert a.count == 10_000
-    share = sum(1 for s in a.samples if s == 1000.0) / len(a.samples)
-    assert 0.85 <= share <= 0.95
-    assert a.percentile(50) == 1000.0
-    assert a.mean == pytest.approx((1000 * 10.0 + 9000 * 1000.0) / 10_000)
-
-
-def test_absorb_respects_sample_cap_and_determinism():
-    def build():
-        a, b = LatencyStats(), LatencyStats()
-        for i in range(500):
-            a.record(float(i))
-        for i in range(500):
-            b.record(float(1000 + i))
-        a.absorb(b, sample_cap=256)
-        return a
-
-    first, second = build(), build()
-    assert len(first.samples) == 256
-    assert first.samples == second.samples  # seeded rng: deterministic
-    assert first.count == 1000 and not math.isinf(first.minimum)
-
-
-def test_absorb_empty_and_into_empty():
-    a, b = LatencyStats(), LatencyStats()
-    b.record(5.0)
-    a.absorb(b)
-    assert a.count == 1 and a.samples == [5.0]
-    c = LatencyStats()
-    a.absorb(c)  # absorbing an empty series is a no-op beyond counters
-    assert a.count == 1 and a.samples == [5.0]

@@ -210,7 +210,7 @@ def test_shutdown_closes_never_started_tasks(kernel):
     kernel.shutdown()
     assert not ran                      # coroutine never entered
     assert task.done()                  # resolved (cancelled), not dangling
-    assert kernel.pending_events == 0
+    assert kernel.live_events == 0
     kernel.shutdown()                   # idempotent
 
 
@@ -237,7 +237,6 @@ def test_live_events_excludes_cancelled(kernel):
     for handle in handles[:6]:
         handle.cancel()
     assert kernel.live_events == 4
-    assert kernel.pending_events == 4   # honest alias, same number
     kernel.run()
     assert kernel.live_events == 0
 

@@ -257,14 +257,3 @@ def test_latency_stats_cached_sort_invalidated_on_record():
     stats.record(2.0)
     assert stats.percentile(0) == 1.0            # cache was invalidated
     assert stats.percentile(100) == 10.0
-
-
-def test_latency_stats_absorb_respects_caps():
-    a, b = LatencyStats(), LatencyStats()
-    for v in range(100):
-        a.record(float(v))
-        b.record(float(v + 1000))
-    a.absorb(b, sample_cap=120)
-    assert a.count == 200 and len(a.samples) == 120
-    assert (a.minimum, a.maximum) == (0.0, 1099.0)
-    assert a.percentile(100) >= 1000.0           # absorbed samples visible

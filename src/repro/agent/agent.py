@@ -532,13 +532,6 @@ class Agent(Node):
         self._dir_cache.put(key, entries, new_version)
         self.metrics.incr("agent.dir_cache_patched")
 
-    def _note_new_entry(self, dirfh: FileHandle, name: str, ftype: str,
-                        raw_fh: str, dir_version) -> None:
-        """Fold a successful create/mkdir/symlink/link into the caches."""
-        self._feed_dir_cache(dirfh, name,
-                             {"name": name, "type": ftype, "fh": raw_fh},
-                             dir_version)
-
     # ------------------------------------------------------------------ #
     # file operations
     # ------------------------------------------------------------------ #
@@ -1142,7 +1135,8 @@ class Agent(Node):
         fh = FileHandle.decode(reply["fh"])
         if ftype != "lnk":       # a link's own path is never bound
             self._handle_cache.put(_join(dirpath, name), fh)
-        self._note_new_entry(dirfh, name, ftype, reply["fh"],
+        self._feed_dir_cache(dirfh, name,
+                             {"name": name, "type": ftype, "fh": reply["fh"]},
                              reply.get("dir_version"))
         return fh
 
@@ -1241,9 +1235,10 @@ class Agent(Node):
         # cache the entry as the server recorded it: its real type and the
         # version-unqualified handle (keeping `home` — stripping it would
         # make a foreign entry dispatch locally and mis-resolve)
-        self._note_new_entry(tofh, name, reply["entry_type"],
-                             FileHandle(sid=fh.sid, home=fh.home).encode(),
-                             reply.get("dir_version"))
+        bare = FileHandle(sid=fh.sid, home=fh.home).encode()
+        self._feed_dir_cache(
+            tofh, name, {"name": name, "type": reply["entry_type"], "fh": bare},
+            reply.get("dir_version"))
 
     async def readdir(self, path_or_fh: str | FileHandle) -> list[dict]:
         """List a directory, served from the agent's readdir cache.

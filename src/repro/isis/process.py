@@ -421,9 +421,9 @@ class IsisProcess(Node):
         self.spawn(self._apply_and_reply(msg), name=f"{self.addr}:deliver")
 
     async def _apply_and_reply(self, msg: dict) -> None:
-        sender = msg["sender"]
         try:
-            value = await self.app.deliver(msg["group"], sender, msg["payload"])
+            value = await self.app.deliver(msg["group"], msg["sender"],
+                                           msg["payload"])
         except Exception as exc:
             value = {"_error": f"{type(exc).__name__}: {exc}"}
         req_id = msg.get("reply_req")

@@ -10,6 +10,7 @@ Used by the examples, the test suite, and every benchmark.  Two levels:
 
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import dataclass, field
 
@@ -187,6 +188,11 @@ class Cluster:
             from repro.analysis import guard as _guard
             _guard.release(self.det_guard)
             self.det_guard = None
+        # a closed cell is cyclic garbage: without a full pass here it
+        # stays resident until generation 2 next happens to run, and a
+        # harness that builds cell after cell measures GC phase, not the
+        # cells, as its peak RSS
+        gc.collect()
 
     # ------------------------------------------------------------------ #
     # whole-cell kill / cold restart

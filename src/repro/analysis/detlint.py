@@ -35,6 +35,9 @@ Rules (each also documented in :data:`RULES`):
     wrapping the iterable in ``sorted(...)``.  Dict order is insertion
     order (deterministic only if every insertion is); set order hinges on
     string hashing, which ``PYTHONHASHSEED`` scrambles between processes.
+    Also a *keyed* ``sorted`` / ``min`` / ``max`` / ``.sort`` whose input
+    was built by iterating a set (directly, in a comprehension, or via a
+    local list): the sort is stable, so keys that tie keep hash order.
 ``pragma``
     A malformed suppression: ``# detlint: ok(rule)`` without a reason, or
     naming an unknown rule.
@@ -63,8 +66,8 @@ RULES: dict[str, str] = {
                  "sim domain",
     "idorder": "id() used as an ordering key (addresses vary per run)",
     "iterorder": "unordered dict/set iteration feeding event scheduling, "
-                 "message sends, future completion, or RNG draws "
-                 "(wrap in sorted(...))",
+                 "message sends, future completion, RNG draws, or the tie "
+                 "order of a keyed sort (wrap in sorted(...))",
     "pragma": "malformed detlint suppression pragma",
 }
 
@@ -77,8 +80,6 @@ ALLOWLIST: Allowlist = [
      "restart benchmark times real journal replay and cold start"),
     ("repro/storage/backend.py", None,
      "durability seam: real file I/O outside the simulation clock"),
-    ("repro/metrics.py", frozenset({"wallclock"}),
-     "harness-level reports may stamp real wall time"),
     ("repro/obs/loadtest.py", frozenset({"wallclock"}),
      "saturation harness reports real wall seconds per ramp step; "
      "simulated time comes from kernel.now"),
@@ -123,10 +124,13 @@ class _SetSymbols(ast.NodeVisitor):
     """Module pre-pass: names/attributes the module binds to sets.
 
     A heuristic on purpose — it records ``x = set(...)``, ``x = {a, b}``,
-    set comprehensions, and ``x: set[...]`` / ``self.x: set[...]``
-    annotations anywhere in the module.  Scope-blind: a name bound to a
-    set in one function taints the name module-wide, which errs toward
-    reporting (the cheap out is ``sorted(...)`` or a pragma).
+    set comprehensions, ``x: set[...]`` / ``self.x: set[...]``
+    annotations, and whatever ``.add(...)`` / ``.discard(...)`` is called
+    on (only sets have those: it is how a field declared in another
+    module shows its type here) anywhere in the module.  Scope-blind: a
+    name bound to a set in one function taints the name module-wide,
+    which errs toward reporting (the cheap out is ``sorted(...)`` or a
+    pragma).
     """
 
     def __init__(self) -> None:
@@ -178,6 +182,12 @@ class _SetSymbols(ast.NodeVisitor):
             self._record(node.target)
         self.generic_visit(node)
 
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("add", "discard"):
+            self._record(func.value)
+        self.generic_visit(node)
+
 
 class _Linter(ast.NodeVisitor):
     """The per-module rule pass."""
@@ -197,6 +207,9 @@ class _Linter(ast.NodeVisitor):
         symbols.visit(tree)
         self.set_names = symbols.names
         self.set_attrs = symbols.attrs
+        #: local name -> why, for lists built by iterating a set (scoped
+        #: to the function being visited)
+        self.hash_ordered: dict[str, str] = {}
 
     # ------------------------------------------------------------------ #
     # bookkeeping
@@ -236,6 +249,7 @@ class _Linter(ast.NodeVisitor):
         elif isinstance(func, ast.Name):
             self._check_name_call(node, func)
         self._check_ordering_args(node)
+        self._check_keyed_ordering(node)
         self.generic_visit(node)
 
     def _check_attribute_call(self, node: ast.Call,
@@ -352,8 +366,10 @@ class _Linter(ast.NodeVisitor):
     # iterorder
     # ------------------------------------------------------------------ #
 
-    def _unordered_iter(self, expr: ast.AST) -> str | None:
-        """Describe why ``expr`` iterates in container order, or None."""
+    def _unordered_iter(self, expr: ast.AST,
+                        views: bool = True) -> str | None:
+        """Describe why ``expr`` iterates in container order, or None
+        (``views=False``: hash order only, dict views pass)."""
         # unwrap order-preserving wrappers: list(d.items()), enumerate(s)…
         while (isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name)
                and expr.func.id in _ORDER_PRESERVING_WRAPPERS and expr.args):
@@ -362,7 +378,7 @@ class _Linter(ast.NodeVisitor):
             func = expr.func
             if isinstance(func, ast.Name) and func.id in ("sorted",):
                 return None  # explicitly ordered
-            if isinstance(func, ast.Attribute) and func.attr in (
+            if views and isinstance(func, ast.Attribute) and func.attr in (
                     "items", "values", "keys"):
                 return f".{func.attr}() iterates in dict insertion order"
             if (isinstance(func, ast.Name)
@@ -378,6 +394,50 @@ class _Linter(ast.NodeVisitor):
             return (f"'.{expr.attr}' is set-typed; sets iterate in "
                     "hash order")
         return None
+
+    def _hash_ordered_seq(self, expr: ast.AST) -> str | None:
+        """Why ``expr`` yields its elements in set-hash order, seeing
+        through a comprehension and a local name bound to either."""
+        if isinstance(expr, (ast.ListComp, ast.GeneratorExp)):
+            expr = expr.generators[0].iter
+        elif isinstance(expr, ast.Name) and expr.id in self.hash_ordered:
+            return self.hash_ordered[expr.id]
+        return self._unordered_iter(expr, views=False)
+
+    def _visit_function(self, node: ast.AST) -> None:
+        """Scope :attr:`hash_ordered` to one ``def`` (closures inherit)."""
+        outer = self.hash_ordered
+        self.hash_ordered = dict(outer)
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Assign) and len(sub.targets) == 1
+                    and isinstance(sub.targets[0], ast.Name)):
+                why = self._hash_ordered_seq(sub.value)
+                if why is not None:
+                    self.hash_ordered[sub.targets[0].id] = why
+        self.generic_visit(node)
+        self.hash_ordered = outer
+
+    visit_FunctionDef = visit_AsyncFunctionDef = _visit_function
+
+    def _check_keyed_ordering(self, node: ast.Call) -> None:
+        """A keyed sort/min/max is stable: elements whose keys tie stay in
+        the order the input produced them.  Dict views are let through —
+        insertion order is the seed's, hash order is the interpreter's."""
+        if not any(kw.arg == "key" for kw in node.keywords):
+            return
+        func = node.func
+        if (isinstance(func, ast.Name) and func.id in ("sorted", "min", "max")
+                and node.args):
+            subject = node.args[0]
+        elif isinstance(func, ast.Attribute) and func.attr == "sort":
+            subject = func.value
+        else:
+            return
+        why = self._hash_ordered_seq(subject)
+        if why is not None:
+            self._flag(node, "iterorder",
+                       f"keyed ordering leaves ties in input order, but "
+                       f"{why}; build the input from sorted(...)")
 
     @staticmethod
     def _effect_call(body: list[ast.stmt]) -> str | None:

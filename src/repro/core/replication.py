@@ -297,7 +297,8 @@ class ReplicationMixin:
 
         Keeps at least ``min_replicas``; never drops the token holder; only
         replicas idle for :data:`REPLICA_IDLE_MS` are candidates; oldest
-        read time goes first.
+        read time goes first, ties (never-read holders share 0.0) in
+        address order — the LRU order is total, not the set's hash order.
         """
         cat = self.catalogs[sid]
         info = cat.majors[major]
@@ -306,7 +307,7 @@ class ReplicationMixin:
             return []
         now = self.kernel.now
         candidates = [
-            h for h in info.holders
+            h for h in sorted(info.holders)
             if h != self.proc.addr
             and now - info.read_ts.get(h, 0.0) > REPLICA_IDLE_MS
         ]

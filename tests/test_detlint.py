@@ -181,6 +181,61 @@ class TestIterOrderRule:
         # peers is an untyped parameter — not provably a set
         assert lint_source(src, SIM_PATH) == []
 
+    # the pattern that slipped through: core/replication.py as it stood
+    # before the LRU tie-break fix (holders is a set[str] declared in
+    # another module; the .add() elsewhere in the file is what shows it)
+    LRU_VICTIMS = (
+        "class ReplicationMixin:\n"
+        "    def _note_replica(self, info, target):\n"
+        "        info.holders.add(target)\n"
+        "\n"
+        "    def _pick_lru_victims(self, info, excess, now):\n"
+        "        candidates = [\n"
+        "            h for h in {holders}\n"
+        "            if h != self.proc.addr\n"
+        "            and now - info.read_ts.get(h, 0.0) > REPLICA_IDLE_MS\n"
+        "        ]\n"
+        "        candidates.sort(key=lambda h: info.read_ts.get(h, 0.0))\n"
+        "        return candidates[:excess]\n")
+
+    def test_keyed_sort_of_list_built_from_set_flagged(self):
+        vs = lint_source(self.LRU_VICTIMS.format(holders="info.holders"),
+                         SIM_PATH)
+        assert rules_of(vs) == ["iterorder"]
+        assert vs[0].line == 11             # the .sort(key=...) call
+        assert "ties" in vs[0].message
+
+    def test_keyed_sort_of_list_built_from_sorted_set_clean(self):
+        src = self.LRU_VICTIMS.format(holders="sorted(info.holders)")
+        assert lint_source(src, SIM_PATH) == []
+
+    def test_keyed_min_max_sorted_over_set_flagged(self):
+        for call in ("sorted(peers, key=load.get)",
+                     "min(peers, key=load.get)",
+                     "max((p for p in peers if p), key=load.get)"):
+            src = ("def f(members, load):\n"
+                   "    peers = set(members)\n"
+                   f"    return {call}\n")
+            assert rules_of(lint_source(src, SIM_PATH)) == ["iterorder"], call
+
+    def test_unkeyed_sort_and_keyed_dict_view_clean(self):
+        # no key: equal elements are interchangeable; a dict view ties in
+        # insertion order, which the seed decides, not the hash salt
+        src = ("def f(members, table):\n"
+               "    peers = set(members)\n"
+               "    first = sorted(peers)\n"
+               "    return first, sorted(table.items(), key=lambda kv: kv[1])\n")
+        assert lint_source(src, SIM_PATH) == []
+
+    def test_hash_ordered_name_is_scoped_to_its_function(self):
+        src = ("def f(members, load):\n"
+               "    peers = [p for p in set(members)]\n"
+               "    return len(peers)\n"
+               "\n"
+               "def g(peers, load):\n"
+               "    return sorted(peers, key=load.get)\n")
+        assert lint_source(src, SIM_PATH) == []
+
 
 # --------------------------------------------------------------------- #
 # pragmas and allowlist
@@ -319,6 +374,59 @@ def test_first_divergent_checkpoint_binary_search():
     assert first_divergent_checkpoint(a, [1, 2, 3, 4, 9]) == 4
     assert first_divergent_checkpoint(a, [1, 2, 3]) is None  # shared prefix ok
     assert first_divergent_checkpoint([], []) is None
+
+
+# One replicated file on six servers, written once from the far end of
+# the cell after REPLICA_IDLE_MS of quiet.  set_params blast-copies s0's
+# replica to three peers, which inherit its read stamp; the write moves
+# the token to s5, which now holds one replica too many and must drop the
+# least recently used of three that tie.
+_LRU_DROP_SCENARIO = """
+from repro.agent import AgentConfig
+from repro.analysis.witness import WitnessRecorder
+from repro.testbed import build_cluster
+
+cluster = build_cluster(6, 6, seed=7, scatter_agents=True,
+                        agent_config=AgentConfig(cache=False))
+witness = WitnessRecorder(checkpoint_interval=64)
+cluster.kernel.set_witness(witness)
+first, last = cluster.agents[0], cluster.agents[-1]
+
+async def main():
+    await first.mount()
+    await last.mount()
+    await first.create("/", "f")
+    await first.set_params("/f", min_replicas=4)
+    await first.write_file("/f", b"one")
+    await cluster.kernel.sleep(6000.0)
+    await last.write_file("/f", b"two")
+    await cluster.kernel.sleep(500.0)
+
+cluster.run(main())
+print(cluster.metrics.get("deceit.replicas_lru_dropped"), witness.chain)
+"""
+
+
+def test_one_seed_one_timeline_under_any_hash_salt():
+    """A seed names one virtual timeline whatever ``PYTHONHASHSEED`` is:
+    the LRU replica drop used to break stamp ties in set-hash order."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    outputs = []
+    for salt in ("0", "4"):
+        done = subprocess.run(
+            [sys.executable, "-c", _LRU_DROP_SCENARIO],
+            env={**os.environ, "PYTHONHASHSEED": salt, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.split())
+    assert int(outputs[0][0]) >= 1          # the scenario reached the drop
+    assert outputs[0] == outputs[1]
 
 
 def test_witness_off_by_default():

@@ -8,6 +8,7 @@ conditional writes, and the special commands.
 import pytest
 
 from repro.core import FileParams, WriteOp
+from repro.core.replication import REPLICA_IDLE_MS
 from repro.errors import NoSuchSegment, VersionConflict
 from repro.testbed import build_core_cluster
 
@@ -371,3 +372,39 @@ def test_update_metrics_counted():
     cluster.run(main())
     assert cluster.metrics.get("deceit.updates") == 3
     assert cluster.metrics.get("deceit.segments_created") == 1
+
+
+def test_lru_victims_break_ties_in_address_order():
+    """§3.1's "least-recently-used order" must be total: holders that were
+    never read share a stamp, and which of them go may not depend on how
+    the interpreter happens to hash their addresses."""
+    cluster = build_core_cluster(2)
+    s0 = cluster.servers[0]
+    sid = cluster.run(s0.create(data=b"x"))
+    cluster.settle(REPLICA_IDLE_MS + 1.0)
+    cat = s0.catalogs[sid]
+    (major, info), = cat.majors.items()
+    address_sets = [
+        {"s1", "s2", "s3", "s4", "s5", "s6"},
+        {"s10", "s11", "s12", "s13", "s14", "s15"},
+        {"mit.s0", "mit.s1", "mit.s2", "cornell.s0", "cornell.s1"},
+        {"a", "b", "c", "d", "e", "f", "g"},
+        {"alpha", "bravo", "charlie", "delta", "echo"},
+        {"s1", "s3", "s5", "s7", "s9", "s11", "s13"},
+        {"cell/s1", "cell/s2", "cell/s3", "cell/s4", "cell/s5"},
+        {"n07", "n06", "n05", "n04", "n03", "n02", "n01"},
+        {"x9", "x8", "x7", "x6", "x5", "x4"},
+    ]
+    for candidates in address_sets:
+        info.holders = {s0.proc.addr} | candidates
+        info.read_ts = {}                  # every stamp ties at 0.0
+        excess = len(candidates) // 2
+        cat.params = cat.params.with_updates(
+            min_replicas=len(info.holders) - excess)
+        assert s0._pick_lru_victims(sid, major) == sorted(candidates)[:excess]
+    # a real stamp still outranks the address: the most recently read
+    # holder is the one kept, whatever it is called
+    info.holders = {s0.proc.addr, "s1", "s2", "s3"}
+    info.read_ts = {"s1": 2.0, "s2": 1.0, "s3": 1.0}
+    cat.params = cat.params.with_updates(min_replicas=2)
+    assert s0._pick_lru_victims(sid, major) == ["s2", "s3"]

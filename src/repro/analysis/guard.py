@@ -15,7 +15,7 @@ Mechanics: the guard patches the *module attributes* with pass-through
 wrappers.  Outside the kernel run loop (workload generation, benchmark
 harness code, pytest itself) the wrappers delegate to the originals, so
 installing a guard never breaks real-time code; the kernel flips
-``engaged`` around its dispatch loops.  ``datetime.datetime.now`` lives on
+``engaged`` around its dispatch loop.  ``datetime.datetime.now`` lives on
 a C type and cannot be patched — the static rule covers it.
 
 Installation is process-global and refcounted (several live clusters may

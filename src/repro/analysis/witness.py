@@ -55,7 +55,7 @@ class WitnessRecorder:
         self.fault_fn: Callable[[], Any] | None = None
 
     # ------------------------------------------------------------------ #
-    # folding (called by the kernel dispatch loops)
+    # folding (called by the kernel dispatch loop)
     # ------------------------------------------------------------------ #
 
     @staticmethod

@@ -192,6 +192,21 @@ def trace_cmd(workload: str = "hotspot", n_servers: int = 4,
     cluster.close()
 
 
+def _workload_flags(sub: argparse.ArgumentParser, workload: str, servers: int,
+                    agents: int, duration_ms: float) -> None:
+    """The five flags every seeded-workload subcommand takes."""
+    sub.add_argument("--workload", default=workload,
+                     choices=list(NAMED_WORKLOADS),
+                     help=f"named workload mix (default: {workload})")
+    sub.add_argument("--servers", type=int, default=servers,
+                     help=f"cell size (default: {servers})")
+    sub.add_argument("--agents", type=int, default=agents,
+                     help=f"client agents (default: {agents})")
+    sub.add_argument("--duration-ms", type=float, default=duration_ms,
+                     help=f"virtual workload duration (default: {duration_ms:g})")
+    sub.add_argument("--seed", type=int, default=42)
+
+
 def main(argv: list[str] | None = None) -> None:
     """``repro`` console script."""
     parser = argparse.ArgumentParser(
@@ -200,16 +215,7 @@ def main(argv: list[str] | None = None) -> None:
     sub.add_parser("quickstart", help="run the guided tour (the default)")
     prof = sub.add_parser(
         "profile", help="cProfile a seeded workload on a scale-profile cell")
-    prof.add_argument("--workload", default="hotspot",
-                      choices=list(NAMED_WORKLOADS),
-                      help="named workload mix (default: hotspot)")
-    prof.add_argument("--servers", type=int, default=16,
-                      help="cell size (default: 16)")
-    prof.add_argument("--agents", type=int, default=8,
-                      help="client agents (default: 8)")
-    prof.add_argument("--duration-ms", type=float, default=5_000.0,
-                      help="virtual workload duration (default: 5000)")
-    prof.add_argument("--seed", type=int, default=42)
+    _workload_flags(prof, "hotspot", 16, 8, 5_000.0)
     prof.add_argument("--top", type=int, default=20,
                       help="hotspot rows to print (default: 20)")
     prof.add_argument("--sort", default="cumulative",
@@ -235,16 +241,7 @@ def main(argv: list[str] | None = None) -> None:
     dc = sub.add_parser(
         "detcheck",
         help="run a seeded workload twice and bisect any divergence")
-    dc.add_argument("--workload", default="hotspot",
-                    choices=list(NAMED_WORKLOADS),
-                    help="named workload mix (default: hotspot)")
-    dc.add_argument("--servers", type=int, default=16,
-                    help="cell size (default: 16)")
-    dc.add_argument("--agents", type=int, default=8,
-                    help="client agents (default: 8)")
-    dc.add_argument("--duration-ms", type=float, default=2_000.0,
-                    help="virtual workload duration (default: 2000)")
-    dc.add_argument("--seed", type=int, default=42)
+    _workload_flags(dc, "hotspot", 16, 8, 2_000.0)
     dc.add_argument("--checkpoint-interval", type=int, default=1024,
                     help="events per witness checkpoint (default: 1024)")
     dc.add_argument("--inject-fault", type=int, default=None, metavar="N",
@@ -261,16 +258,7 @@ def main(argv: list[str] | None = None) -> None:
     rc = sub.add_parser(
         "racecheck",
         help="run N perturbed schedules with the yield sanitizer armed")
-    rc.add_argument("--workload", default="zipf",
-                    choices=list(NAMED_WORKLOADS),
-                    help="named workload mix (default: zipf)")
-    rc.add_argument("--servers", type=int, default=16,
-                    help="cell size (default: 16)")
-    rc.add_argument("--agents", type=int, default=8,
-                    help="client agents (default: 8)")
-    rc.add_argument("--duration-ms", type=float, default=2_000.0,
-                    help="virtual workload duration (default: 2000)")
-    rc.add_argument("--seed", type=int, default=42)
+    _workload_flags(rc, "zipf", 16, 8, 2_000.0)
     rc.add_argument("--schedules", type=int, default=8,
                     help="perturbed schedules to run (default: 8)")
     lt = sub.add_parser(
@@ -295,16 +283,7 @@ def main(argv: list[str] | None = None) -> None:
     tr = sub.add_parser(
         "trace",
         help="run a traced workload; print the slowest request waterfalls")
-    tr.add_argument("--workload", default="hotspot",
-                    choices=list(NAMED_WORKLOADS),
-                    help="named workload mix (default: hotspot)")
-    tr.add_argument("--servers", type=int, default=4,
-                    help="cell size (default: 4)")
-    tr.add_argument("--agents", type=int, default=4,
-                    help="client agents (default: 4)")
-    tr.add_argument("--duration-ms", type=float, default=1_000.0,
-                    help="virtual workload duration (default: 1000)")
-    tr.add_argument("--seed", type=int, default=42)
+    _workload_flags(tr, "hotspot", 4, 4, 1_000.0)
     tr.add_argument("--slowest", type=int, default=5,
                     help="traces to render (default: 5)")
     args = parser.parse_args(argv)

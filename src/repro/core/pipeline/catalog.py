@@ -32,7 +32,7 @@ from __future__ import annotations
 from repro.core.params import DEFAULT_PARAMS
 from repro.core.pipeline.store import ReplicaStore
 from repro.core.segment import MajorInfo, Replica, SegmentCatalog, Token
-from repro.core.versions import HistoryIndex, MajorAllocator
+from repro.core.versions import HistoryIndex, MajorAllocator, VersionPair
 from repro.errors import GroupNotFound, NoSuchSegment
 from repro.metrics import Metrics
 from repro.sim import Kernel
@@ -190,7 +190,6 @@ class CatalogService:
 
     def deliver_replica_recovered(self, sid: str, major: int,
                                   version: list, sender: str) -> dict:
-        from repro.core.versions import VersionPair
         cat = self.catalogs.get(sid)
         if cat is None:
             return {"ok": False}

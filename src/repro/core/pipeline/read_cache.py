@@ -65,6 +65,3 @@ class VersionedReadCache:
     def clear(self) -> None:
         """Forget everything (host crashed: page cache is volatile)."""
         self._warm.clear()
-
-    def __len__(self) -> int:
-        return len(self._warm)

@@ -108,35 +108,28 @@ class ReadService:
                                    info)
             if holder is not None:
                 try:
-                    return self._stamp(await self.read_remote(
-                        holder, sid, major, offset, count), info)
+                    return self._stamp(await self._ask(
+                        holder, "seg_read", sid, major,
+                        offset=offset, count=count), info)
                 except (RpcTimeout, RpcRemoteError):
                     pass
             source = await self.stability_recovery(sid, major)
             if source == me:
                 return self._stamp(await self.read_local(
                     self.store.replicas[(sid, major)], offset, count), info)
-            return self._stamp(await self.read_remote(
-                source, sid, major, offset, count), info)
+            return self._stamp(await self._ask(
+                source, "seg_read", sid, major,
+                offset=offset, count=count), info)
 
         # no local replica: forward to a holder (§2.1 request forwarding)
         self.metrics.incr("deceit.reads_forwarded")
-        last_error: Exception | None = None
-        for holder in sorted(info.holders):
-            if holder == me:
-                continue
-            try:
-                result = await self.read_remote(holder, sid, major, offset, count)
-            except (RpcTimeout, RpcRemoteError) as exc:
-                last_error = exc
-                continue
-            if cat.params.file_migration:
-                self.transport.spawn(self.request_migration(sid, major),
-                                     name=f"{me}:migrate:{sid}")
-            return self._stamp(result, info)
-        raise ReplicaUnavailable(
-            f"{sid}: no replica holder of major {major} reachable"
-        ) from last_error
+        result = await self._ask_a_holder(
+            info, f"{sid}: no replica holder of major {major} reachable",
+            "seg_read", sid, major, offset=offset, count=count)
+        if cat.params.file_migration:
+            self.transport.spawn(self.request_migration(sid, major),
+                                 name=f"{me}:migrate:{sid}")
+        return self._stamp(result, info)
 
     def _stamp(self, result: ReadResult, info) -> ReadResult:
         """Attach the placement hint (current holder set) to a result."""
@@ -191,22 +184,9 @@ class ReadService:
             result = self.local_result(replica, 0, 0)
             result.data = b""
             return self._stamp(result, cat.majors[major])
-        info = cat.majors[major]
-        for holder in sorted(info.holders):
-            if holder == self.transport.addr:
-                continue
-            try:
-                raw = await self.transport.call(
-                    holder, "seg_stat", sid=sid, major=major,
-                    timeout=READ_FORWARD_TIMEOUT_MS, tag="seg_stat")
-            except (RpcTimeout, RpcRemoteError):
-                continue
-            return ReadResult(
-                data=b"", version=VersionPair.from_tuple(raw["version"]),
-                meta=raw["meta"], params=FileParams.from_dict(raw["params"]),
-                major=major, served_by=holder,
-            )
-        raise ReplicaUnavailable(f"{sid}: no holder reachable for stat")
+        return await self._ask_a_holder(
+            cat.majors[major], f"{sid}: no holder reachable for stat",
+            "seg_stat", sid, major)
 
     # ------------------------------------------------------------------ #
     # local / remote mechanics
@@ -234,16 +214,32 @@ class ReadService:
                 tracer.record(tid, t0, self.kernel.now, "pipeline", "read")
         return self.local_result(replica, offset, count)
 
-    async def read_remote(self, server: str, sid: str, major: int,
-                          offset: int, count: int | None) -> ReadResult:
+    async def _ask(self, server: str, method: str, sid: str, major: int,
+                   **args) -> ReadResult:
+        """One forwarded ``seg_read`` / ``seg_stat``, its reply decoded."""
         raw = await self.transport.call(
-            server, "seg_read", sid=sid, major=major, offset=offset,
-            count=count, timeout=READ_FORWARD_TIMEOUT_MS, tag="seg_read")
+            server, method, sid=sid, major=major, **args,
+            timeout=READ_FORWARD_TIMEOUT_MS, tag=method)
         return ReadResult(
-            data=raw["data"], version=VersionPair.from_tuple(raw["version"]),
+            data=raw.get("data", b""),
+            version=VersionPair.from_tuple(raw["version"]),
             meta=raw["meta"], params=FileParams.from_dict(raw["params"]),
             major=major, served_by=server,
         )
+
+    async def _ask_a_holder(self, info, unreachable: str, method: str,
+                            sid: str, major: int, **args) -> ReadResult:
+        """§2.1 request forwarding: the first other holder, in address
+        order, that answers; ``unreachable`` is the error when none does."""
+        last_error: Exception | None = None
+        for holder in sorted(info.holders):
+            if holder == self.transport.addr:
+                continue
+            try:
+                return await self._ask(holder, method, sid, major, **args)
+            except (RpcTimeout, RpcRemoteError) as exc:
+                last_error = exc
+        raise ReplicaUnavailable(unreachable) from last_error
 
     # ------------------------------------------------------------------ #
     # RPC handlers (registered by the facade)

@@ -36,7 +36,7 @@ from repro.core.pipeline.catalog import CatalogService, group_of, sid_of
 from repro.core.pipeline.store import ReplicaStore
 from repro.core.segment import MajorInfo, Replica, SegmentCatalog, Token
 from repro.core.versions import Relation
-from repro.errors import NoSuchSegment, RpcTimeout
+from repro.errors import GroupNotFound, NoSuchSegment, RpcTimeout
 from repro.metrics import Metrics
 from repro.net.network import RpcRemoteError
 
@@ -77,7 +77,6 @@ class RecoveryService:
         self.metrics.incr("deceit.recoveries")
 
     async def _recover_segment(self, sid: str) -> None:
-        from repro.errors import GroupNotFound
         disk_majors = self.store.disk_majors(sid)
         try:
             await self.proc.join_group(group_of(sid))
@@ -115,16 +114,9 @@ class RecoveryService:
                 continue
             rel = cat.branches.compare(reference, other_info.version)
             if rel in (Relation.ANCESTOR, Relation.EQUAL):
-                await self.server._destroy_local_replica(sid, major)
-                self.store.tokens.pop((sid, major), None)
-                await self.store.delete_token_record(sid, major)
-                self.metrics.incr("deceit.obsolete_versions_destroyed")
+                await self._destroy_obsolete(sid, major, "versions")
                 if info is not None:
-                    await self.proc.cbcast(
-                        group_of(sid),
-                        {"op": "delete_major", "sid": sid, "major": major},
-                        nreplies="all", tag="delete_major",
-                    )
+                    await self.server._broadcast_delete_major(sid, major)
                 return
         if info is not None:
             rel = cat.branches.compare(replica.version, info.version)
@@ -132,10 +124,7 @@ class RecoveryService:
                 if rel is Relation.ANCESTOR and info.holder not in (None, me):
                     # Non-token replica crash: obsolete replica is destroyed;
                     # the history is a prefix of the token's, no update lost.
-                    await self.server._destroy_local_replica(sid, major)
-                    self.store.tokens.pop((sid, major), None)
-                    await self.store.delete_token_record(sid, major)
-                    self.metrics.incr("deceit.obsolete_replicas_destroyed")
+                    await self._destroy_obsolete(sid, major, "replicas")
                     return
                 self.store.replicas[(sid, major)] = replica
                 # racelint: ok(staleread) - awaits since the binding all return
@@ -178,10 +167,7 @@ class RecoveryService:
             if rel is Relation.ANCESTOR:
                 # Token crash scenario: the new version is a direct
                 # descendant of ours — destroy the old version.
-                await self.server._destroy_local_replica(sid, major)
-                self.store.tokens.pop((sid, major), None)
-                await self.store.delete_token_record(sid, major)
-                self.metrics.incr("deceit.obsolete_versions_destroyed")
+                await self._destroy_obsolete(sid, major, "versions")
                 return
         # incomparable with every live major: keep, announce, log conflict
         self.store.replicas[(sid, major)] = replica
@@ -197,6 +183,14 @@ class RecoveryService:
         if token_rec is not None:
             await self._reclaim_token(sid, cat, replica, token_rec)
         await self.log_divergence(sid, cat)
+
+    async def _destroy_obsolete(self, sid: str, major: int, what: str) -> None:
+        """§3.6 "destroy the old version": our replica of ``major``, the
+        token we may hold for it and its durable record all go."""
+        await self.server._destroy_local_replica(sid, major)
+        self.store.tokens.pop((sid, major), None)
+        await self.store.delete_token_record(sid, major)
+        self.metrics.incr(f"deceit.obsolete_{what}_destroyed")
 
     async def _announce_major(self, sid: str, cat: SegmentCatalog, major: int,
                               replica: Replica) -> None:
@@ -247,20 +241,6 @@ class RecoveryService:
     # partition-heal reconciliation
     # ------------------------------------------------------------------ #
 
-    async def handle_exchange(self, src: str, catalogs: dict) -> dict:
-        """RPC handler: merge a peer's catalog summaries, return ours.
-
-        Both sides call this on each other after a partition heals; the
-        catalog merge surfaces divergent majors, which each side then
-        resolves with the same rules recovery uses.
-        """
-        ours = {sid: cat.to_dict() for sid, cat in self.catalog.catalogs.items()}
-        for sid, raw in catalogs.items():
-            existing = self.catalog.get(sid)
-            if existing is not None:
-                existing.merge(SegmentCatalog.from_dict(raw))
-        return ours
-
     def on_peer_alive(self, peer: str) -> None:
         """FD callback: a silent peer was heard from again — re-merge."""
         if not self._merging:
@@ -288,7 +268,7 @@ class RecoveryService:
         if not self._merging and self.catalog.catalogs:
             self.proc.spawn(self.merge_after_heal(),
                             name=f"{self.proc.addr}:merge_audit")
-        self.kernel.schedule(self.audit_interval_ms, self._merge_audit_tick)
+        self.start_merge_audit()
 
     async def merge_after_heal(self) -> None:
         """Re-merge file groups split by a partition (§3.6 "Partition").
@@ -368,7 +348,6 @@ class RecoveryService:
             return
 
     async def _dissolve_and_rejoin(self, group: str, contact: str) -> None:
-        from repro.errors import GroupNotFound
         self.metrics.incr("deceit.group_merges")
         self.proc.groups.pop(group, None)
         try:

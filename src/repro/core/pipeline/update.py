@@ -10,8 +10,10 @@ The pipeline is built from narrow collaborators so it can be unit tested
 without an IsisProcess facade:
 
 - ``transport`` — ``addr``, ``cbcast``, ``call``, ``members``, ``spawn``,
-  ``reachable(a, b)`` (an :class:`~repro.isis.process.IsisProcess` bound in
-  production, a stub in unit tests);
+  ``reachable(a, b)`` and, for §3.3 optimization 1 only, the reply
+  collector (``collect_replies`` / ``end_collection`` / ``reply_to``) — an
+  :class:`~repro.isis.process.IsisProcess` bound in production, a stub in
+  unit tests;
 - ``catalog`` — a :class:`~repro.core.pipeline.catalog.CatalogService`;
 - ``store`` — a :class:`~repro.core.pipeline.store.ReplicaStore`;
 - ``hooks`` — an :class:`UpdateHooks` bundle of the token / stability /
@@ -54,7 +56,7 @@ Invariants
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.dirtable import check_dirops, dirops_applied
@@ -70,6 +72,7 @@ from repro.errors import (
 )
 from repro.metrics import Metrics
 from repro.net.network import RpcRemoteError
+from repro.sim import SimTimeoutError
 
 UPDATE_REPLY_TIMEOUT_MS = 400.0
 
@@ -97,9 +100,9 @@ class UpdateHooks:
     repair_replica: Callable    # (sid, major) -> coroutine (spawned)
     replenish: Callable         # (sid, major) -> coroutine (spawned)
     maybe_disable_token: Callable    # (sid, major, replica_replies) -> None
-    #: shared with the token protocol: (sid, major) -> future resolved when
-    #: a token pass addressed to this server arrives
-    token_waits: dict = field(default_factory=dict)
+    #: async (sid, major, size_bytes, **rider) -> bool; only §3.3
+    #: optimization 1 (off by default) needs it
+    request_token_pass: Callable | None = None
 
 
 class UpdatePipeline:
@@ -375,74 +378,64 @@ class UpdatePipeline:
             return None
         safety = min(cat.params.write_safety,
                      len(proc.members(group_of(sid))))
-        req_id = next(proc._collector_ids)
-        collector_fut = self.kernel.create_future()
-        if safety == 0:
-            collector_fut.set_result(None)
-        proc._collectors[req_id] = {
-            "fut": collector_fut, "replies": [], "want": max(safety, 1),
-            "count": _is_durable_reply, "counted": 0}
-        wait = self.kernel.create_future()
-        token_waits = self.hooks.token_waits
-        token_waits[(sid, major)] = wait
-        self.metrics.incr("deceit.token_requests")
+        req_id, collected = proc.collect_replies(safety, _is_durable_reply)
         self.metrics.incr("deceit.updates")
         try:
-            await proc.cbcast(
-                group_of(sid),
-                {"op": "token_request", "sid": sid, "major": major,
-                 "requester": proc.addr, "piggyback": op.to_dict(),
-                 "reply_req": req_id},
-                nreplies=0, size_bytes=max(256, len(op.data)),
-                tag="token_request",
-            )
-            from repro.sim import SimTimeoutError
-            try:
-                await self.kernel.wait_for(wait, 350.0)
-            except SimTimeoutError:
+            if not await self.hooks.request_token_pass(
+                    sid, major, size_bytes=max(256, len(op.data)),
+                    piggyback=op.to_dict(), reply_req=req_id):
                 return None  # holder gone: normal path will generate
-            if safety > 0 and not collector_fut.done():
+            if not collected.done():
                 try:
-                    await self.kernel.wait_for(collector_fut,
+                    await self.kernel.wait_for(collected,
                                                UPDATE_REPLY_TIMEOUT_MS)
                 except SimTimeoutError:
                     pass
         finally:
-            token_waits.pop((sid, major), None)
-            proc._collectors.pop(req_id, None)
+            proc.end_collection(req_id)
         token = self.store.tokens[(sid, major)]
         if cat.params.stability_notification:
             self.hooks.schedule_stable(sid, major)
         return token.version
 
+    async def deliver_piggyback(self, sid: str, major: int, wop: dict,
+                                version: list, reply_req: int | None,
+                                origin: str | None) -> None:
+        """Receiving side: every member applies the update riding a token
+        pass and acknowledges straight to the requester."""
+        replica, durable = await self._apply_update(
+            sid, major, VersionPair.from_tuple(version), wop)
+        if reply_req is not None and origin is not None:
+            self.transport.reply_to(origin, reply_req, {
+                "ok": durable is not None, "durable": bool(durable),
+                "have_replica": replica is not None})
+
     # ------------------------------------------------------------------ #
     # update delivery (runs at every group member)
     # ------------------------------------------------------------------ #
 
-    async def deliver_update(self, sid: str, payload: dict) -> dict:
-        major = payload["major"]
+    async def _apply_update(self, sid: str, major: int, version: VersionPair,
+                            wop: dict, drop=()):
+        """One update landing at this member, whichever message carried it.
+
+        The catalog learns the version; a member named in ``drop`` destroys
+        its copy instead; a replica exactly one ``sub`` behind applies the
+        op and persists it.  Returns ``(replica, durable)``: ``replica`` is
+        ``None`` when no copy is (any longer) kept here, ``durable`` is
+        ``None`` when the copy was not applied to — it missed updates.
+        """
         cat = self.catalog.get(sid)
-        version = VersionPair.from_tuple(payload["version"])
-        me = self.transport.addr
         if cat is not None and major in cat.majors:
             info = cat.majors[major]
             info.version = version
             info.last_update_ts = self.kernel.now
-        if me in payload.get("drop", []):
+        if self.transport.addr in drop:
             await self.hooks.destroy_local_replica(sid, major)
-            return {"dropped": True, "have_replica": False}
+            return None, None
         replica = self.store.replicas.get((sid, major))
-        if replica is None:
-            return {"cached": True, "have_replica": False}
-        if replica.version.sub + 1 != version.sub:
-            # missed updates (rejoined mid-stream): self-repair by fetching
-            self.metrics.incr("deceit.update_gaps")
-            self.store.cache.invalidate(sid, major)
-            self.transport.spawn(self.hooks.repair_replica(sid, major),
-                                 name=f"{me}:repair:{sid}")
-            return {"gap": True, "have_replica": True,
-                    "read_ts": replica.read_ts}
-        op = WriteOp.from_dict(payload["wop"])
+        if replica is None or replica.version.sub + 1 != version.sub:
+            return replica, None
+        op = WriteOp.from_dict(wop)
         replica.data, replica.meta = op.apply(replica.data, replica.meta)
         replica.version = version
         replica.write_ts = self.kernel.now
@@ -451,8 +444,28 @@ class UpdatePipeline:
         # is superseded by the new one (version-exact invalidation)
         await self.store.persist_replica(replica, sync=sync)
         # ``durable`` is truthful *because* the sync persist was awaited
-        # above: by the time this reply leaves, the record is committed
-        return {"ok": True, "have_replica": True, "durable": sync,
+        # above: by the time a reply leaves, the record is committed
+        return replica, sync
+
+    async def deliver_update(self, sid: str, payload: dict) -> dict:
+        major = payload["major"]
+        version = VersionPair.from_tuple(payload["version"])
+        me = self.transport.addr
+        drop = payload.get("drop", [])
+        replica, durable = await self._apply_update(sid, major, version,
+                                                    payload["wop"], drop)
+        if replica is None:
+            return {"dropped": True, "have_replica": False} if me in drop \
+                else {"cached": True, "have_replica": False}
+        if durable is None:
+            # missed updates (rejoined mid-stream): self-repair by fetching
+            self.metrics.incr("deceit.update_gaps")
+            self.store.cache.invalidate(sid, major)
+            self.transport.spawn(self.hooks.repair_replica(sid, major),
+                                 name=f"{me}:repair:{sid}")
+            return {"gap": True, "have_replica": True,
+                    "read_ts": replica.read_ts}
+        return {"ok": True, "have_replica": True, "durable": durable,
                 "version": version.to_tuple(), "read_ts": replica.read_ts}
 
     # ------------------------------------------------------------------ #

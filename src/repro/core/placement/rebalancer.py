@@ -76,7 +76,6 @@ class Rebalancer:
         self.metrics = metrics or heat.metrics
         self.kernel = server.kernel
         self._started = False
-        self._tick_handle = None
         self._round_running = False
         self._inflight = 0
         self._waiters: list = []
@@ -98,25 +97,8 @@ class Rebalancer:
         self._started = True
         self._arm()
 
-    def stop(self) -> None:
-        """Disarm the loop; in-flight actions finish on their own."""
-        self._started = False
-        if self._tick_handle is not None:
-            self._tick_handle.cancel()
-            self._tick_handle = None
-        # waiters can no longer be settled by a round; honor the loop-off
-        # contract (in-flight work drained = quiesced) right away
-        if self._inflight == 0:
-            self._settle_quiet()
-
-    @property
-    def running(self) -> bool:
-        """Whether the periodic loop is armed."""
-        return self._started
-
     def _arm(self) -> None:
-        self._tick_handle = self.kernel.schedule(self.config.interval_ms,
-                                                 self._tick)
+        self.kernel.schedule(self.config.interval_ms, self._tick)
 
     def _tick(self) -> None:
         if not self._started:

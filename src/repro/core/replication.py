@@ -23,6 +23,7 @@ update occurs, *instead of* being updated, in least-recently-used order.
 from __future__ import annotations
 
 from repro.errors import RpcTimeout
+from repro.core.pipeline.catalog import group_of
 from repro.core.segment import Replica
 from repro.net.network import RpcRemoteError
 
@@ -32,7 +33,12 @@ REPLICA_IDLE_MS = 5000.0
 
 
 class ReplicationMixin:
-    """Replication half of the segment server (see module docstring)."""
+    """Replication half of the segment server (see module docstring).
+
+    Expects the host class to hold this state: ``proc``, ``kernel``,
+    ``metrics``, the services ``store`` / ``cat``, the ``replicas`` /
+    ``tokens`` / ``catalogs`` views, and ``_update_lock``.
+    """
 
     # ------------------------------------------------------------------ #
     # replenishment (generation methods 1 and 2)
@@ -99,7 +105,6 @@ class ReplicationMixin:
         a copy of the file to the site where the replica is being
         generated" (§3.1).
         """
-        cat = self.catalogs[sid]
         replica = self.replicas.get((sid, major))
         if replica is None:
             return await self._feed_via_remote_holder(sid, major, target)
@@ -107,24 +112,29 @@ class ReplicationMixin:
         self.metrics.incr("deceit.replica_transfer_bytes", len(replica.data))
         if not await self._install_with_retries(target, replica):
             return False
-        cat.majors[major].holders.add(target)
+        await self._replica_landed(sid, major, target)
+        return True
+
+    async def _replica_landed(self, sid: str, major: int, target: str) -> None:
+        """The token holder's bookkeeping once ``target`` holds a copy it
+        was fed: the catalog and the durable token record name it, and the
+        group is told (§3.1)."""
+        self.catalogs[sid].majors[major].holders.add(target)
         token = self.tokens.get((sid, major))
         if token is not None and target not in token.holders:
             token.holders.append(target)
-            await self._persist_token(token)
+            await self.store.persist_token(token)
         await self.proc.cbcast(
-            self._group_of(sid),
+            group_of(sid),
             {"op": "replica_created", "sid": sid, "major": major, "holder": target},
             nreplies=0, tag="replica_created",
         )
-        return True
 
     async def _feed_via_remote_holder(self, sid: str, major: int,
                                       target: str) -> bool:
         """Ask a reachable replica holder to blast its copy to ``target``."""
-        cat = self.catalogs[sid]
         me = self.proc.addr
-        for source in sorted(cat.majors[major].holders):
+        for source in sorted(self.catalogs[sid].majors[major].holders):
             if source in (me, target):
                 continue
             if not self.proc.network.reachable(me, source):
@@ -137,17 +147,7 @@ class ReplicationMixin:
             except (RpcTimeout, RpcRemoteError):
                 continue
             if reply.get("fed"):
-                cat.majors[major].holders.add(target)
-                token = self.tokens.get((sid, major))
-                if token is not None and target not in token.holders:
-                    token.holders.append(target)
-                    await self._persist_token(token)
-                await self.proc.cbcast(
-                    self._group_of(sid),
-                    {"op": "replica_created", "sid": sid, "major": major,
-                     "holder": target},
-                    nreplies=0, tag="replica_created",
-                )
+                await self._replica_landed(sid, major, target)
                 return True
         return False
 
@@ -181,11 +181,11 @@ class ReplicationMixin:
     async def _h_install_replica(self, src: str, record: dict, contact: str) -> dict:
         """RPC handler on the receiving server: persist and join the group."""
         replica = Replica.from_dict(record)
-        group = self._group_of(replica.sid)
+        group = group_of(replica.sid)
         if not self.proc.is_member(group):
             await self.proc.join_group(group, contact=contact)
         self.replicas[(replica.sid, replica.major)] = replica
-        await self._persist_replica(replica, sync=True)
+        await self.store.persist_replica(replica, sync=True)
         cat = self.catalogs.get(replica.sid)
         if cat is not None:
             info = cat.majors.get(replica.major)
@@ -225,12 +225,12 @@ class ReplicationMixin:
                 continue
             replica = Replica.from_dict(record)
             self.replicas[(sid, major)] = replica
-            await self._persist_replica(replica, sync=True)
+            await self.store.persist_replica(replica, sync=True)
             cat = self.catalogs.get(sid)
             if cat is not None and major in cat.majors:
                 cat.majors[major].holders.add(me)
             await self.proc.cbcast(
-                self._group_of(sid),
+                group_of(sid),
                 {"op": "replica_created", "sid": sid, "major": major, "holder": me},
                 nreplies=0, tag="replica_created",
             )
@@ -324,7 +324,7 @@ class ReplicationMixin:
     async def create_replica(self, sid: str, server: str,
                              major: int | None = None) -> bool:
         """Special command: create a replica of ``sid`` on ``server``."""
-        await self._ensure_group(sid)
+        await self.cat.ensure_group(sid)
         cat = self.catalogs[sid]
         major = major if major is not None else cat.latest_major()
         info = cat.majors[major]
@@ -347,14 +347,14 @@ class ReplicationMixin:
 
         Refused when it would take the file below one replica.
         """
-        await self._ensure_group(sid)
+        await self.cat.ensure_group(sid)
         cat = self.catalogs[sid]
         major = major if major is not None else cat.latest_major()
         info = cat.majors[major]
         if server not in info.holders or len(info.holders) <= 1:
             return False
         await self.proc.cbcast(
-            self._group_of(sid),
+            group_of(sid),
             {"op": "replica_deleted", "sid": sid, "major": major, "holder": server},
             nreplies="all", tag="replica_deleted",
         )

@@ -101,7 +101,7 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
                 repair_replica=self._repair_replica,
                 replenish=self._replenish,
                 maybe_disable_token=self._maybe_disable_token,
-                token_waits=self._token_waits,
+                request_token_pass=self._request_token_pass,
             ),
             self.metrics,
             heat=self.heat,
@@ -116,12 +116,12 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
         proc.set_app(self)
         proc.register_handler("seg_read", self.reads.handle_read)
         proc.register_handler("seg_stat", self.reads.handle_stat)
-        proc.register_handler("seg_forward_write", self._h_forward_write)
+        proc.register_handler("seg_forward_write",
+                              self.pipeline.handle_forward_write)
         proc.register_handler("seg_fetch", self._h_fetch)
         proc.register_handler("seg_install_replica", self._h_install_replica)
         proc.register_handler("seg_request_replica", self._h_request_replica)
         proc.register_handler("seg_feed", self._h_feed)
-        proc.register_handler("seg_exchange", self.recovery.handle_exchange)
         proc.register_handler("seg_heat_report",
                               self.placement.handle_heat_report)
         # Partition heal: when a silent peer is heard from again, the sides
@@ -158,11 +158,8 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
         self.pipeline.token_piggyback = value
 
     # ------------------------------------------------------------------ #
-    # small helpers (thin delegates the mixins and tests rely on)
+    # small helpers the mixins and services share
     # ------------------------------------------------------------------ #
-
-    _group_of = staticmethod(group_of)
-    _sid_of = staticmethod(sid_of)
 
     def _update_lock(self, sid: str) -> Lock:
         lock = self._update_locks.get(sid)
@@ -171,26 +168,19 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
             self._update_locks[sid] = lock
         return lock
 
-    async def _persist_replica(self, replica: Replica, sync: bool) -> None:
-        await self.store.persist_replica(replica, sync)
-
-    async def _persist_token(self, token: Token) -> None:
-        await self.store.persist_token(token)
-
-    async def _delete_token_record(self, sid: str, major: int) -> None:
-        await self.store.delete_token_record(sid, major)
-
     async def _destroy_local_replica(self, sid: str, major: int) -> None:
         await self.store.destroy_replica(sid, major)
         cat = self.cat.get(sid)
         if cat is not None and major in cat.majors:
             cat.majors[major].holders.discard(self.proc.addr)
 
-    async def _ensure_group(self, sid: str) -> SegmentCatalog:
-        return await self.cat.ensure_group(sid)
-
-    def _disk_majors(self, sid: str) -> list[int]:
-        return self.store.disk_majors(sid)
+    async def _broadcast_delete_major(self, sid: str, major: int) -> None:
+        """Tell the whole file group to release one major's storage."""
+        await self.proc.cbcast(
+            group_of(sid),
+            {"op": "delete_major", "sid": sid, "major": major},
+            nreplies="all", tag="delete_major",
+        )
 
     def restore_counter(self, counter: int) -> None:
         """Recovery found the durable segment counter; never go backwards."""
@@ -245,13 +235,8 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
         cat = await self.cat.ensure_group(sid)
         targets = [version] if version is not None else sorted(cat.majors)
         for major in targets:
-            if major not in cat.majors:
-                continue
-            await self.proc.cbcast(
-                group_of(sid),
-                {"op": "delete_major", "sid": sid, "major": major},
-                nreplies="all", tag="delete_major",
-            )
+            if major in cat.majors:
+                await self._broadcast_delete_major(sid, major)
         self.metrics.incr("deceit.deletes")
         if not cat.majors:
             self.cat.drop(sid)
@@ -282,11 +267,6 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
         ``None`` only for a dirop recognized as an idempotent replay."""
         return await self.pipeline.write(sid, op, guard=guard, version=version,
                                          single_update_hint=single_update_hint)
-
-    async def _h_forward_write(self, src: str, sid: str, major: int,
-                               wop: dict, guard) -> dict:
-        return await self.pipeline.handle_forward_write(src, sid, major,
-                                                        wop, guard)
 
     async def setparam(self, sid: str, **changes: Any) -> FileParams:
         """Change the segment's semantic parameters (§4).
@@ -349,11 +329,7 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
             raise NoSuchSegment(f"{sid};{keep}")
         drop = [m for m in sorted(cat.majors) if m != keep]
         for major in drop:
-            await self.proc.cbcast(
-                group_of(sid),
-                {"op": "delete_major", "sid": sid, "major": major},
-                nreplies="all", tag="delete_major",
-            )
+            await self._broadcast_delete_major(sid, major)
         if drop:
             await self.log_conflict_resolution(sid)
         self.metrics.incr("deceit.reconciliations")
@@ -484,8 +460,23 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
         self.cat.merge_state(state)
 
     # ------------------------------------------------------------------ #
-    # crash recovery (§3.6) — delegated to the RecoveryService
+    # crash and recovery (§3.6) — the protocol is the RecoveryService's
     # ------------------------------------------------------------------ #
+
+    def crash(self) -> None:
+        """Fail-stop the machine: process down, unflushed disk writes and
+        every volatile structure lost; the disk records survive."""
+        self.proc.crash()
+        self.disk.crash()
+        self.volatile_reset()
+
+    def restart(self):
+        """Bring a crashed machine back: process up, merge audit re-armed,
+        recovery protocol started.  Returns the recovery task."""
+        self.proc.recover()
+        self.start_merge_audit()
+        return self.proc.spawn(self.recover(),
+                               name=f"{self.proc.addr}:recover")
 
     def volatile_reset(self) -> None:
         """Drop all in-memory state (called when the hosting node crashes)."""

@@ -18,6 +18,8 @@ the obsolete ones.
 
 from __future__ import annotations
 
+from repro.core.pipeline.catalog import group_of
+from repro.core.versions import VersionPair
 from repro.errors import ReplicaUnavailable
 
 STABILITY_ACK_TIMEOUT_MS = 300.0
@@ -26,7 +28,12 @@ STABLE_QUIET_MS = 200.0
 
 
 class StabilityMixin:
-    """Stability-notification half of the segment server."""
+    """Stability-notification half of the segment server.
+
+    Expects the host class to hold this state: ``proc``, ``kernel``,
+    ``metrics``, ``store``, the ``replicas`` / ``tokens`` / ``catalogs``
+    views, ``_stable_timers``, and the token mixin's ``_replica_states``.
+    """
 
     # ------------------------------------------------------------------ #
     # marking (runs at the token holder)
@@ -45,7 +52,7 @@ class StabilityMixin:
             return
         self.metrics.incr("deceit.stability_marks")
         await self.proc.cbcast(
-            self._group_of(sid),
+            group_of(sid),
             {"op": "mark_unstable", "sid": sid, "major": major},
             nreplies="all", timeout=STABILITY_ACK_TIMEOUT_MS, tag="stability",
         )
@@ -82,7 +89,7 @@ class StabilityMixin:
         info.unstable = False
         self.metrics.incr("deceit.stability_clears")
         await self.proc.cbcast(
-            self._group_of(sid),
+            group_of(sid),
             {"op": "mark_stable", "sid": sid, "major": major},
             nreplies=0, tag="stability",
         )
@@ -100,7 +107,7 @@ class StabilityMixin:
             replica.stable = False
             # The unstable mark itself must survive a crash — it is what
             # recovery uses to detect possibly-inconsistent replicas.
-            await self._persist_replica(replica, sync=True)
+            await self.store.persist_replica(replica, sync=True)
         return {"marked": True}
 
     async def _deliver_mark_stable(self, sid: str, major: int) -> dict:
@@ -110,7 +117,7 @@ class StabilityMixin:
         replica = self.replicas.get((sid, major))
         if replica is not None and not replica.stable:
             replica.stable = True
-            await self._persist_replica(replica, sync=False)
+            await self.store.persist_replica(replica, sync=False)
         return {"marked": True}
 
     # ------------------------------------------------------------------ #
@@ -121,15 +128,8 @@ class StabilityMixin:
     async def _stability_recovery(self, sid: str, major: int) -> str:
         """Find or forge a stable replica; returns the server to read from."""
         self.metrics.incr("deceit.stability_recoveries")
-        replies = await self.proc.cbcast(
-            self._group_of(sid),
-            {"op": "state_inquiry", "sid": sid, "major": major},
-            nreplies="all", timeout=STABILITY_ACK_TIMEOUT_MS, tag="state_inquiry",
-        )
-        holders = [
-            (member, value) for member, value in replies
-            if isinstance(value, dict) and value.get("have_replica")
-        ]
+        holders = await self._replica_states(sid, major,
+                                             STABILITY_ACK_TIMEOUT_MS)
         if not holders:
             raise ReplicaUnavailable(f"{sid}: no replica of {major} reachable")
         stable = [m for m, v in holders if v.get("stable")]
@@ -139,7 +139,7 @@ class StabilityMixin:
         # and destroy the obsolete ones.
         best_member, best = max(holders, key=lambda mv: mv[1]["version"][1])
         await self.proc.cbcast(
-            self._group_of(sid),
+            group_of(sid),
             {"op": "force_stable", "sid": sid, "major": major,
              "chosen": best_member, "version": best["version"]},
             nreplies="all", timeout=STABILITY_ACK_TIMEOUT_MS, tag="force_stable",
@@ -156,7 +156,6 @@ class StabilityMixin:
         if cat is not None and major in cat.majors:
             info = cat.majors[major]
             info.unstable = False
-            from repro.core.versions import VersionPair
             info.version = VersionPair.from_tuple(version)
         if replica is None:
             return {"ok": True}
@@ -168,5 +167,5 @@ class StabilityMixin:
         if not replica.stable:
             # racelint: ok(staleread) - the only await since the binding returns
             replica.stable = True
-            await self._persist_replica(replica, sync=True)
+            await self.store.persist_replica(replica, sync=True)
         return {"ok": True}

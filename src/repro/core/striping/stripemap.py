@@ -3,8 +3,8 @@
 Deceit's signature idea is that system semantics are **per-file parameters**
 (§2, §4); striping adds one more: ``stripe_size``.  A file whose contents
 outgrow its ``stripe_size`` stops being one blob segment and becomes a
-*parent* segment holding no data at all plus ``stripe_count`` ordinary
-replicated segments, each carrying one fixed-size slice of the contents.
+*parent* segment holding no data at all plus one ordinary replicated
+segment per stripe, each carrying one fixed-size slice of the contents.
 Every stripe has its own write token, version history, replica set, and
 placement heat — which is the whole point: disjoint-range writers commute
 on different tokens, a 2 MB read fans out across the stripe holders, and
@@ -82,10 +82,6 @@ class StripeMap:
         """The dict stored under :data:`META_KEY` in parent metadata."""
         return {"stripe_size": self.stripe_size, "length": self.length,
                 "sids": list(self.sids)}
-
-    @property
-    def stripe_count(self) -> int:
-        return len(self.sids)
 
     def sid_at(self, index: int) -> str | None:
         return self.sids[index] if index < len(self.sids) else None

@@ -70,9 +70,6 @@ class Striper:
         self.proc = segments.proc
         self.kernel = segments.kernel
         self.metrics = metrics or segments.metrics
-        #: scatter new stripes across the cell (off = all local, for
-        #: baselines and single-server cells)
-        self.scatter = True
 
     # ------------------------------------------------------------------ #
     # reads
@@ -170,11 +167,7 @@ class Striper:
                 created[index] = await self._create_stripe(
                     fh.sid, index, _image_of(pieces), stat.params)
                 return
-            parts = [WriteOp(kind="replace", offset=inner, data=piece)
-                     for inner, piece in pieces]
-            op = parts[0] if len(parts) == 1 else WriteOp(kind="batch",
-                                                          parts=parts)
-            await self.segments.write(sid, op)
+            await self.segments.write(sid, _pieces_op(pieces))
             self.metrics.incr("striping.stripe_writes")
 
         tasks = [self.proc.spawn(apply_stripe(index, pieces),
@@ -225,11 +218,7 @@ class Striper:
             if winner is None or winner == sid:
                 continue
             self.metrics.incr("striping.claim_losses")
-            parts = [WriteOp(kind="replace", offset=inner, data=piece)
-                     for inner, piece in per_stripe[index]]
-            op = parts[0] if len(parts) == 1 else WriteOp(kind="batch",
-                                                          parts=parts)
-            await self.segments.write(winner, op)
+            await self.segments.write(winner, _pieces_op(per_stripe[index]))
             self.retire_stripes([sid])
         return auth
 
@@ -253,16 +242,8 @@ class Striper:
         old_map = StripeMap.from_meta(stat.meta)
         ss = stat.params.stripe_size
         if ss is not None and len(image) > ss:
-            chunks = [image[i:i + ss] for i in range(0, len(image), ss)]
-            tasks = [self.proc.spawn(
-                self._create_stripe(fh.sid, i, chunk, stat.params),
-                name=f"{self.proc.addr}:stripe-create")
-                for i, chunk in enumerate(chunks)]
-            sids = await self.kernel.all_of(tasks)
-            new_map = StripeMap(stripe_size=ss, length=len(image),
-                                sids=tuple(sids))
-            op = WriteOp(kind="setdata", data=b"",
-                         meta={**patch, META_KEY: new_map.to_meta()})
+            sids, new_map, op = await self._stripe_image(
+                fh.sid, image, len(image), stat.params, patch)
         else:
             sids, new_map = [], None
             op = WriteOp(kind="setdata", data=image,
@@ -288,6 +269,23 @@ class Striper:
             reply_meta.pop(META_KEY, None)
             reply_meta["length"] = len(image)
         return reply_meta, len(image), version
+
+    async def _stripe_image(self, parent_sid: str, image: bytes, length: int,
+                            params, patch: dict[str, Any]):
+        """Cut ``image`` into fully written, placed stripes.  Returns
+        ``(sids, map, op)``: the new segments (to roll back if the flip
+        loses), the map of a ``length``-byte file over them (bytes past the
+        image are a hole), and the parent update that installs it."""
+        ss = params.stripe_size
+        tasks = [self.proc.spawn(
+            self._create_stripe(parent_sid, index, image[i:i + ss], params),
+            name=f"{self.proc.addr}:stripe-create")
+            for index, i in enumerate(range(0, len(image), ss))]
+        sids = await self.kernel.all_of(tasks)
+        new_map = StripeMap(stripe_size=ss, length=length, sids=tuple(sids))
+        return sids, new_map, WriteOp(
+            kind="setdata", data=b"",
+            meta={**patch, META_KEY: new_map.to_meta()})
 
     async def restripe(self, fh) -> None:
         """Reshape the file to match its current ``stripe_size`` parameter
@@ -390,18 +388,8 @@ class Striper:
                 # converted under us (a concurrent write crossed the
                 # threshold): the plain striped grow path finishes the job
                 return await self.truncate(fh, base, smap, size, patch)
-            ss = base.params.stripe_size
-            chunks = [base.data[i:i + ss]
-                      for i in range(0, len(base.data), ss)]
-            tasks = [self.proc.spawn(
-                self._create_stripe(fh.sid, i, chunk, base.params),
-                name=f"{self.proc.addr}:stripe-create")
-                for i, chunk in enumerate(chunks)]
-            sids = await self.kernel.all_of(tasks)
-            new_map = StripeMap(stripe_size=ss, length=size,
-                                sids=tuple(sids))
-            op = WriteOp(kind="setdata", data=b"",
-                         meta={**patch, META_KEY: new_map.to_meta()})
+            sids, _map, op = await self._stripe_image(
+                fh.sid, base.data, size, base.params, patch)
             try:
                 version = await self._parent_update(fh.sid, op,
                                                     guard=base.version,
@@ -440,8 +428,6 @@ class Striper:
         explicit-placement path §6.2's dispersion scenario uses).  Best
         effort: an unreachable target just leaves the stripe local, where
         the rebalancer can move it later."""
-        if not self.scatter:
-            return
         me = self.proc.addr
         target = self._scatter_target(index)
         if target == me or not self.proc.network.reachable(me, target):
@@ -488,6 +474,14 @@ def _overlay(base: bytes, patches: list[tuple[int, bytes]]) -> bytes:
             out.extend(b"\x00" * (off - len(out)))
         out[off:off + len(data)] = data
     return bytes(out)
+
+
+def _pieces_op(pieces: list[tuple[int, bytes]]) -> WriteOp:
+    """The positioned writes bound for one stripe as one update: a lone
+    ``replace``, or a ``batch`` of them (still one broadcast round)."""
+    parts = [WriteOp(kind="replace", offset=inner, data=piece)
+             for inner, piece in pieces]
+    return parts[0] if len(parts) == 1 else WriteOp(kind="batch", parts=parts)
 
 
 def _image_of(pieces: list[tuple[int, bytes]]) -> bytes:

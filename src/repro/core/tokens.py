@@ -23,21 +23,31 @@ from __future__ import annotations
 
 from repro.errors import ReplicaUnavailable, WriteUnavailable
 from repro.core.params import Availability
+from repro.core.pipeline.catalog import group_of
 from repro.core.segment import MajorInfo, Replica, Token
 from repro.core.versions import VersionPair
+from repro.sim import SimTimeoutError
 
 TOKEN_PASS_TIMEOUT_MS = 350.0
 INQUIRY_TIMEOUT_MS = 250.0
 
 
+def _majority(cat, major: int) -> tuple[int, int]:
+    """``(total, majority)`` for the medium-availability rule (§3.5): a
+    token is generated, kept or revived only while a majority of the
+    replicas answers — of the replica level or of the known holders,
+    whichever is more."""
+    total = max(cat.params.min_replicas, len(cat.majors[major].holders))
+    return total, total // 2 + 1
+
+
 class TokenMixin:
     """Token-protocol half of the segment server.
 
-    Expects the host class to provide: ``proc`` (IsisProcess), ``disk``,
-    ``replicas``, ``tokens``, ``catalogs``, ``alloc``, ``metrics``,
-    ``_token_waits``, ``_group_of()``, ``_persist_replica()``,
-    ``_persist_token()``, ``_delete_token_record()``, and
-    ``_fetch_replica_from()``.
+    Expects the host class to hold this state: ``proc`` (IsisProcess),
+    ``kernel``, ``metrics``, ``alloc``, the services ``store`` / ``cat`` /
+    ``pipeline``, the ``replicas`` / ``tokens`` / ``catalogs`` views onto
+    them, ``_token_waits``, and the other two mixins.
     """
 
     # ------------------------------------------------------------------ #
@@ -65,20 +75,24 @@ class TokenMixin:
         self.metrics.incr("deceit.token_losses_detected")
         return await self._generate_token(sid, major)
 
-    async def _request_token_pass(self, sid: str, major: int) -> bool:
-        """One round: broadcast a token request; wait for the pass (§3.3)."""
-        group = self._group_of(sid)
+    async def _request_token_pass(self, sid: str, major: int,
+                                  size_bytes: int = 512, **rider) -> bool:
+        """One round: broadcast a token request; wait for the pass (§3.3).
+
+        ``rider`` is the update that travels with the request under
+        optimization 1 (``piggyback`` + ``reply_req``, sized by
+        ``size_bytes``); see :meth:`_deliver_token_request`.
+        """
         wait = self.kernel.create_future()
         self._token_waits[(sid, major)] = wait
         self.metrics.incr("deceit.token_requests")
         try:
             await self.proc.cbcast(
-                group,
+                group_of(sid),
                 {"op": "token_request", "sid": sid, "major": major,
-                 "requester": self.proc.addr},
-                nreplies=0, tag="token_request",
+                 "requester": self.proc.addr, **rider},
+                nreplies=0, size_bytes=size_bytes, tag="token_request",
             )
-            from repro.sim import SimTimeoutError
             try:
                 await self.kernel.wait_for(wait, TOKEN_PASS_TIMEOUT_MS)
             except SimTimeoutError:
@@ -111,7 +125,7 @@ class TokenMixin:
             token = self.tokens.pop((sid, major), None)
             if token is None:
                 return {"holder": False}
-            await self._delete_token_record(sid, major)
+            await self.store.delete_token_record(sid, major)
             pass_msg = {"op": "token_pass", "sid": sid, "major": major,
                         "to": requester, "token": token.to_dict()}
             if piggyback is not None:
@@ -123,7 +137,7 @@ class TokenMixin:
                 pass_msg["origin"] = requester
                 self.metrics.incr("deceit.piggybacked_updates")
             await self.proc.cbcast(
-                self._group_of(sid), pass_msg, nreplies=0, tag="token_pass",
+                group_of(sid), pass_msg, nreplies=0, tag="token_pass",
             )
             self.metrics.incr("deceit.token_passes")
         finally:
@@ -146,8 +160,8 @@ class TokenMixin:
         if cat is not None and major in cat.majors:
             cat.majors[major].holder = to
         if piggyback is not None:
-            await self._apply_piggyback(sid, major, piggyback,
-                                        piggyback_version, reply_req, origin)
+            await self.pipeline.deliver_piggyback(
+                sid, major, piggyback, piggyback_version, reply_req, origin)
         if to != self.proc.addr:
             # the write token moved elsewhere: our warm copy of this major
             # can now silently fall behind, so the read cache entry drops
@@ -156,7 +170,7 @@ class TokenMixin:
             return {"noted": True}
         token = Token.from_dict(token_dict)
         self.tokens[(sid, major)] = token
-        await self._persist_token(token)
+        await self.store.persist_token(token)
         if (sid, major) not in self.replicas:
             # The holder's replica is the primary during instability (§3.4);
             # fetch one before acknowledging the token.
@@ -165,37 +179,6 @@ class TokenMixin:
         if wait is not None:
             wait.try_set_result(None)
         return {"installed": True}
-
-    async def _apply_piggyback(self, sid: str, major: int, wop_dict: dict,
-                               version: list, reply_req: int | None,
-                               origin: str | None) -> None:
-        from repro.core.segment import WriteOp
-        from repro.core.versions import VersionPair
-        new_version = VersionPair.from_tuple(version)
-        cat = self.catalogs.get(sid)
-        if cat is not None and major in cat.majors:
-            cat.majors[major].version = new_version
-            cat.majors[major].last_update_ts = self.kernel.now
-        replica = self.replicas.get((sid, major))
-        applied = False
-        durable = False
-        if replica is not None and replica.version.sub + 1 == new_version.sub:
-            op = WriteOp.from_dict(wop_dict)
-            replica.data, replica.meta = op.apply(replica.data, replica.meta)
-            replica.version = new_version
-            replica.write_ts = self.kernel.now
-            durable = replica.params.write_safety >= 1
-            await self._persist_replica(replica, sync=durable)
-            applied = True
-        if reply_req is not None and origin is not None:
-            reply = {"type": "mreply", "req_id": reply_req,
-                     "member": self.proc.addr,
-                     "value": {"ok": applied, "durable": durable,
-                               "have_replica": replica is not None}}
-            if origin == self.proc.addr:
-                self.proc._on_mreply(reply)
-            else:
-                self.proc.send(origin, reply, size_bytes=128, tag="mreply")
 
     # ------------------------------------------------------------------ #
     # generation (§3.5)
@@ -210,9 +193,9 @@ class TokenMixin:
                 f"{sid}: token for major {major} lost and availability=low"
             )
         if policy is Availability.MEDIUM:
-            available = await self._count_available_replicas(sid, major)
-            total = max(cat.params.min_replicas, len(cat.majors[major].holders))
-            if available < total // 2 + 1:
+            available = len(await self._replica_states(sid, major))
+            total, majority = _majority(cat, major)
+            if available < majority:
                 raise WriteUnavailable(
                     f"{sid}: only {available}/{total} replicas reachable "
                     f"(availability=medium needs a majority)"
@@ -239,18 +222,18 @@ class TokenMixin:
         # the awaits can go stale for these keys.
         # racelint: ok(staleread) - new_major is a freshly minted key
         self.replicas[(sid, new_major)] = replica
-        await self._persist_replica(replica, sync=True)
+        await self.store.persist_replica(replica, sync=True)
         token = Token(sid=sid, major=new_major, version=new_version,
                       parent=(major, branch_sub), holders=[self.proc.addr])
         self.tokens[(sid, new_major)] = token
-        await self._persist_token(token)
+        await self.store.persist_token(token)
         # racelint: ok(staleread) - same fresh-key argument as above.
         cat.majors[new_major] = MajorInfo(
             major=new_major, version=new_version, holder=self.proc.addr,
             holders={self.proc.addr}, last_update_ts=self.kernel.now,
         )
         await self.proc.cbcast(
-            self._group_of(sid),
+            group_of(sid),
             {"op": "token_generated", "sid": sid, "major": new_major,
              "parent": [major, branch_sub], "version": new_version.to_tuple(),
              "holder": self.proc.addr},
@@ -283,25 +266,28 @@ class TokenMixin:
     # availability accounting (medium policy)
     # ------------------------------------------------------------------ #
 
-    async def _count_available_replicas(self, sid: str, major: int) -> int:
-        """Broadcast an inquiry to the file group and count replica holders
-        among the correct replies (§3.5 "Restricting updates...")."""
+    async def _replica_states(self, sid: str, major: int,
+                              timeout: float = INQUIRY_TIMEOUT_MS,
+                              ) -> list[tuple[str, dict]]:
+        """Broadcast an inquiry to the file group; the correct replies that
+        hold a replica, as ``(member, state)`` (§3.5 "Restricting
+        updates...", and §3.6's read-side recovery)."""
         replies = await self.proc.cbcast(
-            self._group_of(sid),
+            group_of(sid),
             {"op": "state_inquiry", "sid": sid, "major": major},
-            nreplies="all", timeout=INQUIRY_TIMEOUT_MS, tag="state_inquiry",
+            nreplies="all", timeout=timeout, tag="state_inquiry",
         )
-        return sum(1 for _m, value in replies
-                   if isinstance(value, dict) and value.get("have_replica"))
+        return [(member, value) for member, value in replies
+                if isinstance(value, dict) and value.get("have_replica")]
 
     async def _try_reenable_token(self, sid: str, token: Token) -> None:
         """A disabled token revives once a majority is reachable again."""
         cat = self.catalogs[sid]
-        available = await self._count_available_replicas(sid, token.major)
-        total = max(cat.params.min_replicas, len(cat.majors[token.major].holders))
-        if available >= total // 2 + 1:
+        available = len(await self._replica_states(sid, token.major))
+        total, majority = _majority(cat, token.major)
+        if available >= majority:
             token.enabled = True
-            await self._persist_token(token)
+            await self.store.persist_token(token)
             self.metrics.incr("deceit.tokens_reenabled")
         else:
             raise WriteUnavailable(
@@ -317,9 +303,9 @@ class TokenMixin:
             return
         if cat.params.write_availability is not Availability.MEDIUM:
             return
-        total = max(cat.params.min_replicas, len(cat.majors[major].holders))
-        if replica_replies < total // 2 + 1 and token.enabled:
+        _total, majority = _majority(cat, major)
+        if replica_replies < majority and token.enabled:
             token.enabled = False
             self.metrics.incr("deceit.tokens_disabled")
-            self.proc.spawn(self._persist_token(token),
+            self.proc.spawn(self.store.persist_token(token),
                             name=f"{self.proc.addr}:tok_disable")

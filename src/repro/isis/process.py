@@ -298,17 +298,9 @@ class IsisProcess(Node):
         view = state.view
         want = len(view.members) if nreplies == "all" else int(nreplies)
         req_id = None
-        collector_fut: SimFuture | None = None
+        collected: SimFuture | None = None
         if want > 0 or on_audit is not None:
-            req_id = next(self._collector_ids)
-            collector_fut = self.kernel.create_future()
-            if want == 0:
-                collector_fut.set_result(None)  # early return is immediate
-            self._collectors[req_id] = {
-                "fut": collector_fut, "replies": [],
-                "want": want or len(view.members),
-                "count": count_reply, "counted": 0,
-            }
+            req_id, collected = self.collect_replies(want, count_reply)
         vc = state.vc.copy()
         vc.increment(self.addr)
         msg = {
@@ -328,26 +320,62 @@ class IsisProcess(Node):
                 self.send(member, msg, size_bytes=size_bytes, tag=tag)
         # Local copy delivers immediately (we are causally up to date).
         self._deliver_mcast(state, msg)
-        if collector_fut is None:
+        if collected is None:
             return []
-        if not collector_fut.done():
+        if not collected.done():
             try:
-                await self.kernel.wait_for(collector_fut, timeout)
+                await self.kernel.wait_for(collected, timeout)
             except SimTimeoutError:
                 pass  # return whatever arrived; caller counts correct replies
         if on_audit is None:
-            record = self._collectors.pop(req_id, None)
-            return list(record["replies"]) if record else []
+            return self.end_collection(req_id) or []
         # keep collecting in the background, then hand the full set to the audit
         early = list(self._collectors[req_id]["replies"])
 
         def _finish_audit() -> None:
-            record = self._collectors.pop(req_id, None)
-            if record is not None:
-                on_audit(list(record["replies"]))
+            replies = self.end_collection(req_id)
+            if replies is not None:     # None: a crash got there first
+                on_audit(replies)
 
         self.kernel.schedule(audit_timeout or timeout, _finish_audit)
         return early
+
+    # ------------------------------------------------------------------ #
+    # reply collection (cbcast's own, and the §3.3 piggybacked update's)
+    # ------------------------------------------------------------------ #
+
+    def collect_replies(self, want: int,
+                        count_reply=None) -> tuple[int, SimFuture]:
+        """Open a reply collection; returns ``(req_id, future)``.
+
+        ``req_id`` travels in the request (``reply_req``) and comes back in
+        every :meth:`reply_to`; the future resolves once ``want`` replies
+        passing ``count_reply`` (default: any) have arrived — at once when
+        ``want`` is 0.  Replies keep accumulating until
+        :meth:`end_collection`.
+        """
+        req_id = next(self._collector_ids)
+        fut = self.kernel.create_future()
+        if want == 0:
+            fut.set_result(None)
+        self._collectors[req_id] = {"fut": fut, "replies": [], "want": want,
+                                    "count": count_reply, "counted": 0}
+        return req_id, fut
+
+    def end_collection(self, req_id: int) -> list[tuple[str, Any]] | None:
+        """Close a collection; returns ``[(member, value), ...]`` in arrival
+        order, or ``None`` when it is already gone (a crash wiped it)."""
+        record = self._collectors.pop(req_id, None)
+        return None if record is None else list(record["replies"])
+
+    def reply_to(self, origin: str, req_id: int, value: Any) -> None:
+        """Answer collection ``req_id`` at ``origin`` with ``value``."""
+        reply = {"type": "mreply", "req_id": req_id,
+                 "member": self.addr, "value": value}
+        if origin == self.addr:
+            self._on_mreply(reply)
+        else:
+            self.send(origin, reply, size_bytes=128, tag="mreply")
 
     def _wait_not_flushing(self, state: _GroupState) -> SimFuture:
         fut = self.kernel.create_future()
@@ -428,13 +456,7 @@ class IsisProcess(Node):
             value = {"_error": f"{type(exc).__name__}: {exc}"}
         req_id = msg.get("reply_req")
         if req_id is not None:
-            reply = {"type": "mreply", "req_id": req_id,
-                     "member": self.addr, "value": value}
-            origin = msg["origin"]
-            if origin == self.addr:
-                self._on_mreply(reply)
-            else:
-                self.send(origin, reply, size_bytes=128, tag="mreply")
+            self.reply_to(msg["origin"], req_id, value)
 
     def _on_mreply(self, payload: dict) -> None:
         record = self._collectors.get(payload["req_id"])

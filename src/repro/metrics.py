@@ -99,10 +99,6 @@ class Metrics:
         """Return (creating if needed) the latency series ``name``."""
         return self._latencies[name]
 
-    def latencies(self) -> dict[str, LatencyStats]:
-        """All latency series recorded so far."""
-        return dict(self._latencies)
-
     def snapshot(self) -> dict[str, int]:
         """Copy of all counters (for before/after deltas in benchmarks)."""
         return dict(self.counters)
@@ -115,11 +111,6 @@ class Metrics:
             if change:
                 out[key] = change
         return out
-
-    def reset(self) -> None:
-        """Clear all counters and latency series."""
-        self.counters.clear()
-        self._latencies.clear()
 
     def report(self, prefix: str = "") -> str:
         """Human-readable dump, optionally filtered by counter prefix."""

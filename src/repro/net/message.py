@@ -12,7 +12,6 @@ class MsgKind(Enum):
     DATAGRAM = "dgram"
     RPC_REQUEST = "rpc_req"
     RPC_REPLY = "rpc_reply"
-    STREAM = "stream"  # bulk data (blast file transfer)
 
 
 class Message:

@@ -141,11 +141,6 @@ class Network:
         self._partitioned = False
         self.metrics.incr("net.heals")
 
-    @property
-    def partitioned(self) -> bool:
-        """Whether a partition is currently in force."""
-        return self._partitioned
-
     def reachable(self, src: str, dst: str) -> bool:
         """True when a message sent now from ``src`` would reach ``dst``.
 
@@ -174,10 +169,8 @@ class Network:
             counters["net.msgs.rpc_req"] += 1
         elif kind is _RPC_REPLY:
             counters["net.msgs.rpc_reply"] += 1
-        elif kind is _DATAGRAM:
-            counters["net.msgs.dgram"] += 1
         else:
-            counters["net.msgs." + kind.value] += 1
+            counters["net.msgs.dgram"] += 1
         if msg.tag and self.config.tag_metrics:
             counters["net.msgs.tag." + msg.tag] += 1
         counters["net.bytes"] += msg.size_bytes

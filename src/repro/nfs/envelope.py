@@ -88,9 +88,11 @@ class Envelope:
     # helpers
     # ------------------------------------------------------------------ #
 
-    async def _read_segment(self, fh: FileHandle) -> ReadResult:
+    async def _read_segment(self, fh: FileHandle, offset: int = 0,
+                            count: int | None = None) -> ReadResult:
         try:
-            return await self.segments.read(fh.sid, version=fh.version)
+            return await self.segments.read(fh.sid, offset=offset,
+                                            count=count, version=fh.version)
         except NoSuchSegment as exc:
             raise nfs_error(NfsStat.ERR_STALE, str(exc)) from exc
         except ReplicaUnavailable as exc:
@@ -243,7 +245,7 @@ class Envelope:
         revalidation for commuting writes (see :meth:`read_validate`).
         """
         self.metrics.incr("nfs.ops.read")
-        result = await self._read_segment_range(fh, offset, count)
+        result = await self._read_segment(fh, offset, count)
         if result.meta.get("ftype") == FileType.DIRECTORY.value:
             raise nfs_error(NfsStat.ERR_ISDIR, fh.sid)
         smap = StripeMap.from_meta(result.meta)
@@ -256,16 +258,6 @@ class Envelope:
             except ReplicaUnavailable as exc:
                 raise nfs_error(NfsStat.ERR_IO, str(exc)) from exc
         return result
-
-    async def _read_segment_range(self, fh: FileHandle, offset: int,
-                                  count: int | None) -> ReadResult:
-        try:
-            return await self.segments.read(fh.sid, offset=offset,
-                                            count=count, version=fh.version)
-        except NoSuchSegment as exc:
-            raise nfs_error(NfsStat.ERR_STALE, str(exc)) from exc
-        except ReplicaUnavailable as exc:
-            raise nfs_error(NfsStat.ERR_IO, str(exc)) from exc
 
     async def read_validate(self, fh: FileHandle, verify,
                             offset: int = 0,

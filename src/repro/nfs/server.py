@@ -90,16 +90,11 @@ class DeceitServer:
 
     def crash(self) -> None:
         """Fail-stop the whole machine."""
-        self.proc.crash()
-        self.disk.crash()
-        self.segments.volatile_reset()
+        self.segments.crash()
 
     def recover(self):
         """Restart; returns the task running the recovery protocol (§3.6)."""
-        self.proc.recover()
-        self.segments.start_merge_audit()
-        return self.proc.spawn(self.segments.recover(),
-                               name=f"{self.addr}:recover")
+        return self.segments.restart()
 
     def cold_start(self) -> int:
         """Rebuild everything from disk with no live peer (total failure).
@@ -270,31 +265,17 @@ class DeceitServer:
                 truncate=args.get("truncate", False), ops=args.get("ops"))
             return {"status": 0, "attrs": attrs.to_wire(),
                     "version": list(version)}
-        if op == "create":
-            out_fh, attrs, dirv = await env.create(fh, args["name"],
-                                                   args.get("sattr"))
-            return self._with_dir_version(
-                {"status": 0, "fh": out_fh.encode(),
-                 "attrs": attrs.to_wire()}, dirv)
-        if op == "mkdir":
-            out_fh, attrs, dirv = await env.mkdir(fh, args["name"],
-                                                  args.get("sattr"))
-            return self._with_dir_version(
-                {"status": 0, "fh": out_fh.encode(),
-                 "attrs": attrs.to_wire()}, dirv)
-        if op == "symlink":
-            out_fh, attrs, dirv = await env.symlink(fh, args["name"],
-                                                    args["target"])
+        if op in ("create", "mkdir", "symlink"):
+            out_fh, attrs, dirv = await getattr(env, op)(
+                fh, args["name"],
+                args["target"] if op == "symlink" else args.get("sattr"))
             return self._with_dir_version(
                 {"status": 0, "fh": out_fh.encode(),
                  "attrs": attrs.to_wire()}, dirv)
         if op == "readlink":
             return {"status": 0, "target": await env.readlink(fh)}
-        if op == "remove":
-            dirv = await env.remove(fh, args["name"])
-            return self._with_dir_version({"status": 0}, dirv)
-        if op == "rmdir":
-            dirv = await env.rmdir(fh, args["name"])
+        if op in ("remove", "rmdir"):
+            dirv = await getattr(env, op)(fh, args["name"])
             return self._with_dir_version({"status": 0}, dirv)
         if op == "rename":
             from_v, to_v, moved = await env.rename(

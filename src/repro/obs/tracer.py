@@ -26,7 +26,7 @@ stream of a same-seed run is byte-identical.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Iterable
+from typing import Iterable
 
 #: Canonical layer order for waterfall rendering (outermost first).
 LAYERS = ("agent", "rpc", "pipeline", "disk", "net")
@@ -116,13 +116,3 @@ class Tracer:
         """The span stream as a list (for determinism pins)."""
         return list(self.spans)
 
-
-def current_trace(kernel: Any) -> int | None:
-    """Trace id of the task the kernel is currently stepping, if any.
-
-    Safe to call from plain callbacks (returns ``None`` there) — but
-    callers should gate on ``kernel._tracer is not None`` first so the
-    off path stays one test.
-    """
-    task = kernel._current
-    return None if task is None else task.trace

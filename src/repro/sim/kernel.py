@@ -23,9 +23,9 @@ Scale fast paths (the hot loops every simulated operation funnels through):
   cancels its own handle is a no-op).  Cancelled entries (one RPC timeout
   per RPC, nearly always cancelled) are counted, and the queue is compacted
   once they dominate it, instead of lingering until their deadline;
-- :meth:`run` drains same-timestamp batches without re-checking the
-  ``until`` bound per event, and :meth:`run_until_complete` drives the
-  loop inline rather than paying a ``run(max_events=1)`` call per event.
+- :meth:`run` and :meth:`run_until_complete` share one inlined dispatch
+  loop (:meth:`Kernel._drive`); the virtual-time bound is tested on heap
+  entries only — a zero-delay event is never later than the clock.
 """
 
 from __future__ import annotations
@@ -335,7 +335,7 @@ class Kernel:
         self._events_processed = 0
         self._cancelled = 0  # dead events still sitting in queue or fifo
         #: witness hash chain (repro.analysis.witness); None = off, and the
-        #: dispatch loops pay exactly one `is None` test per event
+        #: dispatch loop pays exactly one `is None` test per event
         self._witness: Any = None
         #: determinism guard (repro.analysis.guard) engaged around dispatch
         self._det_guard: Any = None
@@ -590,98 +590,13 @@ class Kernel:
     # execution
     # ------------------------------------------------------------------ #
 
-    def _next_live(self) -> list | None:
-        """Pop-and-return the next live entry in (when, seq) order, or
-        ``None`` when both queues are drained of live events.  Dead entries
-        encountered on the way out are discarded."""
-        queue, fifo = self._queue, self._fifo
-        while True:
-            # a dead fifo head is dropped without consulting the heap:
-            # under perturbation the fifo is not seq-sorted, so comparing
-            # on a corpse could let the heap overtake a live entry behind it
-            if fifo and (fifo[0][2] is None or not queue
-                         or fifo[0] < queue[0]):
-                entry = fifo.popleft()
-            elif queue:
-                entry = heapq.heappop(queue)
-            else:
-                return None
-            if entry[2] is not None:
-                return entry
-            self._cancelled -= 1
-
-    def _peek_when(self) -> float | None:
-        """Virtual time of the next live event (``None`` when idle)."""
-        queue, fifo = self._queue, self._fifo
-        while fifo and fifo[0][2] is None:
-            fifo.popleft()
-            self._cancelled -= 1
-        while queue and queue[0][2] is None:
-            heapq.heappop(queue)
-            self._cancelled -= 1
-        if fifo and queue:
-            return min(fifo[0][0], queue[0][0])
-        if fifo:
-            return fifo[0][0]
-        if queue:
-            return queue[0][0]
-        return None
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        """Process events until the queue empties, ``until`` is reached, or
-        ``max_events`` have fired.  Returns the number of events processed.
-
-        Events sharing a timestamp are drained as a batch: once one event at
-        time ``t`` has passed the ``until`` check, everything else at ``t``
-        fires without re-checking the bound.
-        """
-        processed = 0
-        witness = self._witness
-        guard = self._det_guard
-        engaged_before = False
-        if guard is not None:
-            engaged_before = guard.engaged
-            guard.engaged = True
-        try:
-            while True:
-                when = self._peek_when()
-                if when is None:
-                    if until is not None and until > self.now:
-                        self.now = until
-                    break
-                if until is not None and when > until:
-                    self.now = until
-                    break
-                if max_events is not None and processed >= max_events:
-                    break
-                # same-timestamp batch: deliver every event at `when`
-                # (including zero-delay events the callbacks add) without
-                # another bound check
-                self.now = when
-                while True:
-                    entry = self._next_live()
-                    if entry is None:
-                        break
-                    if entry[0] != when:
-                        # overshot into the next timestamp: put it back un-run
-                        heapq.heappush(self._queue, entry)
-                        break
-                    _when, seq, fn, args = entry
-                    # dead before dispatch: a callback cancelling its own
-                    # handle (every RPC timeout does) must find nothing
-                    # left to cancel, or the dead count would skew
-                    entry[2] = None
-                    fn(*args)
-                    if witness is not None:
-                        witness.fold_event(when, seq, fn, args)
-                    processed += 1
-                    self._events_processed += 1
-                    if max_events is not None and processed >= max_events:
-                        break
-        finally:
-            if guard is not None:
-                guard.engaged = engaged_before
-        return processed
+    def run(self, until: float | None = None) -> int:
+        """Process events until the queue empties or ``until`` is reached
+        (events *at* ``until`` still fire; the clock then parks there).
+        Returns the number of events processed."""
+        before = self._events_processed
+        self._drive(SimFuture(self), until, park=True)  # a future nobody completes
+        return self._events_processed - before
 
     def run_until_complete(self, awaitable: Awaitable, limit: float | None = None) -> Any:
         """Drive the simulation until ``awaitable`` resolves; return its result.
@@ -691,50 +606,69 @@ class Kernel:
         raised.
         """
         fut = awaitable if isinstance(awaitable, SimFuture) else self.spawn(awaitable)
+        self._drive(fut, limit, park=False)
+        return fut.result()
+
+    def _drive(self, fut: SimFuture, bound: float | None, park: bool) -> None:
+        """The one dispatch loop: fire events in (when, seq) order until
+        ``fut`` is done.  Meeting a live event past ``bound``, or running
+        dry, is where the two callers differ, and both exits are cold:
+        ``park`` (:meth:`run`) stops short with the clock at the bound,
+        otherwise (:meth:`run_until_complete`) it is a timeout / deadlock.
+        """
+        # this loop drives every simulation in the repository: the merge of
+        # the two queues is inlined (no per-event helper calls) because one
+        # long scale run pumps millions of events through here
+        queue, fifo = self._queue, self._fifo
+        heappop, popleft = heapq.heappop, fifo.popleft
+        witness = self._witness
         guard = self._det_guard
         engaged_before = False
         if guard is not None:
             engaged_before = guard.engaged
             guard.engaged = True
         try:
-            return self._drive(fut, limit)
+            while not fut._done:
+                # a dead fifo head is dropped without consulting the heap:
+                # under perturbation the fifo is not seq-sorted, so comparing
+                # on a corpse could let the heap overtake a live entry behind it
+                if fifo and (fifo[0][2] is None or not queue
+                             or fifo[0] < queue[0]):
+                    entry = popleft()
+                elif queue:
+                    entry = queue[0]
+                    if (bound is not None and entry[0] > bound
+                            and entry[2] is not None):
+                        if not park:
+                            raise SimTimeoutError(
+                                f"virtual-time limit {bound} reached")
+                        self.now = bound
+                        return
+                    heappop(queue)
+                else:
+                    if not park:
+                        raise RuntimeError(
+                            "simulation deadlock: no live events but future "
+                            f"pending ({self.live_events} live events)")
+                    if bound is not None and bound > self.now:
+                        self.now = bound
+                    return
+                when, seq, fn, args = entry
+                if fn is None:
+                    self._cancelled -= 1
+                    continue
+                # dead before dispatch: a callback cancelling its own handle
+                # (every RPC timeout does) must find nothing left to cancel,
+                # or the dead count would skew
+                entry[2] = None
+                self.now = when
+                fn(*args)
+                if witness is not None:
+                    witness.fold_event(when, seq, fn, args)
+                self._events_processed += 1
         finally:
             if guard is not None:
                 guard.engaged = engaged_before
-
-    def _drive(self, fut: SimFuture, limit: float | None) -> Any:
-        # this loop drives every simulation in the repository: the merge of
-        # the two queues is inlined (no per-event helper calls) because one
-        # long scale run pumps millions of events through here.  It is
-        # _next_live() unrolled, plus the `limit` check on heap entries.
-        queue, fifo = self._queue, self._fifo
-        heappop, popleft = heapq.heappop, fifo.popleft
-        witness = self._witness
-        while not fut._done:
-            if fifo and (fifo[0][2] is None or not queue
-                         or fifo[0] < queue[0]):
-                entry = popleft()
-            elif queue:
-                entry = queue[0]
-                if (limit is not None and entry[0] > limit
-                        and entry[2] is not None):
-                    raise SimTimeoutError(f"virtual-time limit {limit} reached")
-                heappop(queue)
-            else:
-                raise RuntimeError(
-                    "simulation deadlock: no live events but future pending "
-                    f"({self.live_events} live events)")
-            when, seq, fn, args = entry
-            if fn is None:
-                self._cancelled -= 1
-                continue
-            entry[2] = None  # dead before dispatch; see note in run()
-            self.now = when
-            fn(*args)
-            if witness is not None:
-                witness.fold_event(when, seq, fn, args)
-            self._events_processed += 1
-        return fut.result()
 
     def shutdown(self) -> None:
         """Tear down a simulation mid-flight: drop every queued event and

@@ -47,14 +47,11 @@ class CoreCluster:
 
     def crash(self, index: int) -> None:
         """Fail-stop server ``index`` (volatile state lost, disk kept)."""
-        self.procs[index].crash()
-        self.disks[index].crash()
-        self.servers[index].volatile_reset()
+        self.servers[index].crash()
 
     def recover(self, index: int):
         """Restart server ``index`` and run its recovery protocol."""
-        self.procs[index].recover()
-        return self.kernel.spawn(self.servers[index].recover())
+        return self.servers[index].restart()
 
     def partition(self, *groups: set[int]) -> None:
         """Partition by server index, e.g. ``partition({0, 1}, {2})``."""

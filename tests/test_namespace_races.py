@@ -31,7 +31,7 @@ def gate_first_dir_write(env, gate, match=None):
 
 
 def segment_gone(cluster, sid: str) -> bool:
-    return all(s.segments._disk_majors(sid) == [] for s in cluster.servers)
+    return all(s.segments.store.disk_majors(sid) == [] for s in cluster.servers)
 
 
 # --------------------------------------------------------------------- #

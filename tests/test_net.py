@@ -426,7 +426,9 @@ def test_message_in_flight_when_destination_becomes_unreachable_is_lost(
         fut = a.rpc("b", "echo", {"value": 1}, timeout=50.0)
         if kind == "rpc_reply":
             while not network.metrics.get("net.msgs.rpc_reply"):
-                kernel.run(max_events=1)        # served; reply now in flight
+                # half the 1 ms minimum flight time per step: stops with
+                # the request served and the reply still in flight
+                kernel.run(until=kernel.now + 0.5)
             target = a
     assert network.metrics.get("net.lost_unreachable") == 0
     if fault == "crash":

@@ -148,7 +148,7 @@ def test_remove_garbage_collects_segment(cluster):
     assert cluster.metrics.get("nfs.gc_collected") == 1
     # the segment is gone on every server
     for server in cluster.servers:
-        assert server.segments._disk_majors(fh.sid) == []
+        assert server.segments.store.disk_majors(fh.sid) == []
 
 
 def test_hard_link_prevents_collection(cluster):

@@ -313,7 +313,7 @@ def test_delete_segment_releases_all_storage():
         sid = await s0.create(params=FileParams(min_replicas=3), data=b"gone")
         await s0.delete(sid)
         await cluster.kernel.sleep(100.0)
-        return sid, [srv._disk_majors(sid) for srv in cluster.servers]
+        return sid, [srv.store.disk_majors(sid) for srv in cluster.servers]
 
     sid, disk_state = cluster.run(main())
     assert all(majors == [] for majors in disk_state)

@@ -47,7 +47,7 @@ def fresh(agent) -> None:
 
 
 def segment_gone(cluster, sid: str) -> bool:
-    return all(s.segments._disk_majors(sid) == [] for s in cluster.servers)
+    return all(s.segments.store.disk_majors(sid) == [] for s in cluster.servers)
 
 
 # --------------------------------------------------------------------- #

@@ -57,6 +57,7 @@ class RecoveryService:
         self.metrics = metrics or store.metrics
         self.audit_interval_ms = audit_interval_ms
         self._merging = False
+        self._audit_timer = None    # the one pending merge-audit tick
 
     # ------------------------------------------------------------------ #
     # crash recovery (§3.6)
@@ -259,8 +260,14 @@ class RecoveryService:
         RPCs cell-wide per interval — so large cells stretch the interval
         (see :func:`repro.testbed.build_scale_cluster`); heals caught by
         the failure detector still trigger a merge immediately.
+
+        One chain per server: arming cancels the tick it holds, so a tick
+        queued before a crash cannot survive beside the one recovery arms.
         """
-        self.kernel.schedule(self.audit_interval_ms, self._merge_audit_tick)
+        if self._audit_timer is not None:
+            self._audit_timer.cancel()
+        self._audit_timer = self.kernel.schedule(self.audit_interval_ms,
+                                                 self._merge_audit_tick)
 
     def _merge_audit_tick(self) -> None:
         if not self.proc.alive:

@@ -6,12 +6,15 @@ notification under failure, write-safety-0 data loss, and the availability
 policies.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.core import FileParams, WriteOp
 from repro.core.params import Availability
+from repro.core.pipeline.recovery import RecoveryService
 from repro.errors import WriteUnavailable
-from repro.testbed import build_core_cluster
+from repro.testbed import build_cluster, build_core_cluster
 
 
 def test_non_token_replica_crash_obsolete_copy_destroyed():
@@ -403,3 +406,36 @@ def test_stability_recovery_after_holder_crash_mid_stream():
     data = cluster.run(main())
     assert data == b"burst"
     assert cluster.metrics.get("deceit.stability_recoveries") >= 1
+
+
+@pytest.mark.parametrize("harness, outage_ms", [("full", 500.0), ("core", 3000.0)])
+def test_one_merge_audit_chain_per_server_after_crash_recover(
+        monkeypatch, harness, outage_ms):
+    """A recovered server audits exactly as often as its peers.
+
+    An outage shorter than one audit interval used to leave the tick queued
+    before the crash alive *beside* the chain recovery arms (twice the
+    ``isis_locate`` sweeps, forever); a core cell's recover armed none, so
+    after a longer outage the server never audited again.
+    """
+    ticks = Counter()
+    real_tick = RecoveryService._merge_audit_tick
+    recovered_at = 100.0 + outage_ms
+
+    def counting_tick(self):
+        if self.kernel.now > recovered_at:
+            ticks[self.proc.addr] += 1
+        real_tick(self)
+
+    monkeypatch.setattr(RecoveryService, "_merge_audit_tick", counting_tick)
+    cluster = (build_cluster(4, 1, seed=1) if harness == "full"
+               else build_core_cluster(4, seed=1))
+    cluster.settle(100.0)
+    cluster.crash(1)
+    cluster.settle(outage_ms)
+    cluster.run(cluster.recover(1))
+    cluster.settle(20_000.0)
+    cluster.close()
+    assert len(ticks) == 4, ticks
+    # one chain each: phases differ, so counts may be one apart, never 2x or 0
+    assert max(ticks.values()) - min(ticks.values()) <= 1, ticks

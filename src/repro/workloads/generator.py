@@ -212,7 +212,9 @@ class WorkloadGenerator:
         cfg = self.config
         ops: list[Op] = []
         owner: dict[str, int] = {}
-        removable: list[str] = []   # files this trace created (safe to remove)
+        # files this trace created (safe to remove), each with its creator:
+        # open-loop, another client's remove could overtake a queued create
+        removable: list[tuple[str, int]] = []
         t = 0.0
         while t < cfg.duration_ms:
             t += self.rng.expovariate(1.0 / cfg.mean_interarrival_ms)
@@ -249,7 +251,7 @@ class WorkloadGenerator:
                 ops.append(Op(t, client, kind, dirpath))
             elif kind is OpKind.CREATE:
                 fresh = f"{profile.path}.new{len(ops)}"
-                removable.append(fresh)
+                removable.append((fresh, client))
                 ops.append(Op(t, client, kind, fresh, self._file_size()))
             elif kind is OpKind.REMOVE:
                 # only remove files this trace created, so later ops never
@@ -258,7 +260,8 @@ class WorkloadGenerator:
                     ops.append(Op(t, client, OpKind.GETATTR,
                                   profile.path, profile.size))
                 else:
-                    ops.append(Op(t, client, kind, removable.pop()))
+                    path, creator = removable.pop()
+                    ops.append(Op(t, creator, kind, path))
             else:
                 ops.append(Op(t, client, kind, profile.path, profile.size))
         ops.sort(key=lambda op: op.at_ms)

@@ -1,11 +1,13 @@
 """Tests for the workload generator and replay engine."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agent import AgentConfig
 from repro.testbed import build_cluster
 from repro.workloads import (
+    NAMED_WORKLOADS,
     OpKind,
     WorkloadConfig,
     WorkloadGenerator,
@@ -100,6 +102,21 @@ def test_writes_come_in_bursts():
         if a.path == b.path and b.at_ms - a.at_ms < 60_000:
             bursty += 1
     assert bursty > 0
+
+
+@pytest.mark.parametrize("mix", sorted(NAMED_WORKLOADS))
+def test_remove_is_issued_by_the_client_that_created_the_file(mix):
+    """Open-loop, a remove handed to another client can overtake the
+    creator's queued create and fail ERR_NOENT with no fault injected."""
+    for seed in range(20):
+        cfg = NAMED_WORKLOADS[mix](n_clients=4, duration_ms=60_000.0,
+                                   seed=seed)
+        creator: dict[str, int] = {}
+        for op in WorkloadGenerator(cfg).generate():
+            if op.kind is OpKind.CREATE:
+                creator[op.path] = op.client
+            elif op.kind is OpKind.REMOVE:
+                assert op.client == creator[op.path], (mix, seed, op)
 
 
 def test_determinism_by_seed():

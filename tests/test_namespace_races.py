@@ -275,6 +275,102 @@ def test_rmdir_vs_create_race_rmdir_wins():
 
 
 # --------------------------------------------------------------------- #
+# the two rollback paths ordinary traffic never reaches: a seal retreats
+# when the victim was renamed away, an install retreats when the moved
+# file died under it
+# --------------------------------------------------------------------- #
+
+
+def count_calls(env, name):
+    """Wrap coroutine method ``env.<name>``; returns the live call list."""
+    calls, orig = [], getattr(env, name)
+
+    async def counted(*args):
+        calls.append(args)
+        return await orig(*args)
+
+    setattr(env, name, counted)
+    return calls
+
+
+def test_rmdir_unseals_a_victim_renamed_away_under_it():
+    cluster = build_cluster(3, n_agents=1, seed=23)
+    agent = cluster.agents[0]
+    env = cluster.servers[0].envelope
+    kernel = cluster.kernel
+    unseals = count_calls(env, "_unseal_quietly")
+
+    async def race():
+        await agent.mount()
+        d = await agent.mkdir("/", "d")
+        gate = kernel.create_future()
+        gate_first_dir_write(
+            env, gate,
+            match=lambda dops: dops[0]["action"] == "remove"
+            and dops[0]["name"] == "d")
+        root = env.root_fh
+        task = kernel.spawn(env.rmdir(root, "d"))
+        await kernel.sleep(100.0)   # victim sealed; the parent remove waits
+        await env.rename(root, "d", root, "e")
+        gate.set_result(None)
+        with pytest.raises(NfsError) as excinfo:
+            await task
+        # a directory left sealed would refuse this create
+        await env.create(FileHandle(sid=d.sid), "child", None)
+        return excinfo.value.status
+
+    assert cluster.run(race()) == NfsStat.ERR_NOENT
+    assert len(unseals) == 1
+
+    async def check():
+        return [e["name"] for e in await agent.readdir("/e")]
+
+    assert cluster.run(check()) == ["child"]
+    cluster.close()
+
+
+@pytest.mark.parametrize("displaces", [False, True])
+def test_rename_undoes_its_install_when_the_source_died(displaces):
+    cluster = build_cluster(3, n_agents=2, seed=29)
+    agent, other = cluster.agents
+    env = cluster.servers[0].envelope
+    kernel = cluster.kernel
+    undos = count_calls(env, "_undo_install")
+
+    async def race():
+        await agent.mount()
+        await other.mount()
+        await agent.create("/", "a")
+        if displaces:
+            await agent.create("/", "b")
+            await agent.write_file("/b", b"displaced, then restored")
+        gate = kernel.create_future()
+        gate_first_dir_write(
+            env, gate, match=lambda dops: dops[0]["action"] == "replace")
+        root = env.root_fh
+        task = kernel.spawn(env.rename(root, "a", root, "b"))
+        await kernel.sleep(100.0)   # rename read both names; install waits
+        await other.remove("/", "a")        # last link: segment collected
+        gate.set_result(None)
+        with pytest.raises(NfsError) as excinfo:
+            await task
+        names = [e["name"] for e in await env.readdir(root)]
+        kept = await other.read_file("/b") if displaces else None
+        return excinfo.value.status, names, kept
+
+    status, names, kept = cluster.run(race())
+    assert status == NfsStat.ERR_NOENT
+    assert len(undos) == 1
+    assert "a" not in names
+    # toname holds what it held before: nothing, or the displaced entry
+    assert ("b" in names) == displaces
+    if displaces:
+        assert kept == b"displaced, then restored"
+    assert cluster.metrics.get("nfs.gc_collected") == 1     # only "a"
+    cluster.close()
+
+
+# --------------------------------------------------------------------- #
 # bug 4 — listing a foreign directory must return handles that resolve
 # from the client's own cell
 # --------------------------------------------------------------------- #

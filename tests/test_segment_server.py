@@ -262,6 +262,45 @@ def test_explicit_delete_replica_command():
     assert located["holders"] == ["s0"]
 
 
+def test_token_holder_without_a_replica_has_a_remote_holder_feed_the_target():
+    """§3.1 "a replica holder feeds a copy of the file to the site where
+    the replica is being generated": the token holder's own copy was
+    explicitly deleted (§6.2), so it tells a remote holder to blast its
+    copy to the target, then does the same bookkeeping as for a local feed."""
+    cluster = build_core_cluster(4, seed=1)
+    s0 = cluster.servers[0]
+    remote_feeds = []
+    feed = s0._feed_via_remote_holder
+
+    async def counted(sid, major, target):
+        remote_feeds.append(target)
+        return await feed(sid, major, target)
+
+    s0._feed_via_remote_holder = counted
+
+    async def main():
+        sid = await s0.create(data=b"dispersed")
+        assert await s0.create_replica(sid, "s1")
+        assert await s0.delete_replica(sid, "s0")
+        await cluster.kernel.sleep(100.0)
+        ok = await s0.create_replica(sid, "s2")
+        await cluster.kernel.sleep(100.0)       # replica_created lands
+        return sid, ok, (await cluster.servers[2].read(sid)).served_by
+
+    sid, ok, served_by = cluster.run(main())
+    assert ok and remote_feeds == ["s2"]
+    assert served_by == "s2"                    # s2 really holds the bytes
+    (major, token), = [(m, t) for (tsid, m), t in s0.tokens.items()
+                       if tsid == sid]
+    assert (sid, major) not in s0.replicas      # the holder fed nothing itself
+    # the catalog at every member, the token and its durable record agree
+    for server in cluster.servers[:3]:
+        assert server.catalogs[sid].majors[major].holders == {"s1", "s2"}
+    assert {"s1", "s2"} <= set(token.holders)
+    assert s0.store.token_record_now(sid, major)["holders"] == token.holders
+    cluster.close()
+
+
 def test_delete_replica_refuses_last_copy():
     cluster = build_core_cluster(2)
     s0 = cluster.servers[0]

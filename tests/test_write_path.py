@@ -491,3 +491,50 @@ def test_write_behind_read_your_writes_overlays_patches():
     assert data == b"00ACD00000"
     assert size == 10
     assert flushed == data               # the flush persisted the overlay
+
+
+def test_write_behind_ranged_read_overlays_patches_across_their_edges(
+        monkeypatch):
+    """read_at before the TTL flush: only the patches intersecting the
+    range overlay its server bytes, clipped at both range edges, and a
+    patch past the fetched range's end extends it."""
+    from repro.agent.agent import _WriteBuffer
+    calls = []
+    real = _WriteBuffer.overlay_range
+
+    def counted(self, base, offset, count):
+        calls.append((len(base), offset, count))
+        return real(self, base, offset, count)
+
+    monkeypatch.setattr(_WriteBuffer, "overlay_range", counted)
+    cluster = make(wb_config())
+    agent = cluster.agents[0]
+
+    async def main():
+        await agent.mount()
+        await agent.create("/", "f")
+        await agent.write_file("/f", b"0123456789" * 10)     # 100 bytes
+        await agent.flush("/f")
+        await agent.set_params("/f", write_safety=0,
+                               stability_notification=False)
+        snap = cluster.metrics.snapshot()
+        await agent.write_at("/f", 10, b"AAAA")      # [10, 14)
+        await agent.write_at("/f", 95, b"B" * 10)    # [95, 105): past EOF
+        inside = await agent.read_at("/f", 12, 6)    # patch's right edge
+        before = await agent.read_at("/f", 4, 8)     # patch's left edge
+        tail = await agent.read_at("/f", 90, 30)     # server has 10 of these
+        untouched = await agent.read_at("/f", 40, 5)
+        unflushed = cluster.metrics.delta(snap).get("nfs.ops.write", 0) == 0
+        await agent.flush("/f")
+        return inside, before, tail, untouched, unflushed, \
+            await agent.read_file("/f")
+
+    inside, before, tail, untouched, unflushed, flushed = cluster.run(main())
+    assert unflushed                     # every read ran ahead of the flush
+    assert inside == b"AA4567"
+    assert before == b"456789AA"
+    assert tail == b"01234" + b"B" * 10  # extended past the fetched range
+    assert untouched == b"01234"
+    assert flushed[:16] == b"0123456789AAAA45" and flushed[95:] == b"B" * 10
+    assert calls == [(6, 12, 6), (8, 4, 8), (10, 90, 30), (5, 40, 5)]
+    cluster.close()

@@ -115,7 +115,8 @@ class RecoveryService:
                 continue
             rel = cat.branches.compare(reference, other_info.version)
             if rel in (Relation.ANCESTOR, Relation.EQUAL):
-                await self._destroy_obsolete(sid, major, "versions")
+                await self._destroy_obsolete(
+                    sid, major, "deceit.obsolete_versions_destroyed")
                 if info is not None:
                     await self.server._broadcast_delete_major(sid, major)
                 return
@@ -125,7 +126,8 @@ class RecoveryService:
                 if rel is Relation.ANCESTOR and info.holder not in (None, me):
                     # Non-token replica crash: obsolete replica is destroyed;
                     # the history is a prefix of the token's, no update lost.
-                    await self._destroy_obsolete(sid, major, "replicas")
+                    await self._destroy_obsolete(
+                        sid, major, "deceit.obsolete_replicas_destroyed")
                     return
                 self.store.replicas[(sid, major)] = replica
                 # racelint: ok(staleread) - awaits since the binding all return
@@ -168,7 +170,8 @@ class RecoveryService:
             if rel is Relation.ANCESTOR:
                 # Token crash scenario: the new version is a direct
                 # descendant of ours — destroy the old version.
-                await self._destroy_obsolete(sid, major, "versions")
+                await self._destroy_obsolete(
+                    sid, major, "deceit.obsolete_versions_destroyed")
                 return
         # incomparable with every live major: keep, announce, log conflict
         self.store.replicas[(sid, major)] = replica
@@ -185,13 +188,14 @@ class RecoveryService:
             await self._reclaim_token(sid, cat, replica, token_rec)
         await self.log_divergence(sid, cat)
 
-    async def _destroy_obsolete(self, sid: str, major: int, what: str) -> None:
+    async def _destroy_obsolete(self, sid: str, major: int,
+                                counter: str) -> None:
         """§3.6 "destroy the old version": our replica of ``major``, the
         token we may hold for it and its durable record all go."""
         await self.server._destroy_local_replica(sid, major)
         self.store.tokens.pop((sid, major), None)
         await self.store.delete_token_record(sid, major)
-        self.metrics.incr(f"deceit.obsolete_{what}_destroyed")
+        self.metrics.incr(counter)
 
     async def _announce_major(self, sid: str, cat: SegmentCatalog, major: int,
                               replica: Replica) -> None:

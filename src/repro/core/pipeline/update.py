@@ -455,8 +455,8 @@ class UpdatePipeline:
         replica, durable = await self._apply_update(sid, major, version,
                                                     payload["wop"], drop)
         if replica is None:
-            return {"dropped": True, "have_replica": False} if me in drop \
-                else {"cached": True, "have_replica": False}
+            return {"dropped" if me in drop else "cached": True,
+                    "have_replica": False}
         if durable is None:
             # missed updates (rejoined mid-stream): self-repair by fetching
             self.metrics.incr("deceit.update_gaps")

@@ -115,8 +115,8 @@ class RecoveryService:
                 continue
             rel = cat.branches.compare(reference, other_info.version)
             if rel in (Relation.ANCESTOR, Relation.EQUAL):
-                await self._destroy_obsolete(
-                    sid, major, "deceit.obsolete_versions_destroyed")
+                await self._destroy_obsolete(sid, major)
+                self.metrics.incr("deceit.obsolete_versions_destroyed")
                 if info is not None:
                     await self.server._broadcast_delete_major(sid, major)
                 return
@@ -126,8 +126,8 @@ class RecoveryService:
                 if rel is Relation.ANCESTOR and info.holder not in (None, me):
                     # Non-token replica crash: obsolete replica is destroyed;
                     # the history is a prefix of the token's, no update lost.
-                    await self._destroy_obsolete(
-                        sid, major, "deceit.obsolete_replicas_destroyed")
+                    await self._destroy_obsolete(sid, major)
+                    self.metrics.incr("deceit.obsolete_replicas_destroyed")
                     return
                 self.store.replicas[(sid, major)] = replica
                 # racelint: ok(staleread) - awaits since the binding all return
@@ -170,8 +170,8 @@ class RecoveryService:
             if rel is Relation.ANCESTOR:
                 # Token crash scenario: the new version is a direct
                 # descendant of ours — destroy the old version.
-                await self._destroy_obsolete(
-                    sid, major, "deceit.obsolete_versions_destroyed")
+                await self._destroy_obsolete(sid, major)
+                self.metrics.incr("deceit.obsolete_versions_destroyed")
                 return
         # incomparable with every live major: keep, announce, log conflict
         self.store.replicas[(sid, major)] = replica
@@ -188,14 +188,12 @@ class RecoveryService:
             await self._reclaim_token(sid, cat, replica, token_rec)
         await self.log_divergence(sid, cat)
 
-    async def _destroy_obsolete(self, sid: str, major: int,
-                                counter: str) -> None:
+    async def _destroy_obsolete(self, sid: str, major: int) -> None:
         """§3.6 "destroy the old version": our replica of ``major``, the
         token we may hold for it and its durable record all go."""
         await self.server._destroy_local_replica(sid, major)
         self.store.tokens.pop((sid, major), None)
         await self.store.delete_token_record(sid, major)
-        self.metrics.incr(counter)
 
     async def _announce_major(self, sid: str, cat: SegmentCatalog, major: int,
                               replica: Replica) -> None:
@@ -263,10 +261,8 @@ class RecoveryService:
         Each tick probes every cell peer about every hosted group — O(n²)
         RPCs cell-wide per interval — so large cells stretch the interval
         (see :func:`repro.testbed.build_scale_cluster`); heals caught by
-        the failure detector still trigger a merge immediately.
-
-        One chain per server: arming cancels the tick it holds, so a tick
-        queued before a crash cannot survive beside the one recovery arms.
+        the failure detector still trigger a merge immediately.  Arming
+        cancels the held tick: one queued before a short crash cannot double it.
         """
         if self._audit_timer is not None:
             self._audit_timer.cancel()

@@ -101,8 +101,6 @@ class Rebalancer:
         self.kernel.schedule(self.config.interval_ms, self._tick)
 
     def _tick(self) -> None:
-        if not self._started:
-            return
         self._arm()
         proc = self.server.proc
         if not proc.alive or self._round_running:

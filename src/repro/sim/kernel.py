@@ -595,7 +595,8 @@ class Kernel:
         (events *at* ``until`` still fire; the clock then parks there).
         Returns the number of events processed."""
         before = self._events_processed
-        self._drive(SimFuture(self), until, park=True)  # a future nobody completes
+        # a future nobody completes: only the loop's two cold exits end it
+        self._drive(SimFuture(self), until, park=True)
         return self._events_processed - before
 
     def run_until_complete(self, awaitable: Awaitable, limit: float | None = None) -> Any:

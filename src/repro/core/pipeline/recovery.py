@@ -37,6 +37,7 @@ from repro.core.pipeline.store import ReplicaStore
 from repro.core.segment import MajorInfo, Replica, SegmentCatalog, Token
 from repro.core.versions import Relation
 from repro.errors import GroupNotFound, NoSuchSegment, RpcTimeout
+from repro.isis.process import LOCATE_CHUNK
 from repro.metrics import Metrics
 from repro.net.network import RpcRemoteError
 
@@ -299,12 +300,39 @@ class RecoveryService:
             if self.proc.is_member(CONFLICT_GROUP):
                 groups.append(CONFLICT_GROUP)
             groups.extend(group_of(sid) for sid in list(self.catalog.catalogs))
-            for group in groups:
-                await self._merge_one_group(group)
+            for start in range(0, len(groups), LOCATE_CHUNK):
+                chunk = groups[start:start + LOCATE_CHUNK]
+                answers = await self._locate_at_peers(chunk)
+                for group in chunk:
+                    await self._merge_one_group(group, answers)
         finally:
             self._merging = False
 
-    async def _merge_one_group(self, group: str) -> None:
+    async def _locate_at_peers(self, groups: list[str]
+                               ) -> list[tuple[str, dict[str, dict]]]:
+        """Ask each reachable cell peer, once, which of ``groups`` it hosts
+        and under what view; only groups we hold a view of are asked about.
+        Returns ``[(peer, {group: answer})]`` in address order."""
+        held = [g for g in groups if self.proc.is_member(g)]
+        answers = []
+        if not held:
+            return answers
+        me = self.proc.addr
+        for peer in sorted(self.proc.cell_peers):
+            if not self.proc.reachable(me, peer):
+                continue
+            try:
+                hosted = await self.proc.locate_at(peer, held,
+                                                   tag="merge_locate")
+            except (RpcTimeout, RpcRemoteError):
+                continue
+            if hosted:
+                answers.append((peer, hosted))
+        return answers
+
+    async def _merge_one_group(self, group: str,
+                               answers: list[tuple[str, dict[str, dict]]]
+                               ) -> None:
         view = self.proc.current_view(group)
         if view is None:
             # We know the segment (catalog/disk) but lost group membership —
@@ -326,32 +354,23 @@ class RecoveryService:
                                 sid, cat, replica)
             return
         me = self.proc.addr
-        for peer in sorted(self.proc.cell_peers):
-            if not self.proc.reachable(me, peer):
+        for peer, hosted in answers:
+            answer = hosted.get(group)
+            if answer is None:
                 continue
-            in_my_view = peer in view.members
-            try:
-                answer = await self.proc.call(peer, "isis_locate", group=group,
-                                              timeout=150.0, tag="merge_locate")
-            except (RpcTimeout, RpcRemoteError):
-                continue
-            if not answer:
-                continue
-            if in_my_view:
+            if peer in view.members:
                 # Expulsion check: a peer I think is my co-member has moved
                 # to a newer view that no longer includes me (I was falsely
                 # suspected during a loss burst).  Rejoin through it.
                 if answer["view_id"] > view.view_id and \
-                        me not in answer.get("members", [me]):
-                    await self._dissolve_and_rejoin(group,
-                                                    contact=answer["member"])
+                        me not in answer["members"]:
+                    await self._dissolve_and_rejoin(group, contact=peer)
                     return
                 continue
-            their_coord = answer["coordinator"]
-            if view.coordinator <= their_coord:
+            if view.coordinator <= answer["coordinator"]:
                 continue  # their side loses; it dissolves on its own pass
             # smaller coordinator wins; ours is larger → dissolve and rejoin
-            await self._dissolve_and_rejoin(group, contact=answer["member"])
+            await self._dissolve_and_rejoin(group, contact=peer)
             return
 
     async def _dissolve_and_rejoin(self, group: str, contact: str) -> None:

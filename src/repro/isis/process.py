@@ -36,13 +36,17 @@ from repro.isis.failure_detector import FailureDetector
 from repro.isis.vector_clock import VectorClock
 from repro.isis.view import View
 from repro.net import Network, Node, RpcRemoteError
-from repro.net.message import Message
+from repro.net.message import Message, payload_size
 from repro.sim import SimFuture, SimTimeoutError
 from repro.sim.sync import Lock
 
 JOIN_TIMEOUT_MS = 1000.0
 FLUSH_TIMEOUT_MS = 400.0
 LOCATE_TIMEOUT_MS = 150.0
+#: most groups one ``isis_locate`` request names: request and reply stay a
+#: few KiB, far inside LOCATE_TIMEOUT_MS at the per-byte latency charge,
+#: however many groups the asker hosts
+LOCATE_CHUNK = 256
 REPLY_TIMEOUT_MS = 400.0
 
 
@@ -238,22 +242,31 @@ class IsisProcess(Node):
         self.network.metrics.incr("isis.locates")
         if group in self.groups:
             return self.addr
-        futures = [
-            self.rpc(peer, "isis_locate", {"group": group},
-                     timeout=LOCATE_TIMEOUT_MS, tag="isis_locate")
-            for peer in self.cell_peers
-        ]
+        futures = [(peer, self.locate_at(peer, [group]))
+                   for peer in self.cell_peers]
         found: str | None = None
-        for fut in futures:
+        for peer, fut in futures:
             try:
-                answer = await fut
+                hosted = await fut
             except (RpcTimeout, RpcRemoteError):
                 continue
-            if answer and found is None:
-                found = answer["member"]
+            if hosted and found is None:
+                found = peer
         if found is None:
             raise GroupNotFound(f"no member of {group} in cell")
         return found
+
+    def locate_at(self, peer: str, groups: list[str],
+                  tag: str = "isis_locate") -> SimFuture:
+        """Ask ``peer`` which of ``groups`` (at most LOCATE_CHUNK) it hosts.
+
+        Resolves with ``{group: {"coordinator", "view_id", "members"}}``
+        for the groups ``peer`` is a member of — one round trip whatever
+        the number of names.
+        """
+        return self.rpc(peer, "isis_locate", {"groups": groups},
+                        timeout=LOCATE_TIMEOUT_MS,
+                        size_bytes=max(256, payload_size(groups)), tag=tag)
 
     # ------------------------------------------------------------------ #
     # multicast API
@@ -475,14 +488,18 @@ class IsisProcess(Node):
     # RPC handlers (membership machinery)
     # ------------------------------------------------------------------ #
 
-    async def _h_locate(self, src: str, group: str) -> dict | None:
-        if group in self.groups:
-            view = self.groups[group].view
-            return {"member": self.addr,
-                    "coordinator": view.coordinator,
-                    "view_id": view.view_id,
-                    "members": list(view.members)}
-        return None
+    async def _h_locate(self, src: str, groups: list[str]) -> dict[str, dict]:
+        """Which of ``groups`` this process hosts, and under what view.
+        Groups it is not a member of are left out of the answer."""
+        hosted = {}
+        for group in groups:
+            state = self.groups.get(group)
+            if state is not None:
+                view = state.view
+                hosted[group] = {"coordinator": view.coordinator,
+                                 "view_id": view.view_id,
+                                 "members": list(view.members)}
+        return hosted
 
     async def _h_join_req(self, src: str, group: str, joiner: str) -> dict:
         state = self.groups.get(group)

@@ -18,14 +18,17 @@ from typing import Callable
 
 from repro.net import Node
 
+#: peers pinged and watched on each side of the sorted roster while calm
+RING_NEIGHBOURS = 2
+
 
 class FailureDetector:
     """Per-process heartbeat monitor over a fixed peer roster.
 
     ``on_suspect(addr)`` fires (once per down-transition) when nothing has
-    been heard from a peer for ``timeout_ms``; ``on_alive(addr)`` fires when
-    a previously suspected peer is heard from again (recovery or partition
-    heal).
+    been heard from a *watched* peer for ``timeout_ms``; ``on_alive(addr)``
+    fires when a previously suspected peer is heard from again (recovery or
+    partition heal).
     """
 
     def __init__(
@@ -47,6 +50,12 @@ class FailureDetector:
         #: cleared when the peer is heard from again
         self.suspected_since: dict[str, float] = {}
         self.peer_epochs: dict[str, int] = {}
+        #: the peers whose silence counts, in the order they are checked;
+        #: a peer's clock starts at the tick it enters
+        self.watched: list[str] = []
+        #: every peer is pinged and watched until this virtual instant
+        self.alarm_until = 0.0
+        self._seat()
         self._on_suspect: list[Callable[[str], None]] = []
         self._on_alive: list[Callable[[str], None]] = []
         self._running = False
@@ -70,6 +79,8 @@ class FailureDetector:
         now = self.kernel.now
         for peer in self.peers:
             self.last_heard.setdefault(peer, now)
+        if self.node.epoch:
+            self._raise_alarm()     # back from a crash; a boot needs none
         self._tick()
 
     def stop(self) -> None:
@@ -81,26 +92,86 @@ class FailureDetector:
         if addr != self.node.addr and addr not in self.peers:
             self.peers.append(addr)
             self.last_heard[addr] = self.kernel.now
+            self._seat()
+
+    def _seat(self) -> None:
+        """Place this process on the ring: the roster in address order."""
+        self._ring = sorted([*self.peers, self.node.addr])
+        self._pos = self._ring.index(self.node.addr)
+
+    def _neighbours(self) -> list[str]:
+        """The nearest RING_NEIGHBOURS unsuspected peers each way round."""
+        ring, suspected = self._ring, self.suspected
+        out: list[str] = []
+        for step in (1, -1):
+            at, found = self._pos, 0
+            for _ in range(len(ring) - 1):
+                at = (at + step) % len(ring)
+                peer = ring[at]
+                if peer not in suspected:
+                    if peer not in out:
+                        out.append(peer)
+                    found += 1
+                    if found == RING_NEIGHBOURS:
+                        break
+        return out
+
+    def _raise_alarm(self) -> None:
+        """Something changed first-hand: run the mesh long enough for every
+        peer to start a clock on every other and let it run out."""
+        self.alarm_until = (self.kernel.now + 2 * self.timeout_ms
+                            + self.interval_ms)
+
+    def _beat(self) -> dict:
+        """The heartbeat payload: two keys when there is nothing to add.
+        The alarm travels as its absolute deadline, so a node that joins it
+        on receipt cannot lengthen it — a remaining time would be re-armed
+        by every exchange and never run out."""
+        beat = {"type": "heartbeat", "epoch": self.node.epoch}
+        if len(self.peers) > 2 * RING_NEIGHBOURS and \
+                self.kernel.now < self.alarm_until:
+            beat["alarm"] = self.alarm_until
+        return beat
 
     def _tick(self) -> None:
         if not self._running or not self.node.alive:
             return
-        # one shared payload for the whole burst (receivers only read it);
-        # the multicast path sizes and counts the burst once instead of
-        # walking an identical dict per peer — the all-pairs heartbeat
-        # traffic is O(n²) per interval and dominates large cells
-        self.node.multicast(
-            self.peers,
-            {"type": "heartbeat", "epoch": self.node.epoch},
-            size_bytes=32,
-            tag="heartbeat",
-        )
         self._check()
+        now = self.kernel.now
+        last = self.last_heard
+        multicast = self.node.multicast
+        # one shared payload per burst (receivers only read it); the
+        # multicast path sizes and counts the burst once
+        beat = self._beat()
+        if len(self.peers) <= 2 * RING_NEIGHBOURS or "alarm" in beat:
+            # a roster this small is all neighbours; under an alarm so is
+            # a large one — either way the all-pairs mesh
+            watch = self.peers
+            multicast(watch, beat, size_bytes=32, tag="heartbeat")
+        else:
+            watch = self._neighbours()
+            # an answer is asked of the suspected, so recovery and heal
+            # show within one interval, and of a neighbour gone quiet: it
+            # may not count us among *its* neighbours, and only silence
+            # after a request is evidence
+            quiet = now - 2 * self.interval_ms
+            ask = sorted(self.suspected)
+            ask += [p for p in watch if last[p] < quiet]
+            multicast([p for p in watch if p not in ask], beat,
+                      size_bytes=32, tag="heartbeat")
+            multicast(ask, {**beat, "ask": True}, size_bytes=32,
+                      tag="heartbeat")
+        if watch != self.watched:
+            was = set(self.watched)
+            for peer in watch:
+                if peer not in was:
+                    last[peer] = now
+            self.watched = list(watch)
         self.kernel.post(self.interval_ms, self._tick)
 
     def _check(self) -> None:
         now = self.kernel.now
-        for peer in self.peers:
+        for peer in self.watched:
             silent = now - self.last_heard.get(peer, 0.0)
             if silent > self.timeout_ms and peer not in self.suspected:
                 self.suspected.add(peer)
@@ -108,8 +179,18 @@ class FailureDetector:
                 # now, when the timeout elapsed — health reports this time
                 self.suspected_since[peer] = now
                 self.node.network.metrics.incr("fd.suspicions")
+                self._raise_alarm()
                 for fn in self._on_suspect:
                     fn(peer)
+
+    def heard_more(self, src: str, beat: dict) -> None:
+        """The optional keys of a heartbeat from ``src``: ``alarm`` is the
+        sender's alarm deadline, which we join; ``ask`` wants an answer."""
+        alarm = beat.get("alarm", 0.0)
+        if alarm > self.alarm_until:
+            self.alarm_until = alarm
+        if "ask" in beat:
+            self.node.send(src, self._beat(), size_bytes=32, tag="heartbeat")
 
     def observe(self, src: str) -> None:
         """Feed any received message as evidence of the sender's liveness.
@@ -133,6 +214,7 @@ class FailureDetector:
         self.suspected.discard(src)
         self.suspected_since.pop(src, None)
         self.node.network.metrics.incr("fd.rejoins")
+        self._raise_alarm()
         for fn in self._on_alive:
             fn(src)
 

@@ -406,8 +406,8 @@ class IsisProcess(Node):
         payload = msg.payload
         kind = payload.get("type") if isinstance(payload, dict) else None
         if kind == "heartbeat":
-            # FailureDetector.observe unrolled, plus the epoch store: at
-            # O(n^2) heartbeats per interval, the call is measurable
+            # FailureDetector.observe unrolled, plus the epoch store: the
+            # heartbeat is the most frequent message of an idle cell
             fd = self.fd
             src = msg.src
             last = fd.last_heard
@@ -416,6 +416,8 @@ class IsisProcess(Node):
                 fd.peer_epochs[src] = payload.get("epoch", 0)
                 if src in fd.suspected:
                     fd.unsuspect(src)
+                if len(payload) > 2:
+                    fd.heard_more(src, payload)
             return
         self.fd.observe(msg.src)
         if kind == "mcast":

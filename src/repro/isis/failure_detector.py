@@ -76,9 +76,9 @@ class FailureDetector:
         if self._running:
             return
         self._running = True
-        now = self.kernel.now
-        for peer in self.peers:
-            self.last_heard.setdefault(peer, now)
+        # a (re)started process has heard nothing yet: whatever it heard
+        # before a crash says nothing about who is alive now
+        self.last_heard = dict.fromkeys(self.peers, self.kernel.now)
         if self.node.epoch:
             self._raise_alarm()     # back from a crash; a boot needs none
         self._tick()

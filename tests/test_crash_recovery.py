@@ -439,3 +439,27 @@ def test_one_merge_audit_chain_per_server_after_crash_recover(
     assert len(ticks) == 4, ticks
     # one chain each: phases differ, so counts may be one apart, never 2x or 0
     assert max(ticks.values()) - min(ticks.values()) <= 1, ticks
+
+
+def test_recovered_server_suspects_nobody_at_its_first_check():
+    """A server back from an outage longer than the failure-detector timeout
+    used to judge every peer on what it last heard *before* the crash: one
+    false suspicion per peer at its first check, and as many alive
+    transitions (each a merge pass) on the next heartbeats."""
+    cluster = build_cluster(4, 1, seed=1)
+    raised = []      # (suspecting server, suspected peer)
+    for server in cluster.servers:
+        server.proc.fd.subscribe(
+            on_suspect=lambda peer, me=server.addr: raised.append((me, peer)))
+    cluster.settle(100.0)
+    cluster.crash(1)
+    cluster.settle(5 * cluster.servers[1].proc.fd.timeout_ms)
+    assert sorted(raised) == [("s0", "s1"), ("s2", "s1"), ("s3", "s1")]
+    rejoins = cluster.metrics.get("fd.rejoins")
+    cluster.run(cluster.recover(1))
+    cluster.settle(2000.0)
+    cluster.close()
+    assert [pair for pair in raised if pair[0] == "s1"] == []
+    assert cluster.metrics.get("fd.suspicions") == 3
+    assert cluster.metrics.get("fd.rejoins") - rejoins == 3
+

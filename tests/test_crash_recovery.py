@@ -12,8 +12,12 @@ import pytest
 
 from repro.core import FileParams, WriteOp
 from repro.core.params import Availability
+from repro.core.pipeline import recovery
+from repro.core.pipeline.catalog import group_of
 from repro.core.pipeline.recovery import RecoveryService
 from repro.errors import WriteUnavailable
+from repro.isis.process import LOCATE_CHUNK
+from repro.net import Node
 from repro.testbed import build_cluster, build_core_cluster
 
 
@@ -463,3 +467,97 @@ def test_recovered_server_suspects_nobody_at_its_first_check():
     assert cluster.metrics.get("fd.suspicions") == 3
     assert cluster.metrics.get("fd.rejoins") - rejoins == 3
 
+
+def _merge_locates(cluster, src):
+    return [m for m in cluster.network.trace
+            if m.tag == "merge_locate" and m.src == src]
+
+
+def test_merge_audit_asks_each_peer_once_per_chunk_of_groups(monkeypatch):
+    """One pass costs peers x chunks requests, not peers x groups."""
+    monkeypatch.setattr(recovery, "LOCATE_CHUNK", 8)
+    cluster = build_core_cluster(4, seed=1)
+    s0 = cluster.servers[0]
+    n_files = 20
+
+    async def main():
+        for i in range(n_files):
+            await s0.create(data=b"x%d" % i)
+        cluster.network.trace = []
+        await s0.recovery.merge_after_heal()
+
+    cluster.run(main())
+    cluster.close()
+    requests = _merge_locates(cluster, "s0")
+    chunks = -(-(n_files + 1) // 8)      # the files' groups and the conflict group
+    assert 0 < len(requests) <= 3 * chunks
+    assert all(len(m.payload["args"]["groups"]) <= 8 for m in requests)
+
+
+def test_merge_audit_of_3000_groups_times_out_no_probe(monkeypatch):
+    """The probe is chunked: request and reply stay small enough for the
+    locate timeout however many groups a server hosts."""
+    timed_out = []
+    real_expire = Node._expire
+
+    def counting_expire(self, req_id, method, dst, timeout):
+        if req_id in self._pending_rpcs:
+            timed_out.append((method, dst))
+        real_expire(self, req_id, method, dst, timeout)
+
+    monkeypatch.setattr(Node, "_expire", counting_expire)
+    cluster = build_core_cluster(4, seed=1)
+    n_groups = 3000
+    # every server hosts its own instance of every group, so each reply
+    # carries a full chunk of views; s0 has the smallest coordinator address
+    # and dissolves nothing
+    for server in cluster.servers:
+        for i in range(n_groups):
+            server.cat.resurrect(f"bulk.{i}", records={})
+    cluster.network.trace = []
+    cluster.run(cluster.servers[0].recovery.merge_after_heal())
+    cluster.close()
+    requests = _merge_locates(cluster, "s0")
+    assert len(requests) == 3 * -(-(n_groups + 1) // LOCATE_CHUNK)
+    assert timed_out == []
+    assert cluster.metrics.get("deceit.group_merges") == 0
+
+
+def test_falsely_expelled_member_rejoins_through_the_expulsion_check(monkeypatch):
+    """A member cut off for less than the failure-detector timeout, while the
+    coordinator installs a view without it, sees no alive transition: only
+    the audit's question to a peer *in its own view* shows the newer view
+    that excludes it."""
+    calls = []      # (server, group, was the contact in the caller's view)
+    real = RecoveryService._dissolve_and_rejoin
+
+    async def counting(self, group, contact):
+        view = self.proc.current_view(group)
+        calls.append((self.proc.addr, group, contact in view.members))
+        await real(self, group, contact)
+
+    monkeypatch.setattr(RecoveryService, "_dissolve_and_rejoin", counting)
+    cluster = build_core_cluster(4, seed=1, fd_timeout_ms=10_000.0)
+    s0, s3 = cluster.servers[0], cluster.servers[3]
+
+    async def main():
+        sid = await s0.create(params=FileParams(min_replicas=3), data=b"v0")
+        group = group_of(sid)
+        assert cluster.procs[0].members(group) == ("s0", "s1", "s2")
+        cluster.partition({0, 1, 3}, {2})
+        # the join's flush cannot reach s2: after three tries the
+        # coordinator drops it
+        await cluster.procs[3].join_group(group, timeout=3000.0)
+        assert cluster.procs[0].members(group) == ("s0", "s1", "s3")
+        assert cluster.procs[2].members(group) == ("s0", "s1", "s2")
+        cluster.heal()
+        await cluster.kernel.sleep(2 * s0.recovery.audit_interval_ms)
+        return group
+
+    group = cluster.run(main())
+    cluster.close()
+    assert cluster.metrics.get("fd.suspicions") == 0
+    assert ("s2", group, True) in calls
+    assert cluster.metrics.get("deceit.group_merges") >= 1
+    assert "s2" in cluster.procs[0].members(group)
+    assert cluster.procs[2].members(group) == cluster.procs[0].members(group)

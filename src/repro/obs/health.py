@@ -1,7 +1,8 @@
 """Per-server health: the ``health`` admin RPC and the cell scraper.
 
 :func:`server_health` assembles one server's reply — failure-detector
-suspicion state (who this server suspects, since when, at what epoch),
+suspicion state (who this server suspects, since when, at what epoch,
+which peers it is watching and until when an alarm has it watch all),
 token residency, replica/catalog counts, disk queue depths, and backend
 status.  ``DeceitServer`` registers it as the ``health`` RPC handler,
 so any node (an agent, an operator script, another cell) can scrape a
@@ -35,12 +36,17 @@ def server_health(server: Any) -> dict:
     fd = proc.fd
     now = server.kernel.now
     since = getattr(fd, "suspected_since", {})
+    watched = set(fd.watched)
     peers = {}
     for peer in fd.peers:
         suspected = peer in fd.suspected
         entry: dict[str, Any] = {
             "suspected": suspected,
             "epoch": fd.peer_epochs.get(peer, 0),
+            # silence counts against a peer only while it is watched: a
+            # calm cell watches ring neighbours, and an unwatched peer's
+            # last_heard_ms is merely the last message that happened by
+            "watched": peer in watched,
             "last_heard_ms": fd.last_heard.get(peer),
         }
         if suspected:
@@ -58,6 +64,8 @@ def server_health(server: Any) -> dict:
         "now_ms": now,
         "peers": peers,
         "suspected": sorted(fd.suspected),
+        # every peer is pinged and watched until then (0: never alarmed)
+        "alarm_until_ms": fd.alarm_until,
         "tokens_held": len(seg.tokens),
         "replicas": len(seg.replicas),
         "catalogs": len(seg.catalogs),

@@ -19,6 +19,7 @@ import pytest
 
 from repro.agent import AgentConfig
 from repro.errors import NfsError, NfsStat
+from repro.isis.failure_detector import RING_NEIGHBOURS
 from repro.obs import AdmissionConfig, AdmissionGate, ERR_UNREACHABLE, Tracer
 from repro.sim import Kernel
 from repro.testbed import build_cluster
@@ -236,6 +237,8 @@ def test_health_rpc_reports_server_vitals():
     for row in rows:
         assert row["status"] == 0 and row["alive"]
         assert row["suspected"] == []
+        assert all(p["watched"] for p in row["peers"].values())
+        assert row["alarm_until_ms"] == 0.0     # a boot raises no alarm
         assert row["replicas"] >= 0 and row["tokens_held"] >= 0
         assert row["backend"] == "MemoryBackend"
         assert set(row["queues"]) == {"disk_async_buffered",
@@ -244,6 +247,16 @@ def test_health_rpc_reports_server_vitals():
     # the cell's segments live somewhere
     assert sum(r["replicas"] for r in rows) > 0
     assert sum(r["tokens_held"] for r in rows) > 0
+    cluster.close()
+
+    # above four peers a calm server watches its ring neighbours only; the
+    # rest are listed, with whatever it last happened to hear from them
+    cluster = build_cluster(n_servers=8, n_agents=1)
+    for row in cluster.scrape_health():
+        assert len(row["peers"]) == 7
+        assert sum(p["watched"] for p in row["peers"].values()) == \
+            2 * RING_NEIGHBOURS
+        assert row["alarm_until_ms"] == 0.0
     cluster.close()
 
 
@@ -270,6 +283,8 @@ def test_health_scrape_marks_dead_servers_unreachable():
         assert peer["suspected_since_ms"] <= row["now_ms"]
         assert peer["suspected_for_ms"] == pytest.approx(
             row["now_ms"] - peer["suspected_since_ms"])
+        # the suspicion raised an alarm
+        assert row["alarm_until_ms"] > peer["suspected_since_ms"]
 
     # recovery clears the suspicion rows
     cluster.run(cluster.recover(2))

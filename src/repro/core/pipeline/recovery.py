@@ -259,10 +259,12 @@ class RecoveryService:
         burst sees no such transition — only a periodic check against its
         supposed co-members notices the newer view that excludes it.
 
-        Each tick probes every cell peer about every hosted group — O(n²)
-        RPCs cell-wide per interval — so large cells stretch the interval
-        (see :func:`repro.testbed.build_scale_cluster`); heals caught by
-        the failure detector still trigger a merge immediately.  Arming
+        Each tick asks every reachable cell peer once per LOCATE_CHUNK
+        hosted groups which of them it hosts and under what view — one
+        round trip per peer for all but the largest servers — and large
+        cells stretch the interval besides (see
+        :func:`repro.testbed.build_scale_cluster`); heals caught by the
+        failure detector still trigger a merge immediately.  Arming
         cancels the held tick: one queued before a short crash cannot double it.
         """
         if self._audit_timer is not None:

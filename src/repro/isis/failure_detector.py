@@ -10,6 +10,41 @@ a recovered process look like a fresh joiner rather than a ghost.
 During a partition, heartbeats stop crossing the boundary, so each side
 suspects the other — which is precisely how Deceit experiences a partition
 (§3.5): as the unavailability of some replicas.
+
+Who pings whom
+--------------
+Every suspicion is first-hand: a peer is suspected only by a process that
+*watched* it — expected its heartbeats — and heard nothing for
+``timeout_ms``.  Who is watched depends on whether anything is happening:
+
+*Calm* — each process pings and watches the nearest ``RING_NEIGHBOURS``
+unsuspected peers on each side of the roster in address order: O(n)
+heartbeats per interval cell-wide, not O(n²).  A suspected peer is still
+pinged, with a request to answer, so its recovery (or a heal) shows within
+one interval; a neighbour not heard from for two intervals is asked to
+answer too, since it may not count us among *its* neighbours and only
+silence after a request is evidence.  A peer's clock starts when it enters
+the watch set.  A roster of at most ``2 × RING_NEIGHBOURS`` peers is all
+neighbours: such a cell always runs the all-pairs mesh.
+
+*Alarm* — a first-hand suspicion or un-suspicion, and a process's own
+restart after a crash, make it ping and watch **every** peer until
+``now + 2 × timeout_ms + interval_ms``.  Its heartbeats carry that deadline
+and every receiver joins the alarm, so within one interval the whole cell
+runs the mesh, starts a clock on every peer, and reaches its own first-hand
+verdict; each verdict re-arms the alarm from its own instant, and after the
+last one it runs out everywhere.  (The deadline is an absolute virtual
+instant — the simulation has one clock; between real machines it would be
+a generation number.  It must never be a remaining time: two processes that
+re-arm each other on receipt never return to calm.)
+
+What this costs: detection by the *neighbours* is as fast as the mesh
+(within ``timeout + 2 × interval`` of the crash), but a process that was not
+watching the victim learns of it only through the alarm — it starts its
+clock when the alarm reaches it, so the whole cell suspects a crashed peer
+within ``2 × timeout + 4 × interval``, about twice the mesh's latency.  The
+group layer waits for its own coordinator's verdict, so a view change in a
+large cell can take that long to start.
 """
 
 from __future__ import annotations
@@ -123,10 +158,9 @@ class FailureDetector:
                             + self.interval_ms)
 
     def _beat(self) -> dict:
-        """The heartbeat payload: two keys when there is nothing to add.
-        The alarm travels as its absolute deadline, so a node that joins it
-        on receipt cannot lengthen it — a remaining time would be re-armed
-        by every exchange and never run out."""
+        """The heartbeat payload: two keys when there is nothing to add, the
+        alarm's absolute deadline (never a remaining time, see the module
+        docstring) while one runs in a roster large enough to be calm."""
         beat = {"type": "heartbeat", "epoch": self.node.epoch}
         if len(self.peers) > 2 * RING_NEIGHBOURS and \
                 self.kernel.now < self.alarm_until:
@@ -199,8 +233,8 @@ class FailureDetector:
         means the peer crashed and recovered since we last saw it, so it
         must rejoin groups rather than resume (callers read
         :attr:`peer_epochs`).  ``IsisProcess.on_message`` stores it, with
-        this method unrolled beside the store: heartbeats are the O(n²)
-        traffic, everything else comes through here.
+        this method unrolled beside the store: heartbeats are the bulk of an
+        idle cell's traffic, everything else comes through here.
         """
         last = self.last_heard
         if src not in last and src not in self.peers:

@@ -411,14 +411,15 @@ def build_scale_cluster(
       files they create are token-held and initially placed around the
       whole ring instead of piling onto server 0;
     - the failure-detector period stretches with cell size
-      (``max(50 ms, n × 4 ms)`` by default): an all-pairs heartbeat mesh is
-      O(n²) messages per interval, and no 100-server production system
-      pings at 20 Hz — suspicion latency scales accordingly (timeout stays
-      4× the interval);
+      (``max(50 ms, n × 4 ms)`` by default): no 100-server production
+      system pings at 20 Hz, and while an alarm runs the detector is the
+      all-pairs mesh (calm, it pings ring neighbours only — see
+      :mod:`repro.isis.failure_detector`); suspicion latency scales
+      accordingly (timeout stays 4× the interval);
     - the periodic merge audit stretches the same way
-      (``max(2 s, n × 250 ms)``): each tick probes every peer about every
-      hosted group, and partition heals are caught immediately by the
-      failure detector anyway — the audit is a backstop for silent
+      (``max(2 s, n × 250 ms)``): each tick asks every peer which of the
+      hosted groups it shares, and partition heals are caught immediately
+      by the failure detector anyway — the audit is a backstop for silent
       evictions, not the primary heal path;
     - per-tag message counters stay off (the default) so ``transmit()``
       never builds key strings.

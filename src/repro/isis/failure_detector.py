@@ -191,10 +191,11 @@ class FailureDetector:
             quiet = now - 2 * self.interval_ms
             ask = sorted(self.suspected)
             ask += [p for p in watch if last[p] < quiet]
-            multicast([p for p in watch if p not in ask], beat,
-                      size_bytes=32, tag="heartbeat")
-            multicast(ask, {**beat, "ask": True}, size_bytes=32,
-                      tag="heartbeat")
+            multicast([p for p in watch if p not in ask] if ask else watch,
+                      beat, size_bytes=32, tag="heartbeat")
+            if ask:
+                multicast(ask, {**beat, "ask": True}, size_bytes=32,
+                          tag="heartbeat")
         if watch != self.watched:
             was = set(self.watched)
             for peer in watch:

@@ -369,21 +369,32 @@ def test_armed_observability_is_deterministic_and_non_perturbing():
 # --------------------------------------------------------------------- #
 
 def test_four_server_ramp_finds_a_knee():
+    """Which of the 64- and 128-client steps "plateaus" is an overload
+    coin-flip per seed (both already fail ops; seeds 42-46 read
+    64/128/32/64/64 before the two-round view change and 32/32/64/128/128
+    after), so the knee and the plateau limit are asserted on the median
+    over five seeds.  Shorter steps are no cheaper way out: below 2.5
+    virtual s the ramp never plateaus at all (ROADMAP)."""
+    import statistics
+
     from repro.obs.loadtest import loadtest
 
-    report = loadtest(n_servers=4, steps=(32, 64, 128), duration_ms=3_000.0,
-                      n_files=8, write_fraction=0.2, slo_p99_ms=700.0)
-    steps = report["steps"]
-    assert [s["concurrency"] for s in steps] == [32, 64, 128]
-    assert all(s["succeeded"] > 0 and s["p99_ms"] > s["p50_ms"] > 0
-               for s in steps)
-    knee = report["knee"]
+    reports = [loadtest(n_servers=4, steps=(32, 64, 128), duration_ms=3_000.0,
+                        seed=seed, n_files=8, write_fraction=0.2,
+                        slo_p99_ms=700.0)
+               for seed in range(42, 47)]
+    for report in reports:
+        steps = report["steps"]
+        assert [s["concurrency"] for s in steps] == [32, 64, 128]
+        assert all(s["succeeded"] > 0 and s["p99_ms"] > s["p50_ms"] > 0
+                   for s in steps)
+        assert report["slo_met_through"] in (32, 64, 128)
+        # ungated runs never see BUSY
+        assert all(s["busy_rejected"] == 0 for s in steps)
     # the plateau is found *inside* the ramp, not by running out of steps
-    assert knee["concurrency"] == 64
-    assert steps[2]["ops_per_vs"] < knee["ops_per_vs"] * 1.10
-    assert report["slo_met_through"] in (32, 64, 128)
-    # ungated runs never see BUSY
-    assert all(s["busy_rejected"] == 0 for s in steps)
+    assert statistics.median(r["knee"]["concurrency"] for r in reports) == 64
+    assert statistics.median(r["steps"][2]["ops_per_vs"]
+                             / r["knee"]["ops_per_vs"] for r in reports) < 1.10
 
 
 def test_find_knee_plateau_detection():

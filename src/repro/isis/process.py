@@ -561,68 +561,78 @@ class IsisProcess(Node):
                 return
             self.network.metrics.incr("isis.view_changes")
             old_view = state.view
-            # 1. flush survivors (they pause sends and surrender logs).
-            # RPCs are retried: one lost datagram must not evict a healthy
-            # member (ISIS retransmits under its reliable transport).
+            # 1. flush survivors (they pause sends and surrender logs),
+            # all asked at once; answers merge in view order
             state.flushing = True
             survivors = [m for m in old_view.members
                          if m not in leaving and m != self.addr]
+            flush = {"group": group, "view_id": old_view.view_id}
+            acks = await self._ask_each(
+                "isis_flush", {m: (flush, 256) for m in survivors})
             merged: dict[tuple[str, int], dict] = dict(state.log)
-            failed_during_flush: set[str] = set()
             for member in survivors:
-                ack = None
-                for _attempt in range(3):
-                    try:
-                        ack = await self.call(
-                            member, "isis_flush", group=group,
-                            view_id=old_view.view_id,
-                            timeout=FLUSH_TIMEOUT_MS, tag="isis_flush")
-                        break
-                    except (RpcTimeout, RpcRemoteError):
-                        continue
-                if ack is None:
-                    failed_during_flush.add(member)
+                if member not in acks:
+                    leaving.add(member)     # silent through every attempt
                     continue
-                for entry in ack["log"]:
+                for entry in acks[member]["log"]:
                     merged.setdefault((entry["sender"], entry["seq"]), entry)
-            leaving |= failed_during_flush
             new_view = old_view.successor(leaving, joining)
             # 2. app state for joiners
             snapshot = None
             if joining and self.app is not None:
                 snapshot = self.app.get_group_state(group)
-            # 3. install everywhere (joiners too)
+            # 3. install everywhere (joiners too); a member that stays
+            # silent is the failure detector's problem
             merged_list = list(merged.values())
             joined_list = list(joining)
             left_list = sorted(leaving)
-
-            async def _install_at(member: str) -> None:
+            installs = {}
+            for member in new_view.members:
+                if member == self.addr:
+                    continue
                 is_joiner = member in joining
-                args = {"group": group, "view_id": new_view.view_id,
-                        "members": list(new_view.members),
-                        "log": [] if is_joiner else merged_list,
-                        "state_snapshot": snapshot if is_joiner else None,
-                        "joined": joined_list, "left": left_list}
-                for _attempt in range(3):
-                    try:
-                        await self.rpc(member, "isis_install", args,
-                                       timeout=FLUSH_TIMEOUT_MS,
-                                       size_bytes=1024, tag="isis_install")
-                        return
-                    except (RpcTimeout, RpcRemoteError):
-                        continue  # retried; a dead member is the FD's problem
-
-            install_tasks = [
-                self.spawn(_install_at(m), name=f"{self.addr}:install:{m}")
-                for m in new_view.members if m != self.addr
-            ]
-            for task in install_tasks:
-                await task
+                installs[member] = ({
+                    "group": group, "view_id": new_view.view_id,
+                    "members": list(new_view.members),
+                    "log": [] if is_joiner else merged_list,
+                    "state_snapshot": snapshot if is_joiner else None,
+                    "joined": joined_list, "left": left_list}, 1024)
+            await self._ask_each("isis_install", installs)
             # 4. install locally
             self._install_view(group, new_view.view_id, list(new_view.members),
                                merged_list, None, joined_list, left_list)
         finally:
             state.change_lock.release()
+
+    async def _ask_each(self, method: str,
+                        requests: dict[str, tuple[dict, int]]) -> dict[str, Any]:
+        """One round of a view change: ``method`` at every member named in
+        ``requests`` (``{member: (args, size_bytes)}``), all sent at the
+        same instant; returns the answers by member.
+
+        A member that times out or refuses is asked again, together with
+        the others that did, so a round lasts at most three
+        ``FLUSH_TIMEOUT_MS`` however many members are silent — one lost
+        datagram must not evict a healthy member (ISIS retransmits under
+        its reliable transport).  A member silent through all three
+        attempts is missing from the result.
+        """
+        answers: dict[str, Any] = {}
+        waiting = list(requests)
+        for _attempt in range(3):
+            calls = [(member, self.rpc(member, method, requests[member][0],
+                                       timeout=FLUSH_TIMEOUT_MS,
+                                       size_bytes=requests[member][1]))
+                     for member in waiting]
+            waiting = []
+            for member, answer in calls:
+                try:
+                    answers[member] = await answer
+                except (RpcTimeout, RpcRemoteError):
+                    waiting.append(member)
+            if not waiting:
+                break
+        return answers
 
     def _install_view(self, group: str, view_id: int, members: list[str],
                       log: list[dict], state_snapshot: Any,

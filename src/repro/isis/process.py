@@ -88,6 +88,19 @@ class _GroupState:
         self.ahead: list[dict] = []        # messages stamped with a future view
         self.change_lock = Lock(kernel)    # serializes view changes (coordinator)
 
+    def summary(self) -> dict:
+        """What this member holds of the view, in O(senders + pending):
+        the delivered vector and the keys received but not yet delivered."""
+        return {"vc": self.vc.as_dict(),
+                "pending": [(m["sender"], m["seq"]) for m in self.pending]}
+
+    def lacking(self, summary: dict) -> list[dict]:
+        """The logged multicasts a member with ``summary`` has not received."""
+        vc = summary["vc"]
+        pending = set(summary["pending"])
+        return [entry for key, entry in self.log.items()
+                if key[1] > vc.get(key[0], 0) and key not in pending]
+
 
 class IsisProcess(Node):
     """A Node speaking the group protocols, hosting one :class:`GroupApp`."""
@@ -525,12 +538,15 @@ class IsisProcess(Node):
         await self._run_view_change(group, leaving={leaver}, joining=())
         return {"ok": True}
 
-    async def _h_flush(self, src: str, group: str, view_id: int) -> dict:
+    async def _h_flush(self, src: str, group: str, view_id: int,
+                       have: dict) -> dict:
+        """Pause sends; answer with our summary of the view and the bodies
+        the coordinator (whose summary is ``have``) lacks."""
         state = self.groups.get(group)
         if state is None or state.view.view_id != view_id:
             raise NotMember(f"flush for unknown/stale view {group}#{view_id}")
         state.flushing = True
-        return {"log": list(state.log.values()), "vc": state.vc.as_dict()}
+        return {"have": state.summary(), "log": state.lacking(have)}
 
     async def _h_install(self, src: str, group: str, view_id: int,
                          members: list[str], log: list[dict],
@@ -561,29 +577,30 @@ class IsisProcess(Node):
                 return
             self.network.metrics.incr("isis.view_changes")
             old_view = state.view
-            # 1. flush survivors (they pause sends and surrender logs),
-            # all asked at once; answers merge in view order
+            # 1. flush survivors, all asked at once: each pauses sends and
+            # answers with its summary and the bodies ours lacks; what we
+            # lacked is taken in view order and delivered as causality allows
             state.flushing = True
             survivors = [m for m in old_view.members
                          if m not in leaving and m != self.addr]
-            flush = {"group": group, "view_id": old_view.view_id}
+            have = state.summary()
+            flush = {"group": group, "view_id": old_view.view_id, "have": have}
+            size = max(256, payload_size(have))
             acks = await self._ask_each(
-                "isis_flush", {m: (flush, 256) for m in survivors})
-            merged: dict[tuple[str, int], dict] = dict(state.log)
+                "isis_flush", {m: (flush, size) for m in survivors})
             for member in survivors:
-                if member not in acks:
+                if member in acks:
+                    self._absorb(state, acks[member]["log"])
+                else:
                     leaving.add(member)     # silent through every attempt
-                    continue
-                for entry in acks[member]["log"]:
-                    merged.setdefault((entry["sender"], entry["seq"]), entry)
             new_view = old_view.successor(leaving, joining)
             # 2. app state for joiners
             snapshot = None
             if joining and self.app is not None:
                 snapshot = self.app.get_group_state(group)
-            # 3. install everywhere (joiners too); a member that stays
-            # silent is the failure detector's problem
-            merged_list = list(merged.values())
+            # 3. install everywhere (joiners too), each survivor sent only
+            # the bodies its summary lacks; a member that stays silent is
+            # the failure detector's problem
             joined_list = list(joining)
             left_list = sorted(leaving)
             installs = {}
@@ -594,13 +611,14 @@ class IsisProcess(Node):
                 installs[member] = ({
                     "group": group, "view_id": new_view.view_id,
                     "members": list(new_view.members),
-                    "log": [] if is_joiner else merged_list,
+                    "log": ([] if is_joiner
+                            else state.lacking(acks[member]["have"])),
                     "state_snapshot": snapshot if is_joiner else None,
                     "joined": joined_list, "left": left_list}, 1024)
             await self._ask_each("isis_install", installs)
             # 4. install locally
             self._install_view(group, new_view.view_id, list(new_view.members),
-                               merged_list, None, joined_list, left_list)
+                               [], None, joined_list, left_list)
         finally:
             state.change_lock.release()
 
@@ -648,8 +666,9 @@ class IsisProcess(Node):
             if state_snapshot is not None and self.app is not None:
                 self.app.set_group_state(group, state_snapshot)
         else:
-            # virtual synchrony: deliver everything from the merged log that
-            # we have not yet delivered, in causal order where possible
+            # virtual synchrony: deliver every multicast of the old view
+            # that any survivor saw and we did not, in causal order where
+            # possible
             self._drain_log(state, log)
             state.view = view
         state.vc = VectorClock()
@@ -671,13 +690,18 @@ class IsisProcess(Node):
         for msg in ahead:
             self._on_mcast(msg)
 
-    def _drain_log(self, state: _GroupState, merged_log: list[dict]) -> None:
-        for entry in merged_log:
+    def _absorb(self, state: _GroupState, entries: list[dict]) -> None:
+        """Take in multicasts of the current view that reached us through a
+        flush instead of from their sender; deliver what causality allows."""
+        for entry in entries:
             key = (entry["sender"], entry["seq"])
             if key not in state.log:
                 state.log[key] = entry
                 state.pending.append(entry)
         self._try_deliveries(state, None)
+
+    def _drain_log(self, state: _GroupState, lacked: list[dict]) -> None:
+        self._absorb(state, lacked)
         # Anything still pending has causal predecessors no survivor saw;
         # force-deliver deterministically so all members agree.
         leftovers = sorted(state.pending, key=lambda m: (m["sender"], m["seq"]))

@@ -232,38 +232,43 @@ def test_group_names_listing(kernel):
     assert names1 == ["g1"]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ISIS keeps and ships every multicast of the current view: "
-    "_GroupState.log is cleared only at view install, _h_flush returns it "
-    "whole and isis_install sends the merged log to every survivor, so a "
-    "join costs every update since the last membership change.  Recipe: "
-    "build_core_cluster(4, seed=1), s0.create(min_replicas=3), N x "
-    "s0.write(setdata, 64 KiB), sleep 1 s, first s3.read -> N=5: 90 ms, "
-    "1 view change, 1.4 MB moved; N=50: 685 ms, 3 view changes (members "
-    "time out of the 400 ms flush, are evicted and rejoin), 13.2 MB; "
-    "N=500: NoSuchSegment after 2 s and 197 MB.  Fix is a perf_opt (trim "
-    "the log at stability, or flush keys instead of bodies): it moves "
-    "every timeline."))
-def test_join_cost_does_not_grow_with_updates_in_the_view():
+def _first_read_after(n_updates, payload=64 * 1024):
+    """§3.2's recipe for a join on the read path: ``n_updates`` x 64 KiB
+    ``setdata`` on a 3-replica file, 1 s idle, then the fourth server's
+    first read — it joins the file group before it can forward.  Returns
+    ``(data, metrics delta, virtual ms)`` of that read."""
     from repro.core import FileParams, WriteOp
     from repro.testbed import build_core_cluster
 
-    payload = 64 * 1024
     cluster = build_core_cluster(4, seed=1)
     s0, s3 = cluster.servers[0], cluster.servers[3]
 
     async def main():
         sid = await s0.create(params=FileParams(min_replicas=3))
-        for i in range(50):
+        for i in range(n_updates):
             await s0.write(sid, WriteOp(kind="setdata",
-                                        data=bytes([i]) * payload))
+                                        data=bytes([i % 256]) * payload))
         await cluster.kernel.sleep(1000.0)
         snap = cluster.metrics.snapshot()
+        t0 = cluster.kernel.now
         data = (await s3.read(sid)).data        # s3's first: it joins
-        return data, cluster.metrics.delta(snap)
+        return data, cluster.metrics.delta(snap), cluster.kernel.now - t0
 
-    data, delta = cluster.run(main())
+    out = cluster.run(main())
     cluster.close()
-    assert data == bytes([49]) * payload
-    assert delta["isis.view_changes"] == 1
-    assert delta["net.bytes_moved"] < 4 * payload
+    return out
+
+
+def test_join_cost_does_not_grow_with_updates_in_the_view():
+    """A join costs two rounds and the joiner's snapshot, whatever the
+    view's history (it used to cost every update since the last membership
+    change: 90 ms at N = 5, 687 ms and three view changes at N = 50,
+    NoSuchSegment after 2 s and 197 MB at N = 500)."""
+    payload = 64 * 1024
+    took = {}
+    for n in (5, 50, 500):
+        data, delta, took[n] = _first_read_after(n, payload)
+        assert data == bytes([(n - 1) % 256]) * payload
+        assert delta["isis.view_changes"] == 1
+        assert delta["net.bytes_moved"] < 4 * payload
+    assert took[500] < 1.10 * took[5]

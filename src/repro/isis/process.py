@@ -74,19 +74,66 @@ class _GroupState:
     """Per-group bookkeeping at one member."""
 
     __slots__ = (
-        "view", "vc", "pending", "log", "flushing", "flush_waiters",
-        "ahead", "change_lock",
+        "view", "vc", "pending", "log", "reported", "stable", "flushing",
+        "flush_waiters", "ahead", "change_lock",
     )
 
     def __init__(self, view: View, kernel):
         self.view = view
         self.vc = VectorClock()
         self.pending: list[dict] = []      # received, not yet deliverable
-        self.log: dict[tuple[str, int], dict] = {}  # seen this view (flush)
+        # received this view and not known stable (what a flush may need)
+        self.log: dict[tuple[str, int], dict] = {}
+        # delivered vector each other member last reported in this view
+        self.reported: dict[str, dict[str, int]] = {}
+        # stability frontier: every member has delivered up to here
+        self.stable: dict[str, int] = {}
         self.flushing = False
         self.flush_waiters: list[SimFuture] = []
         self.ahead: list[dict] = []        # messages stamped with a future view
         self.change_lock = Lock(kernel)    # serializes view changes (coordinator)
+
+    def seen(self, sender: str, seq: int) -> bool:
+        """Whether this multicast was already received in this view — it is
+        logged, or delivered (and possibly trimmed from the log since)."""
+        return seq <= self.vc.get(sender) or (sender, seq) in self.log
+
+    def note_delivered(self, member: str, vc: dict[str, int]) -> None:
+        """``member`` says it has delivered ``vc`` in this view (reports can
+        arrive out of order; what a member has delivered only grows)."""
+        known = self.reported.setdefault(member, {})
+        for sender, count in vc.items():
+            if count > known.get(sender, 0):
+                known[sender] = count
+
+    def all_delivered(self, me: str) -> dict[str, int]:
+        """What every member of the view has delivered, as far as ``me``
+        knows: the pointwise minimum of our vector and the others' reports —
+        empty until every other member has reported in this view."""
+        reports = []
+        for member in self.view.members:
+            if member != me:
+                if member not in self.reported:
+                    return {}
+                reports.append(self.reported[member])
+        return {sender: min([count, *(r.get(sender, 0) for r in reports)])
+                for sender, count in self.vc.clock.items()}
+
+    def adopt_frontier(self, heard: dict[str, int]) -> None:
+        """Raise the stability frontier to ``heard`` where that is higher
+        and drop the log entries it now covers (delivered here too)."""
+        stable = self.stable
+        moved = False
+        for sender, count in heard.items():
+            if count > stable.get(sender, 0):
+                stable[sender] = count
+                moved = True
+        if moved:
+            delivered = self.vc.clock
+            for key in [k for k in self.log
+                        if k[1] <= stable.get(k[0], 0)
+                        and k[1] <= delivered.get(k[0], 0)]:
+                del self.log[key]
 
     def summary(self) -> dict:
         """What this member holds of the view, in O(senders + pending):
@@ -327,6 +374,7 @@ class IsisProcess(Node):
         collected: SimFuture | None = None
         if want > 0 or on_audit is not None:
             req_id, collected = self.collect_replies(want, count_reply)
+        state.adopt_frontier(state.all_delivered(self.addr))
         vc = state.vc.copy()
         vc.increment(self.addr)
         msg = {
@@ -340,6 +388,8 @@ class IsisProcess(Node):
             "reply_req": req_id,
             "origin": self.addr,
         }
+        if state.stable:
+            msg["stable"] = dict(state.stable)
         self.network.metrics.incr("isis.mcasts")
         for member in view.members:
             if member != self.addr:
@@ -396,8 +446,10 @@ class IsisProcess(Node):
 
     def reply_to(self, origin: str, req_id: int, value: Any) -> None:
         """Answer collection ``req_id`` at ``origin`` with ``value``."""
-        reply = {"type": "mreply", "req_id": req_id,
-                 "member": self.addr, "value": value}
+        self._send_reply(origin, {"type": "mreply", "req_id": req_id,
+                                  "member": self.addr, "value": value})
+
+    def _send_reply(self, origin: str, reply: dict) -> None:
         if origin == self.addr:
             self._on_mreply(reply)
         else:
@@ -449,10 +501,13 @@ class IsisProcess(Node):
         if msg["view_id"] > state.view.view_id:
             state.ahead.append(msg)  # install in flight; hold
             return
-        key = (msg["sender"], msg["seq"])
-        if key in state.log:
+        sender = msg["sender"]
+        state.note_delivered(sender, msg["vc"])  # a sender delivers its own
+        if "stable" in msg:
+            state.adopt_frontier(msg["stable"])
+        if state.seen(sender, msg["seq"]):
             return  # duplicate (flush re-delivery overlap)
-        state.log[key] = msg
+        state.log[(sender, msg["seq"])] = msg
         self._try_deliveries(state, msg)
 
     def _try_deliveries(self, state: _GroupState, new_msg: dict | None) -> None:
@@ -483,10 +538,23 @@ class IsisProcess(Node):
         except Exception as exc:
             value = {"_error": f"{type(exc).__name__}: {exc}"}
         req_id = msg.get("reply_req")
-        if req_id is not None:
-            self.reply_to(msg["origin"], req_id, value)
+        if req_id is None:
+            return
+        reply = {"type": "mreply", "req_id": req_id,
+                 "member": self.addr, "value": value}
+        state = self.groups.get(msg["group"])
+        if state is not None and msg["origin"] != self.addr:
+            # what we have delivered rides home with the answer: it is how
+            # the sender learns what is stable, with no message of its own
+            reply.update(group=msg["group"], view_id=state.view.view_id,
+                         vc=state.vc.as_dict())
+        self._send_reply(msg["origin"], reply)
 
     def _on_mreply(self, payload: dict) -> None:
+        if "vc" in payload:
+            state = self.groups.get(payload["group"])
+            if state is not None and state.view.view_id == payload["view_id"]:
+                state.note_delivered(payload["member"], payload["vc"])
         record = self._collectors.get(payload["req_id"])
         if record is None:
             return  # late reply after collection closed
@@ -674,6 +742,8 @@ class IsisProcess(Node):
         state.vc = VectorClock()
         state.pending.clear()
         state.log.clear()
+        state.reported.clear()
+        state.stable.clear()
         state.flushing = False
         waiters, state.flush_waiters = state.flush_waiters, []
         for fut in waiters:
@@ -694,9 +764,8 @@ class IsisProcess(Node):
         """Take in multicasts of the current view that reached us through a
         flush instead of from their sender; deliver what causality allows."""
         for entry in entries:
-            key = (entry["sender"], entry["seq"])
-            if key not in state.log:
-                state.log[key] = entry
+            if not state.seen(entry["sender"], entry["seq"]):
+                state.log[(entry["sender"], entry["seq"])] = entry
                 state.pending.append(entry)
         self._try_deliveries(state, None)
 

@@ -676,13 +676,13 @@ class IsisProcess(Node):
                 if member == self.addr:
                     continue
                 is_joiner = member in joining
+                log = [] if is_joiner else state.lacking(acks[member]["have"])
                 installs[member] = ({
                     "group": group, "view_id": new_view.view_id,
-                    "members": list(new_view.members),
-                    "log": ([] if is_joiner
-                            else state.lacking(acks[member]["have"])),
+                    "members": list(new_view.members), "log": log,
                     "state_snapshot": snapshot if is_joiner else None,
-                    "joined": joined_list, "left": left_list}, 1024)
+                    "joined": joined_list, "left": left_list},
+                    max(1024, payload_size(log)))
             await self._ask_each("isis_install", installs)
             # 4. install locally
             self._install_view(group, new_view.view_id, list(new_view.members),

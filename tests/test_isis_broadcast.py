@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import NotMember
 from repro.isis.vector_clock import VectorClock
+from repro.net import ConstantLatency, MsgKind
 from tests.conftest import run
 from tests.test_isis_groups import make_cell
 
@@ -158,6 +159,128 @@ def test_stale_view_sender_is_shunned(kernel):
 
     before, after = run(kernel, main())
     assert before == after
+
+
+# ----------------------------------------------------------------------- #
+# the flush moves what is missing; stability trims the log
+# ----------------------------------------------------------------------- #
+
+
+class _HoldOnePair(ConstantLatency):
+    """Constant latency, except that ``src -> dst`` datagrams crawl."""
+
+    def __init__(self, src, dst, hold_ms):
+        super().__init__(base_ms=2.0)
+        self.pair, self.hold_ms = (src, dst), hold_ms
+
+    def delay(self, src, dst, size_bytes, rng):
+        if (src, dst) == self.pair:
+            return self.hold_ms
+        return super().delay(src, dst, size_bytes, rng)
+
+
+def test_flush_hands_an_in_flight_multicast_to_the_member_that_missed_it(kernel):
+    """Virtual synchrony across the flush: s1's multicast reached the
+    coordinator but is still in flight to s2 when s3 joins.  s2 gets it from
+    its install — that install alone carries a body, and is charged for it —
+    delivers it before the new view is announced, and drops the late copy."""
+    body = 64 * 1024
+    net, procs = make_cell(kernel, 4, latency=_HoldOnePair("s1", "s2", 300.0))
+    p0, p1, p2, p3 = procs
+    deliveries_when_s2_saw_the_view = []
+    announce = p2.app.view_change
+
+    def view_change(group, view, joined, left):
+        deliveries_when_s2_saw_the_view.append(
+            net.metrics.get("isis.deliveries"))
+        announce(group, view, joined, left)
+
+    async def main():
+        await _form_group(procs[:3])
+        p2.app.view_change = view_change
+        await p1.cbcast("g", {"blob": bytes(body)}, size_bytes=body)
+        await kernel.sleep(10.0)            # at s0 and s1; crawling to s2
+        assert net.metrics.get("isis.deliveries") == 2
+        net.trace = []
+        before = net.metrics.snapshot()
+        await p3.join_group("g", contact="s0")
+        joined = net.metrics.delta(before)
+        await kernel.sleep(500.0)           # the held copy arrives, stale
+        return joined
+
+    joined = run(kernel, main())
+    carried = {msg.dst: len(msg.payload["args"]["log"]) for msg in net.trace
+               if msg.tag == "isis_install" and msg.kind is MsgKind.RPC_REQUEST}
+    assert carried == {"s1": 0, "s2": 1, "s3": 0}
+    assert joined["net.bytes"] > body       # the install declares its body
+    assert deliveries_when_s2_saw_the_view == [3]
+    blobs = [p for _g, s, p in p2.app.delivered if s == "s1"]
+    assert len(blobs) == 1
+    assert net.metrics.get("isis.deliveries") == 3
+    assert net.metrics.get("isis.stale_mcasts") == 1
+
+
+def test_acked_multicasts_leave_the_log_and_are_not_delivered_twice(kernel):
+    net, procs = make_cell(kernel, 3)
+    p0, p1, _p2 = procs
+
+    async def main():
+        await _form_group(procs)
+        for i in range(20):
+            await p0.cbcast("g", {"n": i}, nreplies="all")
+        await p0.cbcast("g", {"n": 20})     # carries the frontier out
+        await kernel.sleep(50.0)
+        logs = [len(p.groups["g"].log) for p in procs]
+        frontiers = [dict(p.groups["g"].stable) for p in procs]
+        delivered = net.metrics.get("isis.deliveries")
+        # a copy of a trimmed multicast turns up again
+        stale = {"type": "mcast", "group": "g", "sender": "s0", "seq": 3,
+                 "view_id": p1.current_view("g").view_id, "vc": {"s0": 3},
+                 "payload": {"n": 2}, "reply_req": None, "origin": "s0"}
+        p0.send("s1", stale)
+        await kernel.sleep(50.0)
+        return logs, frontiers, delivered
+
+    logs, frontiers, delivered = run(kernel, main())
+    assert all(n <= 2 for n in logs)
+    assert frontiers == [{"s0": 20}] * 3
+    assert net.metrics.get("isis.deliveries") == delivered
+    assert [p["n"] for _g, _s, p in p1.app.delivered] == list(range(21))
+
+
+def test_nothing_is_trimmed_until_every_member_has_reported(kernel):
+    """Fire-and-forget multicasts draw no replies, so s0 never hears what
+    s1 and s2 have delivered: nothing is known stable, nothing is dropped."""
+    _net, procs = make_cell(kernel, 3)
+
+    async def main():
+        await _form_group(procs)
+        for i in range(10):
+            await procs[0].cbcast("g", {"n": i})
+        await kernel.sleep(50.0)
+        return [(len(p.groups["g"].log), dict(p.groups["g"].stable))
+                for p in procs]
+
+    assert run(kernel, main()) == [(10, {})] * 3
+
+
+def test_frontier_and_reports_start_over_in_a_new_view(kernel):
+    _net, procs = make_cell(kernel, 4)
+
+    async def main():
+        await _form_group(procs[:3])
+        for i in range(5):
+            await procs[0].cbcast("g", {"n": i}, nreplies="all")
+        await procs[0].cbcast("g", {"n": 5})
+        await kernel.sleep(50.0)
+        before = [dict(p.groups["g"].stable) for p in procs[:3]]
+        await procs[3].join_group("g")
+        return before, [(p.groups["g"].stable, p.groups["g"].reported,
+                         len(p.groups["g"].log)) for p in procs]
+
+    before, after = run(kernel, main())
+    assert before == [{"s0": 5}] * 3
+    assert after == [({}, {}, 0)] * 4
 
 
 # ----------------------------------------------------------------------- #

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import GroupNotFound
 from repro.isis import IsisProcess, View
-from repro.net import Network, UniformLatency
+from repro.isis.process import FLUSH_TIMEOUT_MS
+from repro.net import ConstantLatency, Network, UniformLatency
 from repro.metrics import Metrics
 from tests.conftest import run
 
@@ -32,9 +33,9 @@ class RecorderApp:
         self.state[group] = state["counter"]
 
 
-def make_cell(kernel, n, seed=7):
-    network = Network(kernel, latency=UniformLatency(1.0, 3.0), seed=seed,
-                      metrics=Metrics())
+def make_cell(kernel, n, seed=7, latency=None):
+    network = Network(kernel, latency=latency or UniformLatency(1.0, 3.0),
+                      seed=seed, metrics=Metrics())
     addrs = [f"s{i}" for i in range(n)]
     procs = []
     for addr in addrs:
@@ -272,3 +273,73 @@ def test_join_cost_does_not_grow_with_updates_in_the_view():
         assert delta["isis.view_changes"] == 1
         assert delta["net.bytes_moved"] < 4 * payload
     assert took[500] < 1.10 * took[5]
+
+
+class _TimedTrace(list):
+    """``Network.trace`` that also notes when each message left."""
+
+    def __init__(self, kernel):
+        super().__init__()
+        self.kernel = kernel
+        self.sent_at = []
+
+    def append(self, msg):
+        super().append(msg)
+        self.sent_at.append(self.kernel.now)
+
+
+def _timed_join(n_members, base_ms=2.0):
+    """Virtual ms for one more process to join a group of ``n_members``
+    through its coordinator, and when each ``isis_flush`` request left."""
+    from repro.sim import Kernel
+
+    kernel = Kernel()
+    net, procs = make_cell(kernel, n_members + 1,
+                           latency=ConstantLatency(base_ms=base_ms))
+    procs[0].create_group("g")
+
+    async def main():
+        for p in procs[1:-1]:
+            await p.join_group("g", contact="s0")
+        net.trace = trace = _TimedTrace(kernel)
+        t0 = kernel.now
+        await procs[-1].join_group("g", contact="s0")
+        return kernel.now - t0, trace
+
+    took, trace = run(kernel, main())
+    assert procs[0].members("g") == tuple(p.addr for p in procs)
+    flushes = [at for msg, at in zip(trace, trace.sent_at)
+               if msg.tag == "isis_flush"]
+    return took, flushes
+
+
+def test_a_join_costs_two_rounds_whatever_the_group_size():
+    """Request, flush round, install round, reply: six one-way trips into
+    2 members or into 16 (the serial flush added a round trip per member)."""
+    base_ms = 2.0
+    small, _ = _timed_join(2, base_ms)
+    large, flushes = _timed_join(16, base_ms)
+    assert large - small < base_ms
+    assert large < 7 * base_ms
+    assert len(flushes) == 15 and len(set(flushes)) == 1
+
+
+def test_silent_members_share_one_flush_timeout(kernel):
+    """Two members cut off but not yet suspected: both are asked three
+    times, at the same three instants, and both are evicted."""
+    base_ms = 2.0
+    net, procs = make_cell(kernel, 6, latency=ConstantLatency(base_ms=base_ms))
+    procs[0].create_group("g")
+
+    async def main():
+        for p in procs[1:5]:
+            await p.join_group("g", contact="s0")
+        net.partition([{"s0", "s1", "s2", "s5"}, {"s3", "s4"}])
+        t0 = kernel.now
+        await procs[5].join_group("g", contact="s0",
+                                  timeout=4 * FLUSH_TIMEOUT_MS)
+        return kernel.now - t0
+
+    took = run(kernel, main())
+    assert 3 * FLUSH_TIMEOUT_MS <= took < 3 * FLUSH_TIMEOUT_MS + 7 * base_ms
+    assert procs[0].members("g") == ("s0", "s1", "s2", "s5")

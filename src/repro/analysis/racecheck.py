@@ -11,7 +11,9 @@ schedule passes every determinism pin and every unperturbed test.
    workload/network RNGs draw exactly what they always draw);
 2. replay the seeded workload; collect ysan violations, invariant-oracle
    failures (at most one *enabled* write token per ``(sid, major)``
-   cell-wide — §3.3's single-writer guarantee), and any hard errors;
+   cell-wide — §3.3's single-writer guarantee; members of one view agree
+   on what was delivered in it — ISIS's virtual synchrony), and any hard
+   errors;
 3. on a hit, re-run the **same** ``(seed, perturb_seed)`` — perturbed
    runs are exactly reproducible because the perturbation stream is
    seeded too — with a witness detail window around the hit, which
@@ -47,6 +49,47 @@ def check_invariants(cluster: Any) -> list[str]:
             problems.append(
                 f"token {key} enabled on {addrs} simultaneously "
                 "(single-writer invariant)")
+    problems += check_virtual_synchrony([s.proc for s in cluster.servers])
+    return problems
+
+
+def check_virtual_synchrony(procs: list[Any]) -> list[str]:
+    """§3.2's group contract at a quiet point: two live processes that list
+    each other in the same-numbered view of a group hold the same
+    membership and the same delivered vector, and neither has a multicast
+    it received but could not deliver.
+
+    Keyed on *mutual listing*, not on ``(group, view_id)``: unmerged
+    instances of one group (the cell-wide conflict group boots as
+    singletons that all number their view 1) are not one view.
+    """
+    problems: list[str] = []
+    live = [p for p in procs if p.alive]
+    for i, a in enumerate(live):
+        for group, mine in sorted(a.groups.items()):
+            for b in live[i + 1:]:
+                theirs = b.groups.get(group)
+                if (theirs is None
+                        or theirs.view.view_id != mine.view.view_id
+                        or b.addr not in mine.view.members
+                        or a.addr not in theirs.view.members):
+                    continue
+                where = f"{group}#{mine.view.view_id} at {a.addr}/{b.addr}"
+                if mine.view.members != theirs.view.members:
+                    problems.append(
+                        f"{where}: memberships differ, "
+                        f"{list(mine.view.members)} vs "
+                        f"{list(theirs.view.members)} (virtual synchrony)")
+                elif mine.vc != theirs.vc:
+                    problems.append(
+                        f"{where}: delivered {mine.vc!r} vs {theirs.vc!r} "
+                        "(virtual synchrony)")
+                for proc, state in ((a, mine), (b, theirs)):
+                    if state.pending:
+                        problems.append(
+                            f"{where}: {proc.addr} holds "
+                            f"{len(state.pending)} undelivered multicast(s) "
+                            "(virtual synchrony)")
     return problems
 
 

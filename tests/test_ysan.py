@@ -313,3 +313,35 @@ def test_racecheck_smoke_reports_clean():
     assert all(r["error"] is None for r in report["runs"])
     text = format_report(report)
     assert "CLEAN" in text
+
+
+def test_oracle_names_a_pair_that_diverged_inside_one_view():
+    """The perturbed-schedule oracle knows virtual synchrony: agreement is
+    clean, a delivered vector or a held multicast that differs is named."""
+    from repro.analysis.racecheck import check_virtual_synchrony
+    from tests.conftest import run
+    from tests.test_isis_groups import make_cell
+
+    kernel = Kernel()
+    _net, procs = make_cell(kernel, 3)
+    p0, p1, p2 = procs
+
+    async def main():
+        p0.create_group("g")
+        p2.create_group("g")        # an unmerged instance, also numbered 1
+        await p0.cbcast("g", {"n": 0})
+        # same group, same view number, different members and vectors:
+        # not one view, because neither lists the other
+        assert check_virtual_synchrony(procs) == []
+        await p1.join_group("g", contact="s0")
+        await p0.cbcast("g", {"n": 1}, nreplies="all")
+
+    run(kernel, main())
+    assert check_virtual_synchrony(procs) == []
+    p1.groups["g"].vc.increment("s0")           # s1 delivered one more
+    p1.groups["g"].pending.append({"sender": "s0", "seq": 9})
+    problems = check_virtual_synchrony(procs)
+    assert len(problems) == 2 and all("g#2 at s0/s1" in p for p in problems)
+    assert "delivered" in problems[0] and "undelivered" in problems[1]
+    p1.crash()                                  # only live processes count
+    assert check_virtual_synchrony(procs) == []

@@ -293,6 +293,16 @@ class IsisProcess(Node):
         """Names of all groups this process belongs to."""
         return sorted(self.groups)
 
+    def log_vitals(self) -> dict[str, int]:
+        """What the view-change engine holds, over all groups:
+        ``log_entries`` — multicasts of the current views kept for a flush
+        (received, not yet known stable); ``flushing`` — groups paused by a
+        flush that no install has ended (a view change under way, or stuck).
+        """
+        states = self.groups.values()
+        return {"log_entries": sum(len(state.log) for state in states),
+                "flushing": sum(1 for state in states if state.flushing)}
+
     async def locate_group(self, group: str) -> str:
         """Find any member of ``group`` by querying the cell roster.
 

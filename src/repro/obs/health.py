@@ -3,8 +3,8 @@
 :func:`server_health` assembles one server's reply — failure-detector
 suspicion state (who this server suspects, since when, at what epoch,
 which peers it is watching and until when an alarm has it watch all),
-token residency, replica/catalog counts, disk queue depths, and backend
-status.  ``DeceitServer`` registers it as the ``health`` RPC handler,
+token residency, replica/catalog counts, what the ISIS view logs hold and
+how many groups a flush has paused, disk queue depths, and backend status.  ``DeceitServer`` registers it as the ``health`` RPC handler,
 so any node (an agent, an operator script, another cell) can scrape a
 live server mid-run.
 
@@ -56,6 +56,7 @@ def server_health(server: Any) -> dict:
         peers[peer] = entry
     disk = server.disk
     seg = server.segments
+    isis_log = proc.log_vitals()
     reply = {
         "status": 0,
         "addr": server.addr,
@@ -70,6 +71,11 @@ def server_health(server: Any) -> dict:
         "replicas": len(seg.replicas),
         "catalogs": len(seg.catalogs),
         "groups": len(proc.group_names()),
+        # multicasts the view logs hold for a flush (trimmed at stability:
+        # growth means some member stopped reporting), and groups paused
+        # by a flush no install has ended (non-zero at rest: a stuck change)
+        "isis_log_entries": isis_log["log_entries"],
+        "groups_flushing": isis_log["flushing"],
         "queues": {
             "disk_async_buffered": len(disk._buffer) + len(disk._deleted_buffer),
             "disk_pending_batches": len(disk._pending),

@@ -244,9 +244,20 @@ def test_health_rpc_reports_server_vitals():
         assert set(row["queues"]) == {"disk_async_buffered",
                                       "disk_pending_batches", "rpc_tasks"}
         assert row["admission"] is None
+        # at rest no view change is under way, and the view logs are short
+        assert row["groups_flushing"] == 0
+        assert 0 <= row["isis_log_entries"] <= 2 * row["groups"]
     # the cell's segments live somewhere
     assert sum(r["replicas"] for r in rows) > 0
     assert sum(r["tokens_held"] for r in rows) > 0
+    # a flush that no install has ended shows, and so does what a log holds
+    proc = cluster.servers[0].proc
+    state = proc.groups[proc.group_names()[0]]
+    state.flushing = True
+    state.log[("s9", 1)] = {}
+    before, after = rows[0], cluster.scrape_health()[0]
+    assert after["groups_flushing"] == 1
+    assert after["isis_log_entries"] == before["isis_log_entries"] + 1
     cluster.close()
 
     # above four peers a calm server watches its ring neighbours only; the

@@ -7,7 +7,10 @@ ISIS facilities Deceit depends on:
 - **process groups** with atomic membership change (view synchrony): a
   coordinator runs a flush protocol so every message multicast in a view is
   delivered in that view at every surviving member before the next view is
-  installed;
+  installed — two parallel rounds whatever the group size, moving member
+  summaries (delivered vector + undelivered keys) and only the message
+  bodies somebody lacks; a view's log is trimmed at stability, which
+  members learn from vectors piggybacked on replies and multicasts;
 - **the broadcast primitive**: FIFO/causal multicast (``cbcast``,
   vector-clock delivery order, after Birman-Schiper-Stephenson) with
   ISIS-style "collect the first *k* replies" semantics;

@@ -15,10 +15,37 @@ the sender asks for the first *k* replies (or all) within a timeout and gets
 whatever arrived — counting correct replies is exactly how Deceit's token
 holder detects replica loss (§3.1).
 
-*View change* — the coordinator flushes the old view (members pause sends
-and surrender their message logs), merges the logs so every message seen by
-any survivor is delivered at all survivors (virtual synchrony), then
-installs the new view, shipping application state to joiners.
+*View change* — two rounds, whatever the group size and whatever the view's
+history, both run by the coordinator through :meth:`IsisProcess._ask_each`
+(every request leaves at the same instant; the members that stayed silent
+are asked again together, three attempts of ``FLUSH_TIMEOUT_MS``).
+*Flush*: the request carries the coordinator's **summary** of the view —
+its delivered vector plus the keys it has received but not delivered,
+O(senders + pending) — and each survivor pauses its sends and answers with
+its own summary and the bodies the coordinator's lacks.  The coordinator
+takes those in, in view order; a member silent through every attempt
+leaves with the view.  *Install*: each survivor is sent the new membership
+and the bodies *its* summary lacks (none in a settled group), declared at
+their real size; a joiner is sent the application state instead.  Every
+member drains what it was handed — causal order where possible, then
+``(sender, seq)`` order for anything whose predecessors no survivor saw —
+before the new view is announced, so every multicast any survivor has seen
+is delivered exactly once at every survivor in the old view (virtual
+synchrony), including one still in flight when the flush began.
+
+*Stability* — what a view's log is for is the flush, so an entry can go
+once every member has delivered it.  Nobody is asked: every ``mreply`` to a
+multicast carries the replier's delivered vector for ``(group, view_id)``,
+every ``mcast`` already carries its sender's, and once a sender has heard
+from every other member of the current view the pointwise minimum — the
+stability frontier — rides on its next multicast.  Receivers adopt the
+larger of theirs and the one they hear and drop the log entries at or below
+it that they have delivered; a late copy of a dropped multicast is
+recognised by ``seq <= vc[sender]``.  What is still kept per view: the
+delivered vector, the undeliverable (``pending``) messages, the log of what
+is not yet known stable, each member's last report and the frontier — all
+reset at install.  A group whose multicasts draw no replies learns nothing
+and keeps its log until the next view, as before.
 
 *Failure / partition* — heartbeat suspicions trigger view changes by the
 lowest-ranked surviving member.  Each side of a partition installs its own

@@ -483,10 +483,12 @@ class IsisProcess(Node):
 
     def reply_to(self, origin: str, req_id: int, value: Any) -> None:
         """Answer collection ``req_id`` at ``origin`` with ``value``."""
-        self._send_reply(origin, {"type": "mreply", "req_id": req_id,
-                                  "member": self.addr, "value": value})
+        self._send_reply(origin, req_id, value, {})
 
-    def _send_reply(self, origin: str, reply: dict) -> None:
+    def _send_reply(self, origin: str, req_id: int, value: Any,
+                    report: dict) -> None:
+        reply = {"type": "mreply", "req_id": req_id,
+                 "member": self.addr, "value": value, **report}
         if origin == self.addr:
             self._on_mreply(reply)
         else:
@@ -577,15 +579,14 @@ class IsisProcess(Node):
         req_id = msg.get("reply_req")
         if req_id is None:
             return
-        reply = {"type": "mreply", "req_id": req_id,
-                 "member": self.addr, "value": value}
+        report = {}
         state = self.groups.get(msg["group"])
         if state is not None and msg["origin"] != self.addr:
             # what we have delivered rides home with the answer: it is how
             # the sender learns what is stable, with no message of its own
-            reply.update(group=msg["group"], view_id=state.view.view_id,
-                         vc=state.vc.as_dict())
-        self._send_reply(msg["origin"], reply)
+            report = {"group": msg["group"], "view_id": state.view.view_id,
+                      "vc": state.vc.as_dict()}
+        self._send_reply(msg["origin"], req_id, value, report)
 
     def _on_mreply(self, payload: dict) -> None:
         if "vc" in payload:

@@ -4,7 +4,8 @@
 suspicion state (who this server suspects, since when, at what epoch,
 which peers it is watching and until when an alarm has it watch all),
 token residency, replica/catalog counts, what the ISIS view logs hold and
-how many groups a flush has paused, disk queue depths, and backend status.  ``DeceitServer`` registers it as the ``health`` RPC handler,
+how many groups a flush has paused, disk queue depths, and backend
+status.  ``DeceitServer`` registers it as the ``health`` RPC handler,
 so any node (an agent, an operator script, another cell) can scrape a
 live server mid-run.
 

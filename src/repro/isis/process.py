@@ -125,14 +125,6 @@ class _GroupState:
         logged, or delivered (and possibly trimmed from the log since)."""
         return seq <= self.vc.get(sender) or (sender, seq) in self.log
 
-    def note_delivered(self, member: str, vc: dict[str, int]) -> None:
-        """``member`` says it has delivered ``vc`` in this view (reports can
-        arrive out of order; what a member has delivered only grows)."""
-        known = self.reported.setdefault(member, {})
-        for sender, count in vc.items():
-            if count > known.get(sender, 0):
-                known[sender] = count
-
     def all_delivered(self, me: str) -> dict[str, int]:
         """What every member of the view has delivered, as far as ``me``
         knows: the pointwise minimum of our vector and the others' reports —
@@ -541,7 +533,9 @@ class IsisProcess(Node):
             state.ahead.append(msg)  # install in flight; hold
             return
         sender = msg["sender"]
-        state.note_delivered(sender, msg["vc"])  # a sender delivers its own
+        # a sender delivers its own; a report that arrives out of order
+        # only understates what its member has delivered since
+        state.reported[sender] = msg["vc"]
         if "stable" in msg:
             state.adopt_frontier(msg["stable"])
         if state.seen(sender, msg["seq"]):
@@ -592,7 +586,7 @@ class IsisProcess(Node):
         if "vc" in payload:
             state = self.groups.get(payload["group"])
             if state is not None and state.view.view_id == payload["view_id"]:
-                state.note_delivered(payload["member"], payload["vc"])
+                state.reported[payload["member"]] = payload["vc"]
         record = self._collectors.get(payload["req_id"])
         if record is None:
             return  # late reply after collection closed

@@ -230,11 +230,17 @@ class ReadService:
     async def _ask_a_holder(self, info, unreachable: str, method: str,
                             sid: str, major: int, **args) -> ReadResult:
         """§2.1 request forwarding: the first other holder, in address
-        order, that answers; ``unreachable`` is the error when none does."""
+        order, that answers; ``unreachable`` is the error when none does.
+
+        The holder set is re-read after every miss: a replica created
+        while the failover runs (its ``replica_created`` landing between
+        two asks) is asked too, not only the holders known at the start.
+        """
         last_error: Exception | None = None
-        for holder in sorted(info.holders):
-            if holder == self.transport.addr:
-                continue
+        tried = {self.transport.addr}
+        while untried := sorted(info.holders - tried):
+            holder = untried[0]
+            tried.add(holder)
             try:
                 return await self._ask(holder, method, sid, major, **args)
             except (RpcTimeout, RpcRemoteError) as exc:

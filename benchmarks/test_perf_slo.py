@@ -26,8 +26,10 @@ from benchmarks.conftest import run_once
 from repro.obs.loadtest import overload_comparison
 
 N_SERVERS = 4
-STEPS = (32, 64, 128)
-DURATION_MS = 3_000.0
+#: The cell plateaus between 128 and 256 clients since whole-file
+#: rewrites go to the token holder; a ramp ending at 128 ran out of steps.
+STEPS = (64, 128, 256)
+DURATION_MS = 2_000.0
 SEED = 42
 N_FILES = 8
 WRITE_FRACTION = 0.2
@@ -40,7 +42,7 @@ BURST = 32.0
 #: Gated goodput at 2x-knee vs ungated goodput at the same offered load.
 MIN_GOODPUT_RATIO = 0.85
 #: Gated overload p99 relative to the knee's p99 ("bounded" = near 1;
-#: the measured value on the reference container is ~1.41).
+#: the measured value at seed 42 is ~1.20).
 MAX_GATED_P99_VS_KNEE = 1.6
 
 

@@ -119,9 +119,12 @@ class UpdatePipeline:
         self.metrics = metrics or store.metrics
         self.heat = heat                # HeatTracker or None
         #: §3.3 optimization 1 — broadcast the first update of a stream in
-        #: the same message as the token request.  Off by default: "Deceit
-        #: currently uses neither of these optimizations."
+        #: the same message as the token request.  Off by default, as in
+        #: Deceit ("currently uses neither of these optimizations").
         self.token_piggyback = False
+        #: ``(sid, major)`` -> the version this server's last forwarded
+        #: single update produced (the stream rule of :meth:`write`)
+        self._forwarded: dict[tuple[str, int], VersionPair] = {}
 
     # ------------------------------------------------------------------ #
     # the write entry point
@@ -140,8 +143,13 @@ class UpdatePipeline:
 
         ``single_update_hint`` enables §3.3 optimization 2: "pass an update
         to the current token holder instead of requesting the token if it
-        is likely that there will be only one update" — e.g. a small file
-        overwritten in one shot.  The token does not move.
+        is likely that there will be only one update" — a dirop, or a
+        whole-file rewrite.  The token does not move.  One exception, the
+        stream rule: when the major is still at the version this server's
+        own last forward produced, nobody else has written since, so this
+        is a stream of updates and the token is taken as without the hint
+        ("paid only for the first of a stream of updates").  Dirops always
+        forward.
 
         Returns the segment's version pair after the update — or ``None``
         for a ``dirop`` recognized as an idempotent replay (the op's
@@ -154,12 +162,17 @@ class UpdatePipeline:
         cat = await self.catalog.ensure_group(sid)
         major = self.catalog.pick_major(cat, version)
         ambiguous_forward = False
-        if single_update_hint and (sid, major) not in self.store.tokens:
+        key = (sid, major)
+        if single_update_hint and key not in self.store.tokens and (
+                op.kind == "dirop"
+                or self._forwarded.pop(key, None) != cat.majors[major].version):
             forwarded, ambiguous_forward = \
                 await self._forward_single_write(sid, major, op, guard)
             if forwarded is _REPLAY:
                 return None
             if forwarded is not None:
+                if op.kind != "dirop":
+                    self._forwarded[key] = forwarded
                 return forwarded
         if (self.token_piggyback and (sid, major) not in self.store.tokens
                 and guard is None and op.kind != "dirop"

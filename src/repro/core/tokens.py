@@ -79,25 +79,48 @@ class TokenMixin:
                                   size_bytes: int = 512, **rider) -> bool:
         """One round: broadcast a token request; wait for the pass (§3.3).
 
+        A live holder answers only once it holds its update lock, i.e.
+        after its own queued updates, so a pass that is late does not mean
+        a lost holder.  Returns ``False`` (the caller generates a token)
+        only when the holder has left the file group's view, is suspected,
+        or answers that it holds no token while nothing moved — the same
+        holder and version as when asked (a token passed on and back, or
+        still writing, is alive).  Otherwise the request is sent again,
+        this time collecting the members' answers.
+
         ``rider`` is the update that travels with the request under
         optimization 1 (``piggyback`` + ``reply_req``, sized by
         ``size_bytes``); see :meth:`_deliver_token_request`.
         """
+        group = group_of(sid)
+        info = self.catalogs[sid].majors[major]
         wait = self.kernel.create_future()
         self._token_waits[(sid, major)] = wait
-        self.metrics.incr("deceit.token_requests")
+        nreplies: int | str = 0
         try:
-            await self.proc.cbcast(
-                group_of(sid),
-                {"op": "token_request", "sid": sid, "major": major,
-                 "requester": self.proc.addr, **rider},
-                nreplies=0, size_bytes=size_bytes, tag="token_request",
-            )
-            try:
-                await self.kernel.wait_for(wait, TOKEN_PASS_TIMEOUT_MS)
-            except SimTimeoutError:
-                return False
-            return True
+            while True:
+                asked = (info.holder, info.version)
+                self.metrics.incr("deceit.token_requests")
+                replies = await self.proc.cbcast(
+                    group,
+                    {"op": "token_request", "sid": sid, "major": major,
+                     "requester": self.proc.addr, **rider},
+                    nreplies=nreplies, timeout=TOKEN_PASS_TIMEOUT_MS,
+                    size_bytes=size_bytes, tag="token_request",
+                )
+                try:
+                    await self.kernel.wait_for(wait, TOKEN_PASS_TIMEOUT_MS)
+                    return True
+                except SimTimeoutError:
+                    pass
+                holder = info.holder
+                if holder is None or holder not in self.proc.members(group) \
+                        or self.proc.fd.is_suspected(holder) \
+                        or ((holder, info.version) == asked
+                            and (holder, {"holder": False}) in replies):
+                    return False
+                self.metrics.incr("deceit.token_rerequests")
+                nreplies = "all"
         finally:
             self._token_waits.pop((sid, major), None)
 

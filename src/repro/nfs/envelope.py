@@ -317,7 +317,12 @@ class Envelope:
         - ``truncate=True``: whole-file replacement as one ``setdata``
           update — truncate-and-write in *one* atomic op, so a concurrent
           reader never observes the empty intermediate state and a crash
-          never loses the old contents without producing the new ones;
+          never loses the old contents without producing the new ones.
+          It carries ``single_update_hint`` (§3.3 optimization 2, the
+          paper's own "likely only one update"): a server that is not the
+          token holder passes it to the holder instead of taking the
+          token, unless it is continuing a stream of its own (see
+          :meth:`~repro.core.pipeline.update.UpdatePipeline.write`);
         - ``ops=[{"offset", "data"}, ...]``: a write-behind flush — the
           coalesced positioned writes apply as one ``batch`` update.
 
@@ -365,7 +370,8 @@ class Envelope:
         else:
             op = WriteOp(kind="replace", offset=offset, data=data, meta=patch)
         try:
-            version = await self.segments.write(fh.sid, op, version=fh.version)
+            version = await self.segments.write(fh.sid, op, version=fh.version,
+                                                single_update_hint=truncate)
         except NoSuchSegment as exc:
             raise nfs_error(NfsStat.ERR_STALE, str(exc)) from exc
         replica = self.segments.store.replicas.get((fh.sid, version.major))

@@ -376,11 +376,12 @@ def test_first_divergent_checkpoint_binary_search():
     assert first_divergent_checkpoint([], []) is None
 
 
-# One replicated file on six servers, written once from the far end of
+# One replicated file on six servers, written twice from the far end of
 # the cell after REPLICA_IDLE_MS of quiet.  set_params blast-copies s0's
-# replica to three peers, which inherit its read stamp; the write moves
-# the token to s5, which now holds one replica too many and must drop the
-# least recently used of three that tie.
+# replica to three peers, which inherit its read stamp; the first rewrite
+# is forwarded to s0, the second continues s5's stream and moves the token
+# to s5, which now holds one replica too many and must drop the least
+# recently used of three that tie.
 _LRU_DROP_SCENARIO = """
 from repro.agent import AgentConfig
 from repro.analysis.witness import WitnessRecorder
@@ -400,6 +401,7 @@ async def main():
     await first.write_file("/f", b"one")
     await cluster.kernel.sleep(6000.0)
     await last.write_file("/f", b"two")
+    await last.write_file("/f", b"three")
     await cluster.kernel.sleep(500.0)
 
 cluster.run(main())

@@ -295,6 +295,41 @@ def test_pipeline_deliver_update_applies_and_rewarms(kernel):
                                  VersionPair(replica.major, 0))
 
 
+def test_read_failover_asks_a_holder_learned_mid_failover(kernel):
+    """The first holder asked has just dropped its replica; the replica
+    the token holder fetched meanwhile becomes known while the failover
+    runs, and that holder must be asked too."""
+    from repro.core.pipeline import ReadService
+    from repro.net.network import RpcRemoteError
+
+    store = make_store(kernel)
+    transport = StubTransport(kernel)
+    catalog = CatalogService(transport, store, MajorAllocator(0),
+                             kernel, store.metrics)
+    replica = seed_segment(catalog, store)
+    sid, major = replica.sid, replica.major
+    del store.replicas[(sid, major)]             # s0 forwards the read
+    info = catalog.get(sid).majors[major]
+    info.holders = {"s1"}
+    asked = []
+
+    async def call(server, method, **kw):
+        asked.append(server)
+        if server == "s1":
+            info.holders.add("s2")               # replica_created lands
+            raise RpcRemoteError("NoSuchSegment", f"{sid};{major} not held")
+        return {"data": b"from s2", "version": replica.version.to_tuple(),
+                "meta": {}, "params": replica.params.to_dict()}
+
+    transport.call = call
+    reads = ReadService(transport, catalog, store,
+                        stability_recovery=_async_noop,
+                        request_migration=_async_noop)
+    result = run(kernel, reads.read(sid))
+    assert asked == ["s1", "s2"]
+    assert (result.data, result.served_by) == (b"from s2", "s2")
+
+
 def test_pipeline_deliver_update_gap_triggers_repair(kernel):
     pipeline, _t, catalog, store = make_pipeline(kernel)
     replica = seed_segment(catalog, store)

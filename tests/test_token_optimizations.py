@@ -1,13 +1,20 @@
-"""Tests for the two §3.3 token-protocol optimizations.
+"""Tests for the two §3.3 token-protocol optimizations, and for telling a
+busy token holder from a lost one.
 
-The paper describes both and notes "Deceit currently uses neither"; we
-implement them behind flags that default off, and verify (a) they preserve
-correctness and (b) they save the communication they promise to save.
+The paper describes both optimizations and notes "Deceit currently uses
+neither".  Optimization 1 (piggybacking) sits behind a flag that defaults
+off; optimization 2 (forwarding a likely single update to the holder) is
+engaged by ``single_update_hint``, which dirops and whole-file rewrites
+carry.  We verify (a) they preserve correctness and (b) they save the
+communication they promise to save.
 """
 
+from repro.agent import AgentConfig
 from repro.core import FileParams, WriteOp
+from repro.core.tokens import TOKEN_PASS_TIMEOUT_MS
+from repro.errors import ReproError
 from repro.net import NetConfig
-from repro.testbed import build_core_cluster
+from repro.testbed import build_cluster, build_core_cluster
 
 # per-tag counters are opt-in; these tests subtract heartbeat noise
 TAGS = NetConfig(tag_metrics=True)
@@ -149,3 +156,148 @@ def test_piggyback_preserves_subsequent_stream():
     assert cluster.run(main()) == b"abc"
     # exactly one token movement for the whole stream
     assert cluster.metrics.get("deceit.token_passes") == 1
+
+
+# --------------------------------------------------------------------- #
+# whole-file rewrites: forwarded, and the stream rule
+# --------------------------------------------------------------------- #
+
+def _replicated_file():
+    """Three servers, three agents with caches off; the first agent (on
+    s0, the token holder) made ``/f``, the others mount s1 and s2."""
+    cluster = build_cluster(3, 3, seed=3, scatter_agents=True,
+                            agent_config=AgentConfig(cache=False))
+    first = cluster.agents[0]
+
+    async def setup():
+        for agent in cluster.agents:
+            await agent.mount()
+        await first.create("/", "f")
+        await first.set_params("/f", min_replicas=3, write_safety=2)
+        await first.write_file("/f", b"init")
+
+    cluster.run(setup())
+    return cluster
+
+
+def _counts(cluster) -> tuple[int, int]:
+    m = cluster.metrics
+    return m.get("deceit.forwarded_writes"), m.get("deceit.token_passes")
+
+
+def test_alternating_rewriters_forward_and_never_move_the_token():
+    """Two non-holders taking turns: each rewrite is a single update, so
+    each goes to the holder (taking the token instead passes it on every
+    rewrite)."""
+    cluster = _replicated_file()
+    reader, left, right = cluster.agents
+    before = _counts(cluster)
+
+    async def main():
+        acked = []
+        for i in range(20):
+            image = f"rewrite {i}".encode()
+            await (left, right)[i % 2].write_file("/f", image)
+            acked.append(image)
+        return acked, await reader.read_file("/f")
+
+    acked, final = cluster.run(main())
+    forwarded, passes = (a - b for a, b in zip(_counts(cluster), before))
+    assert len(acked) == 20
+    assert final == acked[-1]
+    assert forwarded == 20
+    assert passes == 0
+
+
+def test_a_stream_forwards_once_then_takes_the_token():
+    """One non-holder rewriting again and again: its first rewrite is
+    forwarded, its second finds nobody wrote since and takes the token,
+    the rest are local updates."""
+    cluster = _replicated_file()
+    writer = cluster.agents[1]
+    before = _counts(cluster)
+    seen = []
+
+    async def main():
+        for i in range(10):
+            await writer.write_file("/f", f"stream {i}".encode())
+            seen.append(tuple(a - b for a, b in zip(_counts(cluster), before)))
+
+    cluster.run(main())
+    assert seen[0] == (1, 0)              # forwarded, the token stays put
+    assert seen[1] == (1, 1)              # the stream takes the token
+    assert set(seen[2:]) == {(1, 1)}      # then local updates only
+
+
+def test_contended_cell_mints_no_token():
+    """Eight closed-loop writers on two replicated files of a fault-free
+    four-server cell: no token request may end in a new major (treating
+    every late pass as a lost holder minted three here, each a version
+    branch with no fault)."""
+    cluster = build_cluster(4, 8, seed=1, scatter_agents=True,
+                            agent_config=AgentConfig(cache=False))
+    kernel = cluster.kernel
+    paths = ("/f0", "/f1")
+    failed, acked = [], []
+
+    async def writer(agent, path, until):
+        n = 0
+        while kernel.now < until:
+            try:
+                await agent.write_file(path, f"{agent} {n}".encode() * 8)
+                acked.append(path)
+            except ReproError as exc:
+                failed.append(exc)
+            n += 1
+
+    async def main():
+        for agent in cluster.agents:
+            await agent.mount()
+        first = cluster.agents[0]
+        for path in paths:
+            await first.create("/", path[1:])
+            await first.set_params(path, min_replicas=3, write_safety=2)
+        until = kernel.now + 2_000.0
+        tasks = [kernel.spawn(writer(agent, paths[i % len(paths)], until))
+                 for i, agent in enumerate(cluster.agents)]
+        for task in tasks:
+            await task
+
+    cluster.run(main())
+    assert failed == []
+    assert len(acked) > 100
+    assert cluster.metrics.get("deceit.tokens_generated") == 0
+
+
+# --------------------------------------------------------------------- #
+# a busy holder is not a lost one
+# --------------------------------------------------------------------- #
+
+def test_busy_holder_is_asked_again_not_replaced():
+    """24 appends queued at the holder keep its update lock past
+    TOKEN_PASS_TIMEOUT_MS; a request from s1 behind them must wait for the
+    pass, not mint a second major with no fault."""
+    cluster = build_core_cluster(3, seed=1)
+    s0, s1 = cluster.servers[0], cluster.servers[1]
+    kernel = cluster.kernel
+
+    async def main():
+        sid = await s0.create(params=FileParams(min_replicas=3,
+                                                write_safety=2), data=b"")
+        queued = [kernel.spawn(s0.write(sid, WriteOp(kind="append",
+                                                     data=b"a")))
+                  for _ in range(24)]
+        await kernel.sleep(1.0)
+        t0 = kernel.now
+        version = await s1.write(sid, WriteOp(kind="append", data=b"b"))
+        waited = kernel.now - t0
+        for task in queued:
+            await task
+        return sid, version, waited, await s1.list_versions(sid)
+
+    sid, version, waited, majors = cluster.run(main())
+    assert waited > TOKEN_PASS_TIMEOUT_MS       # the busy case was reached
+    assert cluster.metrics.get("deceit.tokens_generated") == 0
+    assert list(majors) == [version.major]      # one major, no branch
+    assert version.sub == 25                    # after all 24 queued appends
+    assert cluster.metrics.get("deceit.token_rerequests") >= 1

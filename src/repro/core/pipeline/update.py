@@ -3,8 +3,13 @@
 Distributes one update per causal broadcast round from the write-token
 holder, returning to the caller after ``write_safety`` replies while the
 full reply set is audited in the background.  The two §3.3 optimizations
-(forwarded single updates, token-request piggybacking) live here too, as
-does update application at every group member.
+live here too, as does update application at every group member.  Deceit
+"currently uses neither"; here optimization 1 (piggybacking the first
+update on the token request) stays off by default, and optimization 2
+(passing a likely single update to the holder) is on for dirops and
+whole-file rewrites — except that a rewrite continuing this server's own
+stream takes the token, as §3.3's "paid only for the first of a stream of
+updates" intends (the stream rule, :meth:`UpdatePipeline.write`).
 
 The pipeline is built from narrow collaborators so it can be unit tested
 without an IsisProcess facade:

@@ -296,9 +296,13 @@ class Agent(Node):
         # path -> FileHandle; handles are server-independent, never lapse
         self._handle_cache = _Cache(kernel, math.inf, cfg.cache)
         self._location_cache: dict[str, str] = {}
-        # sid -> replica holders, learned from read-reply placement hints
-        # (preferred holder first)
-        self._placement_cache: dict[str, list[str]] = {}
+        # route key -> replica holders, learned from read-reply placement
+        # hints (preferred holder first): (sid, stripe index) for a stripe
+        # of a striped file, the sid for a blob (only under route_hints)
+        self._placement_cache: dict[Any, list[str]] = {}
+        # sid -> stripe width, taught by read replies: the attr-borne
+        # stripe hint lapses with the attrs, a stripe's holders do not
+        self._stripe_widths: dict[str, int] = {}
         # fh-key -> (start, data): the last prefetched range of a striped
         # file — one entry per handle
         self._range_cache = _Cache(kernel, cfg.data_ttl_ms)
@@ -592,17 +596,17 @@ class Agent(Node):
         if hint is not None and hint[1] > hint[0]:
             # striped file: gather it in parallel, one ranged read per
             # stripe, instead of shipping the whole image through one reply
-            data, version = await self._read_striped(key, *hint)
+            data, version = await self._read_striped(fh, *hint)
         else:
             args: dict[str, Any] = {"fh": key}
             if cached and cached[2] is not None:
                 # TTL lapsed: revalidate by version pair — the server
                 # answers "unchanged" (no data bytes) when still current
                 args["verify"] = list(cached[2])
-            to = await self._route_target(fh)
+            to = await self._route_target(fh, fh.sid)
             reply = await self._nfs("read", args, to=to,
                                     on_target_fail=lambda t:
-                                    self._forget_route(fh.sid))
+                                    self._forget_route(fh, fh.sid))
             self._learn_placement(fh, reply)
             version = tuple(reply["version"]) if "version" in reply else None
             if reply.get("unchanged") and cached:
@@ -623,14 +627,14 @@ class Agent(Node):
     # ------------------------------------------------------------------ #
 
     def _stripe_hint(self, key: str) -> tuple[int, int] | None:
-        """(stripe_size, size) when fresh cached attrs say the file is
-        striped — the piggybacked hint every attr-bearing reply carries."""
+        """(stripe_size, size) while fresh cached attrs say the file is
+        striped; it lapses with the attrs."""
         cached = self._attr_cache.fresh(key)
         if cached is not None and cached[0].stripe_size:
             return cached[0].stripe_size, cached[0].size
         return None
 
-    async def _read_striped(self, key: str, stripe_size: int,
+    async def _read_striped(self, fh: FileHandle, stripe_size: int,
                             size: int) -> tuple[bytes, tuple | None]:
         """Whole-file read of a striped file: parallel per-stripe ranged
         reads, reassembled by offset.
@@ -649,14 +653,14 @@ class Agent(Node):
         """
         self.metrics.incr("agent.striped_reads")
         count = max(1, -(-size // stripe_size))
-        replies = await self._fanout(key, [(i * stripe_size, stripe_size)
-                                           for i in range(count)])
+        replies = await self._fanout(fh, [(i * stripe_size, stripe_size)
+                                          for i in range(count)])
         # chase the tail only while the server-reported length says bytes
         # exist past what we fetched (the file grew since the hint)
         known = max([size] + [int(r.get("size", 0)) for r in replies])
         while replies[-1]["data"] and len(replies[-1]["data"]) == stripe_size \
                 and len(replies) * stripe_size < known:
-            reply = await self._read_range(key, len(replies) * stripe_size,
+            reply = await self._read_range(fh, len(replies) * stripe_size,
                                            stripe_size)
             replies.append(reply)
             known = max(known, int(reply.get("size", 0)))
@@ -664,7 +668,7 @@ class Agent(Node):
         versions = {tuple(r["version"]) for r in replies if "version" in r}
         if len(versions) != 1:
             self.metrics.incr("agent.striped_read_fallbacks")
-            reply = await self._nfs("read", {"fh": key})
+            reply = await self._nfs("read", {"fh": fh.encode()})
             return reply["data"], tuple(reply["version"])
         end = 0
         for i, reply in enumerate(replies):
@@ -718,19 +722,14 @@ class Agent(Node):
         hint = self._stripe_hint(key)
         if hint is not None and \
                 offset // hint[0] != (offset + count - 1) // hint[0]:
-            data = await self._fanout_range(key, hint[0], offset, count)
+            data = await self._fanout_range(fh, hint[0], offset, count)
         else:
-            to = await self._route_target(fh)
-            reply = await self._nfs(
-                "read", {"fh": key, "offset": offset, "count": count},
-                to=to, on_target_fail=lambda t: self._forget_route(fh.sid))
-            self._learn_placement(fh, reply)
-            data = reply["data"]
+            data = (await self._read_range(fh, offset, count))["data"]
         self._note_sequential(fh, key, offset, count)
         return data
 
-    async def _fanout_range(self, key: str, stripe_size: int, offset: int,
-                            count: int) -> bytes:
+    async def _fanout_range(self, fh: FileHandle, stripe_size: int,
+                            offset: int, count: int) -> bytes:
         """A multi-stripe range read, one parallel piece per stripe.
 
         Like :meth:`_read_striped`, disagreeing parent versions across the
@@ -739,11 +738,11 @@ class Agent(Node):
         """
         pieces = split_range(offset, offset + count, stripe_size)
         self.metrics.incr("agent.striped_fanout_parts", len(pieces))
-        replies = await self._fanout(key, pieces)
+        replies = await self._fanout(fh, pieces)
         versions = {tuple(r["version"]) for r in replies if "version" in r}
         if len(versions) > 1:
             self.metrics.incr("agent.striped_read_fallbacks")
-            return (await self._read_range(key, offset, count))["data"]
+            return (await self._read_range(fh, offset, count))["data"]
         # interior short pieces were padded by the server (sparse holes);
         # a short trailing piece is EOF — concatenation is exact
         out = bytearray()
@@ -756,15 +755,30 @@ class Agent(Node):
                 out[rel:rel + len(part)] = part
         return bytes(out)
 
-    async def _read_range(self, key: str, offset: int, count: int) -> dict:
-        return await self._nfs("read", {"fh": key, "offset": offset,
-                                        "count": count})
+    async def _read_range(self, fh: FileHandle, offset: int,
+                          count: int) -> dict:
+        """One ranged read RPC — the funnel every ranged read takes: the
+        single-RPC path, fan-out pieces, prefetches and the tail chase.
 
-    async def _fanout(self, key: str,
+        A range inside one stripe of a file whose width a read reply has
+        taught goes to a hinted holder of that stripe (§5.3: the agent
+        talks straight to a replica holder), so its bytes cross the
+        network once instead of being relayed by the mount server.  A
+        failed target drops its hint and the read falls back.
+        """
+        route = self._route_key(fh, offset, count)
+        reply = await self._nfs(
+            "read", {"fh": fh.encode(), "offset": offset, "count": count},
+            to=await self._route_target(fh, route),
+            on_target_fail=lambda t: self._forget_route(fh, route))
+        self._learn_placement(fh, reply, offset)
+        return reply
+
+    async def _fanout(self, fh: FileHandle,
                       pieces: list[tuple[int, int]]) -> list[dict]:
         """One parallel ranged read per ``(offset, count)`` piece; the
         replies come back in piece order."""
-        tasks = [self.spawn(self._read_range(key, o, c),
+        tasks = [self.spawn(self._read_range(fh, o, c),
                             name=f"{self.addr}:fanout:{i}")
                  for i, (o, c) in enumerate(pieces)]
         return list(await self.kernel.all_of(tasks))
@@ -790,13 +804,14 @@ class Agent(Node):
         if start <= next_off < start + len(ahead):
             return                       # already prefetched past here
         self.metrics.incr("agent.readahead_prefetches")
-        self.spawn(self._prefetch(key, next_off, hint[0]),
+        self.spawn(self._prefetch(fh, next_off, hint[0]),
                    name=f"{self.addr}:readahead")
 
-    async def _prefetch(self, key: str, offset: int, length: int) -> None:
+    async def _prefetch(self, fh: FileHandle, offset: int, length: int) -> None:
+        key = fh.encode()
         gen = self._cache_gen.get(key, 0)
         try:
-            reply = await self._read_range(key, offset, length)
+            reply = await self._read_range(fh, offset, length)
         except NfsError:
             return                       # readahead is strictly best-effort
         if self._cache_gen.get(key, 0) != gen:
@@ -805,11 +820,22 @@ class Agent(Node):
             return
         self._range_cache.put(key, (offset, reply["data"]))
 
-    async def _route_target(self, fh: FileHandle) -> str | None:
-        """Where to aim a read: a hinted replica holder, the §5.3 shortcut
-        target, or ``None`` for the plain mount-server path."""
-        if self.config.route_hints and not fh.foreign:
-            holders = self._placement_cache.get(fh.sid)
+    def _route_key(self, fh: FileHandle, offset: int, count: int) -> Any:
+        """The placement-cache key a ranged read routes by: ``(sid, stripe
+        index)`` when a read reply taught the file's stripe width and the
+        range lies in one stripe, else the sid."""
+        width = self._stripe_widths.get(fh.sid)
+        if width and offset // width == (offset + count - 1) // width:
+            return fh.sid, offset // width
+        return fh.sid
+
+    async def _route_target(self, fh: FileHandle, route: Any) -> str | None:
+        """Where to aim a read: a hinted replica holder under ``route``,
+        the §5.3 shortcut target, or ``None`` for the plain mount-server
+        path.  Sid-keyed hints exist only under ``route_hints``, so that
+        switch alone decides whether blob reads are routed."""
+        if not fh.foreign:
+            holders = self._placement_cache.get(route)
             if holders:
                 if self.server in holders:
                     return None  # the mount server already holds a replica
@@ -817,13 +843,23 @@ class Agent(Node):
                 return holders[0]
         return await self._shortcut_target(fh)
 
-    def _learn_placement(self, fh: FileHandle, reply: dict) -> None:
-        """Absorb the placement hint piggybacked on a read reply."""
-        if not self.config.route_hints or fh.foreign:
-            return
+    def _learn_placement(self, fh: FileHandle, reply: dict,
+                         offset: int = 0) -> None:
+        """Absorb the placement hint piggybacked on a read reply at
+        ``offset``: a stripe's holders always (the hint carries the
+        stripe width), a blob's only under ``route_hints``."""
         hint = reply.get("placement")
-        if not hint:
+        if not hint or fh.foreign:
             return
+        width = hint.get("stripe_size")
+        if width:
+            self._stripe_widths[fh.sid] = width
+            route = (fh.sid, offset // width)
+        else:
+            self._stripe_widths.pop(fh.sid, None)   # a blob (again)
+            if not self.config.route_hints:
+                return
+            route = fh.sid
         holders = sorted(hint.get("holders") or [])
         if not holders:
             return
@@ -831,13 +867,13 @@ class Agent(Node):
         if served in holders:  # the server that answered goes first
             holders.remove(served)
             holders.insert(0, served)
-        self._placement_cache[fh.sid] = holders
+        self._placement_cache[route] = holders
         self.metrics.incr("agent.placement_hints")
 
-    def _forget_route(self, sid: str) -> None:
+    def _forget_route(self, fh: FileHandle, route: Any) -> None:
         """A routed target failed: drop what we believed about it."""
-        self._placement_cache.pop(sid, None)
-        self._location_cache.pop(sid, None)
+        self._placement_cache.pop(route, None)
+        self._location_cache.pop(fh.sid, None)
 
     async def _shortcut_target(self, fh: FileHandle) -> str | None:
         """Access shortcut: read directly from a replica holder (§5.3)."""

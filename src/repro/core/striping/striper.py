@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.pipeline.read_path import ReadResult
 from repro.core.segment import WriteOp
 from repro.core.striping.stripemap import (
     META_KEY,
@@ -76,35 +77,40 @@ class Striper:
     # ------------------------------------------------------------------ #
 
     async def read_range(self, smap: StripeMap, offset: int,
-                         count: int | None) -> bytes:
+                         count: int | None,
+                         ) -> tuple[bytes, ReadResult | None]:
         """Gather ``[offset, offset+count)`` from the affected stripes.
 
         Stripe reads run in parallel; holes and sparse stripe tails read
         as zeros; the range is clipped to the file length (EOF truncates).
+        Returns the bytes and, when the range lay in one allocated stripe,
+        that stripe's :class:`ReadResult` (its holders are where the next
+        read of the stripe can go); ``None`` for a gather or a hole.
         """
         ranges = smap.ranges(offset, count)
         if not ranges:
-            return b""
+            return b"", None
         self.metrics.incr("striping.range_reads")
         self.metrics.incr("striping.stripe_reads", len(ranges))
 
-        async def piece(r) -> bytes:
+        async def piece(r) -> tuple[bytes, ReadResult | None]:
             if r.sid is None:
-                return b"\x00" * r.length      # hole: never allocated
+                return b"\x00" * r.length, None  # hole: never allocated
             result = await self.segments.read(r.sid, offset=r.inner,
                                               count=r.length)
             data = result.data
             if len(data) < r.length:
                 # sparse tail: the stripe was written short of this range
                 data += b"\x00" * (r.length - len(data))
-            return data
+            return data, result
 
         if len(ranges) == 1:
             return await piece(ranges[0])
         tasks = [self.proc.spawn(piece(r),
                                  name=f"{self.proc.addr}:stripe-read")
                  for r in ranges]
-        return b"".join(await self.kernel.all_of(tasks))
+        parts = await self.kernel.all_of(tasks)
+        return b"".join(data for data, _result in parts), None
 
     # ------------------------------------------------------------------ #
     # writes (every shape the envelope routes here)
@@ -311,7 +317,7 @@ class Striper:
                 base = await self.segments.read(fh.sid)
                 stat, image = base, base.data
             else:
-                image = await self.read_range(smap, 0, None)
+                image, _stripe = await self.read_range(smap, 0, None)
             try:
                 await self._install_image(fh, stat, image, patch={})
                 return

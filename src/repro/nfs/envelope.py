@@ -55,12 +55,19 @@ def placement_hint(result: ReadResult) -> dict[str, Any] | None:
 
     Tells the agent-side router where the segment's replicas currently
     live (and who served this read), so subsequent reads can go straight
-    to a holder instead of always the mount server.  ``None`` when the
-    serving server had no holder knowledge to share.
+    to a holder instead of always the mount server.  For a striped file
+    the holders are the stripe's (see :meth:`Envelope.read_result`) and
+    the hint adds the stripe width, so the agent can tell which stripe a
+    later range falls in.  ``None`` when the serving server had no holder
+    knowledge to share.
     """
     if not result.holders:
         return None
-    return {"holders": list(result.holders), "served_by": result.served_by}
+    hint = {"holders": list(result.holders), "served_by": result.served_by}
+    smap = StripeMap.from_meta(result.meta)
+    if smap is not None:
+        hint["stripe_size"] = smap.stripe_size
+    return hint
 
 
 # encode_dir / decode_dir live in repro.core.dirtable (the update pipeline
@@ -243,6 +250,10 @@ class Envelope:
         The result carries the *parent's* version pair — range mutations
         deliberately do not bump it, so striped reads trade version-exact
         revalidation for commuting writes (see :meth:`read_validate`).
+        Its placement hint, though, is the *stripe's*: a range inside one
+        stripe names that stripe's holders and who served it, so the
+        agent's next read of the stripe can enter at a holder; a
+        multi-stripe gather names none.
         """
         self.metrics.incr("nfs.ops.read")
         result = await self._read_segment(fh, offset, count)
@@ -251,12 +262,17 @@ class Envelope:
         smap = StripeMap.from_meta(result.meta)
         if smap is not None:
             try:
-                result.data = await self.striper.read_range(smap, offset,
-                                                            count)
+                result.data, stripe = await self.striper.read_range(
+                    smap, offset, count)
             except NoSuchSegment as exc:
                 raise nfs_error(NfsStat.ERR_STALE, str(exc)) from exc
             except ReplicaUnavailable as exc:
                 raise nfs_error(NfsStat.ERR_IO, str(exc)) from exc
+            if stripe is None:
+                result.holders = []
+            else:
+                result.holders = stripe.holders
+                result.served_by = stripe.served_by
         return result
 
     async def read_validate(self, fh: FileHandle, verify,

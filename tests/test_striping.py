@@ -667,3 +667,120 @@ def test_prefetch_cannot_resurrect_pre_write_bytes():
 
     cluster.run(main())
     cluster.close()
+
+
+# --------------------------------------------------------------------- #
+# routing: a one-stripe range read enters at a holder of that stripe
+# --------------------------------------------------------------------- #
+
+RS = 64 * 1024       # routing tests: stripes big enough to dominate traffic
+RSTRIPES = 8         # ring placement puts stripes i and i + 4 on server i % 4
+
+
+def clear_caches(agent) -> None:
+    fresh(agent)
+    agent._attr_cache.clear()       # no attr-borne stripe hint either
+
+
+async def reverse_scan(agent, payload: bytes) -> None:
+    """Read every stripe, last first: never sequential, so no readahead."""
+    for index in reversed(range(RSTRIPES)):
+        window = await agent.read_at("/big", index * RS, RS)
+        assert window == payload[index * RS:(index + 1) * RS]
+
+
+def test_stripe_reads_route_to_the_stripe_holder():
+    """After one pass has taught the agent each stripe's holders, a stripe
+    read goes straight to its holder: the bytes cross the network once,
+    not holder -> mount server -> agent.  The two stripes the mount
+    server holds itself are not routed."""
+    cluster = build_cluster(4, n_agents=1, seed=15)
+    agent = cluster.agents[0]
+    size = RSTRIPES * RS
+
+    async def main():
+        payload = await make_striped(cluster, agent, size=size,
+                                     stripe_size=RS)
+        passes = []
+        for _pass in range(3):
+            clear_caches(agent)
+            snap = cluster.metrics.snapshot()
+            await reverse_scan(agent, payload)
+            delta = cluster.metrics.delta(snap)
+            passes.append((delta.get("net.bytes_moved", 0) / size,
+                           delta.get("agent.routed_reads", 0)))
+        return passes
+
+    first, *later = cluster.run(main(), limit=2_000_000.0)
+    # the teaching pass relays the six remote stripes through s0
+    assert first[0] > 1.5 and first[1] == 0
+    for moved, routed in later:
+        assert moved <= 1.1
+        assert routed == RSTRIPES - RSTRIPES // 4
+    cluster.close()
+
+
+def test_hinted_holder_that_lost_its_stripe_still_serves_and_reteaches():
+    """A hint is only where a read enters: a holder that lost the stripe
+    forwards to whoever holds it now, and the reply re-teaches the hint."""
+    cluster = build_cluster(4, n_agents=1, seed=15)
+    agent = cluster.agents[0]
+
+    async def main():
+        payload = await make_striped(cluster, agent, size=RSTRIPES * RS,
+                                     stripe_size=RS)
+        clear_caches(agent)
+        await reverse_scan(agent, payload)
+        sid = (await agent.lookup_path("/big")).sid
+        smap = await parent_map(cluster, agent, "/big")
+        assert agent._placement_cache[(sid, 1)][0] == "s1"
+        segments = cluster.servers[0].segments
+        assert await segments.create_replica(smap.sids[1], "s3")
+        assert await segments.delete_replica(smap.sids[1], "s1")
+        clear_caches(agent)
+        routed = cluster.metrics.get("agent.routed_reads")
+        window = await agent.read_at("/big", RS, RS)   # enters at s1
+        assert cluster.metrics.get("agent.routed_reads") == routed + 1
+        assert window == payload[RS:2 * RS]
+        assert agent._placement_cache[(sid, 1)][0] == "s3"
+        clear_caches(agent)
+        assert await agent.read_at("/big", RS, RS) == payload[RS:2 * RS]
+
+    cluster.run(main(), limit=2_000_000.0)
+    cluster.close()
+
+
+def test_blob_reads_stay_on_the_mount_server_by_default():
+    """Stripe routing is not the blob router: with the default config a
+    blob whose only replica is elsewhere is still read through the mount
+    server, while the same agent's stripe reads are routed."""
+    cluster = build_cluster(4, n_agents=1, seed=15)
+    agent = cluster.agents[0]
+
+    async def main():
+        payload = await make_striped(cluster, agent, size=RSTRIPES * RS,
+                                     stripe_size=RS)
+        await agent.create("/", "blob")
+        await agent.write_file("/blob", b"blob bytes")
+        assert await agent.create_replica("/blob", "s1")
+        assert await agent.delete_replica("/blob", "s0")
+        for _pass in range(2):
+            clear_caches(agent)
+            await reverse_scan(agent, payload)
+        striped_routed = cluster.metrics.get("agent.routed_reads")
+        forwarded = cluster.metrics.get("deceit.reads_forwarded")
+        for _read in range(2):
+            clear_caches(agent)
+            assert await agent.read_file("/blob") == b"blob bytes"
+        blob_sid = (await agent.lookup_path("/blob")).sid
+        return (striped_routed,
+                cluster.metrics.get("agent.routed_reads") - striped_routed,
+                cluster.metrics.get("deceit.reads_forwarded") - forwarded,
+                blob_sid in agent._placement_cache)
+
+    striped_routed, blob_routed, blob_forwarded, learned = cluster.run(
+        main(), limit=2_000_000.0)
+    assert striped_routed > 0
+    assert blob_routed == 0 and not learned
+    assert blob_forwarded == 2      # both reads relayed by s0, none routed
+    cluster.close()

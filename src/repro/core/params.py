@@ -7,7 +7,7 @@ paper exactly, and the default behaviour is equivalent to NFS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 
@@ -56,8 +56,8 @@ class FileParams:
         The sixth knob, post-paper (the §6.2 dispersion scenario at scale):
         when set, a file whose contents exceed this many bytes is split
         into fixed-size stripe segments — each an ordinary replicated
-        segment with its own write token, version history, and placement
-        heat (see :mod:`repro.core.striping`).  ``None`` (the default)
+        segment with its own write token, version history, and replica
+        set (see :mod:`repro.core.striping`).  ``None`` (the default)
         keeps the file a single blob segment whatever its size.
     """
 

@@ -8,10 +8,9 @@ replica holder when no local replica exists, triggering migration when the
 file's parameters ask for it (§3.1 method 4).
 
 Collaborators mirror the :class:`~repro.core.pipeline.update.UpdatePipeline`
-pattern: a transport port, the catalog and store services, two hooks into
-the stability / replication protocols (``stability_recovery``,
-``request_migration``), and the optional
-:class:`~repro.core.placement.heat.HeatTracker` every read feeds.
+pattern: a transport port, the catalog and store services, and two hooks
+into the stability / replication protocols (``stability_recovery``,
+``request_migration``).
 
 Invariants
 ----------
@@ -26,7 +25,7 @@ Invariants
   replace a read the local path could itself have served.
 - The service never mutates versions or tokens; it only reads catalog
   state maintained by the update/token protocols and bumps read
-  timestamps (the input to LRU deletion and heat-driven placement).
+  timestamps (the input to LRU deletion).
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ class ReadService:
 
     def __init__(self, transport, catalog: CatalogService, store: ReplicaStore,
                  stability_recovery: Callable, request_migration: Callable,
-                 metrics: Metrics | None = None, heat=None):
+                 metrics: Metrics | None = None):
         self.transport = transport
         self.kernel = transport.kernel
         self.catalog = catalog
@@ -78,7 +77,6 @@ class ReadService:
         self.stability_recovery = stability_recovery    # async (sid, major) -> server
         self.request_migration = request_migration      # (sid, major) -> coroutine
         self.metrics = metrics or store.metrics
-        self.heat = heat                                # HeatTracker or None
 
     # ------------------------------------------------------------------ #
     # entry points
@@ -92,8 +90,6 @@ class ReadService:
         replica = self.store.replicas.get((sid, major))
         me = self.transport.addr
         self.metrics.incr("deceit.reads")
-        if self.heat is not None:
-            self.heat.note_read(sid, major, me)
 
         if replica is not None:
             unstable = cat.params.stability_notification and (
@@ -168,8 +164,6 @@ class ReadService:
             return False
         replica.read_ts = self.kernel.now
         info.read_ts[self.transport.addr] = self.kernel.now
-        if self.heat is not None:
-            self.heat.note_read(sid, major, self.transport.addr)
         return True
 
     async def stat(self, sid: str, version: int | None = None) -> ReadResult:
@@ -256,10 +250,6 @@ class ReadService:
         replica = self.store.replicas.get((sid, major))
         if replica is None:
             raise NoSuchSegment(f"{sid};{major} not held by {self.transport.addr}")
-        if self.heat is not None:
-            # forwarded demand is attributed to the *requesting* server —
-            # the signal the rebalancer migrates replicas toward
-            self.heat.note_read(sid, major, src)
         result = await self.read_local(replica, offset, count)
         cat = self.catalog.get(sid)
         if cat is not None and major in cat.majors:

@@ -23,9 +23,7 @@ without an IsisProcess facade:
 - ``store`` — a :class:`~repro.core.pipeline.store.ReplicaStore`;
 - ``hooks`` — an :class:`UpdateHooks` bundle of the token / stability /
   replication callbacks the write path needs (bound to the mixin methods in
-  production, lambdas in unit tests);
-- ``heat`` — optionally, the :class:`~repro.core.placement.heat.
-  HeatTracker` each accepted write feeds.
+  production, lambdas in unit tests).
 
 Invariants
 ----------
@@ -114,15 +112,13 @@ class UpdatePipeline:
     """Write-path service of one segment server."""
 
     def __init__(self, transport, catalog: CatalogService, store: ReplicaStore,
-                 hooks: UpdateHooks, metrics: Metrics | None = None,
-                 heat=None):
+                 hooks: UpdateHooks, metrics: Metrics | None = None):
         self.transport = transport
         self.kernel = transport.kernel
         self.catalog = catalog
         self.store = store
         self.hooks = hooks
         self.metrics = metrics or store.metrics
-        self.heat = heat                # HeatTracker or None
         #: §3.3 optimization 1 — broadcast the first update of a stream in
         #: the same message as the token request.  Off by default, as in
         #: Deceit ("currently uses neither of these optimizations").
@@ -138,8 +134,7 @@ class UpdatePipeline:
     async def write(self, sid: str, op: WriteOp,
                     guard: VersionPair | None = None,
                     version: int | None = None,
-                    single_update_hint: bool = False,
-                    heat_addr: str | None = None) -> VersionPair | None:
+                    single_update_hint: bool = False) -> VersionPair | None:
         """Distribute one update through the write-token protocol.
 
         ``guard`` makes the write conditional on the segment still being at
@@ -224,11 +219,6 @@ class UpdatePipeline:
                 # several client writes riding one broadcast round
                 self.metrics.incr("deceit.batched_update_parts",
                                   len(op.parts))
-            if self.heat is not None:
-                # attributed to the server whose client issued the update
-                # (a forwarded write heats the forwarder, not this holder)
-                self.heat.note_write(sid, major,
-                                     heat_addr or self.transport.addr)
             # audit_update applies the authoritative full reply set as
             # blind overwrites (§3.1 method 1), not a cached read-modify-
             # write; kernel callbacks run atomically between events, never
@@ -372,8 +362,7 @@ class UpdatePipeline:
         """RPC handler at the token holder for forwarded single updates."""
         guard_vp = VersionPair.from_tuple(guard) if guard is not None else None
         new_version = await self.write(sid, WriteOp.from_dict(wop),
-                                       guard=guard_vp, version=major,
-                                       heat_addr=src)
+                                       guard=guard_vp, version=major)
         return {"version": None if new_version is None
                 else new_version.to_tuple()}
 

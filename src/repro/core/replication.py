@@ -37,7 +37,9 @@ class ReplicationMixin:
 
     Expects the host class to hold this state: ``proc``, ``kernel``,
     ``metrics``, the services ``store`` / ``cat``, the ``replicas`` /
-    ``tokens`` / ``catalogs`` views, and ``_update_lock``.
+    ``tokens`` / ``catalogs`` views, ``_update_lock``, and the migration
+    barrier's ``_migrations_inflight`` counter and ``_migration_waiters``
+    list.
     """
 
     # ------------------------------------------------------------------ #
@@ -274,6 +276,46 @@ class ReplicationMixin:
             )
         except (RpcTimeout, RpcRemoteError):
             pass  # best effort; reads keep being forwarded
+
+    def _tracked_migration(self, sid: str, major: int):
+        """Coroutine for one counted :meth:`_request_migration` (the read
+        path spawns it when a forwarded read hits a ``file_migration``
+        file), so :meth:`quiesced` can wait for it."""
+        self._migrations_inflight += 1
+
+        async def _pull():
+            try:
+                await self._request_migration(sid, major)
+            finally:
+                # clamped: a crash may reset the counter before the
+                # cancelled task's ``finally`` runs
+                self._migrations_inflight = max(
+                    0, self._migrations_inflight - 1)
+                if self._migrations_inflight == 0:
+                    self._settle_migration_waiters()
+
+        return _pull()
+
+    def quiesced(self):
+        """Awaitable resolving once no one-shot migration is in flight — a
+        deterministic barrier for tests and benchmarks instead of a sleep."""
+        fut = self.kernel.create_future()
+        if self._migrations_inflight == 0:
+            fut.set_result(None)
+        else:
+            self._migration_waiters.append(fut)
+        return fut
+
+    def _settle_migration_waiters(self) -> None:
+        waiters, self._migration_waiters = self._migration_waiters, []
+        for fut in waiters:
+            fut.try_set_result(None)
+
+    def _reset_migrations(self) -> None:
+        """Host crash: in-flight migrations are gone, so pending
+        :meth:`quiesced` waiters resolve rather than hang."""
+        self._migrations_inflight = 0
+        self._settle_migration_waiters()
 
     async def _h_request_replica(self, src: str, sid: str, major: int,
                                  target: str) -> dict:

@@ -45,7 +45,6 @@ from repro.core.pipeline import (
     group_of,
     sid_of,
 )
-from repro.core.placement import HeatTracker, PlacementConfig, Rebalancer
 from repro.core.replication import ReplicationMixin
 from repro.core.segment import MajorInfo, Replica, SegmentCatalog, Token, WriteOp
 from repro.core.stability import StabilityMixin
@@ -65,7 +64,6 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
 
     def __init__(self, proc: IsisProcess, disk: Disk, rank: int,
                  metrics: Metrics | None = None,
-                 placement_config: PlacementConfig | None = None,
                  merge_audit_interval_ms: float | None = None):
         self.proc = proc
         self.kernel = proc.kernel
@@ -77,18 +75,17 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
         self._update_locks: dict[str, Lock] = {}
         self._stable_timers: dict[tuple[str, int], Any] = {}
         self._sid_counter = 0
-        # the composable services (see repro.core.pipeline / .placement)
+        self._migrations_inflight = 0
+        self._migration_waiters: list = []
+        # the composable services (see repro.core.pipeline)
         self.store = ReplicaStore(self.kernel, disk, self.metrics)
         self.cat = CatalogService(proc, self.store, self.alloc,
                                   self.kernel, self.metrics)
         self.conflict_dir = ConflictDirectory(proc, self.metrics)
-        self.heat = HeatTracker(self.kernel, metrics=self.metrics)
-        self.placement = Rebalancer(self, self.heat, config=placement_config,
-                                    metrics=self.metrics)
         self.reads = ReadService(proc, self.cat, self.store,
                                  stability_recovery=self._stability_recovery,
-                                 request_migration=self.placement.migrate_here,
-                                 metrics=self.metrics, heat=self.heat)
+                                 request_migration=self._tracked_migration,
+                                 metrics=self.metrics)
         self.pipeline = UpdatePipeline(
             proc, self.cat, self.store,
             UpdateHooks(
@@ -104,7 +101,6 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
                 request_token_pass=self._request_token_pass,
             ),
             self.metrics,
-            heat=self.heat,
         )
         if merge_audit_interval_ms is None:
             self.recovery = RecoveryService(proc, self.cat, self.store,
@@ -122,8 +118,6 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
         proc.register_handler("seg_install_replica", self._h_install_replica)
         proc.register_handler("seg_request_replica", self._h_request_replica)
         proc.register_handler("seg_feed", self._h_feed)
-        proc.register_handler("seg_heat_report",
-                              self.placement.handle_heat_report)
         # Partition heal: when a silent peer is heard from again, the sides
         # re-merge their file groups and reconcile versions (§3.6).
         proc.fd.subscribe(on_alive=self.recovery.on_peer_alive)
@@ -420,7 +414,6 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
         self.store.tokens.pop((sid, major), None)
         await self.store.delete_token_record(sid, major)
         await self._destroy_local_replica(sid, major)
-        self.placement.forget(sid, major)
         timer = self._stable_timers.pop((sid, major), None)
         if timer is not None:
             timer.cancel()
@@ -488,7 +481,7 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
             handle.cancel()
         self._stable_timers.clear()
         self.conflict_dir.reset()
-        self.placement.reset()
+        self._reset_migrations()
 
     async def recover(self) -> None:
         """Rebuild from non-volatile state after a restart (§3.6)."""

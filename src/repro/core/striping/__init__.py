@@ -2,8 +2,8 @@
 
 ``stripe_size`` is one more per-file parameter (§2, §4): files whose
 contents exceed it split into fixed-size stripe segments, each an ordinary
-replicated segment with its own write token, version history, and
-placement heat.  See :mod:`repro.core.striping.stripemap` for the map
+replicated segment with its own write token, version history, and replica
+set.  See :mod:`repro.core.striping.stripemap` for the map
 representation and :mod:`repro.core.striping.striper` for the service the
 NFS envelope routes range I/O through.
 """

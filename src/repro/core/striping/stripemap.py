@@ -5,11 +5,9 @@ Deceit's signature idea is that system semantics are **per-file parameters**
 outgrow its ``stripe_size`` stops being one blob segment and becomes a
 *parent* segment holding no data at all plus one ordinary replicated
 segment per stripe, each carrying one fixed-size slice of the contents.
-Every stripe has its own write token, version history, replica set, and
-placement heat — which is the whole point: disjoint-range writers commute
-on different tokens, a 2 MB read fans out across the stripe holders, and
-the rebalancer spreads a hot file server by server instead of attracting
-one giant blob.
+Every stripe has its own write token, version history, and replica set —
+which is the whole point: disjoint-range writers commute on different
+tokens, and a 2 MB read fans out across the stripe holders.
 
 The map itself lives in the parent segment's metadata under
 :data:`META_KEY`::

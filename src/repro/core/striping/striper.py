@@ -24,8 +24,8 @@ does decomposes into *ordinary segment operations*:
 Placement: new stripes are scattered ring-style across the cell's servers
 (stripe ``i`` to server ``i mod n``) using the §3.1/§6.2 explicit
 replica-placement path, so a fresh striped file is already spread; from
-there each stripe's reads and writes feed the heat tracker per stripe sid
-and the rebalancer migrates them independently.
+there each stripe is an ordinary segment whose replicas §3.1's generation
+methods and LRU deletion manage independently.
 
 Known limits (documented, not bugs): a range write racing a concurrent
 restripe of the same file may be absorbed into the new form or lost, like
@@ -432,8 +432,7 @@ class Striper:
     async def _place(self, sid: str, index: int) -> None:
         """Scatter a fresh stripe to its home server (§3.1 method 3 — the
         explicit-placement path §6.2's dispersion scenario uses).  Best
-        effort: an unreachable target just leaves the stripe local, where
-        the rebalancer can move it later."""
+        effort: an unreachable target just leaves the stripe local."""
         me = self.proc.addr
         target = self._scatter_target(index)
         if target == me or not self.proc.network.reachable(me, target):
@@ -444,7 +443,7 @@ class Striper:
                 self.metrics.incr("striping.stripes_scattered")
         except (NoSuchSegment, ReplicaUnavailable, RpcTimeout,
                 RpcRemoteError, Unreachable):
-            pass    # unplaceable right now: the rebalancer can move it later
+            pass    # unplaceable right now: the stripe stays local
 
     def retire_stripes(self, sids) -> None:
         """Reclaim replaced/dropped stripes after the reader grace delay."""

@@ -51,7 +51,7 @@ class DeceitServer:
 
     def __init__(self, network: Network, addr: str, cell_peers: list[str],
                  rank: int, metrics: Metrics | None = None,
-                 fd_timeout_ms: float = 200.0, placement_config=None,
+                 fd_timeout_ms: float = 200.0,
                  fd_interval_ms: float = 50.0,
                  merge_audit_interval_ms: float | None = None,
                  backend: StorageBackend | None = None):
@@ -66,7 +66,6 @@ class DeceitServer:
         self.env_kv = KvStore(self.disk, "env")
         self.segments = SegmentServer(
             self.proc, self.disk, rank, metrics=self.metrics,
-            placement_config=placement_config,
             merge_audit_interval_ms=merge_audit_interval_ms)
         self.envelope = Envelope(self.segments)
         #: admission gate (repro.obs.admission); None = every request is

@@ -1,8 +1,8 @@
 """Live metrics scraping: periodic virtual-time snapshots.
 
 ``Metrics.report()`` only exists after the run ends; benchmarks that
-want *trajectories* (queue growth under overload, cache warm-up, heat
-migration) need a time series.  :class:`MetricsSampler` posts itself on
+want *trajectories* (queue growth under overload, cache warm-up,
+replica migration) need a time series.  :class:`MetricsSampler` posts itself on
 the kernel every ``period_ms`` of virtual time and snapshots the
 counters plus selected latency reservoirs into a bounded ring the
 testbed can read mid-run.

@@ -16,11 +16,9 @@ from dataclasses import dataclass, field
 
 from repro.agent import Agent, AgentConfig
 from repro.core import SegmentServer
-from repro.core.placement import PlacementConfig
 from repro.isis import IsisProcess
 from repro.metrics import Metrics
-from repro.net import (LanWanLatency, LatencyModel, NetConfig, Network,
-                       UniformLatency)
+from repro.net import LanWanLatency, NetConfig, Network, UniformLatency
 from repro.nfs import DeceitServer, FileHandle
 from repro.sim import Kernel
 from repro.storage import Disk, StorageBackend, make_backend
@@ -68,26 +66,21 @@ class CoreCluster:
 
 def build_core_cluster(
     n_servers: int = 3,
-    latency: LatencyModel | None = None,
     seed: int = 0,
     drop_probability: float = 0.0,
     fd_timeout_ms: float = 200.0,
-    rebalance: bool = False,
-    placement: PlacementConfig | None = None,
     net_config: NetConfig | None = None,
 ) -> CoreCluster:
     """Stand up ``n_servers`` segment servers named ``s0`` … ``s{n-1}``.
 
     Every server joins the cell-wide conflict group at boot (scheduled; run
     the kernel briefly or await your first operation before relying on it).
-    ``rebalance=True`` arms the heat-driven placement control loop on
-    every server (see :mod:`repro.core.placement`); ``placement`` tunes
-    its thresholds.  ``net_config`` tunes network accounting (e.g.
+    ``net_config`` tunes network accounting (e.g.
     ``NetConfig(tag_metrics=True)`` for per-tag message breakdowns).
     """
     kernel = Kernel()
     metrics = Metrics()
-    network = Network(kernel, latency=latency or UniformLatency(1.0, 3.0),
+    network = Network(kernel, latency=UniformLatency(1.0, 3.0),
                       drop_probability=drop_probability, seed=seed,
                       metrics=metrics, config=net_config)
     addrs = [f"s{i}" for i in range(n_servers)]
@@ -98,8 +91,7 @@ def build_core_cluster(
         proc = IsisProcess(network, addr, cell_peers=addrs,
                            fd_timeout_ms=fd_timeout_ms)
         disk = Disk(kernel, name=f"{addr}.disk", metrics=metrics)
-        server = SegmentServer(proc, disk, rank, metrics=metrics,
-                               placement_config=placement)
+        server = SegmentServer(proc, disk, rank, metrics=metrics)
         proc.set_cell_peers(addrs)
         proc.start()
         procs.append(proc)
@@ -108,8 +100,6 @@ def build_core_cluster(
     for server in servers:
         kernel.spawn(server.join_conflict_group())
         server.start_merge_audit()
-        if rebalance:
-            server.placement.start()
     return CoreCluster(kernel=kernel, network=network, metrics=metrics,
                        procs=procs, servers=servers, disks=disks)
 
@@ -289,13 +279,9 @@ class Cluster:
 def build_cluster(
     n_servers: int = 3,
     n_agents: int = 1,
-    latency: LatencyModel | None = None,
     seed: int = 0,
     agent_config: AgentConfig | None = None,
     fd_timeout_ms: float = 200.0,
-    cell: str = "",
-    rebalance: bool = False,
-    placement: PlacementConfig | None = None,
     net_config: NetConfig | None = None,
     fd_interval_ms: float = 50.0,
     merge_audit_interval_ms: float | None = None,
@@ -312,12 +298,11 @@ def build_cluster(
 ) -> Cluster:
     """Stand up a full Deceit cell with a bootstrapped namespace.
 
-    Servers are ``s0`` … (prefixed with ``<cell>/`` when ``cell`` is set);
-    agents are ``c0`` …, all mounted on server 0 initially (failover takes
-    them elsewhere when enabled) unless ``scatter_agents`` spreads the
-    mounts ring-style (agent *i* mounts server ``i mod n`` — the large-cell
-    default, where a single mount point would be a hotspot).
-    ``rebalance=True`` arms the placement control loop on every server.
+    Servers are ``s0`` …; agents are ``c0`` …, all mounted on server 0
+    initially (failover takes them elsewhere when enabled) unless
+    ``scatter_agents`` spreads the mounts ring-style (agent *i* mounts
+    server ``i mod n`` — the large-cell default, where a single mount point
+    would be a hotspot).
 
     ``backend`` selects each server's durable store: ``"memory"`` (the
     default — state survives :meth:`Cluster.restart` but not the process),
@@ -361,18 +346,16 @@ def build_cluster(
         import os
         os.makedirs(storage_dir, exist_ok=True)
         ext = {"journal": "journal", "sqlite": "db"}[backend]
-        prefix = f"{cell}." if cell else ""
         backends = [
             make_backend(backend,
-                         path=os.path.join(storage_dir, f"{prefix}s{i}.{ext}"))
+                         path=os.path.join(storage_dir, f"s{i}.{ext}"))
             for i in range(n_servers)
         ]
     build_args = dict(
-        latency=latency, seed=seed, net_config=net_config,
+        seed=seed, net_config=net_config,
         perturb_seed=perturb_seed, admission=admission,
         cell=dict(n_servers=n_servers, n_agents=n_agents,
                   agent_config=agent_config, fd_timeout_ms=fd_timeout_ms,
-                  cell=cell, rebalance=rebalance, placement=placement,
                   fd_interval_ms=fd_interval_ms,
                   merge_audit_interval_ms=merge_audit_interval_ms,
                   scatter_agents=scatter_agents))
@@ -447,7 +430,7 @@ def _incarnate(build_args: dict, metrics: Metrics, incarnation: int,
     if build_args["perturb_seed"] is not None:
         kernel.set_perturbation(random.Random(build_args["perturb_seed"]))
     network = Network(
-        kernel, latency=build_args["latency"] or UniformLatency(1.0, 3.0),
+        kernel, latency=UniformLatency(1.0, 3.0),
         seed=build_args["seed"] + 7919 * incarnation, metrics=metrics,
         config=build_args["net_config"])
     return _build_cell(kernel, network, metrics, **build_args["cell"],
@@ -455,8 +438,7 @@ def _incarnate(build_args: dict, metrics: Metrics, incarnation: int,
 
 
 def _build_cell(kernel, network, metrics, n_servers, n_agents,
-                agent_config, fd_timeout_ms, cell,
-                rebalance=False, placement=None, fd_interval_ms=50.0,
+                agent_config, fd_timeout_ms, cell="", fd_interval_ms=50.0,
                 merge_audit_interval_ms=None,
                 scatter_agents=False, backends=None,
                 bootstrap=True) -> Cluster:
@@ -465,7 +447,6 @@ def _build_cell(kernel, network, metrics, n_servers, n_agents,
     servers = [
         DeceitServer(network, addr, cell_peers=addrs, rank=rank,
                      metrics=metrics, fd_timeout_ms=fd_timeout_ms,
-                     placement_config=placement,
                      fd_interval_ms=fd_interval_ms,
                      merge_audit_interval_ms=merge_audit_interval_ms,
                      backend=backends[rank] if backends else None)
@@ -474,8 +455,6 @@ def _build_cell(kernel, network, metrics, n_servers, n_agents,
     for server in servers:
         server.proc.set_cell_peers(addrs)
         server.start()
-        if rebalance:
-            server.segments.placement.start()
     if bootstrap:
         root = kernel.run_until_complete(servers[0].bootstrap_namespace(),
                                          limit=120_000.0)
@@ -505,8 +484,6 @@ def build_cells(
     n_agents_per_cell: int = 1,
     seed: int = 0,
     agent_config: AgentConfig | None = None,
-    rebalance: bool = False,
-    placement: PlacementConfig | None = None,
 ) -> dict[str, Cluster]:
     """Multiple independent cells on one wide-area network (§2.2, Figure 3).
 
@@ -522,6 +499,5 @@ def build_cells(
     out: dict[str, Cluster] = {}
     for name, count in cells.items():
         out[name] = _build_cell(kernel, network, metrics, count,
-                                n_agents_per_cell, agent_config, 200.0, name,
-                                rebalance=rebalance, placement=placement)
+                                n_agents_per_cell, agent_config, 200.0, name)
     return out

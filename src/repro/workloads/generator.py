@@ -87,18 +87,17 @@ class WorkloadConfig:
 def zipf_weights(n: int, s: float) -> list[float]:
     """Unnormalized Zipf(s) popularity weights over ranks ``0..n-1``.
 
-    The shared skew primitive: directory locality, the hotspot workload,
-    and the rebalancing benchmarks all draw from this shape."""
+    The shared skew primitive: directory locality and the hotspot
+    workload both draw from this shape."""
     return [1.0 / (rank + 1) ** s for rank in range(n)]
 
 
 def hotspot_config(**overrides) -> WorkloadConfig:
     """A skewed-hotspot profile: Zipf file popularity and a read-heavy mix.
 
-    Models the regime the placement layer exists for — many clients
-    hammering a small hot set through whatever server they mounted — as
-    opposed to the paper's §2.3 baseline mix.  Keyword overrides replace
-    any :class:`WorkloadConfig` field.
+    Models many clients hammering a small hot set through whatever server
+    they mounted — as opposed to the paper's §2.3 baseline mix.  Keyword
+    overrides replace any :class:`WorkloadConfig` field.
     """
     base: dict = dict(
         file_zipf_s=1.2,

@@ -32,9 +32,9 @@ def _working_set_reads(migration: bool) -> dict:
             t0 = cluster.kernel.now
             await s1.read(sid)
             first_ms += cluster.kernel.now - t0
-        # deterministic barrier: background migrations have drained (the
-        # rebalancer tracks the one-shot §3.1 path, so no timed sleep)
-        await s1.placement.quiesced()
+        # deterministic barrier: background migrations have drained (every
+        # one-shot §3.1 pull is counted in flight, so no timed sleep)
+        await s1.quiesced()
         for _round in range(READS_PER_FILE - 1):
             for sid in sids:
                 t0 = cluster.kernel.now

@@ -163,13 +163,12 @@ def test_agent_survives_total_then_partial_outage():
 def test_cold_restart_during_regeneration_still_converges(tmp_path):
     """Crash one member, then ``kill -9`` the whole cell while replica
     regeneration is still in flight.  The cold-restarted cell must end up
-    with the file at full replica level again: the rebalancer picks up
-    where the dead regeneration left off, and a half-transferred replica
-    either completed durably or vanished — it never counts."""
+    with the file at full replica level again: the crashed member's
+    durable replica comes back with the cell, and a half-transferred
+    replica either completed durably or vanished — it never counts."""
     cluster = build_cluster(n_servers=4, n_agents=1, seed=17,
                             backend="journal",
-                            storage_dir=str(tmp_path / "regen"),
-                            rebalance=True)
+                            storage_dir=str(tmp_path / "regen"))
     agent = cluster.agents[0]
 
     async def setup():
@@ -192,7 +191,7 @@ def test_cold_restart_during_regeneration_still_converges(tmp_path):
     cluster.kernel.run(until=cluster.kernel.now + 6.0)  # transfer in flight
     cluster.kill()
     cluster.restart()
-    cluster.settle(8000.0)          # rebalancer passes + repairs land
+    cluster.settle(8000.0)          # repairs land
 
     async def verify():
         reads = []
@@ -206,6 +205,9 @@ def test_cold_restart_during_regeneration_still_converges(tmp_path):
     durable = sum(1 for server in cluster.servers
                   if server.segments.store.disk_majors(sid))
     assert durable >= 3, f"only {durable} durable replicas after restart"
+    live = [server.addr for server in cluster.servers
+            if any(key[0] == sid for key in server.segments.replicas)]
+    assert len(live) >= 3, f"live holders after restart: {live}"
     cluster.close()
 
 

@@ -1,229 +1,14 @@
-"""Placement-layer tests: heat tracking, rebalancing, churn, routing.
+"""Placement tests: the method-4 migration barrier and the agent router.
 
-Covers the control loop's three moves (attract hot segments toward their
-readers, shed cold extras down to the replica level, regenerate after
-member failure), its safety floor under churn — a member crash during a
-migration round must never leave a segment below one replica — the
-``quiesced()`` barrier, and the agent-side router that follows placement
-hints piggybacked on read replies.
+Covers the ``quiesced()`` barrier over §3.1 method-4 one-shot migrations
+(immediate when idle, awaits in-flight pulls, survives a crash
+mid-migration) and the agent-side router that follows placement hints
+piggybacked on read replies.
 """
-
-import pytest
 
 from repro.agent import AgentConfig
 from repro.core import FileParams
-from repro.core.placement import HeatTracker, PlacementConfig
-from repro.sim import Kernel
 from repro.testbed import build_cluster, build_core_cluster
-
-FAST = PlacementConfig(interval_ms=200.0, attract_rate=1.0,
-                       shed_rate=0.05, min_hold_ms=500.0,
-                       attract_cooldown_ms=400.0)
-#: Like FAST but with shedding effectively disabled (placement stays put).
-STICKY = PlacementConfig(interval_ms=200.0, attract_rate=1.0,
-                         shed_rate=0.05, min_hold_ms=60_000.0,
-                         attract_cooldown_ms=400.0)
-
-
-# ---------------------------------------------------------------------- #
-# HeatTracker
-# ---------------------------------------------------------------------- #
-
-def test_heat_tracker_rates_decay_with_halflife():
-    kernel = Kernel()
-    heat = HeatTracker(kernel, halflife_ms=1000.0)
-    for _ in range(8):
-        heat.note_read("seg", 1, "s1")
-    hot = heat.read_rate("seg", 1, "s1")
-    assert hot > 0.0
-    kernel.run(until=1000.0)  # one half-life later
-    assert heat.read_rate("seg", 1, "s1") == pytest.approx(hot / 2.0)
-    assert heat.read_rate("seg", 1, "s2") == 0.0  # per-server attribution
-    kernel.run(until=20_000.0)
-    heat.prune()
-    assert heat.read_keys() == []  # fully decayed entries are dropped
-
-
-def test_heat_tracker_tracks_writes_separately():
-    kernel = Kernel()
-    heat = HeatTracker(kernel, halflife_ms=1000.0)
-    heat.note_write("seg", 1, "s0")
-    assert heat.total_write_rate("seg", 1) > 0.0
-    assert heat.total_read_rate("seg", 1) == 0.0
-
-
-# ---------------------------------------------------------------------- #
-# the three control-loop moves
-# ---------------------------------------------------------------------- #
-
-def test_hot_segment_attracts_replica_to_reader():
-    """Sustained reads through a non-holder pull a replica there — §3.1
-    method 4 driven by heat instead of a per-read one-shot."""
-    cluster = build_core_cluster(3, rebalance=True, placement=STICKY)
-    s0, s2 = cluster.servers[0], cluster.servers[2]
-
-    async def main():
-        sid = await s0.create(data=b"hot" * 512)
-        for _ in range(8):
-            await s2.read(sid)
-            await cluster.kernel.sleep(10.0)
-        await s2.placement.quiesced()
-        return sid
-
-    sid = cluster.run(main())
-    assert any(k[0] == sid for k in s2.replicas)
-    assert cluster.metrics.get("placement.attractions") >= 1
-
-    async def steady():
-        t0 = cluster.kernel.now
-        await s2.read(sid)
-        return cluster.kernel.now - t0
-
-    assert cluster.run(steady()) == 0.0  # local and cache-warm
-
-
-def test_cold_segment_is_not_attracted():
-    """Hysteresis: a single read is below the attraction threshold, so
-    the rebalancer does not chase it."""
-    cluster = build_core_cluster(3, rebalance=True, placement=STICKY)
-    s0, s2 = cluster.servers[0], cluster.servers[2]
-
-    async def main():
-        sid = await s0.create(data=b"cold")
-        await s2.read(sid)
-        return sid
-
-    sid = cluster.run(main())
-    cluster.settle(3000.0)  # many control rounds, rate long since decayed
-    assert not any(k[0] == sid for k in s2.replicas)
-    assert cluster.metrics.get("placement.attractions") == 0
-
-
-def test_cold_over_replicated_segment_sheds_to_replica_level():
-    """Explicitly over-replicated and then unused: the token holder sheds
-    the cold extras down to ``min_replicas`` (and no further)."""
-    cluster = build_core_cluster(3, rebalance=True, placement=FAST)
-    s0 = cluster.servers[0]
-
-    async def main():
-        sid = await s0.create(data=b"over" * 64)
-        await s0.create_replica(sid, "s1")
-        await s0.create_replica(sid, "s2")
-        located = await s0.locate_replicas(sid)
-        assert len(located["holders"]) == 3
-        return sid
-
-    sid = cluster.run(main())
-    cluster.settle(3000.0)
-
-    async def check():
-        return await s0.locate_replicas(sid)
-
-    located = cluster.run(check())
-    assert located["holders"] == ["s0"]  # back at min_replicas=1
-    assert cluster.metrics.get("placement.sheds") == 2
-
-
-def test_hot_replica_survives_shedding():
-    """The shed threshold only fires on cold replicas: a holder serving
-    real read traffic keeps its copy even when over-replicated."""
-    cluster = build_core_cluster(3, rebalance=True, placement=FAST)
-    s0, s1 = cluster.servers[0], cluster.servers[1]
-
-    async def main():
-        sid = await s0.create(data=b"busy" * 64)
-        await s0.create_replica(sid, "s1")
-        await s0.create_replica(sid, "s2")
-        # keep s1's copy hot across several control rounds
-        for _ in range(30):
-            await s1.read(sid)
-            await cluster.kernel.sleep(100.0)
-        return sid, await s0.locate_replicas(sid)
-
-    sid, located = cluster.run(main())
-    assert "s1" in located["holders"]      # hot copy kept
-    assert "s2" not in located["holders"]  # cold copy shed
-
-
-def test_regeneration_after_member_failure():
-    """The loop proactively restores ``min_replicas`` after a holder dies,
-    without waiting for the next update (generalizing §3.1 method 1)."""
-    cluster = build_core_cluster(4, rebalance=True, placement=FAST)
-    s0 = cluster.servers[0]
-
-    async def main():
-        return await s0.create(params=FileParams(min_replicas=2), data=b"x")
-
-    sid = cluster.run(main())
-    cluster.crash(1)  # the second replica holder
-    cluster.settle(3000.0)
-    live = [s.proc.addr for i, s in enumerate(cluster.servers)
-            if cluster.procs[i].alive and any(k[0] == sid for k in s.replicas)]
-    assert len(live) >= 2
-    assert cluster.metrics.get("placement.regenerations") >= 1
-
-
-def test_no_proactive_regeneration_with_loop_off():
-    """Default clusters keep the paper's lazy §3.1 rule: no replica
-    generation without updates (pinned by test_crash_recovery too)."""
-    cluster = build_core_cluster(4, rebalance=False)
-    s0 = cluster.servers[0]
-
-    async def main():
-        return await s0.create(params=FileParams(min_replicas=2), data=b"x")
-
-    sid = cluster.run(main())
-    cluster.crash(1)
-    cluster.settle(3000.0)
-    assert cluster.metrics.get("placement.regenerations") == 0
-
-
-# ---------------------------------------------------------------------- #
-# churn: the safety floor
-# ---------------------------------------------------------------------- #
-
-def test_crash_during_migration_round_keeps_floor_and_recovers():
-    """A member crash in the middle of a migration round must leave every
-    segment at >= 1 live replica at every observed instant, and the loop
-    must recover each segment to its replica level."""
-    cluster = build_core_cluster(4, rebalance=True, placement=STICKY)
-    s0, s3 = cluster.servers[0], cluster.servers[3]
-    n_segments = 4
-
-    async def setup():
-        sids = []
-        for i in range(n_segments):
-            sids.append(await s0.create(params=FileParams(min_replicas=2),
-                                        data=bytes([i]) * 1024))
-        # build read heat at s3 so migrations are in flight
-        for _ in range(6):
-            for sid in sids:
-                await s3.read(sid)
-                await cluster.kernel.sleep(5.0)
-        return sids
-
-    sids = cluster.run(setup())
-
-    floor = []
-
-    def sample():
-        alive = [s for i, s in enumerate(cluster.servers)
-                 if cluster.procs[i].alive]
-        for sid in sids:
-            floor.append(sum(1 for s in alive
-                             if any(k[0] == sid for k in s.replicas)))
-        cluster.kernel.schedule(50.0, sample)
-
-    cluster.kernel.schedule(0.0, sample)
-    cluster.crash(1)  # a replica holder dies mid-round
-    cluster.settle(5000.0)
-
-    assert min(floor) >= 1  # never observed below one replica
-    for sid in sids:
-        alive = [s for i, s in enumerate(cluster.servers)
-                 if cluster.procs[i].alive]
-        live = sum(1 for s in alive if any(k[0] == sid for k in s.replicas))
-        assert live >= 2  # recovered to replica_level
 
 
 # ---------------------------------------------------------------------- #
@@ -231,41 +16,37 @@ def test_crash_during_migration_round_keeps_floor_and_recovers():
 # ---------------------------------------------------------------------- #
 
 def test_quiesced_is_immediate_when_nothing_is_pending():
-    cluster = build_core_cluster(2)  # loop off, nothing in flight
+    cluster = build_core_cluster(2)  # nothing in flight
 
     async def main():
-        await cluster.servers[0].placement.quiesced()
+        await cluster.servers[0].quiesced()
         return True
 
     assert cluster.run(main())
 
 
 def test_quiesced_awaits_one_shot_migrations():
-    """The §3.1 one-shot migration path is tracked by the rebalancer even
-    with the loop off, so ``quiesced()`` replaces the fixed sleeps the
-    migration benchmarks used to race against."""
+    """Every §3.1 one-shot migration is counted in flight, so
+    ``quiesced()`` replaces the fixed sleeps the migration benchmarks used
+    to race against."""
     cluster = build_core_cluster(3)
     s0, s1 = cluster.servers[0], cluster.servers[1]
 
     async def main():
         sid = await s0.create(params=FileParams(file_migration=True),
                               data=b"m" * 2048)
-        await s1.read(sid)             # forwarded; spawns the migration
-        await s1.placement.quiesced()  # deterministic completion barrier
+        await s1.read(sid)   # forwarded; spawns the migration
+        await s1.quiesced()  # deterministic completion barrier
         return sid
 
     sid = cluster.run(main())
     assert any(k[0] == sid for k in s1.replicas)
 
 
-# ---------------------------------------------------------------------- #
-# the agent-side router
-# ---------------------------------------------------------------------- #
-
 def test_quiesced_survives_crash_mid_migration():
     """A crash while a tracked migration is in flight must neither wedge
     pending quiesced() waiters nor underflow the in-flight counter (the
-    cancelled task's ``finally`` runs after reset() already zeroed it)."""
+    cancelled task's ``finally`` runs after the crash already zeroed it)."""
     cluster = build_core_cluster(3)
     s0, s1 = cluster.servers[0], cluster.servers[1]
 
@@ -273,16 +54,20 @@ def test_quiesced_survives_crash_mid_migration():
         sid = await s0.create(params=FileParams(file_migration=True),
                               data=b"q" * 4096)
         await s1.read(sid)  # spawns the tracked one-shot migration
-        waiter = cluster.kernel.spawn(s1.placement.quiesced())
+        waiter = cluster.kernel.spawn(s1.quiesced())
         cluster.crash(1)
         await cluster.kernel.sleep(300.0)
         assert waiter.done()                 # resolved, not wedged
-        assert s1.placement._inflight == 0   # no underflow
-        await s1.placement.quiesced()        # fresh waiters resolve too
+        assert s1._migrations_inflight == 0  # no underflow
+        await s1.quiesced()                  # fresh waiters resolve too
         return True
 
     assert cluster.run(main())
 
+
+# ---------------------------------------------------------------------- #
+# the agent-side router
+# ---------------------------------------------------------------------- #
 
 def test_agent_router_follows_placement_hint():
     """After one forwarded read the agent has learned the holder set from

@@ -70,7 +70,7 @@ def test_directory_locality():
 
 def test_hotspot_config_concentrates_traffic_on_few_files():
     """The skewed-hotspot profile: zipf popularity over the whole file
-    population, with a read-heavy mix (the rebalancer's target regime)."""
+    population, with a read-heavy mix (the regime file migration serves)."""
     cfg = hotspot_config(duration_ms=120_000.0, seed=11)
     assert cfg.file_zipf_s is not None
     ops = WorkloadGenerator(cfg).generate()

@@ -5,6 +5,12 @@ to all clients simultaneously ... overhead is incurred at the beginning and
 end of a stream of updates.  This overhead can be expensive if updates are
 short and rare."  We measure exactly that: cost per update for long streams
 vs isolated rare updates, with notification on and off.
+
+The unstable mark rides the burst's first update (no round of its own), so
+what notification still costs is the head's wait for *every* member's
+answer instead of ``write_safety`` durable ones, plus the end-of-burst
+stable mark.  At seed 400 (r=3): isolated updates 19.7 ms against 15.0 ms
+off (+32 %), streams of 20 9.19 ms against 9.0.
 """
 
 from repro.core import FileParams, WriteOp
@@ -49,7 +55,8 @@ def test_abl_stability_notification(benchmark, report):
     long_overhead = results["long_on"] / results["long_off"] - 1.0
     short_overhead = results["short_on"] / results["short_off"] - 1.0
     report(
-        "A3: stability notification cost per update (r=3)",
+        "A3: stability notification cost per update (r=3) — the burst "
+        "head's all-member wait plus the end-of-burst stable mark",
         ["update pattern", "off (ms)", "on (ms)", "overhead"],
         [["streams of 20", f"{results['long_off']:.1f}",
           f"{results['long_on']:.1f}", f"{long_overhead:+.0%}"],

@@ -79,6 +79,8 @@ def test_tab1_update_sequence(benchmark, report):
     assert rest.get("deceit.token_requests", 0) == 0
     assert head.get("deceit.stability_marks", 0) == 1
     assert rest.get("deceit.stability_marks", 0) == 0
+    # the mark rides the head's update: no stability-tagged multicast
+    assert head.get("net.msgs.tag.stability", 0) == 0
     # steady-state updates are cheaper than the stream head (§3.3)
     assert results["rest_ms"] < results["first_ms"]
     assert results["stable_clears"] >= 1

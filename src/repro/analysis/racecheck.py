@@ -11,9 +11,10 @@ schedule passes every determinism pin and every unperturbed test.
    workload/network RNGs draw exactly what they always draw);
 2. replay the seeded workload; collect ysan violations, invariant-oracle
    failures (at most one *enabled* write token per ``(sid, major)``
-   cell-wide — §3.3's single-writer guarantee; members of one view agree
-   on what was delivered in it — ISIS's virtual synchrony), and any hard
-   errors;
+   cell-wide — §3.3's single-writer guarantee; every live replica of a
+   major whose enabled token holder is live stable and at the token's
+   version — §3.4's quiet point; members of one view agree on what was
+   delivered in it — ISIS's virtual synchrony), and any hard errors;
 3. on a hit, re-run the **same** ``(seed, perturb_seed)`` — perturbed
    runs are exactly reproducible because the perturbation stream is
    seeded too — with a witness detail window around the hit, which
@@ -37,18 +38,37 @@ def check_invariants(cluster: Any) -> list[str]:
 
     §3.3: updates to one major funnel through a single write token, so at
     most one server may hold it *enabled* at any quiet point.
+
+    §3.4: a burst ends with the stable mark once writes go quiet, so at a
+    quiet point every live replica of a major whose enabled token holder
+    is live is stable and at the token's version pair.
     """
     problems: list[str] = []
     enabled: dict[Any, list[str]] = {}
+    live_tokens: dict[Any, Any] = {}
     for server in cluster.servers:
         for key, token in sorted(server.segments.store.tokens.items()):
             if token.enabled:
                 enabled.setdefault(key, []).append(server.addr)
+                if server.proc.alive:
+                    live_tokens.setdefault(key, token)
     for key, addrs in sorted(enabled.items()):
         if len(addrs) > 1:
             problems.append(
                 f"token {key} enabled on {addrs} simultaneously "
                 "(single-writer invariant)")
+    for server in cluster.servers:
+        if not server.proc.alive:
+            continue
+        for key, replica in sorted(server.segments.store.replicas.items()):
+            token = live_tokens.get(key)
+            if token is not None and (not replica.stable
+                                      or replica.version != token.version):
+                problems.append(
+                    f"replica {key} at {server.addr} is "
+                    f"{'stable' if replica.stable else 'unstable'} at "
+                    f"{replica.version}, token at {token.version} "
+                    "(§3.4 quiet point)")
     problems += check_virtual_synchrony([s.proc for s in cluster.servers])
     return problems
 

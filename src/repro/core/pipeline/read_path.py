@@ -19,7 +19,14 @@ Invariants
   data equals the token holder's (one-copy equivalence for stable state).
 - While a stability-notification file is **unstable** (§3.4), only the
   token holder's replica may serve: other holders may not yet have the
-  in-flight updates, so every read is forwarded there.
+  in-flight updates, so every read is forwarded there — a server without
+  a replica asks the token holder first, and a holder without the token
+  relays a forwarded ``seg_read`` / ``seg_stat`` to it while it is
+  reachable (its own copy serves only when it is not).
+- Until a burst head's round completes (the update carrying the unstable
+  mark, see :mod:`repro.core.pipeline.update`), the token holder holds its
+  local reads and stats of that major: another member may still serve
+  the previous version as stable.
 - ``validate_version`` never answers True from a server without a local
   replica, and never for an unstable major — the shortcut may only
   replace a read the local path could itself have served.
@@ -41,6 +48,7 @@ from repro.core.versions import VersionPair
 from repro.errors import NoSuchSegment, ReplicaUnavailable, RpcTimeout
 from repro.metrics import Metrics
 from repro.net.network import RpcRemoteError
+from repro.sim import SimFuture
 
 READ_FORWARD_TIMEOUT_MS = 400.0
 
@@ -69,7 +77,8 @@ class ReadService:
 
     def __init__(self, transport, catalog: CatalogService, store: ReplicaStore,
                  stability_recovery: Callable, request_migration: Callable,
-                 metrics: Metrics | None = None):
+                 metrics: Metrics | None = None,
+                 burst_heads: dict[tuple[str, int], SimFuture] | None = None):
         self.transport = transport
         self.kernel = transport.kernel
         self.catalog = catalog
@@ -77,6 +86,9 @@ class ReadService:
         self.stability_recovery = stability_recovery    # async (sid, major) -> server
         self.request_migration = request_migration      # (sid, major) -> coroutine
         self.metrics = metrics or store.metrics
+        #: the update pipeline's in-flight burst heads (§3.4), see
+        #: :meth:`_after_burst_head`
+        self.burst_heads = {} if burst_heads is None else burst_heads
 
     # ------------------------------------------------------------------ #
     # entry points
@@ -120,7 +132,7 @@ class ReadService:
         # no local replica: forward to a holder (§2.1 request forwarding)
         self.metrics.incr("deceit.reads_forwarded")
         result = await self._ask_a_holder(
-            info, f"{sid}: no replica holder of major {major} reachable",
+            cat, info, f"{sid}: no replica holder of major {major} reachable",
             "seg_read", sid, major, offset=offset, count=count)
         if cat.params.file_migration:
             self.transport.spawn(self.request_migration(sid, major),
@@ -172,14 +184,15 @@ class ReadService:
         Attribute blocks are in memory; no disk latency is charged."""
         cat = await self.catalog.ensure_group(sid)
         major = self.catalog.pick_major(cat, version)
-        replica = self.store.replicas.get((sid, major))
         self.metrics.incr("deceit.stats")
+        await self._after_burst_head(sid, major)
+        replica = self.store.replicas.get((sid, major))
         if replica is not None:
             result = self.local_result(replica, 0, 0)
             result.data = b""
             return self._stamp(result, cat.majors[major])
         return await self._ask_a_holder(
-            cat.majors[major], f"{sid}: no holder reachable for stat",
+            cat, cat.majors[major], f"{sid}: no holder reachable for stat",
             "seg_stat", sid, major)
 
     # ------------------------------------------------------------------ #
@@ -200,6 +213,7 @@ class ReadService:
                          count: int | None) -> ReadResult:
         t0 = self.kernel.now
         await self.store.touch_read(replica)
+        await self._after_burst_head(replica.sid, replica.major)
         self.metrics.latency("pipeline.read_ms").record(self.kernel.now - t0)
         tracer = self.kernel._tracer
         if tracer is not None:
@@ -208,12 +222,24 @@ class ReadService:
                 tracer.record(tid, t0, self.kernel.now, "pipeline", "read")
         return self.local_result(replica, offset, count)
 
+    async def _after_burst_head(self, sid: str, major: int) -> None:
+        """§3.4 at the token holder: a local read of a major whose burst
+        head (the update carrying the unstable mark) is still in its round
+        waits for that round, so no reader gets the new version while
+        another member still serves the old one as stable."""
+        while (head := self.burst_heads.get((sid, major))) is not None:
+            await head
+
+    def _call(self, server: str, method: str, sid: str, major: int, **args):
+        """One forwarded ``seg_read`` / ``seg_stat``, its raw reply."""
+        return self.transport.call(
+            server, method, sid=sid, major=major, **args,
+            timeout=READ_FORWARD_TIMEOUT_MS, tag=method)
+
     async def _ask(self, server: str, method: str, sid: str, major: int,
                    **args) -> ReadResult:
         """One forwarded ``seg_read`` / ``seg_stat``, its reply decoded."""
-        raw = await self.transport.call(
-            server, method, sid=sid, major=major, **args,
-            timeout=READ_FORWARD_TIMEOUT_MS, tag=method)
+        raw = await self._call(server, method, sid, major, **args)
         return ReadResult(
             data=raw.get("data", b""),
             version=VersionPair.from_tuple(raw["version"]),
@@ -221,10 +247,12 @@ class ReadService:
             major=major, served_by=server,
         )
 
-    async def _ask_a_holder(self, info, unreachable: str, method: str,
+    async def _ask_a_holder(self, cat, info, unreachable: str, method: str,
                             sid: str, major: int, **args) -> ReadResult:
         """§2.1 request forwarding: the first other holder, in address
         order, that answers; ``unreachable`` is the error when none does.
+        While the major is unstable (§3.4) the token holder is asked first:
+        only its replica may serve.
 
         The holder set is re-read after every miss: a replica created
         while the failover runs (its ``replica_created`` landing between
@@ -232,8 +260,10 @@ class ReadService:
         """
         last_error: Exception | None = None
         tried = {self.transport.addr}
+        first = info.holder if (cat.params.stability_notification
+                                and info.unstable) else None
         while untried := sorted(info.holders - tried):
-            holder = untried[0]
+            holder = first if first in untried else untried[0]
             tried.add(holder)
             try:
                 return await self._ask(holder, method, sid, major, **args)
@@ -245,11 +275,40 @@ class ReadService:
     # RPC handlers (registered by the facade)
     # ------------------------------------------------------------------ #
 
+    async def _relay(self, src: str, method: str, sid: str, major: int,
+                     replica: Replica, **args) -> dict | None:
+        """A forwarded read answered by the token holder, or ``None`` to
+        serve this replica.  While a stability-notification major is
+        unstable (§3.4) only the token holder's replica may serve, so a
+        holder without the token relays the read there — unless that
+        holder cannot be reached now (then this copy serves, rather than
+        chaining forward timeouts to a dead holder), asked us itself, or
+        fails to answer."""
+        cat = self.catalog.get(sid)
+        if cat is None or major not in cat.majors \
+                or not cat.params.stability_notification:
+            return None
+        info = cat.majors[major]
+        holder = info.holder
+        me = self.transport.addr
+        if (not info.unstable and replica.stable) \
+                or holder in (None, me, src) \
+                or not self.transport.reachable(me, holder):
+            return None
+        try:
+            return await self._call(holder, method, sid, major, **args)
+        except (RpcTimeout, RpcRemoteError):
+            return None
+
     async def handle_read(self, src: str, sid: str, major: int, offset: int,
                           count: int | None) -> dict:
         replica = self.store.replicas.get((sid, major))
         if replica is None:
             raise NoSuchSegment(f"{sid};{major} not held by {self.transport.addr}")
+        relayed = await self._relay(src, "seg_read", sid, major, replica,
+                                    offset=offset, count=count)
+        if relayed is not None:
+            return relayed
         result = await self.read_local(replica, offset, count)
         cat = self.catalog.get(sid)
         if cat is not None and major in cat.majors:
@@ -261,5 +320,9 @@ class ReadService:
         replica = self.store.replicas.get((sid, major))
         if replica is None:
             raise NoSuchSegment(f"{sid};{major} not held by {self.transport.addr}")
+        relayed = await self._relay(src, "seg_stat", sid, major, replica)
+        if relayed is not None:
+            return relayed
+        await self._after_burst_head(sid, major)
         return {"version": replica.version.to_tuple(), "meta": dict(replica.meta),
                 "params": replica.params.to_dict(), "length": len(replica.data)}

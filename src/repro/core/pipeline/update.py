@@ -55,6 +55,13 @@ Invariants
 - The write returns after ``write_safety`` replies; the full reply set is
   audited in the background, and that audit is the *only* place replica
   loss is detected (§3.1: no replica generation without updates).
+- The §3.4 unstable mark rides the first update of a burst (the major
+  was stable): each member marks and applies in one delivery and one
+  synchronous persist, the round waits for every member of the view
+  (whose replies include the ``write_safety`` durable copies), and until
+  it completes the holder holds its local reads of that major
+  (``burst_heads``) — no reader gets version k+1 while another member
+  still serves k as stable.
 """
 
 from __future__ import annotations
@@ -75,7 +82,7 @@ from repro.errors import (
 )
 from repro.metrics import Metrics
 from repro.net.network import RpcRemoteError
-from repro.sim import SimTimeoutError
+from repro.sim import SimFuture, SimTimeoutError
 
 UPDATE_REPLY_TIMEOUT_MS = 400.0
 
@@ -95,7 +102,6 @@ class UpdateHooks:
     protocols (all bound methods of the segment server in production)."""
 
     ensure_token: Callable      # async (sid, major) -> writable major
-    mark_unstable: Callable     # async (sid, major) -> None
     schedule_stable: Callable   # (sid, major) -> None
     pick_lru_victims: Callable  # (sid, major) -> list[holder]
     update_lock: Callable       # (sid) -> repro.sim.sync.Lock
@@ -126,6 +132,11 @@ class UpdatePipeline:
         #: ``(sid, major)`` -> the version this server's last forwarded
         #: single update produced (the stream rule of :meth:`write`)
         self._forwarded: dict[tuple[str, int], VersionPair] = {}
+        #: ``(sid, major)`` -> resolved once this holder's in-flight burst
+        #: head (the update carrying the §3.4 unstable mark) has completed
+        #: its round; the read service holds local reads of that major
+        #: until then
+        self.burst_heads: dict[tuple[str, int], SimFuture] = {}
 
     # ------------------------------------------------------------------ #
     # the write entry point
@@ -196,8 +207,9 @@ class UpdatePipeline:
                 # lost): the postconditions already hold, no second update
                 # — and no version is reported as produced by this call
                 return None
-            if cat.params.stability_notification and not cat.majors[major].unstable:
-                await self.hooks.mark_unstable(sid, major)
+            info = cat.majors[major]
+            # §3.4: the first update of a burst carries the unstable mark
+            mark = cat.params.stability_notification and not info.unstable
             new_version = token.version.next_update()
             drop = self.hooks.pick_lru_victims(sid, major)
             payload = {
@@ -210,7 +222,7 @@ class UpdatePipeline:
             # (cache-only members answer fast but keep nothing).  Capped
             # by the replicas that can exist after this round — safety at
             # or above the replica count means fully synchronous.
-            replica_targets = len(cat.majors[major].holders - set(drop))
+            replica_targets = len(info.holders - set(drop))
             safety = min(cat.params.write_safety,
                          len(self.transport.members(group_of(sid))),
                          max(1, replica_targets))
@@ -219,27 +231,44 @@ class UpdatePipeline:
                 # several client writes riding one broadcast round
                 self.metrics.incr("deceit.batched_update_parts",
                                   len(op.parts))
-            # audit_update applies the authoritative full reply set as
-            # blind overwrites (§3.1 method 1), not a cached read-modify-
-            # write; kernel callbacks run atomically between events, never
-            # inside a task step.
-            # racelint: ok(callbackmut) - audit is a blind atomic overwrite
-            await self.transport.cbcast(
-                group_of(sid), payload,
-                nreplies=safety,
-                timeout=UPDATE_REPLY_TIMEOUT_MS,
-                size_bytes=max(256, len(op.data)),
-                tag="update",
-                on_audit=lambda replies: self.audit_update(sid, major, replies),
-                count_reply=_is_durable_reply,
-            )
+            if mark:
+                # "all available replicas must be so notified before any
+                # updates can occur": the marked round waits for every
+                # member, whose replies include the s durable copies, and
+                # local reads wait for the round (see ReadService)
+                payload["mark"] = True
+                self.metrics.incr("deceit.stability_marks")
+                hold = self.kernel.create_future()
+                # keyed by the writable major: ensure_token may have minted
+                self.burst_heads[(sid, major)] = hold
+            try:
+                # audit_update applies the authoritative full reply set as
+                # blind overwrites (§3.1 method 1), not a cached read-
+                # modify-write; kernel callbacks run atomically between
+                # events, never inside a task step.
+                # racelint: ok(callbackmut) - audit is a blind atomic overwrite
+                await self.transport.cbcast(
+                    group_of(sid), payload,
+                    nreplies="all" if mark else safety,
+                    timeout=UPDATE_REPLY_TIMEOUT_MS,
+                    size_bytes=max(256, len(op.data)),
+                    tag="update",
+                    on_audit=lambda replies: self.audit_update(sid, major,
+                                                               replies),
+                    count_reply=None if mark else _is_durable_reply,
+                )
+            finally:
+                if mark:
+                    self.burst_heads.pop((sid, major), None)
+                    hold.set_result(None)
             token.version = new_version
             # async persist: on recovery the holder's replica (written with
             # the update) is the authority for the token's version
             await self.store.persist_token(token, sync=False)
-            info = cat.majors[major]
             info.version = new_version
             info.last_update_ts = self.kernel.now
+            if mark:
+                info.unstable = True
             if cat.params.stability_notification:
                 self.hooks.schedule_stable(sid, major)
             self.metrics.latency("pipeline.write_ms").record(self.kernel.now - t0)
@@ -422,45 +451,60 @@ class UpdatePipeline:
     # ------------------------------------------------------------------ #
 
     async def _apply_update(self, sid: str, major: int, version: VersionPair,
-                            wop: dict, drop=()):
+                            wop: dict, drop=(), mark: bool = False):
         """One update landing at this member, whichever message carried it.
 
         The catalog learns the version; a member named in ``drop`` destroys
         its copy instead; a replica exactly one ``sub`` behind applies the
-        op and persists it.  Returns ``(replica, durable)``: ``replica`` is
-        ``None`` when no copy is (any longer) kept here, ``durable`` is
-        ``None`` when the copy was not applied to — it missed updates.
+        op and persists it.  ``mark`` (a burst head, §3.4) first marks the
+        major unstable, and the one synchronous persist records the mark
+        with the op — or the mark alone, on a copy that missed updates,
+        because recovery needs it to find possibly-inconsistent replicas.
+        Returns ``(replica, durable)``: ``replica`` is ``None`` when no
+        copy is (any longer) kept here, ``durable`` is ``None`` when the
+        copy was not applied to — it missed updates.
         """
         cat = self.catalog.get(sid)
         if cat is not None and major in cat.majors:
             info = cat.majors[major]
             info.version = version
             info.last_update_ts = self.kernel.now
+            if mark:
+                info.unstable = True
         if self.transport.addr in drop:
             await self.hooks.destroy_local_replica(sid, major)
             return None, None
         replica = self.store.replicas.get((sid, major))
-        if replica is None or replica.version.sub + 1 != version.sub:
-            return replica, None
-        op = WriteOp.from_dict(wop)
-        replica.data, replica.meta = op.apply(replica.data, replica.meta)
-        replica.version = version
-        replica.write_ts = self.kernel.now
-        sync = replica.params.write_safety >= 1
-        # persisting writes through the read cache: the old version's entry
-        # is superseded by the new one (version-exact invalidation)
-        await self.store.persist_replica(replica, sync=sync)
-        # ``durable`` is truthful *because* the sync persist was awaited
-        # above: by the time a reply leaves, the record is committed
-        return replica, sync
+        if replica is None:
+            return None, None
+        newly_marked = mark and replica.stable
+        if newly_marked:
+            replica.stable = False
+        if replica.version.sub + 1 == version.sub:
+            op = WriteOp.from_dict(wop)
+            replica.data, replica.meta = op.apply(replica.data, replica.meta)
+            replica.version = version
+            replica.write_ts = self.kernel.now
+            sync = replica.params.write_safety >= 1 or newly_marked
+            # persisting writes through the read cache: the old version's
+            # entry is superseded by the new one (version-exact
+            # invalidation)
+            await self.store.persist_replica(replica, sync=sync)
+            # ``durable`` is truthful *because* the sync persist was awaited
+            # above: by the time a reply leaves, the record is committed
+            return replica, sync
+        if newly_marked:
+            await self.store.persist_replica(replica, sync=True)
+        return replica, None
 
     async def deliver_update(self, sid: str, payload: dict) -> dict:
         major = payload["major"]
         version = VersionPair.from_tuple(payload["version"])
         me = self.transport.addr
         drop = payload.get("drop", [])
-        replica, durable = await self._apply_update(sid, major, version,
-                                                    payload["wop"], drop)
+        replica, durable = await self._apply_update(
+            sid, major, version, payload["wop"], drop,
+            mark=payload.get("mark", False))
         if replica is None:
             return {"dropped" if me in drop else "cached": True,
                     "have_replica": False}

@@ -82,15 +82,10 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
         self.cat = CatalogService(proc, self.store, self.alloc,
                                   self.kernel, self.metrics)
         self.conflict_dir = ConflictDirectory(proc, self.metrics)
-        self.reads = ReadService(proc, self.cat, self.store,
-                                 stability_recovery=self._stability_recovery,
-                                 request_migration=self._tracked_migration,
-                                 metrics=self.metrics)
         self.pipeline = UpdatePipeline(
             proc, self.cat, self.store,
             UpdateHooks(
                 ensure_token=self._ensure_token,
-                mark_unstable=self._mark_unstable,
                 schedule_stable=self._schedule_stable,
                 pick_lru_victims=self._pick_lru_victims,
                 update_lock=self._update_lock,
@@ -102,6 +97,11 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
             ),
             self.metrics,
         )
+        self.reads = ReadService(proc, self.cat, self.store,
+                                 stability_recovery=self._stability_recovery,
+                                 request_migration=self._tracked_migration,
+                                 metrics=self.metrics,
+                                 burst_heads=self.pipeline.burst_heads)
         if merge_audit_interval_ms is None:
             self.recovery = RecoveryService(proc, self.cat, self.store,
                                             self, self.metrics)
@@ -374,8 +374,6 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
             return self._deliver_token_generated(
                 sid, payload["major"], payload["parent"],
                 payload["version"], payload["holder"])
-        if op == "mark_unstable":
-            return await self._deliver_mark_unstable(sid, payload["major"])
         if op == "mark_stable":
             return await self._deliver_mark_stable(sid, payload["major"])
         if op == "force_stable":

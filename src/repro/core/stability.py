@@ -2,11 +2,19 @@
 
 Before a file is modified, every member of its file group is told the file
 is *unstable*; all available replicas must acknowledge before any update
-flows.  While unstable, reads are forwarded to the token holder — its
-replica is, in effect, the primary — so all clients see updates
-simultaneously even though replica propagation is asynchronous.  After a
-short period with no write activity the token holder marks the file stable
-again.
+is visible.  The mark rides the first update of a burst (as §3.3's
+optimization 1 lets the first update ride the token request): each member
+marks and applies in one delivery, recording both in one synchronous
+persist, and the holder waits for every member's answer — the ack
+condition of the separate mark round this replaces — while holding its
+own reads of the file until the round completes, so no reader gets the
+new version while another member still serves the old one as stable
+(:mod:`repro.core.pipeline.update`).  While unstable, reads are forwarded
+to the token holder — its replica is, in effect, the primary — so all
+clients see updates simultaneously even though replica propagation is
+asynchronous.  After a short period with no write activity the token
+holder marks the file stable again; this end-of-burst mark, and the
+all-member wait of the burst head, are what notification still costs.
 
 The failure half (§3.6): if the token holder dies mid-stream, surviving
 replicas may be mutually inconsistent, but they are all *marked unstable* —
@@ -36,30 +44,9 @@ class StabilityMixin:
     """
 
     # ------------------------------------------------------------------ #
-    # marking (runs at the token holder)
+    # the end-of-burst stable mark (runs at the token holder; the unstable
+    # mark rides the burst's first update, see UpdatePipeline.write)
     # ------------------------------------------------------------------ #
-
-    async def _mark_unstable(self, sid: str, major: int) -> None:
-        """Notify the file group that (sid, major) is entering a write burst.
-
-        Waits for acknowledgements from all currently reachable members —
-        "all available replicas must be so notified before any updates can
-        occur."
-        """
-        cat = self.catalogs[sid]
-        info = cat.majors[major]
-        if info.unstable:
-            return
-        self.metrics.incr("deceit.stability_marks")
-        await self.proc.cbcast(
-            group_of(sid),
-            {"op": "mark_unstable", "sid": sid, "major": major},
-            nreplies="all", timeout=STABILITY_ACK_TIMEOUT_MS, tag="stability",
-        )
-        # Writers serialize through the per-sid update lock before calling
-        # here, and a duplicated mark broadcast is idempotent at receivers.
-        # racelint: ok(staleread) - callers hold the update lock
-        info.unstable = True
 
     def _schedule_stable(self, sid: str, major: int) -> None:
         """(Re)arm the quiet-period timer after a write."""
@@ -97,18 +84,6 @@ class StabilityMixin:
     # ------------------------------------------------------------------ #
     # group-message handlers (run at every member)
     # ------------------------------------------------------------------ #
-
-    async def _deliver_mark_unstable(self, sid: str, major: int) -> dict:
-        cat = self.catalogs.get(sid)
-        if cat is not None and major in cat.majors:
-            cat.majors[major].unstable = True
-        replica = self.replicas.get((sid, major))
-        if replica is not None and replica.stable:
-            replica.stable = False
-            # The unstable mark itself must survive a crash — it is what
-            # recovery uses to detect possibly-inconsistent replicas.
-            await self.store.persist_replica(replica, sync=True)
-        return {"marked": True}
 
     async def _deliver_mark_stable(self, sid: str, major: int) -> dict:
         cat = self.catalogs.get(sid)

@@ -33,6 +33,31 @@ from repro.storage.backend import MemoryBackend, StorageBackend
 #: Sentinel marking a deletion (in commit batches and op resolution).
 _DELETE = object()
 
+#: Leaf types a record copy shares instead of copying: they are immutable.
+_SHARED_LEAVES = frozenset({str, bytes, int, float, bool, type(None)})
+
+
+def _copy_record(value: Any) -> Any:
+    """A copy of ``value`` no later mutation of the original can reach.
+
+    Rebuilds ``dict`` / ``list`` / ``tuple`` / ``set`` and shares the
+    immutable leaves (a record is mostly payload bytes and strings, which
+    ``copy.deepcopy`` walks through its memo for nothing); anything else
+    falls back to ``copy.deepcopy``.
+    """
+    cls = type(value)
+    if cls in _SHARED_LEAVES:
+        return value
+    if cls is dict:
+        return {key: _copy_record(item) for key, item in value.items()}
+    if cls is list:
+        return [_copy_record(item) for item in value]
+    if cls is tuple:
+        return tuple(_copy_record(item) for item in value)
+    if cls is set:
+        return {_copy_record(item) for item in value}
+    return copy.deepcopy(value)
+
 
 class DiskCrashed(RuntimeError):
     """Raised into writers awaiting a sync commit the crash destroyed."""
@@ -51,8 +76,9 @@ class Disk:
     independent sync writes that land in the same commit window are
     coalesced the same way.
 
-    Values are deep-copied on both write and read so that in-memory mutation
-    of live objects can never retroactively alter "disk" contents.
+    Values are copied (:func:`_copy_record`) on both write and read so that
+    in-memory mutation of live objects can never retroactively alter
+    "disk" contents.
     """
 
     def __init__(
@@ -98,7 +124,7 @@ class Disk:
         """Store ``value`` under ``key``; future resolves when the call
         returns control (synchronous writes resolve only once durable)."""
         self.metrics.incr("disk.writes")
-        value = copy.deepcopy(value)
+        value = _copy_record(value)
         if sync:
             self.metrics.incr("disk.sync_writes")
             return self._enqueue_sync([(key, value, next(self._seq))])
@@ -133,7 +159,7 @@ class Disk:
         """
         self.metrics.incr("disk.batch_writes")
         self.metrics.incr("disk.writes", len(records))
-        stamped = [(key, copy.deepcopy(value), next(self._seq))
+        stamped = [(key, _copy_record(value), next(self._seq))
                    for key, value in records]
         if sync:
             self.metrics.incr("disk.sync_writes", len(records))
@@ -277,7 +303,7 @@ class Disk:
     # ------------------------------------------------------------------ #
 
     def read(self, key: str) -> SimFuture:
-        """Future resolving with a deep copy of the record (or ``None``).
+        """Future resolving with a copy of the record (or ``None``).
 
         Reads observe buffered (not-yet-durable) writes, as a real OS page
         cache would — including sync batches still waiting on their commit.
@@ -286,14 +312,14 @@ class Disk:
         done = self.kernel.create_future()
 
         def _complete() -> None:
-            done.try_set_result(copy.deepcopy(self._live_value(key)))
+            done.try_set_result(_copy_record(self._live_value(key)))
 
         self.kernel.schedule(self.read_ms, _complete)
         return done
 
     def read_now(self, key: str) -> Any:
         """Zero-latency read used by recovery code scanning local state."""
-        return copy.deepcopy(self._live_value(key))
+        return _copy_record(self._live_value(key))
 
     def _latest_op(self, key: str) -> tuple[int, Any]:
         """The highest-seq operation on ``key`` across the stable store,

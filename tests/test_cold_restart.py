@@ -11,11 +11,16 @@ backends alone, and checks the §4 write-safety contract:
 - every **unacked** write is absent or whole — never a torn mixture;
 - an acked remove stays removed, an acked create stays visible.
 
+A second workload family, *burst heads*, sleeps past ``STABLE_QUIET_MS``
+between rounds, so every round's writes open a fresh §3.4 burst and carry
+the unstable mark — dirops and stripe extends too, not only each file's
+first rewrite — and a kill can cut a marked round at any of them.
+
 The fast subset runs in tier-1; the full backend × safety × kill-point
-matrix is the tier-2 job (``RESTART_MATRIX=1``).  A 64-server same-seed
-determinism pin (matching ``test_scale``'s) proves the kill/restart
-machinery — including a file-backed journal — never perturbs the seeded
-event order.
+matrix, for both families, is the tier-2 job (``RESTART_MATRIX=1``).  A
+64-server same-seed determinism pin (matching ``test_scale``'s) proves the
+kill/restart machinery — including a file-backed journal — never perturbs
+the seeded event order.
 """
 
 import os
@@ -23,6 +28,7 @@ import random
 
 import pytest
 
+from repro.core.stability import STABLE_QUIET_MS
 from repro.testbed import build_cluster
 
 FULL_MATRIX = os.environ.get("RESTART_MATRIX") == "1"
@@ -47,7 +53,13 @@ def _big_bytes(chunks: int) -> bytes:
     return b"".join(bytes([i % 251]) * CHUNK for i in range(chunks))
 
 
-async def _workload(cluster, log: OpLog, write_safety: int, n_files: int):
+#: pause between burst-head rounds: past the quiet period, so the stable
+#: mark has gone out and the next round's first writes mark again
+BURST_GAP_MS = STABLE_QUIET_MS + 20.0
+
+
+async def _workload(cluster, log: OpLog, write_safety: int, n_files: int,
+                    burst_heads: bool = False):
     """Setup then an endless risky loop; dies wherever the kill lands."""
     agents = cluster.agents
     for i, agent in enumerate(agents):
@@ -69,6 +81,8 @@ async def _workload(cluster, log: OpLog, write_safety: int, n_files: int):
                         write_safety=write_safety)
     r = 0
     while True:  # the kill is the only way out
+        if burst_heads:
+            await cluster.kernel.sleep(BURST_GAP_MS)
         writer = agents[r % len(agents)]
         path = f"/f{r % n_files}"
         value = f"{path}:round{r}".encode()
@@ -149,7 +163,8 @@ def _verify(cluster, log: OpLog) -> dict:
 
 
 def _crash_restart_scenario(backend, storage_root, seed, write_safety,
-                            n_servers=4, n_agents=2, n_files=4):
+                            n_servers=4, n_agents=2, n_files=4,
+                            burst_heads=False):
     kw = {}
     if backend != "memory":
         kw = {"backend": backend,
@@ -164,14 +179,21 @@ def _crash_restart_scenario(backend, storage_root, seed, write_safety,
                   scatter_agents=True)
     cluster = build_cluster(n_servers, n_agents=n_agents, seed=seed, **kw)
     log = OpLog()
-    cluster.kernel.spawn(_workload(cluster, log, write_safety, n_files))
+    cluster.kernel.spawn(_workload(cluster, log, write_safety, n_files,
+                                   burst_heads))
     rng = random.Random(seed * 7 + write_safety)
-    # land anywhere from mid-setup to deep in the risky loop
-    cluster.kernel.run(until=cluster.kernel.now + rng.uniform(150.0, 900.0))
+    # land anywhere from mid-setup to deep in the risky loop; the setup
+    # takes about 650 ms, and a burst-head round about 350 ms, not 100
+    latest = 2400.0 if burst_heads else 900.0
+    cluster.kernel.run(until=cluster.kernel.now + rng.uniform(150.0, latest))
+    # burst heads whose marked round the kill interrupts
+    heads = sum(len(server.segments.pipeline.burst_heads)
+                for server in cluster.servers)
     cluster.kill()
     cluster.restart()
     try:
         summary = _verify(cluster, log)
+        summary["heads_at_kill"] = heads
         summary["metrics"] = cluster.metrics.snapshot()
         summary["now"] = cluster.kernel.now
         summary["acked_rounds"] = {p: e["acked"] for p, e in log.files.items()}
@@ -189,6 +211,12 @@ def test_restart_smoke(backend, tmp_path):
     summary = _crash_restart_scenario(backend, str(tmp_path), seed=5,
                                       write_safety=1)
     assert summary["now"] > 0  # contract checks themselves ran in _verify
+
+
+def test_restart_smoke_burst_heads(tmp_path):
+    summary = _crash_restart_scenario("journal", str(tmp_path), seed=4,
+                                      write_safety=2, burst_heads=True)
+    assert summary["heads_at_kill"] == 1   # the kill cut a marked round
 
 
 def test_restart_before_any_user_write(tmp_path):
@@ -257,9 +285,12 @@ def test_double_restart(tmp_path):
 @pytest.mark.parametrize("backend", ["memory", "journal", "sqlite"])
 @pytest.mark.parametrize("write_safety", [1, 2])
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-def test_crash_matrix(backend, write_safety, seed, tmp_path):
+@pytest.mark.parametrize("burst_heads", [False, True],
+                         ids=["loop", "burst_heads"])
+def test_crash_matrix(backend, write_safety, seed, burst_heads, tmp_path):
     _crash_restart_scenario(backend, str(tmp_path), seed=seed,
-                            write_safety=write_safety)
+                            write_safety=write_safety,
+                            burst_heads=burst_heads)
 
 
 # --------------------------------------------------------------------- #

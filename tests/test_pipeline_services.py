@@ -216,7 +216,6 @@ def make_pipeline(kernel):
     lock = Lock(kernel)
     hooks = UpdateHooks(
         ensure_token=None,  # filled below (needs the store)
-        mark_unstable=_async_noop,
         schedule_stable=lambda sid, major: None,
         pick_lru_victims=lambda sid, major: [],
         update_lock=lambda sid: lock,
@@ -293,6 +292,33 @@ def test_pipeline_deliver_update_applies_and_rewarms(kernel):
                              VersionPair(replica.major, 1))
     assert not store.cache.probe(replica.sid, replica.major,
                                  VersionPair(replica.major, 0))
+
+
+@pytest.mark.parametrize("sub", [1, 5])
+def test_marked_update_persists_the_mark_before_replying(kernel, sub):
+    """A burst head (§3.4) marks the replica unstable and records the mark
+    in one synchronous commit before the reply leaves — with the op when
+    the update applies (sub 1), alone when this copy missed updates (sub 5):
+    recovery uses the durable mark to find possibly-inconsistent replicas."""
+    pipeline, _t, catalog, store = make_pipeline(kernel)
+    replica = seed_segment(catalog, store)
+    replica.params = FileParams(min_replicas=1, write_safety=0)
+    run(kernel, store.persist_replica(replica, sync=True))
+    commits = store.metrics.get("disk.commits")
+    payload = {
+        "op": "update", "sid": replica.sid, "major": replica.major,
+        "wop": WriteOp(kind="append", data=b"+x").to_dict(),
+        "version": VersionPair(replica.major, sub).to_tuple(), "drop": [],
+        "mark": True,
+    }
+    reply = run(kernel, pipeline.deliver_update(replica.sid, payload))
+    assert reply.get("durable") if sub == 1 else reply.get("gap")
+    assert store.metrics.get("disk.commits") == commits + 1
+    assert catalog.get(replica.sid).majors[replica.major].unstable
+    store.disk.crash()              # only what the reply attested survives
+    record = store.replica_record_now(replica.sid, replica.major)
+    assert record["stable"] is False
+    assert record["data"] == (b"payload+x" if sub == 1 else b"payload")
 
 
 def test_read_failover_asks_a_holder_learned_mid_failover(kernel):

@@ -165,6 +165,39 @@ def test_values_deep_copied_on_read(kernel):
     assert run(kernel, main()) == {"data": [1]}
 
 
+def _nested():
+    return {"meta": {"tags": ["a"], "pair": ([1], b"x")},
+            "holders": {"s0"}, "buf": bytearray(b"ab"), "n": 3}
+
+
+def _mutate(value):
+    value["meta"]["tags"].append("b")
+    value["meta"]["pair"][0].append(2)
+    value["holders"].add("s1")
+    value["buf"].extend(b"cd")
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_nested_containers_copied_on_write_and_read(kernel, batch):
+    """Every container level — dict, list, a list inside a tuple, set, and
+    a mutable type outside those (bytearray) — is copied on write and on
+    both reads, so mutating any of them leaves the disk's record alone."""
+    disk = Disk(kernel)
+
+    async def main():
+        live = _nested()
+        if batch:
+            await disk.write_batch([("k", live)], sync=True)
+        else:
+            await disk.write("k", live, sync=True)
+        _mutate(live)
+        _mutate(await disk.read("k"))
+        _mutate(disk.read_now("k"))
+        return await disk.read("k")
+
+    assert run(kernel, main()) == _nested()
+
+
 def test_keys_listing_with_prefix(kernel):
     disk = Disk(kernel)
 

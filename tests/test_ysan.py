@@ -345,3 +345,34 @@ def test_oracle_names_a_pair_that_diverged_inside_one_view():
     assert "delivered" in problems[0] and "undelivered" in problems[1]
     p1.crash()                                  # only live processes count
     assert check_virtual_synchrony(procs) == []
+
+
+def test_oracle_names_a_replica_not_stable_at_a_quiet_point():
+    """§3.4 at a quiet point: every live replica of a major whose enabled
+    token holder is live is stable and at the token's version.  Mid-burst
+    the oracle names the unstable replicas; after the quiet period and the
+    stable mark it is clean; a replica off the token's version is named."""
+    from repro.analysis.racecheck import check_invariants
+    from repro.testbed import build_cluster
+    cluster = build_cluster(3, 1, seed=5)
+
+    async def wl():
+        agent = cluster.agents[0]
+        await agent.create("/", "f")
+        await agent.set_params("/f", min_replicas=3)
+        await agent.write_file("/f", b"x")
+
+    try:
+        cluster.run(wl())
+        mid_burst = check_invariants(cluster)
+        assert mid_burst and all("§3.4 quiet point" in p for p in mid_burst)
+        cluster.settle(500.0)
+        assert check_invariants(cluster) == []
+        key, replica = next(
+            (key, replica) for server in cluster.servers
+            for key, replica in server.segments.store.replicas.items()
+            if key not in server.segments.store.tokens)
+        replica.version = replica.version.next_update()
+        assert len(check_invariants(cluster)) == 1
+    finally:
+        cluster.close()

@@ -353,9 +353,10 @@ class IsisProcess(Node):
         for the groups ``peer`` is a member of — one round trip whatever
         the number of names.
         """
+        size = payload_size(groups)
         return self.rpc(peer, "isis_locate", {"groups": groups},
-                        timeout=LOCATE_TIMEOUT_MS,
-                        size_bytes=max(256, payload_size(groups)), tag=tag)
+                        timeout=LOCATE_TIMEOUT_MS, size_bytes=max(256, size),
+                        tag=tag, args_bytes=len("groups") + size)
 
     # ------------------------------------------------------------------ #
     # multicast API
@@ -420,9 +421,12 @@ class IsisProcess(Node):
         if state.stable:
             msg["stable"] = dict(state.stable)
         self.network.metrics.incr("isis.mcasts")
+        # one shared message: its wire size is walked once, not per member
+        psize = payload_size(msg)
         for member in view.members:
             if member != self.addr:
-                self.send(member, msg, size_bytes=size_bytes, tag=tag)
+                self.send(member, msg, size_bytes=size_bytes, tag=tag,
+                          payload_bytes=psize)
         # Local copy delivers immediately (we are causally up to date).
         self._deliver_mcast(state, msg)
         if collected is None:

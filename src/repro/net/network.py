@@ -371,6 +371,7 @@ class Node:
         timeout: float = DEFAULT_RPC_TIMEOUT_MS,
         size_bytes: int = 256,
         tag: str = "",
+        args_bytes: int | None = None,
     ) -> SimFuture:
         """Invoke ``method`` on node ``dst``; future resolves with the reply.
 
@@ -378,6 +379,9 @@ class Node:
         virtual ms (covering loss, crash, and partition uniformly — the
         caller cannot distinguish them, per the failure model), or with
         :class:`RpcRemoteError` when the remote handler raised.
+
+        ``args_bytes`` is ``payload_size(args)`` for a caller that has
+        already walked them.
         """
         kernel = self.kernel
         out = SimFuture(kernel)
@@ -391,7 +395,8 @@ class Node:
         msg = Message(self.addr, dst, _RPC_REQUEST,
                       {"req_id": req_id, "method": method, "args": args},
                       size_bytes, tag or method,
-                      _REQUEST_FIXED + len(method) + payload_size(args))
+                      _REQUEST_FIXED + len(method)
+                      + (payload_size(args) if args_bytes is None else args_bytes))
         if kernel._tracer is not None and kernel._current is not None:
             msg.trace = kernel._current.trace
         self.network.transmit(msg)

@@ -67,6 +67,11 @@ class CatalogService:
     def get(self, sid: str) -> SegmentCatalog | None:
         return self.catalogs.get(sid)
 
+    def joined(self, sid: str) -> bool:
+        """Whether this server is a member of the segment's file group
+        and holds its catalog."""
+        return self.membership.is_member(group_of(sid)) and sid in self.catalogs
+
     def install(self, cat: SegmentCatalog) -> None:
         self.catalogs[cat.sid] = cat
 
@@ -97,9 +102,9 @@ class CatalogService:
         hint fails (creator crashed or was evicted) does the join fall
         back to the §3.2 global search, which asks every cell peer.
         """
-        group = group_of(sid)
-        if self.membership.is_member(group) and sid in self.catalogs:
+        if self.joined(sid):
             return self.catalogs[sid]
+        group = group_of(sid)
         try:
             creator = sid.rsplit(".", 1)[0]
             if creator != self.membership.addr:

@@ -7,6 +7,15 @@ is unstable (its replica is, in effect, the primary); forwards to any
 replica holder when no local replica exists, triggering migration when the
 file's parameters ask for it (§3.1 method 4).
 
+A server that is not a member of the file's group does not join it to
+read: it asks a member (the holders a member last named, then the creator
+embedded in the sid) and keeps that member's holder set as a volatile
+*read hint*.  It joins — and from then on reads through its own catalog —
+only when no member answers, when the file migrates to its readers, when
+the read names an explicit version, or when a read it forwarded found the
+major unstable (§3.4): for a file under write the route a hint names goes
+stale as the token moves.
+
 Collaborators mirror the :class:`~repro.core.pipeline.update.UpdatePipeline`
 pattern: a transport port, the catalog and store services, and two hooks
 into the stability / replication protocols (``stability_recovery``,
@@ -30,6 +39,9 @@ Invariants
 - ``validate_version`` never answers True from a server without a local
   replica, and never for an unstable major — the shortcut may only
   replace a read the local path could itself have served.
+- A read hint is routing only: every answer a non-member returns comes
+  from a member's catalog and from a replica that member holds or relays
+  to, exactly as that member's own read would.
 - The service never mutates versions or tokens; it only reads catalog
   state maintained by the update/token protocols and bumps read
   timestamps (the input to LRU deletion).
@@ -41,11 +53,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.core.params import FileParams
-from repro.core.pipeline.catalog import CatalogService
+from repro.core.pipeline.catalog import CatalogService, group_of
 from repro.core.pipeline.store import ReplicaStore
 from repro.core.segment import Replica
 from repro.core.versions import VersionPair
-from repro.errors import NoSuchSegment, ReplicaUnavailable, RpcTimeout
+from repro.errors import NoSuchSegment, NotMember, ReplicaUnavailable, RpcTimeout
 from repro.metrics import Metrics
 from repro.net.network import RpcRemoteError
 from repro.sim import SimFuture
@@ -72,6 +84,17 @@ class ReadResult:
     holders: list[str] = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class ReadHint:
+    """What a member said about a file this server reads without joining:
+    its replica holders, its token holder, and whether the major was
+    unstable (§3.4)."""
+
+    holders: tuple[str, ...]
+    holder: str | None
+    unstable: bool
+
+
 class ReadService:
     """Read-path service of one segment server."""
 
@@ -89,6 +112,8 @@ class ReadService:
         #: the update pipeline's in-flight burst heads (§3.4), see
         #: :meth:`_after_burst_head`
         self.burst_heads = {} if burst_heads is None else burst_heads
+        #: sid -> read hint, for files read without joining their group
+        self.hints: dict[str, ReadHint] = {}
 
     # ------------------------------------------------------------------ #
     # entry points
@@ -96,6 +121,13 @@ class ReadService:
 
     async def read(self, sid: str, offset: int = 0, count: int | None = None,
                    version: int | None = None) -> ReadResult:
+        if version is None and not self.catalog.joined(sid):
+            result = await self._ask_a_member("seg_read", sid,
+                                              offset=offset, count=count)
+            if result is not None:
+                self.metrics.incr("deceit.reads")
+                self.metrics.incr("deceit.reads_forwarded")
+                return result
         cat = await self.catalog.ensure_group(sid)
         major = self.catalog.pick_major(cat, version)
         info = cat.majors[major]
@@ -154,7 +186,8 @@ class ReadService:
 
         - a server with **no local replica** always answers False — the
           plain read path would forward to a holder, and a non-holder's
-          catalog alone could lag (e.g. a dropped multicast);
+          catalog alone could lag (e.g. a dropped multicast); a server
+          outside the file's group answers so without joining it;
         - for stability-notification files (§3.4), an **unstable** major
           answers False even on a version match, preserving the forwarding
           to the token holder that one-copy serializability relies on.
@@ -163,6 +196,8 @@ class ReadService:
         bookkeeping), so revalidation-served files do not look idle to the
         LRU replica-deletion logic (§3.1).
         """
+        if not self.catalog.joined(sid):
+            return False
         cat = await self.catalog.ensure_group(sid)
         major = self.catalog.pick_major(cat, version)
         info = cat.majors[major]
@@ -182,6 +217,11 @@ class ReadService:
         """Attributes-only read (zero data bytes moved) — the getattr path.
 
         Attribute blocks are in memory; no disk latency is charged."""
+        if version is None and not self.catalog.joined(sid):
+            result = await self._ask_a_member("seg_stat", sid)
+            if result is not None:
+                self.metrics.incr("deceit.stats")
+                return result
         cat = await self.catalog.ensure_group(sid)
         major = self.catalog.pick_major(cat, version)
         self.metrics.incr("deceit.stats")
@@ -230,7 +270,8 @@ class ReadService:
         while (head := self.burst_heads.get((sid, major))) is not None:
             await head
 
-    def _call(self, server: str, method: str, sid: str, major: int, **args):
+    def _call(self, server: str, method: str, sid: str, major: int | None,
+              **args):
         """One forwarded ``seg_read`` / ``seg_stat``, its raw reply."""
         return self.transport.call(
             server, method, sid=sid, major=major, **args,
@@ -239,20 +280,16 @@ class ReadService:
     async def _ask(self, server: str, method: str, sid: str, major: int,
                    **args) -> ReadResult:
         """One forwarded ``seg_read`` / ``seg_stat``, its reply decoded."""
-        raw = await self._call(server, method, sid, major, **args)
-        return ReadResult(
-            data=raw.get("data", b""),
-            version=VersionPair.from_tuple(raw["version"]),
-            meta=raw["meta"], params=FileParams.from_dict(raw["params"]),
-            major=major, served_by=server,
-        )
+        return _decode(await self._call(server, method, sid, major, **args),
+                       server, major)
 
-    async def _ask_a_holder(self, cat, info, unreachable: str, method: str,
-                            sid: str, major: int, **args) -> ReadResult:
-        """§2.1 request forwarding: the first other holder, in address
-        order, that answers; ``unreachable`` is the error when none does.
-        While the major is unstable (§3.4) the token holder is asked first:
-        only its replica may serve.
+    async def _call_a_holder(self, cat, info, unreachable: str, method: str,
+                             sid: str, major: int, **args) -> dict:
+        """§2.1 request forwarding: the raw reply of the first other holder,
+        in address order, that answers, with ``served_by`` set;
+        ``unreachable`` is the error when none does.  While the major is
+        unstable (§3.4) the token holder is asked first: only its replica
+        may serve.
 
         The holder set is re-read after every miss: a replica created
         while the failover runs (its ``replica_created`` landing between
@@ -266,10 +303,66 @@ class ReadService:
             holder = first if first in untried else untried[0]
             tried.add(holder)
             try:
-                return await self._ask(holder, method, sid, major, **args)
+                raw = await self._call(holder, method, sid, major, **args)
             except (RpcTimeout, RpcRemoteError) as exc:
                 last_error = exc
+                continue
+            return {"served_by": holder, **raw}
         raise ReplicaUnavailable(unreachable) from last_error
+
+    async def _ask_a_holder(self, cat, info, unreachable: str, method: str,
+                            sid: str, major: int, **args) -> ReadResult:
+        """:meth:`_call_a_holder`, its reply decoded."""
+        raw = await self._call_a_holder(cat, info, unreachable, method,
+                                        sid, major, **args)
+        return _decode(raw, raw["served_by"], major)
+
+    async def _ask_a_member(self, method: str, sid: str,
+                            **args) -> ReadResult | None:
+        """A read or stat of the latest major without joining the file
+        group: ask the holders the read hint names — the token holder
+        first while the hint says unstable — then the creator embedded in
+        the sid, and keep what the answering member said as the new hint.
+        ``None`` sends the caller down the join path: no target answered,
+        or the file migrates to its readers (§3.1 method 4, which needs a
+        member).
+
+        An answer that finds the major unstable (§3.4) joins the group
+        before it returns: for a file under write the route a hint names
+        goes stale as the token moves, and a member's catalog follows the
+        token.  Reads that start while that join runs find the unstable
+        hint and ask its token holder first."""
+        hint = self.hints.get(sid)
+        targets = [sid.rsplit(".", 1)[0]]
+        if hint is not None:
+            targets[:0] = hint.holders
+            if hint.unstable and hint.holder is not None:
+                targets.insert(0, hint.holder)
+        tried = {self.transport.addr}
+        for server in targets:
+            if server in tried:
+                continue
+            tried.add(server)
+            try:
+                raw = await self._call(server, method, sid, None, **args)
+            except (RpcTimeout, RpcRemoteError):
+                self.hints.pop(sid, None)
+                continue
+            result = _decode(raw, server, raw["major"])
+            if result.params.file_migration:
+                return None
+            result.holders = raw["holders"]
+            if not self.catalog.joined(sid):
+                self.hints[sid] = ReadHint(tuple(raw["holders"]),
+                                           raw["holder"], raw["unstable"])
+            if raw["unstable"]:
+                try:
+                    await self.catalog.ensure_group(sid)
+                except NoSuchSegment:
+                    pass    # deleted since it answered; the answer stands
+                self.hints.pop(sid, None)
+            return result
+        return None
 
     # ------------------------------------------------------------------ #
     # RPC handlers (registered by the facade)
@@ -296,12 +389,16 @@ class ReadService:
                 or not self.transport.reachable(me, holder):
             return None
         try:
-            return await self._call(holder, method, sid, major, **args)
+            raw = await self._call(holder, method, sid, major, **args)
         except (RpcTimeout, RpcRemoteError):
             return None
+        return {**raw, "served_by": holder}
 
-    async def handle_read(self, src: str, sid: str, major: int, offset: int,
-                          count: int | None) -> dict:
+    async def handle_read(self, src: str, sid: str, major: int | None,
+                          offset: int, count: int | None) -> dict:
+        if major is None:
+            return await self._answer_a_nonmember(
+                src, "seg_read", sid, offset=offset, count=count)
         replica = self.store.replicas.get((sid, major))
         if replica is None:
             raise NoSuchSegment(f"{sid};{major} not held by {self.transport.addr}")
@@ -316,7 +413,10 @@ class ReadService:
         return {"data": result.data, "version": result.version.to_tuple(),
                 "meta": result.meta, "params": result.params.to_dict()}
 
-    async def handle_stat(self, src: str, sid: str, major: int) -> dict:
+    async def handle_stat(self, src: str, sid: str,
+                          major: int | None) -> dict:
+        if major is None:
+            return await self._answer_a_nonmember(src, "seg_stat", sid)
         replica = self.store.replicas.get((sid, major))
         if replica is None:
             raise NoSuchSegment(f"{sid};{major} not held by {self.transport.addr}")
@@ -326,3 +426,40 @@ class ReadService:
         await self._after_burst_head(sid, major)
         return {"version": replica.version.to_tuple(), "meta": dict(replica.meta),
                 "params": replica.params.to_dict(), "length": len(replica.data)}
+
+    async def _answer_a_nonmember(self, src: str, method: str, sid: str,
+                                  **args) -> dict:
+        """A ``seg_read`` / ``seg_stat`` of the latest major from a server
+        outside the file group: answered as this member's own read would
+        be — from its replica through the §3.4 relay, or forwarded to a
+        holder — plus the major, this member's holder set, its token holder
+        and whether the major is unstable, which the asker keeps as its
+        read hint."""
+        if not self.catalog.joined(sid):
+            raise NotMember(f"{self.transport.addr} not in {group_of(sid)}")
+        cat = self.catalog.catalogs[sid]
+        major = self.catalog.pick_major(cat, None)
+        info = cat.majors[major]
+        if (sid, major) in self.store.replicas:
+            handler = self.handle_read if method == "seg_read" \
+                else self.handle_stat
+            raw = await handler(src, sid, major, **args)
+        else:
+            raw = await self._call_a_holder(
+                cat, info, f"{sid}: no holder of major {major} reachable",
+                method, sid, major, **args)
+        return {**raw, "major": major, "holders": sorted(info.holders),
+                "holder": info.holder,
+                "unstable": cat.params.stability_notification
+                and info.unstable}
+
+
+def _decode(raw: dict, server: str, major: int) -> ReadResult:
+    """A forwarded ``seg_read`` / ``seg_stat`` reply from ``server``; a
+    relayed reply names the token holder that served it instead."""
+    return ReadResult(
+        data=raw.get("data", b""),
+        version=VersionPair.from_tuple(raw["version"]),
+        meta=raw["meta"], params=FileParams.from_dict(raw["params"]),
+        major=major, served_by=raw.get("served_by", server),
+    )

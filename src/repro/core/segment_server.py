@@ -473,6 +473,7 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
         """Drop all in-memory state (called when the hosting node crashes)."""
         self.store.volatile_reset()
         self.cat.catalogs.clear()
+        self.reads.hints.clear()
         self._token_waits.clear()
         self._update_locks.clear()
         for handle in self._stable_timers.values():

@@ -56,12 +56,37 @@ def test_forwarded_read_of_unstable_file_is_served_by_the_token_holder():
         where = await s2.locate_replicas(sid)
         assert (where["holders"], where["token_holder"]) == \
             (["s0", "s2", "s3"], "s2")
-        assert (await s1.read(sid)).data == b"old"    # s1 joins the group
+        # s1 asks the creator without joining; its read hint names s0 first
+        assert (await s1.read(sid)).data == b"old"
         cluster.network.latency = SlowLink(cluster.network.latency,
                                            "s2", "s0", 100.0)
         await s2.write(sid, setdata(b"mid"))
         await s2.write(sid, setdata(b"new"))
+        # s0 lags "new" but knows the major is unstable: it relays to s2
         return await s1.read(sid)
+
+    result = cluster.run(main())
+    assert (result.data, result.served_by) == (b"new", "s2")
+    cluster.close()
+
+
+def test_a_relayed_read_names_the_token_holder():
+    """A forwarded ``seg_read`` that a lagging holder H relays to the token
+    holder T names T as the server that served it, not H: agents put
+    ``served_by`` first in their placement hints."""
+    cluster = build_core_cluster(4, seed=3)
+    s1, s2 = cluster.servers[1], cluster.servers[2]
+
+    async def main():
+        sid = await s2.create(params=FileParams(min_replicas=3,
+                                                write_safety=2), data=b"old")
+        cluster.network.latency = SlowLink(cluster.network.latency,
+                                           "s2", "s0", 100.0)
+        await s2.write(sid, setdata(b"mid"))
+        await s2.write(sid, setdata(b"new"))
+        major = (await s2.locate_replicas(sid))["major"]
+        return await s1.reads._ask("s0", "seg_read", sid, major,
+                                   offset=0, count=None)
 
     result = cluster.run(main())
     assert (result.data, result.served_by) == (b"new", "s2")

@@ -1,29 +1,18 @@
 """P3 — write-path performance evidence: the single-round atomic
-whole-file write and the agent write-behind buffer.
+whole-file write.
 
-Three claims, each measured in virtual time with pinned round/commit
-counters:
-
-1. a whole-file write is **1 NFS round / 1 segment update / 1 version
-   bump** — the seed's setattr(size=0)+write path cost 2 rounds, 2
-   updates, and 2 version bumps (and exposed an empty intermediate state);
-2. N overlapping positioned writes to one hot file under write-behind
-   flush as **one** batched update feeding one group commit;
-3. on the zipf hotspot workload, write-behind (safety-0 ack-on-buffer)
-   beats write-through p50 write latency while issuing fewer NFS write
-   rounds.
+A whole-file write is **1 NFS round / 1 segment update / 1 version
+bump** — the seed's setattr(size=0)+write path cost 2 rounds, 2 updates,
+and 2 version bumps (and exposed an empty intermediate state).  Measured
+in virtual time with pinned round/commit counters.
 """
 
-from repro.agent import AgentConfig
 from repro.testbed import build_cluster
-from repro.workloads import WorkloadGenerator, hotspot_config, replay
 from benchmarks.conftest import run_once
-
-N_BURST = 8
 
 
 def test_whole_file_write_single_round(benchmark, report):
-    """Claim 1: one round, one update, one version bump (vs 2/2/2)."""
+    """One round, one update, one version bump (vs 2/2/2)."""
     results = {}
 
     def scenario():
@@ -81,93 +70,3 @@ def test_whole_file_write_single_round(benchmark, report):
     assert seed.get("deceit.updates", 0) == 2
     assert new["ms"] < seed["ms"]
 
-
-def test_write_behind_flushes_burst_as_one_update(benchmark, report):
-    """Claim 2: N coalesced write_ats → one batched update, one commit."""
-    results = {}
-
-    def scenario():
-        cluster = build_cluster(3, n_agents=1, seed=17,
-                                agent_config=AgentConfig(write_behind=True))
-        agent = cluster.agents[0]
-        m = cluster.metrics
-
-        async def run():
-            await agent.mount()
-            await agent.create("/", "hot")
-            await agent.set_params("/hot", write_safety=0,
-                                   stability_notification=False)
-            snap = m.snapshot()
-            t0 = cluster.kernel.now
-            for i in range(N_BURST):
-                await agent.write_at("/hot", i * 2, bytes([65 + i]) * 4)
-            buffered_ms = cluster.kernel.now - t0
-            await agent.flush("/hot")
-            return {"buffered_ms": buffered_ms, **m.delta(snap)}
-
-        results.update(cluster.run(run()))
-        return results
-
-    run_once(benchmark, scenario)
-    report(
-        f"P3.2 — {N_BURST} overlapping writes to one hot file, write-behind",
-        ["metric", "value"],
-        [["NFS write rounds", results.get("nfs.ops.write", 0)],
-         ["segment updates", results.get("deceit.updates", 0)],
-         ["writes coalesced away", results.get("agent.wb_writes_coalesced", 0)],
-         ["virtual ms to ack all 8 (buffered)",
-          f"{results['buffered_ms']:.2f}"]],
-    )
-    assert results.get("nfs.ops.write", 0) == 1
-    assert results.get("deceit.updates", 0) == 1
-    assert results.get("agent.wb_writes_coalesced", 0) == N_BURST - 1
-
-
-def test_write_behind_beats_write_through_on_zipf(benchmark, report):
-    """Claim 3: hotspot workload — lower p50 write latency, fewer rounds."""
-    results = {}
-
-    def scenario():
-        for label, config in (
-            ("write-through", AgentConfig()),
-            ("write-behind", AgentConfig(write_behind=True)),
-        ):
-            cluster = build_cluster(3, n_agents=2, seed=7,
-                                    agent_config=config)
-            cfg = hotspot_config(duration_ms=15_000.0, n_clients=4, seed=7)
-            ops = WorkloadGenerator(cfg).generate()
-            m = cluster.metrics
-
-            async def run():
-                snap = m.snapshot()
-                stats = await replay(
-                    cluster, ops,
-                    file_params={"write_safety": 0,
-                                 "stability_notification": False})
-                return stats, m.delta(snap)
-
-            stats, delta = cluster.run(run())
-            writes = stats.by_kind.get("write")
-            results[label] = {
-                "ops": stats.attempted,
-                "availability": stats.availability,
-                "write_p50": writes.percentile(50) if writes else 0.0,
-                "write_p99": writes.percentile(99) if writes else 0.0,
-                "nfs_write_rounds": delta.get("nfs.ops.write", 0),
-            }
-        return results
-
-    run_once(benchmark, scenario)
-    report(
-        "P3.3 — zipf hotspot workload, write latency and rounds",
-        ["agent", "ops", "availability", "write p50 ms", "write p99 ms",
-         "NFS write rounds"],
-        [[label, r["ops"], f"{r['availability']:.3f}",
-          f"{r['write_p50']:.2f}", f"{r['write_p99']:.2f}",
-          r["nfs_write_rounds"]]
-         for label, r in results.items()],
-    )
-    wt, wb = results["write-through"], results["write-behind"]
-    assert wt["availability"] == 1.0 and wb["availability"] == 1.0
-    assert wb["write_p50"] < wt["write_p50"]
-    assert wb["nfs_write_rounds"] < wt["nfs_write_rounds"]

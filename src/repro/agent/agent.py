@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
@@ -12,15 +12,18 @@ from repro.core.striping import split_range
 from repro.errors import NfsError, NfsStat, RpcTimeout, Unreachable, nfs_error
 from repro.net import Network, Node
 from repro.net.network import RpcRemoteError
-from repro.nfs.attrs import FileAttrs, FileType
+from repro.nfs.attrs import FileAttrs
 from repro.nfs.fhandle import FileHandle
 from repro.nfs.names import split_path
 
 RPC_TIMEOUT_MS = 600.0
-#: How long a ``write_safety >= 1`` buffered write waits for peers to join
-#: its flush (group commit at the agent: concurrent writers to one handle
-#: coalesce into a single batched update).
-WRITE_BEHIND_WINDOW_MS = 5.0
+#: First BUSY backoff; doubles per retry.  Scaled by a deterministic
+#: per-agent stagger (a CRC of the agent's address): identical backoffs
+#: would march rejected clients in lockstep — convoys that retry together
+#: and let the admission bucket cap out (wasting refill) in the gaps.
+#: CRC-derived stagger desynchronizes them while keeping same-seed runs
+#: byte-identical.
+BUSY_BACKOFF_MS = 2.0
 #: Ceiling on one BUSY backoff sleep: the doubling stops here, so a patient
 #: client (high ``busy_retries``) waits out a long overload in bounded
 #: slices rather than milliseconds-to-seconds doubling.
@@ -59,147 +62,11 @@ class AgentConfig:
     shortcut: bool = False
     attr_ttl_ms: float = 3000.0
     data_ttl_ms: float = 3000.0
-    #: The agent-side router: learn replica locations from the placement
-    #: hints piggybacked on read replies and send subsequent reads
-    #: directly to a current replica holder instead of always the mount
-    #: server.  Unlike ``shortcut`` (§5.3) it costs no extra ``locate``
-    #: RPC — hints ride replies the agent receives anyway.
-    route_hints: bool = False
-    #: Agent-side write-behind: buffer ``write_at``/``write_file`` per
-    #: handle, coalescing overlapping writes, serving read-your-writes
-    #: locally, and flushing on ``flush()``/``close()``/TTL as one batched
-    #: write.  The ack point honors the file's §4 ``write_safety``: level 0
-    #: acks as soon as the bytes are buffered (asynchronous unsafe writes);
-    #: level >= 1 acks when the flush returns — i.e. after the server has
-    #: collected ``write_safety`` replica replies.
-    write_behind: bool = False
-    #: Flush deadline for ``write_safety == 0`` buffered data — the bound
-    #: on how long an acked-but-unflushed write may live only in agent
-    #: memory.
-    write_behind_ttl_ms: float = 50.0
     #: How many times a request answered ``ERR_BUSY`` by a server's
     #: admission gate (repro.obs.admission) is retried before the error
     #: surfaces.  Retries hit the *same* server — BUSY is backpressure,
     #: not failure, so it must not trigger failover stampedes.
     busy_retries: int = 4
-    #: First BUSY backoff; doubles per retry.  Scaled by a deterministic
-    #: per-agent stagger (a CRC of the agent's address): identical
-    #: backoffs would march rejected clients in lockstep — convoys that
-    #: retry together and let the admission bucket cap out (wasting
-    #: refill) in the gaps.  CRC-derived stagger desynchronizes them
-    #: while keeping same-seed runs byte-identical.
-    busy_backoff_ms: float = 2.0
-
-
-class _WriteBuffer:
-    """Per-handle write-behind state: a whole-file image *or* coalesced
-    positioned patches, plus the flush rendezvous.
-
-    ``pending_fut`` is the future for the flush that will cover the
-    currently-buffered bytes (write-safety >= 1 writers await it);
-    ``inflight`` is the flush currently on the wire — new writes buffered
-    while it runs belong to the *next* flush, never the running one.
-    """
-
-    def __init__(self) -> None:
-        self.whole: bytes | None = None
-        self.patches: list[tuple[int, bytes]] = []
-        self.buffered_ops = 0
-        self.pending_fut = None
-        self.inflight = None
-        self.armed = None           # EventHandle of the scheduled flush
-        #: best-known server-side size when buffering began (from the
-        #: attr/data caches) — the base for locally-synthesized attrs
-        self.base_size = 0
-        #: (stripe_size, size) captured while the attr cache still had it —
-        #: buffering evicts the cached attrs, but the flush needs to know
-        #: the file's stripe width to split the batch per stripe
-        self.stripe_hint: tuple[int, int] | None = None
-
-    @property
-    def dirty(self) -> bool:
-        return self.whole is not None or bool(self.patches)
-
-    def set_whole(self, data: bytes) -> None:
-        """A truncating whole-file write supersedes everything buffered."""
-        self.whole = data
-        self.patches = []
-        self.buffered_ops += 1
-
-    def add_patch(self, offset: int, data: bytes) -> None:
-        """Fold a positioned write in, merging overlapping/adjacent runs
-        (the incoming bytes win where runs overlap)."""
-        self.buffered_ops += 1
-        if self.whole is not None:
-            image = self.whole
-            if offset > len(image):
-                image = image + b"\x00" * (offset - len(image))
-            self.whole = image[:offset] + data + image[offset + len(data):]
-            return
-        new_off, new_buf = offset, data
-        kept: list[tuple[int, bytes]] = []
-        for off, buf in self.patches:
-            if off + len(buf) < new_off or new_off + len(new_buf) < off:
-                kept.append((off, buf))
-                continue
-            start = min(off, new_off)
-            merged = bytearray(max(off + len(buf),
-                                   new_off + len(new_buf)) - start)
-            merged[off - start: off - start + len(buf)] = buf
-            merged[new_off - start: new_off - start + len(new_buf)] = new_buf
-            new_off, new_buf = start, bytes(merged)
-        kept.append((new_off, new_buf))
-        kept.sort()
-        self.patches = kept
-
-    def overlay(self, base: bytes) -> bytes:
-        """Apply the buffered state over ``base`` (read-your-writes)."""
-        if self.whole is not None:
-            return self.whole
-        out = bytearray(base)
-        for off, buf in self.patches:
-            if off > len(out):
-                out.extend(b"\x00" * (off - len(out)))
-            out[off: off + len(buf)] = buf
-        return bytes(out)
-
-    def overlay_range(self, base: bytes, offset: int, count: int) -> bytes:
-        """Read-your-writes for a *ranged* read: apply only the buffered
-        patches intersecting ``[offset, offset+count)`` over ``base``
-        (which is that range's server bytes) — no whole-file fetch."""
-        if self.whole is not None:
-            return self.whole[offset:offset + count]
-        out = bytearray(base)
-        for off, buf in self.patches:
-            lo = max(off, offset)
-            hi = min(off + len(buf), offset + count)
-            if lo >= hi:
-                continue
-            if hi - offset > len(out):
-                out.extend(b"\x00" * (hi - offset - len(out)))
-            out[lo - offset:hi - offset] = buf[lo - off:hi - off]
-        return bytes(out)
-
-    def extent(self, base_size: int = 0) -> int:
-        """File size implied by the buffer over a ``base_size`` file."""
-        if self.whole is not None:
-            return len(self.whole)
-        if not self.patches:
-            return base_size
-        return max(base_size,
-                   max(off + len(buf) for off, buf in self.patches))
-
-
-def _split_at_stripes(patches: list[tuple[int, bytes]],
-                      stripe_size: int) -> dict[int, list[tuple[int, bytes]]]:
-    """Group positioned writes by the stripe they fall in, cutting any
-    patch that crosses a stripe boundary at that boundary."""
-    groups: dict[int, list[tuple[int, bytes]]] = {}
-    for offset, data in patches:
-        for cut, take in split_range(offset, offset + len(data), stripe_size):
-            groups.setdefault(cut // stripe_size, []).append(
-                (cut, data[cut - offset:cut - offset + take]))
-    return groups
 
 
 def _join(dirpath: str, name: str) -> str:
@@ -296,10 +163,9 @@ class Agent(Node):
         # path -> FileHandle; handles are server-independent, never lapse
         self._handle_cache = _Cache(kernel, math.inf, cfg.cache)
         self._location_cache: dict[str, str] = {}
-        # route key -> replica holders, learned from read-reply placement
-        # hints (preferred holder first): (sid, stripe index) for a stripe
-        # of a striped file, the sid for a blob (only under route_hints)
-        self._placement_cache: dict[Any, list[str]] = {}
+        # (sid, stripe index) -> the stripe's replica holders, learned from
+        # read-reply placement hints (preferred holder first)
+        self._placement_cache: dict[tuple[str, int], list[str]] = {}
         # sid -> stripe width, taught by read replies: the attr-borne
         # stripe hint lapses with the attrs, a stripe's holders do not
         self._stripe_widths: dict[str, int] = {}
@@ -312,14 +178,6 @@ class Agent(Node):
         # store its reply if no write invalidated the handle since it was
         # spawned (else it would resurrect pre-write bytes)
         self._cache_gen: dict[str, int] = {}
-        # write-behind: fh-key -> buffer (+ the handle to flush it with)
-        self._write_buffers: dict[str, _WriteBuffer] = {}
-        self._wb_handles: dict[str, FileHandle] = {}
-        # sid -> write_safety: the ack-point decision cache
-        self._params_cache = _Cache(kernel, cfg.attr_ttl_ms)
-        # fh-key -> asynchronous (safety-0) flush failures, surfaced on
-        # the next flush()/close() of THAT handle (or a flush-all)
-        self._wb_errors: dict[str, list[NfsError]] = {}
         # deterministic backoff stagger in [1, 2): crc32 (not hash()) so
         # it is stable across processes / PYTHONHASHSEED
         self._busy_stagger = 1.0 + (zlib.crc32(addr.encode()) & 0xFF) / 256.0
@@ -365,7 +223,7 @@ class Agent(Node):
             last_exc: Exception | None = None
             failures = 0
             busy_left = self.config.busy_retries
-            busy_wait = self.config.busy_backoff_ms * self._busy_stagger
+            busy_wait = BUSY_BACKOFF_MS * self._busy_stagger
             while failures < attempts:
                 target = to if to is not None else self.server
                 try:
@@ -541,24 +399,16 @@ class Agent(Node):
     # ------------------------------------------------------------------ #
 
     async def getattr(self, path_or_fh: str | FileHandle) -> FileAttrs:
-        """Attributes, served from the agent cache when fresh.
-
-        Buffered write-behind bytes are reflected in the returned size
-        (read-your-writes covers attributes too)."""
+        """Attributes, served from the agent cache when fresh."""
         fh = await self._resolve(path_or_fh)
         key = fh.encode()
         cached = self._attr_cache.fresh(key)
         if cached is not None:
             self.metrics.incr("agent.attr_cache_hits")
-            attrs = cached[0]
-        else:
-            reply = await self._nfs("getattr", {"fh": key})
-            attrs = FileAttrs.from_wire(reply["attrs"])
-            self._attr_cache.put(key, attrs)
-        buf = self._write_buffers.get(key)
-        if buf is not None and buf.dirty:
-            # copy: the overlay must not poison the cached server attrs
-            attrs = dc_replace(attrs, size=buf.extent(attrs.size))
+            return cached[0]
+        reply = await self._nfs("getattr", {"fh": key})
+        attrs = FileAttrs.from_wire(reply["attrs"])
+        self._attr_cache.put(key, attrs)
         return attrs
 
     async def _resolve(self, path_or_fh: str | FileHandle) -> FileHandle:
@@ -577,17 +427,9 @@ class Agent(Node):
         """
         fh = await self._resolve(path_or_fh)
         key = fh.encode()
-        buf = self._write_buffers.get(key)
-        if buf is not None and buf.whole is not None:
-            # read-your-writes: the buffered image IS the current contents
-            self.metrics.incr("agent.wb_read_your_writes")
-            return buf.whole
         cached = self._data_cache.fresh(key)
         if cached is not None:
             self.metrics.incr("agent.data_cache_hits")
-            if buf is not None and buf.patches:
-                self.metrics.incr("agent.wb_read_your_writes")
-                return buf.overlay(cached[0])
             return cached[0]
         if self._data_cache.enabled:
             self.metrics.incr("agent.data_cache_misses")
@@ -603,10 +445,10 @@ class Agent(Node):
                 # TTL lapsed: revalidate by version pair — the server
                 # answers "unchanged" (no data bytes) when still current
                 args["verify"] = list(cached[2])
-            to = await self._route_target(fh, fh.sid)
-            reply = await self._nfs("read", args, to=to,
+            reply = await self._nfs("read", args,
+                                    to=await self._shortcut_target(fh),
                                     on_target_fail=lambda t:
-                                    self._forget_route(fh, fh.sid))
+                                    self._location_cache.pop(fh.sid, None))
             self._learn_placement(fh, reply)
             version = tuple(reply["version"]) if "version" in reply else None
             if reply.get("unchanged") and cached:
@@ -615,11 +457,6 @@ class Agent(Node):
             else:
                 data = reply["data"]
         self._data_cache.put(key, data, version)
-        if buf is not None and buf.patches:
-            # overlay buffered positioned writes on the fetched base; the
-            # data cache above keeps the *server's* copy (version-exact)
-            self.metrics.incr("agent.wb_read_your_writes")
-            return buf.overlay(data)
         return data
 
     # ------------------------------------------------------------------ #
@@ -684,31 +521,16 @@ class Agent(Node):
                       count: int) -> bytes:
         """Ranged read: ``count`` bytes from ``offset`` (fewer at EOF).
 
-        Striped files whose range spans several stripes fan the pieces out
-        in parallel; sequential scans arm the next-stripe readahead so the
-        following request is served from agent memory.  Buffered
-        write-behind bytes are visible (read-your-writes).
+        Served from the agent caches, then the readahead range cache, then
+        RPC.  Striped files whose range spans several stripes fan the
+        pieces out in parallel; sequential scans arm the next-stripe
+        readahead so the following request is served from agent memory.
         """
         fh = await self._resolve(path_or_fh)
         key = fh.encode()
         self.metrics.incr("agent.range_reads")
         if count <= 0:
             return b""
-        buf = self._write_buffers.get(key)
-        if buf is not None and buf.dirty:
-            # read-your-writes without whole-file cost: a buffered image
-            # answers directly; buffered patches overlay the fetched range
-            self.metrics.incr("agent.wb_read_your_writes")
-            if buf.whole is not None:
-                return buf.whole[offset:offset + count]
-            base = await self._range_base(fh, key, offset, count)
-            return buf.overlay_range(base, offset, count)
-        return await self._range_base(fh, key, offset, count)
-
-    async def _range_base(self, fh: FileHandle, key: str, offset: int,
-                          count: int) -> bytes:
-        """The server's bytes for one range: agent caches, then the
-        readahead range cache, then RPC (fanned out across stripes)."""
         cached = self._data_cache.fresh(key)
         if cached is not None:
             self.metrics.incr("agent.data_cache_hits")
@@ -820,20 +642,21 @@ class Agent(Node):
             return
         self._range_cache.put(key, (offset, reply["data"]))
 
-    def _route_key(self, fh: FileHandle, offset: int, count: int) -> Any:
+    def _route_key(self, fh: FileHandle, offset: int,
+                   count: int) -> tuple[str, int] | None:
         """The placement-cache key a ranged read routes by: ``(sid, stripe
         index)`` when a read reply taught the file's stripe width and the
-        range lies in one stripe, else the sid."""
+        range lies in one stripe, else ``None`` (no hint applies)."""
         width = self._stripe_widths.get(fh.sid)
         if width and offset // width == (offset + count - 1) // width:
             return fh.sid, offset // width
-        return fh.sid
+        return None
 
-    async def _route_target(self, fh: FileHandle, route: Any) -> str | None:
-        """Where to aim a read: a hinted replica holder under ``route``,
-        the §5.3 shortcut target, or ``None`` for the plain mount-server
-        path.  Sid-keyed hints exist only under ``route_hints``, so that
-        switch alone decides whether blob reads are routed."""
+    async def _route_target(self, fh: FileHandle,
+                            route: tuple[str, int] | None) -> str | None:
+        """Where to aim a read: a hinted holder of the stripe under
+        ``route``, the §5.3 shortcut target, or ``None`` for the plain
+        mount-server path."""
         if not fh.foreign:
             holders = self._placement_cache.get(route)
             if holders:
@@ -846,20 +669,16 @@ class Agent(Node):
     def _learn_placement(self, fh: FileHandle, reply: dict,
                          offset: int = 0) -> None:
         """Absorb the placement hint piggybacked on a read reply at
-        ``offset``: a stripe's holders always (the hint carries the
-        stripe width), a blob's only under ``route_hints``."""
+        ``offset``.  Only a stripe's hint (it carries the stripe width)
+        is kept; a blob read stays on the mount server or the shortcut."""
         hint = reply.get("placement")
         if not hint or fh.foreign:
             return
         width = hint.get("stripe_size")
-        if width:
-            self._stripe_widths[fh.sid] = width
-            route = (fh.sid, offset // width)
-        else:
+        if not width:
             self._stripe_widths.pop(fh.sid, None)   # a blob (again)
-            if not self.config.route_hints:
-                return
-            route = fh.sid
+            return
+        self._stripe_widths[fh.sid] = width
         holders = sorted(hint.get("holders") or [])
         if not holders:
             return
@@ -867,10 +686,11 @@ class Agent(Node):
         if served in holders:  # the server that answered goes first
             holders.remove(served)
             holders.insert(0, served)
-        self._placement_cache[route] = holders
+        self._placement_cache[fh.sid, offset // width] = holders
         self.metrics.incr("agent.placement_hints")
 
-    def _forget_route(self, fh: FileHandle, route: Any) -> None:
+    def _forget_route(self, fh: FileHandle,
+                      route: tuple[str, int] | None) -> None:
         """A routed target failed: drop what we believed about it."""
         self._placement_cache.pop(route, None)
         self._location_cache.pop(fh.sid, None)
@@ -900,23 +720,17 @@ class Agent(Node):
         The ``truncate`` flag makes the server replace the contents in a
         single ``setdata`` segment update — one round, one version bump,
         and no window where a concurrent reader sees an empty file or a
-        crash loses the old bytes without producing the new ones.  With
-        ``write_behind`` enabled the image is buffered instead (see
-        :meth:`_buffer_write`).
+        crash loses the old bytes without producing the new ones.
         """
         fh = await self._resolve(path_or_fh)
-        if self.config.write_behind:
-            return await self._buffer_write(fh, whole=data)
         return await self._write_through(
             fh, {"fh": fh.encode(), "offset": 0, "data": data,
                  "truncate": True}, size=len(data))
 
     async def write_at(self, path_or_fh: str | FileHandle, offset: int,
                        data: bytes) -> FileAttrs:
-        """Positioned write (buffered and coalesced under write-behind)."""
+        """Positioned write."""
         fh = await self._resolve(path_or_fh)
-        if self.config.write_behind:
-            return await self._buffer_write(fh, offset=offset, data=data)
         return await self._write_through(
             fh, {"fh": fh.encode(), "offset": offset, "data": data},
             size=len(data))
@@ -924,229 +738,10 @@ class Agent(Node):
     async def _write_through(self, fh: FileHandle, args: dict[str, Any],
                              size: int) -> FileAttrs:
         reply = await self._nfs("write", args, size_bytes=max(256, size))
-        return self._written(fh, reply)
-
-    def _written(self, fh: FileHandle, reply: dict) -> FileAttrs:
-        """A write landed: drop what the caches held about the file, keep
-        the post-write attrs its reply carries."""
         self._invalidate(fh)
         attrs = FileAttrs.from_wire(reply["attrs"])
         self._attr_cache.put(fh.encode(), attrs)
         return attrs
-
-    # ------------------------------------------------------------------ #
-    # write-behind: buffer / coalesce / flush
-    # ------------------------------------------------------------------ #
-
-    async def _buffer_write(self, fh: FileHandle, whole: bytes | None = None,
-                            offset: int = 0, data: bytes = b"") -> FileAttrs:
-        """Buffer one write; the ack point follows the file's write_safety.
-
-        Safety 0 (asynchronous unsafe writes, §4) acks as soon as the
-        bytes are in the buffer and relies on the TTL flush.  Safety >= 1
-        arms a short group-commit window and awaits the flush — every
-        writer that joins the window shares one batched update, and each
-        returns only once the server has collected ``write_safety``
-        replica replies for it.
-        """
-        key = fh.encode()
-        # resolve the ack point FIRST: everything from buffer-fill to the
-        # flush arm/await below is then one atomic (await-free) block, so
-        # a concurrent flush can never take the bytes without also taking
-        # the rendezvous future a safety >= 1 writer awaits
-        safety = await self._write_safety(fh)
-        buf = self._write_buffers.get(key)
-        if buf is None:
-            buf = self._write_buffers[key] = _WriteBuffer()
-            self._wb_handles[key] = fh
-        hint = self._stripe_hint(key)
-        if hint is not None:
-            buf.stripe_hint = hint
-        if not buf.dirty:
-            # remember the pre-buffer size so synthesized attrs for
-            # positioned writes don't report the file shrunk to the patch
-            cached_attrs = self._attr_cache.peek(key)
-            cached_data = self._data_cache.peek(key)
-            buf.base_size = (cached_attrs[0].size if cached_attrs
-                             else len(cached_data[0]) if cached_data else 0)
-        if whole is not None:
-            buf.set_whole(whole)
-        else:
-            buf.add_patch(offset, data)
-        self.metrics.incr("agent.wb_buffered_writes")
-        # buffered bytes supersede whatever the caches say about this file
-        self._data_cache.pop(key)
-        self._attr_cache.pop(key)
-        if safety == 0:
-            self._arm_flush(key, self.config.write_behind_ttl_ms)
-            return self._buffered_attrs(buf)
-        fut = buf.pending_fut
-        if fut is None:
-            fut = buf.pending_fut = self.kernel.create_future()
-        self._arm_flush(key, WRITE_BEHIND_WINDOW_MS)
-        return await fut
-
-    def _arm_flush(self, key: str, delay_ms: float) -> None:
-        buf = self._write_buffers[key]
-        if buf.armed is not None:
-            return
-        buf.armed = self.kernel.schedule(
-            delay_ms, lambda: self.kernel.spawn(
-                self._flush_buffer(key), name=f"{self.addr}:wb-flush"))
-
-    async def _flush_buffer(self, key: str):
-        """Flush one handle's buffer as a single batched NFS write.
-
-        Returns the (already resolved) flush future, or ``None`` when
-        there was nothing to flush.  Never raises: failures resolve the
-        future (delivered to any safety >= 1 writers awaiting it) and,
-        for fire-and-forget safety-0 flushes, are deferred to the next
-        explicit ``flush()``/``close()``.
-        """
-        buf = self._write_buffers.get(key)
-        if buf is None:
-            return None
-        if buf.armed is not None:
-            buf.armed.cancel()
-            buf.armed = None
-        while buf.inflight is not None:
-            inflight = buf.inflight
-            try:
-                await inflight
-            except NfsError:
-                pass          # that flush's awaiters already received it
-            if buf.inflight is inflight:
-                buf.inflight = None
-        if not buf.dirty:
-            return None
-        had_waiters = buf.pending_fut is not None
-        fut = buf.pending_fut or self.kernel.create_future()
-        buf.pending_fut = None
-        buf.inflight = fut
-        whole, patches = buf.whole, buf.patches
-        n_ops = buf.buffered_ops
-        buf.whole, buf.patches, buf.buffered_ops = None, [], 0
-        fh = self._wb_handles[key]
-        try:
-            reply = await self._send_flush(key, whole, patches,
-                                           buf.stripe_hint)
-        except NfsError as exc:
-            buf.inflight = None
-            if not had_waiters:
-                self._wb_errors.setdefault(key, []).append(exc)
-            if not fut.done():
-                fut.set_exception(exc)
-            return fut
-        buf.inflight = None
-        self.metrics.incr("agent.wb_flushes")
-        if n_ops > 1:
-            self.metrics.incr("agent.wb_writes_coalesced", n_ops - 1)
-        attrs = self._written(fh, reply)
-        if not fut.done():
-            fut.set_result(attrs)
-        return fut
-
-    async def _send_flush(self, key: str, whole: bytes | None,
-                          patches: list[tuple[int, bytes]],
-                          stripe_hint: tuple[int, int] | None) -> dict:
-        """Ship one buffer's contents to the server(s).
-
-        A whole-file image goes as one truncating write.  Patches of a
-        *striped* file that fall in several stripes go as one write per
-        stripe, in parallel — each lands on its own stripe's write token,
-        so two agents flushing disjoint regions of one file never touch
-        the same token (and the flush's latency is the slowest stripe,
-        not the sum).  Everything else is the single batched write.
-        """
-        if whole is not None:
-            return await self._nfs("write",
-                                   {"fh": key, "offset": 0, "data": whole,
-                                    "truncate": True},
-                                   size_bytes=max(256, len(whole)))
-        groups = (_split_at_stripes(patches, stripe_hint[0])
-                  if stripe_hint is not None else {0: patches})
-        if len(groups) > 1:
-            self.metrics.incr("agent.wb_stripe_flushes", len(groups))
-            tasks = [self.spawn(self._write_rpc(key, plist),
-                                name=f"{self.addr}:wb-stripe")
-                     for _index, plist in sorted(groups.items())]
-            replies = await self.kernel.all_of(tasks)
-            # the largest reported size reflects the final extent; the
-            # per-group attrs only differ in what that group observed
-            return max(replies, key=lambda r: r["attrs"]["size"])
-        return await self._write_rpc(key, patches)
-
-    async def _write_rpc(self, key: str,
-                         patches: list[tuple[int, bytes]]) -> dict:
-        if len(patches) == 1:
-            args: dict[str, Any] = {"fh": key, "offset": patches[0][0],
-                                    "data": patches[0][1]}
-            size = len(patches[0][1])
-        else:
-            args = {"fh": key, "ops": [{"offset": off, "data": data}
-                                       for off, data in patches]}
-            size = sum(len(data) for _off, data in patches)
-        return await self._nfs("write", args, size_bytes=max(256, size))
-
-    async def flush(self, path_or_fh: str | FileHandle | None = None) -> None:
-        """Flush write-behind buffers — one handle's, or every dirty one.
-
-        Raises the first failure, including deferred errors from earlier
-        asynchronous (safety-0) TTL flushes — the ``fsync`` contract.
-        """
-        if path_or_fh is None:
-            keys = sorted(set(self._write_buffers) | set(self._wb_errors))
-        else:
-            fh = await self._resolve(path_or_fh)
-            keys = [fh.encode()]
-        failure: NfsError | None = None
-        for key in keys:
-            fut = await self._flush_buffer(key)
-            if fut is not None:
-                try:
-                    await fut
-                except NfsError as exc:
-                    failure = failure or exc
-            deferred = self._wb_errors.pop(key, None)
-            if deferred and failure is None:
-                failure = deferred[0]
-        if failure is not None:
-            raise failure
-
-    async def close(self, path_or_fh: str | FileHandle) -> None:
-        """Flush and release a handle's write-behind buffer."""
-        fh = await self._resolve(path_or_fh)
-        key = fh.encode()
-        try:
-            await self.flush(fh)
-        finally:
-            self._write_buffers.pop(key, None)
-            self._wb_handles.pop(key, None)
-
-    async def _write_safety(self, fh: FileHandle) -> int:
-        """The file's §4 write_safety level (cached; decides ack points)."""
-        cached = self._params_cache.fresh(fh.sid)
-        if cached is not None:
-            return cached[0]
-        try:
-            reply = await self._cmd("getparam", {"fh": fh.encode()})
-            safety = int(reply["params"]["write_safety"])
-        except (NfsError, RpcTimeout, Unreachable, RpcRemoteError):
-            # unknown (error or unreachable mount server): conservative,
-            # ack on durability — the flush itself goes through _nfs and
-            # gets failover, so the write must not fail here
-            safety = 1
-        self._params_cache.put(fh.sid, safety)
-        return safety
-
-    def _buffered_attrs(self, buf: _WriteBuffer) -> FileAttrs:
-        """Locally-synthesized attrs for a buffer-acked write (no server
-        round has happened; size/mtime reflect the buffered state over
-        the best-known base size — mode/owner are defaults)."""
-        now = self.kernel.now
-        return FileAttrs(ftype=FileType.REGULAR,
-                         size=buf.extent(buf.base_size),
-                         mtime=now, ctime=now)
 
     async def create(self, dirpath: str, name: str,
                      sattr: dict | None = None) -> FileHandle:
@@ -1318,10 +913,7 @@ class Agent(Node):
         # cached attrs may now lie about the file's shape (a stripe_size
         # change restripes it in place; the striping hint rides attrs)
         self._invalidate(fh)
-        params = reply["params"]
-        # keep the write-behind ack-point decision in step with the change
-        self._params_cache.put(fh.sid, int(params["write_safety"]))
-        return params
+        return reply["params"]
 
     async def list_versions(self, path_or_fh: str | FileHandle) -> dict[int, tuple]:
         """All live versions of a file (``foo;3`` names, §3.5)."""

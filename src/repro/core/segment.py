@@ -33,8 +33,8 @@ class WriteOp:
       intermediate state and a crash between the two could lose both the
       old and the new contents);
     - ``batch`` applies a list of sub-operations (``parts``) as one
-      atomically-distributed update — how an agent's write-behind buffer
-      flushes several coalesced positioned writes in a single version bump;
+      atomically-distributed update — several positioned writes in a
+      single version bump (the striper's pieces for one stripe);
     - ``dirop`` applies single-name directory mutations (``dirops``, see
       :mod:`repro.core.dirtable`) to the entry table at update-application
       time — the commuting namespace path: concurrent creates of different

@@ -117,8 +117,7 @@ class Striper:
     # ------------------------------------------------------------------ #
 
     async def write(self, fh, stat, offset: int, data: bytes,
-                    truncate: bool, ops: list[dict] | None,
-                    patch: dict[str, Any],
+                    truncate: bool, patch: dict[str, Any],
                     ) -> tuple[dict[str, Any], int, Any]:
         """One NFS write against a striped (or threshold-crossing) file.
 
@@ -127,9 +126,7 @@ class Striper:
         parent-meta patch (mtime etc.) applied whenever the parent is
         actually updated.
         """
-        patches = ([(int(o["offset"]), o["data"]) for o in ops]
-                   if ops is not None else [(offset, data)])
-        patches = [(o, d) for o, d in patches if d]
+        patches = [(offset, data)] if data else []
         for attempt in range(MAX_INSTALL_RETRIES):
             if attempt:
                 stat = await self.segments.stat(fh.sid, version=fh.version)
@@ -432,12 +429,17 @@ class Striper:
     async def _place(self, sid: str, index: int) -> None:
         """Scatter a fresh stripe to its home server (§3.1 method 3 — the
         explicit-placement path §6.2's dispersion scenario uses).  Best
-        effort: an unreachable target just leaves the stripe local."""
+        effort: an unreachable target just leaves the stripe local.  A
+        target already holding one of the stripe's ``min_replicas`` birth
+        copies is left as it is: moving would drop the local copy and
+        leave the stripe below its floor."""
         me = self.proc.addr
         target = self._scatter_target(index)
         if target == me or not self.proc.network.reachable(me, target):
             return
         try:
+            if target in (await self.segments.locate_replicas(sid))["holders"]:
+                return
             if await self.segments.create_replica(sid, target):
                 await self.segments.delete_replica(sid, me)
                 self.metrics.incr("striping.stripes_scattered")

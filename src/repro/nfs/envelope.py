@@ -314,20 +314,18 @@ class Envelope:
                    in self.segments.store.replicas.items() if rsid == sid)
 
     async def write(self, fh: FileHandle, offset: int, data: bytes,
-                    truncate: bool = False,
-                    ops: list[dict] | None = None) -> FileAttrs:
+                    truncate: bool = False) -> FileAttrs:
         """WRITE — see :meth:`write_result`; returns the attributes only."""
         attrs, _version = await self.write_result(fh, offset, data,
-                                                  truncate=truncate, ops=ops)
+                                                  truncate=truncate)
         return attrs
 
     async def write_result(self, fh: FileHandle, offset: int, data: bytes,
                            truncate: bool = False,
-                           ops: list[dict] | None = None,
                            ) -> tuple[FileAttrs, tuple[int, int]]:
         """WRITE — one segment update; bumps mtime atomically.
 
-        Three shapes, all a single version bump:
+        Two shapes, each a single version bump:
 
         - plain positioned write: ``replace`` at ``offset``;
         - ``truncate=True``: whole-file replacement as one ``setdata``
@@ -338,9 +336,7 @@ class Envelope:
           paper's own "likely only one update"): a server that is not the
           token holder passes it to the holder instead of taking the
           token, unless it is continuing a stream of its own (see
-          :meth:`~repro.core.pipeline.update.UpdatePipeline.write`);
-        - ``ops=[{"offset", "data"}, ...]``: a write-behind flush — the
-          coalesced positioned writes apply as one ``batch`` update.
+          :meth:`~repro.core.pipeline.update.UpdatePipeline.write`).
 
         The reply attributes are computed **from the write result** (the
         pre-write meta, the op's own meta patch, and the op-derived
@@ -362,15 +358,15 @@ class Envelope:
         if stat.meta.get("ftype") == FileType.DIRECTORY.value:
             raise nfs_error(NfsStat.ERR_ISDIR, fh.sid)
         patch = {"mtime": self.kernel.now}
-        if not truncate and not ops and not data:
+        if not truncate and not data:
             return (self._attrs_of(stat),
                     (stat.major, stat.version.sub))
         smap = StripeMap.from_meta(stat.meta)
         if smap is not None or self._crosses_stripe_threshold(
-                stat, offset, data, truncate, ops):
+                stat, offset, data, truncate):
             try:
                 reply_meta, new_length, version = await self.striper.write(
-                    fh, stat, offset, data, truncate, ops, patch)
+                    fh, stat, offset, data, truncate, patch)
             except NoSuchSegment as exc:
                 raise nfs_error(NfsStat.ERR_STALE, str(exc)) from exc
             except (ReplicaUnavailable, WriteUnavailable) as exc:
@@ -379,10 +375,6 @@ class Envelope:
                     (version.major, version.sub))
         if truncate:
             op = WriteOp(kind="setdata", data=data, meta=patch)
-        elif ops is not None:
-            parts = [WriteOp(kind="replace", offset=int(o["offset"]),
-                             data=o["data"]) for o in ops]
-            op = WriteOp(kind="batch", parts=parts, meta=patch)
         else:
             op = WriteOp(kind="replace", offset=offset, data=data, meta=patch)
         try:
@@ -399,7 +391,7 @@ class Envelope:
             new_length = len(replica.data)
         else:
             # forwarded or not-yet-applied locally: derive from the op;
-            # for replace/batch the pre-write length is a best-effort
+            # for replace the pre-write length is a best-effort
             # base, but the *persisted* length is race-free regardless
             # (WriteOp.apply derives it at application)
             new_length = op.result_length(stat.meta.get("length", 0))
@@ -409,22 +401,17 @@ class Envelope:
 
     @staticmethod
     def _crosses_stripe_threshold(stat: ReadResult, offset: int, data: bytes,
-                                  truncate: bool,
-                                  ops: list[dict] | None) -> bool:
+                                  truncate: bool) -> bool:
         """Whether this write pushes a blob file past its ``stripe_size``
         parameter (the in-place conversion trigger)."""
         threshold = stat.params.stripe_size
         if threshold is None or \
                 stat.meta.get("ftype") != FileType.REGULAR.value:
             return False
-        current = file_length(stat.meta)
         if truncate:
             projected = len(data)
-        elif ops is not None:
-            projected = max([current] + [int(o["offset"]) + len(o["data"])
-                                         for o in ops if o["data"]])
         else:
-            projected = max(current, offset + len(data))
+            projected = max(file_length(stat.meta), offset + len(data))
         return projected > threshold
 
     async def restripe(self, fh: FileHandle) -> None:

@@ -261,7 +261,7 @@ class DeceitServer:
         if op == "write":
             attrs, version = await env.write_result(
                 fh, args.get("offset", 0), args.get("data", b""),
-                truncate=args.get("truncate", False), ops=args.get("ops"))
+                truncate=args.get("truncate", False))
             return {"status": 0, "attrs": attrs.to_wire(),
                     "version": list(version)}
         if op in ("create", "mkdir", "symlink"):

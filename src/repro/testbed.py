@@ -149,11 +149,7 @@ class Cluster:
         self.network.heal()
 
     async def drain_agents(self) -> None:
-        """Flush every agent's write-behind buffer (benchmark barrier:
-        after this, all acked writes are on the servers)."""
-        for agent in self.agents:
-            if agent.config.write_behind:
-                await agent.flush()
+        """Benchmark barrier: agents write through, so this has nothing to do."""
 
     def scrape_health(self, timeout_ms: float = 200.0) -> list[dict]:
         """Scrape every server's ``health`` RPC (see

@@ -135,15 +135,4 @@ async def replay(cluster, ops: list[Op], prepopulate: bool = True,
 
     tasks = [kernel.spawn(client_loop(i)) for i in range(len(agents))]
     await kernel.all_of(tasks)
-    # drain write-behind buffers so the trace's effects are fully on the
-    # servers before the caller inspects them; a failed drain counts
-    # against availability like any other failed operation
-    for agent in agents:
-        if agent.config.write_behind:
-            stats.attempted += 1
-            try:
-                await agent.flush()
-                stats.succeeded += 1
-            except NfsError:
-                stats.failed += 1
     return stats

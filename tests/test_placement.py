@@ -1,14 +1,13 @@
-"""Placement tests: the method-4 migration barrier and the agent router.
+"""Placement tests: the method-4 migration barrier.
 
 Covers the ``quiesced()`` barrier over §3.1 method-4 one-shot migrations
 (immediate when idle, awaits in-flight pulls, survives a crash
-mid-migration) and the agent-side router that follows placement hints
-piggybacked on read replies.
+mid-migration).  The agent-side stripe router is covered in
+tests/test_striping.py.
 """
 
-from repro.agent import AgentConfig
 from repro.core import FileParams
-from repro.testbed import build_cluster, build_core_cluster
+from repro.testbed import build_core_cluster
 
 
 # ---------------------------------------------------------------------- #
@@ -63,54 +62,3 @@ def test_quiesced_survives_crash_mid_migration():
         return True
 
     assert cluster.run(main())
-
-
-# ---------------------------------------------------------------------- #
-# the agent-side router
-# ---------------------------------------------------------------------- #
-
-def test_agent_router_follows_placement_hint():
-    """After one forwarded read the agent has learned the holder set from
-    the reply hint and sends the next read straight to a holder."""
-    cluster = build_cluster(3, 1, agent_config=AgentConfig(
-        cache=False, route_hints=True))
-    agent = cluster.agents[0]
-
-    async def main():
-        await agent.mount()
-        await agent.create("/", "f")
-        await agent.write_file("/f", b"routed")
-        # move the data off the mount server: only s1 holds a replica
-        assert await agent.create_replica("/f", "s1")
-        assert await agent.delete_replica("/f", "s0")
-        first = await agent.read_file("/f")       # forwarded s0 -> s1
-        forwarded = cluster.metrics.get("deceit.reads_forwarded")
-        second = await agent.read_file("/f")      # routed directly to s1
-        return first, second, \
-            cluster.metrics.get("deceit.reads_forwarded") - forwarded
-
-    first, second, extra_forwards = cluster.run(main())
-    assert first == second == b"routed"
-    assert extra_forwards == 0  # the routed read was served locally at s1
-    assert cluster.metrics.get("agent.placement_hints") >= 1
-    assert cluster.metrics.get("agent.routed_reads") >= 1
-
-
-def test_agent_router_falls_back_when_hinted_holder_dies():
-    cluster = build_cluster(3, 1, agent_config=AgentConfig(
-        cache=False, route_hints=True))
-    agent = cluster.agents[0]
-
-    async def main():
-        await agent.mount()
-        await agent.create("/", "f")
-        await agent.write_file("/f", b"still there")
-        await agent.set_params("/f", min_replicas=2)  # held on s0 and s1
-        await agent.read_file("/f")  # learn the hint
-        # aim the router at s1, then kill it
-        agent._placement_cache[(await agent.lookup_path("/f")).sid] = ["s1"]
-        cluster.crash(1)
-        await cluster.kernel.sleep(500.0)
-        return await agent.read_file("/f")  # falls back to the mount server
-
-    assert cluster.run(main()) == b"still there"

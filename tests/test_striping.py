@@ -615,36 +615,6 @@ def test_setattr_growth_past_threshold_converts_sparsely():
     cluster.close()
 
 
-def test_read_at_sees_buffered_writes_without_whole_file_fetch():
-    """Ranged read-your-writes: a buffered patch overlays the fetched
-    range — no whole-file gather just because the buffer is dirty."""
-    from repro.agent import AgentConfig
-    cluster = build_cluster(4, n_agents=1, seed=30,
-                            agent_config=AgentConfig(write_behind=True))
-    agent = cluster.agents[0]
-
-    async def main():
-        payload = await make_striped(cluster, agent, size=6 * SS)
-        await agent.flush()
-        await agent.getattr("/big")
-        await agent.write_at("/big", 2 * SS + 10, b"BUFD")  # buffered
-        fresh(agent)
-        snap = cluster.metrics.snapshot()
-        window = await agent.read_at("/big", 2 * SS, SS)
-        delta = cluster.metrics.delta(snap)
-        assert window[10:14] == b"BUFD"
-        assert window[:10] == payload[2 * SS:2 * SS + 10]
-        # one stripe's worth of server reads, not the whole file's
-        assert delta.get("striping.stripe_reads", 0) <= 1
-        # an untouched range shows pristine bytes
-        fresh(agent)
-        assert await agent.read_at("/big", 0, SS) == payload[:SS]
-        await agent.flush()
-
-    cluster.run(main())
-    cluster.close()
-
-
 def test_prefetch_cannot_resurrect_pre_write_bytes():
     """A readahead prefetch in flight across this agent's own write must
     not repopulate the range cache with the pre-write contents."""
@@ -687,6 +657,36 @@ async def reverse_scan(agent, payload: bytes) -> None:
     for index in reversed(range(RSTRIPES)):
         window = await agent.read_at("/big", index * RS, RS)
         assert window == payload[index * RS:(index + 1) * RS]
+
+
+async def make_replicated_striped(agent) -> bytes:
+    """``RSTRIPES`` stripes of ``RS`` bytes, each at ``min_replicas`` 2."""
+    await agent.mount()
+    await agent.create("/", "big")
+    await agent.set_params("/big", stripe_size=RS, min_replicas=2)
+    payload = payload_bytes(RSTRIPES * RS)
+    await agent.write_file("/big", payload)
+    return payload
+
+
+def test_every_stripe_is_born_at_its_replica_floor():
+    """Scattering a fresh stripe to a home server that already holds one
+    of its birth copies must not drop the local copy: every stripe keeps
+    ``min_replicas`` holders."""
+    cluster = build_cluster(4, n_agents=1, seed=15)
+    agent = cluster.agents[0]
+
+    async def main():
+        await make_replicated_striped(agent)
+        smap = await parent_map(cluster, agent, "/big")
+        segments = cluster.servers[0].segments
+        return [(await segments.locate_replicas(sid))["holders"]
+                for sid in smap.sids]
+
+    holders = cluster.run(main(), limit=2_000_000.0)
+    assert len(holders) == RSTRIPES
+    assert all(len(per_stripe) >= 2 for per_stripe in holders), holders
+    cluster.close()
 
 
 def test_stripe_reads_route_to_the_stripe_holder():
@@ -750,10 +750,37 @@ def test_hinted_holder_that_lost_its_stripe_still_serves_and_reteaches():
     cluster.close()
 
 
+def test_routed_stripe_read_falls_back_when_hinted_holder_dies():
+    """A stripe read aimed at a hinted holder that crashed falls back to
+    the mount server, returns the right bytes, and re-teaches the hint."""
+    cluster = build_cluster(4, n_agents=1, seed=15)
+    agent = cluster.agents[0]
+
+    async def main():
+        payload = await make_replicated_striped(agent)
+        clear_caches(agent)
+        await reverse_scan(agent, payload)
+        sid = (await agent.lookup_path("/big")).sid
+        hinted = agent._placement_cache[(sid, 2)][0]
+        assert hinted == "s1"
+        cluster.crash(1)
+        clear_caches(agent)
+        routed = cluster.metrics.get("agent.routed_reads")
+        window = await agent.read_at("/big", 2 * RS, RS)   # aimed at s1
+        assert cluster.metrics.get("agent.routed_reads") == routed + 1
+        return window == payload[2 * RS:3 * RS], \
+            agent._placement_cache.get((sid, 2))
+
+    correct, retaught = cluster.run(main(), limit=2_000_000.0)
+    assert correct
+    assert retaught and retaught[0] != "s1"   # the survivor that answered
+    cluster.close()
+
+
 def test_blob_reads_stay_on_the_mount_server_by_default():
-    """Stripe routing is not the blob router: with the default config a
-    blob whose only replica is elsewhere is still read through the mount
-    server, while the same agent's stripe reads are routed."""
+    """Only stripe reads are routed: a blob whose only replica is
+    elsewhere is still read through the mount server, while the same
+    agent's stripe reads are routed."""
     cluster = build_cluster(4, n_agents=1, seed=15)
     agent = cluster.agents[0]
 

@@ -737,6 +737,8 @@ class Agent(Node):
 
     async def _write_through(self, fh: FileHandle, args: dict[str, Any],
                              size: int) -> FileAttrs:
+        """One NFS write; then drop what the caches held about the file
+        and keep the post-write attrs its reply carries."""
         reply = await self._nfs("write", args, size_bytes=max(256, size))
         self._invalidate(fh)
         attrs = FileAttrs.from_wire(reply["attrs"])

@@ -36,9 +36,8 @@ Invariants
 - ``deliver_update`` may assume updates for one major arrive in causal
   order: a sub gap means this member missed updates (it repairs by
   refetch), never that the sender skipped one.
-- A ``batch`` op (several positioned writes, e.g. the striper's pieces
-  for one stripe) is still **one** update: one broadcast round, one
-  ``sub`` bump, one persisted record per member.
+- A ``batch`` op (several positioned writes) is still **one** update:
+  one broadcast round, one ``sub`` bump, one persisted record per member.
 - A ``dirop`` update's preconditions (name absent / expected handle /
   emptiness seal, see :mod:`repro.core.dirtable`) are checked
   **authoritatively at the token holder** against its settled replica,

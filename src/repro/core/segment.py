@@ -34,7 +34,8 @@ class WriteOp:
       old and the new contents);
     - ``batch`` applies a list of sub-operations (``parts``) as one
       atomically-distributed update — several positioned writes in a
-      single version bump (the striper's pieces for one stripe);
+      single version bump (``Striper`` builds one when a stripe gets
+      more than one piece);
     - ``dirop`` applies single-name directory mutations (``dirops``, see
       :mod:`repro.core.dirtable`) to the entry table at update-application
       time — the commuting namespace path: concurrent creates of different

@@ -3,7 +3,11 @@
 "These different configurations provide widely differing performance."
 We sweep the agent placements (kernel / user library / auxiliary process)
 and feature sets (caching, shortcut) and measure per-op latency over a
-read-heavy probe, plus the failover property on a server crash.
+read-heavy probe, plus the failover property on a server crash.  The
+shortcut is on by default; every row but the shortcut row turns it off,
+so those rows pay the mount server's forwarding hop the shortcut skips
+(the agent learns the holder from a lookup or getattr reply and sends
+getattr and reads there).
 """
 
 from repro.agent import AgentConfig, Placement

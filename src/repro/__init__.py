@@ -20,7 +20,7 @@ This package is a full reimplementation on a discrete-event simulation
   recovery) plus the token / replication / stability protocol mixins;
 - :mod:`repro.nfs` — the NFS file-service envelope and server facade;
 - :mod:`repro.agent` — client agents (version-validated caching,
-  failover, shortcuts);
+  failover, the access shortcut to a replica holder);
 - :mod:`repro.baseline` — the plain-NFS comparison system;
 - :mod:`repro.workloads` — synthetic workloads per the paper's §2.3
   operational assumptions;

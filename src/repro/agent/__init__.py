@@ -13,9 +13,11 @@ them):
   the coherence policy lives in one place;
 - **failover**: when the connected server fails, pick another and continue
   (Deceit handles are server-independent, so this just works — "standard
-  NFS client software does not provide this capability", §2.1);
-- **access shortcut**: cache replica locations and talk straight to a
-  server that holds the file, skipping the forwarding hop.
+  NFS client software does not provide this capability", §2.1); NFS calls
+  and special commands alike;
+- **access shortcut** (on by default): getattr, lookup and read replies
+  name the file's replica holders, and the next getattr or whole-file
+  read goes straight to one, skipping the mount server's forwarding hop.
 """
 
 from repro.agent.agent import Agent, AgentConfig, Placement

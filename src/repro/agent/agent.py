@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
+from repro.core.pipeline.read_path import READ_FORWARD_TIMEOUT_MS
 from repro.core.striping import split_range
 from repro.errors import NfsError, NfsStat, RpcTimeout, Unreachable, nfs_error
 from repro.net import Network, Node
@@ -59,7 +60,9 @@ class AgentConfig:
     placement: Placement = Placement.KERNEL
     cache: bool = True
     failover: bool = True
-    shortcut: bool = False
+    #: §5.3 access shortcut: send getattr and whole-file reads to the
+    #: replica holder the last reply's placement hint named
+    shortcut: bool = True
     attr_ttl_ms: float = 3000.0
     data_ttl_ms: float = 3000.0
     #: How many times a request answered ``ERR_BUSY`` by a server's
@@ -162,10 +165,10 @@ class Agent(Node):
                                  limit=512)
         # path -> FileHandle; handles are server-independent, never lapse
         self._handle_cache = _Cache(kernel, math.inf, cfg.cache)
-        self._location_cache: dict[str, str] = {}
-        # (sid, stripe index) -> the stripe's replica holders, learned from
-        # read-reply placement hints (preferred holder first)
-        self._placement_cache: dict[tuple[str, int], list[str]] = {}
+        # sid, or (sid, stripe index) -> that file's or stripe's replica
+        # holders, learned from reply placement hints (the server that
+        # answered first)
+        self._placement_cache: dict[str | tuple[str, int], list[str]] = {}
         # sid -> stripe width, taught by read replies: the attr-borne
         # stripe hint lapses with the attrs, a stripe's holders do not
         self._stripe_widths: dict[str, int] = {}
@@ -196,9 +199,8 @@ class Agent(Node):
         await self.kernel.sleep(self.config.placement.hop_ms)
 
     async def _nfs(self, op: str, args: dict[str, Any],
-                   to: str | None = None, size_bytes: int = 256,
-                   on_target_fail=None) -> dict:
-        """One NFS RPC, with failover across servers when enabled.
+                   to: str | None = None, size_bytes: int = 256) -> dict:
+        """One NFS RPC through :meth:`_transport`.
 
         This is the NFS envelope's client side, so it is also where a
         request trace begins: while a tracer is armed, a fresh trace id
@@ -217,59 +219,72 @@ class Agent(Node):
                 traced.trace = tid = tracer.mint()
                 t0 = kernel.now
         try:
-            attempts = len(self.servers) if self.config.failover else 1
-            if to is not None:
-                attempts += 1  # a failed routed target must not eat the budget
-            last_exc: Exception | None = None
-            failures = 0
-            busy_left = self.config.busy_retries
-            busy_wait = BUSY_BACKOFF_MS * self._busy_stagger
-            while failures < attempts:
-                target = to if to is not None else self.server
-                try:
-                    reply = await self.call(target, "nfs", op=op, args=args,
-                                            timeout=RPC_TIMEOUT_MS,
-                                            size_bytes=size_bytes,
-                                            tag=f"nfs.{op}")
-                except (RpcTimeout, Unreachable, RpcRemoteError) as exc:
-                    last_exc = exc
-                    failures += 1
-                    if to is not None:
-                        if on_target_fail is not None:
-                            on_target_fail(target)
-                        to = None  # routed target failed: fall back to server
-                        continue
-                    if not self.config.failover:
-                        break
-                    self.current = (self.current + 1) % len(self.servers)
-                    self.metrics.incr("agent.failovers")
-                    continue
-                status = reply["status"]
-                if status == NfsStat.ERR_BUSY and busy_left > 0:
-                    # admission backpressure: back off and retry the same
-                    # server without spending the failover budget
-                    busy_left -= 1
-                    self.metrics.incr("agent.busy_retries")
-                    await kernel.sleep(busy_wait)
-                    busy_wait = min(busy_wait * 2.0, BUSY_BACKOFF_CAP_MS)
-                    continue
-                if status != 0:
-                    raise NfsError(status, reply.get("error", ""))
-                return reply
-            raise nfs_error(NfsStat.ERR_IO,
-                            f"no server reachable for {op}: {last_exc}")
+            return await self._transport("nfs", f"nfs.{op}",
+                                         {"op": op, "args": args}, to,
+                                         size_bytes)
         finally:
             if traced is not None:
                 tracer.record(tid, t0, kernel.now, "agent", f"nfs.{op}")
                 traced.trace = prev_trace
 
     async def _cmd(self, cmd: str, args: dict[str, Any]) -> dict:
+        """One Deceit special command, failing over like an NFS call."""
         await self._user_hop()
-        reply = await self.call(self.server, "deceit_cmd", cmd=cmd, args=args,
-                                timeout=RPC_TIMEOUT_MS, tag=f"cmd.{cmd}")
-        if reply["status"] != 0:
-            raise NfsError(reply["status"], reply.get("error", ""))
-        return reply
+        return await self._transport("deceit_cmd", f"cmd.{cmd}",
+                                     {"cmd": cmd, "args": args})
+
+    async def _transport(self, method: str, tag: str, kwargs: dict[str, Any],
+                         to: str | None = None,
+                         size_bytes: int = 256) -> dict:
+        """One RPC with failover across servers when enabled, and BUSY
+        backoff against the same server.
+
+        ``to`` is a routed first attempt at a hinted replica holder: it
+        waits only as long as the mount server's own forward to that
+        holder would (``READ_FORWARD_TIMEOUT_MS``); when it fails, the
+        server leaves every hint and the call falls back to the mount
+        server without spending the failover budget.
+        """
+        attempts = len(self.servers) if self.config.failover else 1
+        if to is not None:
+            attempts += 1  # a failed routed target must not eat the budget
+        last_exc: Exception | None = None
+        failures = 0
+        busy_left = self.config.busy_retries
+        busy_wait = BUSY_BACKOFF_MS * self._busy_stagger
+        while failures < attempts:
+            target = to if to is not None else self.server
+            try:
+                reply = await self.call(
+                    target, method, size_bytes=size_bytes, tag=tag,
+                    timeout=RPC_TIMEOUT_MS if to is None
+                    else READ_FORWARD_TIMEOUT_MS, **kwargs)
+            except (RpcTimeout, Unreachable, RpcRemoteError) as exc:
+                last_exc = exc
+                failures += 1
+                if to is not None:
+                    self._forget_server(to)
+                    to = None  # routed target failed: fall back to server
+                    continue
+                if not self.config.failover:
+                    break
+                self.current = (self.current + 1) % len(self.servers)
+                self.metrics.incr("agent.failovers")
+                continue
+            status = reply["status"]
+            if status == NfsStat.ERR_BUSY and busy_left > 0:
+                # admission backpressure: back off and retry the same
+                # server without spending the failover budget
+                busy_left -= 1
+                self.metrics.incr("agent.busy_retries")
+                await self.kernel.sleep(busy_wait)
+                busy_wait = min(busy_wait * 2.0, BUSY_BACKOFF_CAP_MS)
+                continue
+            if status != 0:
+                raise NfsError(status, reply.get("error", ""))
+            return reply
+        raise nfs_error(NfsStat.ERR_IO,
+                        f"no server reachable for {tag}: {last_exc}")
 
     # ------------------------------------------------------------------ #
     # mount and path resolution
@@ -318,6 +333,7 @@ class Agent(Node):
             self._handle_cache.put(prefix, fh)
             self._attr_cache.put(fh.encode(),
                                  FileAttrs.from_wire(reply["attrs"]))
+            self._learn_placement(fh, reply)
         return fh
 
     def _lookup_cached(self, dirfh: FileHandle, name: str) -> FileHandle | None:
@@ -406,7 +422,9 @@ class Agent(Node):
         if cached is not None:
             self.metrics.incr("agent.attr_cache_hits")
             return cached[0]
-        reply = await self._nfs("getattr", {"fh": key})
+        reply = await self._nfs("getattr", {"fh": key},
+                                to=self._shortcut_target(fh))
+        self._learn_placement(fh, reply)
         attrs = FileAttrs.from_wire(reply["attrs"])
         self._attr_cache.put(key, attrs)
         return attrs
@@ -446,10 +464,8 @@ class Agent(Node):
                 # answers "unchanged" (no data bytes) when still current
                 args["verify"] = list(cached[2])
             reply = await self._nfs("read", args,
-                                    to=await self._shortcut_target(fh),
-                                    on_target_fail=lambda t:
-                                    self._location_cache.pop(fh.sid, None))
-            self._learn_placement(fh, reply)
+                                    to=self._shortcut_target(fh))
+            self._learn_placement(fh, reply, 0)
             version = tuple(reply["version"]) if "version" in reply else None
             if reply.get("unchanged") and cached:
                 self.metrics.incr("agent.data_cache_revalidations")
@@ -586,13 +602,11 @@ class Agent(Node):
         taught goes to a hinted holder of that stripe (§5.3: the agent
         talks straight to a replica holder), so its bytes cross the
         network once instead of being relayed by the mount server.  A
-        failed target drops its hint and the read falls back.
+        failed target drops out of every hint and the read falls back.
         """
-        route = self._route_key(fh, offset, count)
         reply = await self._nfs(
             "read", {"fh": fh.encode(), "offset": offset, "count": count},
-            to=await self._route_target(fh, route),
-            on_target_fail=lambda t: self._forget_route(fh, route))
+            to=self._route_target(fh, self._route_key(fh, offset, count)))
         self._learn_placement(fh, reply, offset)
         return reply
 
@@ -652,33 +666,38 @@ class Agent(Node):
             return fh.sid, offset // width
         return None
 
-    async def _route_target(self, fh: FileHandle,
-                            route: tuple[str, int] | None) -> str | None:
-        """Where to aim a read: a hinted holder of the stripe under
-        ``route``, the §5.3 shortcut target, or ``None`` for the plain
-        mount-server path."""
-        if not fh.foreign:
-            holders = self._placement_cache.get(route)
-            if holders:
-                if self.server in holders:
-                    return None  # the mount server already holds a replica
-                self.metrics.incr("agent.routed_reads")
-                return holders[0]
-        return await self._shortcut_target(fh)
+    def _route_target(self, fh: FileHandle,
+                      key: str | tuple[str, int] | None) -> str | None:
+        """Where to aim a read or getattr (§5.3: the agent talks straight
+        to a replica holder): the first holder hinted under ``key``, or
+        ``None`` for the plain mount-server path — no hint, a foreign
+        handle, or the mount server holds a replica itself."""
+        holders = None if fh.foreign else self._placement_cache.get(key)
+        if not holders or self.server in holders:
+            return None
+        self.metrics.incr("agent.routed_reads")
+        return holders[0]
+
+    def _shortcut_target(self, fh: FileHandle) -> str | None:
+        """The access shortcut for a file's getattr and whole-file read:
+        the holder its last placement hint named, when ``shortcut`` is on."""
+        if not self.config.shortcut:
+            return None
+        return self._route_target(fh, fh.sid)
 
     def _learn_placement(self, fh: FileHandle, reply: dict,
-                         offset: int = 0) -> None:
-        """Absorb the placement hint piggybacked on a read reply at
-        ``offset``.  Only a stripe's hint (it carries the stripe width)
-        is kept; a blob read stays on the mount server or the shortcut."""
+                         offset: int | None = None) -> None:
+        """Absorb the placement hint piggybacked on a reply.  A read reply
+        at ``offset`` of a striped file describes that stripe; every other
+        hint (getattr, lookup, a blob's read) describes the file itself."""
         hint = reply.get("placement")
         if not hint or fh.foreign:
             return
         width = hint.get("stripe_size")
-        if not width:
+        if width:
+            self._stripe_widths[fh.sid] = width
+        else:
             self._stripe_widths.pop(fh.sid, None)   # a blob (again)
-            return
-        self._stripe_widths[fh.sid] = width
         holders = sorted(hint.get("holders") or [])
         if not holders:
             return
@@ -686,31 +705,19 @@ class Agent(Node):
         if served in holders:  # the server that answered goes first
             holders.remove(served)
             holders.insert(0, served)
-        self._placement_cache[fh.sid, offset // width] = holders
+        key = (fh.sid, offset // width) if width and offset is not None \
+            else fh.sid
+        self._placement_cache[key] = holders
         self.metrics.incr("agent.placement_hints")
 
-    def _forget_route(self, fh: FileHandle,
-                      route: tuple[str, int] | None) -> None:
-        """A routed target failed: drop what we believed about it."""
-        self._placement_cache.pop(route, None)
-        self._location_cache.pop(fh.sid, None)
-
-    async def _shortcut_target(self, fh: FileHandle) -> str | None:
-        """Access shortcut: read directly from a replica holder (§5.3)."""
-        if not self.config.shortcut or fh.foreign:
-            return None
-        key = fh.sid
-        if key not in self._location_cache:
-            try:
-                reply = await self._cmd("locate", {"fh": fh.encode()})
-            except NfsError:
-                return None
-            holders = reply["located"]["holders"]
-            if not holders:
-                return None
-            self._location_cache[key] = holders[0]
-            self.metrics.incr("agent.shortcuts_learned")
-        return self._location_cache[key]
+    def _forget_server(self, server: str) -> None:
+        """A routed target failed: drop it from every hint, so a crashed
+        holder costs this agent one timeout, not one per file."""
+        for key, holders in list(self._placement_cache.items()):
+            if server in holders:
+                holders.remove(server)
+                if not holders:
+                    del self._placement_cache[key]
 
     async def write_file(self, path_or_fh: str | FileHandle,
                          data: bytes) -> FileAttrs:

@@ -52,8 +52,9 @@ class NetConfig:
     """Tunable network accounting knobs.
 
     ``tag_metrics`` arms the per-tag message counters
-    (``net.msgs.tag.<tag>``).  They are an opt-in because the key is built
-    from the tag per message — benchmarks that break counts down by
+    (``net.msgs.tag.<tag>``) and the per-method expired-RPC counters
+    (``net.rpc_expired.<method>``).  They are an opt-in because the key is
+    built from the tag per message — benchmarks that break counts down by
     protocol purpose turn them on; scale runs leave them off and keep
     ``transmit()`` free of string building.
     """
@@ -409,6 +410,10 @@ class Node:
                 timeout: float) -> None:
         out = self._pending_rpcs.pop(req_id, None)
         if out is not None:
+            metrics = self.network.metrics
+            metrics.incr("net.rpc_expired")
+            if self.network.config.tag_metrics:
+                metrics.incr("net.rpc_expired." + method)
             out.try_set_exception(
                 RpcTimeout(f"rpc {method} to {dst} timed out after {timeout}ms"))
 

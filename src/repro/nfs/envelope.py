@@ -50,18 +50,19 @@ GLOBAL_ROOT_SID = "@global"
 DirVersion = tuple[int, int]
 
 
-def placement_hint(result: ReadResult) -> dict[str, Any] | None:
-    """Placement hint piggybacked on read replies.
+def placement_hint(result: ReadResult | None) -> dict[str, Any] | None:
+    """Placement hint piggybacked on read, getattr and lookup replies.
 
     Tells the agent-side router where the segment's replicas currently
     live (and who served this read), so subsequent reads can go straight
-    to a holder instead of always the mount server.  For a striped file
-    the holders are the stripe's (see :meth:`Envelope.read_result`) and
-    the hint adds the stripe width, so the agent can tell which stripe a
-    later range falls in.  ``None`` when the serving server had no holder
-    knowledge to share.
+    to a holder instead of always the mount server.  For a read of one
+    stripe the holders are the stripe's (see :meth:`Envelope.read_result`),
+    for a getattr or lookup the file's own; a striped file's hint adds the
+    stripe width, so the agent can tell which stripe a later range falls
+    in.  ``None`` when the serving server had no holder
+    knowledge to share (or made no segment read, as for the global root).
     """
-    if not result.holders:
+    if result is None or not result.holders:
         return None
     hint = {"holders": list(result.holders), "served_by": result.served_by}
     smap = StripeMap.from_meta(result.meta)
@@ -170,13 +171,16 @@ class Envelope:
     # NFS operations
     # ------------------------------------------------------------------ #
 
-    async def getattr(self, fh: FileHandle) -> FileAttrs:
-        """GETATTR — the most frequent NFS op; attributes only, no data."""
+    async def getattr(self, fh: FileHandle,
+                      ) -> tuple[FileAttrs, ReadResult | None]:
+        """GETATTR — the most frequent NFS op; attributes only, no data.
+        Also returns the stat it made (``None`` for the global root), whose
+        holders feed the reply's placement hint."""
         self.metrics.incr("nfs.ops.getattr")
         if fh.sid == GLOBAL_ROOT_SID:
-            return FileAttrs(ftype=FileType.DIRECTORY, mode=0o555)
+            return FileAttrs(ftype=FileType.DIRECTORY, mode=0o555), None
         result = await self._stat_segment(fh)
-        return self._attrs_of(result)
+        return self._attrs_of(result), result
 
     async def setattr(self, fh: FileHandle, sattr: dict[str, Any]) -> FileAttrs:
         """SETATTR — mode/owner/times via setmeta; size via truncate (routed
@@ -216,10 +220,12 @@ class Envelope:
                 )
         else:
             await self._touch_meta(fh, patch)
-        return await self.getattr(fh)
+        return (await self.getattr(fh))[0]
 
-    async def lookup(self, dirfh: FileHandle, name: str) -> tuple[FileHandle, FileAttrs]:
-        """LOOKUP — resolve one name, honoring ``foo;3`` version syntax."""
+    async def lookup(self, dirfh: FileHandle, name: str,
+                     ) -> tuple[FileHandle, FileAttrs, ReadResult | None]:
+        """LOOKUP — resolve one name, honoring ``foo;3`` version syntax;
+        the handle, its attributes and the stat they came from."""
         self.metrics.incr("nfs.ops.lookup")
         base, version = split_version(name)
         entries, _result = await self._require_dir(dirfh)
@@ -232,7 +238,7 @@ class Envelope:
             if version not in versions:
                 raise nfs_error(NfsStat.ERR_NOENT, f"{base};{version}")
             fh = fh.qualified(version)
-        return fh, await self.getattr(fh)
+        return (fh, *await self.getattr(fh))
 
     async def read(self, fh: FileHandle, offset: int = 0,
                    count: int | None = None) -> bytes:

@@ -224,15 +224,19 @@ class DeceitServer:
                             fh: FileHandle | None) -> dict:
         env = self.envelope
         if op == "getattr":
-            return {"status": 0, "attrs": (await env.getattr(fh)).to_wire()}
+            attrs, result = await env.getattr(fh)
+            return self._with_placement({"status": 0,
+                                         "attrs": attrs.to_wire()}, result)
         if op == "setattr":
             return {"status": 0,
                     "attrs": (await env.setattr(fh, args["sattr"])).to_wire()}
         if op == "lookup":
             if fh is not None and fh.sid == GLOBAL_ROOT_SID:
                 return await self._lookup_global(args["name"])
-            out_fh, attrs = await env.lookup(fh, args["name"])
-            return {"status": 0, "fh": out_fh.encode(), "attrs": attrs.to_wire()}
+            out_fh, attrs, result = await env.lookup(fh, args["name"])
+            return self._with_placement(
+                {"status": 0, "fh": out_fh.encode(),
+                 "attrs": attrs.to_wire()}, result)
         if op == "read":
             verify = args.get("verify")
             if verify is not None:
@@ -248,16 +252,13 @@ class DeceitServer:
             else:
                 result = await env.read_result(fh, args.get("offset", 0),
                                                args.get("count"))
-            reply = {"status": 0, "data": result.data,
-                     "version": [result.major, result.version.sub],
-                     # current file length: lets a fan-out client know when
-                     # its range reads already cover the file (no wasted
-                     # chase past an exactly-stripe-aligned EOF)
-                     "size": file_length(result.meta)}
-            hint = placement_hint(result)
-            if hint is not None:
-                reply["placement"] = hint
-            return reply
+            return self._with_placement(
+                {"status": 0, "data": result.data,
+                 "version": [result.major, result.version.sub],
+                 # current file length: lets a fan-out client know when
+                 # its range reads already cover the file (no wasted
+                 # chase past an exactly-stripe-aligned EOF)
+                 "size": file_length(result.meta)}, result)
         if op == "write":
             attrs, version = await env.write_result(
                 fh, args.get("offset", 0), args.get("data", b""),
@@ -311,6 +312,15 @@ class DeceitServer:
         if op == "statfs":
             return {"status": 0, "statfs": await env.statfs(fh)}
         raise nfs_error(NfsStat.ERR_IO, f"unknown NFS op {op!r}")
+
+    @staticmethod
+    def _with_placement(reply: dict, result) -> dict:
+        """Piggyback the placement hint of the segment read or stat behind
+        a reply (feeds the agents' §5.3 access shortcut)."""
+        hint = placement_hint(result)
+        if hint is not None:
+            reply["placement"] = hint
+        return reply
 
     @staticmethod
     def _with_dir_version(reply: dict, dirv) -> dict:

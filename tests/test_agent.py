@@ -7,6 +7,7 @@ import pytest
 from repro.agent import Agent, AgentConfig, Placement
 from repro.agent.agent import _Cache
 from repro.errors import NfsError
+from repro.net.network import NetConfig
 from repro.testbed import build_cluster
 
 
@@ -136,21 +137,86 @@ def test_no_cache_always_hits_server():
 
 
 def test_shortcut_reads_go_to_replica_holder():
-    """§5.3 third agent function: direct access to the correct server."""
+    """§5.3 third agent function: direct access to the correct server.
+    Reconnected to a server that holds no replica, the agent's lookup
+    reply names the holder, so the read goes straight there instead of
+    being relayed."""
     cluster = make(AgentConfig(cache=False, shortcut=True))
     agent = cluster.agents[0]
-    # connect the agent to a server that will NOT hold the file
-    agent.current = 2
 
     async def main():
         await agent.mount()
-        # file created via s2 lands on s2... so create replica elsewhere:
         await agent.create("/", "f")
         await agent.write_file("/f", b"direct")
-        return await agent.read_file("/f")
+        agent.current = 2          # s2 holds no replica of /f
+        routed = cluster.metrics.get("agent.routed_reads")
+        forwarded = cluster.metrics.get("deceit.reads_forwarded")
+        data = await agent.read_file("/f")
+        return (data, cluster.metrics.get("agent.routed_reads") - routed,
+                cluster.metrics.get("deceit.reads_forwarded") - forwarded)
 
-    assert cluster.run(main()) == b"direct"
-    assert cluster.metrics.get("agent.shortcuts_learned") >= 1
+    assert cluster.run(main()) == (b"direct", 1, 0)
+
+
+def test_routed_reads_fall_back_when_the_hinted_holder_crashes():
+    """A crashed hinted holder costs the agent one routed timeout, not one
+    per file: the failure drops that server from every hint, and both
+    reads still return the right bytes — the first through the mount
+    server, the second straight from the surviving holder.  (The mount
+    server's own forward to the dead holder, which it tries first in
+    address order, expires once more, as it does without the shortcut.)"""
+    cluster = build_cluster(n_servers=4, n_agents=1,
+                            net_config=NetConfig(tag_metrics=True))
+    agent = cluster.agents[0]
+    names = ("a", "b")
+
+    async def main():
+        await agent.mount()
+        for name in names:
+            await agent.create("/", name)
+            await agent.write_file(f"/{name}", name.encode() * 8)
+            assert await agent.create_replica(f"/{name}", "s1")
+            assert await agent.create_replica(f"/{name}", "s2")
+            assert await agent.delete_replica(f"/{name}", "s0")
+            await agent.read_file(f"/{name}")     # relayed by s0: teaches s1
+        hinted = [agent._placement_cache[(await agent.lookup_path(
+            f"/{name}")).sid][0] for name in names]
+        cluster.crash(1)
+        await cluster.kernel.sleep(800.0)         # the cell sees s1 gone
+        agent._data_cache.clear()
+        snap = cluster.metrics.snapshot()
+        data = [await agent.read_file(f"/{name}") for name in names]
+        delta = cluster.metrics.delta(snap)
+        return hinted, data, (delta.get("net.rpc_expired.nfs", 0),
+                              delta.get("net.rpc_expired", 0),
+                              delta.get("agent.routed_reads", 0))
+
+    hinted, data, (agent_expired, expired, routed) = cluster.run(main())
+    assert hinted == ["s1", "s1"]
+    assert data == [name.encode() * 8 for name in names]
+    assert routed == 2                 # /a at s1 (dead), /b at s2
+    assert agent_expired == 1
+    assert expired == 2                # + the mount server's forward to s1
+
+
+def test_special_commands_fail_over():
+    """A special command whose server crashed fails over like an NFS call
+    instead of surfacing a raw RPC timeout."""
+    cluster = build_cluster(n_servers=3, n_agents=1, seed=1)
+    agent = cluster.agents[0]
+
+    async def main():
+        await agent.mount()
+        await agent.create("/", "f")
+        await agent.write_file("/f", b"everywhere")
+        await agent.set_params("/f", min_replicas=3)
+        cluster.crash(0)               # the connected server
+        return await agent.locate("/f")
+
+    located = cluster.run(main())
+    assert cluster.agents[0].server != "s0"
+    assert "s1" in located["holders"]
+    assert cluster.metrics.get("agent.failovers") >= 1
 
 
 def test_placement_hop_costs_differ():

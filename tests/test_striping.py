@@ -11,6 +11,7 @@ across a stripe-holder crash.
 
 import pytest
 
+from repro.agent import AgentConfig
 from repro.core.striping import StripeMap
 from repro.errors import NfsError
 from repro.testbed import build_cluster
@@ -777,37 +778,38 @@ def test_routed_stripe_read_falls_back_when_hinted_holder_dies():
     cluster.close()
 
 
-def test_blob_reads_stay_on_the_mount_server_by_default():
-    """Only stripe reads are routed: a blob whose only replica is
-    elsewhere is still read through the mount server, while the same
-    agent's stripe reads are routed."""
-    cluster = build_cluster(4, n_agents=1, seed=15)
-    agent = cluster.agents[0]
+def test_blob_reads_go_to_the_holder_the_last_reply_named():
+    """§5.3's access shortcut: a blob whose only replica is elsewhere is
+    read through the mount server once; that reply names the holder, so
+    the next read and a getattr go straight to it.  With ``shortcut`` off
+    both reads are relayed by the mount server."""
+    def run(config):
+        cluster = build_cluster(4, n_agents=1, seed=15, agent_config=config)
+        agent = cluster.agents[0]
 
-    async def main():
-        payload = await make_striped(cluster, agent, size=RSTRIPES * RS,
-                                     stripe_size=RS)
-        await agent.create("/", "blob")
-        await agent.write_file("/blob", b"blob bytes")
-        assert await agent.create_replica("/blob", "s1")
-        assert await agent.delete_replica("/blob", "s0")
-        for _pass in range(2):
+        async def main():
+            await agent.mount()
+            await agent.create("/", "blob")
+            await agent.write_file("/blob", b"blob bytes")
+            assert await agent.create_replica("/blob", "s1")
+            assert await agent.delete_replica("/blob", "s0")
+            routed = cluster.metrics.get("agent.routed_reads")
+            forwarded = cluster.metrics.get("deceit.reads_forwarded")
+            for _read in range(2):
+                clear_caches(agent)
+                assert await agent.read_file("/blob") == b"blob bytes"
+            reads = (cluster.metrics.get("agent.routed_reads") - routed,
+                     cluster.metrics.get("deceit.reads_forwarded")
+                     - forwarded)
             clear_caches(agent)
-            await reverse_scan(agent, payload)
-        striped_routed = cluster.metrics.get("agent.routed_reads")
-        forwarded = cluster.metrics.get("deceit.reads_forwarded")
-        for _read in range(2):
-            clear_caches(agent)
-            assert await agent.read_file("/blob") == b"blob bytes"
-        blob_sid = (await agent.lookup_path("/blob")).sid
-        return (striped_routed,
-                cluster.metrics.get("agent.routed_reads") - striped_routed,
-                cluster.metrics.get("deceit.reads_forwarded") - forwarded,
-                blob_sid in agent._placement_cache)
+            await agent.getattr("/blob")
+            return reads, (cluster.metrics.get("agent.routed_reads")
+                           - routed - reads[0])
 
-    striped_routed, blob_routed, blob_forwarded, learned = cluster.run(
-        main(), limit=2_000_000.0)
-    assert striped_routed > 0
-    assert blob_routed == 0 and not learned
-    assert blob_forwarded == 2      # both reads relayed by s0, none routed
-    cluster.close()
+        out = cluster.run(main(), limit=2_000_000.0)
+        cluster.close()
+        return out
+
+    # (routed, forwarded) reads, then routed getattrs
+    assert run(None) == ((1, 1), 1)
+    assert run(AgentConfig(shortcut=False)) == ((0, 2), 0)

@@ -250,7 +250,7 @@ def test_concurrent_truncate_cannot_persist_stale_length():
         finally:
             env._stat_segment = orig
         data = await env.read(fh)
-        attrs = await env.getattr(fh)
+        attrs, _stat = await env.getattr(fh)
         return data, attrs
 
     data, attrs = cluster.run(main())

@@ -60,8 +60,8 @@ class AgentConfig:
     placement: Placement = Placement.KERNEL
     cache: bool = True
     failover: bool = True
-    #: §5.3 access shortcut: send getattr and whole-file reads to the
-    #: replica holder the last reply's placement hint named
+    #: §5.3 access shortcut: send getattr, whole-file reads, lookups and
+    #: readdirs to the replica holder the last reply's placement hint named
     shortcut: bool = True
     attr_ttl_ms: float = 3000.0
     data_ttl_ms: float = 3000.0
@@ -324,11 +324,13 @@ class Agent(Node):
                 continue
             try:
                 reply = await self._nfs("lookup", {"fh": fh.encode(),
-                                                   "name": part})
+                                                   "name": part},
+                                        to=self._shortcut_target(fh))
             except NfsError as exc:
                 if exc.status == NfsStat.ERR_NOENT and ";" not in part:
                     self._neg_cache.put((fh.encode(), part), True)
                 raise
+            self._learn_placement(fh, reply, field="dir_placement")
             fh = FileHandle.decode(reply["fh"])
             self._handle_cache.put(prefix, fh)
             self._attr_cache.put(fh.encode(),
@@ -668,10 +670,10 @@ class Agent(Node):
 
     def _route_target(self, fh: FileHandle,
                       key: str | tuple[str, int] | None) -> str | None:
-        """Where to aim a read or getattr (§5.3: the agent talks straight
-        to a replica holder): the first holder hinted under ``key``, or
-        ``None`` for the plain mount-server path — no hint, a foreign
-        handle, or the mount server holds a replica itself."""
+        """Where to aim a read, getattr, lookup or readdir (§5.3: the agent
+        talks straight to a replica holder): the first holder hinted under
+        ``key``, or ``None`` for the plain mount-server path — no hint, a
+        foreign handle, or the mount server holds a replica itself."""
         holders = None if fh.foreign else self._placement_cache.get(key)
         if not holders or self.server in holders:
             return None
@@ -679,18 +681,22 @@ class Agent(Node):
         return holders[0]
 
     def _shortcut_target(self, fh: FileHandle) -> str | None:
-        """The access shortcut for a file's getattr and whole-file read:
-        the holder its last placement hint named, when ``shortcut`` is on."""
+        """The access shortcut for a file's getattr and whole-file read,
+        and for a lookup or readdir in a directory: the holder its last
+        placement hint named, when ``shortcut`` is on."""
         if not self.config.shortcut:
             return None
         return self._route_target(fh, fh.sid)
 
     def _learn_placement(self, fh: FileHandle, reply: dict,
-                         offset: int | None = None) -> None:
-        """Absorb the placement hint piggybacked on a reply.  A read reply
-        at ``offset`` of a striped file describes that stripe; every other
-        hint (getattr, lookup, a blob's read) describes the file itself."""
-        hint = reply.get("placement")
+                         offset: int | None = None,
+                         field: str = "placement") -> None:
+        """Absorb the placement hint piggybacked on a reply under ``field``.
+        A read reply at ``offset`` of a striped file describes that stripe;
+        every other hint (getattr, lookup, readdir, a blob's read, and a
+        lookup's ``dir_placement`` for the directory searched) describes
+        ``fh`` itself."""
+        hint = reply.get(field)
         if not hint or fh.foreign:
             return
         width = hint.get("stripe_size")
@@ -900,7 +906,9 @@ class Agent(Node):
         args: dict[str, Any] = {"fh": key}
         if cached and cached[2] is not None:
             args["verify"] = list(cached[2])
-        reply = await self._nfs("readdir", args)
+        reply = await self._nfs("readdir", args,
+                                to=self._shortcut_target(fh))
+        self._learn_placement(fh, reply)
         version = tuple(reply["version"]) if reply.get("version") else None
         if reply.get("unchanged") and cached:
             self.metrics.incr("agent.dir_cache_revalidations")

@@ -51,16 +51,20 @@ DirVersion = tuple[int, int]
 
 
 def placement_hint(result: ReadResult | None) -> dict[str, Any] | None:
-    """Placement hint piggybacked on read, getattr and lookup replies.
+    """Placement hint piggybacked on read, getattr, lookup and readdir
+    replies.
 
     Tells the agent-side router where the segment's replicas currently
-    live (and who served this read), so subsequent reads can go straight
-    to a holder instead of always the mount server.  For a read of one
-    stripe the holders are the stripe's (see :meth:`Envelope.read_result`),
-    for a getattr or lookup the file's own; a striped file's hint adds the
-    stripe width, so the agent can tell which stripe a later range falls
-    in.  ``None`` when the serving server had no holder
-    knowledge to share (or made no segment read, as for the global root).
+    live (and who served this read), so subsequent requests can go
+    straight to a holder instead of always the mount server.  For a read
+    of one stripe the holders are the stripe's (see
+    :meth:`Envelope.read_result`), for a getattr or lookup the file's own,
+    for a readdir the directory's; a lookup reply also carries a second
+    hint, the searched directory's, so the next lookup in it enters at a
+    holder.  A striped file's hint adds the stripe width, so the agent can
+    tell which stripe a later range falls in.  ``None`` when the serving
+    server had no holder knowledge to share (or made no segment read, as
+    for the global root).
     """
     if result is None or not result.holders:
         return None
@@ -223,12 +227,14 @@ class Envelope:
         return (await self.getattr(fh))[0]
 
     async def lookup(self, dirfh: FileHandle, name: str,
-                     ) -> tuple[FileHandle, FileAttrs, ReadResult | None]:
+                     ) -> tuple[FileHandle, FileAttrs, ReadResult | None,
+                                ReadResult]:
         """LOOKUP — resolve one name, honoring ``foo;3`` version syntax;
-        the handle, its attributes and the stat they came from."""
+        the handle, its attributes, the stat they came from and the
+        directory read the name was found in."""
         self.metrics.incr("nfs.ops.lookup")
         base, version = split_version(name)
-        entries, _result = await self._require_dir(dirfh)
+        entries, dir_result = await self._require_dir(dirfh)
         entry = entries.get(base)
         if entry is None:
             raise nfs_error(NfsStat.ERR_NOENT, f"{base} not in {dirfh.sid}")
@@ -238,7 +244,7 @@ class Envelope:
             if version not in versions:
                 raise nfs_error(NfsStat.ERR_NOENT, f"{base};{version}")
             fh = fh.qualified(version)
-        return (fh, *await self.getattr(fh))
+        return (fh, *await self.getattr(fh), dir_result)
 
     async def read(self, fh: FileHandle, offset: int = 0,
                    count: int | None = None) -> bytes:
@@ -787,21 +793,22 @@ class Envelope:
 
     async def readdir(self, dirfh: FileHandle) -> list[dict[str, str]]:
         """READDIR — entry names (unqualified) with types and handles."""
-        entries, _version = await self.readdir_result(dirfh)
+        entries, _version, _result = await self.readdir_result(dirfh)
         return entries
 
     async def readdir_result(
         self, dirfh: FileHandle, verify=None,
-    ) -> tuple[list[dict[str, str]], DirVersion] | None:
-        """READDIR returning the listing **and** the directory's version
-        pair, with version-exact revalidation.
+    ) -> tuple[list[dict[str, str]], DirVersion, ReadResult] | None:
+        """READDIR returning the listing, the directory's version pair and
+        the read they came from, with version-exact revalidation.
 
         When ``verify`` (a cached version pair) is still current — decided
         by the segment layer exactly as for data reads — returns ``None``:
         the caller's cached listing is valid and no entry bytes move.
-        Otherwise returns ``(entries, version)`` so agents can cache the
-        listing version-exactly and keep it coherent from the dirop
-        versions riding mutation replies.
+        Otherwise returns ``(entries, version, result)`` so agents can
+        cache the listing version-exactly, keep it coherent from the dirop
+        versions riding mutation replies, and learn where the directory's
+        replicas live.
         """
         self.metrics.incr("nfs.ops.readdir")
         if dirfh.sid == GLOBAL_ROOT_SID:
@@ -819,7 +826,7 @@ class Envelope:
         listing = [{"name": name, "type": e["t"],
                     "fh": FileHandle(sid=e["h"]).encode()}
                    for name, e in sorted(entries.items())]
-        return listing, (result.major, result.version.sub)
+        return listing, (result.major, result.version.sub), result
 
     async def statfs(self, fh: FileHandle) -> dict[str, int]:
         """STATFS — synthetic filesystem totals (simulation-wide)."""

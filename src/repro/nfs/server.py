@@ -233,10 +233,12 @@ class DeceitServer:
         if op == "lookup":
             if fh is not None and fh.sid == GLOBAL_ROOT_SID:
                 return await self._lookup_global(args["name"])
-            out_fh, attrs, result = await env.lookup(fh, args["name"])
-            return self._with_placement(
+            out_fh, attrs, result, dir_result = await env.lookup(
+                fh, args["name"])
+            reply = self._with_placement(
                 {"status": 0, "fh": out_fh.encode(),
                  "attrs": attrs.to_wire()}, result)
+            return self._with_placement(reply, dir_result, "dir_placement")
         if op == "read":
             verify = args.get("verify")
             if verify is not None:
@@ -306,20 +308,23 @@ class DeceitServer:
                 self.metrics.incr("nfs.readdirs_unchanged")
                 return {"status": 0, "unchanged": True,
                         "version": list(args["verify"])}
-            entries, version = out
-            return {"status": 0, "entries": entries,
-                    "version": list(version)}
+            entries, version, result = out
+            return self._with_placement(
+                {"status": 0, "entries": entries,
+                 "version": list(version)}, result)
         if op == "statfs":
             return {"status": 0, "statfs": await env.statfs(fh)}
         raise nfs_error(NfsStat.ERR_IO, f"unknown NFS op {op!r}")
 
     @staticmethod
-    def _with_placement(reply: dict, result) -> dict:
+    def _with_placement(reply: dict, result,
+                        key: str = "placement") -> dict:
         """Piggyback the placement hint of the segment read or stat behind
-        a reply (feeds the agents' §5.3 access shortcut)."""
+        a reply under ``key`` (feeds the agents' §5.3 access shortcut; a
+        lookup also names its directory's holders as ``dir_placement``)."""
         hint = placement_hint(result)
         if hint is not None:
-            reply["placement"] = hint
+            reply[key] = hint
         return reply
 
     @staticmethod

@@ -16,6 +16,13 @@ def make(agent_config=None, n_servers=3):
                          agent_config=agent_config)
 
 
+async def _move_replicas(agent, path, to=("s1",), away="s0"):
+    """Hold ``path`` on the servers ``to`` and not on ``away``."""
+    for server in to:
+        assert await agent.create_replica(path, server)
+    assert await agent.delete_replica(path, away)
+
+
 def test_failover_to_surviving_server():
     """§2.1: "When one machine fails, Deceit clients can connect to another
     machine and continue operation." """
@@ -175,9 +182,7 @@ def test_routed_reads_fall_back_when_the_hinted_holder_crashes():
         for name in names:
             await agent.create("/", name)
             await agent.write_file(f"/{name}", name.encode() * 8)
-            assert await agent.create_replica(f"/{name}", "s1")
-            assert await agent.create_replica(f"/{name}", "s2")
-            assert await agent.delete_replica(f"/{name}", "s0")
+            await _move_replicas(agent, f"/{name}", to=("s1", "s2"))
             await agent.read_file(f"/{name}")     # relayed by s0: teaches s1
         hinted = [agent._placement_cache[(await agent.lookup_path(
             f"/{name}")).sid][0] for name in names]
@@ -197,6 +202,136 @@ def test_routed_reads_fall_back_when_the_hinted_holder_crashes():
     assert routed == 2                 # /a at s1 (dead), /b at s2
     assert agent_expired == 1
     assert expired == 2                # + the mount server's forward to s1
+
+
+def _namespace_reads(agent_config):
+    """Lookup and readdir deltas on a 3-server cell whose ``/d`` and
+    ``/d/x`` are held at ``s1`` only while the agent's mount server is
+    ``s0``: (lookup, first readdir, revalidating readdir), each
+    ``(routed, forwarded, unchanged)``."""
+    cluster = make(agent_config)
+    agent = cluster.agents[0]
+    metrics = cluster.metrics
+
+    def counts():
+        return (metrics.get("agent.routed_reads"),
+                metrics.get("deceit.reads_forwarded"),
+                metrics.get("nfs.readdirs_unchanged"))
+
+    async def measured(call):
+        before = counts()
+        result = await call
+        return result, tuple(b - a for a, b in zip(before, counts()))
+
+    async def main():
+        await agent.mount()
+        await agent.mkdir("/", "d")
+        x = await agent.create("/d", "x")
+        await _move_replicas(agent, "/d")
+        await _move_replicas(agent, "/d/x")
+        await cluster.kernel.sleep(50.0)
+        assert agent.server == "s0"
+        agent._handle_cache.pop("/d/x")
+        await agent.lookup_path("/d/x")   # relayed by s0: teaches s1
+        agent._handle_cache.pop("/d/x")
+        fh, lookup = await measured(agent.lookup_path("/d/x"))
+        assert fh == x
+        listing, first = await measured(agent.readdir("/d"))
+        assert [e["name"] for e in listing] == ["x"]
+        await cluster.kernel.sleep(agent_config.attr_ttl_ms + 1.0)
+        listing, again = await measured(agent.readdir("/d"))
+        assert [e["name"] for e in listing] == ["x"]
+        return lookup, first, again
+
+    return cluster.run(main())
+
+
+def test_namespace_reads_go_to_the_directory_holder():
+    """§5.3: a lookup or readdir enters at the directory's replica holder
+    its last hint named, so the holder reads the directory locally instead
+    of the mount server relaying it; a lapsed listing's version check
+    reaches a holder, which answers "unchanged".  Without the shortcut
+    both are relayed by the mount server."""
+    assert _namespace_reads(AgentConfig(attr_ttl_ms=200.0)) == (
+        (1, 0, 0), (1, 0, 0), (1, 0, 1))
+    assert _namespace_reads(AgentConfig(attr_ttl_ms=200.0,
+                                        shortcut=False)) == (
+        (0, 1, 0), (0, 1, 0), (0, 1, 0))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 42])
+def test_routed_lookup_sees_a_create_acked_to_another_agent(seed):
+    """One-copy semantics for namespace reads: a name another agent's
+    create was acked for is found by a lookup routed to a directory
+    holder that is not the token holder."""
+    cluster = build_cluster(n_servers=4, n_agents=2, seed=seed)
+    a, b = cluster.agents
+
+    async def main():
+        await a.mount()
+        await b.mount()
+        await a.mkdir("/", "d")
+        await a.set_params("/d", min_replicas=3)
+        await cluster.kernel.sleep(200.0)
+        located = await a.locate("/d")
+        holders, token = located["holders"], located["token_holder"]
+        assert len(holders) == 3
+        outside = next(s for s in b.servers if s not in holders)
+        b.current = b.servers.index(outside)
+        dirfh = await b.lookup_path("/d")
+        replica = next(s for s in sorted(holders) if s != token)
+        misses = 0
+        for i in range(40):
+            fh = await a.create("/d", f"x{i}")
+            # every lookup's reply re-teaches the hint; keep it off the
+            # token holder
+            b._placement_cache[dirfh.sid] = [replica]
+            try:
+                misses += await b.lookup_path(f"/d/x{i}") != fh
+            except NfsError:
+                misses += 1
+        return misses
+
+    assert cluster.run(main()) == 0
+
+
+def test_routed_lookup_falls_back_when_the_directory_holder_crashes():
+    """A lookup routed to a crashed directory holder costs one routed
+    timeout and still returns the right handle through the mount server;
+    the failure drops that server from every hint, so a lookup in another
+    directory it was hinted for goes straight to a survivor."""
+    cluster = build_cluster(n_servers=4, n_agents=1,
+                            net_config=NetConfig(tag_metrics=True))
+    agent = cluster.agents[0]
+    dirs = ("p", "q")
+
+    async def main():
+        await agent.mount()
+        handles = []
+        for name in dirs:
+            await agent.mkdir("/", name)
+            handles.append(await agent.create(f"/{name}", "f"))
+            await _move_replicas(agent, f"/{name}", to=("s1", "s2"))
+            agent._handle_cache.pop(f"/{name}/f")
+            await agent.lookup_path(f"/{name}/f")   # relayed: teaches s1
+        hinted = [agent._placement_cache[
+            (await agent.lookup_path(f"/{name}")).sid][0] for name in dirs]
+        cluster.crash(1)
+        await cluster.kernel.sleep(800.0)       # the cell sees s1 gone
+        deltas, found = [], []
+        for name in dirs:
+            agent._handle_cache.pop(f"/{name}/f")
+            snap = cluster.metrics.snapshot()
+            found.append(await agent.lookup_path(f"/{name}/f"))
+            delta = cluster.metrics.delta(snap)
+            deltas.append((delta.get("net.rpc_expired.nfs", 0),
+                           delta.get("agent.routed_reads", 0)))
+        return hinted, found == handles, deltas
+
+    hinted, found, deltas = cluster.run(main())
+    assert hinted == ["s1", "s1"]
+    assert found
+    assert deltas == [(1, 1), (0, 1)]   # /p at s1 (dead), /q at s2
 
 
 def test_special_commands_fail_over():

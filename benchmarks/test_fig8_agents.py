@@ -7,7 +7,12 @@ read-heavy probe, plus the failover property on a server crash.  The
 shortcut is on by default; every row but the shortcut row turns it off,
 so those rows pay the mount server's forwarding hop the shortcut skips
 (the agent learns the holder from a lookup or getattr reply and sends
-getattr and reads there).
+getattr and reads there).  The shortcut also routes a lookup to its
+directory's holder, and with ``cache=False`` every getattr here walks the
+path again; but the probe's one directory is the root, which all three
+servers hold, so its lookups stay at the mount server.  Per-op virtual ms
+(seed 0): aux process 18.19, kernel 17.74, kernel + cache 0.50, user
+library + cache 0.50, kernel + shortcut 13.76.
 """
 
 from repro.agent import AgentConfig, Placement

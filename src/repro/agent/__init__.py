@@ -15,9 +15,12 @@ them):
   (Deceit handles are server-independent, so this just works — "standard
   NFS client software does not provide this capability", §2.1); NFS calls
   and special commands alike;
-- **access shortcut** (on by default): getattr, lookup and read replies
-  name the file's replica holders, and the next getattr or whole-file
-  read goes straight to one, skipping the mount server's forwarding hop.
+- **access shortcut** (on by default): getattr, lookup, readdir and read
+  replies name the replica holders, and the file's next getattr,
+  whole-file read or whole-file write, or the directory's next lookup or
+  readdir, goes straight to one, skipping the mount server's forwarding
+  hop.  A whole-file write so enters at the token holder, or at a group
+  member that passes it there (§3.3 optimization 2): the token stays put.
 """
 
 from repro.agent.agent import Agent, AgentConfig, Placement

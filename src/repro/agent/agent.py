@@ -9,6 +9,7 @@ from enum import Enum
 from typing import Any
 
 from repro.core.pipeline.read_path import READ_FORWARD_TIMEOUT_MS
+from repro.core.pipeline.update import UPDATE_REPLY_TIMEOUT_MS
 from repro.core.striping import split_range
 from repro.errors import NfsError, NfsStat, RpcTimeout, Unreachable, nfs_error
 from repro.net import Network, Node
@@ -60,15 +61,18 @@ class AgentConfig:
     placement: Placement = Placement.KERNEL
     cache: bool = True
     failover: bool = True
-    #: §5.3 access shortcut: send getattr, whole-file reads, lookups and
-    #: readdirs to the replica holder the last reply's placement hint named
+    #: §5.3 access shortcut: send getattr, whole-file reads and writes,
+    #: lookups and readdirs to the replica holder the last reply's
+    #: placement hint named
     shortcut: bool = True
     attr_ttl_ms: float = 3000.0
     data_ttl_ms: float = 3000.0
     #: How many times a request answered ``ERR_BUSY`` by a server's
     #: admission gate (repro.obs.admission) is retried before the error
-    #: surfaces.  Retries hit the *same* server — BUSY is backpressure,
-    #: not failure, so it must not trigger failover stampedes.
+    #: surfaces.  Retries hit the *same* mount server — BUSY is
+    #: backpressure, not failure, so it must not trigger failover
+    #: stampedes.  A busy routed holder is not retried: the call goes to
+    #: the mount server at once.
     busy_retries: int = 4
 
 
@@ -206,8 +210,12 @@ class Agent(Node):
         request trace begins: while a tracer is armed, a fresh trace id
         is minted per call, rides the task (and every message sent on
         its behalf) through the cell, and the whole call is recorded as
-        the root ``agent``-layer span.
+        the root ``agent``-layer span.  A routed call (``to`` set) is
+        counted here, as ``agent.routed_writes`` or ``agent.routed_reads``.
         """
+        if to is not None:
+            self.metrics.incr("agent.routed_writes" if op == "write"
+                              else "agent.routed_reads")
         await self._user_hop()
         kernel = self.kernel
         tracer = kernel._tracer
@@ -239,15 +247,17 @@ class Agent(Node):
         """One RPC with failover across servers when enabled, and BUSY
         backoff against the same server.
 
-        ``to`` is a routed first attempt at a hinted replica holder: it
+        ``to`` is a routed first attempt at a hinted replica holder.  It
         waits only as long as the mount server's own forward to that
-        holder would (``READ_FORWARD_TIMEOUT_MS``); when it fails, the
-        server leaves every hint and the call falls back to the mount
-        server without spending the failover budget.
+        holder would: ``UPDATE_REPLY_TIMEOUT_MS`` for a write,
+        ``READ_FORWARD_TIMEOUT_MS`` for anything else.  When it fails,
+        the server leaves every hint; when it fails or answers BUSY, the
+        call falls back to the mount server at once, spending neither the
+        failover nor the BUSY budget.
         """
         attempts = len(self.servers) if self.config.failover else 1
-        if to is not None:
-            attempts += 1  # a failed routed target must not eat the budget
+        routed_timeout = UPDATE_REPLY_TIMEOUT_MS \
+            if kwargs.get("op") == "write" else READ_FORWARD_TIMEOUT_MS
         last_exc: Exception | None = None
         failures = 0
         busy_left = self.config.busy_retries
@@ -257,21 +267,24 @@ class Agent(Node):
             try:
                 reply = await self.call(
                     target, method, size_bytes=size_bytes, tag=tag,
-                    timeout=RPC_TIMEOUT_MS if to is None
-                    else READ_FORWARD_TIMEOUT_MS, **kwargs)
+                    timeout=RPC_TIMEOUT_MS if to is None else routed_timeout,
+                    **kwargs)
             except (RpcTimeout, Unreachable, RpcRemoteError) as exc:
                 last_exc = exc
-                failures += 1
                 if to is not None:
                     self._forget_server(to)
                     to = None  # routed target failed: fall back to server
                     continue
+                failures += 1
                 if not self.config.failover:
                     break
                 self.current = (self.current + 1) % len(self.servers)
                 self.metrics.incr("agent.failovers")
                 continue
             status = reply["status"]
+            if status == NfsStat.ERR_BUSY and to is not None:
+                to = None  # a busy holder is not retried: the server takes it
+                continue
             if status == NfsStat.ERR_BUSY and busy_left > 0:
                 # admission backpressure: back off and retry the same
                 # server without spending the failover budget
@@ -670,20 +683,19 @@ class Agent(Node):
 
     def _route_target(self, fh: FileHandle,
                       key: str | tuple[str, int] | None) -> str | None:
-        """Where to aim a read, getattr, lookup or readdir (§5.3: the agent
-        talks straight to a replica holder): the first holder hinted under
-        ``key``, or ``None`` for the plain mount-server path — no hint, a
-        foreign handle, or the mount server holds a replica itself."""
+        """Where to aim a routed call (§5.3: the agent talks straight to a
+        replica holder): the first holder hinted under ``key``, or ``None``
+        for the plain mount-server path — no hint, a foreign handle, or
+        the mount server holds a replica itself."""
         holders = None if fh.foreign else self._placement_cache.get(key)
         if not holders or self.server in holders:
             return None
-        self.metrics.incr("agent.routed_reads")
         return holders[0]
 
     def _shortcut_target(self, fh: FileHandle) -> str | None:
-        """The access shortcut for a file's getattr and whole-file read,
-        and for a lookup or readdir in a directory: the holder its last
-        placement hint named, when ``shortcut`` is on."""
+        """The access shortcut for a file's getattr, whole-file read and
+        whole-file write, and for a lookup or readdir in a directory: the
+        holder its last placement hint named, when ``shortcut`` is on."""
         if not self.config.shortcut:
             return None
         return self._route_target(fh, fh.sid)
@@ -751,8 +763,17 @@ class Agent(Node):
     async def _write_through(self, fh: FileHandle, args: dict[str, Any],
                              size: int) -> FileAttrs:
         """One NFS write; then drop what the caches held about the file
-        and keep the post-write attrs its reply carries."""
-        reply = await self._nfs("write", args, size_bytes=max(256, size))
+        and keep the post-write attrs its reply carries.
+
+        A whole-file write goes to the holder the file's last hint named
+        (§5.3).  The token holder applies it; another replica holder is
+        already a group member, so it passes the update to the token
+        holder (§3.3 optimization 2) with no join, or takes the token for
+        a stream of its own; the token does not follow the writer's mount
+        server.  Range writes enter at the mount server."""
+        to = self._shortcut_target(fh) if args.get("truncate") else None
+        reply = await self._nfs("write", args, to=to,
+                                size_bytes=max(256, size))
         self._invalidate(fh)
         attrs = FileAttrs.from_wire(reply["attrs"])
         self._attr_cache.put(fh.encode(), attrs)

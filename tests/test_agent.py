@@ -8,6 +8,7 @@ from repro.agent import Agent, AgentConfig, Placement
 from repro.agent.agent import _Cache
 from repro.errors import NfsError
 from repro.net.network import NetConfig
+from repro.obs.admission import AdmissionConfig, AdmissionGate
 from repro.testbed import build_cluster
 
 
@@ -332,6 +333,144 @@ def test_routed_lookup_falls_back_when_the_directory_holder_crashes():
     assert hinted == ["s1", "s1"]
     assert found
     assert deltas == [(1, 1), (0, 1)]   # /p at s1 (dead), /q at s2
+
+
+def test_alternating_writers_leave_the_token_at_the_holder():
+    """§3.3 optimization 2 through the §5.3 shortcut: two agents mounted on
+    different servers take turns rewriting one file.  Each whole-file
+    write goes to the holder the file's hint named, which holds the token,
+    so the token never moves and no write is forwarded."""
+    cluster = build_cluster(n_servers=3, n_agents=2, scatter_agents=True)
+    a, b = cluster.agents
+
+    async def main():
+        await a.mount()
+        await b.mount()
+        assert (a.server, b.server) == ("s0", "s1")
+        await a.create("/", "f")
+        await a.write_file("/f", b"start")
+        await b.lookup_path("/f")            # relayed by s1: teaches s0
+        snap = cluster.metrics.snapshot()
+        acked = b""
+        for i in range(20):
+            writer = (a, b)[i % 2]
+            image = f"image {i} from {writer.addr}".encode()
+            await writer.write_file("/f", image)
+            acked = image
+        delta = cluster.metrics.delta(snap)
+        return (acked, await a.read_file("/f"), await b.read_file("/f"),
+                (delta.get("deceit.token_passes", 0),
+                 delta.get("deceit.forwarded_writes", 0),
+                 delta.get("agent.routed_writes", 0)))
+
+    acked, read_a, read_b, counts = cluster.run(main())
+    assert read_a == read_b == acked
+    assert counts == (0, 0, 10)        # b's ten writes went to s0
+
+
+def test_routed_write_falls_back_when_the_hinted_holder_crashes():
+    """A whole-file write routed to a crashed holder costs the agent one
+    routed timeout, then enters at the mount server, which passes it to
+    the surviving token holder; it is acked and reads back."""
+    cluster = build_cluster(n_servers=4, n_agents=1,
+                            net_config=NetConfig(tag_metrics=True))
+    agent = cluster.agents[0]
+
+    async def main():
+        await agent.mount()
+        await agent.create("/", "a")
+        await agent.write_file("/a", b"before")
+        await agent.set_params("/a", min_replicas=3)
+        await cluster.kernel.sleep(200.0)
+        located = await agent.locate("/a")
+        holders, token = located["holders"], located["token_holder"]
+        agent.current = next(i for i, s in enumerate(agent.servers)
+                             if s not in holders)
+        replica = next(s for s in sorted(holders) if s != token)
+        sid = (await agent.lookup_path("/a")).sid
+        # aim the write at a replica holder that does not hold the token
+        agent._placement_cache[sid] = [replica, token]
+        cluster.crash(agent.servers.index(replica))
+        await cluster.kernel.sleep(2000.0)       # the group view drops it
+        snap = cluster.metrics.snapshot()
+        await agent.write_file("/a", b"after the crash")
+        delta = cluster.metrics.delta(snap)
+        agent._data_cache.clear()
+        return await agent.read_file("/a"), (
+            delta.get("net.rpc_expired.nfs", 0),
+            delta.get("agent.routed_writes", 0),
+            delta.get("agent.failovers", 0))
+
+    data, counts = cluster.run(main())
+    assert data == b"after the crash"
+    assert counts == (1, 1, 0)
+
+
+def _routed_writes(agent_config):
+    """``agent.routed_writes`` for one range write, then one whole-file
+    write, of a file held at ``s1`` only by an agent mounted on ``s0``
+    whose last read taught it that."""
+    cluster = make(agent_config)
+    agent = cluster.agents[0]
+
+    async def routed(call):
+        before = cluster.metrics.get("agent.routed_writes")
+        await call
+        return cluster.metrics.get("agent.routed_writes") - before
+
+    async def main():
+        await agent.mount()
+        await agent.create("/", "f")
+        await agent.write_file("/f", b"held at s1")
+        await _move_replicas(agent, "/f")
+        await agent.read_file("/f")              # relayed by s0: teaches s1
+        counts = (await routed(agent.write_at("/f", 0, b"range")),
+                  await routed(agent.write_file("/f", b"whole")))
+        agent._data_cache.clear()
+        assert await agent.read_file("/f") == b"whole"
+        return counts
+
+    return cluster.run(main())
+
+
+def test_only_whole_file_writes_are_routed():
+    """A range write enters at the mount server; a whole-file write is
+    routed only while the shortcut is on."""
+    assert _routed_writes(AgentConfig(cache=False)) == (0, 1)
+    assert _routed_writes(AgentConfig(cache=False, shortcut=False)) == (0, 0)
+
+
+def test_a_busy_routed_holder_hands_the_call_to_the_mount_server():
+    """BUSY from a routed holder's admission gate is not retried against
+    that holder: the call goes to the mount server at once, with no
+    backoff and no failover."""
+    cluster = make(AgentConfig(cache=False))
+    agent = cluster.agents[0]
+    metrics = cluster.metrics
+
+    async def main():
+        await agent.mount()
+        await agent.create("/", "f")
+        await agent.write_file("/f", b"held at s1")
+        await _move_replicas(agent, "/f")
+        await agent.read_file("/f")              # relayed by s0: teaches s1
+        cluster.servers[1].set_admission(AdmissionGate(
+            cluster.kernel, AdmissionConfig(rate_per_ms=0.0, burst=0.0)))
+        snap = metrics.snapshot()
+        data = await agent.read_file("/f")
+        await agent.write_file("/f", b"rewritten")
+        delta = metrics.delta(snap)
+        return data, await agent.read_file("/f"), tuple(
+            delta.get(name, 0) for name in (
+                "agent.routed_reads", "agent.routed_writes",
+                "nfs.busy_rejected", "agent.busy_retries",
+                "agent.failovers"))
+
+    data, rewritten, counts = cluster.run(main())
+    assert (data, rewritten) == (b"held at s1", b"rewritten")
+    # one routed read and one routed write, each rejected once by s1 and
+    # then served through s0
+    assert counts == (1, 1, 2, 0, 0)
 
 
 def test_special_commands_fail_over():

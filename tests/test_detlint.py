@@ -378,10 +378,11 @@ def test_first_divergent_checkpoint_binary_search():
 
 # One replicated file on six servers, written twice from the far end of
 # the cell after REPLICA_IDLE_MS of quiet.  set_params blast-copies s0's
-# replica to three peers, which inherit its read stamp; the first rewrite
-# is forwarded to s0, the second continues s5's stream and moves the token
-# to s5, which now holds one replica too many and must drop the least
-# recently used of three that tie.
+# replica to three peers, which inherit its read stamp.  The writes are
+# range writes, which enter at the agent's mount server s5 and take the
+# token there (a whole-file write would go to the hinted holder, and the
+# token would not move); s5 then holds one replica too many and must drop
+# the least recently used of replicas that tie.
 _LRU_DROP_SCENARIO = """
 from repro.agent import AgentConfig
 from repro.analysis.witness import WitnessRecorder
@@ -400,8 +401,8 @@ async def main():
     await first.set_params("/f", min_replicas=4)
     await first.write_file("/f", b"one")
     await cluster.kernel.sleep(6000.0)
-    await last.write_file("/f", b"two")
-    await last.write_file("/f", b"three")
+    await last.write_at("/f", 0, b"two")
+    await last.write_at("/f", 0, b"three")
     await cluster.kernel.sleep(500.0)
 
 cluster.run(main())

@@ -16,11 +16,12 @@ them):
   NFS client software does not provide this capability", §2.1); NFS calls
   and special commands alike;
 - **access shortcut** (on by default): getattr, lookup, readdir and read
-  replies name the replica holders, and the file's next getattr,
-  whole-file read or whole-file write, or the directory's next lookup or
-  readdir, goes straight to one, skipping the mount server's forwarding
-  hop.  A whole-file write so enters at the token holder, or at a group
-  member that passes it there (§3.3 optimization 2): the token stays put.
+  replies name the replica holders and the token holder, and the file's
+  next getattr or whole-file read, or the directory's next lookup or
+  readdir, goes straight to a holder, skipping the mount server's
+  forwarding hop; the file's next whole-file write goes to the token
+  holder, which applies it: the token stays put (§3.3: no pass for a
+  likely single update).
 """
 
 from repro.agent.agent import Agent, AgentConfig, Placement

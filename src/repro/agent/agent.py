@@ -11,6 +11,7 @@ from typing import Any
 from repro.core.pipeline.read_path import READ_FORWARD_TIMEOUT_MS
 from repro.core.pipeline.update import UPDATE_REPLY_TIMEOUT_MS
 from repro.core.striping import split_range
+from repro.core.tokens import TOKEN_PASS_TIMEOUT_MS
 from repro.errors import NfsError, NfsStat, RpcTimeout, Unreachable, nfs_error
 from repro.net import Network, Node
 from repro.net.network import RpcRemoteError
@@ -19,6 +20,17 @@ from repro.nfs.fhandle import FileHandle
 from repro.nfs.names import split_path
 
 RPC_TIMEOUT_MS = 600.0
+#: Bound on a whole-file write's first attempt, at the token holder the
+#: file's hint names (the mount server or another).  Long on purpose:
+#: that holder applies the write, and whole-file writes carry no replay
+#: detection, so a copy sent again while the first may still be queued
+#: behind the holder's update lock is a second update, and under load
+#: the retries of a hot file's writers pile up in that queue.  It covers
+#: what the holder itself may spend when the token moved since the hint:
+#: its forward, the token request of its fallback (asked twice) and its
+#: update round.
+TOKEN_HOLDER_WRITE_TIMEOUT_MS = 2 * (UPDATE_REPLY_TIMEOUT_MS
+                                     + TOKEN_PASS_TIMEOUT_MS)
 #: First BUSY backoff; doubles per retry.  Scaled by a deterministic
 #: per-agent stagger (a CRC of the agent's address): identical backoffs
 #: would march rejected clients in lockstep — convoys that retry together
@@ -61,18 +73,19 @@ class AgentConfig:
     placement: Placement = Placement.KERNEL
     cache: bool = True
     failover: bool = True
-    #: §5.3 access shortcut: send getattr, whole-file reads and writes,
-    #: lookups and readdirs to the replica holder the last reply's
-    #: placement hint named
+    #: §5.3 access shortcut: send getattr, whole-file reads, lookups and
+    #: readdirs to the replica holder the last reply's placement hint
+    #: named, and whole-file writes to the token holder it named
     shortcut: bool = True
     attr_ttl_ms: float = 3000.0
     data_ttl_ms: float = 3000.0
     #: How many times a request answered ``ERR_BUSY`` by a server's
     #: admission gate (repro.obs.admission) is retried before the error
-    #: surfaces.  Retries hit the *same* mount server — BUSY is
-    #: backpressure, not failure, so it must not trigger failover
-    #: stampedes.  A busy routed holder is not retried: the call goes to
-    #: the mount server at once.
+    #: surfaces.  Retries hit the *same* server — BUSY is backpressure,
+    #: not failure, so it must not trigger failover stampedes.  A busy
+    #: read holder is not retried: the call goes to the mount server at
+    #: once; a busy token holder is, and takes a whole-file write's call
+    #: to the mount server only once the retries are spent.
     busy_retries: int = 4
 
 
@@ -173,6 +186,9 @@ class Agent(Node):
         # holders, learned from reply placement hints (the server that
         # answered first)
         self._placement_cache: dict[str | tuple[str, int], list[str]] = {}
+        # sid -> the write token holder the file's last hint named: where
+        # a whole-file write is routed
+        self._token_hints: dict[str, str] = {}
         # sid -> stripe width, taught by read replies: the attr-borne
         # stripe hint lapses with the attrs, a stripe's holders do not
         self._stripe_widths: dict[str, int] = {}
@@ -203,17 +219,20 @@ class Agent(Node):
         await self.kernel.sleep(self.config.placement.hop_ms)
 
     async def _nfs(self, op: str, args: dict[str, Any],
-                   to: str | None = None, size_bytes: int = 256) -> dict:
+                   to: str | None = None, size_bytes: int = 256,
+                   to_applies: bool = False) -> dict:
         """One NFS RPC through :meth:`_transport`.
 
         This is the NFS envelope's client side, so it is also where a
         request trace begins: while a tracer is armed, a fresh trace id
         is minted per call, rides the task (and every message sent on
         its behalf) through the cell, and the whole call is recorded as
-        the root ``agent``-layer span.  A routed call (``to`` set) is
-        counted here, as ``agent.routed_writes`` or ``agent.routed_reads``.
+        the root ``agent``-layer span.  ``to`` and ``to_applies`` aim the
+        first attempt (see :meth:`_transport`); one aimed at a server
+        other than the mount server is counted here, as
+        ``agent.routed_writes`` or ``agent.routed_reads``.
         """
-        if to is not None:
+        if to is not None and to != self.server:
             self.metrics.incr("agent.routed_writes" if op == "write"
                               else "agent.routed_reads")
         await self._user_hop()
@@ -229,7 +248,7 @@ class Agent(Node):
         try:
             return await self._transport("nfs", f"nfs.{op}",
                                          {"op": op, "args": args}, to,
-                                         size_bytes)
+                                         size_bytes, to_applies)
         finally:
             if traced is not None:
                 tracer.record(tid, t0, kernel.now, "agent", f"nfs.{op}")
@@ -242,22 +261,32 @@ class Agent(Node):
                                      {"cmd": cmd, "args": args})
 
     async def _transport(self, method: str, tag: str, kwargs: dict[str, Any],
-                         to: str | None = None,
-                         size_bytes: int = 256) -> dict:
+                         to: str | None = None, size_bytes: int = 256,
+                         to_applies: bool = False) -> dict:
         """One RPC with failover across servers when enabled, and BUSY
         backoff against the same server.
 
-        ``to`` is a routed first attempt at a hinted replica holder.  It
-        waits only as long as the mount server's own forward to that
-        holder would: ``UPDATE_REPLY_TIMEOUT_MS`` for a write,
-        ``READ_FORWARD_TIMEOUT_MS`` for anything else.  When it fails,
-        the server leaves every hint; when it fails or answers BUSY, the
-        call falls back to the mount server at once, spending neither the
-        failover nor the BUSY budget.
+        ``to`` aims the first attempt at a hinted holder.  It waits as
+        long as the mount server's own forward to that holder would
+        (``READ_FORWARD_TIMEOUT_MS``) — or, with ``to_applies``, when
+        ``to`` is the one server that applies the call (a whole-file
+        write's token holder, possibly the mount server itself),
+        ``TOKEN_HOLDER_WRITE_TIMEOUT_MS``.  When it fails, the server
+        leaves every hint.  A routed attempt — ``to`` is another server —
+        that fails falls back to the mount server at once, spending no
+        failover budget.  A routed holder that answers BUSY hands the call
+        to the mount server at once too, unless ``to_applies``: the mount
+        server would only forward the call to it with a server-side RPC
+        no admission gate sees, so its BUSY is backed off against like
+        the mount server's, and the call goes to the mount server only
+        once the BUSY budget is spent.  A busy read holder's gate, by the
+        same token, does not shed routed reads the mount server forwards.
+        An attempt aimed at the mount server itself fails over and backs
+        off like any other.
         """
         attempts = len(self.servers) if self.config.failover else 1
-        routed_timeout = UPDATE_REPLY_TIMEOUT_MS \
-            if kwargs.get("op") == "write" else READ_FORWARD_TIMEOUT_MS
+        to_timeout = TOKEN_HOLDER_WRITE_TIMEOUT_MS if to_applies \
+            else READ_FORWARD_TIMEOUT_MS
         last_exc: Exception | None = None
         failures = 0
         busy_left = self.config.busy_retries
@@ -267,14 +296,15 @@ class Agent(Node):
             try:
                 reply = await self.call(
                     target, method, size_bytes=size_bytes, tag=tag,
-                    timeout=RPC_TIMEOUT_MS if to is None else routed_timeout,
+                    timeout=RPC_TIMEOUT_MS if to is None else to_timeout,
                     **kwargs)
             except (RpcTimeout, Unreachable, RpcRemoteError) as exc:
                 last_exc = exc
                 if to is not None:
                     self._forget_server(to)
-                    to = None  # routed target failed: fall back to server
-                    continue
+                    routed, to = to != self.server, None
+                    if routed:
+                        continue  # fall back to the mount server
                 failures += 1
                 if not self.config.failover:
                     break
@@ -282,12 +312,13 @@ class Agent(Node):
                 self.metrics.incr("agent.failovers")
                 continue
             status = reply["status"]
-            if status == NfsStat.ERR_BUSY and to is not None:
-                to = None  # a busy holder is not retried: the server takes it
+            if status == NfsStat.ERR_BUSY and to not in (None, self.server) \
+                    and not (to_applies and busy_left > 0):
+                to = None  # hand the call to the mount server
                 continue
             if status == NfsStat.ERR_BUSY and busy_left > 0:
                 # admission backpressure: back off and retry the same
-                # server without spending the failover budget
+                # target without spending the failover budget
                 busy_left -= 1
                 self.metrics.incr("agent.busy_retries")
                 await self.kernel.sleep(busy_wait)
@@ -683,22 +714,30 @@ class Agent(Node):
 
     def _route_target(self, fh: FileHandle,
                       key: str | tuple[str, int] | None) -> str | None:
-        """Where to aim a routed call (§5.3: the agent talks straight to a
-        replica holder): the first holder hinted under ``key``, or ``None``
-        for the plain mount-server path — no hint, a foreign handle, or
-        the mount server holds a replica itself."""
+        """Where to aim a read, getattr, lookup or readdir (§5.3: the agent
+        talks straight to a replica holder): the first holder hinted under
+        ``key``, or ``None`` for the plain mount-server path — no hint, a
+        foreign handle, or the mount server holds a replica itself."""
         holders = None if fh.foreign else self._placement_cache.get(key)
         if not holders or self.server in holders:
             return None
         return holders[0]
 
     def _shortcut_target(self, fh: FileHandle) -> str | None:
-        """The access shortcut for a file's getattr, whole-file read and
-        whole-file write, and for a lookup or readdir in a directory: the
-        holder its last placement hint named, when ``shortcut`` is on."""
+        """The access shortcut for a file's getattr and whole-file read,
+        and for a lookup or readdir in a directory: the holder its last
+        placement hint named, when ``shortcut`` is on."""
         if not self.config.shortcut:
             return None
         return self._route_target(fh, fh.sid)
+
+    def _write_target(self, fh: FileHandle) -> str | None:
+        """The access shortcut for a whole-file write: the token holder
+        the file's last placement hint named — possibly the mount server
+        itself — when ``shortcut`` is on."""
+        if not self.config.shortcut or fh.foreign:
+            return None
+        return self._token_hints.get(fh.sid)
 
     def _learn_placement(self, fh: FileHandle, reply: dict,
                          offset: int | None = None,
@@ -707,7 +746,9 @@ class Agent(Node):
         A read reply at ``offset`` of a striped file describes that stripe;
         every other hint (getattr, lookup, readdir, a blob's read, and a
         lookup's ``dir_placement`` for the directory searched) describes
-        ``fh`` itself."""
+        ``fh`` itself, and its first holder is where the file's next
+        whole-file write goes: the token holder, when the serving server
+        knew one holding a replica."""
         hint = reply.get(field)
         if not hint or fh.foreign:
             return
@@ -716,9 +757,10 @@ class Agent(Node):
             self._stripe_widths[fh.sid] = width
         else:
             self._stripe_widths.pop(fh.sid, None)   # a blob (again)
-        holders = sorted(hint.get("holders") or [])
-        if not holders:
+        listed = hint.get("holders")
+        if not listed:
             return
+        holders = sorted(listed)
         served = hint.get("served_by")
         if served in holders:  # the server that answered goes first
             holders.remove(served)
@@ -726,6 +768,8 @@ class Agent(Node):
         key = (fh.sid, offset // width) if width and offset is not None \
             else fh.sid
         self._placement_cache[key] = holders
+        if key == fh.sid:      # the hint lists the token holder first
+            self._token_hints[fh.sid] = listed[0]
         self.metrics.incr("agent.placement_hints")
 
     def _forget_server(self, server: str) -> None:
@@ -736,6 +780,9 @@ class Agent(Node):
                 holders.remove(server)
                 if not holders:
                     del self._placement_cache[key]
+        for sid, holder in list(self._token_hints.items()):
+            if holder == server:
+                del self._token_hints[sid]
 
     async def write_file(self, path_or_fh: str | FileHandle,
                          data: bytes) -> FileAttrs:
@@ -765,15 +812,22 @@ class Agent(Node):
         """One NFS write; then drop what the caches held about the file
         and keep the post-write attrs its reply carries.
 
-        A whole-file write goes to the holder the file's last hint named
-        (§5.3).  The token holder applies it; another replica holder is
-        already a group member, so it passes the update to the token
-        holder (§3.3 optimization 2) with no join, or takes the token for
-        a stream of its own; the token does not follow the writer's mount
-        server.  Range writes enter at the mount server."""
-        to = self._shortcut_target(fh) if args.get("truncate") else None
+        A whole-file write goes to the token holder the file's last hint
+        named (§5.3), which applies it: the token does not follow the
+        writer's mount server.  Were the token moved since the hint, the
+        holder passes the update on (§3.3 optimization 2).  That attempt
+        waits ``TOKEN_HOLDER_WRITE_TIMEOUT_MS``, longer than the holder
+        itself may take, so the write is not sent again while a first
+        copy can still apply; if it times out all the same, the copy the
+        mount server then gets queues behind that first one at the holder
+        (a forward waits for the holder's update lock, and so does a
+        token pass), and the ack comes after both.  A BUSY from the
+        holder is backed off against there: the mount server would only
+        forward the write to it.  Range writes enter at the mount
+        server."""
+        to = self._write_target(fh) if args.get("truncate") else None
         reply = await self._nfs("write", args, to=to,
-                                size_bytes=max(256, size))
+                                size_bytes=max(256, size), to_applies=True)
         self._invalidate(fh)
         attrs = FileAttrs.from_wire(reply["attrs"])
         self._attr_cache.put(fh.encode(), attrs)

@@ -71,8 +71,10 @@ class ReadResult:
     reads return versions so callers can run optimistic transactions).
 
     ``holders`` is the placement hint: the replica holders the serving
-    server's catalog knew at read time.  The NFS layer piggybacks it on
-    read replies so agents can route later reads straight to a holder.
+    server's catalog knew at read time, and ``token_holder`` the write
+    token holder it named.  The NFS layer piggybacks both on read replies
+    so agents can route later reads straight to a holder, and whole-file
+    writes straight to the token holder.
     """
 
     data: bytes
@@ -82,6 +84,7 @@ class ReadResult:
     major: int
     served_by: str
     holders: list[str] = field(default_factory=list)
+    token_holder: str | None = None
 
 
 @dataclass(frozen=True)
@@ -172,8 +175,10 @@ class ReadService:
         return self._stamp(result, info)
 
     def _stamp(self, result: ReadResult, info) -> ReadResult:
-        """Attach the placement hint (current holder set) to a result."""
+        """Attach the placement hint (current holder set and token holder)
+        to a result."""
         result.holders = sorted(info.holders)
+        result.token_holder = info.holder
         return result
 
     async def validate_version(self, sid: str, verify,
@@ -352,6 +357,7 @@ class ReadService:
             if result.params.file_migration:
                 return None
             result.holders = raw["holders"]
+            result.token_holder = raw["holder"]
             if not self.catalog.joined(sid):
                 self.hints[sid] = ReadHint(tuple(raw["holders"]),
                                            raw["holder"], raw["unstable"])

@@ -56,7 +56,11 @@ def placement_hint(result: ReadResult | None) -> dict[str, Any] | None:
 
     Tells the agent-side router where the segment's replicas currently
     live (and who served this read), so subsequent requests can go
-    straight to a holder instead of always the mount server.  For a read
+    straight to a holder instead of always the mount server, and which of
+    them holds the write token, where a whole-file write can go: the
+    serving server's token holder is listed first when it holds a
+    replica (the rest in address order), so naming it costs no byte of
+    the reply.  For a read
     of one stripe the holders are the stripe's (see
     :meth:`Envelope.read_result`), for a getattr or lookup the file's own,
     for a readdir the directory's; a lookup reply also carries a second
@@ -68,7 +72,11 @@ def placement_hint(result: ReadResult | None) -> dict[str, Any] | None:
     """
     if result is None or not result.holders:
         return None
-    hint = {"holders": list(result.holders), "served_by": result.served_by}
+    holders = list(result.holders)
+    if result.token_holder in holders:
+        holders.remove(result.token_holder)
+        holders.insert(0, result.token_holder)
+    hint = {"holders": holders, "served_by": result.served_by}
     smap = StripeMap.from_meta(result.meta)
     if smap is not None:
         hint["stripe_size"] = smap.stripe_size
@@ -285,6 +293,7 @@ class Envelope:
             else:
                 result.holders = stripe.holders
                 result.served_by = stripe.served_by
+                result.token_holder = stripe.token_holder
         return result
 
     async def read_validate(self, fh: FileHandle, verify,

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.agent import Agent, AgentConfig, Placement
-from repro.agent.agent import _Cache
+from repro.agent.agent import TOKEN_HOLDER_WRITE_TIMEOUT_MS, _Cache
 from repro.errors import NfsError
 from repro.net.network import NetConfig
 from repro.obs.admission import AdmissionConfig, AdmissionGate
@@ -22,6 +22,16 @@ async def _move_replicas(agent, path, to=("s1",), away="s0"):
     for server in to:
         assert await agent.create_replica(path, server)
     assert await agent.delete_replica(path, away)
+
+
+async def _create_through(agent, server, name, data):
+    """Create and write ``/name`` through ``agent.servers[server]``, which
+    then holds its one replica and its write token; the agent stays
+    mounted where it was."""
+    mounted, agent.current = agent.current, server
+    await agent.create("/", name)
+    await agent.write_file(f"/{name}", data)
+    agent.current = mounted
 
 
 def test_failover_to_surviving_server():
@@ -369,9 +379,10 @@ def test_alternating_writers_leave_the_token_at_the_holder():
 
 
 def test_routed_write_falls_back_when_the_hinted_holder_crashes():
-    """A whole-file write routed to a crashed holder costs the agent one
-    routed timeout, then enters at the mount server, which passes it to
-    the surviving token holder; it is acked and reads back."""
+    """A whole-file write routed to a crashed server — a hint gone stale:
+    the token moved on, and the server it names crashed since — costs the
+    agent one routed timeout, then enters at the mount server, which
+    passes it to the live token holder; it is acked and reads back."""
     cluster = build_cluster(n_servers=4, n_agents=1,
                             net_config=NetConfig(tag_metrics=True))
     agent = cluster.agents[0]
@@ -386,16 +397,17 @@ def test_routed_write_falls_back_when_the_hinted_holder_crashes():
         holders, token = located["holders"], located["token_holder"]
         agent.current = next(i for i, s in enumerate(agent.servers)
                              if s not in holders)
-        replica = next(s for s in sorted(holders) if s != token)
+        agent._data_cache.clear()
+        await agent.read_file("/a")      # the reply names the token holder
         sid = (await agent.lookup_path("/a")).sid
-        # aim the write at a replica holder that does not hold the token
-        agent._placement_cache[sid] = [replica, token]
+        assert agent._token_hints[sid] == token
+        replica = next(s for s in sorted(holders) if s != token)
+        agent._token_hints[sid] = replica
         cluster.crash(agent.servers.index(replica))
         await cluster.kernel.sleep(2000.0)       # the group view drops it
         snap = cluster.metrics.snapshot()
         await agent.write_file("/a", b"after the crash")
         delta = cluster.metrics.delta(snap)
-        agent._data_cache.clear()
         return await agent.read_file("/a"), (
             delta.get("net.rpc_expired.nfs", 0),
             delta.get("agent.routed_writes", 0),
@@ -406,10 +418,57 @@ def test_routed_write_falls_back_when_the_hinted_holder_crashes():
     assert counts == (1, 1, 0)
 
 
+def test_a_write_timed_out_at_a_slow_token_holder_does_not_apply_late():
+    """One-copy semantics across a routed write's fallback.  The token
+    holder is alive but slow (its update lock for the file is held past
+    the routed bound): the routed write times out and enters again at the
+    mount server, whose copy queues behind the first at the holder, so
+    both apply before the writer is acked.  A second agent's write acked
+    after that is the final image, and stays so.  (The stall ends within
+    the mount server's own bound: a stall that outlasts that too sends
+    the write on to further servers, see ROADMAP.)"""
+    cluster = build_cluster(n_servers=3, n_agents=2, scatter_agents=True,
+                            agent_config=AgentConfig(cache=False),
+                            net_config=NetConfig(tag_metrics=True))
+    owner, writer = cluster.agents          # mounted on s0 and s1
+    holder = cluster.servers[0].segments
+
+    async def stall(lock, ms):
+        await lock.acquire()
+        await cluster.kernel.sleep(ms)
+        lock.release()
+
+    async def main():
+        await owner.mount()
+        await writer.mount()
+        await owner.create("/", "f")
+        await owner.write_file("/f", b"start")          # token at s0
+        await writer.read_file("/f")        # teaches: s0 holds the token
+        sid = (await writer.lookup_path("/f")).sid
+        assert writer._token_hints[sid] == "s0"
+        cluster.kernel.spawn(stall(holder._update_lock(sid),
+                                   TOKEN_HOLDER_WRITE_TIMEOUT_MS + 300.0))
+        snap = cluster.metrics.snapshot()
+        await writer.write_file("/f", b"first writer")
+        delta = cluster.metrics.delta(snap)
+        await owner.write_file("/f", b"second writer")
+        await cluster.kernel.sleep(3000.0)
+        return (await owner.read_file("/f"), await writer.read_file("/f"),
+                (delta.get("agent.routed_writes", 0),
+                 delta.get("net.rpc_expired.nfs", 0),
+                 delta.get("deceit.updates", 0)))
+
+    read_owner, read_writer, counts = cluster.run(main())
+    assert read_owner == read_writer == b"second writer"
+    # one routed attempt that expired; its copy and the mount server's
+    # both applied before the first writer's ack
+    assert counts == (1, 1, 2)
+
+
 def _routed_writes(agent_config):
-    """``agent.routed_writes`` for one range write, then one whole-file
-    write, of a file held at ``s1`` only by an agent mounted on ``s0``
-    whose last read taught it that."""
+    """``agent.routed_writes`` for one whole-file write, then one range
+    write, of a file held (replica and token) at ``s1`` only, by an agent
+    mounted on ``s0`` whose last read taught it that."""
     cluster = make(agent_config)
     agent = cluster.agents[0]
 
@@ -420,14 +479,12 @@ def _routed_writes(agent_config):
 
     async def main():
         await agent.mount()
-        await agent.create("/", "f")
-        await agent.write_file("/f", b"held at s1")
-        await _move_replicas(agent, "/f")
+        await _create_through(agent, 1, "f", b"held at s1")
         await agent.read_file("/f")              # relayed by s0: teaches s1
-        counts = (await routed(agent.write_at("/f", 0, b"range")),
-                  await routed(agent.write_file("/f", b"whole")))
+        counts = (await routed(agent.write_file("/f", b"whole")),
+                  await routed(agent.write_at("/f", 0, b"range")))
         agent._data_cache.clear()
-        assert await agent.read_file("/f") == b"whole"
+        assert await agent.read_file("/f") == b"range"
         return counts
 
     return cluster.run(main())
@@ -436,41 +493,59 @@ def _routed_writes(agent_config):
 def test_only_whole_file_writes_are_routed():
     """A range write enters at the mount server; a whole-file write is
     routed only while the shortcut is on."""
-    assert _routed_writes(AgentConfig(cache=False)) == (0, 1)
+    assert _routed_writes(AgentConfig(cache=False)) == (1, 0)
     assert _routed_writes(AgentConfig(cache=False, shortcut=False)) == (0, 0)
 
 
-def test_a_busy_routed_holder_hands_the_call_to_the_mount_server():
-    """BUSY from a routed holder's admission gate is not retried against
-    that holder: the call goes to the mount server at once, with no
-    backoff and no failover."""
+def _busy_holder(call):
+    """Run ``call(agent)`` against a file held (replica and token) at
+    ``s1`` only, once ``s1``'s admission gate admits nothing, by an agent
+    mounted on ``s0`` whose last read taught it that; its result, then
+    the deltas of the routing and BUSY counters."""
     cluster = make(AgentConfig(cache=False))
     agent = cluster.agents[0]
     metrics = cluster.metrics
 
     async def main():
         await agent.mount()
-        await agent.create("/", "f")
-        await agent.write_file("/f", b"held at s1")
-        await _move_replicas(agent, "/f")
+        await _create_through(agent, 1, "f", b"held at s1")
         await agent.read_file("/f")              # relayed by s0: teaches s1
         cluster.servers[1].set_admission(AdmissionGate(
             cluster.kernel, AdmissionConfig(rate_per_ms=0.0, burst=0.0)))
         snap = metrics.snapshot()
-        data = await agent.read_file("/f")
-        await agent.write_file("/f", b"rewritten")
+        result = await call(agent)
         delta = metrics.delta(snap)
-        return data, await agent.read_file("/f"), tuple(
-            delta.get(name, 0) for name in (
-                "agent.routed_reads", "agent.routed_writes",
-                "nfs.busy_rejected", "agent.busy_retries",
-                "agent.failovers"))
+        return result, tuple(delta.get(name, 0) for name in (
+            "agent.routed_reads", "agent.routed_writes",
+            "nfs.busy_rejected", "agent.busy_retries", "agent.failovers"))
 
-    data, rewritten, counts = cluster.run(main())
-    assert (data, rewritten) == (b"held at s1", b"rewritten")
-    # one routed read and one routed write, each rejected once by s1 and
-    # then served through s0
-    assert counts == (1, 1, 2, 0, 0)
+    return cluster.run(main())
+
+
+def test_a_busy_routed_holder_hands_the_call_to_the_mount_server():
+    """BUSY from a routed read holder's admission gate is not retried
+    against that holder: the read goes to the mount server at once, with
+    no backoff and no failover."""
+    data, counts = _busy_holder(lambda agent: agent.read_file("/f"))
+    assert data == b"held at s1"
+    assert counts == (1, 0, 1, 0, 0)     # rejected once by s1, s0 serves
+
+
+def test_a_busy_token_holder_is_backed_off_against():
+    """BUSY from the token holder a whole-file write was routed to is
+    backed off against, as a busy mount server's is: the mount server
+    would only forward the write to that holder, past its gate.  Once the
+    BUSY budget is spent, the mount server takes the write."""
+    async def rewrite(agent):
+        await agent.write_file("/f", b"rewritten")
+        return await agent.read_file("/f")
+
+    data, counts = _busy_holder(rewrite)
+    retries = AgentConfig().busy_retries
+    assert data == b"rewritten"
+    # the routed write and its retries all rejected by s1, then s0 passes
+    # it on; the read after it is routed to s1 and rejected once more
+    assert counts == (1, 1, retries + 2, retries, 0)
 
 
 def test_special_commands_fail_over():

@@ -380,7 +380,7 @@ def test_first_divergent_checkpoint_binary_search():
 # the cell after REPLICA_IDLE_MS of quiet.  set_params blast-copies s0's
 # replica to three peers, which inherit its read stamp.  The writes are
 # range writes, which enter at the agent's mount server s5 and take the
-# token there (a whole-file write would go to the hinted holder, and the
+# token there (a whole-file write would go to the token holder, and the
 # token would not move); s5 then holds one replica too many and must drop
 # the least recently used of replicas that tie.
 _LRU_DROP_SCENARIO = """

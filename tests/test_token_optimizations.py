@@ -164,9 +164,14 @@ def test_piggyback_preserves_subsequent_stream():
 
 def _replicated_file():
     """Three servers, three agents with caches off; the first agent (on
-    s0, the token holder) made ``/f``, the others mount s1 and s2."""
+    s0, the token holder) made ``/f``, the others mount s1 and s2.  The
+    access shortcut is off too, so every rewrite enters at its writer's
+    mount server: the rule under test is the server's (with it on, the
+    agent sends a rewrite to the token holder in the first place, see
+    ``tests/test_agent.py``)."""
     cluster = build_cluster(3, 3, seed=3, scatter_agents=True,
-                            agent_config=AgentConfig(cache=False))
+                            agent_config=AgentConfig(cache=False,
+                                                     shortcut=False))
     first = cluster.agents[0]
 
     async def setup():

@@ -306,3 +306,38 @@ def test_busy_holder_is_asked_again_not_replaced():
     assert list(majors) == [version.major]      # one major, no branch
     assert version.sub == 25                    # after all 24 queued appends
     assert cluster.metrics.get("deceit.token_rerequests") >= 1
+
+
+def test_a_re_requested_token_applies_each_acked_update_once():
+    """A request that reaches a busy holder is broadcast again; whatever
+    rides that request must not land twice.  24 appends keep s0's update
+    lock past TOKEN_PASS_TIMEOUT_MS, s1's ``R`` asks for the token behind
+    them, and s0's own later ``L`` takes it back: every replica reads each
+    acked append exactly once, in order."""
+    cluster = build_core_cluster(3, seed=1)
+    s0, s1 = cluster.servers[0], cluster.servers[1]
+    kernel = cluster.kernel
+
+    async def main():
+        sid = await s0.create(
+            params=FileParams(min_replicas=3, write_safety=2,
+                              stability_notification=False), data=b"")
+        tasks = [kernel.spawn(s0.write(sid, WriteOp(kind="append",
+                                                    data=b"a")))
+                 for _ in range(24)]
+        await kernel.sleep(1.0)
+        tasks.append(kernel.spawn(s1.write(sid, WriteOp(kind="append",
+                                                        data=b"R"))))
+        await kernel.sleep(20.0)
+        tasks.append(kernel.spawn(s0.write(sid, WriteOp(kind="append",
+                                                        data=b"L"))))
+        for task in tasks:
+            await task
+        await kernel.sleep(3_000.0)
+        return [srv.replicas[key].data for srv in cluster.servers
+                for key in srv.replicas if key[0] == sid]
+
+    images = cluster.run(main())
+    assert len(images) == 3
+    assert set(images) == {b"a" * 24 + b"RL"}
+    assert cluster.metrics.get("deceit.token_rerequests") >= 1

@@ -2,23 +2,23 @@
 
 Distributes one update per causal broadcast round from the write-token
 holder, returning to the caller after ``write_safety`` replies while the
-full reply set is audited in the background.  The two §3.3 optimizations
-live here too, as does update application at every group member.  Deceit
-"currently uses neither"; here optimization 1 (piggybacking the first
-update on the token request) stays off by default, and optimization 2
-(passing a likely single update to the holder) is on for dirops and
+full reply set is audited in the background.  Update application at every
+group member lives here too, as does the one §3.3 optimization built:
+passing a likely single update to the holder, on for dirops and
 whole-file rewrites — except that a rewrite continuing this server's own
 stream takes the token, as §3.3's "paid only for the first of a stream of
 updates" intends (the stream rule, :meth:`UpdatePipeline.write`).
+Optimization 1, the first update "in the same message with a token
+request", is not built, as in Deceit ("currently uses neither"): a token
+request is broadcast again while its holder is busy, and an update riding
+it would be applied once per copy.
 
 The pipeline is built from narrow collaborators so it can be unit tested
 without an IsisProcess facade:
 
-- ``transport`` — ``addr``, ``cbcast``, ``call``, ``members``, ``spawn``,
-  ``reachable(a, b)`` and, for §3.3 optimization 1 only, the reply
-  collector (``collect_replies`` / ``end_collection`` / ``reply_to``) — an
-  :class:`~repro.isis.process.IsisProcess` bound in production, a stub in
-  unit tests;
+- ``transport`` — ``addr``, ``cbcast``, ``call``, ``members``, ``spawn``
+  and ``reachable(a, b)`` — an :class:`~repro.isis.process.IsisProcess`
+  bound in production, a stub in unit tests;
 - ``catalog`` — a :class:`~repro.core.pipeline.catalog.CatalogService`;
 - ``store`` — a :class:`~repro.core.pipeline.store.ReplicaStore`;
 - ``hooks`` — an :class:`UpdateHooks` bundle of the token / stability /
@@ -80,7 +80,7 @@ from repro.errors import (
 )
 from repro.metrics import Metrics
 from repro.net.network import RpcRemoteError
-from repro.sim import SimFuture, SimTimeoutError
+from repro.sim import SimFuture
 
 UPDATE_REPLY_TIMEOUT_MS = 400.0
 
@@ -107,9 +107,6 @@ class UpdateHooks:
     repair_replica: Callable    # (sid, major) -> coroutine (spawned)
     replenish: Callable         # (sid, major) -> coroutine (spawned)
     maybe_disable_token: Callable    # (sid, major, replica_replies) -> None
-    #: async (sid, major, size_bytes, **rider) -> bool; only §3.3
-    #: optimization 1 (off by default) needs it
-    request_token_pass: Callable | None = None
 
 
 class UpdatePipeline:
@@ -123,10 +120,6 @@ class UpdatePipeline:
         self.store = store
         self.hooks = hooks
         self.metrics = metrics or store.metrics
-        #: §3.3 optimization 1 — broadcast the first update of a stream in
-        #: the same message as the token request.  Off by default, as in
-        #: Deceit ("currently uses neither of these optimizations").
-        self.token_piggyback = False
         #: ``(sid, major)`` -> the version this server's last forwarded
         #: single update produced (the stream rule of :meth:`write`)
         self._forwarded: dict[tuple[str, int], VersionPair] = {}
@@ -183,13 +176,6 @@ class UpdatePipeline:
                 if op.kind != "dirop":
                     self._forwarded[key] = forwarded
                 return forwarded
-        if (self.token_piggyback and (sid, major) not in self.store.tokens
-                and guard is None and op.kind != "dirop"
-                and (not cat.params.stability_notification
-                     or cat.majors[major].unstable)):
-            piggybacked = await self._write_via_piggyback(sid, major, op)
-            if piggybacked is not None:
-                return piggybacked
         lock = self.hooks.update_lock(sid)
         await lock.acquire()
         try:
@@ -394,74 +380,23 @@ class UpdatePipeline:
                 else new_version.to_tuple()}
 
     # ------------------------------------------------------------------ #
-    # §3.3 optimization 1: update piggybacked on the token request
-    # ------------------------------------------------------------------ #
-
-    async def _write_via_piggyback(self, sid: str, major: int,
-                                   op: WriteOp) -> VersionPair | None:
-        """The update rides the token request broadcast.
-
-        The old holder embeds the update in its token pass; replica holders
-        apply it on pass delivery and acknowledge straight to us, so the
-        write-safety count is preserved.  Returns ``None`` (fall back to
-        the normal path) when the token does not arrive.
-        """
-        proc = self.transport
-        cat = self.catalog.catalogs[sid]
-        if cat.majors[major].holder in (None, proc.addr):
-            return None
-        safety = min(cat.params.write_safety,
-                     len(proc.members(group_of(sid))))
-        req_id, collected = proc.collect_replies(safety, _is_durable_reply)
-        self.metrics.incr("deceit.updates")
-        try:
-            if not await self.hooks.request_token_pass(
-                    sid, major, size_bytes=max(256, len(op.data)),
-                    piggyback=op.to_dict(), reply_req=req_id):
-                return None  # holder gone: normal path will generate
-            if not collected.done():
-                try:
-                    await self.kernel.wait_for(collected,
-                                               UPDATE_REPLY_TIMEOUT_MS)
-                except SimTimeoutError:
-                    pass
-        finally:
-            proc.end_collection(req_id)
-        token = self.store.tokens[(sid, major)]
-        if cat.params.stability_notification:
-            self.hooks.schedule_stable(sid, major)
-        return token.version
-
-    async def deliver_piggyback(self, sid: str, major: int, wop: dict,
-                                version: list, reply_req: int | None,
-                                origin: str | None) -> None:
-        """Receiving side: every member applies the update riding a token
-        pass and acknowledges straight to the requester."""
-        replica, durable = await self._apply_update(
-            sid, major, VersionPair.from_tuple(version), wop)
-        if reply_req is not None and origin is not None:
-            self.transport.reply_to(origin, reply_req, {
-                "ok": durable is not None, "durable": bool(durable),
-                "have_replica": replica is not None})
-
-    # ------------------------------------------------------------------ #
     # update delivery (runs at every group member)
     # ------------------------------------------------------------------ #
 
-    async def _apply_update(self, sid: str, major: int, version: VersionPair,
-                            wop: dict, drop=(), mark: bool = False):
-        """One update landing at this member, whichever message carried it.
+    async def deliver_update(self, sid: str, payload: dict) -> dict:
+        """One update landing at this member.
 
         The catalog learns the version; a member named in ``drop`` destroys
         its copy instead; a replica exactly one ``sub`` behind applies the
-        op and persists it.  ``mark`` (a burst head, §3.4) first marks the
+        op and persists it.  A ``mark`` (a burst head, §3.4) first marks the
         major unstable, and the one synchronous persist records the mark
         with the op — or the mark alone, on a copy that missed updates,
         because recovery needs it to find possibly-inconsistent replicas.
-        Returns ``(replica, durable)``: ``replica`` is ``None`` when no
-        copy is (any longer) kept here, ``durable`` is ``None`` when the
-        copy was not applied to — it missed updates.
         """
+        major = payload["major"]
+        version = VersionPair.from_tuple(payload["version"])
+        me = self.transport.addr
+        mark = payload.get("mark", False)
         cat = self.catalog.get(sid)
         if cat is not None and major in cat.majors:
             info = cat.majors[major]
@@ -469,17 +404,17 @@ class UpdatePipeline:
             info.last_update_ts = self.kernel.now
             if mark:
                 info.unstable = True
-        if self.transport.addr in drop:
+        if me in payload.get("drop", []):
             await self.hooks.destroy_local_replica(sid, major)
-            return None, None
+            return {"dropped": True, "have_replica": False}
         replica = self.store.replicas.get((sid, major))
         if replica is None:
-            return None, None
+            return {"cached": True, "have_replica": False}
         newly_marked = mark and replica.stable
         if newly_marked:
             replica.stable = False
         if replica.version.sub + 1 == version.sub:
-            op = WriteOp.from_dict(wop)
+            op = WriteOp.from_dict(payload["wop"])
             replica.data, replica.meta = op.apply(replica.data, replica.meta)
             replica.version = version
             replica.write_ts = self.kernel.now
@@ -489,33 +424,17 @@ class UpdatePipeline:
             # invalidation)
             await self.store.persist_replica(replica, sync=sync)
             # ``durable`` is truthful *because* the sync persist was awaited
-            # above: by the time a reply leaves, the record is committed
-            return replica, sync
+            # above: by the time the reply leaves, the record is committed
+            return {"ok": True, "have_replica": True, "durable": sync,
+                    "version": version.to_tuple(), "read_ts": replica.read_ts}
         if newly_marked:
             await self.store.persist_replica(replica, sync=True)
-        return replica, None
-
-    async def deliver_update(self, sid: str, payload: dict) -> dict:
-        major = payload["major"]
-        version = VersionPair.from_tuple(payload["version"])
-        me = self.transport.addr
-        drop = payload.get("drop", [])
-        replica, durable = await self._apply_update(
-            sid, major, version, payload["wop"], drop,
-            mark=payload.get("mark", False))
-        if replica is None:
-            return {"dropped" if me in drop else "cached": True,
-                    "have_replica": False}
-        if durable is None:
-            # missed updates (rejoined mid-stream): self-repair by fetching
-            self.metrics.incr("deceit.update_gaps")
-            self.store.cache.invalidate(sid, major)
-            self.transport.spawn(self.hooks.repair_replica(sid, major),
-                                 name=f"{me}:repair:{sid}")
-            return {"gap": True, "have_replica": True,
-                    "read_ts": replica.read_ts}
-        return {"ok": True, "have_replica": True, "durable": durable,
-                "version": version.to_tuple(), "read_ts": replica.read_ts}
+        # missed updates (rejoined mid-stream): self-repair by fetching
+        self.metrics.incr("deceit.update_gaps")
+        self.store.cache.invalidate(sid, major)
+        self.transport.spawn(self.hooks.repair_replica(sid, major),
+                             name=f"{me}:repair:{sid}")
+        return {"gap": True, "have_replica": True, "read_ts": replica.read_ts}
 
     # ------------------------------------------------------------------ #
     # background audit of the full reply set (§3.1 method 1)

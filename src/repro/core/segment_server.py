@@ -93,7 +93,6 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
                 repair_replica=self._repair_replica,
                 replenish=self._replenish,
                 maybe_disable_token=self._maybe_disable_token,
-                request_token_pass=self._request_token_pass,
             ),
             self.metrics,
         )
@@ -141,15 +140,6 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
     @property
     def conflicts(self) -> ConflictLog:
         return self.conflict_dir.log
-
-    @property
-    def token_piggyback(self) -> bool:
-        """§3.3 optimization 1 switch (lives on the update pipeline)."""
-        return self.pipeline.token_piggyback
-
-    @token_piggyback.setter
-    def token_piggyback(self, value: bool) -> None:
-        self.pipeline.token_piggyback = value
 
     # ------------------------------------------------------------------ #
     # small helpers the mixins and services share
@@ -360,16 +350,10 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
             return await self.pipeline.deliver_update(sid, payload)
         if op == "token_request":
             return await self._deliver_token_request(
-                sid, payload["major"], payload["requester"],
-                piggyback=payload.get("piggyback"),
-                reply_req=payload.get("reply_req"))
+                sid, payload["major"], payload["requester"])
         if op == "token_pass":
             return await self._deliver_token_pass(
-                sid, payload["major"], payload["to"], payload["token"],
-                piggyback=payload.get("piggyback"),
-                piggyback_version=payload.get("piggyback_version"),
-                reply_req=payload.get("reply_req"),
-                origin=payload.get("origin"))
+                sid, payload["major"], payload["to"], payload["token"])
         if op == "token_generated":
             return self._deliver_token_generated(
                 sid, payload["major"], payload["parent"],

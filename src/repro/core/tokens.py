@@ -45,9 +45,9 @@ class TokenMixin:
     """Token-protocol half of the segment server.
 
     Expects the host class to hold this state: ``proc`` (IsisProcess),
-    ``kernel``, ``metrics``, ``alloc``, the services ``store`` / ``cat`` /
-    ``pipeline``, the ``replicas`` / ``tokens`` / ``catalogs`` views onto
-    them, ``_token_waits``, and the other two mixins.
+    ``kernel``, ``metrics``, ``alloc``, the ``store`` service, the
+    ``replicas`` / ``tokens`` / ``catalogs`` views onto the services,
+    ``_token_waits``, and the other two mixins.
     """
 
     # ------------------------------------------------------------------ #
@@ -75,8 +75,7 @@ class TokenMixin:
         self.metrics.incr("deceit.token_losses_detected")
         return await self._generate_token(sid, major)
 
-    async def _request_token_pass(self, sid: str, major: int,
-                                  size_bytes: int = 512, **rider) -> bool:
+    async def _request_token_pass(self, sid: str, major: int) -> bool:
         """One round: broadcast a token request; wait for the pass (§3.3).
 
         A live holder answers only once it holds its update lock, i.e.
@@ -88,9 +87,9 @@ class TokenMixin:
         still writing, is alive).  Otherwise the request is sent again,
         this time collecting the members' answers.
 
-        ``rider`` is the update that travels with the request under
-        optimization 1 (``piggyback`` + ``reply_req``, sized by
-        ``size_bytes``); see :meth:`_deliver_token_request`.
+        The request carries no update: §3.3 optimization 1 (the first update
+        "in the same message with a token request") is not built, because a
+        request asked again would carry the update a second time.
         """
         group = group_of(sid)
         info = self.catalogs[sid].majors[major]
@@ -104,9 +103,9 @@ class TokenMixin:
                 replies = await self.proc.cbcast(
                     group,
                     {"op": "token_request", "sid": sid, "major": major,
-                     "requester": self.proc.addr, **rider},
+                     "requester": self.proc.addr},
                     nreplies=nreplies, timeout=TOKEN_PASS_TIMEOUT_MS,
-                    size_bytes=size_bytes, tag="token_request",
+                    tag="token_request",
                 )
                 try:
                     await self.kernel.wait_for(wait, TOKEN_PASS_TIMEOUT_MS)
@@ -124,16 +123,9 @@ class TokenMixin:
         finally:
             self._token_waits.pop((sid, major), None)
 
-    async def _deliver_token_request(self, sid: str, major: int, requester: str,
-                                     piggyback: dict | None = None,
-                                     reply_req: int | None = None) -> dict:
-        """Group-message handler at every member; only the holder acts.
-
-        ``piggyback`` carries an update broadcast "in the same message with
-        a token request" (§3.3 optimization 1): the holder embeds it in the
-        token pass, and "replica holders execute those updates upon
-        receiving the corresponding token pass."
-        """
+    async def _deliver_token_request(self, sid: str, major: int,
+                                     requester: str) -> dict:
+        """Group-message handler at every member; only the holder acts."""
         token = self.tokens.get((sid, major))
         if token is None or requester == self.proc.addr:
             return {"holder": False}
@@ -149,18 +141,11 @@ class TokenMixin:
             if token is None:
                 return {"holder": False}
             await self.store.delete_token_record(sid, major)
-            pass_msg = {"op": "token_pass", "sid": sid, "major": major,
-                        "to": requester, "token": token.to_dict()}
-            if piggyback is not None:
-                new_version = token.version.next_update()
-                pass_msg["token"]["version"] = new_version.to_tuple()
-                pass_msg["piggyback"] = piggyback
-                pass_msg["piggyback_version"] = new_version.to_tuple()
-                pass_msg["reply_req"] = reply_req
-                pass_msg["origin"] = requester
-                self.metrics.incr("deceit.piggybacked_updates")
             await self.proc.cbcast(
-                group_of(sid), pass_msg, nreplies=0, tag="token_pass",
+                group_of(sid),
+                {"op": "token_pass", "sid": sid, "major": major,
+                 "to": requester, "token": token.to_dict()},
+                nreplies=0, tag="token_pass",
             )
             self.metrics.incr("deceit.token_passes")
         finally:
@@ -168,23 +153,11 @@ class TokenMixin:
         return {"holder": True}
 
     async def _deliver_token_pass(self, sid: str, major: int, to: str,
-                                  token_dict: dict,
-                                  piggyback: dict | None = None,
-                                  piggyback_version: list | None = None,
-                                  reply_req: int | None = None,
-                                  origin: str | None = None) -> dict:
-        """Everyone learns the new holder; the recipient installs the token.
-
-        A piggybacked update (§3.3 optimization 1) is applied by every
-        replica holder here, with acknowledgements flowing back to the
-        requester so its write-safety accounting still works.
-        """
+                                  token_dict: dict) -> dict:
+        """Everyone learns the new holder; the recipient installs the token."""
         cat = self.catalogs.get(sid)
         if cat is not None and major in cat.majors:
             cat.majors[major].holder = to
-        if piggyback is not None:
-            await self.pipeline.deliver_piggyback(
-                sid, major, piggyback, piggyback_version, reply_req, origin)
         if to != self.proc.addr:
             # the write token moved elsewhere: our warm copy of this major
             # can now silently fall behind, so the read cache entry drops

@@ -403,7 +403,7 @@ class IsisProcess(Node):
         req_id = None
         collected: SimFuture | None = None
         if want > 0 or on_audit is not None:
-            req_id, collected = self.collect_replies(want, count_reply)
+            req_id, collected = self._collect_replies(want, count_reply)
         state.adopt_frontier(state.all_delivered(self.addr))
         vc = state.vc.copy()
         vc.increment(self.addr)
@@ -437,12 +437,12 @@ class IsisProcess(Node):
             except SimTimeoutError:
                 pass  # return whatever arrived; caller counts correct replies
         if on_audit is None:
-            return self.end_collection(req_id) or []
+            return self._end_collection(req_id) or []
         # keep collecting in the background, then hand the full set to the audit
         early = list(self._collectors[req_id]["replies"])
 
         def _finish_audit() -> None:
-            replies = self.end_collection(req_id)
+            replies = self._end_collection(req_id)
             if replies is not None:     # None: a crash got there first
                 on_audit(replies)
 
@@ -450,18 +450,18 @@ class IsisProcess(Node):
         return early
 
     # ------------------------------------------------------------------ #
-    # reply collection (cbcast's own, and the §3.3 piggybacked update's)
+    # reply collection (cbcast's)
     # ------------------------------------------------------------------ #
 
-    def collect_replies(self, want: int,
-                        count_reply=None) -> tuple[int, SimFuture]:
+    def _collect_replies(self, want: int,
+                         count_reply=None) -> tuple[int, SimFuture]:
         """Open a reply collection; returns ``(req_id, future)``.
 
-        ``req_id`` travels in the request (``reply_req``) and comes back in
-        every :meth:`reply_to`; the future resolves once ``want`` replies
+        ``req_id`` travels in the multicast (``reply_req``) and comes back
+        in every member's reply; the future resolves once ``want`` replies
         passing ``count_reply`` (default: any) have arrived — at once when
         ``want`` is 0.  Replies keep accumulating until
-        :meth:`end_collection`.
+        :meth:`_end_collection`.
         """
         req_id = next(self._collector_ids)
         fut = self.kernel.create_future()
@@ -471,24 +471,11 @@ class IsisProcess(Node):
                                     "count": count_reply, "counted": 0}
         return req_id, fut
 
-    def end_collection(self, req_id: int) -> list[tuple[str, Any]] | None:
+    def _end_collection(self, req_id: int) -> list[tuple[str, Any]] | None:
         """Close a collection; returns ``[(member, value), ...]`` in arrival
         order, or ``None`` when it is already gone (a crash wiped it)."""
         record = self._collectors.pop(req_id, None)
         return None if record is None else list(record["replies"])
-
-    def reply_to(self, origin: str, req_id: int, value: Any) -> None:
-        """Answer collection ``req_id`` at ``origin`` with ``value``."""
-        self._send_reply(origin, req_id, value, {})
-
-    def _send_reply(self, origin: str, req_id: int, value: Any,
-                    report: dict) -> None:
-        reply = {"type": "mreply", "req_id": req_id,
-                 "member": self.addr, "value": value, **report}
-        if origin == self.addr:
-            self._on_mreply(reply)
-        else:
-            self.send(origin, reply, size_bytes=128, tag="mreply")
 
     def _wait_not_flushing(self, state: _GroupState) -> SimFuture:
         fut = self.kernel.create_future()
@@ -577,14 +564,18 @@ class IsisProcess(Node):
         req_id = msg.get("reply_req")
         if req_id is None:
             return
-        report = {}
+        reply = {"type": "mreply", "req_id": req_id,
+                 "member": self.addr, "value": value}
+        if msg["origin"] == self.addr:
+            self._on_mreply(reply)
+            return
         state = self.groups.get(msg["group"])
-        if state is not None and msg["origin"] != self.addr:
+        if state is not None:
             # what we have delivered rides home with the answer: it is how
             # the sender learns what is stable, with no message of its own
-            report = {"group": msg["group"], "view_id": state.view.view_id,
-                      "vc": state.vc.as_dict()}
-        self._send_reply(msg["origin"], req_id, value, report)
+            reply.update(group=msg["group"], view_id=state.view.view_id,
+                         vc=state.vc.as_dict())
+        self.send(msg["origin"], reply, size_bytes=128, tag="mreply")
 
     def _on_mreply(self, payload: dict) -> None:
         if "vc" in payload:

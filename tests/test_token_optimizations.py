@@ -1,38 +1,27 @@
-"""Tests for the two §3.3 token-protocol optimizations, and for telling a
-busy token holder from a lost one.
+"""Tests for the §3.3 token protocol: the optimization that is built, the
+ones that are not, and telling a busy token holder from a lost one.
 
-The paper describes both optimizations and notes "Deceit currently uses
-neither".  Optimization 1 (piggybacking) sits behind a flag that defaults
-off; optimization 2 (forwarding a likely single update to the holder) is
-engaged by ``single_update_hint``, which dirops and whole-file rewrites
-carry.  We verify (a) they preserve correctness and (b) they save the
-communication they promise to save.
+The paper describes two optimizations and notes "Deceit currently uses
+neither".  Optimization 2 (forwarding a likely single update to the
+holder) is built, engaged by ``single_update_hint``, which dirops and
+whole-file rewrites carry; we verify it preserves correctness and saves
+the token movement it promises to save.  Optimization 1 (the first update
+riding the token request) is not built: a request that finds the holder
+busy is broadcast again, and an update riding it would be applied twice.
+The last test pins that every acked update lands exactly once when a
+request is asked again.
 """
 
 from repro.agent import AgentConfig
 from repro.core import FileParams, WriteOp
 from repro.core.tokens import TOKEN_PASS_TIMEOUT_MS
 from repro.errors import ReproError
-from repro.net import NetConfig
 from repro.testbed import build_cluster, build_core_cluster
-
-# per-tag counters are opt-in; these tests subtract heartbeat noise
-TAGS = NetConfig(tag_metrics=True)
-
-
-def _payload_msgs(cluster):
-    m = cluster.metrics
-    return m.get("net.msgs") - m.get("net.msgs.tag.heartbeat")
-
-
-def test_piggyback_off_by_default():
-    cluster = build_core_cluster(3, net_config=TAGS)
-    assert all(not s.token_piggyback for s in cluster.servers)
 
 
 def test_forwarded_single_write_does_not_move_token():
     """Optimization 2: the update travels; the token stays put."""
-    cluster = build_core_cluster(3, net_config=TAGS)
+    cluster = build_core_cluster(3)
     s0, s1 = cluster.servers[0], cluster.servers[1]
 
     async def main():
@@ -51,7 +40,7 @@ def test_forwarded_single_write_does_not_move_token():
 
 
 def test_forwarded_write_falls_back_when_holder_dead():
-    cluster = build_core_cluster(3, net_config=TAGS)
+    cluster = build_core_cluster(3)
     s0, s1 = cluster.servers[0], cluster.servers[1]
 
     async def main():
@@ -71,7 +60,7 @@ def test_forwarded_write_falls_back_when_holder_dead():
 
 
 def test_forwarded_write_version_advances_for_caller():
-    cluster = build_core_cluster(2, net_config=TAGS)
+    cluster = build_core_cluster(2)
     s0, s1 = cluster.servers[0], cluster.servers[1]
 
     async def main():
@@ -86,63 +75,10 @@ def test_forwarded_write_version_advances_for_caller():
     assert v2.sub == v1.sub + 1
 
 
-def test_piggyback_applies_update_at_all_replicas():
-    """Optimization 1: the update rides the token request/pass."""
-    cluster = build_core_cluster(3, net_config=TAGS)
-    for server in cluster.servers:
-        server.token_piggyback = True
-    s0, s1 = cluster.servers[0], cluster.servers[1]
-
-    async def main():
-        sid = await s0.create(
-            params=FileParams(min_replicas=3, write_safety=3,
-                              stability_notification=False),
-            data=b"base-")
-        await s1.write(sid, WriteOp(kind="append", data=b"rider"))
-        await cluster.kernel.sleep(300.0)
-        datas = [srv.replicas[(sid, major)].data
-                 for srv in cluster.servers
-                 for (s, major) in srv.replicas if s == sid]
-        located = await s1.locate_replicas(sid)
-        return datas, located
-
-    datas, located = cluster.run(main())
-    assert all(d == b"base-rider" for d in datas) and len(datas) == 3
-    assert located["token_holder"] == "s1"  # requester got the token
-    assert cluster.metrics.get("deceit.piggybacked_updates") == 1
-
-
-def test_piggyback_saves_a_round():
-    """First write from a non-holder: piggyback merges request+update."""
-    def first_write_msgs(piggyback: bool) -> int:
-        cluster = build_core_cluster(3, seed=9, net_config=TAGS)
-        for server in cluster.servers:
-            server.token_piggyback = piggyback
-        s0, s1 = cluster.servers[0], cluster.servers[1]
-
-        async def main():
-            sid = await s0.create(
-                params=FileParams(min_replicas=3, write_safety=1,
-                                  stability_notification=False),
-                data=b"")
-            await cluster.kernel.sleep(100.0)
-            before = _payload_msgs(cluster)
-            await s1.write(sid, WriteOp(kind="append", data=b"x"))
-            await cluster.kernel.sleep(50.0)
-            return _payload_msgs(cluster) - before
-
-        return cluster.run(main())
-
-    with_opt = first_write_msgs(True)
-    without = first_write_msgs(False)
-    assert with_opt < without
-
-
-def test_piggyback_preserves_subsequent_stream():
-    """After the piggybacked head, the stream continues via the new holder."""
-    cluster = build_core_cluster(3, net_config=TAGS)
-    for server in cluster.servers:
-        server.token_piggyback = True
+def test_a_stream_from_a_non_holder_moves_the_token_once():
+    """A stream of updates from a server without the token: the first
+    takes the token, the rest are local updates at the new holder."""
+    cluster = build_core_cluster(3)
     s0, s1 = cluster.servers[0], cluster.servers[1]
 
     async def main():

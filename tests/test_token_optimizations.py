@@ -245,11 +245,12 @@ def test_busy_holder_is_asked_again_not_replaced():
 
 
 def test_a_re_requested_token_applies_each_acked_update_once():
-    """A request that reaches a busy holder is broadcast again; whatever
-    rides that request must not land twice.  24 appends keep s0's update
-    lock past TOKEN_PASS_TIMEOUT_MS, s1's ``R`` asks for the token behind
-    them, and s0's own later ``L`` takes it back: every replica reads each
-    acked append exactly once, in order."""
+    """A token request that reaches a busy holder is broadcast again, and
+    the holder answers both copies; each acked update still lands once.
+    24 appends keep s0's update lock past TOKEN_PASS_TIMEOUT_MS, s1's
+    ``R`` asks for the token behind them, and s0's own later ``L`` takes
+    it back: every replica reads each acked append exactly once, in
+    order."""
     cluster = build_core_cluster(3, seed=1)
     s0, s1 = cluster.servers[0], cluster.servers[1]
     kernel = cluster.kernel

@@ -15,6 +15,8 @@ from repro.sim import Kernel
 from repro.testbed import build_cluster
 from benchmarks.conftest import run_once
 
+PAYLOAD = b"written before the crash"
+
 
 def test_fig2_comm_paths(benchmark, report):
     results = {}
@@ -64,10 +66,10 @@ def test_fig2_comm_paths(benchmark, report):
             await agent.mount()
             # create files landing on different servers (via each server)
             await agent.create("/", "f0")
+            await agent.write_file("/f0", PAYLOAD)
             await agent.set_params("/f0", min_replicas=2)
             for i in (1, 2):
-                sid = await cluster.servers[i].segments.create(data=b"remote")
-                from repro.nfs.envelope import FileType  # noqa: F401
+                await cluster.servers[i].segments.create(data=b"remote")
             # all reads flow through the single connected server
             connections = {agent.server}
             before = cluster.metrics.get("deceit.reads_forwarded")
@@ -78,10 +80,13 @@ def test_fig2_comm_paths(benchmark, report):
             index = [s.addr for s in cluster.servers].index(victim)
             cluster.servers[index].crash()
             await cluster.kernel.sleep(800.0)
+            failovers = cluster.metrics.get("agent.failovers")
             data = await agent.read_file("/f0")
             connections.add(agent.server)
             return {"connections": len(connections),
-                    "survived": int(data == b""or True),
+                    "survived": int(data == PAYLOAD),
+                    "failovers": cluster.metrics.get("agent.failovers")
+                    - failovers,
                     "forwarded_reads": forwarded}
 
         results["deceit"] = cluster.run(deceit_run())
@@ -92,6 +97,7 @@ def test_fig2_comm_paths(benchmark, report):
     assert base["paths"] == 3          # one client/server path per server
     assert base["lost_subtree"] == 1   # no failover in plain NFS
     assert dec["survived"] == 1        # Deceit keeps serving after a crash
+    assert dec["failovers"] == 1       # by connecting to one other server
     report(
         "F2: communication paths and crash behaviour",
         ["system", "client connections", "subtree lost on crash",

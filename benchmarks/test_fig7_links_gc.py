@@ -10,6 +10,7 @@ file) and live (collects once truly unlinked).
 
 from repro.agent import AgentConfig
 from repro.core import WriteOp
+from repro.core.dirtable import decode_dir
 from repro.nfs.links import count_references, total_link_count
 from repro.testbed import build_cluster
 from benchmarks.conftest import run_once
@@ -69,7 +70,6 @@ def test_fig7_links_gc(benchmark, report):
             # can prove unreachability and reclaim the segment.  The user
             # inspects both versions (§3.6: resolution uses file semantics)
             # and keeps the one where the link removal happened.
-            from repro.nfs.envelope import decode_dir
             keep = None
             for major in await agent.list_versions("/dir1"):
                 result = await cluster.servers[0].segments.read(

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
-from repro.core.pipeline.read_path import READ_FORWARD_TIMEOUT_MS
+from repro.core.pipeline.read_path import READ_FORWARD_TIMEOUT_MS, PlacementRecord
 from repro.core.pipeline.update import UPDATE_REPLY_TIMEOUT_MS
 from repro.core.striping import split_range
 from repro.core.tokens import TOKEN_PASS_TIMEOUT_MS
@@ -182,16 +182,11 @@ class Agent(Node):
                                  limit=512)
         # path -> FileHandle; handles are server-independent, never lapse
         self._handle_cache = _Cache(kernel, math.inf, cfg.cache)
-        # sid, or (sid, stripe index) -> that file's or stripe's replica
-        # holders, learned from reply placement hints (the server that
-        # answered first)
-        self._placement_cache: dict[str | tuple[str, int], list[str]] = {}
-        # sid -> the write token holder the file's last hint named: where
-        # a whole-file write is routed
-        self._token_hints: dict[str, str] = {}
-        # sid -> stripe width, taught by read replies: the attr-borne
-        # stripe hint lapses with the attrs, a stripe's holders do not
-        self._stripe_widths: dict[str, int] = {}
+        # sid, or (sid, stripe index) -> the placement record the last
+        # hint for that file or stripe taught.  A file's record also names
+        # where its whole-file writes go, and keeps the stripe width read
+        # replies teach: the attr-borne stripe hint lapses with the attrs
+        self._placement: dict[str | tuple[str, int], PlacementRecord] = {}
         # fh-key -> (start, data): the last prefetched range of a striped
         # file — one entry per handle
         self._range_cache = _Cache(kernel, cfg.data_ttl_ms)
@@ -704,10 +699,11 @@ class Agent(Node):
 
     def _route_key(self, fh: FileHandle, offset: int,
                    count: int) -> tuple[str, int] | None:
-        """The placement-cache key a ranged read routes by: ``(sid, stripe
+        """The placement key a ranged read routes by: ``(sid, stripe
         index)`` when a read reply taught the file's stripe width and the
         range lies in one stripe, else ``None`` (no hint applies)."""
-        width = self._stripe_widths.get(fh.sid)
+        record = self._placement.get(fh.sid)
+        width = record and record.stripe_width
         if width and offset // width == (offset + count - 1) // width:
             return fh.sid, offset // width
         return None
@@ -715,13 +711,11 @@ class Agent(Node):
     def _route_target(self, fh: FileHandle,
                       key: str | tuple[str, int] | None) -> str | None:
         """Where to aim a read, getattr, lookup or readdir (§5.3: the agent
-        talks straight to a replica holder): the first holder hinted under
-        ``key``, or ``None`` for the plain mount-server path — no hint, a
-        foreign handle, or the mount server holds a replica itself."""
-        holders = None if fh.foreign else self._placement_cache.get(key)
-        if not holders or self.server in holders:
-            return None
-        return holders[0]
+        talks straight to a replica holder): the route of the record under
+        ``key``, or ``None`` for the plain mount-server path (see
+        :meth:`PlacementRecord.route`; a foreign handle has none)."""
+        record = None if fh.foreign else self._placement.get(key)
+        return record.route(self.server) if record else None
 
     def _shortcut_target(self, fh: FileHandle) -> str | None:
         """The access shortcut for a file's getattr and whole-file read,
@@ -737,52 +731,37 @@ class Agent(Node):
         itself — when ``shortcut`` is on."""
         if not self.config.shortcut or fh.foreign:
             return None
-        return self._token_hints.get(fh.sid)
+        record = self._placement.get(fh.sid)
+        return record and record.token_holder
 
     def _learn_placement(self, fh: FileHandle, reply: dict,
                          offset: int | None = None,
                          field: str = "placement") -> None:
         """Absorb the placement hint piggybacked on a reply under ``field``.
-        A read reply at ``offset`` of a striped file describes that stripe;
-        every other hint (getattr, lookup, readdir, a blob's read, and a
-        lookup's ``dir_placement`` for the directory searched) describes
-        ``fh`` itself, and its first holder is where the file's next
-        whole-file write goes: the token holder, when the serving server
-        knew one holding a replica."""
+        A read reply at ``offset`` of a striped file describes that stripe,
+        and teaches the file's record only its stripe width; every other
+        hint (getattr, lookup, readdir, a blob's read, and a lookup's
+        ``dir_placement`` for the directory searched) describes ``fh``
+        itself and replaces its record."""
         hint = reply.get(field)
         if not hint or fh.foreign:
             return
-        width = hint.get("stripe_size")
-        if width:
-            self._stripe_widths[fh.sid] = width
+        record = PlacementRecord.from_hint(hint)
+        width = record.stripe_width
+        if width and offset is not None:
+            known = self._placement.get(fh.sid, PlacementRecord())
+            if known.stripe_width != width:
+                self._placement[fh.sid] = known._replace(stripe_width=width)
+            self._placement[fh.sid, offset // width] = record
         else:
-            self._stripe_widths.pop(fh.sid, None)   # a blob (again)
-        listed = hint.get("holders")
-        if not listed:
-            return
-        holders = sorted(listed)
-        served = hint.get("served_by")
-        if served in holders:  # the server that answered goes first
-            holders.remove(served)
-            holders.insert(0, served)
-        key = (fh.sid, offset // width) if width and offset is not None \
-            else fh.sid
-        self._placement_cache[key] = holders
-        if key == fh.sid:      # the hint lists the token holder first
-            self._token_hints[fh.sid] = listed[0]
+            self._placement[fh.sid] = record
         self.metrics.incr("agent.placement_hints")
 
     def _forget_server(self, server: str) -> None:
-        """A routed target failed: drop it from every hint, so a crashed
+        """A routed target failed: drop it from every record, so a crashed
         holder costs this agent one timeout, not one per file."""
-        for key, holders in list(self._placement_cache.items()):
-            if server in holders:
-                holders.remove(server)
-                if not holders:
-                    del self._placement_cache[key]
-        for sid, holder in list(self._token_hints.items()):
-            if holder == server:
-                del self._token_hints[sid]
+        for key, record in self._placement.items():
+            self._placement[key] = record.without(server)
 
     async def write_file(self, path_or_fh: str | FileHandle,
                          data: bytes) -> FileAttrs:

@@ -36,9 +36,8 @@ no parent state at all — that is what keeps the parent cold).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.core.pipeline.read_path import ReadResult
 from repro.core.segment import WriteOp
 from repro.core.striping.stripemap import (
     META_KEY,
@@ -55,6 +54,9 @@ from repro.errors import (
 )
 from repro.metrics import Metrics
 from repro.net.network import RpcRemoteError
+
+if TYPE_CHECKING:   # read_path reads stripe widths from this package
+    from repro.core.pipeline.read_path import ReadResult
 
 #: Attempts at a guarded whole-image install before giving up.
 MAX_INSTALL_RETRIES = 8
@@ -84,8 +86,9 @@ class Striper:
         Stripe reads run in parallel; holes and sparse stripe tails read
         as zeros; the range is clipped to the file length (EOF truncates).
         Returns the bytes and, when the range lay in one allocated stripe,
-        that stripe's :class:`ReadResult` (its holders are where the next
-        read of the stripe can go); ``None`` for a gather or a hole.
+        that stripe's :class:`ReadResult` (its placement record says where
+        the next read of the stripe can go); ``None`` for a gather or a
+        hole.
         """
         ranges = smap.ranges(offset, count)
         if not ranges:

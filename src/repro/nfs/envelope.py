@@ -26,7 +26,7 @@ from typing import Any
 from repro.core import SegmentServer, WriteOp
 from repro.core.dirtable import decode_dir, encode_dir
 from repro.core.params import FileParams
-from repro.core.segment_server import ReadResult
+from repro.core.pipeline.read_path import PlacementRecord, ReadResult
 from repro.core.striping import StripeMap, Striper, file_length
 from repro.errors import (
     DirOpConflict,
@@ -48,46 +48,6 @@ MAX_DIR_RETRIES = 16
 GLOBAL_ROOT_SID = "@global"
 
 DirVersion = tuple[int, int]
-
-
-def placement_hint(result: ReadResult | None) -> dict[str, Any] | None:
-    """Placement hint piggybacked on read, getattr, lookup and readdir
-    replies.
-
-    Tells the agent-side router where the segment's replicas currently
-    live (and who served this read), so subsequent requests can go
-    straight to a holder instead of always the mount server, and which of
-    them holds the write token, where a whole-file write can go: the
-    serving server's token holder is listed first when it holds a
-    replica (the rest in address order), so naming it costs no byte of
-    the reply.  For a read
-    of one stripe the holders are the stripe's (see
-    :meth:`Envelope.read_result`), for a getattr or lookup the file's own,
-    for a readdir the directory's; a lookup reply also carries a second
-    hint, the searched directory's, so the next lookup in it enters at a
-    holder.  A striped file's hint adds the stripe width, so the agent can
-    tell which stripe a later range falls in.  ``None`` when the serving
-    server had no holder knowledge to share (or made no segment read, as
-    for the global root).
-    """
-    if result is None or not result.holders:
-        return None
-    holders = list(result.holders)
-    if result.token_holder in holders:
-        holders.remove(result.token_holder)
-        holders.insert(0, result.token_holder)
-    hint = {"holders": holders, "served_by": result.served_by}
-    smap = StripeMap.from_meta(result.meta)
-    if smap is not None:
-        hint["stripe_size"] = smap.stripe_size
-    return hint
-
-
-# encode_dir / decode_dir live in repro.core.dirtable (the update pipeline
-# applies dirops to the same representation); re-exported here because the
-# envelope is their historical home and tests/tools import them from it.
-__all__ = ["Envelope", "GLOBAL_ROOT_SID", "decode_dir", "encode_dir",
-           "placement_hint"]
 
 
 class Envelope:
@@ -187,7 +147,7 @@ class Envelope:
                       ) -> tuple[FileAttrs, ReadResult | None]:
         """GETATTR — the most frequent NFS op; attributes only, no data.
         Also returns the stat it made (``None`` for the global root), whose
-        holders feed the reply's placement hint."""
+        placement record the reply carries."""
         self.metrics.incr("nfs.ops.getattr")
         if fh.sid == GLOBAL_ROOT_SID:
             return FileAttrs(ftype=FileType.DIRECTORY, mode=0o555), None
@@ -270,10 +230,10 @@ class Envelope:
         The result carries the *parent's* version pair — range mutations
         deliberately do not bump it, so striped reads trade version-exact
         revalidation for commuting writes (see :meth:`read_validate`).
-        Its placement hint, though, is the *stripe's*: a range inside one
-        stripe names that stripe's holders and who served it, so the
-        agent's next read of the stripe can enter at a holder; a
-        multi-stripe gather names none.
+        Its placement record, though, is the *stripe's*, with the file's
+        stripe width: a range inside one stripe names that stripe's
+        holders and who served it, so the agent's next read of the stripe
+        can enter at a holder; a multi-stripe gather names none.
         """
         self.metrics.incr("nfs.ops.read")
         result = await self._read_segment(fh, offset, count)
@@ -289,11 +249,11 @@ class Envelope:
             except ReplicaUnavailable as exc:
                 raise nfs_error(NfsStat.ERR_IO, str(exc)) from exc
             if stripe is None:
-                result.holders = []
+                result.placement = PlacementRecord()
             else:
-                result.holders = stripe.holders
+                result.placement = stripe.placement._replace(
+                    stripe_width=smap.stripe_size)
                 result.served_by = stripe.served_by
-                result.token_holder = stripe.token_holder
         return result
 
     async def read_validate(self, fh: FileHandle, verify,

@@ -20,14 +20,13 @@ F7 benchmark can contrast the two schemes.)
 
 from __future__ import annotations
 
+from repro.core.dirtable import decode_dir
 from repro.errors import NoSuchSegment, ReplicaUnavailable
 
 
 async def count_references(envelope, file_sid: str) -> int:
     """Links to ``file_sid`` across every available version of every
     directory in its uplink list (one per directory *entry*, not replica)."""
-    from repro.nfs.envelope import decode_dir  # local import: cycle
-
     stat = await envelope.segments.stat(file_sid)
     uplinks = stat.meta.get("uplinks", [])
     found = 0
@@ -92,8 +91,6 @@ async def total_link_count(envelope, file_sid: str) -> int:
 
     Kept for the F7 experiment; the production GC path never uses it.
     """
-    from repro.nfs.envelope import decode_dir
-
     stat = await envelope.segments.stat(file_sid)
     uplinks = stat.meta.get("uplinks", [])
     total = 0

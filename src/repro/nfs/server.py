@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core import SegmentServer
+from repro.core.dirtable import encode_dir
 from repro.core.params import FileParams
 from repro.core.striping import file_length
 from repro.errors import NfsError, NfsStat, nfs_error
@@ -28,7 +29,7 @@ from repro.isis import IsisProcess
 from repro.metrics import Metrics
 from repro.net import Network
 from repro.nfs.attrs import FileAttrs, FileType
-from repro.nfs.envelope import GLOBAL_ROOT_SID, Envelope, placement_hint
+from repro.nfs.envelope import GLOBAL_ROOT_SID, Envelope
 from repro.nfs.fhandle import FileHandle
 from repro.storage import Disk, KvStore, StorageBackend
 
@@ -124,7 +125,6 @@ class DeceitServer:
         now = self.kernel.now
         attrs = FileAttrs(ftype=FileType.DIRECTORY, mode=0o755,
                           atime=now, mtime=now, ctime=now)
-        from repro.nfs.envelope import encode_dir
         data = encode_dir({})
         meta = attrs.to_meta()
         meta["length"] = len(data)
@@ -225,8 +225,8 @@ class DeceitServer:
         env = self.envelope
         if op == "getattr":
             attrs, result = await env.getattr(fh)
-            return self._with_placement({"status": 0,
-                                         "attrs": attrs.to_wire()}, result)
+            hint = result.placement.hint(result.served_by) if result else {}
+            return {"status": 0, "attrs": attrs.to_wire(), **hint}
         if op == "setattr":
             return {"status": 0,
                     "attrs": (await env.setattr(fh, args["sattr"])).to_wire()}
@@ -235,10 +235,11 @@ class DeceitServer:
                 return await self._lookup_global(args["name"])
             out_fh, attrs, result, dir_result = await env.lookup(
                 fh, args["name"])
-            reply = self._with_placement(
-                {"status": 0, "fh": out_fh.encode(),
-                 "attrs": attrs.to_wire()}, result)
-            return self._with_placement(reply, dir_result, "dir_placement")
+            hint = result.placement.hint(result.served_by) if result else {}
+            return {"status": 0, "fh": out_fh.encode(),
+                    "attrs": attrs.to_wire(), **hint,
+                    **dir_result.placement.hint(dir_result.served_by,
+                                                "dir_placement")}
         if op == "read":
             verify = args.get("verify")
             if verify is not None:
@@ -254,13 +255,13 @@ class DeceitServer:
             else:
                 result = await env.read_result(fh, args.get("offset", 0),
                                                args.get("count"))
-            return self._with_placement(
-                {"status": 0, "data": result.data,
-                 "version": [result.major, result.version.sub],
-                 # current file length: lets a fan-out client know when
-                 # its range reads already cover the file (no wasted
-                 # chase past an exactly-stripe-aligned EOF)
-                 "size": file_length(result.meta)}, result)
+            return {"status": 0, "data": result.data,
+                    "version": [result.major, result.version.sub],
+                    # current file length: lets a fan-out client know when
+                    # its range reads already cover the file (no wasted
+                    # chase past an exactly-stripe-aligned EOF)
+                    "size": file_length(result.meta),
+                    **result.placement.hint(result.served_by)}
         if op == "write":
             attrs, version = await env.write_result(
                 fh, args.get("offset", 0), args.get("data", b""),
@@ -309,23 +310,12 @@ class DeceitServer:
                 return {"status": 0, "unchanged": True,
                         "version": list(args["verify"])}
             entries, version, result = out
-            return self._with_placement(
-                {"status": 0, "entries": entries,
-                 "version": list(version)}, result)
+            return {"status": 0, "entries": entries,
+                    "version": list(version),
+                    **result.placement.hint(result.served_by)}
         if op == "statfs":
             return {"status": 0, "statfs": await env.statfs(fh)}
         raise nfs_error(NfsStat.ERR_IO, f"unknown NFS op {op!r}")
-
-    @staticmethod
-    def _with_placement(reply: dict, result,
-                        key: str = "placement") -> dict:
-        """Piggyback the placement hint of the segment read or stat behind
-        a reply under ``key`` (feeds the agents' §5.3 access shortcut; a
-        lookup also names its directory's holders as ``dir_placement``)."""
-        hint = placement_hint(result)
-        if hint is not None:
-            reply[key] = hint
-        return reply
 
     @staticmethod
     def _with_dir_version(reply: dict, dirv) -> dict:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.agent import Agent, AgentConfig, Placement
 from repro.agent.agent import TOKEN_HOLDER_WRITE_TIMEOUT_MS, _Cache
+from repro.core.pipeline.read_path import PlacementRecord
 from repro.errors import NfsError
 from repro.net.network import NetConfig
 from repro.obs.admission import AdmissionConfig, AdmissionGate
@@ -195,8 +196,8 @@ def test_routed_reads_fall_back_when_the_hinted_holder_crashes():
             await agent.write_file(f"/{name}", name.encode() * 8)
             await _move_replicas(agent, f"/{name}", to=("s1", "s2"))
             await agent.read_file(f"/{name}")     # relayed by s0: teaches s1
-        hinted = [agent._placement_cache[(await agent.lookup_path(
-            f"/{name}")).sid][0] for name in names]
+        hinted = [agent._placement[(await agent.lookup_path(
+            f"/{name}")).sid].holders[0] for name in names]
         cluster.crash(1)
         await cluster.kernel.sleep(800.0)         # the cell sees s1 gone
         agent._data_cache.clear()
@@ -296,7 +297,7 @@ def test_routed_lookup_sees_a_create_acked_to_another_agent(seed):
             fh = await a.create("/d", f"x{i}")
             # every lookup's reply re-teaches the hint; keep it off the
             # token holder
-            b._placement_cache[dirfh.sid] = [replica]
+            b._placement[dirfh.sid] = PlacementRecord((replica,))
             try:
                 misses += await b.lookup_path(f"/d/x{i}") != fh
             except NfsError:
@@ -325,8 +326,9 @@ def test_routed_lookup_falls_back_when_the_directory_holder_crashes():
             await _move_replicas(agent, f"/{name}", to=("s1", "s2"))
             agent._handle_cache.pop(f"/{name}/f")
             await agent.lookup_path(f"/{name}/f")   # relayed: teaches s1
-        hinted = [agent._placement_cache[
-            (await agent.lookup_path(f"/{name}")).sid][0] for name in dirs]
+        hinted = [agent._placement[
+            (await agent.lookup_path(f"/{name}")).sid].holders[0]
+            for name in dirs]
         cluster.crash(1)
         await cluster.kernel.sleep(800.0)       # the cell sees s1 gone
         deltas, found = [], []
@@ -400,9 +402,10 @@ def test_routed_write_falls_back_when_the_hinted_holder_crashes():
         agent._data_cache.clear()
         await agent.read_file("/a")      # the reply names the token holder
         sid = (await agent.lookup_path("/a")).sid
-        assert agent._token_hints[sid] == token
+        assert agent._placement[sid].token_holder == token
         replica = next(s for s in sorted(holders) if s != token)
-        agent._token_hints[sid] = replica
+        agent._placement[sid] = agent._placement[sid]._replace(
+            token_holder=replica)
         cluster.crash(agent.servers.index(replica))
         await cluster.kernel.sleep(2000.0)       # the group view drops it
         snap = cluster.metrics.snapshot()
@@ -445,7 +448,7 @@ def test_a_write_timed_out_at_a_slow_token_holder_does_not_apply_late():
         await owner.write_file("/f", b"start")          # token at s0
         await writer.read_file("/f")        # teaches: s0 holds the token
         sid = (await writer.lookup_path("/f")).sid
-        assert writer._token_hints[sid] == "s0"
+        assert writer._placement[sid].token_holder == "s0"
         cluster.kernel.spawn(stall(holder._update_lock(sid),
                                    TOKEN_HOLDER_WRITE_TIMEOUT_MS + 300.0))
         snap = cluster.metrics.snapshot()

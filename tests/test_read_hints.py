@@ -9,7 +9,7 @@ when no hinted holder and not the creator answers.
 
 from repro.core import FileParams, WriteOp
 from repro.core.pipeline import group_of
-from repro.core.pipeline.read_path import ReadHint
+from repro.core.pipeline.read_path import PlacementRecord
 from repro.testbed import build_core_cluster
 
 
@@ -45,11 +45,11 @@ def test_a_non_member_reads_and_stats_current_data_without_joining():
     read, stat, delta = cluster.run(main())
     assert read.data == b"v1+"
     assert (stat.data, stat.version) == (b"", read.version)
-    assert read.holders == ["s0", "s1", "s2"]
+    assert read.placement.holders == ("s0", "s1", "s2")
     assert delta.get("isis.view_changes", 0) == 0
     assert delta.get("isis.joins", 0) == 0
     assert not s3.proc.is_member(group_of(sid))
-    assert s3.reads.hints[sid] == ReadHint(("s0", "s1", "s2"), "s0", False)
+    assert s3.reads.hints[sid] == PlacementRecord(("s0", "s1", "s2"), "s0", False)
     # counted where it was asked, as a forwarded read
     assert (delta["deceit.reads"], delta["deceit.reads_forwarded"],
             delta["deceit.stats"]) == (1, 1, 1)
@@ -78,7 +78,7 @@ def test_a_stale_hint_falls_back_to_the_creator():
     s3 = cluster.servers[3]
     sid = _three_holders(cluster)
     cluster.crash(1)
-    s3.reads.hints[sid] = ReadHint(("s1",), "s1", False)
+    s3.reads.hints[sid] = PlacementRecord(("s1",), "s1", False)
 
     async def main():
         snap = cluster.metrics.snapshot()
@@ -90,7 +90,7 @@ def test_a_stale_hint_falls_back_to_the_creator():
     assert result.served_by == "s0"
     assert delta.get("isis.joins", 0) == 0
     # the hint is now what the creator's catalog says
-    assert s3.reads.hints[sid] == ReadHint(("s0", "s1", "s2"), "s0", False)
+    assert s3.reads.hints[sid] == PlacementRecord(("s0", "s1", "s2"), "s0", False)
     cluster.close()
 
 
@@ -98,7 +98,7 @@ def test_when_no_hinted_holder_nor_the_creator_answers_the_read_joins():
     cluster = build_core_cluster(4, seed=1)
     s3 = cluster.servers[3]
     sid = _three_holders(cluster)
-    s3.reads.hints[sid] = ReadHint(("s1",), "s1", False)
+    s3.reads.hints[sid] = PlacementRecord(("s1",), "s1", False)
     cluster.crash(0)
     cluster.crash(1)
     cluster.settle(3000.0)              # s2 is left alone in the view

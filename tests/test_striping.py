@@ -734,7 +734,7 @@ def test_hinted_holder_that_lost_its_stripe_still_serves_and_reteaches():
         await reverse_scan(agent, payload)
         sid = (await agent.lookup_path("/big")).sid
         smap = await parent_map(cluster, agent, "/big")
-        assert agent._placement_cache[(sid, 1)][0] == "s1"
+        assert agent._placement[(sid, 1)].holders[0] == "s1"
         segments = cluster.servers[0].segments
         assert await segments.create_replica(smap.sids[1], "s3")
         assert await segments.delete_replica(smap.sids[1], "s1")
@@ -743,7 +743,7 @@ def test_hinted_holder_that_lost_its_stripe_still_serves_and_reteaches():
         window = await agent.read_at("/big", RS, RS)   # enters at s1
         assert cluster.metrics.get("agent.routed_reads") == routed + 1
         assert window == payload[RS:2 * RS]
-        assert agent._placement_cache[(sid, 1)][0] == "s3"
+        assert agent._placement[(sid, 1)].holders[0] == "s3"
         clear_caches(agent)
         assert await agent.read_at("/big", RS, RS) == payload[RS:2 * RS]
 
@@ -762,7 +762,7 @@ def test_routed_stripe_read_falls_back_when_hinted_holder_dies():
         clear_caches(agent)
         await reverse_scan(agent, payload)
         sid = (await agent.lookup_path("/big")).sid
-        hinted = agent._placement_cache[(sid, 2)][0]
+        hinted = agent._placement[(sid, 2)].holders[0]
         assert hinted == "s1"
         cluster.crash(1)
         clear_caches(agent)
@@ -770,7 +770,7 @@ def test_routed_stripe_read_falls_back_when_hinted_holder_dies():
         window = await agent.read_at("/big", 2 * RS, RS)   # aimed at s1
         assert cluster.metrics.get("agent.routed_reads") == routed + 1
         return window == payload[2 * RS:3 * RS], \
-            agent._placement_cache.get((sid, 2))
+            agent._placement[(sid, 2)].holders
 
     correct, retaught = cluster.run(main(), limit=2_000_000.0)
     assert correct

@@ -12,7 +12,7 @@ from repro.core.pipeline.read_path import READ_FORWARD_TIMEOUT_MS, PlacementReco
 from repro.core.pipeline.update import UPDATE_REPLY_TIMEOUT_MS
 from repro.core.striping import split_range
 from repro.core.tokens import TOKEN_PASS_TIMEOUT_MS
-from repro.errors import NfsError, NfsStat, RpcTimeout, Unreachable, nfs_error
+from repro.errors import NfsError, NfsStat, RpcTimeout, Unreachable
 from repro.net import Network, Node
 from repro.net.network import RpcRemoteError
 from repro.nfs.attrs import FileAttrs
@@ -322,8 +322,8 @@ class Agent(Node):
             if status != 0:
                 raise NfsError(status, reply.get("error", ""))
             return reply
-        raise nfs_error(NfsStat.ERR_IO,
-                        f"no server reachable for {tag}: {last_exc}")
+        raise NfsError(NfsStat.ERR_IO,
+                       f"no server reachable for {tag}: {last_exc}")
 
     # ------------------------------------------------------------------ #
     # mount and path resolution
@@ -392,14 +392,14 @@ class Agent(Node):
         key = dirfh.encode()
         if self._neg_cache.fresh((key, name)) is not None:
             self.metrics.incr("agent.neg_lookup_hits")
-            raise nfs_error(NfsStat.ERR_NOENT, f"{name} (cached miss)")
+            raise NfsError(NfsStat.ERR_NOENT, f"{name} (cached miss)")
         cached = self._dir_cache.fresh(key)
         if cached is not None:
             entry = next((e for e in cached[0] if e["name"] == name), None)
             if entry is None:
                 self.metrics.incr("agent.neg_lookup_hits")
-                raise nfs_error(NfsStat.ERR_NOENT,
-                                f"{name} (not in cached listing)")
+                raise NfsError(NfsStat.ERR_NOENT,
+                               f"{name} (not in cached listing)")
             self.metrics.incr("agent.dir_cache_hits")
             return FileHandle.decode(entry["fh"])
         return None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.errors import NfsError, NfsStat, nfs_error
+from repro.errors import NfsError, NfsStat
 from repro.net import Network, Node
 from repro.nfs.attrs import FileAttrs
 from repro.nfs.names import split_path
@@ -64,7 +64,7 @@ class BaselineClient(Node):
         except (RpcTimeout, Unreachable) as exc:
             # A plain NFS client just hangs/errors: the handle names a dead
             # server and there is nowhere else to go (§2.1).
-            raise nfs_error(NfsStat.ERR_IO, f"server {server} unreachable") from exc
+            raise NfsError(NfsStat.ERR_IO, f"server {server} unreachable") from exc
         if reply["status"] != 0:
             raise NfsError(reply["status"], reply.get("error", ""))
         return reply

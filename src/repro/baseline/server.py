@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from typing import Any
 
-from repro.errors import NfsStat, nfs_error, NfsError
+from repro.errors import NfsError, NfsStat
 from repro.net import Network, Node
 from repro.nfs.attrs import FileAttrs, FileType, sattr_to_meta
 from repro.storage import Disk, KvStore
@@ -59,10 +59,10 @@ class BaselineNfsServer(Node):
     def _node(self, fh: str) -> _Inode:
         server, _sep, ino = fh.partition(":")
         if server != self.addr:
-            raise nfs_error(NfsStat.ERR_STALE, f"handle {fh} not from {self.addr}")
+            raise NfsError(NfsStat.ERR_STALE, f"handle {fh} not from {self.addr}")
         node = self._inodes.get(int(ino))
         if node is None:
-            raise nfs_error(NfsStat.ERR_STALE, fh)
+            raise NfsError(NfsStat.ERR_STALE, fh)
         return node
 
     @property
@@ -101,14 +101,14 @@ class BaselineNfsServer(Node):
             node = self._node(args["fh"])
             ino = node.entries.get(args["name"])
             if ino is None:
-                raise nfs_error(NfsStat.ERR_NOENT, args["name"])
+                raise NfsError(NfsStat.ERR_NOENT, args["name"])
             child = self._inodes[ino]
             return {"status": 0, "fh": self._fh(ino),
                     "attrs": child.attrs().to_wire()}
         if op == "read":
             node = self._node(args["fh"])
             if node.ftype is FileType.DIRECTORY:
-                raise nfs_error(NfsStat.ERR_ISDIR, args["fh"])
+                raise NfsError(NfsStat.ERR_ISDIR, args["fh"])
             offset = args.get("offset", 0)
             count = args.get("count")
             end = len(node.data) if count is None else offset + count
@@ -141,7 +141,7 @@ class BaselineNfsServer(Node):
             node = self._node(args["fh"])
             ino = node.entries.pop(args["name"], None)
             if ino is None:
-                raise nfs_error(NfsStat.ERR_NOENT, args["name"])
+                raise NfsError(NfsStat.ERR_NOENT, args["name"])
             child = self._inodes[ino]
             child.meta["nlink"] = child.meta.get("nlink", 1) - 1
             if child.meta["nlink"] <= 0:
@@ -153,10 +153,10 @@ class BaselineNfsServer(Node):
             node = self._node(args["fh"])
             ino = node.entries.get(args["name"])
             if ino is None:
-                raise nfs_error(NfsStat.ERR_NOENT, args["name"])
+                raise NfsError(NfsStat.ERR_NOENT, args["name"])
             child = self._inodes[ino]
             if child.entries:
-                raise nfs_error(NfsStat.ERR_NOTEMPTY, args["name"])
+                raise NfsError(NfsStat.ERR_NOTEMPTY, args["name"])
             del node.entries[args["name"]]
             self._inodes.pop(ino, None)
             await self._persist(node)
@@ -172,7 +172,7 @@ class BaselineNfsServer(Node):
             node = self._node(args["fh"])
             todir = self._node(args["tofh"])
             if args["name"] in todir.entries:
-                raise nfs_error(NfsStat.ERR_EXIST, args["name"])
+                raise NfsError(NfsStat.ERR_EXIST, args["name"])
             todir.entries[args["name"]] = node.ino
             node.meta["nlink"] = node.meta.get("nlink", 1) + 1
             await self._persist(todir)
@@ -182,7 +182,7 @@ class BaselineNfsServer(Node):
             todir = self._node(args["tofh"])
             ino = fromdir.entries.pop(args["fromname"], None)
             if ino is None:
-                raise nfs_error(NfsStat.ERR_NOENT, args["fromname"])
+                raise NfsError(NfsStat.ERR_NOENT, args["fromname"])
             todir.entries[args["toname"]] = ino
             await self._persist(fromdir)
             await self._persist(todir)
@@ -191,13 +191,13 @@ class BaselineNfsServer(Node):
             return {"status": 0, "statfs": {"tsize": 8192, "bsize": 4096,
                                             "blocks": 1 << 20, "bfree": 1 << 19,
                                             "bavail": 1 << 19}}
-        raise nfs_error(NfsStat.ERR_IO, f"unknown op {op!r}")
+        raise NfsError(NfsStat.ERR_IO, f"unknown op {op!r}")
 
     async def _create(self, args: dict[str, Any], ftype: FileType) -> dict:
         parent = self._node(args["fh"])
         name = args["name"]
         if name in parent.entries:
-            raise nfs_error(NfsStat.ERR_EXIST, name)
+            raise NfsError(NfsStat.ERR_EXIST, name)
         now = self.kernel.now
         attrs = FileAttrs(ftype=ftype, atime=now, mtime=now, ctime=now,
                           mode=0o755 if ftype is FileType.DIRECTORY else 0o644)

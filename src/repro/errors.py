@@ -150,7 +150,3 @@ class NfsError(ReproError):
         super().__init__(message or f"nfs error {status}")
         self.status = status
 
-
-def nfs_error(status: int, message: str = "") -> NfsError:
-    """Convenience constructor used throughout the envelope."""
-    return NfsError(status, message)

@@ -17,6 +17,12 @@ the lost/leaked-file TOCTOU races of a read-then-rewrite directory
 transaction.  The §5.1 conditional-write *primitive* (``guard=`` /
 :class:`~repro.errors.VersionConflict`) remains in the segment layer, where
 the striper installs stripe maps with it.
+
+Envelope code raises and catches the segment layer's own exceptions; the
+server's RPC boundary (:func:`repro.nfs.server.error_reply`) turns them
+into NFS statuses.  The envelope raises :class:`~repro.errors.NfsError`
+only for verdicts no segment op reaches: ISDIR, NOTDIR, a missing name,
+and a dirop conflict mapped for the op that hit it.
 """
 
 from __future__ import annotations
@@ -34,9 +40,7 @@ from repro.errors import (
     NfsStat,
     NoSuchSegment,
     ReplicaUnavailable,
-    VersionConflict,
-    WriteUnavailable,
-    nfs_error,
+    SegmentError,
 )
 from repro.nfs.attrs import FileAttrs, FileType, sattr_to_meta
 from repro.nfs.fhandle import FileHandle
@@ -68,24 +72,6 @@ class Envelope:
     # helpers
     # ------------------------------------------------------------------ #
 
-    async def _read_segment(self, fh: FileHandle, offset: int = 0,
-                            count: int | None = None) -> ReadResult:
-        try:
-            return await self.segments.read(fh.sid, offset=offset,
-                                            count=count, version=fh.version)
-        except NoSuchSegment as exc:
-            raise nfs_error(NfsStat.ERR_STALE, str(exc)) from exc
-        except ReplicaUnavailable as exc:
-            raise nfs_error(NfsStat.ERR_IO, str(exc)) from exc
-
-    async def _stat_segment(self, fh: FileHandle) -> ReadResult:
-        try:
-            return await self.segments.stat(fh.sid, version=fh.version)
-        except NoSuchSegment as exc:
-            raise nfs_error(NfsStat.ERR_STALE, str(exc)) from exc
-        except ReplicaUnavailable as exc:
-            raise nfs_error(NfsStat.ERR_IO, str(exc)) from exc
-
     @staticmethod
     def _attrs_of(result: ReadResult, size: int | None = None) -> FileAttrs:
         # a striped file's logical length lives in its stripe map, not in
@@ -94,9 +80,9 @@ class Envelope:
         return FileAttrs.from_meta(result.meta, length)
 
     async def _require_dir(self, fh: FileHandle) -> tuple[dict, ReadResult]:
-        result = await self._read_segment(fh)
+        result = await self.segments.read(fh.sid, version=fh.version)
         if result.meta.get("ftype") != FileType.DIRECTORY.value:
-            raise nfs_error(NfsStat.ERR_NOTDIR, fh.sid)
+            raise NfsError(NfsStat.ERR_NOTDIR, fh.sid)
         return decode_dir(result.data), result
 
     async def _dir_write(self, fh: FileHandle, dirops: list[dict],
@@ -122,13 +108,8 @@ class Envelope:
         """
         op = WriteOp(kind="dirop", dirops=dirops,
                      meta={"mtime": self.kernel.now, **(extra_meta or {})})
-        try:
-            version = await self.segments.write(fh.sid, op, version=fh.version,
-                                                single_update_hint=True)
-        except NoSuchSegment as exc:
-            raise nfs_error(NfsStat.ERR_STALE, str(exc)) from exc
-        except (ReplicaUnavailable, WriteUnavailable) as exc:
-            raise nfs_error(NfsStat.ERR_IO, str(exc)) from exc
+        version = await self.segments.write(fh.sid, op, version=fh.version,
+                                            single_update_hint=True)
         if version is None:
             # idempotent replay: the mutation holds, but no version was
             # produced by THIS call — callers must not report one
@@ -151,7 +132,7 @@ class Envelope:
         self.metrics.incr("nfs.ops.getattr")
         if fh.sid == GLOBAL_ROOT_SID:
             return FileAttrs(ftype=FileType.DIRECTORY, mode=0o555), None
-        result = await self._stat_segment(fh)
+        result = await self.segments.stat(fh.sid, version=fh.version)
         return self._attrs_of(result), result
 
     async def setattr(self, fh: FileHandle, sattr: dict[str, Any]) -> FileAttrs:
@@ -162,27 +143,20 @@ class Envelope:
         patch["ctime"] = self.kernel.now
         if "size" in sattr:
             size = int(sattr["size"])
-            stat = await self._stat_segment(fh)
+            stat = await self.segments.stat(fh.sid, version=fh.version)
             smap = StripeMap.from_meta(stat.meta)
             patch["mtime"] = self.kernel.now
             threshold = stat.params.stripe_size
             if smap is not None or (threshold is not None and size > threshold
                                     and stat.meta.get("ftype")
                                     == FileType.REGULAR.value):
-                try:
-                    if smap is not None:
-                        await self.striper.truncate(fh, stat, smap, size,
-                                                    patch)
-                    else:
-                        # growth past the threshold converts, exactly like
-                        # the write path — the tail becomes a sparse hole
-                        await self.striper.truncate_grow_convert(
-                            fh, stat, size, patch)
-                except NoSuchSegment as exc:
-                    raise nfs_error(NfsStat.ERR_STALE, str(exc)) from exc
-                except (ReplicaUnavailable, WriteUnavailable,
-                        VersionConflict) as exc:
-                    raise nfs_error(NfsStat.ERR_IO, str(exc)) from exc
+                if smap is not None:
+                    await self.striper.truncate(fh, stat, smap, size, patch)
+                else:
+                    # growth past the threshold converts, exactly like the
+                    # write path — the tail becomes a sparse hole
+                    await self.striper.truncate_grow_convert(
+                        fh, stat, size, patch)
             else:
                 await self.segments.write(
                     fh.sid,
@@ -205,49 +179,55 @@ class Envelope:
         entries, dir_result = await self._require_dir(dirfh)
         entry = entries.get(base)
         if entry is None:
-            raise nfs_error(NfsStat.ERR_NOENT, f"{base} not in {dirfh.sid}")
+            raise NfsError(NfsStat.ERR_NOENT, f"{base} not in {dirfh.sid}")
         fh = FileHandle(sid=entry["h"])
         if version is not None:
             versions = await self.segments.list_versions(fh.sid)
             if version not in versions:
-                raise nfs_error(NfsStat.ERR_NOENT, f"{base};{version}")
+                raise NfsError(NfsStat.ERR_NOENT, f"{base};{version}")
             fh = fh.qualified(version)
         return (fh, *await self.getattr(fh), dir_result)
 
     async def read(self, fh: FileHandle, offset: int = 0,
-                   count: int | None = None) -> bytes:
-        """READ — byte range of a regular file (or symlink data)."""
-        return (await self.read_result(fh, offset, count)).data
+                   count: int | None = None,
+                   verify=None) -> ReadResult | None:
+        """READ — byte range of a regular file (or symlink data), as the
+        full :class:`ReadResult`: data **and** the version pair, for
+        version-exact cache validation.
 
-    async def read_result(self, fh: FileHandle, offset: int = 0,
-                          count: int | None = None) -> ReadResult:
-        """READ returning the full :class:`ReadResult` (data **and** the
-        version pair), so callers can do version-exact cache validation.
+        With ``verify`` (the version pair of the caller's cached copy),
+        returns ``None`` while that copy is current — decided by the
+        segment layer, which refuses the shortcut during §3.4 instability
+        so revalidation never weakens a file's configured consistency.  An
+        unchanged answer moves no payload bytes and charges no disk read.
 
         A striped file's parent read returns the map, not bytes; the
         requested range is then gathered from the affected stripes in
         parallel (each possibly served by a different holder server).
-        The result carries the *parent's* version pair — range mutations
-        deliberately do not bump it, so striped reads trade version-exact
-        revalidation for commuting writes (see :meth:`read_validate`).
-        Its placement record, though, is the *stripe's*, with the file's
+        The result carries the *parent's* version pair, which range writes
+        deliberately do not bump (that is what lets disjoint writers
+        commute) — so a striped file never takes the ``verify`` shortcut:
+        an unchanged parent does not prove unchanged contents.  Its
+        placement record, though, is the *stripe's*, with the file's
         stripe width: a range inside one stripe names that stripe's
         holders and who served it, so the agent's next read of the stripe
         can enter at a holder; a multi-stripe gather names none.
         """
+        current = verify is not None and (
+            await self.segments.validate_version(fh.sid, verify,
+                                                 version=fh.version)
+            and not self._striped_locally(fh.sid))
         self.metrics.incr("nfs.ops.read")
-        result = await self._read_segment(fh, offset, count)
+        if current:
+            return None
+        result = await self.segments.read(fh.sid, offset=offset, count=count,
+                                          version=fh.version)
         if result.meta.get("ftype") == FileType.DIRECTORY.value:
-            raise nfs_error(NfsStat.ERR_ISDIR, fh.sid)
+            raise NfsError(NfsStat.ERR_ISDIR, fh.sid)
         smap = StripeMap.from_meta(result.meta)
         if smap is not None:
-            try:
-                result.data, stripe = await self.striper.read_range(
-                    smap, offset, count)
-            except NoSuchSegment as exc:
-                raise nfs_error(NfsStat.ERR_STALE, str(exc)) from exc
-            except ReplicaUnavailable as exc:
-                raise nfs_error(NfsStat.ERR_IO, str(exc)) from exc
+            result.data, stripe = await self.striper.read_range(
+                smap, offset, count)
             if stripe is None:
                 result.placement = PlacementRecord()
             else:
@@ -255,33 +235,6 @@ class Envelope:
                     stripe_width=smap.stripe_size)
                 result.served_by = stripe.served_by
         return result
-
-    async def read_validate(self, fh: FileHandle, verify,
-                            offset: int = 0,
-                            count: int | None = None) -> ReadResult | None:
-        """READ with version-exact revalidation.
-
-        Returns ``None`` when the caller's cached copy (version pair
-        ``verify``) is still current — decided by the segment layer, which
-        refuses the shortcut during §3.4 instability so revalidation never
-        weakens a file's configured consistency.  An unchanged answer moves
-        no payload bytes and charges no disk read; a stale ``verify`` (or
-        an unstable file) falls through to :meth:`read_result`.
-
-        Striped files never take the shortcut: stripe writes do not bump
-        the parent's version pair (that is what lets disjoint writers
-        commute), so an unchanged *parent* does not prove unchanged
-        *contents* — the gather must run.
-        """
-        try:
-            if await self.segments.validate_version(fh.sid, verify,
-                                                    version=fh.version) \
-                    and not self._striped_locally(fh.sid):
-                self.metrics.incr("nfs.ops.read")
-                return None
-        except NoSuchSegment as exc:
-            raise nfs_error(NfsStat.ERR_STALE, str(exc)) from exc
-        return await self.read_result(fh, offset, count)
 
     def _striped_locally(self, sid: str) -> bool:
         """Whether any local replica of ``sid`` carries a stripe map.
@@ -295,16 +248,10 @@ class Envelope:
                    in self.segments.store.replicas.items() if rsid == sid)
 
     async def write(self, fh: FileHandle, offset: int, data: bytes,
-                    truncate: bool = False) -> FileAttrs:
-        """WRITE — see :meth:`write_result`; returns the attributes only."""
-        attrs, _version = await self.write_result(fh, offset, data,
-                                                  truncate=truncate)
-        return attrs
-
-    async def write_result(self, fh: FileHandle, offset: int, data: bytes,
-                           truncate: bool = False,
-                           ) -> tuple[FileAttrs, tuple[int, int]]:
-        """WRITE — one segment update; bumps mtime atomically.
+                    truncate: bool = False,
+                    ) -> tuple[FileAttrs, tuple[int, int]]:
+        """WRITE — one segment update; bumps mtime atomically.  Returns the
+        attributes and the version pair the write produced.
 
         Two shapes, each a single version bump:
 
@@ -335,9 +282,9 @@ class Envelope:
         no-op answered from the stat alone (no update, no version bump).
         """
         self.metrics.incr("nfs.ops.write")
-        stat = await self._stat_segment(fh)
+        stat = await self.segments.stat(fh.sid, version=fh.version)
         if stat.meta.get("ftype") == FileType.DIRECTORY.value:
-            raise nfs_error(NfsStat.ERR_ISDIR, fh.sid)
+            raise NfsError(NfsStat.ERR_ISDIR, fh.sid)
         patch = {"mtime": self.kernel.now}
         if not truncate and not data:
             return (self._attrs_of(stat),
@@ -345,24 +292,16 @@ class Envelope:
         smap = StripeMap.from_meta(stat.meta)
         if smap is not None or self._crosses_stripe_threshold(
                 stat, offset, data, truncate):
-            try:
-                reply_meta, new_length, version = await self.striper.write(
-                    fh, stat, offset, data, truncate, patch)
-            except NoSuchSegment as exc:
-                raise nfs_error(NfsStat.ERR_STALE, str(exc)) from exc
-            except (ReplicaUnavailable, WriteUnavailable) as exc:
-                raise nfs_error(NfsStat.ERR_IO, str(exc)) from exc
+            reply_meta, new_length, version = await self.striper.write(
+                fh, stat, offset, data, truncate, patch)
             return (FileAttrs.from_meta(reply_meta, new_length),
                     (version.major, version.sub))
         if truncate:
             op = WriteOp(kind="setdata", data=data, meta=patch)
         else:
             op = WriteOp(kind="replace", offset=offset, data=data, meta=patch)
-        try:
-            version = await self.segments.write(fh.sid, op, version=fh.version,
-                                                single_update_hint=truncate)
-        except NoSuchSegment as exc:
-            raise nfs_error(NfsStat.ERR_STALE, str(exc)) from exc
+        version = await self.segments.write(fh.sid, op, version=fh.version,
+                                            single_update_hint=truncate)
         replica = self.segments.store.replicas.get((fh.sid, version.major))
         if replica is not None and replica.version == version:
             # this server holds the replica at exactly the version the
@@ -394,17 +333,6 @@ class Envelope:
         else:
             projected = max(file_length(stat.meta), offset + len(data))
         return projected > threshold
-
-    async def restripe(self, fh: FileHandle) -> None:
-        """Reshape a file to match its current ``stripe_size`` parameter —
-        the ``setparam`` hook, mirroring how a raised replica level
-        triggers replica generation (§4)."""
-        try:
-            await self.striper.restripe(fh)
-        except NoSuchSegment as exc:
-            raise nfs_error(NfsStat.ERR_STALE, str(exc)) from exc
-        except (ReplicaUnavailable, WriteUnavailable) as exc:
-            raise nfs_error(NfsStat.ERR_IO, str(exc)) from exc
 
     async def create(self, dirfh: FileHandle, name: str,
                      sattr: dict[str, Any] | None = None,
@@ -438,9 +366,9 @@ class Envelope:
     async def readlink(self, fh: FileHandle) -> str:
         """READLINK — return the symlink target."""
         self.metrics.incr("nfs.ops.readlink")
-        result = await self._read_segment(fh)
+        result = await self.segments.read(fh.sid, version=fh.version)
         if result.meta.get("ftype") != FileType.SYMLINK.value:
-            raise nfs_error(NfsStat.ERR_IO, f"{fh.sid} is not a symlink")
+            raise NfsError(NfsStat.ERR_IO, f"{fh.sid} is not a symlink")
         return result.data.decode()
 
     async def _create_node(self, dirfh: FileHandle, name: str, ftype: FileType,
@@ -458,8 +386,8 @@ class Envelope:
         validate_name(name)
         base, version = split_version(name)
         if version is not None:
-            raise nfs_error(NfsStat.ERR_EXIST,
-                            "cannot create a version-qualified name")
+            raise NfsError(NfsStat.ERR_EXIST,
+                           "cannot create a version-qualified name")
         now = self.kernel.now
         attrs = FileAttrs(ftype=ftype, atime=now, mtime=now, ctime=now)
         for key, value in sattr_to_meta(sattr or {}).items():
@@ -495,7 +423,7 @@ class Envelope:
             # that can re-read and retry catch it before reaching here
             "changed": NfsStat.ERR_IO,
         }.get(exc.reason, NfsStat.ERR_IO)
-        return nfs_error(status, f"{name}: {exc}")
+        return NfsError(status, f"{name}: {exc}")
 
     async def remove(self, dirfh: FileHandle, name: str) -> DirVersion | None:
         """REMOVE — unlink a file name; storage is garbage collected when
@@ -513,16 +441,16 @@ class Envelope:
             entries, _result = await self._require_dir(dirfh)
             entry = entries.get(base)
             if entry is None:
-                raise nfs_error(NfsStat.ERR_NOENT, base)
+                raise NfsError(NfsStat.ERR_NOENT, base)
             if entry["t"] == FileType.DIRECTORY.value:
-                raise nfs_error(NfsStat.ERR_ISDIR, base)
+                raise NfsError(NfsStat.ERR_ISDIR, base)
             try:
                 dir_version = await self._dir_write(dirfh, [
                     {"action": "remove", "name": base, "expect": entry["h"]}])
             except DirOpConflict as exc:
                 self.metrics.incr("nfs.dirop_conflicts")
                 if exc.reason == "absent":
-                    raise nfs_error(NfsStat.ERR_NOENT, base) from exc
+                    raise NfsError(NfsStat.ERR_NOENT, base) from exc
                 # entry swapped under us: re-read and retarget (NFS REMOVE
                 # is remove-by-name).  First run the GC decision for the
                 # handle we *did* target: if our dirop actually applied but
@@ -532,7 +460,7 @@ class Envelope:
                 continue
             await self._decrement_link(FileHandle(sid=entry["h"]))
             return dir_version
-        raise nfs_error(NfsStat.ERR_IO, f"remove contention on {base}")
+        raise NfsError(NfsStat.ERR_IO, f"remove contention on {base}")
 
     async def rmdir(self, dirfh: FileHandle, name: str) -> DirVersion | None:
         """RMDIR — remove an *empty* directory.
@@ -551,15 +479,15 @@ class Envelope:
             entries, _result = await self._require_dir(dirfh)
             entry = entries.get(base)
             if entry is None:
-                raise nfs_error(NfsStat.ERR_NOENT, base)
+                raise NfsError(NfsStat.ERR_NOENT, base)
             if entry["t"] != FileType.DIRECTORY.value:
-                raise nfs_error(NfsStat.ERR_NOTDIR, base)
+                raise NfsError(NfsStat.ERR_NOTDIR, base)
             victim = FileHandle(sid=entry["h"])
             try:
                 await self._dir_write(victim, [{"action": "seal"}])
             except DirOpConflict as exc:
                 if exc.reason == "notempty":
-                    raise nfs_error(NfsStat.ERR_NOTEMPTY, base) from exc
+                    raise NfsError(NfsStat.ERR_NOTEMPTY, base) from exc
                 if exc.reason != "sealed":
                     raise self._map_dirop_conflict(exc, base) from exc
                 # already sealed: a seal only ever lands on an empty table
@@ -585,14 +513,14 @@ class Envelope:
                 raise
             await self.segments.delete(victim.sid)
             return dir_version
-        raise nfs_error(NfsStat.ERR_IO, f"rmdir contention on {base}")
+        raise NfsError(NfsStat.ERR_IO, f"rmdir contention on {base}")
 
     async def _unseal_quietly(self, victim: FileHandle) -> None:
         """Best-effort seal rollback (the victim may already be deleted by
         a winning concurrent rmdir, or momentarily unreachable)."""
         try:
             await self._dir_write(victim, [{"action": "unseal"}])
-        except (DirOpConflict, NfsError):
+        except SegmentError:
             pass
 
     async def rename(self, fromdir: FileHandle, fromname: str,
@@ -631,13 +559,13 @@ class Envelope:
             entries, result = await self._require_dir(fromdir)
             entry = entries.get(frombase)
             if entry is None:
-                raise nfs_error(NfsStat.ERR_NOENT, frombase)
+                raise NfsError(NfsStat.ERR_NOENT, frombase)
             return None, None, dict(entry)
         for _attempt in range(MAX_DIR_RETRIES):
             entries, from_result = await self._require_dir(fromdir)
             entry = entries.get(frombase)
             if entry is None:
-                raise nfs_error(NfsStat.ERR_NOENT, frombase)
+                raise NfsError(NfsStat.ERR_NOENT, frombase)
             if fromdir.sid == todir.sid:
                 to_entries, to_result = entries, from_result
             else:
@@ -651,7 +579,7 @@ class Envelope:
                 return None, None, dict(entry)
             overwrites = existing is not None
             if overwrites and existing["t"] == FileType.DIRECTORY.value:
-                raise nfs_error(NfsStat.ERR_EXIST, tobase)
+                raise NfsError(NfsStat.ERR_EXIST, tobase)
             try:
                 to_version = await self._dir_write(todir, [
                     {"action": "replace", "name": tobase, "entry": dict(entry),
@@ -663,13 +591,14 @@ class Envelope:
                 raise self._map_dirop_conflict(exc, tobase) from exc
             target = FileHandle(sid=entry["h"])
             try:
-                stat = await self._stat_segment(target)
-            except NfsError as exc:
+                stat = await self.segments.stat(target.sid,
+                                                version=target.version)
+            except (NoSuchSegment, ReplicaUnavailable) as exc:
                 # the moved segment died between our read and the install
                 # (a racing remove's GC, or an rmdir of the source): undo
                 # the install — a dangling entry must never survive
                 await self._undo_install(todir, tobase, entry["h"], existing)
-                raise nfs_error(NfsStat.ERR_NOENT, frombase) from exc
+                raise NfsError(NfsStat.ERR_NOENT, frombase) from exc
             if fromdir.sid != todir.sid:
                 uplinks = list(stat.meta.get("uplinks", []))
                 if todir.sid not in uplinks:
@@ -693,7 +622,7 @@ class Envelope:
                 # nothing references it any more (the §5.2 GC contract)
                 await self._decrement_link(FileHandle(sid=existing["h"]))
             return from_version, to_version, dict(entry)
-        raise nfs_error(NfsStat.ERR_IO, f"rename contention on {tobase}")
+        raise NfsError(NfsStat.ERR_IO, f"rename contention on {tobase}")
 
     async def _undo_install(self, todir: FileHandle, tobase: str,
                             installed_h: str, previous: dict | None) -> None:
@@ -707,7 +636,7 @@ class Envelope:
             undo = {"action": "remove", "name": tobase, "expect": installed_h}
         try:
             await self._dir_write(todir, [undo])
-        except (DirOpConflict, NfsError):
+        except SegmentError:
             pass
 
     async def link(self, fh: FileHandle, todir: FileHandle,
@@ -722,9 +651,9 @@ class Envelope:
         self.metrics.incr("nfs.ops.link")
         base, _version = split_version(name)
         validate_name(base)
-        stat = await self._stat_segment(fh)
+        stat = await self.segments.stat(fh.sid, version=fh.version)
         if stat.meta.get("ftype") == FileType.DIRECTORY.value:
-            raise nfs_error(NfsStat.ERR_ISDIR, fh.sid)
+            raise NfsError(NfsStat.ERR_ISDIR, fh.sid)
 
         try:
             dir_version = await self._dir_write(todir, [
@@ -750,26 +679,20 @@ class Envelope:
         unlink's GC beat us to it — is a completed outcome, not an error.
         """
         try:
-            stat = await self._stat_segment(fh)
-        except NfsError as exc:
-            if exc.status == NfsStat.ERR_STALE:
-                return
-            raise
+            stat = await self.segments.stat(fh.sid, version=fh.version)
+        except NoSuchSegment:
+            return
         nlink = max(0, stat.meta.get("nlink", 1) - 1)
         await self._touch_meta(fh, {"nlink": nlink, "ctime": self.kernel.now})
         if nlink == 0:
             await collect_if_unreferenced(self, fh.sid)
 
-    async def readdir(self, dirfh: FileHandle) -> list[dict[str, str]]:
-        """READDIR — entry names (unqualified) with types and handles."""
-        entries, _version, _result = await self.readdir_result(dirfh)
-        return entries
-
-    async def readdir_result(
+    async def readdir(
         self, dirfh: FileHandle, verify=None,
     ) -> tuple[list[dict[str, str]], DirVersion, ReadResult] | None:
-        """READDIR returning the listing, the directory's version pair and
-        the read they came from, with version-exact revalidation.
+        """READDIR — entry names (unqualified) with types and handles,
+        returned with the directory's version pair and the read they came
+        from, with version-exact revalidation.
 
         When ``verify`` (a cached version pair) is still current — decided
         by the segment layer exactly as for data reads — returns ``None``:
@@ -783,14 +706,10 @@ class Envelope:
         if dirfh.sid == GLOBAL_ROOT_SID:
             # "It cannot be listed, as it implicitly contains the full
             # machine names of every accessible Deceit server." (§2.2)
-            raise nfs_error(NfsStat.ERR_PERM, "the global root cannot be listed")
-        if verify is not None:
-            try:
-                if await self.segments.validate_version(dirfh.sid, verify,
-                                                        version=dirfh.version):
-                    return None
-            except NoSuchSegment as exc:
-                raise nfs_error(NfsStat.ERR_STALE, str(exc)) from exc
+            raise NfsError(NfsStat.ERR_PERM, "the global root cannot be listed")
+        if verify is not None and await self.segments.validate_version(
+                dirfh.sid, verify, version=dirfh.version):
+            return None
         entries, result = await self._require_dir(dirfh)
         listing = [{"name": name, "type": e["t"],
                     "fh": FileHandle(sid=e["h"]).encode()}

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.errors import NfsError, NfsStat
+
 
 @dataclass(frozen=True)
 class FileHandle:
@@ -46,13 +48,19 @@ class FileHandle:
 
     @classmethod
     def decode(cls, raw: str) -> "FileHandle":
-        """Inverse of :meth:`encode`."""
-        sid, version, home = raw.split("|")
-        return cls(
-            sid=sid,
-            version=int(version) if version else None,
-            home=home or None,
-        )
+        """Inverse of :meth:`encode`.
+
+        A handle arrives from outside the server, so one that does not
+        parse is answered as stale — it names no file — rather than
+        escaping as a server fault the client would fail over on.
+        """
+        try:
+            sid, version, home = raw.split("|")
+            major = int(version) if version else None
+        except ValueError as exc:
+            raise NfsError(NfsStat.ERR_STALE,
+                           f"malformed file handle {raw!r}") from exc
+        return cls(sid=sid, version=major, home=home or None)
 
     def __repr__(self) -> str:
         parts = [self.sid]

@@ -9,7 +9,7 @@ name; the qualifier selects the version at lookup time.
 
 from __future__ import annotations
 
-from repro.errors import NfsStat, nfs_error
+from repro.errors import NfsError, NfsStat
 
 VERSION_SEPARATOR = ";"
 MAX_NAME_LEN = 255
@@ -33,11 +33,11 @@ def split_version(name: str) -> tuple[str, int | None]:
 def validate_name(name: str) -> str:
     """Reject names NFS cannot represent; returns the name unchanged."""
     if not name or name in (".", ".."):
-        raise nfs_error(NfsStat.ERR_NOENT, f"invalid name {name!r}")
+        raise NfsError(NfsStat.ERR_NOENT, f"invalid name {name!r}")
     if "/" in name or "\x00" in name:
-        raise nfs_error(NfsStat.ERR_IO, f"illegal character in name {name!r}")
+        raise NfsError(NfsStat.ERR_IO, f"illegal character in name {name!r}")
     if len(name) > MAX_NAME_LEN:
-        raise nfs_error(NfsStat.ERR_NAMETOOLONG, name[:32] + "...")
+        raise NfsError(NfsStat.ERR_NAMETOOLONG, name[:32] + "...")
     return name
 
 

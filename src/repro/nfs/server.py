@@ -24,7 +24,7 @@ from repro.core import SegmentServer
 from repro.core.dirtable import encode_dir
 from repro.core.params import FileParams
 from repro.core.striping import file_length
-from repro.errors import NfsError, NfsStat, nfs_error
+from repro.errors import NfsError, NfsStat, NoSuchSegment, SegmentError
 from repro.isis import IsisProcess
 from repro.metrics import Metrics
 from repro.net import Network
@@ -45,6 +45,24 @@ GATED_NFS_OPS = frozenset({
     "read", "write", "create", "mkdir", "symlink", "remove", "rmdir",
     "rename", "link", "setattr",
 })
+
+
+def error_reply(exc: NfsError | SegmentError) -> dict:
+    """The one place an error becomes an NFS status.
+
+    An :class:`NfsError` keeps its status; a segment that no longer exists
+    makes the handle stale (§2.1: usable "as long as a replica of the file
+    exists"); any other segment failure is an I/O error.  A status, not an
+    escaped RPC error, so the agent does not fail over to servers that
+    would only say the same.
+    """
+    if isinstance(exc, NfsError):
+        status = exc.status
+    elif isinstance(exc, NoSuchSegment):
+        status = NfsStat.ERR_STALE
+    else:
+        status = NfsStat.ERR_IO
+    return {"status": status, "error": str(exc)}
 
 
 class DeceitServer:
@@ -186,8 +204,8 @@ class DeceitServer:
             if fh is not None and fh.foreign and fh.home != self.addr:
                 return await self._proxy(fh.home, op, args)
             return await self._dispatch_nfs(op, args, fh)
-        except NfsError as exc:
-            return {"status": exc.status, "error": str(exc)}
+        except (NfsError, SegmentError) as exc:
+            return error_reply(exc)
 
     async def _proxy(self, home: str, op: str, args: dict[str, Any]) -> dict:
         """Relay a foreign-cell call; re-stamp returned handles as foreign.
@@ -241,20 +259,15 @@ class DeceitServer:
                     **dir_result.placement.hint(dir_result.served_by,
                                                 "dir_placement")}
         if op == "read":
-            verify = args.get("verify")
-            if verify is not None:
-                result = await env.read_validate(fh, verify,
-                                                 args.get("offset", 0),
-                                                 args.get("count"))
-                if result is None:
-                    # version-exact cache validation: the client's copy is
-                    # current — no data bytes, no disk read, no forwarding
-                    self.metrics.incr("nfs.reads_unchanged")
-                    return {"status": 0, "unchanged": True,
-                            "version": list(verify)}
-            else:
-                result = await env.read_result(fh, args.get("offset", 0),
-                                               args.get("count"))
+            result = await env.read(fh, args.get("offset", 0),
+                                    args.get("count"),
+                                    verify=args.get("verify"))
+            if result is None:
+                # version-exact cache validation: the client's copy is
+                # current — no data bytes, no disk read, no forwarding
+                self.metrics.incr("nfs.reads_unchanged")
+                return {"status": 0, "unchanged": True,
+                        "version": list(args["verify"])}
             return {"status": 0, "data": result.data,
                     "version": [result.major, result.version.sub],
                     # current file length: lets a fan-out client know when
@@ -263,7 +276,7 @@ class DeceitServer:
                     "size": file_length(result.meta),
                     **result.placement.hint(result.served_by)}
         if op == "write":
-            attrs, version = await env.write_result(
+            attrs, version = await env.write(
                 fh, args.get("offset", 0), args.get("data", b""),
                 truncate=args.get("truncate", False))
             return {"status": 0, "attrs": attrs.to_wire(),
@@ -302,7 +315,7 @@ class DeceitServer:
             return self._with_dir_version(
                 {"status": 0, "entry_type": entry_type}, dirv)
         if op == "readdir":
-            out = await env.readdir_result(fh, verify=args.get("verify"))
+            out = await env.readdir(fh, verify=args.get("verify"))
             if out is None:
                 # version-exact listing validation: the client's cached
                 # listing is current — no entry bytes move
@@ -315,7 +328,7 @@ class DeceitServer:
                     **result.placement.hint(result.served_by)}
         if op == "statfs":
             return {"status": 0, "statfs": await env.statfs(fh)}
-        raise nfs_error(NfsStat.ERR_IO, f"unknown NFS op {op!r}")
+        raise NfsError(NfsStat.ERR_IO, f"unknown NFS op {op!r}")
 
     @staticmethod
     def _with_dir_version(reply: dict, dirv) -> dict:
@@ -333,10 +346,10 @@ class DeceitServer:
                                          timeout=NFS_PROXY_TIMEOUT_MS,
                                          tag="global_root")
         except Exception as exc:
-            raise nfs_error(NfsStat.ERR_NOENT,
-                            f"no Deceit server at {name!r}: {exc}") from exc
+            raise NfsError(NfsStat.ERR_NOENT,
+                           f"no Deceit server at {name!r}: {exc}") from exc
         if reply.get("status") != 0:
-            raise nfs_error(NfsStat.ERR_NOENT, f"{name}: {reply.get('error')}")
+            raise NfsError(NfsStat.ERR_NOENT, f"{name}: {reply.get('error')}")
         remote_root = FileHandle.decode(reply["fh"])
         foreign = FileHandle(remote_root.sid, None, name)
         attrs = FileAttrs(ftype=FileType.DIRECTORY, mode=0o755)
@@ -350,8 +363,8 @@ class DeceitServer:
         self.metrics.incr("nfs.special_cmds")
         try:
             return await self._dispatch_cmd(cmd, args)
-        except NfsError as exc:
-            return {"status": exc.status, "error": str(exc)}
+        except (NfsError, SegmentError) as exc:
+            return error_reply(exc)
         except Exception as exc:
             return {"status": NfsStat.ERR_IO, "error": f"{type(exc).__name__}: {exc}"}
 
@@ -364,7 +377,7 @@ class DeceitServer:
             if "stripe_size" in changes:
                 # reshape to match, like a raised replica level triggers
                 # replica generation — atomic for concurrent readers
-                await self.envelope.restripe(fh)
+                await self.envelope.striper.restripe(fh)
             return {"status": 0, "params": params.to_dict()}
         if cmd == "getparam":
             result = await seg.stat(fh.sid, version=fh.version)
@@ -395,4 +408,4 @@ class DeceitServer:
         if cmd == "reconcile":
             dropped = await seg.reconcile_versions(fh.sid, keep=args["keep"])
             return {"status": 0, "dropped": dropped}
-        raise nfs_error(NfsStat.ERR_IO, f"unknown special command {cmd!r}")
+        raise NfsError(NfsStat.ERR_IO, f"unknown special command {cmd!r}")

@@ -8,7 +8,7 @@ completion inside the window, then the gate opens.
 
 import pytest
 
-from repro.errors import NfsError, NfsStat
+from repro.errors import NfsError, NfsStat, NoSuchSegment
 from repro.nfs import FileHandle
 from repro.testbed import build_cluster
 
@@ -172,7 +172,7 @@ def test_remove_vs_rename_over_race_is_serialized():
         await env.rename(root, "other", root, "victim")
         gate.set_result(None)
         await task
-        entries = await env.readdir(root)
+        entries, _version, _result = await env.readdir(root)
         return [e["name"] for e in entries]
 
     names = cluster.run(race())
@@ -250,7 +250,7 @@ def test_rmdir_vs_create_race_rmdir_wins():
         await kernel.sleep(100.0)       # create built its segment, is gated
         await env.rmdir(env.root_fh, "d")
         gate.set_result(None)
-        with pytest.raises(NfsError):
+        with pytest.raises(NoSuchSegment):
             await create_task
         return d
 
@@ -261,7 +261,7 @@ def test_rmdir_vs_create_race_rmdir_wins():
     assert segment_gone(cluster, d.sid)
 
     async def reachable():
-        entries = await env.readdir(env.root_fh)
+        entries, _version, _result = await env.readdir(env.root_fh)
         return {cluster.root.sid} | {
             FileHandle.decode(e["fh"]).sid for e in entries}
 
@@ -354,7 +354,8 @@ def test_rename_undoes_its_install_when_the_source_died(displaces):
         gate.set_result(None)
         with pytest.raises(NfsError) as excinfo:
             await task
-        names = [e["name"] for e in await env.readdir(root)]
+        entries, _version, _result = await env.readdir(root)
+        names = [e["name"] for e in entries]
         kept = await other.read_file("/b") if displaces else None
         return excinfo.value.status, names, kept
 

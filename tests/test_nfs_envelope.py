@@ -337,3 +337,39 @@ def test_version_qualified_lookup_after_divergence(cluster):
     datas = cluster.run(inspect())
     assert len(datas) == 2
     assert sorted(datas.values()) == [b"majority line", b"minority line"]
+
+
+@pytest.mark.parametrize("case", [
+    "setattr_removed", "set_params_removed",
+    "getattr_garbage", "getattr_bad_version",
+])
+def test_dead_or_malformed_handle_answers_stale_without_failover(cluster,
+                                                                 case):
+    """A handle naming no file is answered ERR_STALE by the server it was
+    sent to (§2.1: handles live "as long as a replica of the file
+    exists"): the segment layer's NoSuchSegment, or a handle that does
+    not parse, becomes a status at the RPC boundary — not an RPC error
+    the agent would fail over through every server on."""
+    agent, other = cluster.agents
+
+    async def main():
+        await agent.mount()
+        await other.mount()
+        fh = await agent.create("/", "f")
+        await other.remove("/", "f")
+        before = cluster.metrics.get("agent.failovers")
+        with pytest.raises(NfsError) as excinfo:
+            if case == "setattr_removed":
+                await agent._nfs("setattr", {"fh": fh.encode(),
+                                             "sattr": {"mode": 0o600}})
+            elif case == "set_params_removed":
+                await agent.set_params(fh, min_replicas=2)
+            else:
+                raw = "garbage" if case == "getattr_garbage" else "s0.1|x|"
+                await agent._nfs("getattr", {"fh": raw})
+        return (excinfo.value.status,
+                cluster.metrics.get("agent.failovers") - before)
+
+    status, failovers = cluster.run(main())
+    assert status == NfsStat.ERR_STALE
+    assert failovers == 0

@@ -235,21 +235,21 @@ def test_concurrent_truncate_cannot_persist_stale_length():
         fh = await agent.lookup_path("/f")
 
         fired = {"on": True}
-        orig = env._stat_segment
+        orig = env.segments.stat
 
-        async def stat_then_truncate(stat_fh):
-            result = await orig(stat_fh)
+        async def stat_then_truncate(sid, **kwargs):
+            result = await orig(sid, **kwargs)
             if fired["on"]:
                 fired["on"] = False
                 await env.setattr(fh, {"size": 4})   # the racing truncate
             return result
 
-        env._stat_segment = stat_then_truncate
+        env.segments.stat = stat_then_truncate
         try:
             await env.write(fh, 0, b"zz")
         finally:
-            env._stat_segment = orig
-        data = await env.read(fh)
+            env.segments.stat = orig
+        data = (await env.read(fh)).data
         attrs, _stat = await env.getattr(fh)
         return data, attrs
 

@@ -497,7 +497,15 @@ class Agent(Node):
         if hint is not None and hint[1] > hint[0]:
             # striped file: gather it in parallel, one ranged read per
             # stripe, instead of shipping the whole image through one reply
-            data, version = await self._read_striped(fh, *hint)
+            self.metrics.incr("agent.striped_reads")
+            data, version, size = await self._read_stripes(fh, hint[0], 0,
+                                                           hint[1])
+            if version is None or size > hint[1]:
+                # a flip landed mid-fan-out, or the file grew since the
+                # hint: one whole-file read resolves the map once
+                self.metrics.incr("agent.striped_read_fallbacks")
+                reply = await self._nfs("read", {"fh": key})
+                data, version = reply["data"], tuple(reply["version"])
         else:
             args: dict[str, Any] = {"fh": key}
             if cached and cached[2] is not None:
@@ -528,52 +536,6 @@ class Agent(Node):
             return cached[0].stripe_size, cached[0].size
         return None
 
-    async def _read_striped(self, fh: FileHandle, stripe_size: int,
-                            size: int) -> tuple[bytes, tuple | None]:
-        """Whole-file read of a striped file: parallel per-stripe ranged
-        reads, reassembled by offset.
-
-        The hinted size may be stale, so while the last stripe comes back
-        full the tail is chased with further reads; a shrunken file simply
-        returns less.  Holes read as zeros (the server pads interior
-        ranges), so placing each piece at its own offset is exact.
-
-        Atomicity: every range reply carries the *parent's* version pair,
-        and every whole-image change (rewrite, restripe, conversion) bumps
-        it — so if the replies disagree, a flip landed mid-fan-out and the
-        reassembly would be a hybrid of old and new contents.  The read
-        then falls back to one whole-file RPC, whose server-side gather
-        resolves the map once.
-        """
-        self.metrics.incr("agent.striped_reads")
-        count = max(1, -(-size // stripe_size))
-        replies = await self._fanout(fh, [(i * stripe_size, stripe_size)
-                                          for i in range(count)])
-        # chase the tail only while the server-reported length says bytes
-        # exist past what we fetched (the file grew since the hint)
-        known = max([size] + [int(r.get("size", 0)) for r in replies])
-        while replies[-1]["data"] and len(replies[-1]["data"]) == stripe_size \
-                and len(replies) * stripe_size < known:
-            reply = await self._read_range(fh, len(replies) * stripe_size,
-                                           stripe_size)
-            replies.append(reply)
-            known = max(known, int(reply.get("size", 0)))
-        self.metrics.incr("agent.striped_fanout_parts", len(replies))
-        versions = {tuple(r["version"]) for r in replies if "version" in r}
-        if len(versions) != 1:
-            self.metrics.incr("agent.striped_read_fallbacks")
-            reply = await self._nfs("read", {"fh": fh.encode()})
-            return reply["data"], tuple(reply["version"])
-        end = 0
-        for i, reply in enumerate(replies):
-            if reply["data"]:
-                end = max(end, i * stripe_size + len(reply["data"]))
-        image = bytearray(end)
-        for i, reply in enumerate(replies):
-            piece = reply["data"]
-            image[i * stripe_size:i * stripe_size + len(piece)] = piece
-        return bytes(image), versions.pop()
-
     async def read_at(self, path_or_fh: str | FileHandle, offset: int,
                       count: int) -> bytes:
         """Ranged read: ``count`` bytes from ``offset`` (fewer at EOF).
@@ -601,43 +563,49 @@ class Agent(Node):
         hint = self._stripe_hint(key)
         if hint is not None and \
                 offset // hint[0] != (offset + count - 1) // hint[0]:
-            data = await self._fanout_range(fh, hint[0], offset, count)
+            data, version, _size = await self._read_stripes(fh, hint[0],
+                                                            offset, count)
+            if version is None:
+                # a flip landed mid-fan-out: one RPC resolves the map once
+                self.metrics.incr("agent.striped_read_fallbacks")
+                data = (await self._read_range(fh, offset, count))["data"]
         else:
             data = (await self._read_range(fh, offset, count))["data"]
         self._note_sequential(fh, key, offset, count)
         return data
 
-    async def _fanout_range(self, fh: FileHandle, stripe_size: int,
-                            offset: int, count: int) -> bytes:
-        """A multi-stripe range read, one parallel piece per stripe.
+    async def _read_stripes(self, fh: FileHandle, width: int, offset: int,
+                            count: int) -> tuple[bytes, tuple | None, int]:
+        """Read ``[offset, offset+count)`` as one parallel ranged read per
+        stripe of ``width`` bytes, reassembled by offset.
 
-        Like :meth:`_read_striped`, disagreeing parent versions across the
-        replies mean a whole-image flip landed mid-fan-out; the range is
-        then re-read as one RPC so the server resolves the map once.
+        Returns the bytes, the parent version pair the replies agree on
+        (``None`` if they disagree), and the largest file size they
+        report.  Under one parent version the file length is fixed, the
+        server pads interior holes with zeros and only a piece at or past
+        EOF comes back short, so the pieces concatenate exactly.
+
+        Atomicity: every whole-image change (rewrite, restripe,
+        conversion) bumps the parent's version pair, so replies that
+        disagree mean a flip landed mid-fan-out and the bytes may be a
+        hybrid of old and new contents.  The caller then re-reads through
+        one RPC, whose server-side gather resolves the map once.
         """
-        pieces = split_range(offset, offset + count, stripe_size)
+        pieces = split_range(offset, offset + count, width)
         self.metrics.incr("agent.striped_fanout_parts", len(pieces))
-        replies = await self._fanout(fh, pieces)
-        versions = {tuple(r["version"]) for r in replies if "version" in r}
-        if len(versions) > 1:
-            self.metrics.incr("agent.striped_read_fallbacks")
-            return (await self._read_range(fh, offset, count))["data"]
-        # interior short pieces were padded by the server (sparse holes);
-        # a short trailing piece is EOF — concatenation is exact
-        out = bytearray()
-        for (o, _c), reply in zip(pieces, replies):
-            part = reply["data"]
-            rel = o - offset
-            if part:
-                if rel > len(out):
-                    out.extend(b"\x00" * (rel - len(out)))
-                out[rel:rel + len(part)] = part
-        return bytes(out)
+        tasks = [self.spawn(self._read_range(fh, o, c),
+                            name=f"{self.addr}:fanout:{i}")
+                 for i, (o, c) in enumerate(pieces)]
+        replies = await self.kernel.all_of(tasks)
+        versions = {tuple(reply["version"]) for reply in replies}
+        version = versions.pop() if len(versions) == 1 else None
+        return (b"".join(reply["data"] for reply in replies), version,
+                max(reply["size"] for reply in replies))
 
     async def _read_range(self, fh: FileHandle, offset: int,
                           count: int) -> dict:
         """One ranged read RPC — the funnel every ranged read takes: the
-        single-RPC path, fan-out pieces, prefetches and the tail chase.
+        single-RPC path, fan-out pieces, prefetches and the range fallback.
 
         A range inside one stripe of a file whose width a read reply has
         taught goes to a hinted holder of that stripe (§5.3: the agent
@@ -650,15 +618,6 @@ class Agent(Node):
             to=self._route_target(fh, self._route_key(fh, offset, count)))
         self._learn_placement(fh, reply, offset)
         return reply
-
-    async def _fanout(self, fh: FileHandle,
-                      pieces: list[tuple[int, int]]) -> list[dict]:
-        """One parallel ranged read per ``(offset, count)`` piece; the
-        replies come back in piece order."""
-        tasks = [self.spawn(self._read_range(fh, o, c),
-                            name=f"{self.addr}:fanout:{i}")
-                 for i, (o, c) in enumerate(pieces)]
-        return list(await self.kernel.all_of(tasks))
 
     def _note_sequential(self, fh: FileHandle, key: str, offset: int,
                          count: int) -> None:

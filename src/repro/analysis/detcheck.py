@@ -42,7 +42,7 @@ def _run_once(workload: str, n_servers: int, n_agents: int,
     produce identical chains.
     """
     from repro.testbed import build_scale_cluster
-    from repro.workloads import named_ops, replay
+    from repro.workloads import NAMED_FILE_PARAMS, named_ops, replay
 
     ops = named_ops(workload, n_agents, duration_ms, seed)
     cluster = build_scale_cluster(n_servers=n_servers, n_agents=n_agents,
@@ -56,7 +56,9 @@ def _run_once(workload: str, n_servers: int, n_agents: int,
         witness.fault_fn = cluster.network.rng.random
     cluster.kernel.set_witness(witness)
     try:
-        cluster.run(replay(cluster, ops), limit=limit)
+        cluster.run(replay(cluster, ops,
+                           file_params=NAMED_FILE_PARAMS.get(workload)),
+                    limit=limit)
     finally:
         cluster.close()
     return witness

@@ -119,7 +119,7 @@ def _run_once(workload: str, n_servers: int, n_agents: int,
               limit: float = 10_000_000.0) -> dict[str, Any]:
     """One perturbed, sanitized workload run; returns its findings."""
     from repro.testbed import build_scale_cluster
-    from repro.workloads import named_ops, replay
+    from repro.workloads import NAMED_FILE_PARAMS, named_ops, replay
 
     ops = named_ops(workload, n_agents, duration_ms, seed)
     cluster = build_scale_cluster(n_servers=n_servers, n_agents=n_agents,
@@ -132,7 +132,9 @@ def _run_once(workload: str, n_servers: int, n_agents: int,
     error: str | None = None
     oracle: list[str] = []
     try:
-        cluster.run(replay(cluster, ops), limit=limit)
+        cluster.run(replay(cluster, ops,
+                           file_params=NAMED_FILE_PARAMS.get(workload)),
+                    limit=limit)
         cluster.settle(500.0)
         oracle = check_invariants(cluster)
     except Exception as exc:  # a perturbed schedule may break outright

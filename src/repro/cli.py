@@ -56,7 +56,7 @@ import pstats
 import time
 
 from repro.testbed import build_cluster, build_scale_cluster
-from repro.workloads import NAMED_WORKLOADS, named_ops, replay
+from repro.workloads import NAMED_FILE_PARAMS, NAMED_WORKLOADS, named_ops, replay
 
 
 def quickstart() -> bytes:
@@ -117,7 +117,9 @@ def profile(workload: str = "hotspot", n_servers: int = 16,
     profiler = cProfile.Profile()
     t0 = time.perf_counter()
     profiler.enable()
-    stats = cluster.run(replay(cluster, ops), limit=10_000_000.0)
+    stats = cluster.run(replay(cluster, ops,
+                               file_params=NAMED_FILE_PARAMS.get(workload)),
+                        limit=10_000_000.0)
     profiler.disable()
     wall = time.perf_counter() - t0
     events = cluster.kernel.events_processed
@@ -183,7 +185,9 @@ def trace_cmd(workload: str = "hotspot", n_servers: int = 4,
     ops = named_ops(workload, n_agents, duration_ms, seed)
     cluster = build_scale_cluster(n_servers=n_servers, n_agents=n_agents,
                                   seed=seed, tracing=True)
-    stats = cluster.run(replay(cluster, ops), limit=10_000_000.0)
+    stats = cluster.run(replay(cluster, ops,
+                               file_params=NAMED_FILE_PARAMS.get(workload)),
+                        limit=10_000_000.0)
     print(f"{workload} workload on {n_servers} servers / {n_agents} agents: "
           f"{stats.attempted} ops ({stats.succeeded} ok), "
           f"{cluster.kernel.now:.0f} ms virtual\n")

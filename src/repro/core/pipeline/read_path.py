@@ -263,7 +263,10 @@ class ReadService:
           outside the file's group answers so without joining it;
         - for stability-notification files (§3.4), an **unstable** major
           answers False even on a version match, preserving the forwarding
-          to the token holder that one-copy serializability relies on.
+          to the token holder that one-copy serializability relies on;
+        - a replica whose meta carries a **stripe map** answers False: its
+          version pair is the parent's, which range writes to the stripes
+          never bump, so a match does not prove unchanged contents.
 
         A True answer counts as a read of the local replica (``read_ts``
         bookkeeping), so revalidation-served files do not look idle to the
@@ -279,6 +282,8 @@ class ReadService:
             return False
         if cat.params.stability_notification and \
                 (info.unstable or not replica.stable):
+            return False
+        if StripeMap.from_meta(replica.meta) is not None:
             return False
         if list(replica.version.to_tuple()) != list(verify):
             return False

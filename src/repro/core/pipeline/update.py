@@ -36,8 +36,6 @@ Invariants
 - ``deliver_update`` may assume updates for one major arrive in causal
   order: a sub gap means this member missed updates (it repairs by
   refetch), never that the sender skipped one.
-- A ``batch`` op (several positioned writes) is still **one** update:
-  one broadcast round, one ``sub`` bump, one persisted record per member.
 - A ``dirop`` update's preconditions (name absent / expected handle /
   emptiness seal, see :mod:`repro.core.dirtable`) are checked
   **authoritatively at the token holder** against its settled replica,
@@ -211,10 +209,6 @@ class UpdatePipeline:
                          len(self.transport.members(group_of(sid))),
                          max(1, replica_targets))
             self.metrics.incr("deceit.updates")
-            if op.kind == "batch":
-                # several client writes riding one broadcast round
-                self.metrics.incr("deceit.batched_update_parts",
-                                  len(op.parts))
             if mark:
                 # "all available replicas must be so notified before any
                 # updates can occur": the marked round waits for every

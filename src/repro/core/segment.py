@@ -25,17 +25,13 @@ from repro.core.versions import HistoryIndex, VersionPair
 class WriteOp:
     """One modification to a segment (§5.1: replace, append, or truncate).
 
-    Three pragmatic extensions the NFS envelope relies on:
+    Pragmatic extensions the NFS envelope relies on:
 
     - ``setdata`` replaces the entire contents in one atomic update
       (rewrites — directory tables *and* whole-file writes — must not be a
       truncate *plus* a replace, or concurrent readers could observe the
       intermediate state and a crash between the two could lose both the
       old and the new contents);
-    - ``batch`` applies a list of sub-operations (``parts``) as one
-      atomically-distributed update — several positioned writes in a
-      single version bump (``Striper`` builds one when a stripe gets
-      more than one piece);
     - ``dirop`` applies single-name directory mutations (``dirops``, see
       :mod:`repro.core.dirtable`) to the entry table at update-application
       time — the commuting namespace path: concurrent creates of different
@@ -58,14 +54,13 @@ class WriteOp:
     a wrong length — and any length they do send is only advisory.
     """
 
-    #: "replace" | "append" | "truncate" | "setdata" | "setmeta" | "batch"
-    #: | "dirop" | "stripe_extend"
+    #: "replace" | "append" | "truncate" | "setdata" | "setmeta" | "dirop"
+    #: | "stripe_extend"
     kind: str
     offset: int = 0
     data: bytes = b""
     length: int = 0
     meta: dict[str, Any] = field(default_factory=dict)
-    parts: list["WriteOp"] = field(default_factory=list)
     dirops: list[dict] = field(default_factory=list)
     stripe: dict[str, Any] = field(default_factory=dict)
 
@@ -89,9 +84,6 @@ class WriteOp:
                 data = data + b"\x00" * (self.length - len(data))
         elif self.kind == "setdata":
             data = self.data
-        elif self.kind == "batch":
-            for part in self.parts:
-                data, meta = part.apply(data, meta)
         elif self.kind == "dirop":
             from repro.core.dirtable import apply_dirops
             data = apply_dirops(data, self.dirops)
@@ -113,12 +105,8 @@ class WriteOp:
         return data, meta
 
     def touches_data(self) -> bool:
-        """Whether this op (or any batched part) transforms the data."""
-        if self.kind in ("setmeta", "stripe_extend"):
-            return False
-        if self.kind == "batch":
-            return any(part.touches_data() for part in self.parts)
-        return True
+        """Whether this op transforms the data."""
+        return self.kind not in ("setmeta", "stripe_extend")
 
     def result_length(self, old_length: int) -> int:
         """Data length after applying this op to data of ``old_length``.
@@ -137,9 +125,6 @@ class WriteOp:
             return self.length
         if self.kind == "setdata":
             return len(self.data)
-        if self.kind == "batch":
-            for part in self.parts:
-                old_length = part.result_length(old_length)
         # "dirop": the new table length depends on the current entries, so
         # old_length is the best pure-arithmetic answer; the persisted
         # length is derived at application and reply attrs for directory
@@ -155,8 +140,6 @@ class WriteOp:
             "length": self.length,
             "meta": self.meta,
         }
-        if self.parts:
-            out["parts"] = [part.to_dict() for part in self.parts]
         if self.dirops:
             out["dirops"] = [dict(dop) for dop in self.dirops]
         if self.stripe:
@@ -172,7 +155,6 @@ class WriteOp:
             data=raw.get("data", b""),
             length=raw.get("length", 0),
             meta=raw.get("meta", {}),
-            parts=[cls.from_dict(p) for p in raw.get("parts", [])],
             dirops=[dict(dop) for dop in raw.get("dirops", [])],
             stripe=dict(raw.get("stripe", {})),
         )

@@ -15,8 +15,9 @@ from repro.core.striping.stripemap import (
     file_length,
     merge_extend,
     split_range,
+    wants_stripes,
 )
 from repro.core.striping.striper import Striper
 
 __all__ = ["META_KEY", "StripeMap", "StripeRange", "Striper",
-           "file_length", "merge_extend", "split_range"]
+           "file_length", "merge_extend", "split_range", "wants_stripes"]

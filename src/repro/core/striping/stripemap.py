@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core.params import FileParams
+
 #: Parent-meta key holding the stripe map; absent = ordinary blob segment.
 META_KEY = "stripes"
 
@@ -44,6 +46,14 @@ def file_length(meta: dict[str, Any]) -> int:
     if smap:
         return int(smap["length"])
     return int(meta.get("length", 0))
+
+
+def wants_stripes(params: FileParams, meta: dict[str, Any],
+                  length: int) -> bool:
+    """The one stripe rule: a regular file longer than its ``stripe_size``
+    parameter takes the striped form; anything else is one blob segment."""
+    ss = params.stripe_size
+    return ss is not None and meta.get("ftype") == "reg" and length > ss
 
 
 @dataclass(frozen=True)
@@ -95,11 +105,6 @@ class StripeMap:
         end = self.length if count is None else min(offset + count, self.length)
         return self.pieces(offset, end)
 
-    def write_ranges(self, offset: int, nbytes: int) -> list[StripeRange]:
-        """Per-stripe pieces of a write — *not* clipped to the file length
-        (writes extend; the hole they skip over stays unallocated)."""
-        return self.pieces(offset, offset + nbytes)
-
     def pieces(self, start: int, end: int) -> list[StripeRange]:
         """Split ``[start, end)`` at stripe boundaries."""
         out: list[StripeRange] = []
@@ -114,8 +119,8 @@ class StripeMap:
 def split_range(start: int, end: int,
                 stripe_size: int) -> list[tuple[int, int]]:
     """Cut ``[start, end)`` at stripe boundaries: ``(offset, length)``
-    pieces, each inside one stripe.  The one splitting rule everything —
-    map range math, agent fan-out, per-stripe flush grouping — shares."""
+    pieces, each inside one stripe.  The one splitting rule both the
+    map's range math and the agent's fan-out share."""
     out: list[tuple[int, int]] = []
     pos = max(0, start)
     while pos < end:

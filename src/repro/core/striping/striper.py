@@ -44,6 +44,7 @@ from repro.core.striping.stripemap import (
     StripeMap,
     file_length,
     merge_extend,
+    wants_stripes,
 )
 from repro.errors import (
     NoSuchSegment,
@@ -127,9 +128,9 @@ class Striper:
         Returns ``(reply_meta, new_length, parent_version)`` for the
         envelope to derive reply attributes from.  ``patch`` is the
         parent-meta patch (mtime etc.) applied whenever the parent is
-        actually updated.
+        actually updated.  ``data`` is empty only with ``truncate``: the
+        envelope answers a zero-length positioned write itself.
         """
-        patches = [(offset, data)] if data else []
         for attempt in range(MAX_INSTALL_RETRIES):
             if attempt:
                 stat = await self.segments.stat(fh.sid, version=fh.version)
@@ -142,43 +143,45 @@ class Striper:
                     # rebuild the full image and convert in place
                     base = await self.segments.read(fh.sid, version=fh.version)
                     return await self._install_image(
-                        fh, base, _overlay(base.data, patches), patch)
-                return await self._write_range(fh, stat, smap, patches, patch)
+                        fh, base, _overlay(base.data, offset, data), patch)
+                return await self._write_range(fh, stat, smap, offset, data,
+                                               patch)
             except VersionConflict:
                 self.metrics.incr("striping.install_conflicts")
                 continue
         raise ReplicaUnavailable(f"{fh.sid}: striping install contention")
 
-    async def _write_range(self, fh, stat, smap: StripeMap,
-                           patches: list[tuple[int, bytes]],
-                           patch: dict[str, Any],
+    async def _write_range(self, fh, stat, smap: StripeMap, offset: int,
+                           data: bytes, patch: dict[str, Any],
                            ) -> tuple[dict[str, Any], int, Any]:
-        """Positioned writes through the map: touch only affected stripes."""
-        new_length = smap.length
-        per_stripe: dict[int, list[tuple[int, bytes]]] = {}
-        for off, data in patches:
-            new_length = max(new_length, off + len(data))
-            pos = 0
-            for r in smap.write_ranges(off, len(data)):
-                per_stripe.setdefault(r.index, []).append(
-                    (r.inner, data[pos:pos + r.length]))
-                pos += r.length
+        """A positioned write through the map: one ``replace`` for each
+        affected stripe, and no update to any other."""
+        new_length = max(smap.length, offset + len(data))
+        ops: dict[int, WriteOp] = {}
+        pos = 0
+        # not clipped to the file length: the write extends the file, and
+        # the hole it skips over stays unallocated
+        for r in smap.pieces(offset, offset + len(data)):
+            ops[r.index] = WriteOp(kind="replace", offset=r.inner,
+                                   data=data[pos:pos + r.length])
+            pos += r.length
         created: dict[int, str] = {}
 
-        async def apply_stripe(index: int, pieces: list[tuple[int, bytes]]):
+        async def apply_stripe(index: int, op: WriteOp):
             sid = smap.sid_at(index)
             if sid is None:
                 # hole (or beyond the end): the stripe is born carrying its
-                # bytes — zeros fill the gaps inside it
+                # bytes — zeros fill the gap before them
                 created[index] = await self._create_stripe(
-                    fh.sid, index, _image_of(pieces), stat.params)
+                    fh.sid, index, _overlay(b"", op.offset, op.data),
+                    stat.params)
                 return
-            await self.segments.write(sid, _pieces_op(pieces))
+            await self.segments.write(sid, op)
             self.metrics.incr("striping.stripe_writes")
 
-        tasks = [self.proc.spawn(apply_stripe(index, pieces),
+        tasks = [self.proc.spawn(apply_stripe(index, op),
                                  name=f"{self.proc.addr}:stripe-write")
-                 for index, pieces in sorted(per_stripe.items())]
+                 for index, op in sorted(ops.items())]
         await self.kernel.all_of(tasks)
 
         version = stat.version
@@ -197,19 +200,19 @@ class Striper:
                 merge_extend({META_KEY: smap.to_meta()}, proposal))
             if created:
                 merged = await self._reconcile_claims(fh, merged, created,
-                                                      per_stripe)
+                                                      ops)
         reply_meta = {**stat.meta, **patch, META_KEY: merged.to_meta()}
         return reply_meta, new_length, version
 
     async def _reconcile_claims(self, fh, optimistic: StripeMap,
                                 created: dict[int, str],
-                                per_stripe: dict[int, list[tuple[int, bytes]]],
-                                ) -> StripeMap:
+                                ops: dict[int, WriteOp]) -> StripeMap:
         """After an extend, learn whether our stripe claims won.
 
         ``merge_extend`` gives an index to the first claimant; a loser's
-        bytes must land in the *winner's* stripe and its orphan segment is
-        retired.  (Rare: requires two writers growing into the same hole.)
+        ``replace`` (``ops[index]``) must land in the *winner's* stripe
+        and its orphan segment is retired.  (Rare: requires two writers
+        growing into the same hole.)
         """
         result = await self.segments.stat(fh.sid, version=fh.version)
         auth = StripeMap.from_meta(result.meta)
@@ -224,7 +227,7 @@ class Striper:
             if winner is None or winner == sid:
                 continue
             self.metrics.incr("striping.claim_losses")
-            await self.segments.write(winner, _pieces_op(per_stripe[index]))
+            await self.segments.write(winner, ops[index])
             self.retire_stripes([sid])
         return auth
 
@@ -246,8 +249,7 @@ class Striper:
         propagates to the caller's retry loop.
         """
         old_map = StripeMap.from_meta(stat.meta)
-        ss = stat.params.stripe_size
-        if ss is not None and len(image) > ss:
+        if wants_stripes(stat.params, stat.meta, len(image)):
             sids, new_map, op = await self._stripe_image(
                 fh.sid, image, len(image), stat.params, patch)
         else:
@@ -303,15 +305,13 @@ class Striper:
         """
         for _attempt in range(MAX_INSTALL_RETRIES):
             stat = await self.segments.stat(fh.sid)
-            if stat.meta.get("ftype") != "reg":
-                return                      # only regular files stripe
             smap = StripeMap.from_meta(stat.meta)
-            ss = stat.params.stripe_size
-            length = file_length(stat.meta)
-            want_striped = ss is not None and length > ss
+            want_striped = wants_stripes(stat.params, stat.meta,
+                                         file_length(stat.meta))
             if smap is None and not want_striped:
                 return
-            if smap is not None and want_striped and smap.stripe_size == ss:
+            if smap is not None and want_striped and \
+                    smap.stripe_size == stat.params.stripe_size:
                 return
             if smap is None:
                 base = await self.segments.read(fh.sid)
@@ -476,24 +476,7 @@ class Striper:
                                          version=version)
 
 
-def _overlay(base: bytes, patches: list[tuple[int, bytes]]) -> bytes:
-    """Apply positioned writes over ``base`` (zero-filling any holes)."""
-    out = bytearray(base)
-    for off, data in patches:
-        if off > len(out):
-            out.extend(b"\x00" * (off - len(out)))
-        out[off:off + len(data)] = data
-    return bytes(out)
-
-
-def _pieces_op(pieces: list[tuple[int, bytes]]) -> WriteOp:
-    """The positioned writes bound for one stripe as one update: a lone
-    ``replace``, or a ``batch`` of them (still one broadcast round)."""
-    parts = [WriteOp(kind="replace", offset=inner, data=piece)
-             for inner, piece in pieces]
-    return parts[0] if len(parts) == 1 else WriteOp(kind="batch", parts=parts)
-
-
-def _image_of(pieces: list[tuple[int, bytes]]) -> bytes:
-    """A fresh stripe's contents from its in-stripe pieces (zeros between)."""
-    return _overlay(b"", pieces)
+def _overlay(base: bytes, offset: int, data: bytes) -> bytes:
+    """Apply one positioned write over ``base`` (zero-filling any hole)."""
+    head = base[:offset].ljust(offset, b"\x00")
+    return head + data + base[offset + len(data):]

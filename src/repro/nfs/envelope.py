@@ -33,7 +33,7 @@ from repro.core import SegmentServer, WriteOp
 from repro.core.dirtable import decode_dir, encode_dir
 from repro.core.params import FileParams
 from repro.core.pipeline.read_path import PlacementRecord, ReadResult
-from repro.core.striping import StripeMap, Striper, file_length
+from repro.core.striping import StripeMap, Striper, file_length, wants_stripes
 from repro.errors import (
     DirOpConflict,
     NfsError,
@@ -146,17 +146,13 @@ class Envelope:
             stat = await self.segments.stat(fh.sid, version=fh.version)
             smap = StripeMap.from_meta(stat.meta)
             patch["mtime"] = self.kernel.now
-            threshold = stat.params.stripe_size
-            if smap is not None or (threshold is not None and size > threshold
-                                    and stat.meta.get("ftype")
-                                    == FileType.REGULAR.value):
-                if smap is not None:
-                    await self.striper.truncate(fh, stat, smap, size, patch)
-                else:
-                    # growth past the threshold converts, exactly like the
-                    # write path — the tail becomes a sparse hole
-                    await self.striper.truncate_grow_convert(
-                        fh, stat, size, patch)
+            if smap is not None:
+                await self.striper.truncate(fh, stat, smap, size, patch)
+            elif wants_stripes(stat.params, stat.meta, size):
+                # growth past the threshold converts, exactly like the
+                # write path — the tail becomes a sparse hole
+                await self.striper.truncate_grow_convert(fh, stat, size,
+                                                         patch)
             else:
                 await self.segments.write(
                     fh.sid,
@@ -207,16 +203,17 @@ class Envelope:
         The result carries the *parent's* version pair, which range writes
         deliberately do not bump (that is what lets disjoint writers
         commute) — so a striped file never takes the ``verify`` shortcut:
-        an unchanged parent does not prove unchanged contents.  Its
+        an unchanged parent does not prove unchanged contents, so the
+        segment layer's ``validate_version`` refuses a replica whose meta
+        carries a stripe map.  Its
         placement record, though, is the *stripe's*, with the file's
         stripe width: a range inside one stripe names that stripe's
         holders and who served it, so the agent's next read of the stripe
         can enter at a holder; a multi-stripe gather names none.
         """
-        current = verify is not None and (
+        current = verify is not None and \
             await self.segments.validate_version(fh.sid, verify,
                                                  version=fh.version)
-            and not self._striped_locally(fh.sid))
         self.metrics.incr("nfs.ops.read")
         if current:
             return None
@@ -235,17 +232,6 @@ class Envelope:
                     stripe_width=smap.stripe_size)
                 result.served_by = stripe.served_by
         return result
-
-    def _striped_locally(self, sid: str) -> bool:
-        """Whether any local replica of ``sid`` carries a stripe map.
-
-        Only consulted after ``validate_version`` answered True — which
-        requires a local replica — so the in-memory peek is authoritative
-        for the version the shortcut would have served.
-        """
-        return any(replica.meta.get("stripes")
-                   for (rsid, _major), replica
-                   in self.segments.store.replicas.items() if rsid == sid)
 
     async def write(self, fh: FileHandle, offset: int, data: bytes,
                     truncate: bool = False,
@@ -289,9 +275,10 @@ class Envelope:
         if not truncate and not data:
             return (self._attrs_of(stat),
                     (stat.major, stat.version.sub))
-        smap = StripeMap.from_meta(stat.meta)
-        if smap is not None or self._crosses_stripe_threshold(
-                stat, offset, data, truncate):
+        projected = len(data) if truncate else \
+            max(file_length(stat.meta), offset + len(data))
+        if StripeMap.from_meta(stat.meta) is not None or \
+                wants_stripes(stat.params, stat.meta, projected):
             reply_meta, new_length, version = await self.striper.write(
                 fh, stat, offset, data, truncate, patch)
             return (FileAttrs.from_meta(reply_meta, new_length),
@@ -318,21 +305,6 @@ class Envelope:
             reply_meta = {**stat.meta, **patch, "length": new_length}
         attrs = FileAttrs.from_meta(reply_meta, new_length)
         return attrs, (version.major, version.sub)
-
-    @staticmethod
-    def _crosses_stripe_threshold(stat: ReadResult, offset: int, data: bytes,
-                                  truncate: bool) -> bool:
-        """Whether this write pushes a blob file past its ``stripe_size``
-        parameter (the in-place conversion trigger)."""
-        threshold = stat.params.stripe_size
-        if threshold is None or \
-                stat.meta.get("ftype") != FileType.REGULAR.value:
-            return False
-        if truncate:
-            projected = len(data)
-        else:
-            projected = max(file_length(stat.meta), offset + len(data))
-        return projected > threshold
 
     async def create(self, dirfh: FileHandle, name: str,
                      sattr: dict[str, Any] | None = None,

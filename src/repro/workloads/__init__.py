@@ -10,6 +10,7 @@ Floyd's reference patterns) motivate the distributions used here.
 """
 
 from repro.workloads.generator import (
+    NAMED_FILE_PARAMS,
     NAMED_WORKLOADS,
     FileProfile,
     Op,
@@ -24,6 +25,7 @@ from repro.workloads.generator import (
 from repro.workloads.replay import ReplayStats, replay
 
 __all__ = [
+    "NAMED_FILE_PARAMS",
     "NAMED_WORKLOADS",
     "FileProfile",
     "Op",

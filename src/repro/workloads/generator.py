@@ -123,9 +123,10 @@ def streaming_config(**overrides) -> WorkloadConfig:
     Models the §6.2 data-collection-and-dispersion regime the striping
     layer exists for — captures scanned front to back in chunks while
     analysis jobs rewrite regions in place — as opposed to §2.3's
-    whole-small-file baseline.  Pair it with
-    ``replay(..., file_params={"stripe_size": ...})`` so the population is
-    striped.  Keyword overrides replace any :class:`WorkloadConfig` field.
+    whole-small-file baseline.  Replay it with its
+    :data:`NAMED_FILE_PARAMS` entry (``replay(..., file_params=...)``) so
+    the population is striped.  Keyword overrides replace any
+    :class:`WorkloadConfig` field.
     """
     base: dict = dict(
         n_dirs=2,
@@ -286,6 +287,14 @@ NAMED_WORKLOADS = {
     "zipf": hotspot_config,
     "baseline": WorkloadConfig,
     "streaming": streaming_config,
+}
+
+#: The per-file parameters a named mix's population is replayed with
+#: (``replay``'s ``file_params``; a mix not listed uses the defaults).
+#: The streaming mix stripes at half its scan chunk, so every scan
+#: crosses a stripe boundary.
+NAMED_FILE_PARAMS: dict[str, dict] = {
+    "streaming": {"stripe_size": streaming_config().range_chunk_bytes // 2},
 }
 
 

@@ -587,6 +587,28 @@ def test_fanout_read_never_returns_a_hybrid():
     cluster.close()
 
 
+def test_fanout_read_of_a_file_grown_since_the_hint():
+    """The reader's cached attrs say four stripes; the writer has since
+    grown the file by more than a stripe.  The whole-file fan-out must not
+    stop at the hinted size: the read returns the complete new image."""
+    cluster = build_cluster(4, n_agents=2, seed=31)
+    writer, reader = cluster.agents
+    ss = 64 * 1024
+
+    async def main():
+        old = await make_striped(cluster, writer, size=4 * ss, stripe_size=ss)
+        await reader.mount()
+        await reader.getattr("/big")            # the hint: four stripes
+        tail = b"T" * (ss + 100)
+        await writer.write_at("/big", 4 * ss, tail)
+        return old + tail, await reader.read_file("/big")
+
+    want, got = cluster.run(main(), limit=5_000_000.0)
+    assert got == want
+    assert cluster.metrics.get("agent.striped_reads") == 1
+    cluster.close()
+
+
 def test_setattr_growth_past_threshold_converts_sparsely():
     """SETATTR size far past the threshold stripes the current contents
     and records the length — the grown tail is a hole, not dense zeros."""

@@ -207,15 +207,6 @@ def test_writeop_apply_derives_length_from_result():
     data, meta = trunc.apply(data, meta)
     assert (data, meta["length"]) == (b"zz23", 4)
 
-    batch = WriteOp(kind="batch", parts=[
-        WriteOp(kind="replace", offset=2, data=b"AB"),
-        WriteOp(kind="append", data=b"!"),
-    ], meta={"mtime": 2.0})
-    data, meta = batch.apply(data, meta)
-    assert data == b"zzAB!"
-    assert meta["length"] == 5
-    assert batch.result_length(4) == 5
-
     setmeta = WriteOp(kind="setmeta", meta={"length": 123, "mode": 0o600})
     _data, meta2 = setmeta.apply(data, meta)
     assert meta2["length"] == 123        # pure meta ops stay authoritative

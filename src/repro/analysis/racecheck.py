@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.analysis.witness import WitnessRecorder
+from repro.core.striping.striper import RETIRE_DELAY_MS
 
 
 def check_invariants(cluster: Any) -> list[str]:
@@ -135,7 +136,9 @@ def _run_once(workload: str, n_servers: int, n_agents: int,
         cluster.run(replay(cluster, ops,
                            file_params=NAMED_FILE_PARAMS.get(workload)),
                     limit=limit)
-        cluster.settle(500.0)
+        # the quiet point comes after the longest one-shot protocol timer:
+        # a restripe near the end retires its stripes that much later
+        cluster.settle(RETIRE_DELAY_MS + 500.0)
         oracle = check_invariants(cluster)
     except Exception as exc:  # a perturbed schedule may break outright
         error = f"{type(exc).__name__}: {exc}"

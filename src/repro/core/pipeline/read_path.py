@@ -12,9 +12,15 @@ read: it asks a member (the holders a member last named, then the creator
 embedded in the sid) and keeps that member's holder set as a volatile
 *read hint*.  It joins — and from then on reads through its own catalog —
 only when no member answers, when the file migrates to its readers, when
-the read names an explicit version, or when a read it forwarded found the
-major unstable (§3.4): for a file under write the route a hint names goes
-stale as the token moves.
+the read names an explicit version, when the file is a striped parent, or
+when a read it forwarded found the major unstable (§3.4): for a file under
+write the route a hint names goes stale as the token moves.
+
+A striped parent is meta only and every range op entering here reads its
+map, so a member without a replica pulls one (§3.1 method 4), as for a
+migrating file.  Only the first of concurrent reads of one parent at a
+server joins; the others ask a member meanwhile, so gathering the map
+adds no concurrent joins of one group.
 
 Collaborators mirror the :class:`~repro.core.pipeline.update.UpdatePipeline`
 pattern: a transport port, the catalog and store services, and two hooks
@@ -184,6 +190,8 @@ class ReadService:
         self.burst_heads = {} if burst_heads is None else burst_heads
         #: sid -> read hint, for files read without joining their group
         self.hints: dict[str, PlacementRecord] = {}
+        #: striped parents this server is joining to gather their map
+        self.gathering: set[str] = set()
 
     # ------------------------------------------------------------------ #
     # entry points
@@ -237,10 +245,17 @@ class ReadService:
         result = await self._ask_a_holder(
             cat, info, f"{sid}: no replica holder of major {major} reachable",
             "seg_read", sid, major, offset=offset, count=count)
-        if cat.params.file_migration:
-            self.transport.spawn(self.request_migration(sid, major),
-                                 name=f"{me}:migrate:{sid}")
+        if cat.params.file_migration or \
+                StripeMap.from_meta(result.meta) is not None:
+            self._migrate(sid, major)
         return self._stamp(result, cat, info)
+
+    def _migrate(self, sid: str, major: int) -> None:
+        """§3.1 method 4: pull a local replica of a major this member read
+        through another holder — a file that migrates to its readers, or a
+        striped parent, whose map every range op entering here reads."""
+        self.transport.spawn(self.request_migration(sid, major),
+                             name=f"{self.transport.addr}:migrate:{sid}")
 
     @staticmethod
     def _stamp(result: ReadResult, cat, info) -> ReadResult:
@@ -309,9 +324,12 @@ class ReadService:
             result = self.local_result(replica, 0, 0)
             result.data = b""
             return self._stamp(result, cat, cat.majors[major])
-        return await self._ask_a_holder(
+        result = await self._ask_a_holder(
             cat, cat.majors[major], f"{sid}: no holder reachable for stat",
             "seg_stat", sid, major)
+        if StripeMap.from_meta(result.meta) is not None:
+            self._migrate(sid, major)
+        return result
 
     # ------------------------------------------------------------------ #
     # local / remote mechanics
@@ -403,7 +421,8 @@ class ReadService:
         the sid, and keep what the answering member said as the new hint.
         ``None`` sends the caller down the join path: no target answered,
         or the file migrates to its readers (§3.1 method 4, which needs a
-        member).
+        member), or it is a striped parent, whose group this server has
+        then joined (one read at a time; the others keep the answer).
 
         An answer that finds the major unstable (§3.4) joins the group
         before it returns: for a file under write the route a hint names
@@ -430,6 +449,15 @@ class ReadService:
             if result.params.file_migration:
                 return None
             smap = StripeMap.from_meta(result.meta)
+            if smap is not None and sid not in self.gathering:
+                self.gathering.add(sid)
+                try:
+                    await self.catalog.ensure_group(sid)
+                    return None
+                except NoSuchSegment:
+                    pass    # deleted since it answered; the answer stands
+                finally:
+                    self.gathering.discard(sid)
             result.placement = PlacementRecord(
                 tuple(raw["holders"]), raw["holder"], raw["unstable"],
                 smap and smap.stripe_size)

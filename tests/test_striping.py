@@ -13,7 +13,9 @@ import pytest
 
 from repro.agent import AgentConfig
 from repro.core.striping import StripeMap
+from repro.core.striping.striper import RETIRE_DELAY_MS
 from repro.errors import NfsError
+from repro.net.network import NetConfig
 from repro.testbed import build_cluster
 
 SS = 128  # stripe size used throughout: small enough to reason about
@@ -835,3 +837,140 @@ def test_blob_reads_go_to_the_holder_the_last_reply_named():
     # (routed, forwarded) reads, then routed getattrs
     assert run(None) == ((1, 1), 1)
     assert run(AgentConfig(shortcut=False)) == ((0, 2), 0)
+
+
+# --------------------------------------------------------------------- #
+# the map where the stripes are served (§3.1 method 4 for a parent)
+# --------------------------------------------------------------------- #
+
+
+def gathering_cell(n_agents: int = 2):
+    """4 servers, agents mounted ring-style: ``c0`` at ``s0`` writes,
+    ``c1`` at ``s1`` (outside the parent's group) reads."""
+    return build_cluster(4, n_agents=n_agents, seed=41, scatter_agents=True,
+                         net_config=NetConfig(tag_metrics=True))
+
+
+async def striped_and_quiet(cluster, writer, reader):
+    """``/big`` striped by ``writer`` and let go stable, ``reader``
+    mounted; returns the payload and the parent's sid."""
+    payload = await make_striped(cluster, writer)
+    await reader.mount()
+    await cluster.kernel.sleep(1000.0)     # the bursts end (§3.4)
+    return payload, (await writer.lookup_path("/big")).sid
+
+
+def parent_reads(cluster) -> int:
+    """Forwarded reads and stats: every ``seg_read`` / ``seg_stat`` sent."""
+    return (cluster.metrics.get("net.msgs.tag.seg_read")
+            + cluster.metrics.get("net.msgs.tag.seg_stat"))
+
+
+def test_a_stripe_holder_gathers_the_map_and_then_serves_range_ops_alone():
+    """A stripe holder outside the parent's group pulls a parent replica
+    on its first range read (§3.1 method 4); from then on its range reads
+    and writes read the map locally, with no forwarded read or stat."""
+    cluster = gathering_cell()
+    writer, reader = cluster.agents
+    s1 = cluster.servers[1].segments
+
+    async def main():
+        payload, sid = await striped_and_quiet(cluster, writer, reader)
+        assert not s1.cat.joined(sid)
+        fresh(reader)
+        assert await reader.read_at("/big", SS, SS) == payload[SS:2 * SS]
+        await s1.quiesced()
+        assert any(key[0] == sid for key in s1.replicas)
+        sent, forwarded = (parent_reads(cluster),
+                           cluster.metrics.get("deceit.reads_forwarded"))
+        fresh(reader)
+        assert await reader.read_at("/big", SS, SS) == payload[SS:2 * SS]
+        await reader.write_at("/big", SS, b"w" * SS)
+        return (parent_reads(cluster) - sent,
+                cluster.metrics.get("deceit.reads_forwarded") - forwarded)
+
+    assert cluster.run(main(), limit=2_000_000.0) == (0, 0)
+    cluster.close()
+
+
+def test_a_gathered_map_follows_a_rewrite_and_a_restripe():
+    """The gathering server's parent replica is a group member's: after
+    another agent rewrites the file, and again after it restripes it, the
+    next range read served there returns the new bytes — never those of
+    a stripe the rewrite retired, nor a read of a stripe the restripe
+    retired and reclaimed."""
+    cluster = gathering_cell()
+    writer, reader = cluster.agents
+    s1 = cluster.servers[1].segments
+
+    async def main():
+        _payload, sid = await striped_and_quiet(cluster, writer, reader)
+        fresh(reader)
+        await reader.read_at("/big", SS, SS)
+        await s1.quiesced()
+        assert any(key[0] == sid for key in s1.replicas)
+        rewritten = bytes(255 - b for b in payload_bytes(6 * SS))
+        await writer.write_file("/big", rewritten)
+        fresh(reader)
+        windows = [await reader.read_at("/big", SS, SS)]
+        await writer.set_params("/big", stripe_size=2 * SS)
+        await cluster.kernel.sleep(RETIRE_DELAY_MS + 500.0)
+        fresh(reader)
+        windows += [await reader.read_at("/big", SS, SS),
+                    await reader.read_at("/big", 0, 6 * SS)]
+        return rewritten, windows, await parent_map(cluster, writer, "/big")
+
+    rewritten, windows, smap = cluster.run(main(), limit=2_000_000.0)
+    assert smap.stripe_size == 2 * SS
+    assert windows == [rewritten[SS:2 * SS]] * 2 + [rewritten]
+    cluster.close()
+
+
+def test_removing_a_gathered_parent_leaves_no_replica_or_token():
+    """A server that gathered the map is a member of the parent's group,
+    so the remove's delete reaches it: no server keeps a parent replica
+    or a token record."""
+    cluster = gathering_cell()
+    writer, reader = cluster.agents
+    s1 = cluster.servers[1].segments
+
+    async def main():
+        _payload, sid = await striped_and_quiet(cluster, writer, reader)
+        fresh(reader)
+        await reader.read_at("/big", SS, SS)
+        await s1.quiesced()
+        assert any(key[0] == sid for key in s1.replicas)
+        await writer.remove("/", "big")
+        return sid
+
+    sid = cluster.run(main(), limit=2_000_000.0)
+    cluster.settle(500.0)
+    for server in cluster.servers:
+        segments = server.segments
+        assert not [key for key in segments.replicas if key[0] == sid]
+        assert not [key for key in segments.tokens if key[0] == sid]
+    assert segment_gone(cluster, sid)
+    cluster.close()
+
+
+def test_concurrent_first_reads_at_one_server_join_the_parent_once():
+    """Two readers mounted at one server touch the parent at once: only
+    the first joins its group to gather the map, the other asks a member
+    meanwhile, so the server runs no two joins of one group (a second
+    join would stall the first, finding (8))."""
+    cluster = gathering_cell(n_agents=6)     # c1 and c5 mount s1
+    writer, first, second = (cluster.agents[i] for i in (0, 1, 5))
+
+    async def main():
+        payload, _sid = await striped_and_quiet(cluster, writer, first)
+        await second.mount()
+        await cluster.kernel.sleep(1000.0)
+        joins = cluster.metrics.get("isis.joins")
+        reads = [cluster.kernel.spawn(agent.read_at("/big", SS, SS))
+                 for agent in (first, second)]
+        windows = await cluster.kernel.all_of(reads)
+        assert windows == [payload[SS:2 * SS]] * 2
+        return cluster.metrics.get("isis.joins") - joins
+
+    assert cluster.run(main(), limit=2_000_000.0) == 1
+    cluster.close()

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
-from repro.core.pipeline.read_path import READ_FORWARD_TIMEOUT_MS, PlacementRecord
+from repro.core.pipeline.read_path import PlacementRecord
 from repro.core.pipeline.update import UPDATE_REPLY_TIMEOUT_MS
 from repro.core.striping import split_range
 from repro.core.tokens import TOKEN_PASS_TIMEOUT_MS
@@ -19,18 +19,10 @@ from repro.nfs.attrs import FileAttrs
 from repro.nfs.fhandle import FileHandle
 from repro.nfs.names import split_path
 
-RPC_TIMEOUT_MS = 600.0
-#: Bound on a whole-file write's first attempt, at the token holder the
-#: file's hint names (the mount server or another).  Long on purpose:
-#: that holder applies the write, and whole-file writes carry no replay
-#: detection, so a copy sent again while the first may still be queued
-#: behind the holder's update lock is a second update, and under load
-#: the retries of a hot file's writers pile up in that queue.  It covers
-#: what the holder itself may spend when the token moved since the hint:
-#: its forward, the token request of its fallback (asked twice) and its
-#: update round.
-TOKEN_HOLDER_WRITE_TIMEOUT_MS = 2 * (UPDATE_REPLY_TIMEOUT_MS
-                                     + TOKEN_PASS_TIMEOUT_MS)
+#: One attempt's bound, the same for every call: what the server asked
+#: may spend on a write whose token holder is slow — its forward to the
+#: holder, then the token request of its fallback.
+RPC_TIMEOUT_MS = UPDATE_REPLY_TIMEOUT_MS + TOKEN_PASS_TIMEOUT_MS
 #: First BUSY backoff; doubles per retry.  Scaled by a deterministic
 #: per-agent stagger (a CRC of the agent's address): identical backoffs
 #: would march rejected clients in lockstep — convoys that retry together
@@ -83,9 +75,7 @@ class AgentConfig:
     #: admission gate (repro.obs.admission) is retried before the error
     #: surfaces.  Retries hit the *same* server — BUSY is backpressure,
     #: not failure, so it must not trigger failover stampedes.  A busy
-    #: read holder is not retried: the call goes to the mount server at
-    #: once; a busy token holder is, and takes a whole-file write's call
-    #: to the mount server only once the retries are spent.
+    #: hinted holder is not retried: the call goes to the mount server.
     busy_retries: int = 4
 
 
@@ -199,6 +189,9 @@ class Agent(Node):
         # deterministic backoff stagger in [1, 2): crc32 (not hash()) so
         # it is stable across processes / PYTHONHASHSEED
         self._busy_stagger = 1.0 + (zlib.crc32(addr.encode()) & 0xFF) / 256.0
+        # write ids: the last seq minted, and the unanswered ones ascending
+        self._seq = 0
+        self._unanswered: dict[int, None] = {}
         self.metrics = network.metrics
 
     # ------------------------------------------------------------------ #
@@ -214,17 +207,16 @@ class Agent(Node):
         await self.kernel.sleep(self.config.placement.hop_ms)
 
     async def _nfs(self, op: str, args: dict[str, Any],
-                   to: str | None = None, size_bytes: int = 256,
-                   to_applies: bool = False) -> dict:
+                   to: str | None = None, size_bytes: int = 256) -> dict:
         """One NFS RPC through :meth:`_transport`.
 
         This is the NFS envelope's client side, so it is also where a
         request trace begins: while a tracer is armed, a fresh trace id
         is minted per call, rides the task (and every message sent on
         its behalf) through the cell, and the whole call is recorded as
-        the root ``agent``-layer span.  ``to`` and ``to_applies`` aim the
-        first attempt (see :meth:`_transport`); one aimed at a server
-        other than the mount server is counted here, as
+        the root ``agent``-layer span.  ``to`` aims the first attempt
+        (see :meth:`_transport`); one aimed at a server other than the
+        mount server is counted here, as
         ``agent.routed_writes`` or ``agent.routed_reads``.
         """
         if to is not None and to != self.server:
@@ -243,7 +235,7 @@ class Agent(Node):
         try:
             return await self._transport("nfs", f"nfs.{op}",
                                          {"op": op, "args": args}, to,
-                                         size_bytes, to_applies)
+                                         size_bytes)
         finally:
             if traced is not None:
                 tracer.record(tid, t0, kernel.now, "agent", f"nfs.{op}")
@@ -256,32 +248,15 @@ class Agent(Node):
                                      {"cmd": cmd, "args": args})
 
     async def _transport(self, method: str, tag: str, kwargs: dict[str, Any],
-                         to: str | None = None, size_bytes: int = 256,
-                         to_applies: bool = False) -> dict:
-        """One RPC with failover across servers when enabled, and BUSY
-        backoff against the same server.
-
-        ``to`` aims the first attempt at a hinted holder.  It waits as
-        long as the mount server's own forward to that holder would
-        (``READ_FORWARD_TIMEOUT_MS``) — or, with ``to_applies``, when
-        ``to`` is the one server that applies the call (a whole-file
-        write's token holder, possibly the mount server itself),
-        ``TOKEN_HOLDER_WRITE_TIMEOUT_MS``.  When it fails, the server
-        leaves every hint.  A routed attempt — ``to`` is another server —
-        that fails falls back to the mount server at once, spending no
-        failover budget.  A routed holder that answers BUSY hands the call
-        to the mount server at once too, unless ``to_applies``: the mount
-        server would only forward the call to it with a server-side RPC
-        no admission gate sees, so its BUSY is backed off against like
-        the mount server's, and the call goes to the mount server only
-        once the BUSY budget is spent.  A busy read holder's gate, by the
-        same token, does not shed routed reads the mount server forwards.
-        An attempt aimed at the mount server itself fails over and backs
-        off like any other.
+                         to: str | None = None, size_bytes: int = 256) -> dict:
+        """One RPC, by one rule for every call: the hinted target ``to``
+        first, then the mount server, then — with failover on — the next
+        servers, each attempt bounded by ``RPC_TIMEOUT_MS`` (a write is sent
+        again under its one id).  A hinted target that fails leaves every
+        hint; one that fails or answers BUSY hands the call to the mount
+        server, whose BUSY is backed off against while the budget lasts.
         """
         attempts = len(self.servers) if self.config.failover else 1
-        to_timeout = TOKEN_HOLDER_WRITE_TIMEOUT_MS if to_applies \
-            else READ_FORWARD_TIMEOUT_MS
         last_exc: Exception | None = None
         failures = 0
         busy_left = self.config.busy_retries
@@ -291,8 +266,7 @@ class Agent(Node):
             try:
                 reply = await self.call(
                     target, method, size_bytes=size_bytes, tag=tag,
-                    timeout=RPC_TIMEOUT_MS if to is None else to_timeout,
-                    **kwargs)
+                    timeout=RPC_TIMEOUT_MS, **kwargs)
             except (RpcTimeout, Unreachable, RpcRemoteError) as exc:
                 last_exc = exc
                 if to is not None:
@@ -307,8 +281,7 @@ class Agent(Node):
                 self.metrics.incr("agent.failovers")
                 continue
             status = reply["status"]
-            if status == NfsStat.ERR_BUSY and to not in (None, self.server) \
-                    and not (to_applies and busy_left > 0):
+            if status == NfsStat.ERR_BUSY and to not in (None, self.server):
                 to = None  # hand the call to the mount server
                 continue
             if status == NfsStat.ERR_BUSY and busy_left > 0:
@@ -424,9 +397,8 @@ class Agent(Node):
         from the mutation reply.  The cached listing is patched in place
         **only** when the new version is the immediate successor of the
         cached one — i.e. this mutation was provably the only change since
-        the listing was taken; anything else (a gap means other clients
-        mutated in between, a missing version means an idempotent replay)
-        drops the listing so the next readdir refetches.
+        the listing was taken; a gap means other clients mutated in
+        between, and drops the listing so the next readdir refetches.
         """
         key = dirfh.encode()
         if entry is not None:
@@ -437,8 +409,8 @@ class Agent(Node):
         if cached is None:
             return
         entries, _expiry, version = cached
-        new_version = tuple(dir_version) if dir_version is not None else None
-        contiguous = (new_version is not None and version is not None
+        new_version = tuple(dir_version)
+        contiguous = (version is not None
                       and new_version[0] == version[0]
                       and new_version[1] == version[1] + 1)
         if not contiguous:
@@ -747,25 +719,21 @@ class Agent(Node):
 
     async def _write_through(self, fh: FileHandle, args: dict[str, Any],
                              size: int) -> FileAttrs:
-        """One NFS write; then drop what the caches held about the file
-        and keep the post-write attrs its reply carries.
-
-        A whole-file write goes to the token holder the file's last hint
-        named (§5.3), which applies it: the token does not follow the
-        writer's mount server.  Were the token moved since the hint, the
-        holder passes the update on (§3.3 optimization 2).  That attempt
-        waits ``TOKEN_HOLDER_WRITE_TIMEOUT_MS``, longer than the holder
-        itself may take, so the write is not sent again while a first
-        copy can still apply; if it times out all the same, the copy the
-        mount server then gets queues behind that first one at the holder
-        (a forward waits for the holder's update lock, and so does a
-        token pass), and the ack comes after both.  A BUSY from the
-        holder is backed off against there: the mount server would only
-        forward the write to it.  Range writes enter at the mount
-        server."""
+        """One NFS write, under one id over all its attempts (the token
+        holder applies it once); then drop what the caches held about the
+        file and keep the post-write attrs its reply carries.  A whole-file
+        write goes to the token holder the file's last hint named (§5.3);
+        range writes enter at the mount server."""
+        self._seq += 1
+        seq = self._seq
+        self._unanswered[seq] = None
+        args["id"] = [self.incarnation, seq, next(iter(self._unanswered))]
         to = self._write_target(fh) if args.get("truncate") else None
-        reply = await self._nfs("write", args, to=to,
-                                size_bytes=max(256, size), to_applies=True)
+        try:
+            reply = await self._nfs("write", args, to=to,
+                                    size_bytes=max(256, size))
+        finally:
+            del self._unanswered[seq]
         self._invalidate(fh)
         attrs = FileAttrs.from_wire(reply["attrs"])
         self._attr_cache.put(fh.encode(), attrs)
@@ -796,7 +764,7 @@ class Agent(Node):
             self._handle_cache.put(_join(dirpath, name), fh)
         self._feed_dir_cache(dirfh, name,
                              {"name": name, "type": ftype, "fh": reply["fh"]},
-                             reply.get("dir_version"))
+                             reply["dir_version"])
         return fh
 
     async def readlink(self, path_or_fh: str | FileHandle) -> str:
@@ -838,7 +806,7 @@ class Agent(Node):
             self._invalidate(target[0])
             self._dir_cache.pop(target[0].encode())
         self._invalidate(dirfh)
-        self._feed_dir_cache(dirfh, name, None, reply.get("dir_version"))
+        self._feed_dir_cache(dirfh, name, None, reply["dir_version"])
 
     async def rename(self, fromdir: str, fromname: str,
                      todir: str, toname: str) -> None:
@@ -897,7 +865,7 @@ class Agent(Node):
         bare = FileHandle(sid=fh.sid, home=fh.home).encode()
         self._feed_dir_cache(
             tofh, name, {"name": name, "type": reply["entry_type"], "fh": bare},
-            reply.get("dir_version"))
+            reply["dir_version"])
 
     async def readdir(self, path_or_fh: str | FileHandle) -> list[dict]:
         """List a directory, served from the agent's readdir cache.

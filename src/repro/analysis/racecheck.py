@@ -13,8 +13,9 @@ schedule passes every determinism pin and every unperturbed test.
    failures (at most one *enabled* write token per ``(sid, major)``
    cell-wide — §3.3's single-writer guarantee; every live replica of a
    major whose enabled token holder is live stable and at the token's
-   version — §3.4's quiet point; members of one view agree on what was
-   delivered in it — ISIS's virtual synchrony), and any hard errors;
+   version and applied-id record — §3.4's quiet point; members of one view
+   agree on what was delivered in it — ISIS's virtual synchrony), and any
+   hard errors;
 3. on a hit, re-run the **same** ``(seed, perturb_seed)`` — perturbed
    runs are exactly reproducible because the perturbation stream is
    seeded too — with a witness detail window around the hit, which
@@ -42,7 +43,8 @@ def check_invariants(cluster: Any) -> list[str]:
 
     §3.4: a burst ends with the stable mark once writes go quiet, so at a
     quiet point every live replica of a major whose enabled token holder
-    is live is stable and at the token's version pair.
+    is live is stable and at the token's version pair, and holds the
+    token's record of applied update ids (the duplicate rule's).
     """
     problems: list[str] = []
     enabled: dict[Any, list[str]] = {}
@@ -70,6 +72,10 @@ def check_invariants(cluster: Any) -> list[str]:
                     f"{'stable' if replica.stable else 'unstable'} at "
                     f"{replica.version}, token at {token.version} "
                     "(§3.4 quiet point)")
+            elif token is not None and replica.applied != token.applied:
+                problems.append(
+                    f"replica {key} at {server.addr} records other applied "
+                    "update ids than its token (duplicate rule)")
     problems += check_virtual_synchrony([s.proc for s in cluster.servers])
     return problems
 

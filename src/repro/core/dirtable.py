@@ -139,46 +139,6 @@ def check_dirops(data: bytes, meta: dict[str, Any], dirops: list[dict]) -> None:
         entries, sealed = _apply_one(entries, sealed, dop)
 
 
-def dirops_applied(data: bytes, meta: dict[str, Any],
-                   dirops: list[dict]) -> bool:
-    """Whether every dirop's **post**condition already holds.
-
-    A forwarded dirop whose reply was lost (RPC timeout after the holder
-    applied it) gets retried through the token-acquisition path; judging
-    the retry by its *pre*conditions would misread the op's own effect as
-    a conflict — a create would roll back a live file's segment, a remove
-    would skip its link decrement.  Entry handles are globally unique, so
-    "the table is already in the state these ops produce" identifies the
-    replay: the write completes idempotently with no second update.
-    """
-    if meta.get("ftype", "dir") != "dir":
-        return False
-    try:
-        entries, sealed = decode_dir_state(data)
-    except (ValueError, KeyError):
-        return False
-    for dop in dirops:
-        action = dop["action"]
-        if action in ("add", "replace"):
-            if entries.get(dop["name"]) != dop["entry"]:
-                return False
-        elif action == "remove":
-            # only a fully absent name counts: a name re-bound to another
-            # handle is ambiguous (our applied remove + a re-create, or a
-            # rename-over we never beat) — judging it "applied" would let
-            # a remove skip its link decrement against the wrong file, so
-            # it stays a conflict and the caller re-reads and retargets
-            if entries.get(dop["name"]) is not None:
-                return False
-        elif action == "seal":
-            if not sealed:
-                return False
-        elif action == "unseal":
-            if sealed:
-                return False
-    return True
-
-
 def _apply_one(entries: EntryTable, sealed: bool,
                dop: dict) -> tuple[EntryTable, bool]:
     """Mutate (already-checked) — pure on the caller's copies."""

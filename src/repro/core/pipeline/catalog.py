@@ -160,6 +160,7 @@ class CatalogService:
                 # the holder's own replica may be behind the token's version
                 # only by unsynced data lost in the crash; trust the replica
                 token.version = replica.version
+                token.applied = replica.applied
                 token.holders = [me]
                 self.store.tokens[(sid, major)] = token
                 holder = me

@@ -229,6 +229,7 @@ class RecoveryService:
                              replica: Replica, token_rec: dict) -> None:
         token = Token.from_dict(token_rec)
         token.version = replica.version  # replica is the durable authority
+        token.applied = replica.applied
         token.holders = sorted(cat.majors[token.major].holders | {self.proc.addr})
         self.store.tokens[(sid, token.major)] = token
         cat.majors[token.major].holder = self.proc.addr

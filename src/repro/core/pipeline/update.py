@@ -9,16 +9,15 @@ whole-file rewrites — except that a rewrite continuing this server's own
 stream takes the token, as §3.3's "paid only for the first of a stream of
 updates" intends (the stream rule, :meth:`UpdatePipeline.write`).
 Optimization 1, the first update "in the same message with a token
-request", is not built, as in Deceit ("currently uses neither"): a token
-request is broadcast again while its holder is busy, and an update riding
-it would be applied once per copy.
+request", is not built, as in Deceit ("currently uses neither").
 
 The pipeline is built from narrow collaborators so it can be unit tested
 without an IsisProcess facade:
 
-- ``transport`` — ``addr``, ``cbcast``, ``call``, ``members``, ``spawn``
-  and ``reachable(a, b)`` — an :class:`~repro.isis.process.IsisProcess`
-  bound in production, a stub in unit tests;
+- ``transport`` — ``addr``, ``incarnation``, ``cbcast``, ``call``,
+  ``members``, ``spawn`` and ``reachable(a, b)`` — an
+  :class:`~repro.isis.process.IsisProcess` bound in production, a stub in
+  unit tests;
 - ``catalog`` — a :class:`~repro.core.pipeline.catalog.CatalogService`;
 - ``store`` — a :class:`~repro.core.pipeline.store.ReplicaStore`;
 - ``hooks`` — an :class:`UpdateHooks` bundle of the token / stability /
@@ -33,6 +32,9 @@ Invariants
   lock, so version pairs advance by exactly one ``sub`` per update.
 - A ``guard`` is checked against the *token's* version (the authority),
   never a replica's — replicas may legitimately lag by in-flight updates.
+- An update id is applied at most once: the holder checks it against its
+  token's record under the update lock, before the broadcast, and every
+  replica records it with the op.
 - ``deliver_update`` may assume updates for one major arrive in causal
   order: a sub gap means this member missed updates (it repairs by
   refetch), never that the sender skipped one.
@@ -62,13 +64,13 @@ Invariants
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
-from repro.core.dirtable import check_dirops, dirops_applied
+from repro.core.dirtable import check_dirops
 from repro.core.pipeline.catalog import CatalogService, group_of
 from repro.core.pipeline.store import ReplicaStore
-from repro.core.segment import WriteOp
+from repro.core.segment import SegmentCatalog, WriteOp
 from repro.core.versions import VersionPair
 from repro.errors import (
     DirOpConflict,
@@ -81,10 +83,6 @@ from repro.net.network import RpcRemoteError
 from repro.sim import SimFuture
 
 UPDATE_REPLY_TIMEOUT_MS = 400.0
-
-#: Sentinel distinct from "no reachable holder" (None): the forwarded
-#: dirop was recognized by the holder as an already-applied replay.
-_REPLAY = object()
 
 
 def _is_durable_reply(value) -> bool:
@@ -126,6 +124,9 @@ class UpdatePipeline:
         #: its round; the read service holds local reads of that major
         #: until then
         self.burst_heads: dict[tuple[str, int], SimFuture] = {}
+        #: seqs of the ids this server minted for writes still running
+        self._minted: dict[int, None] = {}
+        self._mint_seq = 0
 
     # ------------------------------------------------------------------ #
     # the write entry point
@@ -134,8 +135,9 @@ class UpdatePipeline:
     async def write(self, sid: str, op: WriteOp,
                     guard: VersionPair | None = None,
                     version: int | None = None,
-                    single_update_hint: bool = False) -> VersionPair | None:
-        """Distribute one update through the write-token protocol.
+                    single_update_hint: bool = False) -> VersionPair:
+        """Distribute one update through the write-token protocol; returns
+        the segment's version pair after it.
 
         ``guard`` makes the write conditional on the segment still being at
         that version pair (§5.1 optimistic concurrency): a stale guard
@@ -151,44 +153,54 @@ class UpdatePipeline:
         ("paid only for the first of a stream of updates").  Dirops always
         forward.
 
-        Returns the segment's version pair after the update — or ``None``
-        for a ``dirop`` recognized as an idempotent replay (the op's
-        effects were already applied by an earlier attempt whose reply was
-        lost): the mutation succeeded, but no version was *produced by
-        this call*, and reporting the current version instead would let a
-        client misattribute other writers' changes to its own op.
+        An id the holder applied is answered with its version pair; a
+        forward mints one, so it and its fallback are one update.
         """
         t0 = self.kernel.now
         cat = await self.catalog.ensure_group(sid)
         major = self.catalog.pick_major(cat, version)
-        ambiguous_forward = False
         key = (sid, major)
-        if single_update_hint and key not in self.store.tokens and (
+        if not (single_update_hint and key not in self.store.tokens and (
                 op.kind == "dirop"
-                or self._forwarded.pop(key, None) != cat.majors[major].version):
-            forwarded, ambiguous_forward = \
-                await self._forward_single_write(sid, major, op, guard)
-            if forwarded is _REPLAY:
-                return None
-            if forwarded is not None:
-                if op.kind != "dirop":
-                    self._forwarded[key] = forwarded
-                return forwarded
+                or self._forwarded.pop(key, None) != cat.majors[major].version)):
+            return await self._apply(cat, major, op, guard, t0)
+        seq = None
+        if op.uid is None:
+            self._mint_seq += 1
+            seq = self._mint_seq
+            self._minted[seq] = None    # ascending: the first is the floor
+            op = replace(op, uid=[self.transport.incarnation, seq,
+                                  next(iter(self._minted))])
+        try:
+            forwarded = await self._forward_single_write(sid, major, op, guard)
+            if forwarded is None:
+                return await self._apply(cat, major, op, guard, t0)
+            if op.kind != "dirop":
+                self._forwarded[key] = forwarded
+            return forwarded
+        finally:
+            if seq is not None:
+                del self._minted[seq]
+
+    async def _apply(self, cat: SegmentCatalog, major: int, op: WriteOp,
+                     guard: VersionPair | None, t0: float) -> VersionPair:
+        """Take the token and the update lock, then check and broadcast."""
+        sid = cat.sid
         lock = self.hooks.update_lock(sid)
         await lock.acquire()
         try:
             major = await self.hooks.ensure_token(sid, major)
             token = self.store.tokens[(sid, major)]
+            if op.uid is not None:
+                done = token.applied.version_of(op.uid)
+                if done is not None:
+                    self.metrics.incr("deceit.duplicate_updates")
+                    return done
             if guard is not None and token.version != guard:
                 self.metrics.incr("deceit.version_conflicts")
                 raise VersionConflict(guard, token.version)
-            if op.kind == "dirop" and \
-                    await self._validate_dirop(sid, major, token, op,
-                                               allow_replay=ambiguous_forward):
-                # idempotent replay (a forwarded dirop whose reply was
-                # lost): the postconditions already hold, no second update
-                # — and no version is reported as produced by this call
-                return None
+            if op.kind == "dirop":
+                await self._validate_dirop(sid, major, token, op)
             info = cat.majors[major]
             # §3.4: the first update of a burst carries the unstable mark
             mark = cat.params.stability_notification and not info.unstable
@@ -240,6 +252,7 @@ class UpdatePipeline:
                     self.burst_heads.pop((sid, major), None)
                     hold.set_result(None)
             token.version = new_version
+            token.applied = token.applied.with_applied(op.uid, new_version)
             # async persist: on recovery the holder's replica (written with
             # the update) is the authority for the token's version
             await self.store.persist_token(token, sync=False)
@@ -264,25 +277,17 @@ class UpdatePipeline:
     # ------------------------------------------------------------------ #
 
     async def _validate_dirop(self, sid: str, major: int, token,
-                              op: WriteOp, allow_replay: bool = False) -> bool:
+                              op: WriteOp) -> None:
         """Authoritative check of a dirop's preconditions at the holder.
 
-        The token holder always has a replica (a token pass fetches one
-        before acknowledging, §3.4), and under the per-segment update lock
-        that replica is current once the previous update's local delivery
-        lands — wait for its version to reach the token's, then evaluate
-        the preconditions against the real entry table.  A violation
-        raises :class:`~repro.errors.DirOpConflict` before any broadcast:
-        the caller pays zero rounds and zero version bumps for a rejected
-        namespace mutation.
-
-        Returns ``True`` when ``allow_replay`` is set (the caller's earlier
-        forward of this very op timed out ambiguously) and the op's
-        *post*conditions already hold — an idempotent replay; the write
-        then succeeds without distributing a second update.  Without that
-        license a satisfied postcondition is a competing client's work and
-        stays a conflict (two concurrent removes: one succeeds, one gets
-        ENOENT, never two successes).
+        The token holder of a directory has a replica (a token pass
+        fetches one before acknowledging, §3.4), and under the
+        per-segment update lock that replica is current once the previous
+        update's local delivery lands — wait for its version to reach the
+        token's, then evaluate the preconditions against the real entry
+        table.  A violation raises :class:`~repro.errors.DirOpConflict`
+        before any broadcast: the caller pays zero rounds and zero version
+        bumps for a rejected namespace mutation.
         """
         replica = None
         for _ in range(50):
@@ -296,45 +301,32 @@ class UpdatePipeline:
                 f"for dirop validation")
         try:
             check_dirops(replica.data, replica.meta, op.dirops)
-        except DirOpConflict:
-            if allow_replay and \
-                    dirops_applied(replica.data, replica.meta, op.dirops):
-                self.metrics.incr("deceit.dirop_replays")
-                return True
-            self.metrics.incr("deceit.dirop_rejects")
-            raise
         except Exception:
             self.metrics.incr("deceit.dirop_rejects")
             raise
         self.metrics.incr("deceit.dirops")
-        return False
 
     # ------------------------------------------------------------------ #
     # §3.3 optimization 2: forwarded single updates
     # ------------------------------------------------------------------ #
 
-    async def _forward_single_write(
-        self, sid: str, major: int, op: WriteOp,
-        guard: VersionPair | None,
-    ) -> tuple[VersionPair | None | object, bool]:
+    async def _forward_single_write(self, sid: str, major: int, op: WriteOp,
+                                    guard: VersionPair | None,
+                                    ) -> VersionPair | None:
         """Hand the update to the current holder; the token does not move.
 
-        Returns ``(result, ambiguous)``: the new version pair, ``_REPLAY``
-        for a holder-recognized replay, or ``None`` when the caller must
-        fall back to the normal acquisition path.  ``ambiguous`` is True
-        only when the forward *timed out after being sent* — the one case
-        where the holder may have applied the update without us learning
-        of it, which licenses the fallback's replay detection.  A
-        first-attempt dirop must never be judged a replay: a competing
-        client's identical outcome (same name removed, same seal) is not
-        this caller's own lost success.
+        Returns the new version pair, or ``None`` when the caller must fall
+        back to the normal acquisition path — under the same id, so a
+        forward that applied before its reply was lost is not applied
+        again.  The holder's typed verdicts (a stale guard, a dirop
+        precondition) are raised here instead.
         """
         cat = self.catalog.catalogs[sid]
         holder = cat.majors[major].holder
         me = self.transport.addr
         if holder is None or holder == me or \
                 not self.transport.reachable(me, holder):
-            return None, False
+            return None
         self.metrics.incr("deceit.forwarded_writes")
         try:
             raw = await self.transport.call(
@@ -344,25 +336,17 @@ class UpdatePipeline:
                 timeout=UPDATE_REPLY_TIMEOUT_MS,
                 size_bytes=max(256, len(op.data)), tag="forward_write",
             )
-        except (RpcTimeout, RpcRemoteError) as exc:
-            if isinstance(exc, RpcRemoteError) and \
-                    exc.error_type == "VersionConflict":
+        except RpcTimeout:
+            return None
+        except RpcRemoteError as exc:
+            if exc.error_type == "VersionConflict":
                 raise VersionConflict(guard, None) from exc
-            if isinstance(exc, RpcRemoteError) and \
-                    exc.error_type == "DirOpConflict":
-                # the holder's authoritative precondition check rejected
-                # the dirop: surface the typed verdict, do not fall back
-                # to token acquisition
+            if exc.error_type == "DirOpConflict":
                 raise DirOpConflict.from_message(exc.remote_message) from exc
-            # a remote error means the holder ran and refused — not
-            # ambiguous; only a timeout after the send leaves the
-            # delivery status unknown
-            return None, isinstance(exc, RpcTimeout)
-        if raw["version"] is None:
-            return _REPLAY, False
+            return None
         new_version = VersionPair.from_tuple(raw["version"])
         cat.majors[major].version = new_version
-        return new_version, False
+        return new_version
 
     async def handle_forward_write(self, src: str, sid: str, major: int,
                                    wop: dict, guard) -> dict:
@@ -370,8 +354,7 @@ class UpdatePipeline:
         guard_vp = VersionPair.from_tuple(guard) if guard is not None else None
         new_version = await self.write(sid, WriteOp.from_dict(wop),
                                        guard=guard_vp, version=major)
-        return {"version": None if new_version is None
-                else new_version.to_tuple()}
+        return {"version": new_version.to_tuple()}
 
     # ------------------------------------------------------------------ #
     # update delivery (runs at every group member)
@@ -382,7 +365,7 @@ class UpdatePipeline:
 
         The catalog learns the version; a member named in ``drop`` destroys
         its copy instead; a replica exactly one ``sub`` behind applies the
-        op and persists it.  A ``mark`` (a burst head, §3.4) first marks the
+        op, records its id, and persists both.  A ``mark`` (a burst head, §3.4) first marks the
         major unstable, and the one synchronous persist records the mark
         with the op — or the mark alone, on a copy that missed updates,
         because recovery needs it to find possibly-inconsistent replicas.
@@ -409,7 +392,13 @@ class UpdatePipeline:
             replica.stable = False
         if replica.version.sub + 1 == version.sub:
             op = WriteOp.from_dict(payload["wop"])
-            replica.data, replica.meta = op.apply(replica.data, replica.meta)
+            applied = replica.applied.with_applied(op.uid, version)
+            # the holder checked the id; a member whose own record says it
+            # applied it takes the version, not the op again
+            if applied is not None:
+                replica.data, replica.meta = op.apply(replica.data,
+                                                      replica.meta)
+                replica.applied = applied
             replica.version = version
             replica.write_ts = self.kernel.now
             sync = replica.params.write_safety >= 1 or newly_marked

@@ -19,6 +19,56 @@ from typing import Any
 
 from repro.core.params import FileParams
 from repro.core.versions import HistoryIndex, VersionPair
+from repro.errors import SegmentError
+
+#: Update ids an applied record keeps per writer.  The bound is exact: an
+#: id leaves only once its writer's floor passed it (a later call said it
+#: was answered, or a full window lifted the floor), and a copy below the
+#: floor is refused, never applied.  A writer with more calls to one
+#: segment unanswered loses its oldest; an agent has one per user process.
+APPLIED_WINDOW = 64
+
+
+class AppliedRecord(dict):
+    """``writer -> (floor, ((seq, major, sub), ...))``: the update ids a
+    copy of a major applied, and the version pair each produced.  Never
+    changed in place — :meth:`with_applied` returns a new record — so a
+    disk record or a message may hold it by reference."""
+
+    def __deepcopy__(self, memo) -> "AppliedRecord":
+        return self
+
+    def version_of(self, uid) -> VersionPair | None:
+        """The version pair the update ``uid`` produced, or ``None`` if it
+        is new; a copy below its writer's floor is refused (its writer has
+        had its answer) with :class:`SegmentError`."""
+        writer, seq, _floor = uid
+        floor, done = self.get(writer, (0, ()))
+        for entry in done:
+            if entry[0] == seq:
+                return VersionPair(*entry[1:])
+        if seq < floor:
+            raise SegmentError(f"update {writer}#{seq} is below its floor")
+        return None
+
+    def with_applied(self, uid, version: VersionPair) -> "AppliedRecord | None":
+        """This record with ``uid`` noted as having produced ``version``
+        (itself for no id), or ``None`` if it is recorded or stale."""
+        if uid is None:
+            return self
+        writer, seq, floor = uid
+        old_floor, done = self.get(writer, (0, ()))
+        if seq < old_floor or any(entry[0] == seq for entry in done):
+            return None
+        floor = max(floor, old_floor)
+        done = tuple(entry for entry in done if entry[0] >= floor) + (
+            (seq, version.major, version.sub),)
+        if len(done) > APPLIED_WINDOW:
+            floor = min(entry[0] for entry in done) + 1
+            done = tuple(entry for entry in done if entry[0] >= floor)
+        record = AppliedRecord(self)
+        record[writer] = (floor, done)
+        return record
 
 
 @dataclass
@@ -52,6 +102,9 @@ class WriteOp:
     merged.  Callers therefore never need to pre-compute the new length
     from a stat — which could race with a concurrent truncate and persist
     a wrong length — and any length they do send is only advisory.
+
+    ``uid`` is ``[writer, seq, floor]``: the update's id, applied at most
+    once, and the lowest ``seq`` its writer awaits an answer for.
     """
 
     #: "replace" | "append" | "truncate" | "setdata" | "setmeta" | "dirop"
@@ -63,6 +116,7 @@ class WriteOp:
     meta: dict[str, Any] = field(default_factory=dict)
     dirops: list[dict] = field(default_factory=list)
     stripe: dict[str, Any] = field(default_factory=dict)
+    uid: list | None = None
 
     def apply(self, data: bytes, meta: dict[str, Any]) -> tuple[bytes, dict[str, Any]]:
         """Pure function: new (data, meta) after this operation."""
@@ -144,6 +198,8 @@ class WriteOp:
             out["dirops"] = [dict(dop) for dop in self.dirops]
         if self.stripe:
             out["stripe"] = dict(self.stripe)
+        if self.uid is not None:
+            out["uid"] = self.uid
         return out
 
     @classmethod
@@ -157,12 +213,14 @@ class WriteOp:
             meta=raw.get("meta", {}),
             dirops=[dict(dop) for dop in raw.get("dirops", [])],
             stripe=dict(raw.get("stripe", {})),
+            uid=raw.get("uid"),
         )
 
 
 @dataclass
 class Replica:
-    """One server's non-volatile copy of one major version of a segment."""
+    """One server's non-volatile copy of one major version of a segment
+    (``applied``, kept out of ``meta``, persists with the data)."""
 
     sid: str
     major: int
@@ -174,6 +232,7 @@ class Replica:
     stable: bool = True
     read_ts: float = 0.0
     write_ts: float = 0.0
+    applied: AppliedRecord = field(default_factory=AppliedRecord)
 
     def to_dict(self) -> dict:
         """Disk form (everything a crash must not lose, §3.5)."""
@@ -188,6 +247,7 @@ class Replica:
             "stable": self.stable,
             "read_ts": self.read_ts,
             "write_ts": self.write_ts,
+            "applied": self.applied,
         }
 
     @classmethod
@@ -204,6 +264,7 @@ class Replica:
             stable=raw["stable"],
             read_ts=raw["read_ts"],
             write_ts=raw["write_ts"],
+            applied=raw.get("applied", AppliedRecord()),
         )
 
 
@@ -215,7 +276,9 @@ class Token:
     comparing it against a replica's pair answers "has this replica received
     every update through this token" (§3.5).  ``holders`` is the token
     holder's upper bound on the replica set (all generation goes through the
-    holder, §3.5 "Restricting updates...").
+    holder, §3.5 "Restricting updates...").  ``applied`` is every replica's
+    record at ``version`` (a holder may keep no replica); ``passed`` names,
+    per requester, the request it was last passed for.
     """
 
     sid: str
@@ -224,6 +287,8 @@ class Token:
     parent: tuple[int, int] | None   # (parent major, sub at branch); None = root
     holders: list[str]
     enabled: bool = True
+    applied: AppliedRecord = field(default_factory=AppliedRecord)
+    passed: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         """Disk form."""
@@ -234,6 +299,8 @@ class Token:
             "parent": self.parent,
             "holders": list(self.holders),
             "enabled": self.enabled,
+            "applied": self.applied,
+            "passed": dict(self.passed),
         }
 
     @classmethod
@@ -247,6 +314,8 @@ class Token:
             parent=tuple(parent) if parent is not None else None,
             holders=list(raw["holders"]),
             enabled=raw["enabled"],
+            applied=raw.get("applied", AppliedRecord()),
+            passed=dict(raw.get("passed", {})),
         )
 
 

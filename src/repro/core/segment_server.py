@@ -29,7 +29,8 @@ GroupApp` interface.
 
 from __future__ import annotations
 
-from typing import Any
+import itertools
+from typing import Any, Awaitable
 
 from repro.core.conflicts import CONFLICT_GROUP, ConflictLog
 from repro.core.params import DEFAULT_PARAMS, FileParams
@@ -71,7 +72,8 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
         self.rank = rank
         self.metrics = metrics or proc.network.metrics
         self.alloc = MajorAllocator(rank)
-        self._token_waits: dict[tuple[str, int], Any] = {}
+        self._token_waits: dict[str, Any] = {}
+        self._token_request_ids = itertools.count(1)
         self._update_locks: dict[str, Lock] = {}
         self._stable_timers: dict[tuple[str, int], Any] = {}
         self._sid_counter = 0
@@ -242,15 +244,15 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
         """Whether ``verify`` is still current (False during §3.4 bursts)."""
         return await self.reads.validate_version(sid, verify, version=version)
 
-    async def write(self, sid: str, op: WriteOp,
-                    guard: VersionPair | None = None,
-                    version: int | None = None,
-                    single_update_hint: bool = False) -> VersionPair | None:
+    def write(self, sid: str, op: WriteOp,
+              guard: VersionPair | None = None,
+              version: int | None = None,
+              single_update_hint: bool = False) -> Awaitable[VersionPair]:
         """Distribute one update through the write-token protocol (the
-        :class:`~repro.core.pipeline.update.UpdatePipeline` hot path).
-        ``None`` only for a dirop recognized as an idempotent replay."""
-        return await self.pipeline.write(sid, op, guard=guard, version=version,
-                                         single_update_hint=single_update_hint)
+        :class:`~repro.core.pipeline.update.UpdatePipeline` hot path; its
+        coroutine is returned, not awaited, to keep the await chain short)."""
+        return self.pipeline.write(sid, op, guard=guard, version=version,
+                                   single_update_hint=single_update_hint)
 
     async def setparam(self, sid: str, **changes: Any) -> FileParams:
         """Change the segment's semantic parameters (§4).
@@ -350,10 +352,11 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
             return await self.pipeline.deliver_update(sid, payload)
         if op == "token_request":
             return await self._deliver_token_request(
-                sid, payload["major"], payload["requester"])
+                sid, payload["major"], payload["requester"], payload["req"])
         if op == "token_pass":
             return await self._deliver_token_pass(
-                sid, payload["major"], payload["to"], payload["token"])
+                sid, payload["major"], payload["to"], payload["token"],
+                payload.get("req"))
         if op == "token_generated":
             return self._deliver_token_generated(
                 sid, payload["major"], payload["parent"],

@@ -122,6 +122,7 @@ class Striper:
 
     async def write(self, fh, stat, offset: int, data: bytes,
                     truncate: bool, patch: dict[str, Any],
+                    uid: list | None = None,
                     ) -> tuple[dict[str, Any], int, Any]:
         """One NFS write against a striped (or threshold-crossing) file.
 
@@ -129,7 +130,8 @@ class Striper:
         envelope to derive reply attributes from.  ``patch`` is the
         parent-meta patch (mtime etc.) applied whenever the parent is
         actually updated.  ``data`` is empty only with ``truncate``: the
-        envelope answers a zero-length positioned write itself.
+        envelope answers a zero-length positioned write itself.  A range
+        write's pieces carry ``uid``, each to its own stripe.
         """
         for attempt in range(MAX_INSTALL_RETRIES):
             if attempt:
@@ -145,14 +147,14 @@ class Striper:
                     return await self._install_image(
                         fh, base, _overlay(base.data, offset, data), patch)
                 return await self._write_range(fh, stat, smap, offset, data,
-                                               patch)
+                                               patch, uid)
             except VersionConflict:
                 self.metrics.incr("striping.install_conflicts")
                 continue
         raise ReplicaUnavailable(f"{fh.sid}: striping install contention")
 
     async def _write_range(self, fh, stat, smap: StripeMap, offset: int,
-                           data: bytes, patch: dict[str, Any],
+                           data: bytes, patch: dict[str, Any], uid,
                            ) -> tuple[dict[str, Any], int, Any]:
         """A positioned write through the map: one ``replace`` for each
         affected stripe, and no update to any other."""
@@ -163,7 +165,7 @@ class Striper:
         # the hole it skips over stays unallocated
         for r in smap.pieces(offset, offset + len(data)):
             ops[r.index] = WriteOp(kind="replace", offset=r.inner,
-                                   data=data[pos:pos + r.length])
+                                   data=data[pos:pos + r.length], uid=uid)
             pos += r.length
         created: dict[int, str] = {}
 

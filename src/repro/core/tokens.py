@@ -47,7 +47,7 @@ class TokenMixin:
     Expects the host class to hold this state: ``proc`` (IsisProcess),
     ``kernel``, ``metrics``, ``alloc``, the ``store`` service, the
     ``replicas`` / ``tokens`` / ``catalogs`` views onto the services,
-    ``_token_waits``, and the other two mixins.
+    ``_token_waits``, ``_token_request_ids``, and the other two mixins.
     """
 
     # ------------------------------------------------------------------ #
@@ -87,14 +87,14 @@ class TokenMixin:
         still writing, is alive).  Otherwise the request is sent again,
         this time collecting the members' answers.
 
-        The request carries no update: §3.3 optimization 1 (the first update
-        "in the same message with a token request") is not built, because a
-        request asked again would carry the update a second time.
+        Every copy of the request carries one request id: the token is
+        passed once for it, and only the pass naming it ends this wait.
         """
         group = group_of(sid)
         info = self.catalogs[sid].majors[major]
         wait = self.kernel.create_future()
-        self._token_waits[(sid, major)] = wait
+        req = f"{self.proc.incarnation}#{next(self._token_request_ids)}"
+        self._token_waits[req] = wait
         nreplies: int | str = 0
         try:
             while True:
@@ -103,7 +103,7 @@ class TokenMixin:
                 replies = await self.proc.cbcast(
                     group,
                     {"op": "token_request", "sid": sid, "major": major,
-                     "requester": self.proc.addr},
+                     "requester": self.proc.addr, "req": req},
                     nreplies=nreplies, timeout=TOKEN_PASS_TIMEOUT_MS,
                     tag="token_request",
                 )
@@ -121,30 +121,29 @@ class TokenMixin:
                 self.metrics.incr("deceit.token_rerequests")
                 nreplies = "all"
         finally:
-            self._token_waits.pop((sid, major), None)
+            self._token_waits.pop(req, None)
 
     async def _deliver_token_request(self, sid: str, major: int,
-                                     requester: str) -> dict:
-        """Group-message handler at every member; only the holder acts."""
-        token = self.tokens.get((sid, major))
-        if token is None or requester == self.proc.addr:
+                                     requester: str, req: str) -> dict:
+        """Group-message handler at every member; only the holder acts,
+        and only for a request its token was not already passed for."""
+        if (sid, major) not in self.tokens or requester == self.proc.addr:
             return {"holder": False}
         # Finish any in-flight update stream before handing over.
         lock = self._update_lock(sid)
         await lock.acquire()
         try:
-            # The pre-lock read above is an advisory fast-path check; this
-            # pop under the update lock re-reads and re-validates (None ->
-            # no longer the holder, bail out).
-            # racelint: ok(staleread) - pop under the lock re-validates
-            token = self.tokens.pop((sid, major), None)
-            if token is None:
-                return {"holder": False}
+            token = self.tokens.get((sid, major))
+            if token is None or token.passed.get(requester) == req:
+                # no longer the holder, or a copy already answered
+                return {"holder": token is not None}
+            del self.tokens[(sid, major)]
+            token.passed[requester] = req
             await self.store.delete_token_record(sid, major)
             await self.proc.cbcast(
                 group_of(sid),
                 {"op": "token_pass", "sid": sid, "major": major,
-                 "to": requester, "token": token.to_dict()},
+                 "to": requester, "req": req, "token": token.to_dict()},
                 nreplies=0, tag="token_pass",
             )
             self.metrics.incr("deceit.token_passes")
@@ -153,8 +152,10 @@ class TokenMixin:
         return {"holder": True}
 
     async def _deliver_token_pass(self, sid: str, major: int, to: str,
-                                  token_dict: dict) -> dict:
-        """Everyone learns the new holder; the recipient installs the token."""
+                                  token_dict: dict,
+                                  req: str | None = None) -> dict:
+        """Everyone learns the new holder; the recipient installs the token
+        and, while it still holds it, ends the wait for ``req`` alone."""
         cat = self.catalogs.get(sid)
         if cat is not None and major in cat.majors:
             cat.majors[major].holder = to
@@ -171,8 +172,8 @@ class TokenMixin:
             # The holder's replica is the primary during instability (§3.4);
             # fetch one before acknowledging the token.
             await self._fetch_replica_from(sid, major, set(token.holders))
-        wait = self._token_waits.get((sid, major))
-        if wait is not None:
+        wait = self._token_waits.get(req)
+        if wait is not None and self.tokens.get((sid, major)) is token:
             wait.try_set_result(None)
         return {"installed": True}
 
@@ -212,6 +213,7 @@ class TokenMixin:
             version=new_version, params=cat.params,
             branches=cat.branches.copy(), stable=True,
             read_ts=self.kernel.now, write_ts=base.write_ts,
+            applied=base.applied,
         )
         # Writes below go under new_major, a key minted by this task two
         # lines up; no other task references it yet, so nothing read before
@@ -220,7 +222,8 @@ class TokenMixin:
         self.replicas[(sid, new_major)] = replica
         await self.store.persist_replica(replica, sync=True)
         token = Token(sid=sid, major=new_major, version=new_version,
-                      parent=(major, branch_sub), holders=[self.proc.addr])
+                      parent=(major, branch_sub), holders=[self.proc.addr],
+                      applied=base.applied)
         self.tokens[(sid, new_major)] = token
         await self.store.persist_token(token)
         # racelint: ok(staleread) - same fresh-key argument as above.

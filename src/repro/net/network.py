@@ -87,8 +87,10 @@ class Network:
         seed: int = 0,
         metrics: Metrics | None = None,
         config: NetConfig | None = None,
+        incarnation: int = 0,
     ):
         self.kernel = kernel
+        self.incarnation = incarnation  # the cell's life: one per restart
         self.latency = latency or ConstantLatency()
         self.drop_probability = drop_probability
         self.rng = random.Random(seed)
@@ -324,6 +326,12 @@ class Node:
         self._tasks[task] = None
         task.add_done_callback(self._reap)
         return task
+
+    @property
+    def incarnation(self) -> str:
+        """Address, cell incarnation and crash epoch: the name of this life,
+        which the ids the node mints carry so no later life repeats them."""
+        return f"{self.addr}.{self.network.incarnation}.{self.epoch}"
 
     def _reap(self, task) -> None:
         self._tasks.pop(task, None)

@@ -87,7 +87,7 @@ class Envelope:
 
     async def _dir_write(self, fh: FileHandle, dirops: list[dict],
                          extra_meta: dict[str, Any] | None = None,
-                         ) -> DirVersion | None:
+                         ) -> DirVersion:
         """One commuting directory mutation: a single dirop update.
 
         No prior read, no version guard — preconditions travel inside the
@@ -110,10 +110,6 @@ class Envelope:
                      meta={"mtime": self.kernel.now, **(extra_meta or {})})
         version = await self.segments.write(fh.sid, op, version=fh.version,
                                             single_update_hint=True)
-        if version is None:
-            # idempotent replay: the mutation holds, but no version was
-            # produced by THIS call — callers must not report one
-            return None
         return (version.major, version.sub)
 
     async def _touch_meta(self, fh: FileHandle, patch: dict[str, Any]) -> None:
@@ -234,10 +230,11 @@ class Envelope:
         return result
 
     async def write(self, fh: FileHandle, offset: int, data: bytes,
-                    truncate: bool = False,
+                    truncate: bool = False, uid: list | None = None,
                     ) -> tuple[FileAttrs, tuple[int, int]]:
         """WRITE — one segment update; bumps mtime atomically.  Returns the
-        attributes and the version pair the write produced.
+        attributes and the version pair the write produced.  Every attempt
+        of one call carries its ``uid`` (:attr:`WriteOp.uid`).
 
         Two shapes, each a single version bump:
 
@@ -280,13 +277,14 @@ class Envelope:
         if StripeMap.from_meta(stat.meta) is not None or \
                 wants_stripes(stat.params, stat.meta, projected):
             reply_meta, new_length, version = await self.striper.write(
-                fh, stat, offset, data, truncate, patch)
+                fh, stat, offset, data, truncate, patch, uid)
             return (FileAttrs.from_meta(reply_meta, new_length),
                     (version.major, version.sub))
         if truncate:
-            op = WriteOp(kind="setdata", data=data, meta=patch)
+            op = WriteOp(kind="setdata", data=data, meta=patch, uid=uid)
         else:
-            op = WriteOp(kind="replace", offset=offset, data=data, meta=patch)
+            op = WriteOp(kind="replace", offset=offset, data=data, meta=patch,
+                         uid=uid)
         version = await self.segments.write(fh.sid, op, version=fh.version,
                                             single_update_hint=truncate)
         replica = self.segments.store.replicas.get((fh.sid, version.major))
@@ -309,10 +307,9 @@ class Envelope:
     async def create(self, dirfh: FileHandle, name: str,
                      sattr: dict[str, Any] | None = None,
                      params: FileParams | None = None,
-                     ) -> tuple[FileHandle, FileAttrs, DirVersion | None]:
+                     ) -> tuple[FileHandle, FileAttrs, DirVersion]:
         """CREATE — new regular file; returns handle, attributes, and the
-        directory's post-op version pair (``None`` on an idempotent
-        replay, which produced no version of its own)."""
+        directory's post-op version pair."""
         self.metrics.incr("nfs.ops.create")
         return await self._create_node(dirfh, name, FileType.REGULAR,
                                        b"", sattr, params)
@@ -320,7 +317,7 @@ class Envelope:
     async def mkdir(self, dirfh: FileHandle, name: str,
                     sattr: dict[str, Any] | None = None,
                     params: FileParams | None = None,
-                    ) -> tuple[FileHandle, FileAttrs, DirVersion | None]:
+                    ) -> tuple[FileHandle, FileAttrs, DirVersion]:
         """MKDIR — new directory (its own segment with an empty table)."""
         self.metrics.incr("nfs.ops.mkdir")
         sattr = dict(sattr or {})
@@ -329,7 +326,7 @@ class Envelope:
                                        encode_dir({}), sattr, params)
 
     async def symlink(self, dirfh: FileHandle, name: str, target: str,
-                      ) -> tuple[FileHandle, FileAttrs, DirVersion | None]:
+                      ) -> tuple[FileHandle, FileAttrs, DirVersion]:
         """SYMLINK — soft link; the target string is the segment data."""
         self.metrics.incr("nfs.ops.symlink")
         return await self._create_node(dirfh, name, FileType.SYMLINK,
@@ -346,7 +343,7 @@ class Envelope:
     async def _create_node(self, dirfh: FileHandle, name: str, ftype: FileType,
                            data: bytes, sattr: dict[str, Any] | None,
                            params: FileParams | None,
-                           ) -> tuple[FileHandle, FileAttrs, DirVersion | None]:
+                           ) -> tuple[FileHandle, FileAttrs, DirVersion]:
         """Segment-create + **one** dirop add — two segment ops total.
 
         The reply attributes are the meta this method just built (the
@@ -397,7 +394,7 @@ class Envelope:
         }.get(exc.reason, NfsStat.ERR_IO)
         return NfsError(status, f"{name}: {exc}")
 
-    async def remove(self, dirfh: FileHandle, name: str) -> DirVersion | None:
+    async def remove(self, dirfh: FileHandle, name: str) -> DirVersion:
         """REMOVE — unlink a file name; storage is garbage collected when
         no version of any uplinked directory still references it (§5.2).
 
@@ -425,16 +422,15 @@ class Envelope:
                     raise NfsError(NfsStat.ERR_NOENT, base) from exc
                 # entry swapped under us: re-read and retarget (NFS REMOVE
                 # is remove-by-name).  First run the GC decision for the
-                # handle we *did* target: if our dirop actually applied but
-                # its reply was lost (ambiguous forward timeout), the old
-                # file is now unreferenced and must not leak its storage.
+                # handle we *did* target: whoever swapped it may have left
+                # it unreferenced, and it must not leak its storage.
                 await collect_if_unreferenced(self, entry["h"])
                 continue
             await self._decrement_link(FileHandle(sid=entry["h"]))
             return dir_version
         raise NfsError(NfsStat.ERR_IO, f"remove contention on {base}")
 
-    async def rmdir(self, dirfh: FileHandle, name: str) -> DirVersion | None:
+    async def rmdir(self, dirfh: FileHandle, name: str) -> DirVersion:
         """RMDIR — remove an *empty* directory.
 
         Emptiness is not a separate read: the victim is **sealed** first
@@ -612,7 +608,7 @@ class Envelope:
             pass
 
     async def link(self, fh: FileHandle, todir: FileHandle,
-                   name: str) -> tuple[DirVersion | None, str]:
+                   name: str) -> tuple[DirVersion, str]:
         """LINK — hard link: new entry + uplink record + link-count hint.
 
         "When a hard link is made to f in directory d, d is added to the

@@ -278,21 +278,20 @@ class DeceitServer:
         if op == "write":
             attrs, version = await env.write(
                 fh, args.get("offset", 0), args.get("data", b""),
-                truncate=args.get("truncate", False))
+                truncate=args.get("truncate", False), uid=args.get("id"))
             return {"status": 0, "attrs": attrs.to_wire(),
                     "version": list(version)}
         if op in ("create", "mkdir", "symlink"):
             out_fh, attrs, dirv = await getattr(env, op)(
                 fh, args["name"],
                 args["target"] if op == "symlink" else args.get("sattr"))
-            return self._with_dir_version(
-                {"status": 0, "fh": out_fh.encode(),
-                 "attrs": attrs.to_wire()}, dirv)
+            return {"status": 0, "fh": out_fh.encode(),
+                    "attrs": attrs.to_wire(), "dir_version": list(dirv)}
         if op == "readlink":
             return {"status": 0, "target": await env.readlink(fh)}
         if op in ("remove", "rmdir"):
             dirv = await getattr(env, op)(fh, args["name"])
-            return self._with_dir_version({"status": 0}, dirv)
+            return {"status": 0, "dir_version": list(dirv)}
         if op == "rename":
             from_v, to_v, moved = await env.rename(
                 fh, args["fromname"],
@@ -312,8 +311,8 @@ class DeceitServer:
         if op == "link":
             dirv, entry_type = await env.link(
                 fh, FileHandle.decode(args["tofh"]), args["name"])
-            return self._with_dir_version(
-                {"status": 0, "entry_type": entry_type}, dirv)
+            return {"status": 0, "entry_type": entry_type,
+                    "dir_version": list(dirv)}
         if op == "readdir":
             out = await env.readdir(fh, verify=args.get("verify"))
             if out is None:
@@ -329,14 +328,6 @@ class DeceitServer:
         if op == "statfs":
             return {"status": 0, "statfs": await env.statfs(fh)}
         raise NfsError(NfsStat.ERR_IO, f"unknown NFS op {op!r}")
-
-    @staticmethod
-    def _with_dir_version(reply: dict, dirv) -> dict:
-        """Piggyback the mutated directory's post-op version pair on a
-        namespace-mutation reply (feeds the agents' readdir caches)."""
-        if dirv is not None:
-            reply["dir_version"] = list(dirv)
-        return reply
 
     async def _lookup_global(self, name: str) -> dict:
         """Resolve a machine name under the global root (§2.2)."""

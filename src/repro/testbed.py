@@ -428,7 +428,7 @@ def _incarnate(build_args: dict, metrics: Metrics, incarnation: int,
     network = Network(
         kernel, latency=UniformLatency(1.0, 3.0),
         seed=build_args["seed"] + 7919 * incarnation, metrics=metrics,
-        config=build_args["net_config"])
+        config=build_args["net_config"], incarnation=incarnation)
     return _build_cell(kernel, network, metrics, **build_args["cell"],
                        backends=backends, bootstrap=bootstrap)
 

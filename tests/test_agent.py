@@ -5,9 +5,9 @@ import math
 import pytest
 
 from repro.agent import Agent, AgentConfig, Placement
-from repro.agent.agent import TOKEN_HOLDER_WRITE_TIMEOUT_MS, _Cache
+from repro.agent.agent import _Cache
 from repro.core.pipeline.read_path import PlacementRecord
-from repro.errors import NfsError
+from repro.errors import NfsError, NfsStat
 from repro.net.network import NetConfig
 from repro.obs.admission import AdmissionConfig, AdmissionGate
 from repro.testbed import build_cluster
@@ -421,15 +421,21 @@ def test_routed_write_falls_back_when_the_hinted_holder_crashes():
     assert counts == (1, 1, 0)
 
 
-def test_a_write_timed_out_at_a_slow_token_holder_does_not_apply_late():
-    """One-copy semantics across a routed write's fallback.  The token
-    holder is alive but slow (its update lock for the file is held past
-    the routed bound): the routed write times out and enters again at the
-    mount server, whose copy queues behind the first at the holder, so
-    both apply before the writer is acked.  A second agent's write acked
-    after that is the final image, and stays so.  (The stall ends within
-    the mount server's own bound: a stall that outlasts that too sends
-    the write on to further servers, see ROADMAP.)"""
+@pytest.mark.parametrize("stall_ms, first, at_return", [
+    (1800, 0, (1, 2, 1)),
+    (2600, 0, (1, 3, 1)),
+    # the call's attempts run out first: ERR_IO, its copy applies later
+    (5000, NfsStat.ERR_IO, (1, 4, 0)),
+], ids=["1800", "2600", "5000"])
+def test_a_write_timed_out_at_a_slow_token_holder_does_not_apply_late(
+        stall_ms, first, at_return):
+    """One-copy semantics across a write's retries.  The token holder is
+    alive but slow: its update lock for the file is held for
+    ``stall_ms``.  The first writer's routed attempt times out and the
+    call goes on, to the mount server and then through failover, each
+    attempt under the call's one id; the holder applies that id once,
+    however many copies reach it.  A second agent's write acked after
+    that is the final image, and stays so."""
     cluster = build_cluster(n_servers=3, n_agents=2, scatter_agents=True,
                             agent_config=AgentConfig(cache=False),
                             net_config=NetConfig(tag_metrics=True))
@@ -449,23 +455,28 @@ def test_a_write_timed_out_at_a_slow_token_holder_does_not_apply_late():
         await writer.read_file("/f")        # teaches: s0 holds the token
         sid = (await writer.lookup_path("/f")).sid
         assert writer._placement[sid].token_holder == "s0"
-        cluster.kernel.spawn(stall(holder._update_lock(sid),
-                                   TOKEN_HOLDER_WRITE_TIMEOUT_MS + 300.0))
+        cluster.kernel.spawn(stall(holder._update_lock(sid), stall_ms))
         snap = cluster.metrics.snapshot()
-        await writer.write_file("/f", b"first writer")
+        try:
+            await writer.write_file("/f", b"first writer")
+            status = 0
+        except NfsError as exc:
+            status = exc.status
         delta = cluster.metrics.delta(snap)
         await owner.write_file("/f", b"second writer")
-        await cluster.kernel.sleep(3000.0)
+        await cluster.kernel.sleep(stall_ms + 3000.0)
+        updates = cluster.metrics.delta(snap).get("deceit.updates", 0)
         return (await owner.read_file("/f"), await writer.read_file("/f"),
-                (delta.get("agent.routed_writes", 0),
-                 delta.get("net.rpc_expired.nfs", 0),
-                 delta.get("deceit.updates", 0)))
+                status, (delta.get("agent.routed_writes", 0),
+                         delta.get("net.rpc_expired.nfs", 0),
+                         delta.get("deceit.updates", 0)), updates)
 
-    read_owner, read_writer, counts = cluster.run(main())
+    read_owner, read_writer, status, counts, updates = cluster.run(main())
     assert read_owner == read_writer == b"second writer"
-    # one routed attempt that expired; its copy and the mount server's
-    # both applied before the first writer's ack
-    assert counts == (1, 1, 2)
+    # (routed attempts, expired attempts, updates) when the call returned
+    assert (status, counts) == (first, at_return)
+    # in the end one update for each writer's call, however many copies
+    assert updates == 2
 
 
 def _routed_writes(agent_config):
@@ -526,29 +537,22 @@ def _busy_holder(call):
 
 
 def test_a_busy_routed_holder_hands_the_call_to_the_mount_server():
-    """BUSY from a routed read holder's admission gate is not retried
-    against that holder: the read goes to the mount server at once, with
-    no backoff and no failover."""
+    """BUSY from a routed holder's admission gate is not retried against
+    that holder: a read, or a whole-file write routed to the token holder,
+    goes to the mount server at once, with no backoff and no failover."""
     data, counts = _busy_holder(lambda agent: agent.read_file("/f"))
     assert data == b"held at s1"
     assert counts == (1, 0, 1, 0, 0)     # rejected once by s1, s0 serves
 
-
-def test_a_busy_token_holder_is_backed_off_against():
-    """BUSY from the token holder a whole-file write was routed to is
-    backed off against, as a busy mount server's is: the mount server
-    would only forward the write to that holder, past its gate.  Once the
-    BUSY budget is spent, the mount server takes the write."""
     async def rewrite(agent):
         await agent.write_file("/f", b"rewritten")
         return await agent.read_file("/f")
 
     data, counts = _busy_holder(rewrite)
-    retries = AgentConfig().busy_retries
     assert data == b"rewritten"
-    # the routed write and its retries all rejected by s1, then s0 passes
-    # it on; the read after it is routed to s1 and rejected once more
-    assert counts == (1, 1, retries + 2, retries, 0)
+    # the routed write rejected by s1, then s0 passes it on under its id;
+    # the read after it is routed to s1 and rejected once more
+    assert counts == (1, 1, 2, 0, 0)
 
 
 def test_special_commands_fail_over():

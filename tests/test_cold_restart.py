@@ -276,6 +276,112 @@ def test_double_restart(tmp_path):
 
 
 # --------------------------------------------------------------------- #
+# the duplicate rule across a crash: a retried write is recognized
+# --------------------------------------------------------------------- #
+
+def _holder_of(cluster, sid):
+    return next(server for server in cluster.servers
+                if any(key[0] == sid for key in server.segments.store.tokens))
+
+
+def _cut_before_the_ack(cluster, agent, path, data):
+    """Spawn ``agent.write_file(path, data)`` and step the kernel until the
+    token holder has finished the update's round; the agent is still
+    unanswered.  Returns the task and the id every attempt carries."""
+    kernel = cluster.kernel
+    sid = cluster.run(agent.lookup_path(path)).sid
+    holder = _holder_of(cluster, sid)
+    token = next(t for key, t in holder.segments.store.tokens.items()
+                 if key[0] == sid)
+    before = token.version
+    task = kernel.spawn(agent.write_file(path, data))
+    while token.version == before:
+        kernel.run(until=kernel.now + 0.25)
+    assert not task.done()
+    return task, [agent.incarnation, agent._seq, agent._seq]
+
+
+async def _setup_file(cluster, path):
+    agent = cluster.agents[0]
+    await agent.mount()
+    await agent.create("/", path[1:])
+    await agent.set_params(path, min_replicas=3, write_safety=2)
+    await agent.write_file(path, b"v0")
+
+
+def test_a_write_retried_after_its_holder_crashed_applies_once():
+    """The token holder applies a write and crashes before the ack.  The
+    agent's retry, under the same id, reaches the server that took the
+    token, whose record came with the replica it took it from: the retry
+    is answered, not applied, so a second agent's write acked in between
+    is the file's contents, on every replica and after the old holder
+    recovers."""
+    cluster = build_cluster(3, n_agents=2, seed=21, scatter_agents=True)
+    writer, other = cluster.agents           # mounted on s0 and s1
+    cluster.run(_setup_file(cluster, "/f"))
+    assert _holder_of(cluster, cluster.run(
+        writer.lookup_path("/f")).sid).addr == "s0"
+    writer.current = 1                       # the holder is not its mount
+    snap = cluster.metrics.snapshot()
+    task, _uid = _cut_before_the_ack(cluster, writer, "/f", b"first")
+    cluster.crash(0)
+
+    async def race():
+        await other.mount()
+        await other.write_file("/f", b"later")
+        return await task
+
+    attrs = cluster.run(race())
+    delta = cluster.metrics.delta(snap)
+    cluster.run(cluster.recover(0))
+    cluster.settle(3000.0)
+    sid = cluster.run(writer.lookup_path("/f")).sid
+    images = {server.addr: replica.data for server in cluster.servers
+              for key, replica in server.segments.store.replicas.items()
+              if key[0] == sid}
+    assert attrs.size == len(b"first")
+    assert delta.get("deceit.updates") == 2          # first, then later
+    assert delta.get("deceit.duplicate_updates", 0) >= 1
+    assert set(images.values()) == {b"later"}
+    cluster.close()
+
+
+def test_a_write_retried_after_a_kill_9_applies_once(tmp_path):
+    """The whole cell is killed after the token holder applied a write and
+    before the ack.  After the cold restart a second write is acked, then
+    the first write's retry arrives under its old id: the restarted
+    holder's record survived with the data, so the retry is answered with
+    the version the first copy produced and the second write stays."""
+    cluster = build_cluster(3, n_agents=1, seed=22, backend="journal",
+                            storage_dir=str(tmp_path / "cell"))
+    cluster.run(_setup_file(cluster, "/f"))
+    _task, uid = _cut_before_the_ack(cluster, cluster.agents[0], "/f",
+                                     b"first")
+    cluster.kill()
+    cluster.restart()
+    agent = cluster.agents[0]
+
+    async def after():
+        await agent.mount()
+        fh = await agent.lookup_path("/f")
+        await agent.write_file(fh, b"later")
+        snap = cluster.metrics.snapshot()
+        reply = await agent._nfs("write", {"fh": fh.encode(), "offset": 0,
+                                           "data": b"first",
+                                           "truncate": True, "id": uid})
+        delta = cluster.metrics.delta(snap)
+        agent._invalidate(fh)
+        return reply, delta, await agent.read_file(fh)
+
+    reply, delta, data = cluster.run(after())
+    assert data == b"later"
+    assert delta.get("deceit.updates", 0) == 0
+    assert delta.get("deceit.duplicate_updates") == 1
+    assert reply["attrs"]["size"] == len(b"first")
+    cluster.close()
+
+
+# --------------------------------------------------------------------- #
 # tier-2: the full backend × safety × kill-point matrix
 # --------------------------------------------------------------------- #
 

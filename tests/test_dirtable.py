@@ -8,7 +8,6 @@ from repro.core.dirtable import (
     check_dirops,
     decode_dir,
     decode_dir_state,
-    dirops_applied,
     encode_dir,
 )
 from repro.core.segment import WriteOp
@@ -114,34 +113,6 @@ def test_apply_skips_violations_instead_of_corrupting():
         {"action": "add", "name": "b", "entry": entry("s0.2")},
     ])
     assert decode_dir(out) == {"a": entry("s0.1"), "b": entry("s0.2")}
-
-
-def test_dirops_applied_recognizes_replays():
-    """Postcondition check: a lost-reply retry of an already-applied dirop
-    must read as 'done', never as a conflict."""
-    add = [{"action": "add", "name": "f", "entry": entry("s0.5")}]
-    before = encode_dir({})
-    after = apply_dirops(before, add)
-    assert not dirops_applied(before, DIR_META, add)
-    assert dirops_applied(after, DIR_META, add)
-
-    rm = [{"action": "remove", "name": "f", "expect": "s0.5"}]
-    assert not dirops_applied(after, DIR_META, rm)
-    assert dirops_applied(apply_dirops(after, rm), DIR_META, rm)
-    # name re-bound to a DIFFERENT handle: ambiguous (our applied remove
-    # plus a re-create, or a rename-over we never beat) — must stay a
-    # conflict so the remove re-reads and retargets, never skipping the
-    # link decrement of the file actually named
-    rebound = apply_dirops(apply_dirops(after, rm),
-                           [{"action": "add", "name": "f",
-                             "entry": entry("s0.9")}])
-    assert not dirops_applied(rebound, DIR_META, rm)
-    # an add replay likewise does NOT match someone else's entry
-    assert not dirops_applied(rebound, DIR_META, add)
-
-    seal = [{"action": "seal"}]
-    assert dirops_applied(apply_dirops(encode_dir({}), seal), DIR_META, seal)
-    assert not dirops_applied(encode_dir({}), DIR_META, seal)
 
 
 def test_diropconflict_message_roundtrip():

@@ -90,13 +90,13 @@ def test_rename_onto_hard_link_of_same_file_is_noop():
     cluster.close()
 
 
-def test_dirop_replay_detection_requires_ambiguous_forward():
-    """Replay equivalence is licensed only by an ambiguous forward (the
-    update may have been applied without us learning of it).  A plain
-    duplicate dirop is a competing client's work and must CONFLICT (two
-    concurrent removes: one success, one ENOENT — never two successes);
-    with the license, the already-applied op completes idempotently and
-    reports no version of its own."""
+def test_a_dirop_replay_is_recognized_by_its_id():
+    """The duplicate rule on the namespace path: a dirop is applied once
+    per id.  The same dirop under another id is a competing client's work
+    and CONFLICTS (two concurrent removes: one success, one ENOENT — never
+    two successes); under the same id it is a copy of the applied one,
+    answered with the version pair that one produced, with no version
+    bump."""
     from repro.core import WriteOp
     from repro.core.dirtable import encode_dir
     from repro.errors import DirOpConflict
@@ -112,24 +112,60 @@ def test_dirop_replay_detection_requires_ambiguous_forward():
         data = encode_dir({})
         meta["length"] = len(data)
         sid = await s0.create(data=data, meta=meta)
-        add = WriteOp(kind="dirop", dirops=[
-            {"action": "add", "name": "f", "entry": {"h": "sX.1", "t": "reg"}}])
-        v1 = await s0.write(sid, add)
+        dirops = [{"action": "add", "name": "f",
+                   "entry": {"h": "sX.1", "t": "reg"}}]
+        v1 = await s0.write(sid, WriteOp(kind="dirop", dirops=dirops,
+                                         uid=["s1.0.0", 1, 1]))
         with pytest.raises(DirOpConflict):
-            await s0.write(sid, add)        # duplicate, no ambiguity
-        # the fallback path after an ambiguous forward timeout passes
-        # allow_replay=True: the applied op is recognized, no new update
-        token = s0.store.tokens[(sid, v1.major)]
-        replayed = await s0.pipeline._validate_dirop(
-            sid, v1.major, token, add, allow_replay=True)
-        v_after = await s0.get_version(sid)
-        return v1, replayed, v_after
+            await s0.write(sid, WriteOp(kind="dirop", dirops=dirops,
+                                        uid=["s2.0.0", 1, 1]))
+        again = await s0.write(sid, WriteOp(kind="dirop", dirops=dirops,
+                                            uid=["s1.0.0", 1, 1]))
+        return v1, again, await s0.get_version(sid)
 
-    v1, replayed, v_after = cluster.run(main())
-    assert replayed is True
+    v1, again, v_after = cluster.run(main())
+    assert again == v1
     assert v_after == v1                     # no second version bump
-    assert m.get("deceit.dirop_replays") == 1
+    assert m.get("deceit.duplicate_updates") == 1
     assert m.get("deceit.dirop_rejects") == 1
+    cluster.close()
+
+
+def test_a_forwarded_dirop_and_its_fallback_apply_once():
+    """§3.3 optimization 2 under a slow holder: ``s1``'s forward of a
+    dirop queues behind the holder's update lock past its reply bound and
+    applies there, and the fallback takes the token under the same minted
+    id.  The fallback is answered with the forward's version pair: one
+    update, one entry, and the create that sent it succeeds."""
+    cluster = build_cluster(3, n_agents=1, seed=5)
+    agent = cluster.agents[0]
+    s0, s1 = cluster.servers[0], cluster.servers[1]
+    kernel = cluster.kernel
+
+    async def stall(lock, ms):
+        await lock.acquire()
+        await kernel.sleep(ms)
+        lock.release()
+
+    async def main():
+        await agent.mount()
+        await agent.mkdir("/", "d")
+        d = await agent.lookup_path("/d")
+        assert [key[0] for key in s0.segments.store.tokens].count(d.sid) == 1
+        kernel.spawn(stall(s0.segments._update_lock(d.sid), 600.0))
+        await kernel.sleep(1.0)
+        snap = cluster.metrics.snapshot()
+        _fh, _attrs, dirv = await s1.envelope.create(d, "f")
+        delta = cluster.metrics.delta(snap)
+        entries, version, _result = await s1.envelope.readdir(d)
+        return dirv, version, [e["name"] for e in entries], delta
+
+    dirv, version, names, delta = cluster.run(main())
+    assert names == ["f"]
+    assert dirv == version                   # the forward's own version
+    assert delta.get("deceit.forwarded_writes") == 1
+    assert delta.get("deceit.duplicate_updates") == 1
+    assert delta.get("deceit.dirops") == 1
     cluster.close()
 
 

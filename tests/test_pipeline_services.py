@@ -368,3 +368,84 @@ def test_pipeline_deliver_update_gap_triggers_repair(kernel):
     assert reply.get("gap")
     assert store.metrics.get("deceit.update_gaps") == 1
     assert replica.data == b"payload"  # gap is not applied
+
+
+# --------------------------------------------------------------------- #
+# the duplicate rule: an update id is applied once
+# --------------------------------------------------------------------- #
+
+def test_pipeline_write_answers_a_recorded_id_with_its_version(kernel):
+    """The holder checks an id before the broadcast: a second copy is
+    answered with the version pair the first produced, with no second
+    update and no version bump."""
+    pipeline, transport, catalog, store = make_pipeline(kernel)
+    replica = seed_segment(catalog, store)
+    op = WriteOp(kind="append", data=b"!", uid=["c0.0.0", 7, 7])
+    first = run(kernel, pipeline.write(replica.sid, op))
+    second = run(kernel, pipeline.write(replica.sid, op))
+    assert first == second == VersionPair(replica.major, 1)
+    assert [p["op"] for p in transport.casts] == ["update"]
+    assert store.tokens[(replica.sid, replica.major)].version == first
+    assert store.metrics.get("deceit.duplicate_updates") == 1
+
+
+def test_pipeline_refuses_an_id_below_its_writers_floor(kernel):
+    """A copy below its writer's floor belongs to a call the writer has
+    had its answer for: it is refused, not applied."""
+    from repro.errors import SegmentError
+    pipeline, transport, catalog, store = make_pipeline(kernel)
+    replica = seed_segment(catalog, store)
+    run(kernel, pipeline.write(replica.sid, WriteOp(
+        kind="append", data=b"!", uid=["c0.0.0", 9, 9])))
+    with pytest.raises(SegmentError, match="below its floor"):
+        run(kernel, pipeline.write(replica.sid, WriteOp(
+            kind="append", data=b"late", uid=["c0.0.0", 8, 8])))
+    assert len(transport.casts) == 1
+
+
+def test_pipeline_deliver_update_applies_a_recorded_id_once(kernel):
+    """A member one sub behind that already recorded an update's id takes
+    the version and not the op: the update is not applied twice."""
+    pipeline, _t, catalog, store = make_pipeline(kernel)
+    replica = seed_segment(catalog, store)
+    uid = ["c0.0.0", 3, 3]
+
+    def update(sub):
+        return {"op": "update", "sid": replica.sid, "major": replica.major,
+                "wop": WriteOp(kind="append", data=b"+x", uid=uid).to_dict(),
+                "version": VersionPair(replica.major, sub).to_tuple(),
+                "drop": []}
+
+    assert run(kernel, pipeline.deliver_update(replica.sid, update(1)))["ok"]
+    assert run(kernel, pipeline.deliver_update(replica.sid, update(2)))["ok"]
+    assert replica.data == b"payload+x"
+    assert replica.version == VersionPair(replica.major, 2)
+    assert replica.applied == {"c0.0.0": (3, ((3, replica.major, 1),))}
+    record = store.replica_record_now(replica.sid, replica.major)
+    assert record["applied"] == replica.applied      # in the same persist
+
+
+def test_applied_record_keeps_a_window_above_the_floor():
+    """Each call's floor prunes its writer's answered ids; a writer with
+    more than APPLIED_WINDOW ids above its floor has the floor lifted
+    past the oldest, whose late copies are then refused.  A record is
+    never changed in place."""
+    from repro.core.segment import APPLIED_WINDOW, AppliedRecord
+    from repro.errors import SegmentError
+
+    v = VersionPair(5, 1)
+    empty = AppliedRecord()
+    record = empty.with_applied(["w", 1, 1], v)
+    record = record.with_applied(["w", 2, 1], v.next_update())
+    assert empty == {}
+    assert record.version_of(["w", 1, 1]) == v
+    assert record.with_applied(["w", 1, 1], v) is None     # recorded
+    record = record.with_applied(["w", 3, 3], v)            # 1, 2 answered
+    assert record == {"w": (3, ((3, 5, 1),))}
+    with pytest.raises(SegmentError, match="below its floor"):
+        record.version_of(["w", 2, 2])
+    assert record.version_of(["w", 4, 3]) is None
+    for seq in range(4, 4 + APPLIED_WINDOW):
+        record = record.with_applied(["w", seq, 3], v)     # 3 unanswered
+    floor, done = record["w"]
+    assert (floor, len(done)) == (4, APPLIED_WINDOW)

@@ -245,8 +245,9 @@ def test_busy_holder_is_asked_again_not_replaced():
 
 
 def test_a_re_requested_token_applies_each_acked_update_once():
-    """A token request that reaches a busy holder is broadcast again, and
-    the holder answers both copies; each acked update still lands once.
+    """A token request that reaches a busy holder is broadcast again under
+    one request id, and the holder passes once for it; each acked update
+    still lands once.
     24 appends keep s0's update lock past TOKEN_PASS_TIMEOUT_MS, s1's
     ``R`` asks for the token behind them, and s0's own later ``L`` takes
     it back: every replica reads each acked append exactly once, in
@@ -271,10 +272,15 @@ def test_a_re_requested_token_applies_each_acked_update_once():
         for task in tasks:
             await task
         await kernel.sleep(3_000.0)
-        return [srv.replicas[key].data for srv in cluster.servers
-                for key in srv.replicas if key[0] == sid]
+        return sid, [srv.replicas[key].data for srv in cluster.servers
+                     for key in srv.replicas if key[0] == sid]
 
-    images = cluster.run(main())
+    sid, images = cluster.run(main())
     assert len(images) == 3
     assert set(images) == {b"a" * 24 + b"RL"}
     assert cluster.metrics.get("deceit.token_rerequests") >= 1
+    # s1's second copy of its request is not answered with a third pass:
+    # the token went to s1 once, and back to s0 for L
+    assert cluster.metrics.get("deceit.token_passes") == 2
+    assert [srv.proc.addr for srv in cluster.servers
+            if any(key[0] == sid for key in srv.tokens)] == ["s0"]

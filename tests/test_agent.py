@@ -537,13 +537,19 @@ def _busy_holder(call):
 
 
 def test_a_busy_routed_holder_hands_the_call_to_the_mount_server():
-    """BUSY from a routed holder's admission gate is not retried against
-    that holder: a read, or a whole-file write routed to the token holder,
-    goes to the mount server at once, with no backoff and no failover."""
+    """BUSY from a routed read holder's admission gate is not retried
+    against that holder: the read goes to the mount server at once, with
+    no backoff and no failover."""
     data, counts = _busy_holder(lambda agent: agent.read_file("/f"))
     assert data == b"held at s1"
     assert counts == (1, 0, 1, 0, 0)     # rejected once by s1, s0 serves
 
+
+def test_a_busy_token_holder_is_backed_off_against():
+    """BUSY from the token holder a whole-file write was routed to is
+    backed off against as a routed read holder's is: the write goes to
+    the mount server at once under its id, spending neither the BUSY nor
+    the failover budget."""
     async def rewrite(agent):
         await agent.write_file("/f", b"rewritten")
         return await agent.read_file("/f")

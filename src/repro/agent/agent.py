@@ -20,8 +20,10 @@ from repro.nfs.fhandle import FileHandle
 from repro.nfs.names import split_path
 
 #: One attempt's bound, the same for every call: what the server asked
-#: may spend on a write whose token holder is slow — its forward to the
-#: holder, then the token request of its fallback.
+#: may spend on a write whose token holder fails — a forward that times
+#: out, then the token request of its fallback.  A holder that is only
+#: slow is asked again under the call's id while it stays in the file
+#: group's view; the next attempt goes elsewhere under the same id.
 RPC_TIMEOUT_MS = UPDATE_REPLY_TIMEOUT_MS + TOKEN_PASS_TIMEOUT_MS
 #: First BUSY backoff; doubles per retry.  Scaled by a deterministic
 #: per-agent stagger (a CRC of the agent's address): identical backoffs

@@ -30,7 +30,8 @@ class Availability(Enum):
 
 @dataclass(frozen=True)
 class FileParams:
-    """The five user-settable parameters attached to every segment.
+    """The six user-settable parameters attached to every segment: the
+    paper's five (§4) and ``stripe_size``.
 
     Attributes
     ----------

@@ -1,11 +1,23 @@
-"""ReadService: the read / stat hot path (§2.1 request forwarding, §3.4).
+"""ReadService: the one read path (§2.1 request forwarding, §3.4, §5.1).
 
-Serves locally when a replica is present and stable — through the
-:class:`~repro.core.pipeline.read_cache.VersionedReadCache`, so only a cold
-version charges disk latency; forwards to the token holder while the file
-is unstable (its replica is, in effect, the primary); forwards to any
-replica holder when no local replica exists, triggering migration when the
-file's parameters ask for it (§3.1 method 4).
+A read names a byte range, or zero bytes (the getattr), and may carry the
+version pair of the caller's copy (a revalidation).  One rule picks the
+replica that answers all three:
+
+- a server outside the file's group asks a member without joining it;
+- a member without a replica asks a holder — the token holder first while
+  the major is unstable — and pulls a replica when the file migrates to
+  its readers or is a striped parent, whose map every range op entering
+  here reads (§3.1 method 4);
+- a member with a replica serves it, unless the major is unstable (§3.4)
+  and this member is not the token holder: then it asks the holder, or
+  runs stability recovery when the holder has left the file group's view.
+
+The serving replica answers "unchanged" (no data bytes) when the caller's
+version pair is its own and it is stable and unstriped; a zero-byte read
+touches no data block.  Everything else reads through the
+:class:`~repro.core.pipeline.read_cache.VersionedReadCache`, so only a
+cold version charges disk latency.
 
 A server that is not a member of the file's group does not join it to
 read: it asks a member (the holders a member last named, then the creator
@@ -16,10 +28,8 @@ the read names an explicit version, when the file is a striped parent, or
 when a read it forwarded found the major unstable (§3.4): for a file under
 write the route a hint names goes stale as the token moves.
 
-A striped parent is meta only and every range op entering here reads its
-map, so a member without a replica pulls one (§3.1 method 4), as for a
-migrating file.  Only the first of concurrent reads of one parent at a
-server joins; the others ask a member meanwhile, so gathering the map
+Only the first of concurrent reads of one striped parent at a server
+joins its group; the others ask a member meanwhile, so gathering the map
 adds no concurrent joins of one group.
 
 Collaborators mirror the :class:`~repro.core.pipeline.update.UpdatePipeline`
@@ -36,15 +46,15 @@ Invariants
   token holder's replica may serve: other holders may not yet have the
   in-flight updates, so every read is forwarded there — a server without
   a replica asks the token holder first, and a holder without the token
-  relays a forwarded ``seg_read`` / ``seg_stat`` to it while it is
-  reachable (its own copy serves only when it is not).
+  relays a forwarded ``seg_read`` to it while it is reachable (its own
+  copy serves only when it is not).
 - Until a burst head's round completes (the update carrying the unstable
   mark, see :mod:`repro.core.pipeline.update`), the token holder holds its
-  local reads and stats of that major: another member may still serve
-  the previous version as stable.
-- ``validate_version`` never answers True from a server without a local
-  replica, and never for an unstable major — the shortcut may only
-  replace a read the local path could itself have served.
+  local reads of that major: another member may still serve the previous
+  version as stable.
+- "Unchanged" is answered only by the replica that would have served the
+  bytes, only while it is stable, and never for a striped parent, whose
+  version pair range writes to the stripes do not bump.
 - A read hint is routing only: every answer a non-member returns comes
   from a member's catalog and from a replica that member holds or relays
   to, exactly as that member's own read would.
@@ -160,7 +170,8 @@ def _placement(cat, info, width: int | None = None) -> PlacementRecord:
 class ReadResult:
     """What a segment read returns: data plus the version pair (§5.1 —
     reads return versions so callers can run optimistic transactions),
-    and the placement record of the segment read."""
+    the placement record of the segment read, and whether the serving
+    replica found the caller's copy current (then ``data`` is empty)."""
 
     data: bytes
     version: VersionPair
@@ -169,6 +180,7 @@ class ReadResult:
     major: int
     served_by: str
     placement: PlacementRecord = PlacementRecord()
+    unchanged: bool = False
 
 
 class ReadService:
@@ -194,61 +206,62 @@ class ReadService:
         self.gathering: set[str] = set()
 
     # ------------------------------------------------------------------ #
-    # entry points
+    # the entry point
     # ------------------------------------------------------------------ #
 
     async def read(self, sid: str, offset: int = 0, count: int | None = None,
-                   version: int | None = None) -> ReadResult:
+                   version: int | None = None, verify=None) -> ReadResult:
+        """``count`` bytes from ``offset`` (default: to the end) of a
+        segment version, answered by the replica the module's rule picks.
+        ``count=0`` is the getattr; ``verify``, the version pair of the
+        caller's copy, may be answered ``unchanged``."""
+        args: dict[str, Any] = {"offset": offset, "count": count}
+        if verify is not None:
+            args["verify"] = verify
         if version is None and not self.catalog.joined(sid):
-            result = await self._ask_a_member("seg_read", sid,
-                                              offset=offset, count=count)
+            result = await self._ask_a_member(sid, **args)
             if result is not None:
-                self.metrics.incr("deceit.reads")
-                self.metrics.incr("deceit.reads_forwarded")
+                self._count(count, forwarded=True)
                 return result
         cat = await self.catalog.ensure_group(sid)
         major = self.catalog.pick_major(cat, version)
         info = cat.majors[major]
         replica = self.store.replicas.get((sid, major))
         me = self.transport.addr
-        self.metrics.incr("deceit.reads")
-
-        if replica is not None:
-            unstable = cat.params.stability_notification and (
-                info.unstable or not replica.stable
-            )
-            if not unstable:
-                return self._stamp(await self.read_local(replica, offset, count),
-                                   cat, info)
-            holder = info.holder
-            if holder == me:
-                return self._stamp(await self.read_local(replica, offset, count),
-                                   cat, info)
-            if holder is not None:
-                try:
-                    return self._stamp(await self._ask(
-                        holder, "seg_read", sid, major,
-                        offset=offset, count=count), cat, info)
-                except (RpcTimeout, RpcRemoteError):
-                    pass
-            source = await self.stability_recovery(sid, major)
-            if source == me:
-                return self._stamp(await self.read_local(
-                    self.store.replicas[(sid, major)], offset, count),
-                    cat, info)
-            return self._stamp(await self._ask(
-                source, "seg_read", sid, major,
-                offset=offset, count=count), cat, info)
-
-        # no local replica: forward to a holder (§2.1 request forwarding)
-        self.metrics.incr("deceit.reads_forwarded")
-        result = await self._ask_a_holder(
-            cat, info, f"{sid}: no replica holder of major {major} reachable",
-            "seg_read", sid, major, offset=offset, count=count)
-        if cat.params.file_migration or \
-                StripeMap.from_meta(result.meta) is not None:
-            self._migrate(sid, major)
+        if replica is None:
+            # no local replica: forward to a holder (§2.1 request forwarding)
+            self._count(count, forwarded=True)
+            result = await self._ask_a_holder(cat, info, sid, major, **args)
+            if cat.params.file_migration or \
+                    StripeMap.from_meta(result.meta) is not None:
+                self._migrate(sid, major)
+            return self._stamp(result, cat, info)
+        self._count(count, forwarded=False)
+        if self._stable(replica) or info.holder == me:
+            return self._stamp(await self._serve(replica, **args), cat, info)
+        if info.holder in self.transport.members(group_of(sid)):
+            try:
+                return self._stamp(await self._ask(info.holder, sid, major,
+                                                   **args), cat, info)
+            except (RpcTimeout, RpcRemoteError):
+                pass
+        source = await self.stability_recovery(sid, major)
+        if source == me:
+            result = await self._serve(self.store.replicas[(sid, major)],
+                                       **args)
+        else:
+            result = await self._ask(source, sid, major, **args)
         return self._stamp(result, cat, info)
+
+    def _count(self, count: int | None, forwarded: bool) -> None:
+        """A zero-byte read is a stat; any other is a read, forwarded or
+        not."""
+        if count == 0:
+            self.metrics.incr("deceit.stats")
+            return
+        self.metrics.incr("deceit.reads")
+        if forwarded:
+            self.metrics.incr("deceit.reads_forwarded")
 
     def _migrate(self, sid: str, major: int) -> None:
         """§3.1 method 4: pull a local replica of a major this member read
@@ -264,99 +277,59 @@ class ReadService:
         result.placement = _placement(cat, info, smap and smap.stripe_size)
         return result
 
-    async def validate_version(self, sid: str, verify,
-                               version: int | None = None) -> bool:
-        """Version-exact revalidation: is ``verify`` still the current
-        version pair, answerable *without* forwarding?
-
-        Deliberately conservative so the shortcut can never be staler than
-        the read it replaces:
-
-        - a server with **no local replica** always answers False — the
-          plain read path would forward to a holder, and a non-holder's
-          catalog alone could lag (e.g. a dropped multicast); a server
-          outside the file's group answers so without joining it;
-        - for stability-notification files (§3.4), an **unstable** major
-          answers False even on a version match, preserving the forwarding
-          to the token holder that one-copy serializability relies on;
-        - a replica whose meta carries a **stripe map** answers False: its
-          version pair is the parent's, which range writes to the stripes
-          never bump, so a match does not prove unchanged contents.
-
-        A True answer counts as a read of the local replica (``read_ts``
-        bookkeeping), so revalidation-served files do not look idle to the
-        LRU replica-deletion logic (§3.1).
-        """
-        if not self.catalog.joined(sid):
-            return False
-        cat = await self.catalog.ensure_group(sid)
-        major = self.catalog.pick_major(cat, version)
-        info = cat.majors[major]
-        replica = self.store.replicas.get((sid, major))
-        if replica is None:
-            return False
-        if cat.params.stability_notification and \
-                (info.unstable or not replica.stable):
-            return False
-        if StripeMap.from_meta(replica.meta) is not None:
-            return False
-        if list(replica.version.to_tuple()) != list(verify):
-            return False
-        replica.read_ts = self.kernel.now
-        info.read_ts[self.transport.addr] = self.kernel.now
-        return True
-
-    async def stat(self, sid: str, version: int | None = None) -> ReadResult:
-        """Attributes-only read (zero data bytes moved) — the getattr path.
-
-        Attribute blocks are in memory; no disk latency is charged."""
-        if version is None and not self.catalog.joined(sid):
-            result = await self._ask_a_member("seg_stat", sid)
-            if result is not None:
-                self.metrics.incr("deceit.stats")
-                return result
-        cat = await self.catalog.ensure_group(sid)
-        major = self.catalog.pick_major(cat, version)
-        self.metrics.incr("deceit.stats")
-        await self._after_burst_head(sid, major)
-        replica = self.store.replicas.get((sid, major))
-        if replica is not None:
-            result = self.local_result(replica, 0, 0)
-            result.data = b""
-            return self._stamp(result, cat, cat.majors[major])
-        result = await self._ask_a_holder(
-            cat, cat.majors[major], f"{sid}: no holder reachable for stat",
-            "seg_stat", sid, major)
-        if StripeMap.from_meta(result.meta) is not None:
-            self._migrate(sid, major)
-        return result
-
     # ------------------------------------------------------------------ #
-    # local / remote mechanics
+    # the serving replica
     # ------------------------------------------------------------------ #
 
-    def local_result(self, replica: Replica, offset: int,
-                     count: int | None) -> ReadResult:
-        replica.read_ts = self.kernel.now
-        end = len(replica.data) if count is None else offset + count
+    def _stable(self, replica: Replica) -> bool:
+        """§3.4: may any holder's copy of this major serve — always,
+        unless the file asks for stability notification and this
+        server's catalog or the replica marks the major unstable."""
+        cat = self.catalog.get(replica.sid)
+        if cat is None or replica.major not in cat.majors \
+                or not cat.params.stability_notification:
+            return True
+        return replica.stable and not cat.majors[replica.major].unstable
+
+    async def _serve(self, replica: Replica, offset: int, count: int | None,
+                     verify=None, remote: bool = False) -> ReadResult:
+        """This replica's answer: "unchanged" when ``verify`` is its
+        version pair and it is stable and unstriped; attributes alone for
+        a zero-byte read; else the bytes, through the read cache.  The
+        first two touch no data block, so they charge no disk latency.
+
+        Every answer stamps the replica's read time, which update replies
+        report to the token holder.  An answer to another server
+        (``remote``) or an "unchanged" one also stamps this holder's read
+        time in the catalog, the other input of LRU deletion (§3.1)."""
+        kernel, sid, major = self.kernel, replica.sid, replica.major
+        if count == 0 or verify is not None:
+            await self._after_burst_head(sid, major)
+        unchanged = verify is not None \
+            and list(verify) == list(replica.version.to_tuple()) \
+            and self._stable(replica) \
+            and StripeMap.from_meta(replica.meta) is None
+        data = b""
+        if count != 0 and not unchanged:
+            t0 = kernel.now
+            await self.store.touch_read(replica)
+            await self._after_burst_head(sid, major)
+            self.metrics.latency("pipeline.read_ms").record(kernel.now - t0)
+            tracer = kernel._tracer
+            if tracer is not None:
+                tid = kernel.current_trace()
+                if tid is not None:
+                    tracer.record(tid, t0, kernel.now, "pipeline", "read")
+            end = len(replica.data) if count is None else offset + count
+            data = replica.data[offset:end]
+        replica.read_ts = kernel.now
+        cat = self.catalog.get(sid)
+        if (remote or unchanged) and cat is not None and major in cat.majors:
+            cat.majors[major].read_ts[self.transport.addr] = kernel.now
         return ReadResult(
-            data=replica.data[offset:end], version=replica.version,
-            meta=dict(replica.meta), params=replica.params,
-            major=replica.major, served_by=self.transport.addr,
-        )
-
-    async def read_local(self, replica: Replica, offset: int,
-                         count: int | None) -> ReadResult:
-        t0 = self.kernel.now
-        await self.store.touch_read(replica)
-        await self._after_burst_head(replica.sid, replica.major)
-        self.metrics.latency("pipeline.read_ms").record(self.kernel.now - t0)
-        tracer = self.kernel._tracer
-        if tracer is not None:
-            tid = self.kernel.current_trace()
-            if tid is not None:
-                tracer.record(tid, t0, self.kernel.now, "pipeline", "read")
-        return self.local_result(replica, offset, count)
+            data=data, version=replica.version, meta=dict(replica.meta),
+            params=replica.params, major=major,
+            served_by=self.transport.addr, unchanged=unchanged)
 
     async def _after_burst_head(self, sid: str, major: int) -> None:
         """§3.4 at the token holder: a local read of a major whose burst
@@ -366,26 +339,28 @@ class ReadService:
         while (head := self.burst_heads.get((sid, major))) is not None:
             await head
 
-    def _call(self, server: str, method: str, sid: str, major: int | None,
-              **args):
-        """One forwarded ``seg_read`` / ``seg_stat``, its raw reply."""
-        return self.transport.call(
-            server, method, sid=sid, major=major, **args,
-            timeout=READ_FORWARD_TIMEOUT_MS, tag=method)
+    # ------------------------------------------------------------------ #
+    # forwarding
+    # ------------------------------------------------------------------ #
 
-    async def _ask(self, server: str, method: str, sid: str, major: int,
+    def _call(self, server: str, sid: str, major: int | None, **args):
+        """One forwarded ``seg_read``, its raw reply."""
+        return self.transport.call(
+            server, "seg_read", sid=sid, major=major, **args,
+            timeout=READ_FORWARD_TIMEOUT_MS, tag="seg_read")
+
+    async def _ask(self, server: str, sid: str, major: int,
                    **args) -> ReadResult:
-        """One forwarded ``seg_read`` / ``seg_stat``, its reply decoded."""
-        return _decode(await self._call(server, method, sid, major, **args),
+        """One forwarded ``seg_read``, its reply decoded."""
+        return _decode(await self._call(server, sid, major, **args),
                        server, major)
 
-    async def _call_a_holder(self, cat, info, unreachable: str, method: str,
-                             sid: str, major: int, **args) -> dict:
+    async def _call_a_holder(self, cat, info, sid: str, major: int,
+                             **args) -> dict:
         """§2.1 request forwarding: the raw reply of the first other holder,
-        in address order, that answers, with ``served_by`` set;
-        ``unreachable`` is the error when none does.  While the major is
-        unstable (§3.4) the token holder is asked first: only its replica
-        may serve.
+        in address order, that answers, with ``served_by`` set.  While the
+        major is unstable (§3.4) the token holder is asked first: only its
+        replica may serve.
 
         The holder set is re-read after every miss: a replica created
         while the failover runs (its ``replica_created`` landing between
@@ -399,28 +374,27 @@ class ReadService:
             holder = first if first in untried else untried[0]
             tried.add(holder)
             try:
-                raw = await self._call(holder, method, sid, major, **args)
+                raw = await self._call(holder, sid, major, **args)
             except (RpcTimeout, RpcRemoteError) as exc:
                 last_error = exc
                 continue
             return {"served_by": holder, **raw}
-        raise ReplicaUnavailable(unreachable) from last_error
+        raise ReplicaUnavailable(
+            f"{sid}: no holder of major {major} reachable") from last_error
 
-    async def _ask_a_holder(self, cat, info, unreachable: str, method: str,
-                            sid: str, major: int, **args) -> ReadResult:
+    async def _ask_a_holder(self, cat, info, sid: str, major: int,
+                            **args) -> ReadResult:
         """:meth:`_call_a_holder`, its reply decoded."""
-        raw = await self._call_a_holder(cat, info, unreachable, method,
-                                        sid, major, **args)
+        raw = await self._call_a_holder(cat, info, sid, major, **args)
         return _decode(raw, raw["served_by"], major)
 
-    async def _ask_a_member(self, method: str, sid: str,
-                            **args) -> ReadResult | None:
-        """A read or stat of the latest major without joining the file
-        group: ask the holders the read hint names — the token holder
-        first while the hint says unstable — then the creator embedded in
-        the sid, and keep what the answering member said as the new hint.
-        ``None`` sends the caller down the join path: no target answered,
-        or the file migrates to its readers (§3.1 method 4, which needs a
+    async def _ask_a_member(self, sid: str, **args) -> ReadResult | None:
+        """A read of the latest major without joining the file group: ask
+        the holders the read hint names — the token holder first while
+        the hint says unstable — then the creator embedded in the sid, and
+        keep what the answering member said as the new hint.  ``None``
+        sends the caller down the join path: no target answered, or the
+        file migrates to its readers (§3.1 method 4, which needs a
         member), or it is a striped parent, whose group this server has
         then joined (one read at a time; the others keep the answer).
 
@@ -441,7 +415,7 @@ class ReadService:
                 continue
             tried.add(server)
             try:
-                raw = await self._call(server, method, sid, None, **args)
+                raw = await self._call(server, sid, None, **args)
             except (RpcTimeout, RpcRemoteError):
                 self.hints.pop(sid, None)
                 continue
@@ -473,11 +447,30 @@ class ReadService:
         return None
 
     # ------------------------------------------------------------------ #
-    # RPC handlers (registered by the facade)
+    # the RPC handler (registered by the facade)
     # ------------------------------------------------------------------ #
 
-    async def _relay(self, src: str, method: str, sid: str, major: int,
-                     replica: Replica, **args) -> dict | None:
+    async def handle_read(self, src: str, sid: str, major: int | None,
+                          **args) -> dict:
+        """A forwarded read (``offset``, ``count`` and maybe ``verify``)
+        of ``major``, or of the latest major from a non-member."""
+        if major is None:
+            return await self._answer_a_nonmember(src, sid, **args)
+        replica = self.store.replicas.get((sid, major))
+        if replica is None:
+            raise NoSuchSegment(f"{sid};{major} not held by {self.transport.addr}")
+        relayed = await self._relay(src, sid, major, replica, **args)
+        if relayed is not None:
+            return relayed
+        result = await self._serve(replica, remote=True, **args)
+        reply = {"data": result.data, "version": result.version.to_tuple(),
+                 "meta": result.meta, "params": result.params.to_dict()}
+        if result.unchanged:
+            reply["unchanged"] = True
+        return reply
+
+    async def _relay(self, src: str, sid: str, major: int, replica: Replica,
+                     **args) -> dict | None:
         """A forwarded read answered by the token holder, or ``None`` to
         serve this replica.  While a stability-notification major is
         unstable (§3.4) only the token holder's replica may serve, so a
@@ -485,87 +478,43 @@ class ReadService:
         holder cannot be reached now (then this copy serves, rather than
         chaining forward timeouts to a dead holder), asked us itself, or
         fails to answer."""
-        cat = self.catalog.get(sid)
-        if cat is None or major not in cat.majors \
-                or not cat.params.stability_notification:
+        if self._stable(replica):
             return None
-        info = cat.majors[major]
-        holder = info.holder
+        holder = self.catalog.catalogs[sid].majors[major].holder
         me = self.transport.addr
-        if (not info.unstable and replica.stable) \
-                or holder in (None, me, src) \
-                or not self.transport.reachable(me, holder):
+        if holder in (None, me, src) or not self.transport.reachable(me, holder):
             return None
         try:
-            raw = await self._call(holder, method, sid, major, **args)
+            raw = await self._call(holder, sid, major, **args)
         except (RpcTimeout, RpcRemoteError):
             return None
         return {**raw, "served_by": holder}
 
-    async def handle_read(self, src: str, sid: str, major: int | None,
-                          offset: int, count: int | None) -> dict:
-        if major is None:
-            return await self._answer_a_nonmember(
-                src, "seg_read", sid, offset=offset, count=count)
-        replica = self.store.replicas.get((sid, major))
-        if replica is None:
-            raise NoSuchSegment(f"{sid};{major} not held by {self.transport.addr}")
-        relayed = await self._relay(src, "seg_read", sid, major, replica,
-                                    offset=offset, count=count)
-        if relayed is not None:
-            return relayed
-        result = await self.read_local(replica, offset, count)
-        cat = self.catalog.get(sid)
-        if cat is not None and major in cat.majors:
-            cat.majors[major].read_ts[self.transport.addr] = self.kernel.now
-        return {"data": result.data, "version": result.version.to_tuple(),
-                "meta": result.meta, "params": result.params.to_dict()}
-
-    async def handle_stat(self, src: str, sid: str,
-                          major: int | None) -> dict:
-        if major is None:
-            return await self._answer_a_nonmember(src, "seg_stat", sid)
-        replica = self.store.replicas.get((sid, major))
-        if replica is None:
-            raise NoSuchSegment(f"{sid};{major} not held by {self.transport.addr}")
-        relayed = await self._relay(src, "seg_stat", sid, major, replica)
-        if relayed is not None:
-            return relayed
-        await self._after_burst_head(sid, major)
-        return {"version": replica.version.to_tuple(), "meta": dict(replica.meta),
-                "params": replica.params.to_dict(), "length": len(replica.data)}
-
-    async def _answer_a_nonmember(self, src: str, method: str, sid: str,
-                                  **args) -> dict:
-        """A ``seg_read`` / ``seg_stat`` of the latest major from a server
-        outside the file group: answered as this member's own read would
-        be — from its replica through the §3.4 relay, or forwarded to a
-        holder — plus the major, this member's holder set, its token holder
-        and whether the major is unstable, which the asker keeps as its
-        read hint."""
+    async def _answer_a_nonmember(self, src: str, sid: str, **args) -> dict:
+        """A read of the latest major from a server outside the file
+        group: answered as this member's own read would be — from its
+        replica through the §3.4 relay, or forwarded to a holder — plus
+        the major, this member's holder set, its token holder and whether
+        the major is unstable, which the asker keeps as its read hint."""
         if not self.catalog.joined(sid):
             raise NotMember(f"{self.transport.addr} not in {group_of(sid)}")
         cat = self.catalog.catalogs[sid]
         major = self.catalog.pick_major(cat, None)
         info = cat.majors[major]
         if (sid, major) in self.store.replicas:
-            handler = self.handle_read if method == "seg_read" \
-                else self.handle_stat
-            raw = await handler(src, sid, major, **args)
+            raw = await self.handle_read(src, sid, major, **args)
         else:
-            raw = await self._call_a_holder(
-                cat, info, f"{sid}: no holder of major {major} reachable",
-                method, sid, major, **args)
+            raw = await self._call_a_holder(cat, info, sid, major, **args)
         return {**raw, "major": major,
                 **_placement(cat, info).to_answer()}
 
 
 def _decode(raw: dict, server: str, major: int) -> ReadResult:
-    """A forwarded ``seg_read`` / ``seg_stat`` reply from ``server``; a
-    relayed reply names the token holder that served it instead."""
+    """A forwarded ``seg_read`` reply from ``server``; a relayed reply
+    names the token holder that served it instead."""
     return ReadResult(
-        data=raw.get("data", b""),
-        version=VersionPair.from_tuple(raw["version"]),
+        data=raw["data"], version=VersionPair.from_tuple(raw["version"]),
         meta=raw["meta"], params=FileParams.from_dict(raw["params"]),
         major=major, served_by=raw.get("served_by", server),
+        unchanged=raw.get("unchanged", False),
     )

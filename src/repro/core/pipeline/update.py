@@ -316,37 +316,55 @@ class UpdatePipeline:
         """Hand the update to the current holder; the token does not move.
 
         Returns the new version pair, or ``None`` when the caller must fall
-        back to the normal acquisition path — under the same id, so a
-        forward that applied before its reply was lost is not applied
-        again.  The holder's typed verdicts (a stale guard, a dirop
-        precondition) are raised here instead.
+        back to the normal acquisition path: there is no holder, it is
+        this server, or it has left the file group's view.  A forward that
+        times out is sent again, under the same id, to the holder the
+        catalog names then — a holder that is only slow applies the id
+        once and answers every copy, so no copy moves the token.  The
+        holder's typed verdicts (a stale guard, a dirop precondition) are
+        raised here instead.
         """
         cat = self.catalog.catalogs[sid]
-        holder = cat.majors[major].holder
-        me = self.transport.addr
-        if holder is None or holder == me or \
-                not self.transport.reachable(me, holder):
+        holder = self._live_holder(cat, major)
+        if holder is None:
             return None
         self.metrics.incr("deceit.forwarded_writes")
-        try:
-            raw = await self.transport.call(
-                holder, "seg_forward_write", sid=sid, major=major,
-                wop=op.to_dict(),
-                guard=guard.to_tuple() if guard is not None else None,
-                timeout=UPDATE_REPLY_TIMEOUT_MS,
-                size_bytes=max(256, len(op.data)), tag="forward_write",
-            )
-        except RpcTimeout:
-            return None
-        except RpcRemoteError as exc:
-            if exc.error_type == "VersionConflict":
-                raise VersionConflict(guard, None) from exc
-            if exc.error_type == "DirOpConflict":
-                raise DirOpConflict.from_message(exc.remote_message) from exc
-            return None
+        while True:
+            try:
+                raw = await self.transport.call(
+                    holder, "seg_forward_write", sid=sid, major=major,
+                    wop=op.to_dict(),
+                    guard=guard.to_tuple() if guard is not None else None,
+                    timeout=UPDATE_REPLY_TIMEOUT_MS,
+                    size_bytes=max(256, len(op.data)), tag="forward_write",
+                )
+                break
+            except RpcTimeout:
+                holder = self._live_holder(cat, major)
+                if holder is None:
+                    return None
+            except RpcRemoteError as exc:
+                if exc.error_type == "VersionConflict":
+                    raise VersionConflict(guard, None) from exc
+                if exc.error_type == "DirOpConflict":
+                    raise DirOpConflict.from_message(
+                        exc.remote_message) from exc
+                return None
         new_version = VersionPair.from_tuple(raw["version"])
         cat.majors[major].version = new_version
         return new_version
+
+    def _live_holder(self, cat: SegmentCatalog, major: int) -> str | None:
+        """The token holder ``cat`` names for ``major``, if it is another
+        server, reachable and in the file group's view."""
+        info = cat.majors.get(major)
+        holder = info.holder if info is not None else None
+        me = self.transport.addr
+        if holder is None or holder == me or \
+                not self.transport.reachable(me, holder) or \
+                holder not in self.transport.members(group_of(cat.sid)):
+            return None
+        return holder
 
     async def handle_forward_write(self, src: str, sid: str, major: int,
                                    wop: dict, guard) -> dict:

@@ -112,7 +112,6 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
                 audit_interval_ms=merge_audit_interval_ms)
         proc.set_app(self)
         proc.register_handler("seg_read", self.reads.handle_read)
-        proc.register_handler("seg_stat", self.reads.handle_stat)
         proc.register_handler("seg_forward_write",
                               self.pipeline.handle_forward_write)
         proc.register_handler("seg_fetch", self._h_fetch)
@@ -229,20 +228,16 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
             await self.proc.leave_group(group_of(sid))
 
     async def read(self, sid: str, offset: int = 0, count: int | None = None,
-                   version: int | None = None) -> ReadResult:
-        """Read a byte range (default: everything) of a segment version
-        (the :class:`~repro.core.pipeline.read_path.ReadService` hot path)."""
+                   version: int | None = None, verify=None) -> ReadResult:
+        """Read a byte range (default: everything) of a segment version,
+        or answer ``unchanged`` to the caller's version pair ``verify``
+        (the :class:`~repro.core.pipeline.read_path.ReadService` path)."""
         return await self.reads.read(sid, offset=offset, count=count,
-                                     version=version)
+                                     version=version, verify=verify)
 
     async def stat(self, sid: str, version: int | None = None) -> ReadResult:
-        """Attributes-only read (zero data bytes moved) — the getattr path."""
-        return await self.reads.stat(sid, version=version)
-
-    async def validate_version(self, sid: str, verify,
-                               version: int | None = None) -> bool:
-        """Whether ``verify`` is still current (False during §3.4 bursts)."""
-        return await self.reads.validate_version(sid, verify, version=version)
+        """Attributes only: a read of zero bytes — the getattr path."""
+        return await self.reads.read(sid, count=0, version=version)
 
     def write(self, sid: str, op: WriteOp,
               guard: VersionPair | None = None,

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
+from repro.core.striping.stripemap import StripeMap
+
 
 class FileType(Enum):
     """NFS v2 file types used by the envelope."""
@@ -61,7 +63,7 @@ class FileAttrs:
     @classmethod
     def from_meta(cls, meta: dict[str, Any], size: int) -> "FileAttrs":
         """Rebuild from segment metadata plus the live data length."""
-        stripes = meta.get("stripes")
+        smap = StripeMap.from_meta(meta)
         return cls(
             ftype=FileType(meta.get("ftype", "reg")),
             mode=meta.get("mode", 0o644),
@@ -72,7 +74,7 @@ class FileAttrs:
             atime=meta.get("atime", 0.0),
             mtime=meta.get("mtime", 0.0),
             ctime=meta.get("ctime", 0.0),
-            stripe_size=int(stripes["stripe_size"]) if stripes else None,
+            stripe_size=smap.stripe_size if smap is not None else None,
         )
 
     def to_wire(self) -> dict[str, Any]:

@@ -79,11 +79,15 @@ class Envelope:
         length = size if size is not None else file_length(result.meta)
         return FileAttrs.from_meta(result.meta, length)
 
-    async def _require_dir(self, fh: FileHandle) -> tuple[dict, ReadResult]:
-        result = await self.segments.read(fh.sid, version=fh.version)
+    async def _require_dir(self, fh: FileHandle,
+                           verify=None) -> tuple[dict, ReadResult]:
+        """A directory's entries and the read they came from; no entries
+        when the read answered ``unchanged`` to ``verify``."""
+        result = await self.segments.read(fh.sid, version=fh.version,
+                                          verify=verify)
         if result.meta.get("ftype") != FileType.DIRECTORY.value:
             raise NfsError(NfsStat.ERR_NOTDIR, fh.sid)
-        return decode_dir(result.data), result
+        return ({} if result.unchanged else decode_dir(result.data)), result
 
     async def _dir_write(self, fh: FileHandle, dirops: list[dict],
                          extra_meta: dict[str, Any] | None = None,
@@ -188,9 +192,9 @@ class Envelope:
         version-exact cache validation.
 
         With ``verify`` (the version pair of the caller's cached copy),
-        returns ``None`` while that copy is current — decided by the
-        segment layer, which refuses the shortcut during §3.4 instability
-        so revalidation never weakens a file's configured consistency.  An
+        returns ``None`` while that copy is current — answered by the
+        replica that would have served the bytes (§3.4 picks it), so
+        revalidation never weakens a file's configured consistency.  An
         unchanged answer moves no payload bytes and charges no disk read.
 
         A striped file's parent read returns the map, not bytes; the
@@ -199,24 +203,21 @@ class Envelope:
         The result carries the *parent's* version pair, which range writes
         deliberately do not bump (that is what lets disjoint writers
         commute) — so a striped file never takes the ``verify`` shortcut:
-        an unchanged parent does not prove unchanged contents, so the
-        segment layer's ``validate_version`` refuses a replica whose meta
-        carries a stripe map.  Its
-        placement record, though, is the *stripe's*, with the file's
-        stripe width: a range inside one stripe names that stripe's
-        holders and who served it, so the agent's next read of the stripe
-        can enter at a holder; a multi-stripe gather names none.
+        an unchanged parent does not prove unchanged contents, so a
+        replica whose meta carries a stripe map never answers
+        ``unchanged``.  Its placement record, though, is the *stripe's*,
+        with the file's stripe width: a range inside one stripe names that
+        stripe's holders and who served it, so the agent's next read of
+        the stripe can enter at a holder; a multi-stripe gather names
+        none.
         """
-        current = verify is not None and \
-            await self.segments.validate_version(fh.sid, verify,
-                                                 version=fh.version)
         self.metrics.incr("nfs.ops.read")
-        if current:
-            return None
         result = await self.segments.read(fh.sid, offset=offset, count=count,
-                                          version=fh.version)
+                                          version=fh.version, verify=verify)
         if result.meta.get("ftype") == FileType.DIRECTORY.value:
             raise NfsError(NfsStat.ERR_ISDIR, fh.sid)
+        if result.unchanged:
+            return None
         smap = StripeMap.from_meta(result.meta)
         if smap is not None:
             result.data, stripe = await self.striper.read_range(
@@ -662,7 +663,7 @@ class Envelope:
         returned with the directory's version pair and the read they came
         from, with version-exact revalidation.
 
-        When ``verify`` (a cached version pair) is still current — decided
+        When ``verify`` (a cached version pair) is still current — answered
         by the segment layer exactly as for data reads — returns ``None``:
         the caller's cached listing is valid and no entry bytes move.
         Otherwise returns ``(entries, version, result)`` so agents can
@@ -675,10 +676,9 @@ class Envelope:
             # "It cannot be listed, as it implicitly contains the full
             # machine names of every accessible Deceit server." (§2.2)
             raise NfsError(NfsStat.ERR_PERM, "the global root cannot be listed")
-        if verify is not None and await self.segments.validate_version(
-                dirfh.sid, verify, version=dirfh.version):
+        entries, result = await self._require_dir(dirfh, verify)
+        if result.unchanged:
             return None
-        entries, result = await self._require_dir(dirfh)
         listing = [{"name": name, "type": e["t"],
                     "fh": FileHandle(sid=e["h"]).encode()}
                    for name, e in sorted(entries.items())]

@@ -21,28 +21,39 @@ F7 benchmark can contrast the two schemes.)
 from __future__ import annotations
 
 from repro.core.dirtable import decode_dir
+from repro.core.striping.stripemap import StripeMap
 from repro.errors import NoSuchSegment, ReplicaUnavailable
+
+
+async def _scan_uplinks(envelope, file_sid: str, copies: bool) -> int:
+    """Links to ``file_sid`` across every available version of every
+    directory in its uplink list — one per directory entry, or with
+    ``copies`` one per replica of that version.  A directory or version
+    gone or unreachable contributes nothing."""
+    stat = await envelope.segments.stat(file_sid)
+    found = 0
+    for dir_sid in stat.meta.get("uplinks", []):
+        try:
+            versions = await envelope.segments.list_versions(dir_sid)
+        except (NoSuchSegment, ReplicaUnavailable):
+            continue
+        for major in versions:
+            try:
+                result = await envelope.segments.read(dir_sid, version=major)
+                replicas = len((await envelope.segments.locate_replicas(
+                    dir_sid, version=major))["holders"]) if copies else 1
+            except (NoSuchSegment, ReplicaUnavailable):
+                continue
+            entries = decode_dir(result.data)
+            found += replicas * sum(1 for e in entries.values()
+                                    if e["h"] == file_sid)
+    return found
 
 
 async def count_references(envelope, file_sid: str) -> int:
     """Links to ``file_sid`` across every available version of every
     directory in its uplink list (one per directory *entry*, not replica)."""
-    stat = await envelope.segments.stat(file_sid)
-    uplinks = stat.meta.get("uplinks", [])
-    found = 0
-    for dir_sid in uplinks:
-        try:
-            versions = await envelope.segments.list_versions(dir_sid)
-        except (NoSuchSegment, ReplicaUnavailable):
-            continue  # directory gone or unreachable: contributes nothing
-        for major in versions:
-            try:
-                result = await envelope.segments.read(dir_sid, version=major)
-            except (NoSuchSegment, ReplicaUnavailable):
-                continue
-            entries = decode_dir(result.data)
-            found += sum(1 for e in entries.values() if e["h"] == file_sid)
-    return found
+    return await _scan_uplinks(envelope, file_sid, copies=False)
 
 
 async def collect_if_unreferenced(envelope, file_sid: str) -> bool:
@@ -66,9 +77,8 @@ async def collect_if_unreferenced(envelope, file_sid: str) -> bool:
             stat = await envelope.segments.stat(file_sid)
         except (NoSuchSegment, ReplicaUnavailable):
             return False  # gone (or unprovable) under us: nothing to do
-        stripe_sids = [sid for sid
-                       in (stat.meta.get("stripes") or {}).get("sids", [])
-                       if sid is not None]
+        smap = StripeMap.from_meta(stat.meta)
+        stripe_sids = smap.live_sids() if smap is not None else []
         await envelope.segments.delete(file_sid)
         for sid in stripe_sids:
             try:
@@ -91,22 +101,4 @@ async def total_link_count(envelope, file_sid: str) -> int:
 
     Kept for the F7 experiment; the production GC path never uses it.
     """
-    stat = await envelope.segments.stat(file_sid)
-    uplinks = stat.meta.get("uplinks", [])
-    total = 0
-    for dir_sid in uplinks:
-        try:
-            versions = await envelope.segments.list_versions(dir_sid)
-        except (NoSuchSegment, ReplicaUnavailable):
-            continue
-        for major in versions:
-            try:
-                result = await envelope.segments.read(dir_sid, version=major)
-                located = await envelope.segments.locate_replicas(dir_sid,
-                                                                  version=major)
-            except (NoSuchSegment, ReplicaUnavailable):
-                continue
-            entries = decode_dir(result.data)
-            links_here = sum(1 for e in entries.values() if e["h"] == file_sid)
-            total += links_here * len(located["holders"])
-    return total
+    return await _scan_uplinks(envelope, file_sid, copies=True)

@@ -263,12 +263,13 @@ def test_namespace_reads_go_to_the_directory_holder():
     its last hint named, so the holder reads the directory locally instead
     of the mount server relaying it; a lapsed listing's version check
     reaches a holder, which answers "unchanged".  Without the shortcut
-    both are relayed by the mount server."""
+    all three are relayed by the mount server, and the holder answers the
+    relayed version check "unchanged" as well."""
     assert _namespace_reads(AgentConfig(attr_ttl_ms=200.0)) == (
         (1, 0, 0), (1, 0, 0), (1, 0, 1))
     assert _namespace_reads(AgentConfig(attr_ttl_ms=200.0,
                                         shortcut=False)) == (
-        (0, 1, 0), (0, 1, 0), (0, 1, 0))
+        (0, 1, 0), (0, 1, 0), (0, 1, 1))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 42])
@@ -465,18 +466,21 @@ def test_a_write_timed_out_at_a_slow_token_holder_does_not_apply_late(
         delta = cluster.metrics.delta(snap)
         await owner.write_file("/f", b"second writer")
         await cluster.kernel.sleep(stall_ms + 3000.0)
-        updates = cluster.metrics.delta(snap).get("deceit.updates", 0)
+        total = cluster.metrics.delta(snap)
         return (await owner.read_file("/f"), await writer.read_file("/f"),
                 status, (delta.get("agent.routed_writes", 0),
                          delta.get("net.rpc_expired.nfs", 0),
-                         delta.get("deceit.updates", 0)), updates)
+                         delta.get("deceit.updates", 0)),
+                (total.get("deceit.updates", 0),
+                 total.get("deceit.token_passes", 0)))
 
-    read_owner, read_writer, status, counts, updates = cluster.run(main())
+    read_owner, read_writer, status, counts, totals = cluster.run(main())
     assert read_owner == read_writer == b"second writer"
     # (routed attempts, expired attempts, updates) when the call returned
     assert (status, counts) == (first, at_return)
-    # in the end one update for each writer's call, however many copies
-    assert updates == 2
+    # in the end one update for each writer's call, however many copies,
+    # and the token moves for none of them
+    assert totals == (2, 0)
 
 
 def _routed_writes(agent_config):

@@ -134,8 +134,8 @@ def test_a_dirop_replay_is_recognized_by_its_id():
 def test_a_forwarded_dirop_and_its_fallback_apply_once():
     """§3.3 optimization 2 under a slow holder: ``s1``'s forward of a
     dirop queues behind the holder's update lock past its reply bound and
-    applies there, and the fallback takes the token under the same minted
-    id.  The fallback is answered with the forward's version pair: one
+    applies there, and the forward is sent again under the same minted
+    id.  The second copy is answered with the first's version pair: one
     update, one entry, and the create that sent it succeeds."""
     cluster = build_cluster(3, n_agents=1, seed=5)
     agent = cluster.agents[0]

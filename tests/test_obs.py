@@ -380,19 +380,20 @@ def test_armed_observability_is_deterministic_and_non_perturbing():
 # --------------------------------------------------------------------- #
 
 def test_four_server_ramp_finds_a_knee():
-    """Which of the top two steps "plateaus" is an overload coin-flip per
-    seed (both already fail ops), so the knee and the plateau limit are
-    asserted on the median over five seeds.  Since whole-file rewrites go
-    to the token holder the cell no longer plateaus by 128 clients (seeds
-    42-46 all knee at 128, the old ramp's end), so the ramp starts at 64
-    and ends at 256; at 2 virtual s per step it still plateaus (ROADMAP)."""
+    """Which step plateaus is a coin-flip per seed, so the knee and the
+    plateau limit are asserted on the median over five seeds.  The ramp
+    runs 32 to 256 clients on 4 files: since a getattr forwarded to a
+    holder carries its placement record, agents route reads to holders,
+    and on 8 files the cell no longer plateaus by 256 clients (seeds 42-46
+    gain 7-21 % from 256 to 512); on 4 files write contention still makes
+    a knee, and every seed meets the SLO at 32 or 64 clients."""
     import statistics
 
     from repro.obs.loadtest import loadtest
 
-    ramp = (64, 128, 256)
+    ramp = (32, 64, 128, 256)
     reports = [loadtest(n_servers=4, steps=ramp, duration_ms=2_000.0,
-                        seed=seed, n_files=8, write_fraction=0.2,
+                        seed=seed, n_files=4, write_fraction=0.2,
                         slo_p99_ms=700.0)
                for seed in range(42, 47)]
     for report in reports:
@@ -405,7 +406,7 @@ def test_four_server_ramp_finds_a_knee():
         assert all(s["busy_rejected"] == 0 for s in steps)
     # the plateau is found *inside* the ramp, not by running out of steps
     assert statistics.median(r["knee"]["concurrency"] for r in reports) == 128
-    assert statistics.median(r["steps"][2]["ops_per_vs"]
+    assert statistics.median(r["steps"][-1]["ops_per_vs"]
                              / r["knee"]["ops_per_vs"] for r in reports) < 1.10
 
 

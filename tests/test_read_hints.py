@@ -56,20 +56,50 @@ def test_a_non_member_reads_and_stats_current_data_without_joining():
     cluster.close()
 
 
-def test_a_non_member_never_validates_and_does_not_join_to_say_so():
+def _revalidate(cluster, server, sid, verify):
+    """``server``'s revalidation of ``sid`` at ``verify``, and the
+    counter deltas it made."""
+    async def main():
+        snap = cluster.metrics.snapshot()
+        result = await server.read(sid, verify=verify)
+        return result, cluster.metrics.delta(snap)
+
+    return cluster.run(main())
+
+
+def test_a_non_member_revalidates_without_joining():
+    """The replica that serves a non-member's read answers its
+    revalidation: "unchanged", no data bytes, and no join to say so."""
     cluster = build_core_cluster(4, seed=1)
     s3 = cluster.servers[3]
-    sid = _three_holders(cluster)
+    sid = _three_holders(cluster, data=bytes(4096))
+    version = cluster.run(s3.read(sid)).version
 
-    async def main():
-        version = (await s3.read(sid)).version
-        snap = cluster.metrics.snapshot()
-        ok = await s3.validate_version(sid, version.to_tuple())
-        return ok, cluster.metrics.delta(snap)
-
-    ok, delta = cluster.run(main())
-    assert ok is False
+    result, delta = _revalidate(cluster, s3, sid, version.to_tuple())
+    assert (result.unchanged, result.data, result.version) == \
+        (True, b"", version)
     assert delta.get("isis.joins", 0) == 0
+    assert not s3.proc.is_member(group_of(sid))
+    assert delta["net.bytes_moved"] < 4096
+    assert (delta["deceit.reads"], delta["deceit.reads_forwarded"]) == (1, 1)
+    cluster.close()
+
+
+def test_a_member_without_a_replica_revalidates_through_a_holder():
+    cluster = build_core_cluster(4, seed=1)
+    s3 = cluster.servers[3]
+    sid = _three_holders(cluster, data=bytes(4096))
+    version = cluster.run(s3.read(sid)).version
+    cluster.run(s3.read(sid, version=version.major))    # a named major joins
+    assert s3.cat.joined(sid) and \
+        (sid, version.major) not in s3.store.replicas
+
+    result, delta = _revalidate(cluster, s3, sid, version.to_tuple())
+    assert (result.unchanged, result.data, result.version) == \
+        (True, b"", version)
+    assert result.placement.holders == ("s0", "s1", "s2")
+    assert delta["net.bytes_moved"] < 4096
+    assert (delta["deceit.reads"], delta["deceit.reads_forwarded"]) == (1, 1)
     cluster.close()
 
 

@@ -85,11 +85,33 @@ def test_a_relayed_read_names_the_token_holder():
         await s2.write(sid, setdata(b"mid"))
         await s2.write(sid, setdata(b"new"))
         major = (await s2.locate_replicas(sid))["major"]
-        return await s1.reads._ask("s0", "seg_read", sid, major,
-                                   offset=0, count=None)
+        return await s1.reads._ask("s0", sid, major, offset=0, count=None)
 
     result = cluster.run(main())
     assert (result.data, result.served_by) == (b"new", "s2")
+    cluster.close()
+
+
+def test_a_stat_at_a_lagging_holder_answers_with_the_token_holders_version():
+    """A getattr follows the read rule (§3.4): a holder that lags the
+    token holder's acked writes while the major is unstable does not
+    answer from its own copy, but asks the token holder."""
+    cluster = build_core_cluster(4, seed=3)
+    s0, s2 = cluster.servers[0], cluster.servers[2]
+
+    async def main():
+        sid = await s2.create(params=FileParams(min_replicas=3,
+                                                write_safety=2), data=b"old")
+        cluster.network.latency = SlowLink(cluster.network.latency,
+                                           "s2", "s0", 100.0)
+        await s2.write(sid, setdata(b"mid"))
+        written = await s2.write(sid, setdata(b"new"))
+        lagging = s0.store.replicas[(sid, written.major)].version
+        return written, lagging, await s0.stat(sid)
+
+    written, lagging, stat = cluster.run(main())
+    assert lagging.sub < written.sub
+    assert (stat.version, stat.served_by, stat.data) == (written, "s2", b"")
     cluster.close()
 
 

@@ -298,10 +298,11 @@ class ReadService:
         a zero-byte read; else the bytes, through the read cache.  The
         first two touch no data block, so they charge no disk latency.
 
-        Every answer stamps the replica's read time, which update replies
-        report to the token holder.  An answer to another server
-        (``remote``) or an "unchanged" one also stamps this holder's read
-        time in the catalog, the other input of LRU deletion (§3.1)."""
+        Every answer but a getattr from another server (``remote``)
+        stamps the replica's read time, which update replies report to the
+        token holder.  A read from another server or an "unchanged" answer
+        also stamps this holder's read time in the catalog, the other
+        input of LRU deletion (§3.1)."""
         kernel, sid, major = self.kernel, replica.sid, replica.major
         if count == 0 or verify is not None:
             await self._after_burst_head(sid, major)
@@ -322,9 +323,12 @@ class ReadService:
                     tracer.record(tid, t0, kernel.now, "pipeline", "read")
             end = len(replica.data) if count is None else offset + count
             data = replica.data[offset:end]
-        replica.read_ts = kernel.now
+        read = count != 0 or unchanged
+        if read or not remote:
+            replica.read_ts = kernel.now
         cat = self.catalog.get(sid)
-        if (remote or unchanged) and cat is not None and major in cat.majors:
+        if read and (remote or unchanged) and cat is not None \
+                and major in cat.majors:
             cat.majors[major].read_ts[self.transport.addr] = kernel.now
         return ReadResult(
             data=data, version=replica.version, meta=dict(replica.meta),

@@ -316,17 +316,30 @@ class Agent(Node):
 
     async def lookup_path(self, path: str) -> FileHandle:
         """Walk a slash path from the root, one LOOKUP per component."""
+        return (await self._walk(path))[0]
+
+    async def _walk(self, path: str,
+                    read: bool = False) -> tuple[FileHandle, dict]:
+        """:meth:`lookup_path`, plus the reply of the LOOKUP that resolved
+        the last component (``{}`` when the caches resolved it).
+
+        With ``read`` — the caller reads the whole file — and the data
+        cache on, that LOOKUP asks for the file's bytes too.  The server
+        answering it includes them when its own replica serves them
+        (§3.4), so a cold whole-file read is one round trip; otherwise
+        the caller READs from the holder the reply's placement names.
+        An agent with caches off sends the plain NFS LOOKUP."""
         if self.root_fh is None:
             await self.mount()
         hit = self._handle_cache.fresh(path)
         if hit is not None:
             self.metrics.incr("agent.handle_cache_hits")
-            return hit[0]
-        fh = self.root_fh
-        walked: list[str] = []
-        for part in split_path(path):
-            walked.append(part)
-            prefix = "/" + "/".join(walked)
+            return hit[0], {}
+        fh, reply = self.root_fh, {}
+        parts = split_path(path)
+        for depth, part in enumerate(parts, 1):
+            reply = {}
+            prefix = "/" + "/".join(parts[:depth])
             hit = self._handle_cache.fresh(prefix)
             if hit is not None:
                 fh = hit[0]
@@ -336,9 +349,11 @@ class Agent(Node):
                 fh = listed
                 self._handle_cache.put(prefix, fh)
                 continue
+            args: dict[str, Any] = {"fh": fh.encode(), "name": part}
+            if read and depth == len(parts) and self._data_cache.enabled:
+                args["read"] = True
             try:
-                reply = await self._nfs("lookup", {"fh": fh.encode(),
-                                                   "name": part},
+                reply = await self._nfs("lookup", args,
                                         to=self._shortcut_target(fh))
             except NfsError as exc:
                 if exc.status == NfsStat.ERR_NOENT and ";" not in part:
@@ -350,7 +365,7 @@ class Agent(Node):
             self._attr_cache.put(fh.encode(),
                                  FileAttrs.from_wire(reply["attrs"]))
             self._learn_placement(fh, reply)
-        return fh
+        return fh, reply
 
     def _lookup_cached(self, dirfh: FileHandle, name: str) -> FileHandle | None:
         """Resolve one component from the agent-side directory caches.
@@ -452,14 +467,26 @@ class Agent(Node):
     async def read_file(self, path_or_fh: str | FileHandle) -> bytes:
         """Whole-file read (the dominant access pattern, §2.3).
 
-        Served from the agent cache while the TTL is fresh; once it lapses
-        the cached copy is *revalidated by version pair* rather than thrown
-        away — the server replies "unchanged" without payload bytes when
-        the file is still at the cached version (version-exact
-        invalidation, §3.5's version inquiry put to work).
+        A path whose last component needs a LOOKUP asks that LOOKUP for
+        the bytes (:meth:`_walk`).  Served from the agent cache while the
+        TTL is fresh; once it lapses the cached copy is *revalidated by
+        version pair* rather than thrown away — the server replies
+        "unchanged" without payload bytes when the file is still at the
+        cached version (version-exact invalidation, §3.5's version inquiry
+        put to work).
         """
-        fh = await self._resolve(path_or_fh)
+        if isinstance(path_or_fh, FileHandle):
+            fh, looked_up = path_or_fh, {}
+        else:
+            fh, looked_up = await self._walk(path_or_fh, read=True)
         key = fh.encode()
+        if "data" in looked_up:
+            # the LOOKUP that resolved the name carried the bytes: a miss
+            # filled without a READ
+            self.metrics.incr("agent.data_cache_misses")
+            data = looked_up["data"]
+            self._data_cache.put(key, data, tuple(looked_up["version"]))
+            return data
         cached = self._data_cache.fresh(key)
         if cached is not None:
             self.metrics.incr("agent.data_cache_hits")

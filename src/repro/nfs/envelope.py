@@ -130,6 +130,11 @@ class Envelope:
         Also returns the stat it made (``None`` for the global root), whose
         placement record the reply carries."""
         self.metrics.incr("nfs.ops.getattr")
+        return await self._stat(fh)
+
+    async def _stat(self, fh: FileHandle,
+                    ) -> tuple[FileAttrs, ReadResult | None]:
+        """A file's attributes and the zero-byte read they came from."""
         if fh.sid == GLOBAL_ROOT_SID:
             return FileAttrs(ftype=FileType.DIRECTORY, mode=0o555), None
         result = await self.segments.stat(fh.sid, version=fh.version)
@@ -164,12 +169,21 @@ class Envelope:
             await self._touch_meta(fh, patch)
         return (await self.getattr(fh))[0]
 
-    async def lookup(self, dirfh: FileHandle, name: str,
+    async def lookup(self, dirfh: FileHandle, name: str, read: bool = False,
                      ) -> tuple[FileHandle, FileAttrs, ReadResult | None,
-                                ReadResult]:
+                                ReadResult, bool]:
         """LOOKUP — resolve one name, honoring ``foo;3`` version syntax;
-        the handle, its attributes, the stat they came from and the
-        directory read the name was found in."""
+        the handle, its attributes, the read they came from, the directory
+        read the name was found in, and whether that read carries the
+        file's bytes.
+
+        With ``read`` the file's bytes come along when this server serves
+        them from its own replica — the zero-byte read found that §3.4
+        lets it answer — and a READ would return them without a stripe
+        gather: an unstriped regular file.  The attributes and version are
+        then the full read's.  Otherwise no bytes ride, so none are ever
+        relayed (§5.3: the caller reads from the holder the placement
+        names)."""
         self.metrics.incr("nfs.ops.lookup")
         base, version = split_version(name)
         entries, dir_result = await self._require_dir(dirfh)
@@ -182,7 +196,18 @@ class Envelope:
             if version not in versions:
                 raise NfsError(NfsStat.ERR_NOENT, f"{base};{version}")
             fh = fh.qualified(version)
-        return (fh, *await self.getattr(fh), dir_result)
+        attrs, result = await self._stat(fh)
+        me = self.segments.proc.addr
+        if not read or result is None or result.served_by != me \
+                or result.meta.get("ftype") != FileType.REGULAR.value \
+                or StripeMap.from_meta(result.meta) is not None:
+            return fh, attrs, result, dir_result, False
+        result = await self.segments.read(fh.sid, version=fh.version)
+        whole = result.served_by == me \
+            and StripeMap.from_meta(result.meta) is None
+        if whole:
+            self.metrics.incr("nfs.ops.read")
+        return fh, self._attrs_of(result), result, dir_result, whole
 
     async def read(self, fh: FileHandle, offset: int = 0,
                    count: int | None = None,

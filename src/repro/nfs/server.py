@@ -41,10 +41,23 @@ NFS_PROXY_TIMEOUT_MS = 2000.0
 #: ride free — a user-level operation fans out into several of those
 #: around exactly one data op, so one token ≈ one user operation, and a
 #: BUSY mid-fan-out never strands tokens already spent on the prefix.
+#: A lookup carrying ``read`` is that data op too: it stands in for the
+#: READ it saves.
 GATED_NFS_OPS = frozenset({
     "read", "write", "create", "mkdir", "symlink", "remove", "rmdir",
     "rename", "link", "setattr",
 })
+
+
+def _read_fields(result) -> dict:
+    """A READ reply's fields: the bytes, their version pair, the file's
+    current length — which lets a fan-out client know when its range
+    reads already cover the file (no wasted chase past an exactly
+    stripe-aligned EOF) — and the placement hint."""
+    return {"data": result.data,
+            "version": [result.major, result.version.sub],
+            "size": file_length(result.meta),
+            **result.placement.hint(result.served_by)}
 
 
 def error_reply(exc: NfsError | SegmentError) -> dict:
@@ -193,7 +206,9 @@ class DeceitServer:
         """The NFS protocol entry point; one handler, op-dispatched."""
         self.metrics.incr("nfs.requests")
         gate = self.admission
-        if gate is not None and op in GATED_NFS_OPS and not gate.try_admit():
+        if gate is not None \
+                and (op in GATED_NFS_OPS or op == "lookup" and args.get("read")) \
+                and not gate.try_admit():
             # answered *before* any pipeline work: overload costs the
             # cell one envelope round, not a queue slot
             self.metrics.incr("nfs.busy_rejected")
@@ -251,11 +266,12 @@ class DeceitServer:
         if op == "lookup":
             if fh is not None and fh.sid == GLOBAL_ROOT_SID:
                 return await self._lookup_global(args["name"])
-            out_fh, attrs, result, dir_result = await env.lookup(
-                fh, args["name"])
+            out_fh, attrs, result, dir_result, whole = await env.lookup(
+                fh, args["name"], read=bool(args.get("read")))
             hint = result.placement.hint(result.served_by) if result else {}
             return {"status": 0, "fh": out_fh.encode(),
-                    "attrs": attrs.to_wire(), **hint,
+                    "attrs": attrs.to_wire(),
+                    **(_read_fields(result) if whole else hint),
                     **dir_result.placement.hint(dir_result.served_by,
                                                 "dir_placement")}
         if op == "read":
@@ -268,13 +284,7 @@ class DeceitServer:
                 self.metrics.incr("nfs.reads_unchanged")
                 return {"status": 0, "unchanged": True,
                         "version": list(args["verify"])}
-            return {"status": 0, "data": result.data,
-                    "version": [result.major, result.version.sub],
-                    # current file length: lets a fan-out client know when
-                    # its range reads already cover the file (no wasted
-                    # chase past an exactly-stripe-aligned EOF)
-                    "size": file_length(result.meta),
-                    **result.placement.hint(result.served_by)}
+            return {"status": 0, **_read_fields(result)}
         if op == "write":
             attrs, version = await env.write(
                 fh, args.get("offset", 0), args.get("data", b""),

@@ -24,3 +24,19 @@ def network(kernel: Kernel) -> Network:
 def run(kernel: Kernel, awaitable, limit: float = 60_000.0):
     """Drive the kernel until ``awaitable`` resolves (virtual-time bounded)."""
     return kernel.run_until_complete(awaitable, limit=limit)
+
+
+def record_nfs(agent) -> list[list]:
+    """Log every NFS call ``agent`` makes from now on as ``[op, args,
+    reply]`` — the reply stays ``None`` when the call raised."""
+    calls: list[list] = []
+    nfs = agent._nfs
+
+    async def recorded(op, args, **kwargs):
+        call = [op, dict(args), None]
+        calls.append(call)
+        call[2] = await nfs(op, args, **kwargs)
+        return call[2]
+
+    agent._nfs = recorded
+    return calls

@@ -11,6 +11,7 @@ from repro.errors import NfsError, NfsStat
 from repro.net.network import NetConfig
 from repro.obs.admission import AdmissionConfig, AdmissionGate
 from repro.testbed import build_cluster
+from tests.conftest import record_nfs
 
 
 def make(agent_config=None, n_servers=3):
@@ -175,6 +176,114 @@ def test_shortcut_reads_go_to_replica_holder():
                 cluster.metrics.get("deceit.reads_forwarded") - forwarded)
 
     assert cluster.run(main()) == (b"direct", 1, 0)
+
+
+def test_a_caching_agents_cold_read_goes_to_the_replica_holder():
+    """The caching agent's cold read asks its LOOKUP for the bytes, but
+    the server answering it holds no replica of /f: it sends no bytes (it
+    would have to relay them), and the READ goes straight to the holder
+    the LOOKUP reply names."""
+    cluster = make(AgentConfig(cache=True, shortcut=True))
+    agent = cluster.agents[0]
+
+    async def main():
+        await agent.mount()
+        await agent.create("/", "f")
+        await agent.write_file("/f", b"direct")
+        agent.current = 2          # s2 holds no replica of /f
+        agent._handle_cache.pop("/f")
+        routed = cluster.metrics.get("agent.routed_reads")
+        forwarded = cluster.metrics.get("deceit.reads_forwarded")
+        data = await agent.read_file("/f")
+        return (data, cluster.metrics.get("agent.routed_reads") - routed,
+                cluster.metrics.get("deceit.reads_forwarded") - forwarded)
+
+    assert cluster.run(main()) == (b"direct", 1, 0)
+
+
+def test_a_cold_whole_file_read_is_one_round_trip():
+    """§2.3's whole-file read of a name the agent holds no handle for:
+    ``/d``'s server holds ``/d/f``'s replica, so the LOOKUP that resolves
+    the name carries the bytes and no READ follows.  The fill keeps the
+    version pair, so once the TTL lapses the next read is revalidated
+    "unchanged"."""
+    cluster = make(AgentConfig(data_ttl_ms=100.0))
+    agent = cluster.agents[0]
+    metrics = cluster.metrics
+
+    async def main():
+        await agent.mount()
+        await agent.mkdir("/", "d")
+        await agent.create("/d", "f")
+        await agent.write_file("/d/f", b"one round trip")
+        await cluster.kernel.sleep(300.0)   # stable: revalidation may hit
+        agent._handle_cache.pop("/d/f")
+        calls = record_nfs(agent)
+        snap = metrics.snapshot()
+        data = await agent.read_file("/d/f")
+        cold, sent = metrics.delta(snap), [(op, args) for op, args, _ in calls]
+        await cluster.kernel.sleep(150.0)
+        snap = metrics.snapshot()
+        again = await agent.read_file("/d/f")
+        return data, cold, sent, again, metrics.delta(snap)
+
+    data, cold, sent, again, later = cluster.run(main())
+    assert data == again == b"one round trip"
+    assert sent == [("lookup", {"fh": sent[0][1]["fh"], "name": "f",
+                                "read": True})]
+    assert cold.get("nfs.requests") == 1
+    assert (cold.get("nfs.ops.lookup"), cold.get("nfs.ops.read"),
+            cold.get("nfs.ops.getattr", 0)) == (1, 1, 0)
+    assert cold.get("agent.data_cache_misses") == 1
+    assert later.get("nfs.reads_unchanged") == 1
+
+
+def test_a_cold_read_of_a_missing_name_leaves_a_negative_entry():
+    """ERR_NOENT from the LOOKUP that asked for the bytes feeds the
+    negative cache, so the repeat read costs no RPC."""
+    cluster = make(AgentConfig())
+    agent = cluster.agents[0]
+
+    async def main():
+        await agent.mount()
+        dirfh = await agent.mkdir("/", "d")
+        calls = record_nfs(agent)
+        for _ in range(2):
+            with pytest.raises(NfsError) as exc:
+                await agent.read_file("/d/nope")
+            assert exc.value.status == NfsStat.ERR_NOENT
+        return dirfh, calls
+
+    dirfh, calls = cluster.run(main())
+    assert [(op, args.get("read"), reply) for op, args, reply in calls] == [
+        ("lookup", True, None)]
+    assert agent._neg_cache.fresh((dirfh.encode(), "nope")) is not None
+    assert cluster.metrics.get("agent.neg_lookup_hits") == 1
+
+
+def test_a_cold_read_of_a_version_qualified_name():
+    """``f;<major>`` resolves through the same LOOKUP, and the bytes it
+    carries are that major's."""
+    cluster = make(AgentConfig())
+    agent = cluster.agents[0]
+
+    async def main():
+        await agent.mount()
+        await agent.mkdir("/", "d")
+        fh = await agent.create("/d", "f")
+        await agent.write_file("/d/f", b"major one")
+        (major,) = await agent.list_versions("/d/f")
+        calls = record_nfs(agent)
+        data = await agent.read_file(f"/d/f;{major}")
+        return fh, major, data, calls
+
+    fh, major, data, calls = cluster.run(main())
+    assert data == b"major one"
+    [(op, args, reply)] = calls
+    assert (op, args["name"], args.get("read")) == ("lookup", f"f;{major}",
+                                                    True)
+    assert reply["fh"] == fh.qualified(major).encode()
+    assert reply["version"][0] == major
 
 
 def test_routed_reads_fall_back_when_the_hinted_holder_crashes():

@@ -9,6 +9,11 @@ instead of calling it.
 
 A striped file's map lives in its parent's meta under one key; outside
 ``core/striping/`` it is read through ``StripeMap``, never parsed by hand.
+
+The agent resolves names in one place: it sends the ``lookup`` NFS op from
+one call site, so the dir and negative caches, the placement hints and the
+LOOKUP that carries a cold read's bytes cannot drift apart on a second
+path.
 """
 
 import ast
@@ -57,3 +62,20 @@ def test_only_the_striping_package_names_the_stripe_map_key():
                  if striping not in path.parents
                  for hit in _stripe_key_uses(path)]
     assert offenders == []
+
+
+def test_the_agent_sends_lookup_from_one_call_site():
+    agent = SRC / "agent"
+    named, sent = [], []
+    for path in sorted(agent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value == "lookup":
+                named.append(f"{path.relative_to(SRC)}:{node.lineno}")
+            if isinstance(node, ast.Call) and node.args \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "_nfs" \
+                    and isinstance(node.args[0], ast.Constant) \
+                    and node.args[0].value == "lookup":
+                sent.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert len(named) == 1, named
+    assert sent == named

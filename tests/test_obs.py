@@ -23,6 +23,7 @@ from repro.isis.failure_detector import RING_NEIGHBOURS
 from repro.obs import AdmissionConfig, AdmissionGate, ERR_UNREACHABLE, Tracer
 from repro.sim import Kernel
 from repro.testbed import build_cluster
+from tests.conftest import record_nfs
 
 
 # --------------------------------------------------------------------- #
@@ -214,6 +215,41 @@ def test_busy_surfaces_as_nfs_error_when_retries_exhausted():
         assert exc.value.status == NfsStat.ERR_BUSY
 
     cluster.run(work())
+    cluster.close()
+
+
+def test_a_lookup_carrying_read_takes_an_admission_token():
+    """A LOOKUP that asks for the file's bytes is the user operation's
+    data op: it takes one admission token, as the READ it stands in for
+    would, and is answered BUSY when none is left.  A plain LOOKUP rides
+    free."""
+    cluster = build_cluster(
+        n_servers=2, n_agents=1,
+        agent_config=AgentConfig(busy_retries=0, failover=False),
+        admission=AdmissionConfig(rate_per_ms=0.0001, burst=3.0))
+    agent = cluster.agents[0]
+    gate = cluster.servers[0].admission
+
+    async def work():
+        await agent.mount()
+        await agent.mkdir("/", "d")
+        await agent.create("/d", "f")           # two tokens spent
+        calls = record_nfs(agent)
+        agent._handle_cache.pop("/d/f")
+        assert await agent.read_file("/d/f") == b""    # the third
+        agent._handle_cache.pop("/d/f")
+        with pytest.raises(NfsError) as exc:
+            await agent.read_file("/d/f")
+        assert exc.value.status == NfsStat.ERR_BUSY
+        agent._handle_cache.pop("/d/f")
+        await agent.lookup_path("/d/f")
+        return [(op, args.get("read"), reply is not None)
+                for op, args, reply in calls]
+
+    assert cluster.run(work()) == [("lookup", True, True),
+                                   ("lookup", True, False),
+                                   ("lookup", None, True)]
+    assert (gate.admitted, gate.rejected) == (3, 1)
     cluster.close()
 
 

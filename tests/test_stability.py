@@ -10,7 +10,7 @@ that no reader can see k+1 and then k because of it.
 """
 
 from repro.core import FileParams, WriteOp
-from repro.testbed import build_core_cluster
+from repro.testbed import build_cluster, build_core_cluster
 
 
 class SlowLink:
@@ -112,6 +112,56 @@ def test_a_stat_at_a_lagging_holder_answers_with_the_token_holders_version():
     written, lagging, stat = cluster.run(main())
     assert lagging.sub < written.sub
     assert (stat.version, stat.served_by, stat.data) == (written, "s2", b"")
+    cluster.close()
+
+
+def test_a_cold_agent_read_at_a_lagging_holder_returns_the_token_holders_version():
+    """An agent's LOOKUP asking for the bytes follows the read rule (§3.4):
+    a directory server holding a lagging replica while the major is
+    unstable sends none of its own bytes, so the read returns the token
+    holder's version.  Once the major is stable again the same server's
+    replica answers, and the cold read is the LOOKUP alone."""
+    cluster = build_cluster(n_servers=4, n_agents=1, seed=3)
+    agent = cluster.agents[0]
+    s0, s2 = (cluster.servers[i].segments for i in (0, 2))
+    metrics = cluster.metrics
+
+    async def cold_read():
+        agent._handle_cache.pop("/d/f")
+        agent._data_cache.clear()
+        snap = metrics.snapshot()
+        data = await agent.read_file("/d/f")
+        fh = await agent.lookup_path("/d/f")
+        version = agent._data_cache.peek(fh.encode())[2]
+        return data, version, metrics.delta(snap).get("nfs.requests")
+
+    async def main():
+        await agent.mount()
+        await agent.mkdir("/", "d")                    # held at s0
+        agent.current = 2
+        fh = await agent.create("/d", "f")             # held at s2
+        await agent.write_file("/d/f", b"old")
+        await agent.set_params("/d/f", min_replicas=3, write_safety=2)
+        agent.current = 0
+        assert await agent.create_replica("/d/f", "s0")
+        await cluster.kernel.sleep(300.0)
+        located = await agent.locate("/d/f")
+        assert "s0" in located["holders"]
+        assert located["token_holder"] == "s2"
+        cluster.network.latency = SlowLink(cluster.network.latency,
+                                           "s2", "s0", 100.0)
+        await s2.write(fh.sid, setdata(b"mid"))
+        written = await s2.write(fh.sid, setdata(b"new"))
+        lagging = s0.store.replicas[(fh.sid, written.major)].version
+        unstable = await cold_read()
+        cluster.network.latency = cluster.network.latency.inner
+        await cluster.kernel.sleep(1000.0)
+        return written, lagging, unstable, await cold_read()
+
+    written, lagging, unstable, stable = cluster.run(main())
+    assert lagging.sub < written.sub
+    assert unstable == (b"new", written.to_tuple(), 2)
+    assert stable == (b"new", written.to_tuple(), 1)
     cluster.close()
 
 

@@ -17,6 +17,7 @@ from repro.core.striping.striper import RETIRE_DELAY_MS
 from repro.errors import NfsError
 from repro.net.network import NetConfig
 from repro.testbed import build_cluster
+from tests.conftest import record_nfs
 
 SS = 128  # stripe size used throughout: small enough to reason about
 
@@ -181,6 +182,31 @@ def test_ranged_reads_and_readahead():
             payload[SS // 2:SS // 2 + 3 * SS]
 
     cluster.run(main())
+    cluster.close()
+
+
+def test_a_cold_read_of_a_striped_file_reassembles_through_the_fan_out():
+    """The LOOKUP that asks for a striped file's bytes gets none (a READ
+    would have gathered them): its attributes carry the stripe width, and
+    the agent fans the read out per stripe."""
+    cluster = build_cluster(4, n_agents=1, seed=15)
+    agent = cluster.agents[0]
+
+    async def main():
+        payload = await make_striped(cluster, agent)
+        agent._handle_cache.pop("/big")
+        fresh(agent)
+        calls = record_nfs(agent)
+        data = await agent.read_file("/big")
+        return payload, data, calls
+
+    payload, data, calls = cluster.run(main())
+    assert data == payload
+    op, args, reply = calls[0]
+    assert (op, args.get("read"), "data" in reply) == ("lookup", True, False)
+    assert reply["attrs"]["stripe_size"] == SS
+    assert [op for op, _args, _reply in calls[1:]] == ["read"] * 6
+    assert cluster.metrics.get("agent.striped_reads") == 1
     cluster.close()
 
 

@@ -305,12 +305,9 @@ class Agent(Node):
     # ------------------------------------------------------------------ #
 
     async def mount(self) -> FileHandle:
-        """Fetch the root handle from the connected server."""
+        """Fetch the root handle, failing over like every other call."""
         await self._user_hop()
-        reply = await self.call(self.server, "nfs_root",
-                                timeout=RPC_TIMEOUT_MS, tag="mount")
-        if reply["status"] != 0:
-            raise NfsError(reply["status"], reply.get("error", ""))
+        reply = await self._transport("nfs_root", "mount", {})
         self.root_fh = FileHandle.decode(reply["fh"])
         return self.root_fh
 

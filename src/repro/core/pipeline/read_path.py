@@ -14,8 +14,8 @@ replica that answers all three:
   runs stability recovery when the holder has left the file group's view.
 
 The serving replica answers "unchanged" (no data bytes) when the caller's
-version pair is its own and it is stable and unstriped; a zero-byte read
-touches no data block.  Everything else reads through the
+version pair is its own and it is unstriped; a zero-byte read touches no
+data block.  Everything else reads through the
 :class:`~repro.core.pipeline.read_cache.VersionedReadCache`, so only a
 cold version charges disk latency.
 
@@ -52,9 +52,11 @@ Invariants
   mark, see :mod:`repro.core.pipeline.update`), the token holder holds its
   local reads of that major: another member may still serve the previous
   version as stable.
-- "Unchanged" is answered only by the replica that would have served the
-  bytes, only while it is stable, and never for a striped parent, whose
-  version pair range writes to the stripes do not bump.
+- "Unchanged" is answered by whichever replica serves: the rule above has
+  already picked it, and a caller whose version pair equals that
+  replica's holds exactly the bytes it would ship.  So the token holder of
+  an unstable major answers it too.  It is never answered for a striped
+  parent, whose version pair range writes to the stripes do not bump.
 - A read hint is routing only: every answer a non-member returns comes
   from a member's catalog and from a replica that member holds or relays
   to, exactly as that member's own read would.
@@ -294,7 +296,7 @@ class ReadService:
     async def _serve(self, replica: Replica, offset: int, count: int | None,
                      verify=None, remote: bool = False) -> ReadResult:
         """This replica's answer: "unchanged" when ``verify`` is its
-        version pair and it is stable and unstriped; attributes alone for
+        version pair and it is unstriped; attributes alone for
         a zero-byte read; else the bytes, through the read cache.  The
         first two touch no data block, so they charge no disk latency.
 
@@ -308,7 +310,6 @@ class ReadService:
             await self._after_burst_head(sid, major)
         unchanged = verify is not None \
             and list(verify) == list(replica.version.to_tuple()) \
-            and self._stable(replica) \
             and StripeMap.from_meta(replica.meta) is None
         data = b""
         if count != 0 and not unchanged:

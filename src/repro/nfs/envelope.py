@@ -1,5 +1,12 @@
 """The NFS file service envelope: NFS ops → segment ops (§5.2).
 
+Each NFS op is one coroutine method named after the op.  It takes the
+request's arguments as keywords — the wire's keys, handles already decoded
+— and answers its reply's fields.  The server's RPC entry point
+(:meth:`repro.nfs.server.DeceitServer._h_nfs`) admits only the ops in its
+table, counts ``nfs.ops.<op>`` and adds the status; everything a reply
+says is decided here.
+
 Every file, directory, and soft link is mapped into a unique segment.
 Directories serialize their entry table as JSON in the segment data; file
 attributes live in segment metadata (see :mod:`repro.nfs.attrs`); symlink
@@ -31,7 +38,6 @@ from typing import Any
 
 from repro.core import SegmentServer, WriteOp
 from repro.core.dirtable import decode_dir, encode_dir
-from repro.core.params import FileParams
 from repro.core.pipeline.read_path import PlacementRecord, ReadResult
 from repro.core.striping import StripeMap, Striper, file_length, wants_stripes
 from repro.errors import (
@@ -50,8 +56,6 @@ from repro.nfs.names import split_version, validate_name
 MAX_DIR_RETRIES = 16
 #: Reserved handle for the global root directory (§2.2) — not a segment.
 GLOBAL_ROOT_SID = "@global"
-
-DirVersion = tuple[int, int]
 
 
 class Envelope:
@@ -79,6 +83,23 @@ class Envelope:
         length = size if size is not None else file_length(result.meta)
         return FileAttrs.from_meta(result.meta, length)
 
+    @staticmethod
+    def _hint(result: ReadResult | None, key: str = "placement") -> dict:
+        """The reply entry naming where a read's file lives (none for the
+        global root, which no segment backs)."""
+        return result.placement.hint(result.served_by, key) if result else {}
+
+    @staticmethod
+    def _read_fields(result: ReadResult) -> dict:
+        """A READ reply's fields: the bytes, their version pair, the file's
+        current length — which lets a fan-out client know when its range
+        reads already cover the file (no wasted chase past an exactly
+        stripe-aligned EOF) — and the placement hint."""
+        return {"data": result.data,
+                "version": [result.major, result.version.sub],
+                "size": file_length(result.meta),
+                **result.placement.hint(result.served_by)}
+
     async def _require_dir(self, fh: FileHandle,
                            verify=None) -> tuple[dict, ReadResult]:
         """A directory's entries and the read they came from; no entries
@@ -91,7 +112,7 @@ class Envelope:
 
     async def _dir_write(self, fh: FileHandle, dirops: list[dict],
                          extra_meta: dict[str, Any] | None = None,
-                         ) -> DirVersion:
+                         ) -> list[int]:
         """One commuting directory mutation: a single dirop update.
 
         No prior read, no version guard — preconditions travel inside the
@@ -114,7 +135,7 @@ class Envelope:
                      meta={"mtime": self.kernel.now, **(extra_meta or {})})
         version = await self.segments.write(fh.sid, op, version=fh.version,
                                             single_update_hint=True)
-        return (version.major, version.sub)
+        return [version.major, version.sub]
 
     async def _touch_meta(self, fh: FileHandle, patch: dict[str, Any]) -> None:
         await self.segments.write(fh.sid, WriteOp(kind="setmeta", meta=patch),
@@ -124,13 +145,11 @@ class Envelope:
     # NFS operations
     # ------------------------------------------------------------------ #
 
-    async def getattr(self, fh: FileHandle,
-                      ) -> tuple[FileAttrs, ReadResult | None]:
-        """GETATTR — the most frequent NFS op; attributes only, no data.
-        Also returns the stat it made (``None`` for the global root), whose
-        placement record the reply carries."""
-        self.metrics.incr("nfs.ops.getattr")
-        return await self._stat(fh)
+    async def getattr(self, fh: FileHandle) -> dict:
+        """GETATTR — the most frequent NFS op; attributes only, no data,
+        and the placement record of the stat that read them."""
+        attrs, result = await self._stat(fh)
+        return {"attrs": attrs.to_wire(), **self._hint(result)}
 
     async def _stat(self, fh: FileHandle,
                     ) -> tuple[FileAttrs, ReadResult | None]:
@@ -140,10 +159,10 @@ class Envelope:
         result = await self.segments.stat(fh.sid, version=fh.version)
         return self._attrs_of(result), result
 
-    async def setattr(self, fh: FileHandle, sattr: dict[str, Any]) -> FileAttrs:
+    async def setattr(self, fh: FileHandle, sattr: dict[str, Any]) -> dict:
         """SETATTR — mode/owner/times via setmeta; size via truncate (routed
-        through the stripe map when the file is striped)."""
-        self.metrics.incr("nfs.ops.setattr")
+        through the stripe map when the file is striped); answers the
+        attributes a stat reads afterwards."""
         patch = sattr_to_meta(sattr)
         patch["ctime"] = self.kernel.now
         if "size" in sattr:
@@ -167,57 +186,56 @@ class Envelope:
                 )
         else:
             await self._touch_meta(fh, patch)
-        return (await self.getattr(fh))[0]
+        attrs, _result = await self._stat(fh)
+        return {"attrs": attrs.to_wire()}
 
-    async def lookup(self, dirfh: FileHandle, name: str, read: bool = False,
-                     ) -> tuple[FileHandle, FileAttrs, ReadResult | None,
-                                ReadResult, bool]:
-        """LOOKUP — resolve one name, honoring ``foo;3`` version syntax;
-        the handle, its attributes, the read they came from, the directory
-        read the name was found in, and whether that read carries the
-        file's bytes.
+    async def lookup(self, fh: FileHandle, name: str,
+                     read: bool = False) -> dict:
+        """LOOKUP — resolve one name in directory ``fh``, honoring ``foo;3``
+        version syntax: the name's handle, its attributes, their read's
+        placement record, and the directory's under ``dir_placement``.
 
-        With ``read`` the file's bytes come along when this server serves
-        them from its own replica — the zero-byte read found that §3.4
-        lets it answer — and a READ would return them without a stripe
-        gather: an unstriped regular file.  The attributes and version are
-        then the full read's.  Otherwise no bytes ride, so none are ever
-        relayed (§5.3: the caller reads from the holder the placement
-        names)."""
-        self.metrics.incr("nfs.ops.lookup")
+        With ``read`` the file's bytes come along, as the READ reply's
+        fields and counted as a READ, when this server serves them from its
+        own replica — the zero-byte read found that §3.4 lets it answer —
+        and a READ would return them without a stripe gather: an unstriped
+        regular file.  The attributes are then the full read's.  Otherwise
+        no bytes ride, so none are ever relayed (§5.3: the caller reads
+        from the holder the placement names)."""
         base, version = split_version(name)
-        entries, dir_result = await self._require_dir(dirfh)
+        entries, dir_result = await self._require_dir(fh)
         entry = entries.get(base)
         if entry is None:
-            raise NfsError(NfsStat.ERR_NOENT, f"{base} not in {dirfh.sid}")
-        fh = FileHandle(sid=entry["h"])
+            raise NfsError(NfsStat.ERR_NOENT, f"{base} not in {fh.sid}")
+        child = FileHandle(sid=entry["h"])
         if version is not None:
-            versions = await self.segments.list_versions(fh.sid)
+            versions = await self.segments.list_versions(child.sid)
             if version not in versions:
                 raise NfsError(NfsStat.ERR_NOENT, f"{base};{version}")
-            fh = fh.qualified(version)
-        attrs, result = await self._stat(fh)
+            child = child.qualified(version)
+        attrs, result = await self._stat(child)
         me = self.segments.proc.addr
-        if not read or result is None or result.served_by != me \
-                or result.meta.get("ftype") != FileType.REGULAR.value \
-                or StripeMap.from_meta(result.meta) is not None:
-            return fh, attrs, result, dir_result, False
-        result = await self.segments.read(fh.sid, version=fh.version)
-        whole = result.served_by == me \
-            and StripeMap.from_meta(result.meta) is None
+        whole = False
+        if read and result is not None and result.served_by == me \
+                and result.meta.get("ftype") == FileType.REGULAR.value \
+                and StripeMap.from_meta(result.meta) is None:
+            result = await self.segments.read(child.sid, version=child.version)
+            attrs = self._attrs_of(result)
+            whole = result.served_by == me \
+                and StripeMap.from_meta(result.meta) is None
         if whole:
             self.metrics.incr("nfs.ops.read")
-        return fh, self._attrs_of(result), result, dir_result, whole
+        return {"fh": child.encode(), "attrs": attrs.to_wire(),
+                **(self._read_fields(result) if whole else self._hint(result)),
+                **self._hint(dir_result, "dir_placement")}
 
     async def read(self, fh: FileHandle, offset: int = 0,
-                   count: int | None = None,
-                   verify=None) -> ReadResult | None:
-        """READ — byte range of a regular file (or symlink data), as the
-        full :class:`ReadResult`: data **and** the version pair, for
-        version-exact cache validation.
+                   count: int | None = None, verify=None) -> dict:
+        """READ — byte range of a regular file (or symlink data): the bytes
+        **and** their version pair, for version-exact cache validation.
 
         With ``verify`` (the version pair of the caller's cached copy),
-        returns ``None`` while that copy is current — answered by the
+        answers ``unchanged`` while that copy is current — answered by the
         replica that would have served the bytes (§3.4 picks it), so
         revalidation never weakens a file's configured consistency.  An
         unchanged answer moves no payload bytes and charges no disk read.
@@ -225,7 +243,7 @@ class Envelope:
         A striped file's parent read returns the map, not bytes; the
         requested range is then gathered from the affected stripes in
         parallel (each possibly served by a different holder server).
-        The result carries the *parent's* version pair, which range writes
+        The reply carries the *parent's* version pair, which range writes
         deliberately do not bump (that is what lets disjoint writers
         commute) — so a striped file never takes the ``verify`` shortcut:
         an unchanged parent does not prove unchanged contents, so a
@@ -236,13 +254,13 @@ class Envelope:
         the stripe can enter at a holder; a multi-stripe gather names
         none.
         """
-        self.metrics.incr("nfs.ops.read")
         result = await self.segments.read(fh.sid, offset=offset, count=count,
                                           version=fh.version, verify=verify)
         if result.meta.get("ftype") == FileType.DIRECTORY.value:
             raise NfsError(NfsStat.ERR_ISDIR, fh.sid)
         if result.unchanged:
-            return None
+            self.metrics.incr("nfs.reads_unchanged")
+            return {"unchanged": True, "version": list(verify)}
         smap = StripeMap.from_meta(result.meta)
         if smap is not None:
             result.data, stripe = await self.striper.read_range(
@@ -253,14 +271,13 @@ class Envelope:
                 result.placement = stripe.placement._replace(
                     stripe_width=smap.stripe_size)
                 result.served_by = stripe.served_by
-        return result
+        return self._read_fields(result)
 
-    async def write(self, fh: FileHandle, offset: int, data: bytes,
-                    truncate: bool = False, uid: list | None = None,
-                    ) -> tuple[FileAttrs, tuple[int, int]]:
-        """WRITE — one segment update; bumps mtime atomically.  Returns the
+    async def write(self, fh: FileHandle, offset: int = 0, data: bytes = b"",
+                    truncate: bool = False, id: list | None = None) -> dict:
+        """WRITE — one segment update; bumps mtime atomically.  Answers the
         attributes and the version pair the write produced.  Every attempt
-        of one call carries its ``uid`` (:attr:`WriteOp.uid`).
+        of one call carries its ``id`` (:attr:`WriteOp.uid`).
 
         Two shapes, each a single version bump:
 
@@ -290,27 +307,27 @@ class Envelope:
         the blob→striped conversion.  A zero-length plain write is a POSIX
         no-op answered from the stat alone (no update, no version bump).
         """
-        self.metrics.incr("nfs.ops.write")
         stat = await self.segments.stat(fh.sid, version=fh.version)
         if stat.meta.get("ftype") == FileType.DIRECTORY.value:
             raise NfsError(NfsStat.ERR_ISDIR, fh.sid)
         patch = {"mtime": self.kernel.now}
         if not truncate and not data:
-            return (self._attrs_of(stat),
-                    (stat.major, stat.version.sub))
+            return {"attrs": self._attrs_of(stat).to_wire(),
+                    "version": [stat.major, stat.version.sub]}
         projected = len(data) if truncate else \
             max(file_length(stat.meta), offset + len(data))
         if StripeMap.from_meta(stat.meta) is not None or \
                 wants_stripes(stat.params, stat.meta, projected):
             reply_meta, new_length, version = await self.striper.write(
-                fh, stat, offset, data, truncate, patch, uid)
-            return (FileAttrs.from_meta(reply_meta, new_length),
-                    (version.major, version.sub))
+                fh, stat, offset, data, truncate, patch, id)
+            return {"attrs": FileAttrs.from_meta(reply_meta,
+                                                 new_length).to_wire(),
+                    "version": [version.major, version.sub]}
         if truncate:
-            op = WriteOp(kind="setdata", data=data, meta=patch, uid=uid)
+            op = WriteOp(kind="setdata", data=data, meta=patch, uid=id)
         else:
             op = WriteOp(kind="replace", offset=offset, data=data, meta=patch,
-                         uid=uid)
+                         uid=id)
         version = await self.segments.write(fh.sid, op, version=fh.version,
                                             single_update_hint=truncate)
         replica = self.segments.store.replicas.get((fh.sid, version.major))
@@ -327,49 +344,38 @@ class Envelope:
             # (WriteOp.apply derives it at application)
             new_length = op.result_length(stat.meta.get("length", 0))
             reply_meta = {**stat.meta, **patch, "length": new_length}
-        attrs = FileAttrs.from_meta(reply_meta, new_length)
-        return attrs, (version.major, version.sub)
+        return {"attrs": FileAttrs.from_meta(reply_meta, new_length).to_wire(),
+                "version": [version.major, version.sub]}
 
-    async def create(self, dirfh: FileHandle, name: str,
-                     sattr: dict[str, Any] | None = None,
-                     params: FileParams | None = None,
-                     ) -> tuple[FileHandle, FileAttrs, DirVersion]:
-        """CREATE — new regular file; returns handle, attributes, and the
-        directory's post-op version pair."""
-        self.metrics.incr("nfs.ops.create")
-        return await self._create_node(dirfh, name, FileType.REGULAR,
-                                       b"", sattr, params)
+    async def create(self, fh: FileHandle, name: str,
+                     sattr: dict[str, Any] | None = None) -> dict:
+        """CREATE — new regular file in directory ``fh``; answers its
+        handle, its attributes, and the directory's post-op version
+        pair."""
+        return await self._create_node(fh, name, FileType.REGULAR, b"", sattr)
 
-    async def mkdir(self, dirfh: FileHandle, name: str,
-                    sattr: dict[str, Any] | None = None,
-                    params: FileParams | None = None,
-                    ) -> tuple[FileHandle, FileAttrs, DirVersion]:
+    async def mkdir(self, fh: FileHandle, name: str,
+                    sattr: dict[str, Any] | None = None) -> dict:
         """MKDIR — new directory (its own segment with an empty table)."""
-        self.metrics.incr("nfs.ops.mkdir")
         sattr = dict(sattr or {})
         sattr.setdefault("mode", 0o755)
-        return await self._create_node(dirfh, name, FileType.DIRECTORY,
-                                       encode_dir({}), sattr, params)
+        return await self._create_node(fh, name, FileType.DIRECTORY,
+                                       encode_dir({}), sattr)
 
-    async def symlink(self, dirfh: FileHandle, name: str, target: str,
-                      ) -> tuple[FileHandle, FileAttrs, DirVersion]:
+    async def symlink(self, fh: FileHandle, name: str, target: str) -> dict:
         """SYMLINK — soft link; the target string is the segment data."""
-        self.metrics.incr("nfs.ops.symlink")
-        return await self._create_node(dirfh, name, FileType.SYMLINK,
-                                       target.encode(), None, None)
+        return await self._create_node(fh, name, FileType.SYMLINK,
+                                       target.encode(), None)
 
-    async def readlink(self, fh: FileHandle) -> str:
-        """READLINK — return the symlink target."""
-        self.metrics.incr("nfs.ops.readlink")
+    async def readlink(self, fh: FileHandle) -> dict:
+        """READLINK — the symlink's target."""
         result = await self.segments.read(fh.sid, version=fh.version)
         if result.meta.get("ftype") != FileType.SYMLINK.value:
             raise NfsError(NfsStat.ERR_IO, f"{fh.sid} is not a symlink")
-        return result.data.decode()
+        return {"target": result.data.decode()}
 
     async def _create_node(self, dirfh: FileHandle, name: str, ftype: FileType,
-                           data: bytes, sattr: dict[str, Any] | None,
-                           params: FileParams | None,
-                           ) -> tuple[FileHandle, FileAttrs, DirVersion]:
+                           data: bytes, sattr: dict[str, Any] | None) -> dict:
         """Segment-create + **one** dirop add — two segment ops total.
 
         The reply attributes are the meta this method just built (the
@@ -390,9 +396,7 @@ class Envelope:
         meta = attrs.to_meta()
         meta["length"] = len(data)
         meta["uplinks"] = [dirfh.sid]
-        sid = await self.segments.create(params=params, data=data, meta=meta)
-        fh = FileHandle(sid=sid)
-
+        sid = await self.segments.create(data=data, meta=meta)
         try:
             dir_version = await self._dir_write(dirfh, [
                 {"action": "add", "name": base,
@@ -402,7 +406,9 @@ class Envelope:
             if isinstance(exc, DirOpConflict):
                 raise self._map_dirop_conflict(exc, base) from exc
             raise
-        return fh, FileAttrs.from_meta(meta, len(data)), dir_version
+        return {"fh": FileHandle(sid=sid).encode(),
+                "attrs": FileAttrs.from_meta(meta, len(data)).to_wire(),
+                "dir_version": dir_version}
 
     @staticmethod
     def _map_dirop_conflict(exc: DirOpConflict, name: str) -> NfsError:
@@ -420,7 +426,7 @@ class Envelope:
         }.get(exc.reason, NfsStat.ERR_IO)
         return NfsError(status, f"{name}: {exc}")
 
-    async def remove(self, dirfh: FileHandle, name: str) -> DirVersion:
+    async def remove(self, fh: FileHandle, name: str) -> dict:
         """REMOVE — unlink a file name; storage is garbage collected when
         no version of any uplinked directory still references it (§5.2).
 
@@ -428,19 +434,18 @@ class Envelope:
         ``expect`` guard, so a racing rename-over can never make this
         unlink the *new* file while the link decrement hits the *old* one:
         a swapped entry rejects the dirop and the operation re-reads and
-        retargets.
+        retargets.  Answers the directory's post-op version pair.
         """
-        self.metrics.incr("nfs.ops.remove")
         base, _version = split_version(name)
         for _attempt in range(MAX_DIR_RETRIES):
-            entries, _result = await self._require_dir(dirfh)
+            entries, _result = await self._require_dir(fh)
             entry = entries.get(base)
             if entry is None:
                 raise NfsError(NfsStat.ERR_NOENT, base)
             if entry["t"] == FileType.DIRECTORY.value:
                 raise NfsError(NfsStat.ERR_ISDIR, base)
             try:
-                dir_version = await self._dir_write(dirfh, [
+                dir_version = await self._dir_write(fh, [
                     {"action": "remove", "name": base, "expect": entry["h"]}])
             except DirOpConflict as exc:
                 self.metrics.incr("nfs.dirop_conflicts")
@@ -453,10 +458,10 @@ class Envelope:
                 await collect_if_unreferenced(self, entry["h"])
                 continue
             await self._decrement_link(FileHandle(sid=entry["h"]))
-            return dir_version
+            return {"dir_version": dir_version}
         raise NfsError(NfsStat.ERR_IO, f"remove contention on {base}")
 
-    async def rmdir(self, dirfh: FileHandle, name: str) -> DirVersion:
+    async def rmdir(self, fh: FileHandle, name: str) -> dict:
         """RMDIR — remove an *empty* directory.
 
         Emptiness is not a separate read: the victim is **sealed** first
@@ -466,11 +471,11 @@ class Envelope:
         check-then-drop window now either lands before the seal (rmdir
         answers NOTEMPTY) or loses to it (the create fails cleanly and
         rolls back) — never an orphaned child in a deleted directory.
+        Answers the parent's post-op version pair.
         """
-        self.metrics.incr("nfs.ops.rmdir")
         base, _version = split_version(name)
         for _attempt in range(MAX_DIR_RETRIES):
-            entries, _result = await self._require_dir(dirfh)
+            entries, _result = await self._require_dir(fh)
             entry = entries.get(base)
             if entry is None:
                 raise NfsError(NfsStat.ERR_NOENT, base)
@@ -491,7 +496,7 @@ class Envelope:
                 # a concurrent rmdir race is settled by the guarded parent
                 # remove below (one wins, the other re-reads to NOENT).
             try:
-                dir_version = await self._dir_write(dirfh, [
+                dir_version = await self._dir_write(fh, [
                     {"action": "remove", "name": base, "expect": entry["h"]}])
             except DirOpConflict:
                 # the parent entry moved (concurrent rename of the victim):
@@ -506,7 +511,7 @@ class Envelope:
                 await self._unseal_quietly(victim)
                 raise
             await self.segments.delete(victim.sid)
-            return dir_version
+            return {"dir_version": dir_version}
         raise NfsError(NfsStat.ERR_IO, f"rmdir contention on {base}")
 
     async def _unseal_quietly(self, victim: FileHandle) -> None:
@@ -517,10 +522,10 @@ class Envelope:
         except SegmentError:
             pass
 
-    async def rename(self, fromdir: FileHandle, fromname: str,
-                     todir: FileHandle, toname: str,
-                     ) -> tuple[DirVersion | None, DirVersion | None, dict]:
-        """RENAME — move a directory entry; updates the file's uplink list.
+    async def rename(self, fh: FileHandle, fromname: str,
+                     tofh: FileHandle, toname: str) -> dict:
+        """RENAME — move an entry from directory ``fh`` to ``tofh``;
+        updates the file's uplink list.
 
         §5.2 notes a move touches "two directories, a link count, and an
         uplink list ... in some safe order"; the order here is
@@ -536,12 +541,9 @@ class Envelope:
         out to have died mid-rename (a racing remove's GC), so a dangling
         entry is never left behind.
 
-        Returns the two directories' post-op version pairs (from-side
-        ``None`` = the old name was *not* dropped) and the entry actually
-        installed at ``toname`` — the authority agents feed their readdir
-        caches from.
+        Answers the reply :meth:`_renamed` builds.
         """
-        self.metrics.incr("nfs.ops.rename")
+        fromdir, todir = fh, tofh
         frombase, _v1 = split_version(fromname)
         tobase, _v2 = split_version(toname)
         validate_name(tobase)
@@ -554,7 +556,7 @@ class Envelope:
             entry = entries.get(frombase)
             if entry is None:
                 raise NfsError(NfsStat.ERR_NOENT, frombase)
-            return None, None, dict(entry)
+            return self._renamed(entry)
         for _attempt in range(MAX_DIR_RETRIES):
             entries, from_result = await self._require_dir(fromdir)
             entry = entries.get(frombase)
@@ -569,8 +571,8 @@ class Envelope:
                 # both names already link the same file: POSIX rename is a
                 # no-op (dropping the old name here would shed a directory
                 # reference without its link decrement — a silent leak);
-                # None versions = nothing was dropped, nothing was produced
-                return None, None, dict(entry)
+                # no versions = nothing was dropped, nothing was produced
+                return self._renamed(entry)
             overwrites = existing is not None
             if overwrites and existing["t"] == FileType.DIRECTORY.value:
                 raise NfsError(NfsStat.ERR_EXIST, tobase)
@@ -615,8 +617,23 @@ class Envelope:
                 # todir: correct its link-count hint and collect if
                 # nothing references it any more (the §5.2 GC contract)
                 await self._decrement_link(FileHandle(sid=existing["h"]))
-            return from_version, to_version, dict(entry)
+            return self._renamed(entry, from_version, to_version)
         raise NfsError(NfsStat.ERR_IO, f"rename contention on {tobase}")
+
+    @staticmethod
+    def _renamed(entry: dict, from_version: list[int] | None = None,
+                 to_version: list[int] | None = None) -> dict:
+        """A RENAME reply: the two directories' post-op version pairs, when
+        the rename produced any (from-side ``None`` = the old name was
+        *not* dropped), and the entry actually installed at ``toname`` —
+        the authority agents feed their readdir caches from, never their
+        own possibly stale listings."""
+        reply: dict[str, Any] = {}
+        if from_version is not None or to_version is not None:
+            reply["dir_versions"] = {"from": from_version, "to": to_version}
+        reply["moved_entry"] = {"type": entry["t"],
+                                "fh": FileHandle(sid=entry["h"]).encode()}
+        return reply
 
     async def _undo_install(self, todir: FileHandle, tobase: str,
                             installed_h: str, previous: dict | None) -> None:
@@ -633,16 +650,15 @@ class Envelope:
         except SegmentError:
             pass
 
-    async def link(self, fh: FileHandle, todir: FileHandle,
-                   name: str) -> tuple[DirVersion, str]:
-        """LINK — hard link: new entry + uplink record + link-count hint.
+    async def link(self, fh: FileHandle, tofh: FileHandle, name: str) -> dict:
+        """LINK — hard link to ``fh`` in directory ``tofh``: new entry +
+        uplink record + link-count hint.
 
         "When a hard link is made to f in directory d, d is added to the
         uplink list of all versions of f which can be updated at that
-        time" (§5.2).  Returns the directory's post-op version pair and
-        the entry type actually recorded (the agent cache's authority).
+        time" (§5.2).  Answers the entry type actually recorded (the agent
+        cache's authority) and the directory's post-op version pair.
         """
-        self.metrics.incr("nfs.ops.link")
         base, _version = split_version(name)
         validate_name(base)
         stat = await self.segments.stat(fh.sid, version=fh.version)
@@ -650,21 +666,22 @@ class Envelope:
             raise NfsError(NfsStat.ERR_ISDIR, fh.sid)
 
         try:
-            dir_version = await self._dir_write(todir, [
+            dir_version = await self._dir_write(tofh, [
                 {"action": "add", "name": base,
                  "entry": {"h": fh.sid,
                            "t": stat.meta.get("ftype", "reg")}}])
         except DirOpConflict as exc:
             raise self._map_dirop_conflict(exc, base) from exc
         uplinks = list(stat.meta.get("uplinks", []))
-        if todir.sid not in uplinks:
-            uplinks.append(todir.sid)
+        if tofh.sid not in uplinks:
+            uplinks.append(tofh.sid)
         await self._touch_meta(fh, {
             "uplinks": uplinks,
             "nlink": stat.meta.get("nlink", 1) + 1,
             "ctime": self.kernel.now,
         })
-        return dir_version, stat.meta.get("ftype", "reg")
+        return {"entry_type": stat.meta.get("ftype", "reg"),
+                "dir_version": dir_version}
 
     async def _decrement_link(self, fh: FileHandle) -> None:
         """Drop the link-count *hint* by one; a zero hint triggers the
@@ -681,36 +698,35 @@ class Envelope:
         if nlink == 0:
             await collect_if_unreferenced(self, fh.sid)
 
-    async def readdir(
-        self, dirfh: FileHandle, verify=None,
-    ) -> tuple[list[dict[str, str]], DirVersion, ReadResult] | None:
+    async def readdir(self, fh: FileHandle, verify=None) -> dict:
         """READDIR — entry names (unqualified) with types and handles,
-        returned with the directory's version pair and the read they came
-        from, with version-exact revalidation.
+        answered with the directory's version pair and its placement
+        record, with version-exact revalidation.
 
         When ``verify`` (a cached version pair) is still current — answered
-        by the segment layer exactly as for data reads — returns ``None``:
-        the caller's cached listing is valid and no entry bytes move.
-        Otherwise returns ``(entries, version, result)`` so agents can
-        cache the listing version-exactly, keep it coherent from the dirop
-        versions riding mutation replies, and learn where the directory's
+        by the segment layer exactly as for data reads — answers
+        ``unchanged``: the caller's cached listing is valid and no entry
+        bytes move.  Otherwise the version lets agents cache the listing
+        version-exactly and keep it coherent from the dirop versions riding
+        mutation replies, and the placement names where the directory's
         replicas live.
         """
-        self.metrics.incr("nfs.ops.readdir")
-        if dirfh.sid == GLOBAL_ROOT_SID:
+        if fh.sid == GLOBAL_ROOT_SID:
             # "It cannot be listed, as it implicitly contains the full
             # machine names of every accessible Deceit server." (§2.2)
             raise NfsError(NfsStat.ERR_PERM, "the global root cannot be listed")
-        entries, result = await self._require_dir(dirfh, verify)
+        entries, result = await self._require_dir(fh, verify)
         if result.unchanged:
-            return None
+            self.metrics.incr("nfs.readdirs_unchanged")
+            return {"unchanged": True, "version": list(verify)}
         listing = [{"name": name, "type": e["t"],
                     "fh": FileHandle(sid=e["h"]).encode()}
                    for name, e in sorted(entries.items())]
-        return listing, (result.major, result.version.sub), result
+        return {"entries": listing,
+                "version": [result.major, result.version.sub],
+                **self._hint(result)}
 
-    async def statfs(self, fh: FileHandle) -> dict[str, int]:
+    async def statfs(self, fh: FileHandle) -> dict:
         """STATFS — synthetic filesystem totals (simulation-wide)."""
-        self.metrics.incr("nfs.ops.statfs")
-        return {"tsize": 8192, "bsize": 4096,
-                "blocks": 1 << 20, "bfree": 1 << 19, "bavail": 1 << 19}
+        return {"statfs": {"tsize": 8192, "bsize": 4096, "blocks": 1 << 20,
+                           "bfree": 1 << 19, "bavail": 1 << 19}}

@@ -23,7 +23,6 @@ from typing import Any
 from repro.core import SegmentServer
 from repro.core.dirtable import encode_dir
 from repro.core.params import FileParams
-from repro.core.striping import file_length
 from repro.errors import NfsError, NfsStat, NoSuchSegment, SegmentError
 from repro.isis import IsisProcess
 from repro.metrics import Metrics
@@ -47,17 +46,10 @@ GATED_NFS_OPS = frozenset({
     "read", "write", "create", "mkdir", "symlink", "remove", "rmdir",
     "rename", "link", "setattr",
 })
-
-
-def _read_fields(result) -> dict:
-    """A READ reply's fields: the bytes, their version pair, the file's
-    current length — which lets a fan-out client know when its range
-    reads already cover the file (no wasted chase past an exactly
-    stripe-aligned EOF) — and the placement hint."""
-    return {"data": result.data,
-            "version": [result.major, result.version.sub],
-            "size": file_length(result.meta),
-            **result.placement.hint(result.served_by)}
+#: The NFS ops: each is answered by the :class:`Envelope` method of its
+#: name.  The op name arrives from the network, so this table is input
+#: validation — no other attribute of the envelope is ever called.
+NFS_OPS = GATED_NFS_OPS | {"getattr", "lookup", "readlink", "readdir", "statfs"}
 
 
 def error_reply(exc: NfsError | SegmentError) -> dict:
@@ -163,8 +155,8 @@ class DeceitServer:
         sid = await self.segments.create(params=root_params, data=data, meta=meta)
         root = FileHandle(sid=sid)
         self.set_root(root)
-        priv, _attrs, _dirv = await self.envelope.mkdir(root, "priv")
-        await self._add_global_entry(priv)
+        priv = await self.envelope.mkdir(root, "priv")
+        await self._add_global_entry(FileHandle.decode(priv["fh"]))
         return root
 
     async def _add_global_entry(self, priv: FileHandle) -> None:
@@ -203,7 +195,10 @@ class DeceitServer:
         return server_health(self)
 
     async def _h_nfs(self, src: str, op: str, args: dict[str, Any]) -> dict:
-        """The NFS protocol entry point; one handler, op-dispatched."""
+        """The NFS protocol entry point: a foreign handle is proxied and a
+        machine name under the global root resolved here; any other op in
+        :data:`NFS_OPS` is counted and answered by its envelope method,
+        called with the request's arguments, handles decoded."""
         self.metrics.incr("nfs.requests")
         gate = self.admission
         if gate is not None \
@@ -218,7 +213,15 @@ class DeceitServer:
             fh = FileHandle.decode(args["fh"]) if "fh" in args else None
             if fh is not None and fh.foreign and fh.home != self.addr:
                 return await self._proxy(fh.home, op, args)
-            return await self._dispatch_nfs(op, args, fh)
+            if op == "lookup" and fh is not None and fh.sid == GLOBAL_ROOT_SID:
+                return await self._lookup_global(args["name"])
+            if op not in NFS_OPS:
+                raise NfsError(NfsStat.ERR_IO, f"unknown NFS op {op!r}")
+            self.metrics.incr(f"nfs.ops.{op}")
+            kwargs = {**args, "fh": fh}
+            if "tofh" in args:
+                kwargs["tofh"] = FileHandle.decode(args["tofh"])
+            return {"status": 0, **await getattr(self.envelope, op)(**kwargs)}
         except (NfsError, SegmentError) as exc:
             return error_reply(exc)
 
@@ -252,92 +255,6 @@ class DeceitServer:
     def _restamp(raw_fh: str, home: str) -> str:
         fh = FileHandle.decode(raw_fh)
         return FileHandle(fh.sid, fh.version, home).encode()
-
-    async def _dispatch_nfs(self, op: str, args: dict[str, Any],
-                            fh: FileHandle | None) -> dict:
-        env = self.envelope
-        if op == "getattr":
-            attrs, result = await env.getattr(fh)
-            hint = result.placement.hint(result.served_by) if result else {}
-            return {"status": 0, "attrs": attrs.to_wire(), **hint}
-        if op == "setattr":
-            return {"status": 0,
-                    "attrs": (await env.setattr(fh, args["sattr"])).to_wire()}
-        if op == "lookup":
-            if fh is not None and fh.sid == GLOBAL_ROOT_SID:
-                return await self._lookup_global(args["name"])
-            out_fh, attrs, result, dir_result, whole = await env.lookup(
-                fh, args["name"], read=bool(args.get("read")))
-            hint = result.placement.hint(result.served_by) if result else {}
-            return {"status": 0, "fh": out_fh.encode(),
-                    "attrs": attrs.to_wire(),
-                    **(_read_fields(result) if whole else hint),
-                    **dir_result.placement.hint(dir_result.served_by,
-                                                "dir_placement")}
-        if op == "read":
-            result = await env.read(fh, args.get("offset", 0),
-                                    args.get("count"),
-                                    verify=args.get("verify"))
-            if result is None:
-                # version-exact cache validation: the client's copy is
-                # current — no data bytes, no disk read, no forwarding
-                self.metrics.incr("nfs.reads_unchanged")
-                return {"status": 0, "unchanged": True,
-                        "version": list(args["verify"])}
-            return {"status": 0, **_read_fields(result)}
-        if op == "write":
-            attrs, version = await env.write(
-                fh, args.get("offset", 0), args.get("data", b""),
-                truncate=args.get("truncate", False), uid=args.get("id"))
-            return {"status": 0, "attrs": attrs.to_wire(),
-                    "version": list(version)}
-        if op in ("create", "mkdir", "symlink"):
-            out_fh, attrs, dirv = await getattr(env, op)(
-                fh, args["name"],
-                args["target"] if op == "symlink" else args.get("sattr"))
-            return {"status": 0, "fh": out_fh.encode(),
-                    "attrs": attrs.to_wire(), "dir_version": list(dirv)}
-        if op == "readlink":
-            return {"status": 0, "target": await env.readlink(fh)}
-        if op in ("remove", "rmdir"):
-            dirv = await getattr(env, op)(fh, args["name"])
-            return {"status": 0, "dir_version": list(dirv)}
-        if op == "rename":
-            from_v, to_v, moved = await env.rename(
-                fh, args["fromname"],
-                FileHandle.decode(args["tofh"]), args["toname"])
-            reply = {"status": 0}
-            if from_v is not None or to_v is not None:
-                reply["dir_versions"] = {
-                    "from": list(from_v) if from_v else None,
-                    "to": list(to_v) if to_v else None}
-            # the entry actually installed at toname — what agents feed
-            # their readdir caches with (never their own possibly stale
-            # listings)
-            reply["moved_entry"] = {
-                "type": moved["t"],
-                "fh": FileHandle(sid=moved["h"]).encode()}
-            return reply
-        if op == "link":
-            dirv, entry_type = await env.link(
-                fh, FileHandle.decode(args["tofh"]), args["name"])
-            return {"status": 0, "entry_type": entry_type,
-                    "dir_version": list(dirv)}
-        if op == "readdir":
-            out = await env.readdir(fh, verify=args.get("verify"))
-            if out is None:
-                # version-exact listing validation: the client's cached
-                # listing is current — no entry bytes move
-                self.metrics.incr("nfs.readdirs_unchanged")
-                return {"status": 0, "unchanged": True,
-                        "version": list(args["verify"])}
-            entries, version, result = out
-            return {"status": 0, "entries": entries,
-                    "version": list(version),
-                    **result.placement.hint(result.served_by)}
-        if op == "statfs":
-            return {"status": 0, "statfs": await env.statfs(fh)}
-        raise NfsError(NfsStat.ERR_IO, f"unknown NFS op {op!r}")
 
     async def _lookup_global(self, name: str) -> dict:
         """Resolve a machine name under the global root (§2.2)."""

@@ -694,6 +694,26 @@ def test_special_commands_fail_over():
     assert cluster.metrics.get("agent.failovers") >= 1
 
 
+def test_a_cold_agents_mount_fails_over():
+    """A cold agent whose mount server crashed before its first call
+    mounts at the next server, as every other call fails over, instead of
+    surfacing a raw RPC timeout."""
+    cluster = build_cluster(n_servers=3, n_agents=2, seed=1)
+    writer, cold = cluster.agents
+
+    async def main():
+        await writer.mount()
+        await writer.create("/", "f")
+        await writer.write_file("/f", b"everywhere")
+        await writer.set_params("/f", min_replicas=3)
+        cluster.crash(0)               # both agents' mount server
+        return await cold.read_file("/f")
+
+    assert cluster.run(main()) == b"everywhere"
+    assert cold.server == "s1"
+    assert cluster.metrics.get("agent.failovers") >= 1
+
+
 def test_placement_hop_costs_differ():
     assert Placement.USER_LIBRARY.hop_ms < Placement.KERNEL.hop_ms
     assert Placement.KERNEL.hop_ms < Placement.AUX_PROCESS.hop_ms

@@ -10,6 +10,10 @@ instead of calling it.
 A striped file's map lives in its parent's meta under one key; outside
 ``core/striping/`` it is read through ``StripeMap``, never parsed by hand.
 
+The NFS op table is the only way a request reaches the envelope: every
+name in it is an :class:`~repro.nfs.envelope.Envelope` coroutine method,
+and every op the agent sends is in it.
+
 The agent resolves names in one place: it sends the ``lookup`` NFS op from
 one call site, so the dir and negative caches, the placement hints and the
 LOOKUP that carries a cold read's bytes cannot drift apart on a second
@@ -17,9 +21,12 @@ path.
 """
 
 import ast
+import inspect
 import pathlib
 
 import repro
+from repro.nfs.envelope import Envelope
+from repro.nfs.server import NFS_OPS
 
 SRC = pathlib.Path(repro.__file__).parent
 LAYERS = ("core", "nfs", "agent")
@@ -79,3 +86,45 @@ def test_the_agent_sends_lookup_from_one_call_site():
                 sent.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert len(named) == 1, named
     assert sent == named
+
+
+def test_every_nfs_op_is_an_envelope_coroutine_method():
+    for op in NFS_OPS:
+        assert inspect.iscoroutinefunction(getattr(Envelope, op, None)), op
+
+
+def _agent_sent_ops() -> set[str]:
+    """The op names the agent sends: the literal first arguments of
+    ``_nfs`` and of the helpers that pass their own ``op`` on to it."""
+    trees = [ast.parse(path.read_text())
+             for path in sorted((SRC / "agent").rglob("*.py"))]
+
+    def sends(node, name):
+        return isinstance(node, ast.Call) and node.args \
+            and isinstance(node.func, ast.Attribute) \
+            and node.func.attr == name
+
+    senders = {"_nfs"}
+    for tree in trees:
+        for func in ast.walk(tree):
+            if isinstance(func, ast.AsyncFunctionDef) and any(
+                    sends(node, "_nfs") and isinstance(node.args[0], ast.Name)
+                    and node.args[0].id == "op" for node in ast.walk(func)):
+                senders.add(func.name)
+    ops = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if any(sends(node, name) for name in senders):
+                first = node.args[0]
+                if isinstance(first, ast.Constant):
+                    ops.add(first.value)
+                else:    # only a sender's own ``op`` may be a variable
+                    assert isinstance(first, ast.Name) and first.id == "op"
+    return ops
+
+
+def test_every_op_the_agent_sends_is_in_the_table():
+    sent = _agent_sent_ops()
+    assert {"lookup", "read", "write", "create", "mkdir", "symlink",
+            "remove", "rmdir", "rename", "link", "readdir"} <= sent
+    assert sent <= NFS_OPS

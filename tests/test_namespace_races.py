@@ -155,9 +155,10 @@ def test_a_forwarded_dirop_and_its_fallback_apply_once():
         kernel.spawn(stall(s0.segments._update_lock(d.sid), 600.0))
         await kernel.sleep(1.0)
         snap = cluster.metrics.snapshot()
-        _fh, _attrs, dirv = await s1.envelope.create(d, "f")
+        dirv = (await s1.envelope.create(d, "f"))["dir_version"]
         delta = cluster.metrics.delta(snap)
-        entries, version, _result = await s1.envelope.readdir(d)
+        listing = await s1.envelope.readdir(d)
+        entries, version = listing["entries"], listing["version"]
         return dirv, version, [e["name"] for e in entries], delta
 
     dirv, version, names, delta = cluster.run(main())
@@ -208,7 +209,7 @@ def test_remove_vs_rename_over_race_is_serialized():
         await env.rename(root, "other", root, "victim")
         gate.set_result(None)
         await task
-        entries, _version, _result = await env.readdir(root)
+        entries = (await env.readdir(root))["entries"]
         return [e["name"] for e in entries]
 
     names = cluster.run(race())
@@ -244,8 +245,8 @@ def test_rmdir_vs_create_race_create_wins():
         root = env.root_fh
         task = kernel.spawn(env.rmdir(root, "d"))
         await kernel.sleep(100.0)       # rmdir is about to seal the victim
-        child, _attrs, _v = await env.create(
-            FileHandle(sid=d.sid), "child", None)
+        child = FileHandle.decode((await env.create(
+            FileHandle(sid=d.sid), "child", None))["fh"])
         gate.set_result(None)
         with pytest.raises(NfsError) as excinfo:
             await task
@@ -297,7 +298,7 @@ def test_rmdir_vs_create_race_rmdir_wins():
     assert segment_gone(cluster, d.sid)
 
     async def reachable():
-        entries, _version, _result = await env.readdir(env.root_fh)
+        entries = (await env.readdir(env.root_fh))["entries"]
         return {cluster.root.sid} | {
             FileHandle.decode(e["fh"]).sid for e in entries}
 
@@ -390,7 +391,7 @@ def test_rename_undoes_its_install_when_the_source_died(displaces):
         gate.set_result(None)
         with pytest.raises(NfsError) as excinfo:
             await task
-        entries, _version, _result = await env.readdir(root)
+        entries = (await env.readdir(root))["entries"]
         names = [e["name"] for e in entries]
         kept = await other.read_file("/b") if displaces else None
         return excinfo.value.status, names, kept

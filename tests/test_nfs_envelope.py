@@ -257,17 +257,48 @@ def test_setattr_mode_and_truncate(cluster):
         await agent.mount()
         fh = await agent.create("/", "f")
         await agent.write_file("/f", b"0123456789")
+        snap = cluster.metrics.snapshot()
         await agent._nfs("setattr", {"fh": fh.encode(),
                                      "sattr": {"mode": 0o600, "size": 4}})
+        delta = cluster.metrics.delta(snap)
         agent._invalidate(fh)
         attrs = await agent.getattr("/f")
         data = await agent.read_file("/f")
-        return attrs, data
+        return attrs, data, delta
 
-    attrs, data = cluster.run(main())
+    attrs, data, delta = cluster.run(main())
     assert attrs.mode == 0o600
     assert data == b"0123"
     assert attrs.size == 4
+    # one SETATTR is one setattr: the attributes it answers are no GETATTR
+    assert delta.get("nfs.ops.setattr", 0) == 1
+    assert delta.get("nfs.ops.getattr", 0) == 0
+
+
+@pytest.mark.parametrize("op,args", [
+    ("set_root", {}),
+    ("_dir_write", {"dirops": [{"action": "add", "name": "x",
+                                "entry": {"h": "@global", "t": "dir"}}]}),
+    ("__init__", {}),
+])
+def test_only_nfs_ops_reach_the_envelope(cluster, op, args):
+    """The op name comes off the network: a name outside the op table —
+    a public method, a helper, a dunder — answers ERR_IO and runs nothing."""
+    agent = cluster.agents[0]
+    server = cluster.servers[0]
+
+    async def main():
+        root = await agent.mount()
+        other = await agent.mkdir("/", "d")
+        snap = cluster.metrics.snapshot()
+        reply = await agent.call(server.addr, "nfs", op=op,
+                                 args={"fh": other.encode(), **args})
+        return root, reply, cluster.metrics.delta(snap)
+
+    root, reply, delta = cluster.run(main())
+    assert reply["status"] == NfsStat.ERR_IO
+    assert [key for key in delta if key.startswith("nfs.ops.")] == []
+    assert server.envelope.root_fh == root
 
 
 def test_two_agents_share_namespace(cluster):

@@ -9,6 +9,7 @@ every member has answered.  Mid-round, one member may already be
 that no reader can see k+1 and then k because of it.
 """
 
+from repro.agent import AgentConfig
 from repro.core import FileParams, WriteOp
 from repro.testbed import build_cluster, build_core_cluster
 
@@ -248,4 +249,32 @@ def test_holder_crash_inside_the_marked_round():
         assert pair[0] in (b"v1", b"v2"), seen           # acked, or whole
     order = [pair[0] for pair in seen]
     assert order == sorted(order), seen                   # never back
+    cluster.close()
+
+
+def test_the_token_holder_of_an_unstable_major_answers_unchanged():
+    """The replica §3.4 picks answers a revalidation "unchanged" even
+    while its major is unstable: a caller whose version pair equals the
+    token holder's already holds the bytes it would ship."""
+    cluster = build_cluster(n_servers=3, n_agents=1,
+                            agent_config=AgentConfig(data_ttl_ms=100,
+                                                     attr_ttl_ms=100))
+    agent = cluster.agents[0]
+    metrics = cluster.metrics
+
+    async def main():
+        await agent.mount()
+        await agent.create("/", "f")
+        await agent.write_file("/f", b"before")
+        await agent.read_file("/f")
+        await agent.write_file("/f", b"fourteen bytes")
+        await agent.read_file("/f")
+        await cluster.kernel.sleep(150.0)
+        snap = metrics.snapshot()
+        data = await agent.read_file("/f")
+        return data, metrics.delta(snap)
+
+    data, delta = cluster.run(main())
+    assert data == b"fourteen bytes"
+    assert delta.get("nfs.reads_unchanged", 0) == 1
     cluster.close()

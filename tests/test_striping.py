@@ -16,6 +16,7 @@ from repro.core.striping import StripeMap
 from repro.core.striping.striper import RETIRE_DELAY_MS
 from repro.errors import NfsError
 from repro.net.network import NetConfig
+from repro.nfs.attrs import FileAttrs
 from repro.testbed import build_cluster
 from tests.conftest import record_nfs
 
@@ -472,7 +473,8 @@ def test_truncate_striped_shrink_and_grow():
         env = cluster.servers[0].envelope
         old_map = await parent_map(cluster, agent, "/big")
 
-        attrs = await env.setattr(fh, {"size": 2 * SS + 5})
+        attrs = FileAttrs.from_wire(
+            (await env.setattr(fh, {"size": 2 * SS + 5}))["attrs"])
         assert attrs.size == 2 * SS + 5
         smap = await parent_map(cluster, agent, "/big")
         assert smap.length == 2 * SS + 5 and len(smap.sids) == 3
@@ -480,7 +482,8 @@ def test_truncate_striped_shrink_and_grow():
         agent._attr_cache.clear()
         assert await agent.read_file("/big") == payload[:2 * SS + 5]
 
-        attrs = await env.setattr(fh, {"size": 4 * SS})
+        attrs = FileAttrs.from_wire(
+            (await env.setattr(fh, {"size": 4 * SS}))["attrs"])
         assert attrs.size == 4 * SS
         fresh(agent)
         agent._attr_cache.clear()
@@ -650,7 +653,8 @@ def test_setattr_growth_past_threshold_converts_sparsely():
         await agent.write_file("/f", b"head")
         fh = await agent.lookup_path("/f")
         env = cluster.servers[0].envelope
-        attrs = await env.setattr(fh, {"size": 10 * SS})
+        attrs = FileAttrs.from_wire(
+            (await env.setattr(fh, {"size": 10 * SS}))["attrs"])
         assert attrs.size == 10 * SS
         smap = await parent_map(cluster, agent, "/f")
         assert smap is not None and smap.length == 10 * SS

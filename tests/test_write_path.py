@@ -15,6 +15,7 @@ import pytest
 from repro.agent import AgentConfig
 from repro.core import WriteOp
 from repro.errors import NfsError, NfsStat
+from repro.nfs.attrs import FileAttrs
 from repro.testbed import build_cluster
 
 
@@ -240,8 +241,8 @@ def test_concurrent_truncate_cannot_persist_stale_length():
             await env.write(fh, 0, b"zz")
         finally:
             env.segments.stat = orig
-        data = (await env.read(fh)).data
-        attrs, _stat = await env.getattr(fh)
+        data = (await env.read(fh))["data"]
+        attrs = FileAttrs.from_wire((await env.getattr(fh))["attrs"])
         return data, attrs
 
     data, attrs = cluster.run(main())

@@ -69,7 +69,8 @@ class AgentConfig:
     failover: bool = True
     #: §5.3 access shortcut: send getattr, whole-file reads, lookups and
     #: readdirs to the replica holder the last reply's placement hint
-    #: named, and whole-file writes to the token holder it named
+    #: named, and whole-file writes, and range writes inside one stripe,
+    #: to the token holder the file's or the stripe's hint named
     shortcut: bool = True
     attr_ttl_ms: float = 3000.0
     data_ttl_ms: float = 3000.0
@@ -656,8 +657,8 @@ class Agent(Node):
 
     def _route_key(self, fh: FileHandle, offset: int,
                    count: int) -> tuple[str, int] | None:
-        """The placement key a ranged read routes by: ``(sid, stripe
-        index)`` when a read reply taught the file's stripe width and the
+        """The placement key a ranged read or write routes by: ``(sid,
+        stripe index)`` when a reply taught the file's stripe width and the
         range lies in one stripe, else ``None`` (no hint applies)."""
         record = self._placement.get(fh.sid)
         width = record and record.stripe_width
@@ -682,24 +683,25 @@ class Agent(Node):
             return None
         return self._route_target(fh, fh.sid)
 
-    def _write_target(self, fh: FileHandle) -> str | None:
-        """The access shortcut for a whole-file write: the token holder
-        the file's last placement hint named — possibly the mount server
-        itself — when ``shortcut`` is on."""
+    def _write_target(self, fh: FileHandle,
+                      key: str | tuple[str, int] | None) -> str | None:
+        """The access shortcut for a write: the token holder the record
+        under ``key`` names — possibly the mount server itself — when
+        ``shortcut`` is on; ``None`` without a record."""
         if not self.config.shortcut or fh.foreign:
             return None
-        record = self._placement.get(fh.sid)
+        record = self._placement.get(key)
         return record and record.token_holder
 
     def _learn_placement(self, fh: FileHandle, reply: dict,
                          offset: int | None = None,
                          field: str = "placement") -> None:
         """Absorb the placement hint piggybacked on a reply under ``field``.
-        A read reply at ``offset`` of a striped file describes that stripe,
-        and teaches the file's record only its stripe width; every other
-        hint (getattr, lookup, readdir, a blob's read, and a lookup's
-        ``dir_placement`` for the directory searched) describes ``fh``
-        itself and replaces its record."""
+        A read or range-write reply at ``offset`` of a striped file
+        describes that stripe, and teaches the file's record only its
+        stripe width; every other hint (getattr, lookup, readdir, a blob's
+        read, and a lookup's ``dir_placement`` for the directory searched)
+        describes ``fh`` itself and replaces its record."""
         hint = reply.get(field)
         if not hint or fh.foreign:
             return
@@ -733,7 +735,7 @@ class Agent(Node):
         fh = await self._resolve(path_or_fh)
         return await self._write_through(
             fh, {"fh": fh.encode(), "offset": 0, "data": data,
-                 "truncate": True}, size=len(data))
+                 "truncate": True}, fh.sid)
 
     async def write_at(self, path_or_fh: str | FileHandle, offset: int,
                        data: bytes) -> FileAttrs:
@@ -741,25 +743,28 @@ class Agent(Node):
         fh = await self._resolve(path_or_fh)
         return await self._write_through(
             fh, {"fh": fh.encode(), "offset": offset, "data": data},
-            size=len(data))
+            self._route_key(fh, offset, len(data)))
 
     async def _write_through(self, fh: FileHandle, args: dict[str, Any],
-                             size: int) -> FileAttrs:
+                             key: str | tuple[str, int] | None) -> FileAttrs:
         """One NFS write, under one id over all its attempts (the token
         holder applies it once); then drop what the caches held about the
-        file and keep the post-write attrs its reply carries.  A whole-file
-        write goes to the token holder the file's last hint named (§5.3);
-        range writes enter at the mount server."""
+        file and keep the post-write attrs its reply carries.  It goes to
+        the token holder the record under ``key`` names (§5.3): the
+        file's for a whole-file write, the stripe's for a range inside one
+        stripe — whose reply teaches that record.  Any other range write
+        enters at the mount server."""
         self._seq += 1
         seq = self._seq
         self._unanswered[seq] = None
         args["id"] = [self.incarnation, seq, next(iter(self._unanswered))]
-        to = self._write_target(fh) if args.get("truncate") else None
         try:
-            reply = await self._nfs("write", args, to=to,
-                                    size_bytes=max(256, size))
+            reply = await self._nfs("write", args,
+                                    to=self._write_target(fh, key),
+                                    size_bytes=max(256, len(args["data"])))
         finally:
             del self._unanswered[seq]
+        self._learn_placement(fh, reply, args["offset"])
         self._invalidate(fh)
         attrs = FileAttrs.from_wire(reply["attrs"])
         self._attr_cache.put(fh.encode(), attrs)

@@ -95,10 +95,13 @@ class PlacementRecord(NamedTuple):
 
     The hint has no token-holder field: it lists the token holder first,
     which can name it only when it holds a replica (else the first entry
-    is the lowest holder address).  On the five benchmark workloads at
-    seed 42 and size 1.0, all 21 903 file-level hints named a token
-    holder with a replica; 865 of ``stream_striped``'s 2 900 stripe hints
-    did not, and the agent uses stripe hints only to route reads.
+    is the lowest holder address).  A write aimed at the first entry so
+    reaches the token holder, or a replica holder, which takes the token.
+    On the five benchmark workloads at seed 42 and size
+    1.0, all 21 555 file-level hints named a token holder with a replica,
+    and so did all 870 of ``stream_striped``'s range-write replies; 545
+    of its 3 169 stripe read replies did not: a stripe no write reached
+    since its creator scattered it keeps the creator's token.
 
     Immutable; a named tuple because one is built on every read.
     """
@@ -131,7 +134,7 @@ class PlacementRecord(NamedTuple):
     def from_hint(cls, hint: dict[str, Any]) -> PlacementRecord:
         """The agent's record of a :meth:`hint`: the server that answered
         goes first, and the first listed holder is where a whole-file
-        write goes."""
+        write, or a range write inside the stripe, goes."""
         listed, served = hint["holders"], hint["served_by"]
         holders = sorted(listed)
         if served in holders:
@@ -160,7 +163,7 @@ class PlacementRecord(NamedTuple):
             else self.token_holder)
 
 
-def _placement(cat, info, width: int | None = None) -> PlacementRecord:
+def placement_of(cat, info, width: int | None = None) -> PlacementRecord:
     """The record of major ``info`` as catalog ``cat`` knows it, with a
     striped file's ``width``."""
     return PlacementRecord(
@@ -276,7 +279,7 @@ class ReadService:
     def _stamp(result: ReadResult, cat, info) -> ReadResult:
         """Attach the placement record of the major read to a result."""
         smap = StripeMap.from_meta(result.meta)
-        result.placement = _placement(cat, info, smap and smap.stripe_size)
+        result.placement = placement_of(cat, info, smap and smap.stripe_size)
         return result
 
     # ------------------------------------------------------------------ #
@@ -511,7 +514,7 @@ class ReadService:
         else:
             raw = await self._call_a_holder(cat, info, sid, major, **args)
         return {**raw, "major": major,
-                **_placement(cat, info).to_answer()}
+                **placement_of(cat, info).to_answer()}
 
 
 def _decode(raw: dict, server: str, major: int) -> ReadResult:

@@ -7,7 +7,9 @@ group member lives here too, as does the one §3.3 optimization built:
 passing a likely single update to the holder, on for dirops and
 whole-file rewrites — except that a rewrite continuing this server's own
 stream takes the token, as §3.3's "paid only for the first of a stream of
-updates" intends (the stream rule, :meth:`UpdatePipeline.write`).
+updates" intends (the stream rule, :meth:`UpdatePipeline.write`) — and
+for a range write's stripe pieces at a server holding no replica of the
+stripe, stream or not.
 Optimization 1, the first update "in the same message with a token
 request", is not built, as in Deceit ("currently uses neither").
 
@@ -135,7 +137,8 @@ class UpdatePipeline:
     async def write(self, sid: str, op: WriteOp,
                     guard: VersionPair | None = None,
                     version: int | None = None,
-                    single_update_hint: bool = False) -> VersionPair:
+                    single_update_hint: bool = False,
+                    forward_unless_replica: bool = False) -> VersionPair:
         """Distribute one update through the write-token protocol; returns
         the segment's version pair after it.
 
@@ -153,6 +156,14 @@ class UpdatePipeline:
         ("paid only for the first of a stream of updates").  Dirops always
         forward.
 
+        ``forward_unless_replica`` is the rule for a range write's stripe
+        pieces: the token moves only to a server that already holds a
+        replica of the major.  A server holding none passes the update on,
+        stream or not, instead of pulling the token and a replica after
+        it: to the token holder when that holds a replica, else to a
+        replica holder, which takes the token — where a placement hint
+        would have sent the writer.
+
         An id the holder applied is answered with its version pair; a
         forward mints one, so it and its fallback are one update.
         """
@@ -160,9 +171,12 @@ class UpdatePipeline:
         cat = await self.catalog.ensure_group(sid)
         major = self.catalog.pick_major(cat, version)
         key = (sid, major)
-        if not (single_update_hint and key not in self.store.tokens and (
-                op.kind == "dirop"
-                or self._forwarded.pop(key, None) != cat.majors[major].version)):
+        if key in self.store.tokens or not (
+                (forward_unless_replica and key not in self.store.replicas)
+                or (single_update_hint and (
+                    op.kind == "dirop"
+                    or self._forwarded.pop(key, None)
+                    != cat.majors[major].version))):
             return await self._apply(cat, major, op, guard, t0)
         seq = None
         if op.uid is None:
@@ -172,10 +186,11 @@ class UpdatePipeline:
             op = replace(op, uid=[self.transport.incarnation, seq,
                                   next(iter(self._minted))])
         try:
-            forwarded = await self._forward_single_write(sid, major, op, guard)
+            forwarded = await self._forward_single_write(
+                sid, major, op, guard, forward_unless_replica)
             if forwarded is None:
                 return await self._apply(cat, major, op, guard, t0)
-            if op.kind != "dirop":
+            if single_update_hint and op.kind != "dirop":
                 self._forwarded[key] = forwarded
             return forwarded
         finally:
@@ -312,8 +327,11 @@ class UpdatePipeline:
 
     async def _forward_single_write(self, sid: str, major: int, op: WriteOp,
                                     guard: VersionPair | None,
+                                    replica: bool = False,
                                     ) -> VersionPair | None:
-        """Hand the update to the current holder; the token does not move.
+        """Hand the update to the current holder; the token does not move
+        (with ``replica``, it moves at most to a replica holder, see
+        :meth:`_live_holder`).
 
         Returns the new version pair, or ``None`` when the caller must fall
         back to the normal acquisition path: there is no holder, it is
@@ -325,7 +343,7 @@ class UpdatePipeline:
         raised here instead.
         """
         cat = self.catalog.catalogs[sid]
-        holder = self._live_holder(cat, major)
+        holder = self._live_holder(cat, major, replica)
         if holder is None:
             return None
         self.metrics.incr("deceit.forwarded_writes")
@@ -340,7 +358,7 @@ class UpdatePipeline:
                 )
                 break
             except RpcTimeout:
-                holder = self._live_holder(cat, major)
+                holder = self._live_holder(cat, major, replica)
                 if holder is None:
                     return None
             except RpcRemoteError as exc:
@@ -354,11 +372,16 @@ class UpdatePipeline:
         cat.majors[major].version = new_version
         return new_version
 
-    def _live_holder(self, cat: SegmentCatalog, major: int) -> str | None:
-        """The token holder ``cat`` names for ``major``, if it is another
-        server, reachable and in the file group's view."""
+    def _live_holder(self, cat: SegmentCatalog, major: int,
+                     replica: bool = False) -> str | None:
+        """The token holder ``cat`` names for ``major`` — with ``replica``,
+        when it holds no replica, the first replica holder by address —
+        if it is another server, reachable and in the file group's view."""
         info = cat.majors.get(major)
         holder = info.holder if info is not None else None
+        if replica and info is not None and info.holders \
+                and holder not in info.holders:
+            holder = min(info.holders)
         me = self.transport.addr
         if holder is None or holder == me or \
                 not self.transport.reachable(me, holder) or \

@@ -242,12 +242,15 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
     def write(self, sid: str, op: WriteOp,
               guard: VersionPair | None = None,
               version: int | None = None,
-              single_update_hint: bool = False) -> Awaitable[VersionPair]:
+              single_update_hint: bool = False,
+              forward_unless_replica: bool = False) -> Awaitable[VersionPair]:
         """Distribute one update through the write-token protocol (the
         :class:`~repro.core.pipeline.update.UpdatePipeline` hot path; its
         coroutine is returned, not awaited, to keep the await chain short)."""
-        return self.pipeline.write(sid, op, guard=guard, version=version,
-                                   single_update_hint=single_update_hint)
+        return self.pipeline.write(
+            sid, op, guard=guard, version=version,
+            single_update_hint=single_update_hint,
+            forward_unless_replica=forward_unless_replica)
 
     async def setparam(self, sid: str, **changes: Any) -> FileParams:
         """Change the segment's semantic parameters (§4).

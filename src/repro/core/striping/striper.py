@@ -9,7 +9,10 @@ does decomposes into *ordinary segment operations*:
   holder, so a large read streams from several servers at once);
 - a range write fans out one update per affected stripe; stripes have
   independent write tokens, so writers to disjoint regions commute with
-  zero token traffic between them;
+  zero token traffic between them.  A stripe's token moves only to a
+  server holding a replica of it: a piece entering a server without one
+  is passed on (§3.3 optimization 2, see
+  :meth:`~repro.core.pipeline.update.UpdatePipeline.write`);
 - growing past the end allocates new stripe segments and ships a
   commuting ``stripe_extend`` to the parent (first claim of an index
   wins; a losing claimant rewrites into the winner and retires its
@@ -178,7 +181,7 @@ class Striper:
                     fh.sid, index, _overlay(b"", op.offset, op.data),
                     stat.params)
                 return
-            await self.segments.write(sid, op)
+            await self.segments.write(sid, op, forward_unless_replica=True)
             self.metrics.incr("striping.stripe_writes")
 
         tasks = [self.proc.spawn(apply_stripe(index, op),
@@ -229,7 +232,8 @@ class Striper:
             if winner is None or winner == sid:
                 continue
             self.metrics.incr("striping.claim_losses")
-            await self.segments.write(winner, ops[index])
+            await self.segments.write(winner, ops[index],
+                                      forward_unless_replica=True)
             self.retire_stripes([sid])
         return auth
 

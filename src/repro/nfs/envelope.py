@@ -38,7 +38,11 @@ from typing import Any
 
 from repro.core import SegmentServer, WriteOp
 from repro.core.dirtable import decode_dir, encode_dir
-from repro.core.pipeline.read_path import PlacementRecord, ReadResult
+from repro.core.pipeline.read_path import (
+    PlacementRecord,
+    ReadResult,
+    placement_of,
+)
 from repro.core.striping import StripeMap, Striper, file_length, wants_stripes
 from repro.errors import (
     DirOpConflict,
@@ -99,6 +103,22 @@ class Envelope:
                 "version": [result.major, result.version.sub],
                 "size": file_length(result.meta),
                 **result.placement.hint(result.served_by)}
+
+    def _stripe_hint(self, meta: dict, offset: int, count: int) -> dict:
+        """The reply entry naming where the one stripe a range write of
+        ``[offset, offset+count)`` fell in lives, as this server's catalog
+        knows it after the write: its token holder — whose pipeline
+        applied the write — is listed first when it holds a replica.
+        No entry for a range across stripes."""
+        smap = StripeMap.from_meta(meta)
+        pieces = smap.pieces(offset, offset + count) if smap else []
+        cat = len(pieces) == 1 and self.segments.catalogs.get(pieces[0].sid)
+        major = cat.latest_major() if cat else None
+        if major is None:
+            return {}
+        info = cat.majors[major]
+        return placement_of(cat, info, smap.stripe_size).hint(
+            info.holder or self.segments.proc.addr)
 
     async def _require_dir(self, fh: FileHandle,
                            verify=None) -> tuple[dict, ReadResult]:
@@ -304,8 +324,11 @@ class Envelope:
         write pushes past its ``stripe_size`` parameter, goes through the
         :class:`~repro.core.striping.striper.Striper` instead — per-stripe
         updates for ranges, an atomic whole-image install for rewrites and
-        the blob→striped conversion.  A zero-length plain write is a POSIX
-        no-op answered from the stat alone (no update, no version bump).
+        the blob→striped conversion.  The reply to a range inside one
+        stripe carries that stripe's placement hint, as a range read's
+        does, so a writer that never reads learns where its next write to
+        the stripe goes.  A zero-length plain write is a POSIX no-op
+        answered from the stat alone (no update, no version bump).
         """
         stat = await self.segments.stat(fh.sid, version=fh.version)
         if stat.meta.get("ftype") == FileType.DIRECTORY.value:
@@ -322,7 +345,9 @@ class Envelope:
                 fh, stat, offset, data, truncate, patch, id)
             return {"attrs": FileAttrs.from_meta(reply_meta,
                                                  new_length).to_wire(),
-                    "version": [version.major, version.sub]}
+                    "version": [version.major, version.sub],
+                    **({} if truncate else self._stripe_hint(
+                        reply_meta, offset, len(data)))}
         if truncate:
             op = WriteOp(kind="setdata", data=data, meta=patch, uid=id)
         else:

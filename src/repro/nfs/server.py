@@ -18,6 +18,7 @@ simulated disk, the segment server, and the NFS envelope, and exposing:
 
 from __future__ import annotations
 
+import inspect
 from typing import Any
 
 from repro.core import SegmentServer
@@ -50,6 +51,19 @@ GATED_NFS_OPS = frozenset({
 #: name.  The op name arrives from the network, so this table is input
 #: validation — no other attribute of the envelope is ever called.
 NFS_OPS = GATED_NFS_OPS | {"getattr", "lookup", "readlink", "readdir", "statfs"}
+
+
+def _arg_names(method) -> tuple[frozenset[str], frozenset[str]]:
+    """The argument names ``method`` requires, and all it accepts."""
+    params = list(inspect.signature(method).parameters.values())[1:]
+    return (frozenset(p.name for p in params if p.default is p.empty),
+            frozenset(p.name for p in params))
+
+
+#: op -> the names its envelope method requires and accepts, read once
+#: here: a request whose arguments do not fit is answered ``ERR_IO``
+#: like an unknown op, never called
+NFS_ARGS = {op: _arg_names(getattr(Envelope, op)) for op in sorted(NFS_OPS)}
 
 
 def error_reply(exc: NfsError | SegmentError) -> dict:
@@ -197,8 +211,9 @@ class DeceitServer:
     async def _h_nfs(self, src: str, op: str, args: dict[str, Any]) -> dict:
         """The NFS protocol entry point: a foreign handle is proxied and a
         machine name under the global root resolved here; any other op in
-        :data:`NFS_OPS` is counted and answered by its envelope method,
-        called with the request's arguments, handles decoded."""
+        :data:`NFS_OPS` whose arguments fit its envelope method
+        (:data:`NFS_ARGS`) is counted and answered by that method, called
+        with the request's arguments, handles decoded."""
         self.metrics.incr("nfs.requests")
         gate = self.admission
         if gate is not None \
@@ -213,10 +228,14 @@ class DeceitServer:
             fh = FileHandle.decode(args["fh"]) if "fh" in args else None
             if fh is not None and fh.foreign and fh.home != self.addr:
                 return await self._proxy(fh.home, op, args)
-            if op == "lookup" and fh is not None and fh.sid == GLOBAL_ROOT_SID:
-                return await self._lookup_global(args["name"])
-            if op not in NFS_OPS:
+            names = NFS_ARGS.get(op)
+            if names is None:
                 raise NfsError(NfsStat.ERR_IO, f"unknown NFS op {op!r}")
+            if not names[0] <= args.keys() <= names[1]:
+                raise NfsError(NfsStat.ERR_IO, f"NFS {op} takes "
+                               f"{sorted(names[1])}, not {sorted(args)}")
+            if op == "lookup" and fh.sid == GLOBAL_ROOT_SID:
+                return await self._lookup_global(args["name"])
             self.metrics.incr(f"nfs.ops.{op}")
             kwargs = {**args, "fh": fh}
             if "tofh" in args:

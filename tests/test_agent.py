@@ -618,8 +618,10 @@ def _routed_writes(agent_config):
 
 
 def test_only_whole_file_writes_are_routed():
-    """A range write enters at the mount server; a whole-file write is
-    routed only while the shortcut is on."""
+    """A range write of an unstriped file enters at the mount server (one
+    inside a stripe goes where the stripe lives, see
+    tests/test_striping.py); a whole-file write is routed only while the
+    shortcut is on."""
     assert _routed_writes(AgentConfig(cache=False)) == (1, 0)
     assert _routed_writes(AgentConfig(cache=False, shortcut=False)) == (0, 0)
 

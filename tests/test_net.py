@@ -361,7 +361,7 @@ def test_rpc_envelope_sizes_equal_the_full_walk(args, result, outcome):
     network.trace = []
     a, b = Node(network, "a"), Node(network, "b")
 
-    async def handler(src, **kwargs):
+    async def handler(src, /, **kwargs):    # an arg may be named "src"
         if outcome == "error":
             raise ValueError(repr(result))
         return result

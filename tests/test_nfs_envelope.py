@@ -301,6 +301,30 @@ def test_only_nfs_ops_reach_the_envelope(cluster, op, args):
     assert server.envelope.root_fh == root
 
 
+@pytest.mark.parametrize("op,args", [
+    ("getattr", {"bogus": 1}),          # a key the op does not take
+    ("lookup", {}),                     # without the name it needs
+], ids=["extra-key", "missing-key"])
+def test_arguments_that_do_not_fit_the_op_answer_err_io(cluster, op, args):
+    """A request whose arguments do not fit its op is answered ERR_IO,
+    like an unknown op, and runs nothing: it is not an RPC error an agent
+    would fail over on."""
+    agent = cluster.agents[0]
+    server = cluster.servers[0]
+
+    async def main():
+        await agent.mount()
+        other = await agent.mkdir("/", "d")
+        snap = cluster.metrics.snapshot()
+        reply = await agent.call(server.addr, "nfs", op=op,
+                                 args={"fh": other.encode(), **args})
+        return reply, cluster.metrics.delta(snap)
+
+    reply, delta = cluster.run(main())
+    assert reply["status"] == NfsStat.ERR_IO
+    assert [key for key in delta if key.startswith("nfs.ops.")] == []
+
+
 def test_two_agents_share_namespace(cluster):
     a0, a1 = cluster.agents
 

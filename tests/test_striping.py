@@ -832,6 +832,102 @@ def test_routed_stripe_read_falls_back_when_hinted_holder_dies():
     cluster.close()
 
 
+def stripe_writer_cell(**kwargs):
+    """Four servers; the owner mounts ``s0``, the writer ``s2``.  The
+    owner's striped file leaves stripe 1's token at ``s0`` and its one
+    replica at ``s1`` (ring placement), so the writer's mount server holds
+    neither."""
+    return build_cluster(4, n_agents=3, seed=15, scatter_agents=True,
+                         **kwargs)
+
+
+async def stripe_one(cluster, owner, writer) -> tuple[bytes, str]:
+    payload = await make_striped(cluster, owner, size=RSTRIPES * RS,
+                                 stripe_size=RS)
+    await writer.mount()
+    sid = (await parent_map(cluster, owner, "/big")).sids[1]
+    located = await cluster.servers[0].segments.locate_replicas(sid)
+    assert (located["holders"], located["token_holder"]) == (["s1"], "s0")
+    return payload, sid
+
+
+def test_a_range_write_enters_where_its_stripe_lives():
+    """A writer that never reads learns where a stripe lives from its
+    first range write's reply, and its next writes to that stripe go
+    there.  The token moves once, to the replica holder; no server
+    without a replica takes it, so no replica is fetched and the stripe
+    keeps its one copy."""
+    cluster = stripe_writer_cell()
+    owner, _, writer = cluster.agents
+
+    async def main():
+        payload, sid = await stripe_one(cluster, owner, writer)
+        snap = cluster.metrics.snapshot()
+        routed = []
+        for i in range(3):
+            before = cluster.metrics.get("agent.routed_writes")
+            await writer.write_at("/big", RS + i * 8, b"w" * 8)
+            routed.append(cluster.metrics.get("agent.routed_writes") - before)
+        delta = cluster.metrics.delta(snap)
+        located = await cluster.servers[0].segments.locate_replicas(sid)
+        fresh(writer)
+        window = await writer.read_at("/big", RS, RS)
+        return (routed, located["holders"], located["token_holder"],
+                tuple(delta.get(name, 0) for name in (
+                    "deceit.forwarded_writes", "deceit.token_passes",
+                    "deceit.replica_fetches")),
+                window == b"w" * 24 + payload[RS + 24:2 * RS])
+
+    routed, holders, token_holder, counts, correct = cluster.run(
+        main(), limit=2_000_000.0)
+    # the first write enters at the mount server, the others at s1
+    assert routed == [0, 1, 1]
+    assert (holders, token_holder) == (["s1"], "s1")
+    # s2 passed the first to s1, which took the token from s0 for it
+    assert counts == (1, 1, 0)
+    assert correct
+    cluster.close()
+
+
+def test_a_range_write_forwarded_to_a_slow_stripe_holder_applies_once():
+    """§3.3 optimization 2 for a range write: the writer's mount server
+    holds no replica of the stripe, so it passes the piece to the token
+    holder under the write's id.  The holder is alive but slow — its
+    update lock is held past one forward attempt — so the forward is
+    sent again under that id, and the holder applies it once."""
+    cluster = stripe_writer_cell(net_config=NetConfig(tag_metrics=True))
+    owner, teacher, writer = cluster.agents
+
+    async def stall(lock, ms):
+        await lock.acquire()
+        await cluster.kernel.sleep(ms)
+        lock.release()
+
+    async def main():
+        payload, sid = await stripe_one(cluster, owner, writer)
+        await teacher.mount()
+        await teacher.write_at("/big", RS, b"at s1")    # s1 takes the token
+        holder = cluster.servers[1].segments
+        before = (await holder.locate_replicas(sid))["version"]
+        cluster.kernel.spawn(stall(holder._update_lock(sid), 600.0))
+        snap = cluster.metrics.snapshot()
+        await writer.write_at("/big", RS, b"once")
+        delta = cluster.metrics.delta(snap)
+        after = (await holder.locate_replicas(sid))["version"]
+        fresh(writer)
+        window = await writer.read_at("/big", RS, 8)
+        return before, after, delta, window == b"once1" + payload[RS + 5:RS + 8]
+
+    before, after, delta, correct = cluster.run(main(), limit=2_000_000.0)
+    assert (after.major, after.sub) == (before.major, before.sub + 1)
+    assert tuple(delta.get(name, 0) for name in (
+        "deceit.forwarded_writes", "net.rpc_expired.seg_forward_write",
+        "deceit.updates", "deceit.duplicate_updates",
+        "deceit.token_passes", "agent.failovers")) == (1, 1, 1, 1, 0, 0)
+    assert correct
+    cluster.close()
+
+
 def test_blob_reads_go_to_the_holder_the_last_reply_named():
     """§5.3's access shortcut: a blob whose only replica is elsewhere is
     read through the mount server once; that reply names the holder, so

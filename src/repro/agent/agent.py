@@ -210,7 +210,8 @@ class Agent(Node):
         await self.kernel.sleep(self.config.placement.hop_ms)
 
     async def _nfs(self, op: str, args: dict[str, Any],
-                   to: str | None = None, size_bytes: int = 256) -> dict:
+                   to: str | None = None, size_bytes: int = 256,
+                   failover: bool = True) -> dict:
         """One NFS RPC through :meth:`_transport`.
 
         This is the NFS envelope's client side, so it is also where a
@@ -238,7 +239,7 @@ class Agent(Node):
         try:
             return await self._transport("nfs", f"nfs.{op}",
                                          {"op": op, "args": args}, to,
-                                         size_bytes)
+                                         size_bytes, failover)
         finally:
             if traced is not None:
                 tracer.record(tid, t0, kernel.now, "agent", f"nfs.{op}")
@@ -251,15 +252,19 @@ class Agent(Node):
                                      {"cmd": cmd, "args": args})
 
     async def _transport(self, method: str, tag: str, kwargs: dict[str, Any],
-                         to: str | None = None, size_bytes: int = 256) -> dict:
+                         to: str | None = None, size_bytes: int = 256,
+                         failover: bool = True) -> dict:
         """One RPC, by one rule for every call: the hinted target ``to``
         first, then the mount server, then — with failover on — the next
         servers, each attempt bounded by ``RPC_TIMEOUT_MS`` (a write is sent
         again under its one id).  A hinted target that fails leaves every
         hint; one that fails or answers BUSY hands the call to the mount
         server, whose BUSY is backed off against while the budget lasts.
+        A best-effort call (``failover`` off: a readahead prefetch) gives
+        up where failover would move the agent to the next server.
         """
-        attempts = len(self.servers) if self.config.failover else 1
+        failover = failover and self.config.failover
+        attempts = len(self.servers) if failover else 1
         last_exc: Exception | None = None
         failures = 0
         busy_left = self.config.busy_retries
@@ -278,7 +283,7 @@ class Agent(Node):
                     if routed:
                         continue  # fall back to the mount server
                 failures += 1
-                if not self.config.failover:
+                if not failover:
                     break
                 self.current = (self.current + 1) % len(self.servers)
                 self.metrics.incr("agent.failovers")
@@ -602,7 +607,7 @@ class Agent(Node):
                 max(reply["size"] for reply in replies))
 
     async def _read_range(self, fh: FileHandle, offset: int,
-                          count: int) -> dict:
+                          count: int, failover: bool = True) -> dict:
         """One ranged read RPC — the funnel every ranged read takes: the
         single-RPC path, fan-out pieces, prefetches and the range fallback.
 
@@ -610,11 +615,13 @@ class Agent(Node):
         taught goes to a hinted holder of that stripe (§5.3: the agent
         talks straight to a replica holder), so its bytes cross the
         network once instead of being relayed by the mount server.  A
-        failed target drops out of every hint and the read falls back.
+        failed target drops out of every hint and the read falls back;
+        without ``failover`` (a prefetch) it stops at the mount server.
         """
         reply = await self._nfs(
             "read", {"fh": fh.encode(), "offset": offset, "count": count},
-            to=self._route_target(fh, self._route_key(fh, offset, count)))
+            to=self._route_target(fh, self._route_key(fh, offset, count)),
+            failover=failover)
         self._learn_placement(fh, reply, offset)
         return reply
 
@@ -646,7 +653,8 @@ class Agent(Node):
         key = fh.encode()
         gen = self._cache_gen.get(key, 0)
         try:
-            reply = await self._read_range(fh, offset, length)
+            reply = await self._read_range(fh, offset, length,
+                                           failover=False)
         except NfsError:
             return                       # readahead is strictly best-effort
         if self._cache_gen.get(key, 0) != gen:

@@ -99,8 +99,8 @@ class PlacementRecord(NamedTuple):
     reaches the token holder, or a replica holder, which takes the token.
     On the five benchmark workloads at seed 42 and size
     1.0, all 21 555 file-level hints named a token holder with a replica,
-    and so did all 870 of ``stream_striped``'s range-write replies; 545
-    of its 3 169 stripe read replies did not: a stripe no write reached
+    and so did all 868 of ``stream_striped``'s range-write replies; 525
+    of its 3 040 stripe read replies did not: a stripe no write reached
     since its creator scattered it keeps the creator's token.
 
     Immutable; a named tuple because one is built on every read.

@@ -9,7 +9,7 @@ whole-file rewrites — except that a rewrite continuing this server's own
 stream takes the token, as §3.3's "paid only for the first of a stream of
 updates" intends (the stream rule, :meth:`UpdatePipeline.write`) — and
 for a range write's stripe pieces at a server holding no replica of the
-stripe, stream or not.
+stripe, under the same stream rule.
 Optimization 1, the first update "in the same message with a token
 request", is not built, as in Deceit ("currently uses neither").
 
@@ -157,12 +157,14 @@ class UpdatePipeline:
         forward.
 
         ``forward_unless_replica`` is the rule for a range write's stripe
-        pieces: the token moves only to a server that already holds a
-        replica of the major.  A server holding none passes the update on,
-        stream or not, instead of pulling the token and a replica after
-        it: to the token holder when that holds a replica, else to a
-        replica holder, which takes the token — where a placement hint
-        would have sent the writer.
+        pieces: a server holding a replica of the major takes the token
+        as without it; one holding none passes the update on instead of
+        pulling the token and a replica after it, under the same stream
+        rule, so a writer whose agent keeps writing the stripe here (one
+        without the access shortcut) pays the forward once.
+        A forward goes to the token holder when that holds a replica, else
+        to a replica holder, which takes the token: where a placement hint
+        would have sent the writer (:meth:`_live_holder`).
 
         An id the holder applied is answered with its version pair; a
         forward mints one, so it and its fallback are one update.
@@ -172,11 +174,11 @@ class UpdatePipeline:
         major = self.catalog.pick_major(cat, version)
         key = (sid, major)
         if key in self.store.tokens or not (
-                (forward_unless_replica and key not in self.store.replicas)
-                or (single_update_hint and (
-                    op.kind == "dirop"
-                    or self._forwarded.pop(key, None)
-                    != cat.majors[major].version))):
+                (single_update_hint or (forward_unless_replica
+                                        and key not in self.store.replicas))
+                and (op.kind == "dirop"
+                     or self._forwarded.pop(key, None)
+                     != cat.majors[major].version)):
             return await self._apply(cat, major, op, guard, t0)
         seq = None
         if op.uid is None:
@@ -186,11 +188,10 @@ class UpdatePipeline:
             op = replace(op, uid=[self.transport.incarnation, seq,
                                   next(iter(self._minted))])
         try:
-            forwarded = await self._forward_single_write(
-                sid, major, op, guard, forward_unless_replica)
+            forwarded = await self._forward_single_write(sid, major, op, guard)
             if forwarded is None:
                 return await self._apply(cat, major, op, guard, t0)
-            if single_update_hint and op.kind != "dirop":
+            if op.kind != "dirop":
                 self._forwarded[key] = forwarded
             return forwarded
         finally:
@@ -327,11 +328,9 @@ class UpdatePipeline:
 
     async def _forward_single_write(self, sid: str, major: int, op: WriteOp,
                                     guard: VersionPair | None,
-                                    replica: bool = False,
                                     ) -> VersionPair | None:
         """Hand the update to the current holder; the token does not move
-        (with ``replica``, it moves at most to a replica holder, see
-        :meth:`_live_holder`).
+        unless the holder has no replica (see :meth:`_live_holder`).
 
         Returns the new version pair, or ``None`` when the caller must fall
         back to the normal acquisition path: there is no holder, it is
@@ -343,7 +342,7 @@ class UpdatePipeline:
         raised here instead.
         """
         cat = self.catalog.catalogs[sid]
-        holder = self._live_holder(cat, major, replica)
+        holder = self._live_holder(cat, major)
         if holder is None:
             return None
         self.metrics.incr("deceit.forwarded_writes")
@@ -358,7 +357,7 @@ class UpdatePipeline:
                 )
                 break
             except RpcTimeout:
-                holder = self._live_holder(cat, major, replica)
+                holder = self._live_holder(cat, major)
                 if holder is None:
                     return None
             except RpcRemoteError as exc:
@@ -372,15 +371,14 @@ class UpdatePipeline:
         cat.majors[major].version = new_version
         return new_version
 
-    def _live_holder(self, cat: SegmentCatalog, major: int,
-                     replica: bool = False) -> str | None:
-        """The token holder ``cat`` names for ``major`` — with ``replica``,
-        when it holds no replica, the first replica holder by address —
-        if it is another server, reachable and in the file group's view."""
+    def _live_holder(self, cat: SegmentCatalog, major: int) -> str | None:
+        """The token holder ``cat`` names for ``major`` — when it holds no
+        replica, the first replica holder by address, which takes the
+        token — if it is another server, reachable and in the file
+        group's view."""
         info = cat.majors.get(major)
         holder = info.holder if info is not None else None
-        if replica and info is not None and info.holders \
-                and holder not in info.holders:
+        if info is not None and info.holders and holder not in info.holders:
             holder = min(info.holders)
         me = self.transport.addr
         if holder is None or holder == me or \

@@ -9,9 +9,11 @@ does decomposes into *ordinary segment operations*:
   holder, so a large read streams from several servers at once);
 - a range write fans out one update per affected stripe; stripes have
   independent write tokens, so writers to disjoint regions commute with
-  zero token traffic between them.  A stripe's token moves only to a
-  server holding a replica of it: a piece entering a server without one
-  is passed on (§3.3 optimization 2, see
+  zero token traffic between them.  The piece of a range inside one
+  stripe — one the agent can aim at the stripe — entering a server
+  without a replica of it is passed on (§3.3 optimization 2) unless it
+  continues that server's own stream; a wider range's pieces take each
+  token where they enter (see
   :meth:`~repro.core.pipeline.update.UpdatePipeline.write`);
 - growing past the end allocates new stripe segments and ships a
   commuting ``stripe_extend`` to the parent (first claim of an index
@@ -171,6 +173,9 @@ class Striper:
                                    data=data[pos:pos + r.length], uid=uid)
             pos += r.length
         created: dict[int, str] = {}
+        # a range inside one stripe is one the agent can aim at the
+        # stripe's holder; the pieces of a wider range enter here
+        routable = len(ops) == 1
 
         async def apply_stripe(index: int, op: WriteOp):
             sid = smap.sid_at(index)
@@ -181,7 +186,7 @@ class Striper:
                     fh.sid, index, _overlay(b"", op.offset, op.data),
                     stat.params)
                 return
-            await self.segments.write(sid, op, forward_unless_replica=True)
+            await self.segments.write(sid, op, forward_unless_replica=routable)
             self.metrics.incr("striping.stripe_writes")
 
         tasks = [self.proc.spawn(apply_stripe(index, op),
@@ -232,8 +237,7 @@ class Striper:
             if winner is None or winner == sid:
                 continue
             self.metrics.incr("striping.claim_losses")
-            await self.segments.write(winner, ops[index],
-                                      forward_unless_replica=True)
+            await self.segments.write(winner, ops[index])
             self.retire_stripes([sid])
         return auth
 

@@ -694,6 +694,33 @@ def test_prefetch_cannot_resurrect_pre_write_bytes():
     cluster.close()
 
 
+def test_a_prefetch_that_times_out_does_not_fail_the_agent_over():
+    """Readahead is best-effort: a prefetch whose mount server does not
+    answer is dropped, and the agent stays mounted where it was.  The
+    next user op fails over as before."""
+    cluster = build_cluster(4, n_agents=2, seed=15, scatter_agents=True)
+    owner, reader = cluster.agents          # mounted at s0 and s1
+
+    async def main():
+        payload = await make_striped(cluster, owner)
+        await reader.mount()
+        fh = await reader.lookup_path("/big")
+        clear_caches(reader)
+        reader._placement.clear()           # no hint aims the prefetch
+        cluster.crash(1)
+        snap = cluster.metrics.snapshot()
+        await reader._prefetch(fh, 2 * SS, SS)
+        stayed = reader.server, cluster.metrics.delta(snap).get(
+            "agent.failovers", 0)
+        window = await reader.read_at("/big", 2 * SS, SS)
+        return stayed, reader.server, window == payload[2 * SS:3 * SS]
+
+    stayed, after, correct = cluster.run(main(), limit=2_000_000.0)
+    assert stayed == ("s1", 0)
+    assert after != "s1" and correct
+    cluster.close()
+
+
 # --------------------------------------------------------------------- #
 # routing: a one-stripe range read enters at a holder of that stripe
 # --------------------------------------------------------------------- #
@@ -885,6 +912,59 @@ def test_a_range_write_enters_where_its_stripe_lives():
     assert (holders, token_holder) == (["s1"], "s1")
     # s2 passed the first to s1, which took the token from s0 for it
     assert counts == (1, 1, 0)
+    assert correct
+    cluster.close()
+
+
+def test_a_writer_without_the_shortcut_takes_the_stripe_token_after_one_forward():
+    """An agent without the access shortcut keeps writing a stripe at its
+    mount server, which holds no replica.  The first piece is passed on
+    (§3.3 optimization 2); the next continues the server's own stream, so
+    it takes the token, and a replica after it, once ("paid only for the
+    first of a stream of updates"); the third applies where it entered."""
+    cluster = stripe_writer_cell(agent_config=AgentConfig(shortcut=False))
+    owner, _, writer = cluster.agents
+
+    async def main():
+        _payload, sid = await stripe_one(cluster, owner, writer)
+        forwards = []
+        for i in range(3):
+            before = cluster.metrics.get("deceit.forwarded_writes")
+            await writer.write_at("/big", RS + i * 8, b"w" * 8)
+            forwards.append(cluster.metrics.get("deceit.forwarded_writes")
+                            - before)
+        located = await cluster.servers[0].segments.locate_replicas(sid)
+        return forwards, located["holders"], located["token_holder"]
+
+    forwards, holders, token_holder = cluster.run(main(), limit=2_000_000.0)
+    assert forwards == [1, 0, 0]
+    assert (holders, token_holder) == (["s1", "s2"], "s2")
+    assert cluster.metrics.get("agent.routed_writes") == 0
+    cluster.close()
+
+
+def test_a_range_across_stripes_takes_the_token_where_it_enters():
+    """The agent aims no range that spans stripes; its pieces enter at the
+    mount server and take each stripe's token there, as a stream of them
+    would, instead of being passed on one by one."""
+    cluster = stripe_writer_cell()
+    owner, _, writer = cluster.agents
+
+    async def main():
+        payload, sid = await stripe_one(cluster, owner, writer)
+        snap = cluster.metrics.snapshot()
+        await writer.write_at("/big", 2 * RS - 4, b"w" * 8)
+        delta = cluster.metrics.delta(snap)
+        located = await cluster.servers[0].segments.locate_replicas(sid)
+        fresh(writer)
+        window = await writer.read_at("/big", RS, 2 * RS)
+        return (delta.get("deceit.forwarded_writes", 0),
+                located["token_holder"],
+                window == payload[RS:2 * RS - 4] + b"w" * 8
+                + payload[2 * RS + 4:3 * RS])
+
+    forwards, token_holder, correct = cluster.run(main(), limit=2_000_000.0)
+    assert (forwards, token_holder) == (0, "s2")
     assert correct
     cluster.close()
 

@@ -197,6 +197,16 @@ class Agent(Node):
         self._unanswered: dict[int, None] = {}
         self.metrics = network.metrics
 
+    def release(self) -> None:
+        """The client is gone for good (its cell closed, or restarted with
+        fresh agents): drop every cache and placement record."""
+        for cache in (self._attr_cache, self._data_cache, self._dir_cache,
+                      self._neg_cache, self._handle_cache, self._range_cache):
+            cache.clear()
+        self._placement.clear()
+        self._seq_read.clear()
+        self._cache_gen.clear()
+
     # ------------------------------------------------------------------ #
     # transport with failover
     # ------------------------------------------------------------------ #

@@ -74,10 +74,10 @@ class BaselineNfsServer(Node):
     # RPC entry points (same vocabulary as Deceit's facade)
     # ------------------------------------------------------------------ #
 
-    async def _h_root(self, src: str) -> dict:
+    async def _h_root(self, src: str, /) -> dict:
         return {"status": 0, "fh": self.root_fh}
 
-    async def _h_nfs(self, src: str, op: str, args: dict[str, Any]) -> dict:
+    async def _h_nfs(self, src: str, /, op: str, args: dict[str, Any]) -> dict:
         self.metrics.incr("baseline.requests")
         try:
             return await self._dispatch(op, args)

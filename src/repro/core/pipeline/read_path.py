@@ -458,7 +458,7 @@ class ReadService:
     # the RPC handler (registered by the facade)
     # ------------------------------------------------------------------ #
 
-    async def handle_read(self, src: str, sid: str, major: int | None,
+    async def handle_read(self, src: str, /, sid: str, major: int | None,
                           **args) -> dict:
         """A forwarded read (``offset``, ``count`` and maybe ``verify``)
         of ``major``, or of the latest major from a non-member."""

@@ -387,7 +387,7 @@ class UpdatePipeline:
             return None
         return holder
 
-    async def handle_forward_write(self, src: str, sid: str, major: int,
+    async def handle_forward_write(self, src: str, /, sid: str, major: int,
                                    wop: dict, guard) -> dict:
         """RPC handler at the token holder for forwarded single updates."""
         guard_vp = VersionPair.from_tuple(guard) if guard is not None else None

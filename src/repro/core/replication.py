@@ -171,7 +171,7 @@ class ReplicationMixin:
                 continue
         return False
 
-    async def _h_feed(self, src: str, sid: str, major: int, target: str) -> dict:
+    async def _h_feed(self, src: str, /, sid: str, major: int, target: str) -> dict:
         """RPC handler at a replica holder: push our copy to ``target``."""
         replica = self.replicas.get((sid, major))
         if replica is None:
@@ -180,7 +180,7 @@ class ReplicationMixin:
         self.metrics.incr("deceit.replica_transfer_bytes", len(replica.data))
         return {"fed": await self._install_with_retries(target, replica)}
 
-    async def _h_install_replica(self, src: str, record: dict, contact: str) -> dict:
+    async def _h_install_replica(self, src: str, /, record: dict, contact: str) -> dict:
         """RPC handler on the receiving server: persist and join the group."""
         replica = Replica.from_dict(record)
         group = group_of(replica.sid)
@@ -240,7 +240,7 @@ class ReplicationMixin:
             return replica
         return None
 
-    async def _h_fetch(self, src: str, sid: str, major: int) -> dict | None:
+    async def _h_fetch(self, src: str, /, sid: str, major: int) -> dict | None:
         """RPC handler: hand our replica record to a fetching peer.
 
         The reply is charged the full data size — this *is* the blast
@@ -317,7 +317,7 @@ class ReplicationMixin:
         self._migrations_inflight = 0
         self._settle_migration_waiters()
 
-    async def _h_request_replica(self, src: str, sid: str, major: int,
+    async def _h_request_replica(self, src: str, /, sid: str, major: int,
                                  target: str) -> dict:
         """RPC handler at the token holder: generation method 3/4 entry."""
         if (sid, major) not in self.tokens:

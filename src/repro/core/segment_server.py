@@ -467,6 +467,14 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
         self.conflict_dir.reset()
         self._reset_migrations()
 
+    def release(self) -> None:
+        """The machine is gone for good (its cell closed, or restarted as
+        a new incarnation): drop what a crash drops and the disk's RAM
+        copy of its records.  The process keeps its address, group views
+        and failure-detector state for callers that read them after."""
+        self.volatile_reset()
+        self.disk.close()
+
     async def recover(self) -> None:
         """Rebuild from non-volatile state after a restart (§3.6)."""
         await self.recovery.recover()

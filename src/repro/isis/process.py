@@ -598,7 +598,7 @@ class IsisProcess(Node):
     # RPC handlers (membership machinery)
     # ------------------------------------------------------------------ #
 
-    async def _h_locate(self, src: str, groups: list[str]) -> dict[str, dict]:
+    async def _h_locate(self, src: str, /, groups: list[str]) -> dict[str, dict]:
         """Which of ``groups`` this process hosts, and under what view.
         Groups it is not a member of are left out of the answer."""
         hosted = {}
@@ -611,7 +611,7 @@ class IsisProcess(Node):
                                  "members": list(view.members)}
         return hosted
 
-    async def _h_join_req(self, src: str, group: str, joiner: str) -> dict:
+    async def _h_join_req(self, src: str, /, group: str, joiner: str) -> dict:
         state = self.groups.get(group)
         if state is None:
             raise GroupNotFound(f"{self.addr} not in {group}")
@@ -623,7 +623,7 @@ class IsisProcess(Node):
         await self._run_view_change(group, leaving=set(), joining=(joiner,))
         return {"view_id": self.groups[group].view.view_id}
 
-    async def _h_leave_req(self, src: str, group: str, leaver: str) -> dict:
+    async def _h_leave_req(self, src: str, /, group: str, leaver: str) -> dict:
         state = self.groups.get(group)
         if state is None:
             raise GroupNotFound(f"{self.addr} not in {group}")
@@ -633,7 +633,7 @@ class IsisProcess(Node):
         await self._run_view_change(group, leaving={leaver}, joining=())
         return {"ok": True}
 
-    async def _h_flush(self, src: str, group: str, view_id: int,
+    async def _h_flush(self, src: str, /, group: str, view_id: int,
                        have: dict) -> dict:
         """Pause sends; answer with our summary of the view and the bodies
         the coordinator (whose summary is ``have``) lacks."""
@@ -643,7 +643,7 @@ class IsisProcess(Node):
         state.flushing = True
         return {"have": state.summary(), "log": state.lacking(have)}
 
-    async def _h_install(self, src: str, group: str, view_id: int,
+    async def _h_install(self, src: str, /, group: str, view_id: int,
                          members: list[str], log: list[dict],
                          state_snapshot: Any = None,
                          joined: list[str] | None = None,

@@ -369,7 +369,10 @@ class Node:
     # ------------------------------------------------------------------ #
 
     def register_handler(self, method: str, fn: Callable) -> None:
-        """Register an async RPC handler: ``async fn(src_addr, **kwargs)``."""
+        """Register an async RPC handler: ``async fn(src, /, **kwargs)``.
+
+        ``src`` is positional-only, so an RPC whose arguments carry a key
+        named ``src`` cannot collide with the caller's address."""
         self._handlers[method] = fn
 
     def rpc(

@@ -129,6 +129,10 @@ class DeceitServer:
         """Fail-stop the whole machine."""
         self.segments.crash()
 
+    def release(self) -> None:
+        """The machine is gone for good: see :meth:`SegmentServer.release`."""
+        self.segments.release()
+
     def recover(self):
         """Restart; returns the task running the recovery protocol (§3.6)."""
         return self.segments.restart()
@@ -192,7 +196,7 @@ class DeceitServer:
     # RPC entry points
     # ------------------------------------------------------------------ #
 
-    async def _h_root(self, src: str) -> dict:
+    async def _h_root(self, src: str, /) -> dict:
         if self.envelope.root_fh is None:
             return {"status": NfsStat.ERR_IO, "error": "cell not bootstrapped"}
         return {"status": 0, "fh": self.envelope.root_fh.encode()}
@@ -202,13 +206,13 @@ class DeceitServer:
         NFS entry point (wired by ``build_cluster(admission=...)``)."""
         self.admission = gate
 
-    async def _h_health(self, src: str) -> dict:
+    async def _h_health(self, src: str, /) -> dict:
         """The operator health scrape (see :mod:`repro.obs.health`)."""
         from repro.obs.health import server_health
         self.metrics.incr("nfs.health_scrapes")
         return server_health(self)
 
-    async def _h_nfs(self, src: str, op: str, args: dict[str, Any]) -> dict:
+    async def _h_nfs(self, src: str, /, op: str, args: dict[str, Any]) -> dict:
         """The NFS protocol entry point: a foreign handle is proxied and a
         machine name under the global root resolved here; any other op in
         :data:`NFS_OPS` whose arguments fit its envelope method
@@ -296,7 +300,7 @@ class DeceitServer:
     # special commands (§2.1)
     # ------------------------------------------------------------------ #
 
-    async def _h_cmd(self, src: str, cmd: str, args: dict[str, Any]) -> dict:
+    async def _h_cmd(self, src: str, /, cmd: str, args: dict[str, Any]) -> dict:
         self.metrics.incr("nfs.special_cmds")
         try:
             return await self._dispatch_cmd(cmd, args)

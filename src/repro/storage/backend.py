@@ -93,6 +93,10 @@ class MemoryBackend(StorageBackend):
     def reopen(self) -> "MemoryBackend":
         return self
 
+    def clear(self) -> None:
+        """Drop every record: the cell this store belonged to has ended."""
+        self._data = {}
+
 
 class JournalBackend(StorageBackend):
     """Append-only journal file, one CRC-framed record per commit.

@@ -97,10 +97,16 @@ class Disk:
         self.read_ms = read_ms
         self.flush_interval_ms = flush_interval_ms
         self.metrics = metrics or Metrics()
+        #: the memory backend this disk made for itself (or a cell restart
+        #: handed on), which :meth:`close` empties; a backend the caller
+        #: passed in stays the caller's
+        self.owned_backend: MemoryBackend | None = None
+        if backend is None:
+            backend = self.owned_backend = MemoryBackend()
         # The backend mirrors the stable store on real media; opening a
         # disk on a non-empty backend *is* the cold-start read of the
         # superblock — everything the previous incarnation committed.
-        self.backend = backend if backend is not None else MemoryBackend()
+        self.backend = backend
         self._seq = itertools.count(1)          # issue order of every op
         self._stable: dict[str, Any] = self.backend.load()
         self._stable_seq: dict[str, int] = {}   # seq of last op applied
@@ -383,8 +389,20 @@ class Disk:
                 DiskCrashed(f"{self.name}: crashed before fsync"))
 
     def close(self) -> None:
-        """Release backend resources (file descriptors, connections)."""
+        """The machine is gone for good: release the backend's resources
+        (file descriptors, connections) and the RAM copy of the records —
+        the stable map, the write-behind buffer and uncommitted batches,
+        whose writers are never resumed — and the records of
+        :attr:`owned_backend`.  Idempotent."""
         self.backend.close()
+        if self.owned_backend is not None:
+            self.owned_backend.clear()
+        self._stable = {}
+        self._stable_seq = {}
+        self._buffer = {}
+        self._deleted_buffer = {}
+        self._pending = []
+        self._sync_waiters = []
 
     @property
     def stable_keys(self) -> int:

@@ -60,8 +60,9 @@ class CoreCluster:
         self.network.heal()
 
     def close(self) -> None:
-        """End the simulation: drop queued events, close un-run tasks."""
-        self.kernel.shutdown()
+        """End the cell: release its servers' memory and disks, drop
+        queued events and close un-run tasks (see :func:`_release`)."""
+        _release(self.kernel, self.servers, [])
 
 
 def build_core_cluster(
@@ -163,18 +164,20 @@ class Cluster:
             scrape_cell(self, timeout_ms=timeout_ms), limit=600_000.0)
 
     def close(self) -> None:
-        """End the simulation: drop queued events, close un-run tasks."""
-        self.kernel.shutdown()
-        for server in self.servers:
-            server.disk.close()
+        """End the cell: release its servers' and agents' memory and its
+        disks, drop queued events and close un-run tasks (see
+        :func:`_release`).  Addresses, ``metrics`` and failure-detector
+        state stay readable."""
+        _release(self.kernel, self.servers, self.agents)
         if self.det_guard is not None:
             from repro.analysis import guard as _guard
             _guard.release(self.det_guard)
             self.det_guard = None
-        # a closed cell is cyclic garbage: without a full pass here it
-        # stays resident until generation 2 next happens to run, and a
-        # harness that builds cell after cell measures GC phase, not the
-        # cells, as its peak RSS
+        # _release freed the data; what is left is a skeleton of cycles
+        # that ``self`` and the caller still reach, so this pass reclaims
+        # the skeletons of cells closed earlier — a harness that builds
+        # cell after cell holds one skeleton, not one per generation-2
+        # period
         gc.collect()
 
     # ------------------------------------------------------------------ #
@@ -195,14 +198,15 @@ class Cluster:
         self.killed = True
         self.kernel.shutdown()
         for server in self.servers:
-            server.disk.close()
+            server.disk.backend.close()
 
     def restart(self, settle_ms: float = 2000.0,
                 reconcile: bool = True) -> "Cluster":
         """Whole-cell cold restart from durable state (§3.6 total failure).
 
         Kills whatever is left of the old incarnation, reopens every
-        storage backend (replaying journals), rebuilds a fresh kernel /
+        storage backend (replaying journals), releases the old
+        incarnation's memory (:func:`_release`), rebuilds a fresh kernel /
         network / cell over them with bootstrap skipped, cold-starts every
         server from its own disk, and — unless ``reconcile=False`` — drives
         the recovery merge so divergent majors reconcile before control
@@ -218,8 +222,19 @@ class Cluster:
             self.kill()
         self.incarnation += 1
         backends = [server.disk.backend.reopen() for server in self.servers]
+        # reopen() hands a memory backend on as itself: the new
+        # incarnation's disk empties one it owns when the cell ends, the
+        # old disk must not
+        owned = [server.disk.owned_backend for server in self.servers]
+        for server in self.servers:
+            server.disk.owned_backend = None
+        # released before the new incarnation is built, which then reuses
+        # the old one's memory instead of adding to it
+        _release(self.kernel, self.servers, self.agents)
         fresh = _incarnate(self.build_args, self.metrics, self.incarnation,
                            backends, bootstrap=False)
+        for server, backend in zip(fresh.servers, owned):
+            server.disk.owned_backend = backend
         self.kernel, self.network = fresh.kernel, fresh.network
         self.servers, self.agents = fresh.servers, fresh.agents
         self.root = fresh.root
@@ -270,6 +285,19 @@ class Cluster:
                 await server.segments.recovery.merge_after_heal()
         self.kernel.run_until_complete(_merge(), limit=600_000.0)
         self.settle(settle_ms)
+
+
+def _release(kernel: Kernel, servers: list, agents: list[Agent]) -> None:
+    """An ended cell gives its memory back at once, whoever still holds
+    it: each server drops what a crash drops plus its disk's RAM copy
+    (``release``), each agent its caches, and the kernel every queued
+    event, the ones the release itself woke included.  The cell is
+    otherwise cyclic garbage that only a generation-2 pass would free."""
+    for server in servers:
+        server.release()
+    for agent in agents:
+        agent.release()
+    kernel.shutdown()
 
 
 def build_cluster(

@@ -412,6 +412,32 @@ def test_every_rpc_in_a_seeded_cell_is_sized_like_the_full_walk():
         assert msg.payload_bytes() == payload_size(msg.payload), msg
 
 
+def test_every_registered_handler_takes_src_positional_only():
+    """``Node`` serves ``handler(msg.src, **args)``: a handler whose first
+    parameter could be named by a keyword would collide with an RPC
+    argument called ``src``."""
+    import inspect
+
+    from repro.baseline import BaselineNfsServer
+    from repro.testbed import build_cluster
+
+    cluster = build_cluster(3, 2, seed=3)
+    nodes = list(cluster.network.nodes.values())
+    nodes.append(BaselineNfsServer(cluster.network, "nfs-baseline"))
+    handlers = {}
+    for node in nodes:
+        for method, fn in node._handlers.items():
+            handlers[type(node).__name__, method] = fn
+    cluster.close()
+    # five isis, six segment and four nfs handlers per Deceit server, and
+    # the baseline server's two
+    assert len(handlers) == 17
+    for (cls, method), fn in sorted(handlers.items()):
+        first = next(iter(inspect.signature(fn).parameters.values()))
+        assert first.name == "src", (cls, method)
+        assert first.kind is inspect.Parameter.POSITIONAL_ONLY, (cls, method)
+
+
 @pytest.mark.parametrize("fault", ["crash", "partition"])
 @pytest.mark.parametrize("kind", ["datagram", "rpc_request", "rpc_reply"])
 def test_message_in_flight_when_destination_becomes_unreachable_is_lost(

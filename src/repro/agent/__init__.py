@@ -14,7 +14,7 @@ them):
 - **failover**: when the connected server fails, pick another and continue
   (Deceit handles are server-independent, so this just works — "standard
   NFS client software does not provide this capability", §2.1); NFS calls
-  and special commands alike;
+  and special commands alike, which share one call path;
 - **access shortcut** (on by default): getattr, lookup, readdir and read
   replies name the replica holders and the token holder, and the file's
   next getattr or whole-file read, or the directory's next lookup or

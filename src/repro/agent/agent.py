@@ -255,12 +255,6 @@ class Agent(Node):
                 tracer.record(tid, t0, kernel.now, "agent", f"nfs.{op}")
                 traced.trace = prev_trace
 
-    async def _cmd(self, cmd: str, args: dict[str, Any]) -> dict:
-        """One Deceit special command, failing over like an NFS call."""
-        await self._user_hop()
-        return await self._transport("deceit_cmd", f"cmd.{cmd}",
-                                     {"cmd": cmd, "args": args})
-
     async def _transport(self, method: str, tag: str, kwargs: dict[str, Any],
                          to: str | None = None, size_bytes: int = 256,
                          failover: bool = True) -> dict:
@@ -955,7 +949,7 @@ class Agent(Node):
     async def set_params(self, path_or_fh: str | FileHandle, **changes) -> dict:
         """Tune the file's semantic parameters (§4)."""
         fh = await self._resolve(path_or_fh)
-        reply = await self._cmd("setparam", {"fh": fh.encode(),
+        reply = await self._nfs("setparam", {"fh": fh.encode(),
                                              "changes": changes})
         # cached attrs may now lie about the file's shape (a stripe_size
         # change restripes it in place; the striping hint rides attrs)
@@ -965,19 +959,19 @@ class Agent(Node):
     async def list_versions(self, path_or_fh: str | FileHandle) -> dict[int, tuple]:
         """All live versions of a file (``foo;3`` names, §3.5)."""
         fh = await self._resolve(path_or_fh)
-        reply = await self._cmd("list_versions", {"fh": fh.encode()})
+        reply = await self._nfs("list_versions", {"fh": fh.encode()})
         return {int(m): tuple(v) for m, v in reply["versions"].items()}
 
     async def locate(self, path_or_fh: str | FileHandle) -> dict:
         """Replica and token locations."""
         fh = await self._resolve(path_or_fh)
-        return (await self._cmd("locate", {"fh": fh.encode()}))["located"]
+        return (await self._nfs("locate", {"fh": fh.encode()}))["located"]
 
     async def create_replica(self, path_or_fh: str | FileHandle,
                              server: str) -> bool:
         """Explicitly place a replica (generation method 3)."""
         fh = await self._resolve(path_or_fh)
-        reply = await self._cmd("create_replica", {"fh": fh.encode(),
+        reply = await self._nfs("create_replica", {"fh": fh.encode(),
                                                    "server": server})
         return reply["created"]
 
@@ -985,16 +979,16 @@ class Agent(Node):
                              server: str) -> bool:
         """Explicitly remove a replica."""
         fh = await self._resolve(path_or_fh)
-        reply = await self._cmd("delete_replica", {"fh": fh.encode(),
+        reply = await self._nfs("delete_replica", {"fh": fh.encode(),
                                                    "server": server})
         return reply["deleted"]
 
     async def conflicts(self) -> list[dict]:
         """The well-known conflict log (§3.6)."""
-        return (await self._cmd("conflicts", {}))["conflicts"]
+        return (await self._nfs("conflicts", {}))["conflicts"]
 
     async def reconcile(self, path_or_fh: str | FileHandle, keep: int) -> list[int]:
         """Resolve divergent versions by keeping one major."""
         fh = await self._resolve(path_or_fh)
-        return (await self._cmd("reconcile", {"fh": fh.encode(),
+        return (await self._nfs("reconcile", {"fh": fh.encode(),
                                               "keep": keep}))["dropped"]

@@ -180,22 +180,24 @@ class CatalogService:
     # group-multicast handlers (catalog maintenance at every member)
     # ------------------------------------------------------------------ #
 
-    def deliver_state_inquiry(self, sid: str, major: int) -> dict:
+    async def deliver_state_inquiry(self, src: str, /, sid: str,
+                                    major: int) -> dict:
         replica = self.store.replicas.get((sid, major))
         if replica is None:
             return {"have_replica": False}
         return {"have_replica": True, "stable": replica.stable,
                 "version": replica.version.to_tuple()}
 
-    def deliver_replica_created(self, sid: str, major: int, holder: str) -> dict:
+    async def deliver_replica_created(self, src: str, /, sid: str,
+                                      major: int, holder: str) -> dict:
         cat = self.catalogs.get(sid)
         if cat is not None and major in cat.majors:
             cat.majors[major].holders.add(holder)
             cat.majors[major].read_ts[holder] = self.kernel.now
         return {"ok": True}
 
-    def deliver_replica_recovered(self, sid: str, major: int,
-                                  version: list, sender: str) -> dict:
+    async def deliver_replica_recovered(self, src: str, /, sid: str,
+                                        major: int, version: list) -> dict:
         cat = self.catalogs.get(sid)
         if cat is None:
             return {"ok": False}
@@ -205,7 +207,7 @@ class CatalogService:
                              version=VersionPair.from_tuple(version),
                              holder=None, holders=set())
             cat.majors[major] = info
-        info.holders.add(sender)
+        info.holders.add(src)
         return {"ok": True}
 
     # ------------------------------------------------------------------ #

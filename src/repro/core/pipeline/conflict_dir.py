@@ -65,12 +65,14 @@ class ConflictDirectory:
                 nreplies=0, tag="conflict",
             )
 
-    def deliver(self, payload: dict) -> dict:
-        """Conflict-group multicast handler."""
-        if payload["op"] == "conflict":
-            self.log.add(ConflictRecord.from_dict(payload["record"]))
-        elif payload["op"] == "conflict_resolved":
-            self.log.resolve(payload["sid"])
+    async def deliver_conflict(self, src: str, /, record: dict) -> dict:
+        """Conflict-group multicast: a member logged a conflict."""
+        self.log.add(ConflictRecord.from_dict(record))
+        return {"ok": True}
+
+    async def deliver_resolved(self, src: str, /, sid: str) -> dict:
+        """Conflict-group multicast: a member reconciled ``sid``."""
+        self.log.resolve(sid)
         return {"ok": True}
 
     def state(self) -> dict:

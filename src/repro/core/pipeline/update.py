@@ -399,7 +399,9 @@ class UpdatePipeline:
     # update delivery (runs at every group member)
     # ------------------------------------------------------------------ #
 
-    async def deliver_update(self, sid: str, payload: dict) -> dict:
+    async def deliver_update(self, src: str, /, sid: str, major: int,
+                             wop: dict, version: list, drop: list[str],
+                             mark: bool = False) -> dict:
         """One update landing at this member.
 
         The catalog learns the version; a member named in ``drop`` destroys
@@ -409,10 +411,8 @@ class UpdatePipeline:
         with the op — or the mark alone, on a copy that missed updates,
         because recovery needs it to find possibly-inconsistent replicas.
         """
-        major = payload["major"]
-        version = VersionPair.from_tuple(payload["version"])
+        version = VersionPair.from_tuple(version)
         me = self.transport.addr
-        mark = payload.get("mark", False)
         cat = self.catalog.get(sid)
         if cat is not None and major in cat.majors:
             info = cat.majors[major]
@@ -420,7 +420,7 @@ class UpdatePipeline:
             info.last_update_ts = self.kernel.now
             if mark:
                 info.unstable = True
-        if me in payload.get("drop", []):
+        if me in drop:
             await self.hooks.destroy_local_replica(sid, major)
             return {"dropped": True, "have_replica": False}
         replica = self.store.replicas.get((sid, major))
@@ -430,7 +430,7 @@ class UpdatePipeline:
         if newly_marked:
             replica.stable = False
         if replica.version.sub + 1 == version.sub:
-            op = WriteOp.from_dict(payload["wop"])
+            op = WriteOp.from_dict(wop)
             applied = replica.applied.with_applied(op.uid, version)
             # the holder checked the id; a member whose own record says it
             # applied it takes the version, not the op again

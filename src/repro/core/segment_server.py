@@ -24,7 +24,8 @@ conflict_dir.ConflictDirectory` (the well-known conflict file), and
 three protocol mixins (:class:`~repro.core.tokens.TokenMixin`,
 :class:`~repro.core.replication.ReplicationMixin`, :class:`~repro.core.
 stability.StabilityMixin`) and the ISIS :class:`~repro.isis.process.
-GroupApp` interface.
+GroupApp` interface, whose ``deliver`` dispatches each group multicast by
+its op's name through one table, :attr:`SegmentServer.group_ops`.
 """
 
 from __future__ import annotations
@@ -110,6 +111,24 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
             self.recovery = RecoveryService(
                 proc, self.cat, self.store, self, self.metrics,
                 audit_interval_ms=merge_audit_interval_ms)
+        #: group multicast op -> its handler at every member, called with
+        #: the sender and the payload's other fields as keywords
+        self.group_ops = {
+            "update": self.pipeline.deliver_update,
+            "token_request": self._deliver_token_request,
+            "token_pass": self._deliver_token_pass,
+            "token_generated": self._deliver_token_generated,
+            "mark_stable": self._deliver_mark_stable,
+            "force_stable": self._deliver_force_stable,
+            "state_inquiry": self.cat.deliver_state_inquiry,
+            "replica_created": self.cat.deliver_replica_created,
+            "replica_deleted": self._deliver_replica_deleted,
+            "replica_recovered": self.cat.deliver_replica_recovered,
+            "delete_major": self._deliver_delete_major,
+            "setparam": self._deliver_setparam,
+            "conflict": self.conflict_dir.deliver_conflict,
+            "conflict_resolved": self.conflict_dir.deliver_resolved,
+        }
         proc.set_app(self)
         proc.register_handler("seg_read", self.reads.handle_read)
         proc.register_handler("seg_forward_write",
@@ -341,48 +360,13 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
     # ------------------------------------------------------------------ #
 
     async def deliver(self, group: str, sender: str, payload: Any) -> Any:
-        """Dispatch one file-group (or conflict-group) multicast."""
-        if group == CONFLICT_GROUP:
-            return self.conflict_dir.deliver(payload)
-        op = payload["op"]
-        sid = payload["sid"]
-        if op == "update":
-            return await self.pipeline.deliver_update(sid, payload)
-        if op == "token_request":
-            return await self._deliver_token_request(
-                sid, payload["major"], payload["requester"], payload["req"])
-        if op == "token_pass":
-            return await self._deliver_token_pass(
-                sid, payload["major"], payload["to"], payload["token"],
-                payload.get("req"))
-        if op == "token_generated":
-            return self._deliver_token_generated(
-                sid, payload["major"], payload["parent"],
-                payload["version"], payload["holder"])
-        if op == "mark_stable":
-            return await self._deliver_mark_stable(sid, payload["major"])
-        if op == "force_stable":
-            return await self._deliver_force_stable(
-                sid, payload["major"], payload["chosen"], payload["version"])
-        if op == "state_inquiry":
-            return self.cat.deliver_state_inquiry(sid, payload["major"])
-        if op == "replica_created":
-            return self.cat.deliver_replica_created(
-                sid, payload["major"], payload["holder"])
-        if op == "replica_deleted":
-            return await self._deliver_replica_deleted(
-                sid, payload["major"], payload["holder"])
-        if op == "replica_recovered":
-            return self.cat.deliver_replica_recovered(
-                sid, payload["major"], payload["version"], sender)
-        if op == "delete_major":
-            return await self._deliver_delete_major(sid, payload["major"])
-        if op == "setparam":
-            return await self._deliver_setparam(sid, payload["params"])
-        raise ValueError(f"unknown group op {op!r}")
+        """Dispatch one file-group or conflict-group multicast to its
+        op's handler in :attr:`group_ops`."""
+        fields = dict(payload)
+        return await self.group_ops[fields.pop("op")](sender, **fields)
 
-    async def _deliver_replica_deleted(self, sid: str, major: int,
-                                       holder: str) -> dict:
+    async def _deliver_replica_deleted(self, src: str, /, sid: str,
+                                       major: int, holder: str) -> dict:
         cat = self.cat.get(sid)
         if cat is not None and major in cat.majors:
             cat.majors[major].holders.discard(holder)
@@ -390,7 +374,8 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
             await self._destroy_local_replica(sid, major)
         return {"ok": True}
 
-    async def _deliver_delete_major(self, sid: str, major: int) -> dict:
+    async def _deliver_delete_major(self, src: str, /, sid: str,
+                                    major: int) -> dict:
         cat = self.cat.get(sid)
         if cat is not None:
             cat.majors.pop(major, None)
@@ -402,8 +387,9 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
             timer.cancel()
         return {"ok": True}
 
-    async def _deliver_setparam(self, sid: str, params_dict: dict) -> dict:
-        params = FileParams.from_dict(params_dict)
+    async def _deliver_setparam(self, src: str, /, sid: str,
+                                params: dict) -> dict:
+        params = FileParams.from_dict(params)
         cat = self.cat.get(sid)
         if cat is not None:
             cat.params = params

@@ -85,7 +85,8 @@ class StabilityMixin:
     # group-message handlers (run at every member)
     # ------------------------------------------------------------------ #
 
-    async def _deliver_mark_stable(self, sid: str, major: int) -> dict:
+    async def _deliver_mark_stable(self, src: str, /, sid: str,
+                                   major: int) -> dict:
         cat = self.catalogs.get(sid)
         if cat is not None and major in cat.majors:
             cat.majors[major].unstable = False
@@ -122,8 +123,8 @@ class StabilityMixin:
         self.metrics.incr("deceit.forced_stable")
         return best_member
 
-    async def _deliver_force_stable(self, sid: str, major: int, chosen: str,
-                                    version: list) -> dict:
+    async def _deliver_force_stable(self, src: str, /, sid: str, major: int,
+                                    chosen: str, version: list) -> dict:
         """Member handler: obsolete unstable replicas are destroyed; the
         chosen replica becomes stable."""
         cat = self.catalogs.get(sid)

@@ -123,7 +123,7 @@ class TokenMixin:
         finally:
             self._token_waits.pop(req, None)
 
-    async def _deliver_token_request(self, sid: str, major: int,
+    async def _deliver_token_request(self, src: str, /, sid: str, major: int,
                                      requester: str, req: str) -> dict:
         """Group-message handler at every member; only the holder acts,
         and only for a request its token was not already passed for."""
@@ -151,8 +151,8 @@ class TokenMixin:
             lock.release()
         return {"holder": True}
 
-    async def _deliver_token_pass(self, sid: str, major: int, to: str,
-                                  token_dict: dict,
+    async def _deliver_token_pass(self, src: str, /, sid: str, major: int,
+                                  to: str, token: dict,
                                   req: str | None = None) -> dict:
         """Everyone learns the new holder; the recipient installs the token
         and, while it still holds it, ends the wait for ``req`` alone."""
@@ -165,7 +165,7 @@ class TokenMixin:
             # and the next local read re-validates against disk
             self.store.cache.invalidate(sid, major)
             return {"noted": True}
-        token = Token.from_dict(token_dict)
+        token = Token.from_dict(token)
         self.tokens[(sid, major)] = token
         await self.store.persist_token(token)
         if (sid, major) not in self.replicas:
@@ -243,8 +243,9 @@ class TokenMixin:
                         name=f"{self.proc.addr}:replenish:{sid}")
         return new_major
 
-    def _deliver_token_generated(self, sid: str, major: int, parent: list,
-                                 version: list, holder: str) -> dict:
+    async def _deliver_token_generated(self, src: str, /, sid: str,
+                                       major: int, parent: list,
+                                       version: list, holder: str) -> dict:
         """Members learn about a freshly minted major version."""
         cat = self.catalogs.get(sid)
         if cat is None:

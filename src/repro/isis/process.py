@@ -763,8 +763,16 @@ class IsisProcess(Node):
         else:
             # virtual synchrony: deliver every multicast of the old view
             # that any survivor saw and we did not, in causal order where
-            # possible
-            self._drain_log(state, log)
+            # possible.  Anything still pending has causal predecessors no
+            # survivor saw; force-deliver it deterministically so all
+            # members agree.
+            self._absorb(state, log)
+            leftovers = sorted(state.pending,
+                               key=lambda m: (m["sender"], m["seq"]))
+            state.pending.clear()
+            for msg in leftovers:
+                if state.vc.get(msg["sender"]) < msg["seq"]:
+                    self._deliver_mcast(state, msg)
             state.view = view
         state.vc = VectorClock()
         state.pending.clear()
@@ -795,17 +803,6 @@ class IsisProcess(Node):
                 state.log[(entry["sender"], entry["seq"])] = entry
                 state.pending.append(entry)
         self._try_deliveries(state, None)
-
-    def _drain_log(self, state: _GroupState, lacked: list[dict]) -> None:
-        self._absorb(state, lacked)
-        # Anything still pending has causal predecessors no survivor saw;
-        # force-deliver deterministically so all members agree.
-        leftovers = sorted(state.pending, key=lambda m: (m["sender"], m["seq"]))
-        state.pending.clear()
-        for msg in leftovers:
-            already = state.vc.get(msg["sender"]) >= msg["seq"]
-            if not already:
-                self._deliver_mcast(state, msg)
 
     # ------------------------------------------------------------------ #
     # failure handling

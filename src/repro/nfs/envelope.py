@@ -1,8 +1,9 @@
 """The NFS file service envelope: NFS ops → segment ops (§5.2).
 
-Each NFS op is one coroutine method named after the op.  It takes the
-request's arguments as keywords — the wire's keys, handles already decoded
-— and answers its reply's fields.  The server's RPC entry point
+Each NFS op, and each of Deceit's special commands (§2.1), is one
+coroutine method named after the op.  It takes the request's arguments as
+keywords — the wire's keys, handles already decoded — and answers its
+reply's fields.  The server's RPC entry point
 (:meth:`repro.nfs.server.DeceitServer._h_nfs`) admits only the ops in its
 table, counts ``nfs.ops.<op>`` and adds the status; everything a reply
 says is decided here.
@@ -38,6 +39,7 @@ from typing import Any
 
 from repro.core import SegmentServer, WriteOp
 from repro.core.dirtable import decode_dir, encode_dir
+from repro.core.params import DEFAULT_PARAMS
 from repro.core.pipeline.read_path import (
     PlacementRecord,
     ReadResult,
@@ -755,3 +757,51 @@ class Envelope:
         """STATFS — synthetic filesystem totals (simulation-wide)."""
         return {"statfs": {"tsize": 8192, "bsize": 4096, "blocks": 1 << 20,
                            "bfree": 1 << 19, "bavail": 1 << 19}}
+
+    # ------------------------------------------------------------------ #
+    # Deceit's special commands (§2.1)
+    # ------------------------------------------------------------------ #
+
+    async def setparam(self, fh: FileHandle, changes: dict[str, Any]) -> dict:
+        """Tune the file's semantic parameters (§4).  A name or value no
+        file could take is refused before the write token moves; a
+        ``stripe_size`` change reshapes the file to match, as a raised
+        replica level generates replicas — atomic for concurrent readers."""
+        try:
+            DEFAULT_PARAMS.with_updates(**changes)
+        except (TypeError, ValueError) as exc:
+            raise NfsError(NfsStat.ERR_IO, f"setparam: {exc}") from exc
+        params = await self.segments.setparam(fh.sid, **changes)
+        if "stripe_size" in changes:
+            await self.striper.restripe(fh)
+        return {"params": params.to_dict()}
+
+    async def list_versions(self, fh: FileHandle) -> dict:
+        """Every live major of the file and its version pair (§3.5)."""
+        versions = await self.segments.list_versions(fh.sid)
+        return {"versions": {str(m): v.to_tuple() for m, v in versions.items()}}
+
+    async def locate(self, fh: FileHandle) -> dict:
+        """Where the file's replicas and write token live."""
+        located = await self.segments.locate_replicas(fh.sid, version=fh.version)
+        return {"located": {**located, "version": located["version"].to_tuple()}}
+
+    async def create_replica(self, fh: FileHandle, server: str) -> dict:
+        """Place a replica on ``server`` (§3.1 generation method 3)."""
+        return {"created": await self.segments.create_replica(
+            fh.sid, server, major=fh.version)}
+
+    async def delete_replica(self, fh: FileHandle, server: str) -> dict:
+        """Remove ``server``'s replica, never the file's last one."""
+        return {"deleted": await self.segments.delete_replica(
+            fh.sid, server, major=fh.version)}
+
+    async def conflicts(self) -> dict:
+        """The cell's well-known conflict log (§3.6)."""
+        return {"conflicts": [r.to_dict()
+                              for r in self.segments.conflicts.records()]}
+
+    async def reconcile(self, fh: FileHandle, keep: int) -> dict:
+        """Resolve divergent versions: keep major ``keep``, drop the rest."""
+        return {"dropped": await self.segments.reconcile_versions(
+            fh.sid, keep=keep)}

@@ -6,14 +6,14 @@ simulated disk, the segment server, and the NFS envelope, and exposing:
 - the **NFS entry point** (``nfs`` RPC): clients send NFS-vocabulary calls
   to *any* server; the segment layer forwards internally when the data
   lives elsewhere — "all servers provide an identical file service to
-  clients" (§2.1);
+  clients" (§2.1).  Deceit's special commands (§2.1: set file
+  parameters, list versions, locate replicas, explicit replica
+  placement, conflict listing, version reconciliation) are ops of the
+  same entry point, answered by the same rule;
 - the **mount entry point** (``nfs_root``);
-- the **special commands** (``deceit_cmd``): set file parameters, list
-  versions, locate replicas, explicit replica placement, conflict listing,
-  version reconciliation (§2.1);
-- **cross-cell proxying**: operations on foreign handles are relayed to
-  the handle's home machine, the local cell acting as a client to the
-  remote one (§2.2).
+- **cross-cell proxying**: operations on foreign handles, special
+  commands included, are relayed to the handle's home machine, the local
+  cell acting as a client to the remote one (§2.2).
 """
 
 from __future__ import annotations
@@ -42,15 +42,21 @@ NFS_PROXY_TIMEOUT_MS = 2000.0
 #: around exactly one data op, so one token ≈ one user operation, and a
 #: BUSY mid-fan-out never strands tokens already spent on the prefix.
 #: A lookup carrying ``read`` is that data op too: it stands in for the
-#: READ it saves.
+#: READ it saves.  The special commands ride free: no user operation
+#: issues them.
 GATED_NFS_OPS = frozenset({
     "read", "write", "create", "mkdir", "symlink", "remove", "rmdir",
     "rename", "link", "setattr",
 })
-#: The NFS ops: each is answered by the :class:`Envelope` method of its
+#: The ops of the ``nfs`` entry point — NFS's own and Deceit's special
+#: commands (§2.1) — each answered by the :class:`Envelope` method of its
 #: name.  The op name arrives from the network, so this table is input
 #: validation — no other attribute of the envelope is ever called.
-NFS_OPS = GATED_NFS_OPS | {"getattr", "lookup", "readlink", "readdir", "statfs"}
+NFS_OPS = GATED_NFS_OPS | {
+    "getattr", "lookup", "readlink", "readdir", "statfs",
+    "setparam", "list_versions", "locate", "create_replica",
+    "delete_replica", "conflicts", "reconcile",
+}
 
 
 def _arg_names(method) -> tuple[frozenset[str], frozenset[str]]:
@@ -111,7 +117,6 @@ class DeceitServer:
         self.admission = None
         self.proc.register_handler("nfs", self._h_nfs)
         self.proc.register_handler("nfs_root", self._h_root)
-        self.proc.register_handler("deceit_cmd", self._h_cmd)
         self.proc.register_handler("health", self._h_health)
 
     # ------------------------------------------------------------------ #
@@ -213,11 +218,11 @@ class DeceitServer:
         return server_health(self)
 
     async def _h_nfs(self, src: str, /, op: str, args: dict[str, Any]) -> dict:
-        """The NFS protocol entry point: a foreign handle is proxied and a
-        machine name under the global root resolved here; any other op in
-        :data:`NFS_OPS` whose arguments fit its envelope method
-        (:data:`NFS_ARGS`) is counted and answered by that method, called
-        with the request's arguments, handles decoded."""
+        """The one entry point for NFS ops and special commands: a foreign
+        handle is proxied and a machine name under the global root resolved
+        here; any other op in :data:`NFS_OPS` whose arguments fit its
+        envelope method (:data:`NFS_ARGS`) is counted and answered by that
+        method, called with the request's arguments, handles decoded."""
         self.metrics.incr("nfs.requests")
         gate = self.admission
         if gate is not None \
@@ -241,7 +246,9 @@ class DeceitServer:
             if op == "lookup" and fh.sid == GLOBAL_ROOT_SID:
                 return await self._lookup_global(args["name"])
             self.metrics.incr(f"nfs.ops.{op}")
-            kwargs = {**args, "fh": fh}
+            kwargs = dict(args)
+            if fh is not None:
+                kwargs["fh"] = fh
             if "tofh" in args:
                 kwargs["tofh"] = FileHandle.decode(args["tofh"])
             return {"status": 0, **await getattr(self.envelope, op)(**kwargs)}
@@ -295,58 +302,3 @@ class DeceitServer:
         foreign = FileHandle(remote_root.sid, None, name)
         attrs = FileAttrs(ftype=FileType.DIRECTORY, mode=0o755)
         return {"status": 0, "fh": foreign.encode(), "attrs": attrs.to_wire()}
-
-    # ------------------------------------------------------------------ #
-    # special commands (§2.1)
-    # ------------------------------------------------------------------ #
-
-    async def _h_cmd(self, src: str, /, cmd: str, args: dict[str, Any]) -> dict:
-        self.metrics.incr("nfs.special_cmds")
-        try:
-            return await self._dispatch_cmd(cmd, args)
-        except (NfsError, SegmentError) as exc:
-            return error_reply(exc)
-        except Exception as exc:
-            return {"status": NfsStat.ERR_IO, "error": f"{type(exc).__name__}: {exc}"}
-
-    async def _dispatch_cmd(self, cmd: str, args: dict[str, Any]) -> dict:
-        seg = self.segments
-        fh = FileHandle.decode(args["fh"]) if "fh" in args else None
-        if cmd == "setparam":
-            changes = args["changes"]
-            params = await seg.setparam(fh.sid, **changes)
-            if "stripe_size" in changes:
-                # reshape to match, like a raised replica level triggers
-                # replica generation — atomic for concurrent readers
-                await self.envelope.striper.restripe(fh)
-            return {"status": 0, "params": params.to_dict()}
-        if cmd == "getparam":
-            result = await seg.stat(fh.sid, version=fh.version)
-            return {"status": 0, "params": result.params.to_dict()}
-        if cmd == "list_versions":
-            versions = await seg.list_versions(fh.sid)
-            return {"status": 0,
-                    "versions": {str(m): v.to_tuple() for m, v in versions.items()}}
-        if cmd == "get_version":
-            version = await seg.get_version(fh.sid, version=fh.version)
-            return {"status": 0, "version": version.to_tuple()}
-        if cmd == "locate":
-            located = await seg.locate_replicas(fh.sid, version=fh.version)
-            located = dict(located)
-            located["version"] = located["version"].to_tuple()
-            return {"status": 0, "located": located}
-        if cmd == "create_replica":
-            ok = await seg.create_replica(fh.sid, args["server"],
-                                          major=fh.version)
-            return {"status": 0, "created": ok}
-        if cmd == "delete_replica":
-            ok = await seg.delete_replica(fh.sid, args["server"],
-                                          major=fh.version)
-            return {"status": 0, "deleted": ok}
-        if cmd == "conflicts":
-            records = seg.conflicts.records(args.get("sid"))
-            return {"status": 0, "conflicts": [r.to_dict() for r in records]}
-        if cmd == "reconcile":
-            dropped = await seg.reconcile_versions(fh.sid, keep=args["keep"])
-            return {"status": 0, "dropped": dropped}
-        raise NfsError(NfsStat.ERR_IO, f"unknown special command {cmd!r}")

@@ -45,7 +45,9 @@ class Lock:
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
         self._locked = False
-        self._waiters: deque[SimFuture] = deque()
+        # made on first contention: a cell holds thousands of locks that
+        # never see a second acquirer
+        self._waiters: deque[SimFuture] | None = None
 
     def acquire(self) -> SimFuture:
         """Future resolving once the lock is held by the caller."""
@@ -54,6 +56,8 @@ class Lock:
             self._locked = True
             fut.set_result(None)
         else:
+            if self._waiters is None:
+                self._waiters = deque()
             self._waiters.append(fut)
         return fut
 

@@ -175,15 +175,6 @@ class JournalBackend(StorageBackend):
         if self.fsync:
             os.fsync(self._fd)
 
-    def compact(self, snapshot: dict[str, Any]) -> None:
-        """Rewrite the journal as a single snapshot frame (keeps replay
-        time proportional to live data, not write history)."""
-        os.ftruncate(self._fd, 0)
-        os.lseek(self._fd, 0, os.SEEK_SET)
-        self.commit(list(snapshot.items()), [])
-        if not self.fsync:
-            os.fsync(self._fd)
-
     def reopen(self) -> "JournalBackend":
         self.close()
         return JournalBackend(self.path, fsync=self.fsync)

@@ -157,19 +157,33 @@ def test_cross_cell_write_through_proxy():
 
 
 def test_file_groups_never_span_cells():
-    """Replication must be contained within a cell (§2.2)."""
-    cells = build_cells({"cornell": 3, "mit": 3})
-    cornell = cells["cornell"]
+    """Replication must be contained within a cell (§2.2).  A special
+    command on a foreign handle runs in the file's own cell, the local
+    cell acting as a client to it: its last LOOKUP, setparam and locate
+    are proxied, and no local server joins the foreign file group."""
+    for path, home, proxied in [("/local", "cornell", 0),
+                                ("/priv/global/mit.s0/paper.tex", "mit", 3)]:
+        cells = build_cells({"cornell": 3, "mit": 3})
+        cornell, mit = cells["cornell"], cells["mit"]
 
-    async def main():
-        agent = cornell.agents[0]
-        await agent.mount()
-        await agent.create("/", "local")
-        await agent.set_params("/local", min_replicas=3)
-        return await agent.locate("/local")
+        async def main():
+            await mit.agents[0].mount()
+            await mit.agents[0].create("/", "paper.tex")
+            agent = cornell.agents[0]
+            await agent.mount()
+            await agent.create("/", "local")
+            before = cornell.metrics.get("nfs.proxied")
+            await agent.set_params(path, min_replicas=3)
+            located = await agent.locate(path)
+            return located, cornell.metrics.get("nfs.proxied") - before
 
-    located = cornell.run(main())
-    assert all(h.startswith("cornell.") for h in located["holders"])
+        located, relayed = cornell.run(main())
+        assert all(h.startswith(f"{home}.") for h in located["holders"]), path
+        assert len(located["holders"]) == 3, path
+        assert relayed == proxied, path
+        assert not [group for server in cornell.servers
+                    for group in server.proc.groups
+                    if group.startswith("fg:mit.")], path
 
 
 def test_global_lookup_unknown_machine_fails():

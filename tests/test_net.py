@@ -413,9 +413,10 @@ def test_every_rpc_in_a_seeded_cell_is_sized_like_the_full_walk():
 
 
 def test_every_registered_handler_takes_src_positional_only():
-    """``Node`` serves ``handler(msg.src, **args)``: a handler whose first
-    parameter could be named by a keyword would collide with an RPC
-    argument called ``src``."""
+    """``Node`` serves ``handler(msg.src, **args)``, and a segment server
+    a group multicast as ``handler(sender, **fields)``: a handler whose
+    first parameter could be named by a keyword would collide with an
+    argument or payload field called ``src``."""
     import inspect
 
     from repro.baseline import BaselineNfsServer
@@ -428,10 +429,14 @@ def test_every_registered_handler_takes_src_positional_only():
     for node in nodes:
         for method, fn in node._handlers.items():
             handlers[type(node).__name__, method] = fn
+    group_ops = cluster.servers[0].segments.group_ops
     cluster.close()
-    # five isis, six segment and four nfs handlers per Deceit server, and
+    # five isis, six segment and three nfs handlers per Deceit server, and
     # the baseline server's two
-    assert len(handlers) == 17
+    assert len(handlers) == 16
+    # twelve file-group and two conflict-group ops
+    assert len(group_ops) == 14
+    handlers.update((("group", op), fn) for op, fn in group_ops.items())
     for (cls, method), fn in sorted(handlers.items()):
         first = next(iter(inspect.signature(fn).parameters.values()))
         assert first.name == "src", (cls, method)

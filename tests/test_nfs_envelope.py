@@ -304,11 +304,15 @@ def test_only_nfs_ops_reach_the_envelope(cluster, op, args):
 @pytest.mark.parametrize("op,args", [
     ("getattr", {"bogus": 1}),          # a key the op does not take
     ("lookup", {}),                     # without the name it needs
-], ids=["extra-key", "missing-key"])
+    ("locate", {"bogus": 1}),           # the special commands (§2.1) too
+    ("setparam", {}),
+    ("conflicts", {}),                  # a handle the command does not take
+], ids=["extra-key", "missing-key", "special-extra-key",
+        "special-missing-key", "special-extra-handle"])
 def test_arguments_that_do_not_fit_the_op_answer_err_io(cluster, op, args):
-    """A request whose arguments do not fit its op is answered ERR_IO,
-    like an unknown op, and runs nothing: it is not an RPC error an agent
-    would fail over on."""
+    """A request whose arguments do not fit its op is answered ERR_IO by
+    the argument check, like an unknown op, and runs nothing: it is not an
+    RPC error an agent would fail over on."""
     agent = cluster.agents[0]
     server = cluster.servers[0]
 
@@ -322,7 +326,26 @@ def test_arguments_that_do_not_fit_the_op_answer_err_io(cluster, op, args):
 
     reply, delta = cluster.run(main())
     assert reply["status"] == NfsStat.ERR_IO
+    assert reply["error"].startswith(f"NFS {op} takes ")
     assert [key for key in delta if key.startswith("nfs.ops.")] == []
+
+
+def test_set_params_with_an_unknown_name_answers_err_io_without_failover(
+        cluster):
+    """A parameter no file has is refused ERR_IO by the one server the
+    call went to: not an RPC error the agent would fail over on."""
+    agent = cluster.agents[0]
+
+    async def main():
+        await agent.mount()
+        await agent.create("/", "f")
+        before = cluster.metrics.get("agent.failovers")
+        with pytest.raises(NfsError) as excinfo:
+            await agent.set_params("/f", colour="blue")
+        return (excinfo.value.status,
+                cluster.metrics.get("agent.failovers") - before)
+
+    assert cluster.run(main()) == (NfsStat.ERR_IO, 0)
 
 
 def test_two_agents_share_namespace(cluster):

@@ -280,11 +280,11 @@ def test_pipeline_deliver_update_applies_and_rewarms(kernel):
     pipeline, _t, catalog, store = make_pipeline(kernel)
     replica = seed_segment(catalog, store)
     payload = {
-        "op": "update", "sid": replica.sid, "major": replica.major,
+        "sid": replica.sid, "major": replica.major,
         "wop": WriteOp(kind="append", data=b"+x").to_dict(),
         "version": VersionPair(replica.major, 1).to_tuple(), "drop": [],
     }
-    reply = run(kernel, pipeline.deliver_update(replica.sid, payload))
+    reply = run(kernel, pipeline.deliver_update("s1", **payload))
     assert reply["ok"] and reply["have_replica"]
     assert replica.data == b"payload+x"
     # the cache entry moved to the new version: version-exact invalidation
@@ -306,12 +306,12 @@ def test_marked_update_persists_the_mark_before_replying(kernel, sub):
     run(kernel, store.persist_replica(replica, sync=True))
     commits = store.metrics.get("disk.commits")
     payload = {
-        "op": "update", "sid": replica.sid, "major": replica.major,
+        "sid": replica.sid, "major": replica.major,
         "wop": WriteOp(kind="append", data=b"+x").to_dict(),
         "version": VersionPair(replica.major, sub).to_tuple(), "drop": [],
         "mark": True,
     }
-    reply = run(kernel, pipeline.deliver_update(replica.sid, payload))
+    reply = run(kernel, pipeline.deliver_update("s1", **payload))
     assert reply.get("durable") if sub == 1 else reply.get("gap")
     assert store.metrics.get("disk.commits") == commits + 1
     assert catalog.get(replica.sid).majors[replica.major].unstable
@@ -360,11 +360,11 @@ def test_pipeline_deliver_update_gap_triggers_repair(kernel):
     pipeline, _t, catalog, store = make_pipeline(kernel)
     replica = seed_segment(catalog, store)
     payload = {
-        "op": "update", "sid": replica.sid, "major": replica.major,
+        "sid": replica.sid, "major": replica.major,
         "wop": WriteOp(kind="append", data=b"+x").to_dict(),
         "version": VersionPair(replica.major, 5).to_tuple(), "drop": [],
     }
-    reply = run(kernel, pipeline.deliver_update(replica.sid, payload))
+    reply = run(kernel, pipeline.deliver_update("s1", **payload))
     assert reply.get("gap")
     assert store.metrics.get("deceit.update_gaps") == 1
     assert replica.data == b"payload"  # gap is not applied
@@ -411,13 +411,13 @@ def test_pipeline_deliver_update_applies_a_recorded_id_once(kernel):
     uid = ["c0.0.0", 3, 3]
 
     def update(sub):
-        return {"op": "update", "sid": replica.sid, "major": replica.major,
+        return {"sid": replica.sid, "major": replica.major,
                 "wop": WriteOp(kind="append", data=b"+x", uid=uid).to_dict(),
                 "version": VersionPair(replica.major, sub).to_tuple(),
                 "drop": []}
 
-    assert run(kernel, pipeline.deliver_update(replica.sid, update(1)))["ok"]
-    assert run(kernel, pipeline.deliver_update(replica.sid, update(2)))["ok"]
+    assert run(kernel, pipeline.deliver_update("s1", **update(1)))["ok"]
+    assert run(kernel, pipeline.deliver_update("s1", **update(2)))["ok"]
     assert replica.data == b"payload+x"
     assert replica.version == VersionPair(replica.major, 2)
     assert replica.applied == {"c0.0.0": (3, ((3, replica.major, 1),))}

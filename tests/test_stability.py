@@ -31,14 +31,14 @@ class SlowLink:
 def gate_next_update(server, gate):
     """Pause ``server``'s next update delivery on ``gate`` (the delivery
     analogue of test_striping's parent-update gate)."""
-    orig = server.pipeline.deliver_update
+    orig = server.group_ops["update"]
 
-    async def gated(sid, payload):
-        server.pipeline.deliver_update = orig
+    async def gated(src, /, **fields):
+        server.group_ops["update"] = orig
         await gate
-        return await orig(sid, payload)
+        return await orig(src, **fields)
 
-    server.pipeline.deliver_update = gated
+    server.group_ops["update"] = gated
 
 
 def setdata(data: bytes) -> WriteOp:

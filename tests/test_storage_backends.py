@@ -98,7 +98,7 @@ def test_disk_opens_on_preloaded_backend(kernel, backend):
 
 
 # --------------------------------------------------------------------- #
-# journal specifics: framing, torn tails, compaction
+# journal specifics: framing and torn tails
 # --------------------------------------------------------------------- #
 
 def _journal_with(path, batches):
@@ -138,19 +138,6 @@ def test_journal_corrupt_payload_drops_suffix(tmp_path):
     assert b.load() == {}
     assert b.replay_stats == {"records": 0, "batches": 0, "bytes": 0,
                               "torn_tail": True}
-
-
-def test_journal_compact_preserves_state(tmp_path):
-    b = JournalBackend(str(tmp_path / "j"))
-    for i in range(50):
-        b.commit([("hot", i)], [])
-    size_before = os.path.getsize(b.path)
-    b.compact({"hot": 49})
-    b.close()
-    b = JournalBackend(str(tmp_path / "j"))
-    assert b.load() == {"hot": 49}
-    assert b.replay_stats["batches"] == 1
-    assert os.path.getsize(b.path) < size_before
 
 
 def test_journal_commit_is_one_frame(tmp_path):

@@ -95,7 +95,8 @@ class _Cache:
     without asking the server?" is :meth:`fresh` alone — a lease design
     changes that method and has its invalidate handler call :meth:`pop`.
     Built disabled (``AgentConfig.cache`` off) it stores nothing, so
-    every lookup misses and no call site tests the switch.
+    every lookup misses; call sites test the switch only to spare work
+    a disabled cache makes pointless.
     """
 
     def __init__(self, kernel, ttl_ms: float, enabled: bool = True,
@@ -369,8 +370,9 @@ class Agent(Node):
             self._learn_placement(fh, reply, field="dir_placement")
             fh = FileHandle.decode(reply["fh"])
             self._handle_cache.put(prefix, fh)
-            self._attr_cache.put(fh.encode(),
-                                 FileAttrs.from_wire(reply["attrs"]))
+            if self._attr_cache.enabled:
+                self._attr_cache.put(fh.encode(),
+                                     FileAttrs.from_wire(reply["attrs"]))
             self._learn_placement(fh, reply)
         return fh, reply
 

@@ -307,7 +307,9 @@ class ReadService:
         stamps the replica's read time, which update replies report to the
         token holder.  A read from another server or an "unchanged" answer
         also stamps this holder's read time in the catalog, the other
-        input of LRU deletion (§3.1)."""
+        input of LRU deletion (§3.1).  The answer shares the replica's
+        ``meta`` (and a whole read its ``data``): updates replace them,
+        never edit them."""
         kernel, sid, major = self.kernel, replica.sid, replica.major
         if count == 0 or verify is not None:
             await self._after_burst_head(sid, major)
@@ -335,7 +337,7 @@ class ReadService:
                 and major in cat.majors:
             cat.majors[major].read_ts[self.transport.addr] = kernel.now
         return ReadResult(
-            data=data, version=replica.version, meta=dict(replica.meta),
+            data=data, version=replica.version, meta=replica.meta,
             params=replica.params, major=major,
             served_by=self.transport.addr, unchanged=unchanged)
 

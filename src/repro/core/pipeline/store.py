@@ -55,6 +55,8 @@ class ReplicaStore:
         self.replicas: dict[tuple[str, int], Replica] = {}
         self.tokens: dict[tuple[str, int], Token] = {}
         self.cache = VersionedReadCache(self.metrics)
+        #: what was derived from each replica (``Envelope._derive``)
+        self.derived: dict[tuple[str, int], dict] = {}
 
     # ------------------------------------------------------------------ #
     # persistence
@@ -85,6 +87,7 @@ class ReplicaStore:
     async def destroy_replica(self, sid: str, major: int) -> None:
         """Drop the in-memory replica, its cache entry, and its record."""
         self.replicas.pop((sid, major), None)
+        self.derived.pop((sid, major), None)
         self.cache.invalidate(sid, major)
         await self.kv.delete(self._rep_key(sid, major), sync=True)
 
@@ -179,5 +182,6 @@ class ReplicaStore:
     def volatile_reset(self) -> None:
         """Drop all in-memory state (host crash; disk records survive)."""
         self.replicas.clear()
+        self.derived.clear()
         self.tokens.clear()
         self.cache.clear()

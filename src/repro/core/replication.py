@@ -203,6 +203,7 @@ class ReplicationMixin:
             return
         holders = set(cat.majors[major].holders) - {self.proc.addr}
         self.replicas.pop((sid, major), None)
+        self.store.derived.pop((sid, major), None)
         await self._fetch_replica_from(sid, major, holders)
 
     async def _fetch_replica_from(self, sid: str, major: int,

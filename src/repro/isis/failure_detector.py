@@ -52,6 +52,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.net import Node
+from repro.net.message import payload_size
 
 #: peers pinged and watched on each side of the sorted roster while calm
 RING_NEIGHBOURS = 2
@@ -90,6 +91,9 @@ class FailureDetector:
         self.watched: list[str] = []
         #: every peer is pinged and watched until this virtual instant
         self.alarm_until = 0.0
+        #: the plain heartbeat of the current epoch, and its wire size
+        self._plain = {"type": "heartbeat", "epoch": node.epoch}
+        self._plain_size = payload_size(self._plain)
         self._seat()
         self._on_suspect: list[Callable[[str], None]] = []
         self._on_alive: list[Callable[[str], None]] = []
@@ -133,9 +137,13 @@ class FailureDetector:
         """Place this process on the ring: the roster in address order."""
         self._ring = sorted([*self.peers, self.node.addr])
         self._pos = self._ring.index(self.node.addr)
+        self._near: list[str] | None = None
 
     def _neighbours(self) -> list[str]:
-        """The nearest RING_NEIGHBOURS unsuspected peers each way round."""
+        """The nearest RING_NEIGHBOURS unsuspected peers each way round;
+        kept until the ring or the suspected set changes (callers read)."""
+        if self._near is not None:
+            return self._near
         ring, suspected = self._ring, self.suspected
         out: list[str] = []
         for step in (1, -1):
@@ -149,6 +157,7 @@ class FailureDetector:
                     found += 1
                     if found == RING_NEIGHBOURS:
                         break
+        self._near = out
         return out
 
     def _raise_alarm(self) -> None:
@@ -158,14 +167,17 @@ class FailureDetector:
                             + self.interval_ms)
 
     def _beat(self) -> dict:
-        """The heartbeat payload: two keys when there is nothing to add, the
-        alarm's absolute deadline (never a remaining time, see the module
-        docstring) while one runs in a roster large enough to be calm."""
-        beat = {"type": "heartbeat", "epoch": self.node.epoch}
+        """The heartbeat payload: two keys when there is nothing to add (one
+        dict per epoch, sized once), the alarm's absolute deadline (never a
+        remaining time, see the module docstring) while one runs in a
+        roster large enough to be calm."""
+        if self._plain["epoch"] != self.node.epoch:
+            self._plain = {"type": "heartbeat", "epoch": self.node.epoch}
+            self._plain_size = payload_size(self._plain)
         if len(self.peers) > 2 * RING_NEIGHBOURS and \
                 self.kernel.now < self.alarm_until:
-            beat["alarm"] = self.alarm_until
-        return beat
+            return {**self._plain, "alarm": self.alarm_until}
+        return self._plain
 
     def _tick(self) -> None:
         if not self._running or not self.node.alive:
@@ -175,13 +187,15 @@ class FailureDetector:
         last = self.last_heard
         multicast = self.node.multicast
         # one shared payload per burst (receivers only read it); the
-        # multicast path sizes and counts the burst once
+        # multicast path counts the burst once
         beat = self._beat()
+        psize = self._plain_size if beat is self._plain else None
         if len(self.peers) <= 2 * RING_NEIGHBOURS or "alarm" in beat:
             # a roster this small is all neighbours; under an alarm so is
             # a large one — either way the all-pairs mesh
             watch = self.peers
-            multicast(watch, beat, size_bytes=32, tag="heartbeat")
+            multicast(watch, beat, size_bytes=32, tag="heartbeat",
+                      payload_bytes=psize)
         else:
             watch = self._neighbours()
             # an answer is asked of the suspected, so recovery and heal
@@ -192,7 +206,8 @@ class FailureDetector:
             ask = sorted(self.suspected)
             ask += [p for p in watch if last[p] < quiet]
             multicast([p for p in watch if p not in ask] if ask else watch,
-                      beat, size_bytes=32, tag="heartbeat")
+                      beat, size_bytes=32, tag="heartbeat",
+                      payload_bytes=psize)
             if ask:
                 multicast(ask, {**beat, "ask": True}, size_bytes=32,
                           tag="heartbeat")
@@ -210,6 +225,7 @@ class FailureDetector:
             silent = now - self.last_heard.get(peer, 0.0)
             if silent > self.timeout_ms and peer not in self.suspected:
                 self.suspected.add(peer)
+                self._near = None
                 # the peer went silent at last_heard; the suspicion *began*
                 # now, when the timeout elapsed — health reports this time
                 self.suspected_since[peer] = now
@@ -247,6 +263,7 @@ class FailureDetector:
     def unsuspect(self, src: str) -> None:
         """A suspected peer was heard from again: clear it and notify."""
         self.suspected.discard(src)
+        self._near = None
         self.suspected_since.pop(src, None)
         self.node.network.metrics.incr("fd.rejoins")
         self._raise_alarm()

@@ -195,7 +195,8 @@ class Network:
         self.kernel.post(delay, self._arrive, msg)
 
     def multicast(self, src: str, dsts: list[str], payload: Any,
-                  size_bytes: int = 256, tag: str = "") -> None:
+                  size_bytes: int = 256, tag: str = "",
+                  payload_bytes: int | None = None) -> None:
         """Send one datagram payload to many destinations.
 
         The fast path for periodic fan-out (heartbeats: every server to
@@ -208,7 +209,8 @@ class Network:
         if not dsts:
             return
         n = len(dsts)
-        psize = payload_size(payload)
+        psize = payload_size(payload) if payload_bytes is None \
+            else payload_bytes
         counters = self.metrics.counters
         counters["net.msgs"] += n
         counters["net.msgs.dgram"] += n
@@ -358,11 +360,13 @@ class Node:
         self.network.transmit(msg)
 
     def multicast(self, dsts: list[str], payload: Any, size_bytes: int = 256,
-                  tag: str = "") -> None:
-        """Fire-and-forget datagram to many destinations (shared payload)."""
+                  tag: str = "", payload_bytes: int | None = None) -> None:
+        """Fire-and-forget datagram to many destinations (shared payload;
+        ``payload_bytes`` as for :meth:`send`)."""
         if not self.alive:
             return
-        self.network.multicast(self.addr, dsts, payload, size_bytes, tag)
+        self.network.multicast(self.addr, dsts, payload, size_bytes, tag,
+                               payload_bytes)
 
     # ------------------------------------------------------------------ #
     # RPC

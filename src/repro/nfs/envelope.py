@@ -35,7 +35,7 @@ and a dirop conflict mapped for the op that hit it.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.core import SegmentServer, WriteOp
 from repro.core.dirtable import decode_dir, encode_dir
@@ -82,12 +82,27 @@ class Envelope:
     # helpers
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _attrs_of(result: ReadResult, size: int | None = None) -> FileAttrs:
+    def _derive(self, sid: str, result: ReadResult, build: Callable,
+                source: Any, *rest: Any) -> Any:
+        """``build(source, *rest)``, kept beside this server's replica of the
+        major read, reused while reads return the same ``source`` (``data``
+        or ``meta``) and equal ``rest``; callers never put it in a reply."""
+        store, key = self.segments.store, (sid, result.major)
+        if key not in store.replicas:
+            return build(source, *rest)
+        slots = store.derived.setdefault(key, {})
+        hit = slots.get(build)
+        if hit is not None and hit[0] is source and hit[1] == rest:
+            return hit[2]
+        value = build(source, *rest)
+        slots[build] = (source, rest, value)
+        return value
+
+    def _attrs_of(self, sid: str, result: ReadResult) -> FileAttrs:
         # a striped file's logical length lives in its stripe map, not in
         # the parent's (empty) data — file_length reads whichever applies
-        length = size if size is not None else file_length(result.meta)
-        return FileAttrs.from_meta(result.meta, length)
+        return self._derive(sid, result, FileAttrs.from_meta, result.meta,
+                            file_length(result.meta))
 
     @staticmethod
     def _hint(result: ReadResult | None, key: str = "placement") -> dict:
@@ -130,7 +145,8 @@ class Envelope:
                                           verify=verify)
         if result.meta.get("ftype") != FileType.DIRECTORY.value:
             raise NfsError(NfsStat.ERR_NOTDIR, fh.sid)
-        return ({} if result.unchanged else decode_dir(result.data)), result
+        return ({} if result.unchanged else self._derive(
+            fh.sid, result, decode_dir, result.data)), result
 
     async def _dir_write(self, fh: FileHandle, dirops: list[dict],
                          extra_meta: dict[str, Any] | None = None,
@@ -179,7 +195,7 @@ class Envelope:
         if fh.sid == GLOBAL_ROOT_SID:
             return FileAttrs(ftype=FileType.DIRECTORY, mode=0o555), None
         result = await self.segments.stat(fh.sid, version=fh.version)
-        return self._attrs_of(result), result
+        return self._attrs_of(fh.sid, result), result
 
     async def setattr(self, fh: FileHandle, sattr: dict[str, Any]) -> dict:
         """SETATTR — mode/owner/times via setmeta; size via truncate (routed
@@ -242,7 +258,7 @@ class Envelope:
                 and result.meta.get("ftype") == FileType.REGULAR.value \
                 and StripeMap.from_meta(result.meta) is None:
             result = await self.segments.read(child.sid, version=child.version)
-            attrs = self._attrs_of(result)
+            attrs = self._attrs_of(child.sid, result)
             whole = result.served_by == me \
                 and StripeMap.from_meta(result.meta) is None
         if whole:
@@ -337,7 +353,7 @@ class Envelope:
             raise NfsError(NfsStat.ERR_ISDIR, fh.sid)
         patch = {"mtime": self.kernel.now}
         if not truncate and not data:
-            return {"attrs": self._attrs_of(stat).to_wire(),
+            return {"attrs": self._attrs_of(fh.sid, stat).to_wire(),
                     "version": [stat.major, stat.version.sub]}
         projected = len(data) if truncate else \
             max(file_length(stat.meta), offset + len(data))

@@ -156,6 +156,35 @@ def test_no_cache_always_hits_server():
     assert cluster.run(main()) == 3
 
 
+@pytest.mark.parametrize("cache", [False, True])
+def test_a_walk_builds_attributes_only_for_an_attribute_cache(
+        cache, monkeypatch):
+    """An agent whose caches are off would drop the attributes a LOOKUP
+    reply carries, so its path walk does not build them."""
+    import repro.agent.agent as agent_module
+
+    cluster = make(AgentConfig(cache=cache))
+    agent = cluster.agents[0]
+
+    async def setup():
+        await agent.mount()
+        await agent.mkdir("/", "d")
+        await agent.create("/d", "f")
+
+    cluster.run(setup())
+    built = []
+    real = agent_module.FileAttrs.from_wire
+    monkeypatch.setattr(agent_module.FileAttrs, "from_wire",
+                        lambda raw: built.append(raw) or real(raw))
+    lookups = cluster.metrics.get("nfs.ops.lookup")
+    agent.release()     # a cold walk: both components go to the server
+    fh = cluster.run(agent.lookup_path("/d/f"))
+    assert cluster.metrics.get("nfs.ops.lookup") - lookups == 2
+    assert len(built) == (2 if cache else 0)
+    assert (agent._attr_cache.fresh(fh.encode()) is not None) == cache
+    cluster.close()
+
+
 def test_shortcut_reads_go_to_replica_holder():
     """§5.3 third agent function: direct access to the correct server.
     Reconnected to a server that holds no replica, the agent's lookup

@@ -17,6 +17,7 @@ import tracemalloc
 import pytest
 
 from repro.core.conflicts import CONFLICT_GROUP
+from repro.nfs.fhandle import FileHandle
 from repro.testbed import build_cluster, build_core_cluster
 
 MIB = 1 << 20
@@ -137,3 +138,60 @@ def test_core_cluster_close_frees_replicas_and_disks(traced):
     assert before - _traced() >= 2 * MIB
     assert not any(server.replicas for server in cluster.servers)
     assert not any(disk.stable_keys for disk in cluster.disks)
+
+
+# ---- the per-version memo (what a server derived from a local replica) --- #
+
+
+def _memo_cell():
+    """A 3-server cell whose every server has looked up ``/d/f`` and
+    stat'ed it, so each holds memo entries beside its local replicas."""
+    cluster = build_cluster(3, 1, seed=6)
+    agent = cluster.agents[0]
+
+    async def fill():
+        await agent.mount()
+        await agent.mkdir("/", "d")
+        await agent.create("/d", "f")
+        await agent.set_params("/d", min_replicas=3)
+        await agent.set_params("/d/f", min_replicas=3)
+        for server in cluster.servers:
+            envelope = server.envelope
+            d = await envelope.lookup(envelope.root_fh, "d")
+            await envelope.lookup(FileHandle.decode(d["fh"]), "f")
+
+    cluster.run(fill())
+    cluster.settle(500.0)
+    assert all(_memo(server) for server in cluster.servers)
+    return cluster
+
+
+def _memo(server) -> dict:
+    return server.segments.store.derived
+
+
+def test_no_memo_entry_survives_crash_close_or_restart():
+    cluster = _memo_cell()
+    cluster.crash(1)
+    assert not _memo(cluster.servers[1])
+    assert _memo(cluster.servers[0])
+    cluster.close()
+    assert not any(_memo(server) for server in cluster.servers)
+
+    cluster = _memo_cell()
+    old = cluster.servers
+    cluster.kill()
+    cluster.restart()
+    assert not any(_memo(server) for server in [*old, *cluster.servers])
+    cluster.close()
+
+
+def test_a_memo_entry_goes_with_its_replica():
+    cluster = _memo_cell()
+    server = cluster.servers[2]
+    key = next(iter(_memo(server)))
+    assert key in server.segments.store.replicas
+    cluster.run(server.segments.store.destroy_replica(*key))
+    assert key not in _memo(server)
+    assert _memo(server)
+    cluster.close()

@@ -1,5 +1,8 @@
 """Unit tests for the simulated network: datagrams, RPC, crash, partition."""
 
+import enum
+from typing import NamedTuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -487,3 +490,83 @@ def test_rpc_timeouts_leave_live_events_at_zero(kernel, network):
     kernel.run()
     assert all(isinstance(f.exception(), RpcTimeout) for f in futs)
     assert kernel.live_events == 0
+
+
+def _stack_walk_size(obj):
+    """The explicit-stack walk ``payload_size`` used before it sized leaves
+    inline, kept verbatim as the reference its value must equal."""
+    total = 0
+    stack = [obj]
+    pop = stack.pop
+    extend = stack.extend
+    while stack:
+        o = pop()
+        t = type(o)
+        if t is str or t is bytes:
+            total += len(o)
+        elif t is int:
+            total += 8
+        elif t is dict:
+            extend(o.keys())
+            extend(o.values())
+        elif t is list or t is tuple:
+            extend(o)
+        elif o is None or t is bool or t is float:
+            total += 8
+        elif isinstance(o, (bytes, bytearray, str)):
+            total += len(o)
+        elif isinstance(o, dict):
+            extend(o.keys())
+            extend(o.values())
+        elif isinstance(o, (list, tuple, set, frozenset)):
+            extend(o)
+        else:
+            # floats, bools, None, enums, and anything exotic
+            total += 8
+    return total
+
+
+class _Record(dict):
+    pass
+
+
+class _Pair(NamedTuple):
+    a: object
+    b: object
+
+
+class _Colour(enum.Enum):
+    RED = "red"
+
+
+class _Name(str, enum.Enum):
+    SHORT = "ab"
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+_odd_leaves = st.one_of(
+    _leaves, st.binary(max_size=12).map(bytearray),
+    st.sampled_from([_Colour.RED, _Name.SHORT, _Level.HIGH, object()]),
+    st.frozensets(st.integers(), max_size=3),
+    st.sets(st.text(max_size=4), max_size=3))
+_odd_values = st.recursive(
+    _odd_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.builds(_Pair, inner, inner),
+        st.dictionaries(st.one_of(st.text(max_size=6), st.integers()),
+                        inner, max_size=4),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4).map(_Record)),
+    max_leaves=16)
+
+
+@given(payload=_odd_values)
+@settings(max_examples=300, deadline=None)
+def test_payload_size_equals_the_stack_walk(payload):
+    # the inline walk must count every leaf and container type exactly as
+    # the stack walk did: net.bytes_moved and every reply's size feed on it
+    assert payload_size(payload) == _stack_walk_size(payload)

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.dirtable import decode_dir
 from repro.errors import NfsError, NfsStat
-from repro.nfs.attrs import FileType
+from repro.nfs.attrs import FileAttrs, FileType
+from repro.nfs.fhandle import FileHandle
 from repro.testbed import build_cluster
 
 
@@ -451,3 +453,127 @@ def test_dead_or_malformed_handle_answers_stale_without_failover(cluster,
     status, failovers = cluster.run(main())
     assert status == NfsStat.ERR_STALE
     assert failovers == 0
+
+
+# ---- derived once per version: the directory-table and attribute memos --- #
+#
+# Each server keeps what it decoded from a local replica — a directory's
+# entry table, a file's attributes — beside that replica, and reuses it
+# while a read returns the same data or meta object.  These pin that a
+# change made through another server, applied here by the token holder or
+# by delivery, is what the next LOOKUP and GETATTR see.
+
+
+def _four_server_dir(cluster):
+    """A directory ``/d`` replicated on all four servers."""
+    s0 = cluster.servers[0].envelope
+
+    async def make():
+        reply = await s0.mkdir(s0.root_fh, "d")
+        dirfh = FileHandle.decode(reply["fh"])
+        await s0.setparam(dirfh, {"min_replicas": 4})
+        return dirfh
+
+    dirfh = cluster.run(make())
+    cluster.settle(500.0)
+    return dirfh
+
+
+def _lookup_everywhere(cluster, dirfh, name):
+    """LOOKUP ``name`` at every server: the handle each answers, or
+    ``None`` for ERR_NOENT."""
+    async def ask():
+        out = []
+        for server in cluster.servers:
+            try:
+                out.append((await server.envelope.lookup(dirfh, name))["fh"])
+            except NfsError as exc:
+                assert exc.status == NfsStat.ERR_NOENT
+                out.append(None)
+        return out
+    return cluster.run(ask())
+
+
+def test_lookup_at_every_server_sees_a_dirop_made_through_another():
+    cluster = build_cluster(4, 1, seed=3)
+    dirfh = _four_server_dir(cluster)
+    stores = [server.segments.store for server in cluster.servers]
+    majors = {major for store in stores for (sid, major) in store.replicas
+              if sid == dirfh.sid}
+    key = (dirfh.sid, majors.pop())
+    assert not majors and all(key in store.replicas for store in stores)
+    # one token holder; the other three take each dirop by delivery
+    assert sum(key in store.tokens for store in stores) == 1
+    env = [server.envelope for server in cluster.servers]
+
+    def tables():
+        return [store.derived[key][decode_dir][2] for store in stores]
+
+    def change(coro, *names):
+        # every server decodes the current table first, so a stale memo
+        # entry would answer the next LOOKUP if the change were missed
+        for name in names:
+            _lookup_everywhere(cluster, dirfh, name)
+        before = tables()
+        out = cluster.run(coro)
+        cluster.settle(500.0)
+        _lookup_everywhere(cluster, dirfh, names[0])
+        assert all(new is not old for new, old in zip(tables(), before))
+        return out
+
+    a = change(env[1].create(dirfh, "a"), "a")["fh"]
+    assert _lookup_everywhere(cluster, dirfh, "a") == [a] * 4
+    change(env[2].remove(dirfh, "a"), "a")
+    assert _lookup_everywhere(cluster, dirfh, "a") == [None] * 4
+    b = change(env[3].create(dirfh, "b"), "b")["fh"]
+    change(env[1].rename(dirfh, "b", dirfh, "c"), "b", "c")
+    assert _lookup_everywhere(cluster, dirfh, "b") == [None] * 4
+    assert _lookup_everywhere(cluster, dirfh, "c") == [b] * 4
+    cluster.close()
+
+
+def test_getattr_and_lookup_see_setattr_write_and_truncate():
+    cluster = build_cluster(4, 1, seed=4)
+    dirfh = _four_server_dir(cluster)
+    env = [server.envelope for server in cluster.servers]
+
+    async def make():
+        reply = await env[0].create(dirfh, "f")
+        fh = FileHandle.decode(reply["fh"])
+        await env[0].setparam(fh, {"min_replicas": 4})
+        return fh
+
+    fh = cluster.run(make())
+    cluster.settle(500.0)
+
+    def attrs_everywhere():
+        async def ask():
+            out = []
+            for envelope in env:
+                got = (await envelope.getattr(fh))["attrs"]
+                looked = (await envelope.lookup(dirfh, "f"))["attrs"]
+                assert looked == got
+                out.append(got)
+            return out
+        return cluster.run(ask())
+
+    def change(coro):
+        attrs_everywhere()      # every server derives the current attrs
+        assert all(any(sid == fh.sid and FileAttrs.from_meta in slots
+                       for (sid, _major), slots in
+                       server.segments.store.derived.items())
+                   for server in cluster.servers)
+        cluster.run(coro)
+        cluster.settle(500.0)
+        return attrs_everywhere()
+
+    after = change(env[1].setattr(fh, {"mode": 0o600}))
+    assert [a["mode"] for a in after] == [0o600] * 4
+    now = cluster.kernel.now
+    after = change(env[2].write(fh, offset=0, data=b"x" * 700))
+    assert [a["size"] for a in after] == [700] * 4
+    assert all(now <= a["mtime"] for a in after)
+    after = change(env[3].setattr(fh, {"size": 100}))
+    assert [a["size"] for a in after] == [100] * 4
+    assert all(a == after[0] for a in after)
+    cluster.close()

@@ -12,7 +12,9 @@ cell-wide — plus the 100k point under ``RESTART_MATRIX=1``, the tier-2
   replay + cold start, no reconcile) through the first successful mount
   and end-to-end read;
 - **journal-replay throughput** — records/s and MB/s of one server's
-  append-only journal replayed by ``JournalBackend.load``;
+  append-only journal replayed by ``JournalBackend.load``, and the
+  replay's traced memory peak (a second, untimed load under
+  ``tracemalloc``);
 - a backend comparison (memory / journal / sqlite) at the 10k point.
 
 Cold start must be O(records): the per-size table asserts the per-record
@@ -57,12 +59,13 @@ def test_perf_cold_restart(benchmark, report, tmp_path):
             f"{r['to_serving_s']:.3f}", f"{r['us_per_segment']:.1f}",
             f"{rep['records'] / rep['wall_s'] / 1000:.0f}k",
             f"{rep['bytes'] / rep['wall_s'] / 1e6:.1f}",
+            f"{rep['peak_bytes'] / 2**20:.2f}",
         ])
     report(
         "R1: cold restart-to-serving vs namespace size — 4-server cell, "
         "journal backend",
         ["segments", "load s", "restart s", "1st read s", "to-serving s",
-         "us/seg", "replay rec/s", "replay MB/s"],
+         "us/seg", "replay rec/s", "replay MB/s", "replay peak MiB"],
         rows,
     )
     comp_rows = [[r["backend"], f"{r['restart_s']:.3f}",

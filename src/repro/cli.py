@@ -153,7 +153,8 @@ def restart_bench(backend: str = "journal", segments: int = 10_000,
           f"({r['us_per_segment']:.1f} us/segment)")
     if rep["records"]:
         print(f"  journal replay    {rep['records'] / rep['wall_s']:,.0f} "
-              f"records/s, {rep['bytes'] / rep['wall_s'] / 1e6:.1f} MB/s")
+              f"records/s, {rep['bytes'] / rep['wall_s'] / 1e6:.1f} MB/s, "
+              f"peak {rep['peak_bytes'] / 2**20:.2f} MiB")
     print(f"  file groups resurrected: {r['resurrected']}")
     return r
 

@@ -378,8 +378,9 @@ class SegmentCatalog:
         ties break toward the larger major number.  Falls back to all
         majors when every one is an interior node.
         """
-        if not self.majors:
-            return None
+        if len(self.majors) <= 1:
+            # the rule can only pick the one major (or none)
+            return next(iter(self.majors), None)
         candidates = []
         for major, info in self.majors.items():
             is_leaf = True

@@ -19,6 +19,7 @@ state a real history would have produced.
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 from repro.core import FileParams
 from repro.core.segment import Replica, Token
@@ -87,7 +88,7 @@ def restart_cycle(backend: str, storage_root, n_segments: int) -> dict:
     cluster.settle(100.0)
     cluster.kill()
 
-    replay = {"records": 0, "bytes": 0, "wall_s": 0.0}
+    replay = {"records": 0, "bytes": 0, "wall_s": 0.0, "peak_bytes": 0}
     if backend == "journal":
         # replay one server's journal in isolation for a clean throughput
         # number (restart below replays it again from the same frames)
@@ -97,6 +98,12 @@ def restart_cycle(backend: str, storage_root, n_segments: int) -> dict:
         replay["wall_s"] = time.perf_counter() - t0
         replay.update({k: reloaded.replay_stats[k]
                        for k in ("records", "bytes")})
+        # and once more, untimed, under tracemalloc for its memory peak
+        reloaded = reloaded.reopen()
+        tracemalloc.start()
+        reloaded.load()
+        replay["peak_bytes"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
         reloaded.close()
 
     t0 = time.perf_counter()

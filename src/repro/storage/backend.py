@@ -14,10 +14,15 @@ Three implementations:
   for as long as the Python object lives.  Zero overhead; the default.
 - :class:`JournalBackend` — an append-only log file.  Each commit is one
   CRC-framed record (magic, checksum, length, pickled batch) written and
-  fsync'd before the commit returns; ``load`` replays the log and
-  truncates a torn tail at the first bad frame.
+  fsync'd before the commit returns; ``load`` replays the log frame by
+  frame and truncates a torn tail at the first bad frame.
 - :class:`SqliteBackend` — one ``kv(key, value)`` table; each commit is
   one transaction.
+
+A cold start's replay memory is the live key→value map plus one record
+(a journal frame, an sqlite row) and a fixed read buffer: neither ``load``
+holds the media's whole contents, so a long history costs replay time and
+file size, not memory.
 
 Backends are *real-time* side effects invoked synchronously at virtual
 commit instants: they never touch the kernel, RNG, or clock, so enabling
@@ -28,15 +33,16 @@ from __future__ import annotations
 
 import os
 import pickle
-import sqlite3
 import struct
 import zlib
-from typing import Any
+from typing import Any, BinaryIO, Iterator
 
-#: Journal frame: MAGIC + little-endian (crc32, payload length).
+#: Journal frame header: MAGIC + little-endian (crc32, payload length).
 JOURNAL_MAGIC = b"DJL1"
-_HEADER = struct.Struct("<II")
-_HEADER_SIZE = len(JOURNAL_MAGIC) + _HEADER.size
+_HEADER = struct.Struct("<4sII")
+_HEADER_SIZE = _HEADER.size
+#: Replay's read buffer: with one frame, all ``load`` holds of the file.
+_READ_BUFFER = 64 * 1024
 
 
 class StorageBackend:
@@ -110,7 +116,11 @@ class JournalBackend(StorageBackend):
     ``load`` replays frames in order and stops at the first bad one
     (short header, wrong magic, length past EOF, checksum mismatch, or
     unpicklable payload), truncating the file there so the torn bytes
-    cannot shadow future appends.
+    cannot shadow future appends.  It streams: each frame is read,
+    checked, unpickled and applied before the next is read, and a length
+    field is checked against the file's size before anything of that
+    length is read.  So replay holds the live map plus one frame, however
+    long the journal's history.
     """
 
     kind = "journal"
@@ -124,53 +134,54 @@ class JournalBackend(StorageBackend):
 
     def load(self) -> dict[str, Any]:
         data: dict[str, Any] = {}
-        stats = {"records": 0, "batches": 0, "bytes": 0, "torn_tail": False}
+        batches = records = offset = 0
         size = os.fstat(self._fd).st_size
         os.lseek(self._fd, 0, os.SEEK_SET)
-        raw = os.read(self._fd, size) if size else b""
-        offset = 0
-        while offset < len(raw):
-            frame = self._parse_frame(raw, offset)
-            if frame is None:
-                stats["torn_tail"] = True
-                os.ftruncate(self._fd, offset)
-                break
-            puts, dels, next_offset = frame
-            data.update(puts)
-            for key in dels:
-                data.pop(key, None)
-            stats["batches"] += 1
-            stats["records"] += len(puts) + len(dels)
-            offset = next_offset
-        stats["bytes"] = offset
+        with open(self._fd, "rb", buffering=_READ_BUFFER,
+                  closefd=False) as log:
+            for puts, dels, offset in self._frames(log, size):
+                data.update(puts)
+                for key in dels:
+                    data.pop(key, None)
+                batches += 1
+                records += len(puts) + len(dels)
+        torn_tail = offset < size
+        if torn_tail:
+            os.ftruncate(self._fd, offset)
+        # the reader read ahead of the last good frame: appends go there
         os.lseek(self._fd, offset, os.SEEK_SET)
-        self.replay_stats = stats
+        self.replay_stats = {"records": records, "batches": batches,
+                             "bytes": offset, "torn_tail": torn_tail}
         return data
 
     @staticmethod
-    def _parse_frame(raw: bytes, offset: int):
-        header_end = offset + _HEADER_SIZE
-        if header_end > len(raw):
-            return None
-        if raw[offset:offset + 4] != JOURNAL_MAGIC:
-            return None
-        crc, length = _HEADER.unpack_from(raw, offset + 4)
-        payload_end = header_end + length
-        if payload_end > len(raw):
-            return None
-        payload = raw[header_end:payload_end]
-        if zlib.crc32(payload) != crc:
-            return None
-        try:
-            puts, dels = pickle.loads(payload)
-        except Exception:
-            return None
-        return puts, dels, payload_end
+    def _frames(log: BinaryIO, size: int) -> Iterator[tuple[Any, Any, int]]:
+        """Yield each good frame's ``(puts, dels, end offset)`` in order,
+        reading one frame at a time; stop at the first torn or corrupt
+        one.  A length field is checked against the file's ``size``
+        before anything of that length is read."""
+        offset = 0
+        while offset < size:
+            header = log.read(_HEADER_SIZE)
+            if len(header) < _HEADER_SIZE:
+                return
+            magic, crc, length = _HEADER.unpack(header)
+            offset += _HEADER_SIZE + length
+            if magic != JOURNAL_MAGIC or offset > size:
+                return
+            payload = log.read(length)
+            if len(payload) != length or zlib.crc32(payload) != crc:
+                return
+            try:
+                puts, dels = pickle.loads(payload)
+            except Exception:
+                return
+            yield puts, dels, offset
 
     def commit(self, puts: list[tuple[str, Any]], dels: list[str]) -> None:
         payload = pickle.dumps((puts, dels), protocol=pickle.HIGHEST_PROTOCOL)
-        frame = JOURNAL_MAGIC + _HEADER.pack(zlib.crc32(payload),
-                                             len(payload)) + payload
+        frame = _HEADER.pack(JOURNAL_MAGIC, zlib.crc32(payload),
+                             len(payload)) + payload
         os.write(self._fd, frame)
         if self.fsync:
             os.fsync(self._fd)
@@ -193,6 +204,7 @@ class SqliteBackend(StorageBackend):
     kind = "sqlite"
 
     def __init__(self, path: str) -> None:
+        import sqlite3  # only a process that opens one pays for the module
         self.path = path
         self._conn = sqlite3.connect(path)
         self._conn.execute(
@@ -202,10 +214,11 @@ class SqliteBackend(StorageBackend):
         self.replay_stats = {"records": 0, "batches": 0, "torn_tail": False}
 
     def load(self) -> dict[str, Any]:
-        rows = self._conn.execute("SELECT key, value FROM kv").fetchall()
-        self.replay_stats = {"records": len(rows), "batches": 0,
+        data = {key: pickle.loads(value) for key, value
+                in self._conn.execute("SELECT key, value FROM kv")}
+        self.replay_stats = {"records": len(data), "batches": 0,
                              "torn_tail": False}
-        return {key: pickle.loads(value) for key, value in rows}
+        return data
 
     def commit(self, puts: list[tuple[str, Any]], dels: list[str]) -> None:
         with self._conn:

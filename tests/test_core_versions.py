@@ -1,7 +1,7 @@
 """Unit + property tests for version pairs and history-tree comparison."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.versions import (
@@ -206,3 +206,51 @@ def test_version_pairs_match_explicit_histories(script):
                 assert got is expected, (
                     f"majors {a}->{b}: explicit {expected}, compact {got}"
                 )
+
+
+def _latest_by_the_full_rule(cat) -> int | None:
+    """§3.5's unqualified-name rule, written out without shortcuts: the
+    most recently updated leaf major (ties to the larger number), or the
+    same pick over every major when all are interior."""
+    if not cat.majors:
+        return None
+    branched_from = {cat.branches.parent_of(m)[0] for m in cat.majors
+                     if cat.branches.parent_of(m) is not None}
+    leaves = [i for m, i in cat.majors.items() if m not in branched_from]
+    pool = leaves or list(cat.majors.values())
+    return max(pool, key=lambda i: (i.last_update_ts, i.major)).major
+
+
+_SLOTS = 5
+_PARENT = st.one_of(st.none(), st.tuples(st.integers(0, _SLOTS - 1),
+                                         st.integers(0, 3)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(n=st.integers(0, _SLOTS),
+       parents=st.lists(_PARENT, min_size=_SLOTS, max_size=_SLOTS),
+       stamps=st.lists(st.sampled_from([0.0, 1.0, 2.0]),
+                       min_size=_SLOTS, max_size=_SLOTS))
+@example(n=1, parents=[None] * _SLOTS, stamps=[0.0] * _SLOTS)
+@example(n=1, parents=[(0, 2)] + [None] * (_SLOTS - 1),  # one, interior
+         stamps=[1.0] * _SLOTS)
+@example(n=3, parents=[None, (0, 2), (0, 3), None, None],  # branched
+         stamps=[2.0, 1.0, 1.0, 0.0, 0.0])
+@example(n=2, parents=[(1, 1), (0, 1), None, None, None],  # all interior
+         stamps=[0.0, 1.0, 0.0, 0.0, 0.0])
+def test_latest_major_matches_the_full_rule(n, parents, stamps):
+    from repro.core.params import FileParams
+    from repro.core.segment import MajorInfo, SegmentCatalog
+
+    majors = [1000 + 7 * i for i in range(n)]
+    branches = HistoryIndex()
+    for i, major in enumerate(majors):
+        if parents[i] is not None:
+            parent, sub = parents[i]
+            branches.record_branch(major, majors[parent % n], sub)
+    cat = SegmentCatalog(sid="f", params=FileParams(), branches=branches)
+    for i, major in enumerate(majors):
+        cat.majors[major] = MajorInfo(major=major,
+                                      version=VersionPair(major, 1),
+                                      holder="s0", last_update_ts=stamps[i])
+    assert cat.latest_major() == _latest_by_the_full_rule(cat)

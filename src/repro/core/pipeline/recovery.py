@@ -164,21 +164,13 @@ class RecoveryService:
             if token_rec is not None and info.holder in (None, me):
                 await self._reclaim_token(sid, cat, replica, token_rec)
             return
-        # our major is unknown to the group: obsolete (a descendant token
-        # was generated past our last update) or genuinely divergent
-        for other, other_info in cat.majors.items():
-            rel = cat.branches.compare(replica.version, other_info.version)
-            if rel is Relation.ANCESTOR:
-                # Token crash scenario: the new version is a direct
-                # descendant of ours — destroy the old version.
-                await self._destroy_obsolete(sid, major)
-                self.metrics.incr("deceit.obsolete_versions_destroyed")
-                return
-        # incomparable with every live major: keep, announce, log conflict
+        # our major is unknown to the group, and the superseded check
+        # found no live major descending from it: genuinely divergent —
+        # keep, announce, log conflict
         self.store.replicas[(sid, major)] = replica
-        # Every await inside the scan loop above is followed by a return;
-        # the fall-through path to this write never yields after the
-        # cat.majors read that heads the loop.
+        # Every await in the superseded scan, and in the branch for a
+        # known major, is followed by a return; the fall-through path to
+        # this write never yields after the cat.majors read.
         # racelint: ok(staleread) - no yield on the fall-through path
         cat.majors[major] = MajorInfo(
             major=major, version=replica.version, holder=None,

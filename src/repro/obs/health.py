@@ -78,7 +78,7 @@ def server_health(server: Any) -> dict:
         "isis_log_entries": isis_log["log_entries"],
         "groups_flushing": isis_log["flushing"],
         "queues": {
-            "disk_async_buffered": len(disk._buffer) + len(disk._deleted_buffer),
+            "disk_async_buffered": len(disk._buffer),
             "disk_pending_batches": len(disk._pending),
             "rpc_tasks": len(proc._tasks),
         },

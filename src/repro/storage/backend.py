@@ -114,13 +114,16 @@ class JournalBackend(StorageBackend):
     either a whole frame or a torn tail — never a half-applied batch.
 
     ``load`` replays frames in order and stops at the first bad one
-    (short header, wrong magic, length past EOF, checksum mismatch, or
-    unpicklable payload), truncating the file there so the torn bytes
-    cannot shadow future appends.  It streams: each frame is read,
-    checked, unpickled and applied before the next is read, and a length
-    field is checked against the file's size before anything of that
-    length is read.  So replay holds the live map plus one frame, however
-    long the journal's history.
+    (short header, wrong magic, length past EOF, or checksum mismatch),
+    truncating the file there so the torn bytes cannot shadow future
+    appends.  A frame whose checksum matches holds the bytes as written,
+    so it is never torn: if its payload does not unpickle (it names a
+    module this process lacks, say), ``load`` raises and leaves the file
+    as it is rather than cut a good record away.  It streams: each frame
+    is read, checked, unpickled and applied before the next is read, and
+    a length field is checked against the file's size before anything of
+    that length is read.  So replay holds the live map plus one frame,
+    however long the journal's history.
     """
 
     kind = "journal"
@@ -154,19 +157,20 @@ class JournalBackend(StorageBackend):
                              "bytes": offset, "torn_tail": torn_tail}
         return data
 
-    @staticmethod
-    def _frames(log: BinaryIO, size: int) -> Iterator[tuple[Any, Any, int]]:
+    def _frames(self, log: BinaryIO,
+                size: int) -> Iterator[tuple[Any, Any, int]]:
         """Yield each good frame's ``(puts, dels, end offset)`` in order,
         reading one frame at a time; stop at the first torn or corrupt
-        one.  A length field is checked against the file's ``size``
-        before anything of that length is read."""
+        one, and raise at a CRC-good one that does not unpickle.  A length
+        field is checked against the file's ``size`` before anything of
+        that length is read."""
         offset = 0
         while offset < size:
             header = log.read(_HEADER_SIZE)
             if len(header) < _HEADER_SIZE:
                 return
             magic, crc, length = _HEADER.unpack(header)
-            offset += _HEADER_SIZE + length
+            start, offset = offset, offset + _HEADER_SIZE + length
             if magic != JOURNAL_MAGIC or offset > size:
                 return
             payload = log.read(length)
@@ -174,8 +178,10 @@ class JournalBackend(StorageBackend):
                 return
             try:
                 puts, dels = pickle.loads(payload)
-            except Exception:
-                return
+            except Exception as exc:
+                raise pickle.UnpicklingError(
+                    f"{self.path}: the frame at offset {start} passed its "
+                    f"checksum but does not unpickle: {exc!r}") from exc
             yield puts, dels, offset
 
     def commit(self, puts: list[tuple[str, Any]], dels: list[str]) -> None:

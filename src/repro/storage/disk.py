@@ -6,13 +6,16 @@ values only matter relative to network latency: a synchronous disk write
 costs several network round trips, which is exactly the trade-off the
 paper's *write safety level* parameter (§4) exposes.
 
-Synchronous writes go through a **group-commit engine**: the disk has one
-commit unit, and every record enqueued while a commit window is open rides
-the same ``write_ms`` platter operation.  N sync writes issued in the same
-virtual-time window therefore cost one commit, not N — the amortization
-write-safety ≥ 1 needs to stay cheap.
+Every record change — a write, a delete, a batch — is stamped and staged
+one way.  A synchronous one joins the **group-commit engine**: the disk has
+one commit unit, and every record enqueued while a commit window is open
+rides the same ``write_ms`` platter operation, so N sync writes issued in
+the same virtual-time window cost one commit, not N — the amortization
+write-safety ≥ 1 needs to stay cheap.  An asynchronous one waits in one
+write-behind map (a delete there is a tombstone) for the flusher.  The
+fsync, ``sync()``, is a group commit of what is buffered when it is called.
 A batch is atomic: a crash before its commit fires loses every record in
-it, exactly like the asynchronous write-behind buffer.
+it, exactly like the write-behind map.
 
 Every write carries a sequence number, so reads (the page-cache view) and
 the durable store both resolve mixed sync/async traffic to the same key by
@@ -30,7 +33,7 @@ from repro.metrics import Metrics
 from repro.sim import Kernel, SimFuture
 from repro.storage.backend import MemoryBackend, StorageBackend
 
-#: Sentinel marking a deletion (in commit batches and op resolution).
+#: Sentinel marking a deletion (in staged records and op resolution).
 _DELETE = object()
 
 #: Leaf types a record copy shares instead of copying: they are immutable.
@@ -73,8 +76,8 @@ class Disk:
     mechanism behind write-safety-level 0 ("asynchronous unsafe writes").
 
     ``write_batch`` commits many records under a single latency charge;
-    independent sync writes that land in the same commit window are
-    coalesced the same way.
+    independent sync writes that land in the same commit window, and the
+    write-behind map a ``sync`` moves into one, are coalesced the same way.
 
     Values are copied (:func:`_copy_record`) on both write and read so that
     in-memory mutation of live objects can never retroactively alter
@@ -110,17 +113,14 @@ class Disk:
         self._seq = itertools.count(1)          # issue order of every op
         self._stable: dict[str, Any] = self.backend.load()
         self._stable_seq: dict[str, int] = {}   # seq of last op applied
+        # the write-behind map: key -> (seq, value-or-_DELETE)
         self._buffer: dict[str, tuple[int, Any]] = {}
-        self._deleted_buffer: dict[str, int] = {}
         self._flusher_scheduled = False
         # group-commit engine state: batches awaiting the next commit and
         # the armed commit event.  Batch records are
         # (key, value-or-_DELETE, seq).
         self._pending: list[tuple[list[tuple[str, Any, int]], SimFuture]] = []
         self._commit_handle = None
-        # fsync() callers whose commit has not fired yet: a crash must fail
-        # these futures too, not just the per-write ones
-        self._sync_waiters: list[tuple[Any, SimFuture]] = []
 
     # ------------------------------------------------------------------ #
     # write path
@@ -130,29 +130,14 @@ class Disk:
         """Store ``value`` under ``key``; future resolves when the call
         returns control (synchronous writes resolve only once durable)."""
         self.metrics.incr("disk.writes")
-        value = _copy_record(value)
-        if sync:
-            self.metrics.incr("disk.sync_writes")
-            return self._enqueue_sync([(key, value, next(self._seq))])
-        done = self.kernel.create_future()
-        self.metrics.incr("disk.async_writes")
-        self._buffer[key] = (next(self._seq), value)
-        self._deleted_buffer.pop(key, None)
-        self._arm_flusher()
-        done.set_result(None)
-        return done
+        self.metrics.incr("disk.sync_writes" if sync else "disk.async_writes")
+        return self._stage([(key, _copy_record(value), next(self._seq))],
+                           sync)
 
     def delete(self, key: str, sync: bool = True) -> SimFuture:
         """Remove ``key``; same durability semantics as :meth:`write`."""
         self.metrics.incr("disk.deletes")
-        if sync:
-            return self._enqueue_sync([(key, _DELETE, next(self._seq))])
-        done = self.kernel.create_future()
-        self._buffer.pop(key, None)
-        self._deleted_buffer[key] = next(self._seq)
-        self._arm_flusher()
-        done.set_result(None)
-        return done
+        return self._stage([(key, _DELETE, next(self._seq))], sync)
 
     def write_batch(self, records: list[tuple[str, Any]],
                     sync: bool = True) -> SimFuture:
@@ -165,19 +150,37 @@ class Disk:
         """
         self.metrics.incr("disk.batch_writes")
         self.metrics.incr("disk.writes", len(records))
-        stamped = [(key, _copy_record(value), next(self._seq))
-                   for key, value in records]
+        self.metrics.incr("disk.sync_writes" if sync else "disk.async_writes",
+                          len(records))
+        return self._stage([(key, _copy_record(value), next(self._seq))
+                            for key, value in records], sync)
+
+    def _stage(self, records: list[tuple[str, Any, int]],
+               sync: bool) -> SimFuture:
+        """The one way stamped records enter the disk: a sync batch joins
+        the group commit, an async one the write-behind map."""
         if sync:
-            self.metrics.incr("disk.sync_writes", len(records))
-            return self._enqueue_sync(stamped)
-        done = self.kernel.create_future()
-        self.metrics.incr("disk.async_writes", len(records))
-        for key, value, seq in stamped:
+            return self._enqueue_sync(records)
+        for key, value, seq in records:
             self._buffer[key] = (seq, value)
-            self._deleted_buffer.pop(key, None)
         self._arm_flusher()
+        done = self.kernel.create_future()
         done.set_result(None)
         return done
+
+    def sync(self) -> SimFuture:
+        """Force the buffered writes durable (an ``fsync``).
+
+        What is buffered when this is called moves into one group-commit
+        batch; writes issued after the call are not covered.  The future
+        fails with :class:`DiskCrashed` if a crash destroys the batch
+        before its commit fires — the caller must not mistake "the crash
+        emptied the buffer" for durability.
+        """
+        records = [(key, value, seq)
+                   for key, (seq, value) in self._buffer.items()]
+        self._buffer.clear()
+        return self._enqueue_sync(records)
 
     # ------------------------------------------------------------------ #
     # group-commit engine
@@ -212,54 +215,42 @@ class Disk:
         batches, self._pending = self._pending, []
         if not batches:
             return
-        size = 0
-        effective: dict[str, Any] = {}
-        for records, done in batches:
-            self._apply_records(records, effective)
-            size += len(records)
-            done.try_set_result(None)
-        # one backend commit per group-commit window: every batch that rode
-        # this platter operation becomes durable together, atomically
-        self._mirror_to_backend(effective)
-        self.metrics.incr("disk.commits")
-        self.metrics.incr("disk.commit_records", size)
-        self.metrics.latency("disk.commit_batch_size").record(float(size))
-
-    def _apply_records(self, records: list[tuple[str, Any, int]],
-                       effective: dict[str, Any] | None = None) -> None:
-        for key, value, seq in records:
-            if self._apply_to_stable(key, value, seq) and effective is not None:
-                effective[key] = value
+        records = [record for batch, _done in batches for record in batch]
+        for key, _value, seq in records:
+            # a buffered op this commit supersedes will never land
             buffered = self._buffer.get(key)
             if buffered is not None and buffered[0] < seq:
                 del self._buffer[key]
-            deleted = self._deleted_buffer.get(key)
-            if deleted is not None and deleted < seq:
-                del self._deleted_buffer[key]
+        # one backend commit per group-commit window: every batch that rode
+        # this platter operation becomes durable together, atomically
+        self._make_durable(records)
+        for _batch, done in batches:
+            done.try_set_result(None)
+        self.metrics.incr("disk.commits")
+        self.metrics.incr("disk.commit_records", len(records))
+        self.metrics.latency("disk.commit_batch_size").record(
+            float(len(records)))
 
-    def _apply_to_stable(self, key: str, value: Any, seq: int) -> bool:
-        """Issue-ordered write to the durable store: an op never clobbers
-        the effect of a later-issued one that already landed.  Returns
-        whether the op took effect (and so must reach the backend)."""
-        if seq <= self._stable_seq.get(key, 0):
-            return False
-        self._stable_seq[key] = seq
-        if value is _DELETE:
-            self._stable.pop(key, None)
-        else:
-            self._stable[key] = value
-        return True
-
-    def _mirror_to_backend(self, effective: dict[str, Any]) -> None:
-        """Forward one committed window to the durability backend as one
-        atomic batch — the backend's contents equal ``_stable`` at every
+    def _make_durable(self, records: list[tuple[str, Any, int]]) -> None:
+        """Apply ``records`` to the stable store in issue order — an op
+        never clobbers the effect of a later-issued one that already
+        landed — and forward the ones that took effect to the backend as
+        one atomic batch, so its contents equal ``_stable`` at every
         commit boundary."""
-        if not effective:
-            return
-        puts = [(key, value) for key, value in effective.items()
-                if value is not _DELETE]
-        dels = [key for key, value in effective.items() if value is _DELETE]
-        self.backend.commit(puts, dels)
+        effective: dict[str, Any] = {}
+        for key, value, seq in records:
+            if seq <= self._stable_seq.get(key, 0):
+                continue
+            self._stable_seq[key] = seq
+            effective[key] = value
+            if value is _DELETE:
+                self._stable.pop(key, None)
+            else:
+                self._stable[key] = value
+        if effective:
+            self.backend.commit(
+                [(k, v) for k, v in effective.items() if v is not _DELETE],
+                [k for k, v in effective.items() if v is _DELETE])
 
     def _arm_flusher(self) -> None:
         if self._flusher_scheduled:
@@ -269,40 +260,13 @@ class Disk:
 
     def _flush(self) -> None:
         self._flusher_scheduled = False
-        if not self._buffer and not self._deleted_buffer:
+        if not self._buffer:
             return
         self.metrics.incr("disk.flushes")
-        effective: dict[str, Any] = {}
-        for key, (seq, value) in self._buffer.items():
-            if self._apply_to_stable(key, value, seq):
-                effective[key] = value
-        for key, seq in self._deleted_buffer.items():
-            if self._apply_to_stable(key, _DELETE, seq):
-                effective[key] = _DELETE
+        records = [(key, value, seq)
+                   for key, (seq, value) in self._buffer.items()]
         self._buffer.clear()
-        self._deleted_buffer.clear()
-        self._mirror_to_backend(effective)
-
-    def sync(self) -> SimFuture:
-        """Force all buffered writes durable (an ``fsync``).
-
-        The returned future fails with :class:`DiskCrashed` if a crash
-        destroys the buffered data before the commit fires — the caller
-        must not mistake "the crash emptied the buffer" for durability.
-        """
-        done = self.kernel.create_future()
-        entry = None
-
-        def _commit() -> None:
-            if entry in self._sync_waiters:
-                self._sync_waiters.remove(entry)
-            self._flush()
-            done.try_set_result(None)
-
-        handle = self.kernel.schedule(self.write_ms, _commit)
-        entry = (handle, done)
-        self._sync_waiters.append(entry)
-        return done
+        self._make_durable(records)
 
     # ------------------------------------------------------------------ #
     # read path
@@ -329,15 +293,12 @@ class Disk:
 
     def _latest_op(self, key: str) -> tuple[int, Any]:
         """The highest-seq operation on ``key`` across the stable store,
-        the write-behind buffer, and uncommitted sync batches."""
+        the write-behind map, and uncommitted sync batches."""
         seq = self._stable_seq.get(key, 0)
         value = self._stable[key] if key in self._stable else _DELETE
         buffered = self._buffer.get(key)
         if buffered is not None and buffered[0] > seq:
             seq, value = buffered
-        deleted = self._deleted_buffer.get(key)
-        if deleted is not None and deleted > seq:
-            seq, value = deleted, _DELETE
         for records, _done in self._pending:
             for rkey, rvalue, rseq in records:
                 if rkey == key and rseq > seq:
@@ -350,8 +311,7 @@ class Disk:
 
     def keys(self, prefix: str = "") -> list[str]:
         """All live keys with the given prefix (buffered writes included)."""
-        candidates = set(self._stable) | set(self._buffer) | \
-            set(self._deleted_buffer)
+        candidates = set(self._stable) | set(self._buffer)
         for records, _done in self._pending:
             candidates.update(key for key, _v, _s in records)
         return sorted(
@@ -364,16 +324,16 @@ class Disk:
     # ------------------------------------------------------------------ #
 
     def crash(self) -> None:
-        """Lose everything not yet durable — the write-behind buffer *and*
-        any sync batches whose group commit had not fired yet.  Writers
-        still awaiting a destroyed commit get :class:`DiskCrashed` so they
-        resume (and fail) instead of hanging forever."""
-        lost = len(self._buffer) + len(self._deleted_buffer)
+        """Lose everything not yet durable — the write-behind map *and*
+        any sync batches (fsyncs included) whose group commit had not
+        fired yet.  Writers still awaiting a destroyed commit get
+        :class:`DiskCrashed` so they resume (and fail) instead of hanging
+        forever."""
+        lost = len(self._buffer)
         lost += sum(len(records) for records, _done in self._pending)
         if lost:
             self.metrics.incr("disk.lost_on_crash", lost)
         self._buffer.clear()
-        self._deleted_buffer.clear()
         self._flusher_scheduled = False
         pending, self._pending = self._pending, []
         if self._commit_handle is not None:
@@ -382,16 +342,11 @@ class Disk:
         for _records, done in pending:
             done.try_set_exception(
                 DiskCrashed(f"{self.name}: crashed before commit"))
-        waiters, self._sync_waiters = self._sync_waiters, []
-        for handle, done in waiters:
-            handle.cancel()
-            done.try_set_exception(
-                DiskCrashed(f"{self.name}: crashed before fsync"))
 
     def close(self) -> None:
         """The machine is gone for good: release the backend's resources
         (file descriptors, connections) and the RAM copy of the records —
-        the stable map, the write-behind buffer and uncommitted batches,
+        the stable map, the write-behind map and uncommitted batches,
         whose writers are never resumed — and the records of
         :attr:`owned_backend`.  Idempotent."""
         self.backend.close()
@@ -400,9 +355,7 @@ class Disk:
         self._stable = {}
         self._stable_seq = {}
         self._buffer = {}
-        self._deleted_buffer = {}
         self._pending = []
-        self._sync_waiters = []
 
     @property
     def stable_keys(self) -> int:

@@ -1,8 +1,14 @@
 """Unit tests for the simulated disk and KV store: durability semantics."""
 
+import os
+import pickle
+import re
+import zlib
+
 import pytest
 
-from repro.storage import Disk, DiskCrashed, KvStore
+from repro.storage import Disk, DiskCrashed, JournalBackend, KvStore
+from repro.storage.backend import _HEADER, JOURNAL_MAGIC
 from tests.conftest import run
 
 
@@ -60,6 +66,23 @@ def test_explicit_sync_makes_buffered_durable(kernel):
         return await disk.read("k")
 
     assert run(kernel, main()) == "v"
+
+
+def test_sync_covers_what_was_buffered_when_called(kernel):
+    """An fsync is a group commit of the write-behind buffer as it stood
+    at the call: a write issued while it waits is not covered."""
+    disk = Disk(kernel, flush_interval_ms=10_000.0)
+
+    async def main():
+        await disk.write("before", 1, sync=False)
+        fsync = disk.sync()
+        await disk.write("after", 2, sync=False)
+        await fsync
+        assert disk.read_now("after") == 2  # buffered, visible to reads
+        disk.crash()
+        return disk.read_now("before"), disk.read_now("after")
+
+    assert run(kernel, main()) == (1, None)
 
 
 def test_sync_future_fails_on_crash(kernel):
@@ -266,3 +289,28 @@ def test_kvstore_delete(kernel):
         return await store.get("k"), store.keys()
 
     assert run(kernel, main()) == (None, [])
+
+
+def test_journal_frame_that_passes_its_crc_is_never_torn(tmp_path):
+    """A CRC-good frame holds the bytes as written: when its payload does
+    not unpickle, replay must raise rather than truncate the journal there
+    and destroy the good frames after it."""
+    def frame(payload):
+        return _HEADER.pack(JOURNAL_MAGIC, zlib.crc32(payload),
+                            len(payload)) + payload
+
+    def batch(key, value):
+        return pickle.dumps(([(key, value)], []))
+
+    path = tmp_path / "j"
+    # the middle frame names a module no process has
+    path.write_bytes(frame(batch("a", 1))
+                     + frame(b"cno_such_mod_xyz\nthing\n.")
+                     + frame(batch("c", 3)))
+    size = os.path.getsize(path)
+    journal = JournalBackend(str(path))
+    where = f"{path}: the frame at offset {len(frame(batch('a', 1)))} "
+    with pytest.raises(pickle.UnpicklingError, match=re.escape(where)):
+        journal.load()
+    journal.close()
+    assert os.path.getsize(path) == size

@@ -9,7 +9,8 @@ the group from non-volatile records after a total failure (§3.6).
 The service depends on a *membership port* rather than a concrete
 IsisProcess: any object with ``addr``, ``is_member(group)``,
 ``join_group(group, contact=None)`` and ``create_group(group)`` works, so
-the catalog logic is unit testable with a stub.
+the catalog logic is unit testable with a stub (announcing a new replica
+also needs its ``cbcast``).
 
 Invariants
 ----------
@@ -187,6 +188,17 @@ class CatalogService:
             return {"have_replica": False}
         return {"have_replica": True, "stable": replica.stable,
                 "version": replica.version.to_tuple()}
+
+    async def broadcast_replica_created(self, sid: str, major: int,
+                                        holder: str, *, tag: str) -> None:
+        """Tell the file group that ``holder`` now keeps a replica of
+        ``major`` (§3.1); :meth:`deliver_replica_created` is its handler."""
+        await self.membership.cbcast(
+            group_of(sid),
+            {"op": "replica_created", "sid": sid, "major": major,
+             "holder": holder},
+            nreplies=0, tag=tag,
+        )
 
     async def deliver_replica_created(self, src: str, /, sid: str,
                                       major: int, holder: str) -> dict:

@@ -49,11 +49,16 @@ class ConflictDirectory:
             return
         self.metrics.incr("deceit.conflicts_logged")
         if self.transport.is_member(CONFLICT_GROUP):
-            await self.transport.cbcast(
-                CONFLICT_GROUP,
-                {"op": "conflict", "record": record.to_dict()},
-                nreplies=0, tag="conflict",
-            )
+            await self.broadcast_conflict(record, tag="conflict")
+
+    async def broadcast_conflict(self, record: ConflictRecord, *,
+                                 tag: str) -> None:
+        """Tell the conflict group about ``record``; :meth:`deliver_conflict`
+        is its handler."""
+        await self.transport.cbcast(
+            CONFLICT_GROUP, {"op": "conflict", "record": record.to_dict()},
+            nreplies=0, tag=tag,
+        )
 
     async def log_resolution(self, sid: str) -> None:
         """Propagate the clearing of a segment's conflict entries."""

@@ -10,7 +10,8 @@ again.
 Collaborators: the ISIS process (``proc``), the
 :class:`~repro.core.pipeline.catalog.CatalogService`, the
 :class:`~repro.core.pipeline.store.ReplicaStore`, and the segment-server
-facade (``server``) for the conflict log and the replication helpers.
+facade (``server``) for its conflict directory, the replication helpers,
+the token senders and the one way to destroy a major here.
 
 Invariants
 ----------
@@ -73,7 +74,7 @@ class RecoveryService:
         counter = self.store.counter_now()
         if counter is not None:
             self.server.restore_counter(counter)
-        await self.server.join_conflict_group()
+        await self.server.conflict_dir.join()
         for sid in self.store.disk_sids():
             await self._recover_segment(sid)
         self.metrics.incr("deceit.recoveries")
@@ -116,7 +117,7 @@ class RecoveryService:
                 continue
             rel = cat.branches.compare(reference, other_info.version)
             if rel in (Relation.ANCESTOR, Relation.EQUAL):
-                await self._destroy_obsolete(sid, major)
+                await self.server._destroy_major_here(sid, major)
                 self.metrics.incr("deceit.obsolete_versions_destroyed")
                 if info is not None:
                     await self.server._broadcast_delete_major(sid, major)
@@ -127,7 +128,7 @@ class RecoveryService:
                 if rel is Relation.ANCESTOR and info.holder not in (None, me):
                     # Non-token replica crash: obsolete replica is destroyed;
                     # the history is a prefix of the token's, no update lost.
-                    await self._destroy_obsolete(sid, major)
+                    await self.server._destroy_major_here(sid, major)
                     self.metrics.incr("deceit.obsolete_replicas_destroyed")
                     return
                 self.store.replicas[(sid, major)] = replica
@@ -181,27 +182,15 @@ class RecoveryService:
             await self._reclaim_token(sid, cat, replica, token_rec)
         await self.log_divergence(sid, cat)
 
-    async def _destroy_obsolete(self, sid: str, major: int) -> None:
-        """§3.6 "destroy the old version": our replica of ``major``, the
-        token we may hold for it and its durable record all go."""
-        await self.server._destroy_local_replica(sid, major)
-        self.store.tokens.pop((sid, major), None)
-        await self.store.delete_token_record(sid, major)
-
     async def _announce_major(self, sid: str, cat: SegmentCatalog, major: int,
                               replica: Replica) -> None:
         """Tell the (possibly just-merged) group that this major exists here,
         including its branch record so every member can compare versions."""
         parent = cat.branches.parent_of(major)
         if parent is not None:
-            await self.proc.cbcast(
-                group_of(sid),
-                {"op": "token_generated", "sid": sid, "major": major,
-                 "parent": list(parent),
-                 "version": replica.version.to_tuple(),
-                 "holder": cat.majors[major].holder},
-                nreplies=0, tag="major_announce",
-            )
+            await self.server._broadcast_token_generated(
+                sid, major, parent, replica.version, cat.majors[major].holder,
+                tag="major_announce")
         await self.proc.cbcast(
             group_of(sid),
             {"op": "replica_recovered", "sid": sid, "major": major,
@@ -212,7 +201,7 @@ class RecoveryService:
     async def log_divergence(self, sid: str, cat: SegmentCatalog) -> None:
         """Log every live incomparable version pair to the conflict file."""
         for a, b in cat.incomparable_pairs():
-            await self.server.log_conflict(
+            await self.server.conflict_dir.log_conflict(
                 sid, (a, b),
                 note="incomparable versions after crash/partition recovery",
             )
@@ -226,12 +215,8 @@ class RecoveryService:
         self.store.tokens[(sid, token.major)] = token
         cat.majors[token.major].holder = self.proc.addr
         await self.store.persist_token(token)
-        await self.proc.cbcast(
-            group_of(sid),
-            {"op": "token_pass", "sid": sid, "major": token.major,
-             "to": self.proc.addr, "token": token.to_dict()},
-            nreplies=0, tag="token_recovered",
-        )
+        await self.server._broadcast_token_pass(
+            sid, token.major, self.proc.addr, token, tag="token_recovered")
         self.metrics.incr("deceit.tokens_reclaimed")
 
     # ------------------------------------------------------------------ #
@@ -333,7 +318,7 @@ class RecoveryService:
             # We know the segment (catalog/disk) but lost group membership —
             # e.g. a previous rejoin attempt failed during a loss burst.
             if group == CONFLICT_GROUP:
-                await self.server.join_conflict_group()
+                await self.server.conflict_dir.join()
                 return
             sid = sid_of(group)
             try:
@@ -378,11 +363,8 @@ class RecoveryService:
         if group == CONFLICT_GROUP:
             # push the conflicts we discovered while partitioned
             for record in self.server.conflicts.records():
-                await self.proc.cbcast(
-                    CONFLICT_GROUP,
-                    {"op": "conflict", "record": record.to_dict()},
-                    nreplies=0, tag="conflict",
-                )
+                await self.server.conflict_dir.broadcast_conflict(
+                    record, tag="conflict")
             return
         sid = sid_of(group)
         cat = self.catalog.get(sid)

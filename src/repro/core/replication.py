@@ -62,16 +62,8 @@ class ReplicationMixin:
         try:
             info = cat.majors[major]
             want = cat.params.min_replicas
-            me = self.proc.addr
-
-            def reachable_count() -> int:
-                return sum(
-                    1 for h in info.holders
-                    if h == me or self.proc.network.reachable(me, h)
-                )
-
             for target in self._placement_candidates(sid, info.holders):
-                if reachable_count() >= want:
+                if len(self._live(info.holders)) >= want:
                     break
                 ok = await self._create_replica_on_locked(sid, major, target)
                 if ok:
@@ -93,6 +85,17 @@ class ReplicationMixin:
             if peer not in holders and self.proc.network.reachable(me, peer)
         ]
 
+    def _live(self, holders: set[str]) -> list[str]:
+        """The replicas this server can count: the holders it reaches,
+        itself included, in address order.  Replenishment tops this count
+        up and the LRU drop trims it; a holder that is down or cut off
+        counts again once it is reachable.  The §3.5 majority rule
+        (:func:`~repro.core.tokens._majority`) counts every known holder
+        instead."""
+        me = self.proc.addr
+        return [h for h in sorted(holders)
+                if h == me or self.proc.network.reachable(me, h)]
+
     # ------------------------------------------------------------------ #
     # blast transfer (the generation protocol itself)
     # ------------------------------------------------------------------ #
@@ -107,15 +110,13 @@ class ReplicationMixin:
         a copy of the file to the site where the replica is being
         generated" (§3.1).
         """
-        replica = self.replicas.get((sid, major))
-        if replica is None:
-            return await self._feed_via_remote_holder(sid, major, target)
-        self.metrics.incr("deceit.replica_transfers")
-        self.metrics.incr("deceit.replica_transfer_bytes", len(replica.data))
-        if not await self._install_with_retries(target, replica):
-            return False
-        await self._replica_landed(sid, major, target)
-        return True
+        if (sid, major) in self.replicas:
+            landed = await self._push(sid, major, target)
+        else:
+            landed = await self._feed_via_remote_holder(sid, major, target)
+        if landed:
+            await self._replica_landed(sid, major, target)
+        return landed
 
     async def _replica_landed(self, sid: str, major: int, target: str) -> None:
         """The token holder's bookkeeping once ``target`` holds a copy it
@@ -126,15 +127,13 @@ class ReplicationMixin:
         if token is not None and target not in token.holders:
             token.holders.append(target)
             await self.store.persist_token(token)
-        await self.proc.cbcast(
-            group_of(sid),
-            {"op": "replica_created", "sid": sid, "major": major, "holder": target},
-            nreplies=0, tag="replica_created",
-        )
+        await self.cat.broadcast_replica_created(sid, major, target,
+                                                 tag="replica_created")
 
     async def _feed_via_remote_holder(self, sid: str, major: int,
                                       target: str) -> bool:
-        """Ask a reachable replica holder to blast its copy to ``target``."""
+        """Ask a reachable replica holder to blast its copy to ``target``;
+        whether a copy landed."""
         me = self.proc.addr
         for source in sorted(self.catalogs[sid].majors[major].holders):
             if source in (me, target):
@@ -149,14 +148,18 @@ class ReplicationMixin:
             except (RpcTimeout, RpcRemoteError):
                 continue
             if reply.get("fed"):
-                await self._replica_landed(sid, major, target)
                 return True
         return False
 
-    async def _install_with_retries(self, target: str, replica) -> bool:
-        """Push a replica record to ``target``; retried because one lost
-        datagram must not leave the file under-replicated (the install is
-        idempotent at the receiver)."""
+    async def _push(self, sid: str, major: int, target: str) -> bool:
+        """Blast our replica of (sid, major) to ``target``; whether it
+        landed.  Retried because one lost datagram must not leave the file
+        under-replicated (the install is idempotent at the receiver)."""
+        replica = self.replicas.get((sid, major))
+        if replica is None:
+            return False
+        self.metrics.incr("deceit.replica_transfers")
+        self.metrics.incr("deceit.replica_transfer_bytes", len(replica.data))
         for _attempt in range(3):
             try:
                 await self.proc.call(
@@ -173,28 +176,27 @@ class ReplicationMixin:
 
     async def _h_feed(self, src: str, /, sid: str, major: int, target: str) -> dict:
         """RPC handler at a replica holder: push our copy to ``target``."""
-        replica = self.replicas.get((sid, major))
-        if replica is None:
-            return {"fed": False}
-        self.metrics.incr("deceit.replica_transfers")
-        self.metrics.incr("deceit.replica_transfer_bytes", len(replica.data))
-        return {"fed": await self._install_with_retries(target, replica)}
+        return {"fed": await self._push(sid, major, target)}
 
     async def _h_install_replica(self, src: str, /, record: dict, contact: str) -> dict:
-        """RPC handler on the receiving server: persist and join the group."""
+        """RPC handler on the receiving server: join the group and adopt."""
         replica = Replica.from_dict(record)
         group = group_of(replica.sid)
         if not self.proc.is_member(group):
             await self.proc.join_group(group, contact=contact)
+        await self._adopt(replica)
+        self.metrics.incr("deceit.replicas_installed")
+        return {"installed": True}
+
+    async def _adopt(self, replica: Replica) -> None:
+        """Keep a copy that was fed or fetched here: in memory, durably
+        (a synchronous persist), and this server among the catalog's
+        holders of its major."""
         self.replicas[(replica.sid, replica.major)] = replica
         await self.store.persist_replica(replica, sync=True)
         cat = self.catalogs.get(replica.sid)
-        if cat is not None:
-            info = cat.majors.get(replica.major)
-            if info is not None:
-                info.holders.add(self.proc.addr)
-        self.metrics.incr("deceit.replicas_installed")
-        return {"installed": True}
+        if cat is not None and replica.major in cat.majors:
+            cat.majors[replica.major].holders.add(self.proc.addr)
 
     async def _repair_replica(self, sid: str, major: int) -> None:
         """Self-repair after missed updates: refetch from a current holder."""
@@ -227,16 +229,9 @@ class ReplicationMixin:
             if record is None:
                 continue
             replica = Replica.from_dict(record)
-            self.replicas[(sid, major)] = replica
-            await self.store.persist_replica(replica, sync=True)
-            cat = self.catalogs.get(sid)
-            if cat is not None and major in cat.majors:
-                cat.majors[major].holders.add(me)
-            await self.proc.cbcast(
-                group_of(sid),
-                {"op": "replica_created", "sid": sid, "major": major, "holder": me},
-                nreplies=0, tag="replica_created",
-            )
+            await self._adopt(replica)
+            await self.cat.broadcast_replica_created(sid, major, me,
+                                                     tag="replica_created")
             self.metrics.incr("deceit.replica_fetches")
             return replica
         return None

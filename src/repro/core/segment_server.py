@@ -178,6 +178,14 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
         if cat is not None and major in cat.majors:
             cat.majors[major].holders.discard(self.proc.addr)
 
+    async def _destroy_major_here(self, sid: str, major: int) -> None:
+        """Release this server's hold on one major: the token, its durable
+        record, then the replica (a group-wide delete and §3.6's
+        destruction of an obsolete version both end here)."""
+        self.store.tokens.pop((sid, major), None)
+        await self.store.delete_token_record(sid, major)
+        await self._destroy_local_replica(sid, major)
+
     async def _broadcast_delete_major(self, sid: str, major: int) -> None:
         """Tell the whole file group to release one major's storage."""
         await self.proc.cbcast(
@@ -334,26 +342,9 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
         for major in drop:
             await self._broadcast_delete_major(sid, major)
         if drop:
-            await self.log_conflict_resolution(sid)
+            await self.conflict_dir.log_resolution(sid)
         self.metrics.incr("deceit.reconciliations")
         return drop
-
-    # ------------------------------------------------------------------ #
-    # conflict log plumbing (delegates to the ConflictDirectory)
-    # ------------------------------------------------------------------ #
-
-    async def join_conflict_group(self) -> None:
-        """Join (or found) the cell-wide conflict-log group; call at boot."""
-        await self.conflict_dir.join()
-
-    async def log_conflict(self, sid: str, majors: tuple[int, ...],
-                           note: str = "") -> None:
-        """Log an incomparable-version event to the well-known file (§3.6)."""
-        await self.conflict_dir.log_conflict(sid, majors, note)
-
-    async def log_conflict_resolution(self, sid: str) -> None:
-        """Propagate the clearing of a segment's conflict entries."""
-        await self.conflict_dir.log_resolution(sid)
 
     # ------------------------------------------------------------------ #
     # GroupApp interface
@@ -379,9 +370,7 @@ class SegmentServer(TokenMixin, ReplicationMixin, StabilityMixin):
         cat = self.cat.get(sid)
         if cat is not None:
             cat.majors.pop(major, None)
-        self.store.tokens.pop((sid, major), None)
-        await self.store.delete_token_record(sid, major)
-        await self._destroy_local_replica(sid, major)
+        await self._destroy_major_here(sid, major)
         timer = self._stable_timers.pop((sid, major), None)
         if timer is not None:
             timer.cancel()

@@ -140,16 +140,24 @@ class TokenMixin:
             del self.tokens[(sid, major)]
             token.passed[requester] = req
             await self.store.delete_token_record(sid, major)
-            await self.proc.cbcast(
-                group_of(sid),
-                {"op": "token_pass", "sid": sid, "major": major,
-                 "to": requester, "req": req, "token": token.to_dict()},
-                nreplies=0, tag="token_pass",
-            )
+            await self._broadcast_token_pass(sid, major, requester, token,
+                                             req, tag="token_pass")
             self.metrics.incr("deceit.token_passes")
         finally:
             lock.release()
         return {"holder": True}
+
+    async def _broadcast_token_pass(self, sid: str, major: int, to: str,
+                                    token: Token, req: str | None = None, *,
+                                    tag: str) -> None:
+        """Tell the file group that ``token`` now belongs to ``to``; a pass
+        answering a request names its ``req``, a token reclaimed by
+        recovery names none.  :meth:`_deliver_token_pass` is its handler."""
+        payload = {"op": "token_pass", "sid": sid, "major": major, "to": to}
+        if req is not None:
+            payload["req"] = req
+        payload["token"] = token.to_dict()
+        await self.proc.cbcast(group_of(sid), payload, nreplies=0, tag=tag)
 
     async def _deliver_token_pass(self, src: str, /, sid: str, major: int,
                                   to: str, token: dict,
@@ -231,17 +239,29 @@ class TokenMixin:
             major=new_major, version=new_version, holder=self.proc.addr,
             holders={self.proc.addr}, last_update_ts=self.kernel.now,
         )
-        await self.proc.cbcast(
-            group_of(sid),
-            {"op": "token_generated", "sid": sid, "major": new_major,
-             "parent": [major, branch_sub], "version": new_version.to_tuple(),
-             "holder": self.proc.addr},
-            nreplies=0, tag="token_generated",
-        )
+        await self._broadcast_token_generated(
+            sid, new_major, (major, branch_sub), new_version, self.proc.addr,
+            tag="token_generated")
         self.metrics.incr("deceit.tokens_generated")
         self.proc.spawn(self._replenish(sid, new_major),
                         name=f"{self.proc.addr}:replenish:{sid}")
         return new_major
+
+    async def _broadcast_token_generated(self, sid: str, major: int,
+                                         parent: tuple[int, int],
+                                         version: VersionPair,
+                                         holder: str | None, *,
+                                         tag: str) -> None:
+        """Tell the file group that ``major`` exists, branched from
+        ``parent`` (a ``(major, sub)`` pair) at ``version``, with its token
+        at ``holder``; :meth:`_deliver_token_generated` is its handler."""
+        await self.proc.cbcast(
+            group_of(sid),
+            {"op": "token_generated", "sid": sid, "major": major,
+             "parent": list(parent), "version": version.to_tuple(),
+             "holder": holder},
+            nreplies=0, tag=tag,
+        )
 
     async def _deliver_token_generated(self, src: str, /, sid: str,
                                        major: int, parent: list,

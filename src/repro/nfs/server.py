@@ -126,7 +126,7 @@ class DeceitServer:
     def start(self) -> None:
         """Begin failure detection and join the conflict group."""
         self.proc.start()
-        self.proc.spawn(self.segments.join_conflict_group(),
+        self.proc.spawn(self.segments.conflict_dir.join(),
                         name=f"{self.addr}:conflicts")
         self.segments.start_merge_audit()
 

@@ -99,7 +99,7 @@ def build_core_cluster(
         servers.append(server)
         disks.append(disk)
     for server in servers:
-        kernel.spawn(server.join_conflict_group())
+        kernel.spawn(server.conflict_dir.join())
         server.start_merge_audit()
     return CoreCluster(kernel=kernel, network=network, metrics=metrics,
                        procs=procs, servers=servers, disks=disks)

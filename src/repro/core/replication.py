@@ -333,19 +333,23 @@ class ReplicationMixin:
     def _pick_lru_victims(self, sid: str, major: int) -> list[str]:
         """Replica holders to drop with the next update instead of updating.
 
-        Keeps at least ``min_replicas``; never drops the token holder; only
-        replicas idle for :data:`REPLICA_IDLE_MS` are candidates; oldest
-        read time goes first, ties (never-read holders share 0.0) in
-        address order — the LRU order is total, not the set's hash order.
+        Counts and picks from the :meth:`_live` replicas only, the ones
+        replenishment counts: an unreachable holder would never hear its
+        drop.  Keeps at least ``min_replicas``; never drops the token
+        holder; only replicas idle for :data:`REPLICA_IDLE_MS` are
+        candidates; oldest read time goes first, ties (never-read holders
+        share 0.0) in address order — the LRU order is total, not the
+        set's hash order.
         """
         cat = self.catalogs[sid]
         info = cat.majors[major]
-        excess = len(info.holders) - cat.params.min_replicas
+        live = self._live(info.holders)
+        excess = len(live) - cat.params.min_replicas
         if excess <= 0:
             return []
         now = self.kernel.now
         candidates = [
-            h for h in sorted(info.holders)
+            h for h in live
             if h != self.proc.addr
             and now - info.read_ts.get(h, 0.0) > REPLICA_IDLE_MS
         ]

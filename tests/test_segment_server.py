@@ -10,6 +10,7 @@ import pytest
 from repro.core import FileParams, WriteOp
 from repro.core.replication import REPLICA_IDLE_MS
 from repro.errors import NoSuchSegment, VersionConflict
+from repro.net.network import Node
 from repro.testbed import build_core_cluster
 
 
@@ -434,6 +435,11 @@ def test_lru_victims_break_ties_in_address_order():
         {"n07", "n06", "n05", "n04", "n03", "n02", "n01"},
         {"x9", "x8", "x7", "x6", "x5", "x4"},
     ]
+    # the drop counts reachable holders only: put every address on the
+    # network once, as a stub node
+    for addr in sorted(set().union(*address_sets)):
+        if addr not in cluster.network.nodes:
+            Node(cluster.network, addr)
     for candidates in address_sets:
         info.holders = {s0.proc.addr} | candidates
         info.read_ts = {}                  # every stamp ties at 0.0
@@ -447,3 +453,42 @@ def test_lru_victims_break_ties_in_address_order():
     info.read_ts = {"s1": 2.0, "s2": 1.0, "s3": 1.0}
     cat.params = cat.params.with_updates(min_replicas=2)
     assert s0._pick_lru_victims(sid, major) == ["s2", "s3"]
+
+
+def test_lru_drop_counts_only_reachable_holders():
+    """A crashed holder never hears an update, so §3.1's LRU drop may not
+    name it or count it: the drop trims the replicas replenishment counts.
+    Once the holder is back, it counts, and is dropped, again."""
+    cluster = build_core_cluster(3)
+    s0 = cluster.servers[0]
+    drops = []
+    pick = s0.pipeline.hooks.pick_lru_victims
+
+    def recorded(sid, major):
+        victims = pick(sid, major)
+        drops.append((sid, victims))
+        return victims
+
+    s0.pipeline.hooks.pick_lru_victims = recorded
+
+    async def two_files():
+        sids = []
+        for _ in range(2):
+            # s2's copy is made first, so it is the least recently used
+            sid = await s0.create(params=FileParams(min_replicas=1), data=b"x")
+            assert await s0.create_replica(sid, "s2")
+            assert await s0.create_replica(sid, "s1")
+            await s0.setparam(sid, min_replicas=2)
+            sids.append(sid)
+        return sids
+
+    written, idle = cluster.run(two_files())
+    cluster.crash(2)
+    cluster.settle(REPLICA_IDLE_MS + 1.0)
+    cluster.run(s0.write(written, WriteOp(kind="append", data=b"y")))
+    # s0 and s1 are all the replicas s0 reaches: nothing is extra
+    assert drops == [(written, [])]
+    cluster.run(cluster.recover(2))
+    cluster.settle(REPLICA_IDLE_MS + 1.0)
+    cluster.run(s0.write(idle, WriteOp(kind="append", data=b"z")))
+    assert drops[-1] == (idle, ["s2"])

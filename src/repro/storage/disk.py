@@ -115,7 +115,7 @@ class Disk:
         self._stable_seq: dict[str, int] = {}   # seq of last op applied
         # the write-behind map: key -> (seq, value-or-_DELETE)
         self._buffer: dict[str, tuple[int, Any]] = {}
-        self._flusher_scheduled = False
+        self._flush_handle = None   # the armed write-behind flush event
         # group-commit engine state: batches awaiting the next commit and
         # the armed commit event.  Batch records are
         # (key, value-or-_DELETE, seq).
@@ -253,13 +253,12 @@ class Disk:
                 [k for k, v in effective.items() if v is _DELETE])
 
     def _arm_flusher(self) -> None:
-        if self._flusher_scheduled:
-            return
-        self._flusher_scheduled = True
-        self.kernel.schedule(self.flush_interval_ms, self._flush)
+        if self._flush_handle is None:
+            self._flush_handle = self.kernel.schedule(
+                self.flush_interval_ms, self._flush)
 
     def _flush(self) -> None:
-        self._flusher_scheduled = False
+        self._flush_handle = None
         if not self._buffer:
             return
         self.metrics.incr("disk.flushes")
@@ -334,7 +333,9 @@ class Disk:
         if lost:
             self.metrics.incr("disk.lost_on_crash", lost)
         self._buffer.clear()
-        self._flusher_scheduled = False
+        if self._flush_handle is not None:
+            self._flush_handle.cancel()
+            self._flush_handle = None
         pending, self._pending = self._pending, []
         if self._commit_handle is not None:
             self._commit_handle.cancel()

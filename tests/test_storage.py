@@ -46,6 +46,25 @@ def test_async_write_survives_after_flush_interval(kernel):
     assert run(kernel, main()) == "v"
 
 
+def test_crash_cancels_the_armed_flush(kernel):
+    """A crash loses the write-behind map and the flush armed for it: an
+    async write after the crash waits a whole flush interval of its own,
+    not the rest of the dead map's."""
+    disk = Disk(kernel, flush_interval_ms=500.0)
+
+    async def main():
+        await disk.write("k", "lost", sync=False)    # flush armed for t=500
+        await kernel.sleep(400.0)
+        disk.crash()
+        await disk.write("x", "new", sync=False)     # flush armed for t=900
+        await kernel.sleep(100.0)
+        at_500 = disk.backend.load()
+        await kernel.sleep(400.0)
+        return at_500, disk.backend.load()
+
+    assert run(kernel, main()) == ({}, {"x": "new"})
+
+
 def test_async_write_visible_to_reads_before_flush(kernel):
     disk = Disk(kernel, flush_interval_ms=10_000.0)
 

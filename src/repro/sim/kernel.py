@@ -454,17 +454,6 @@ class Kernel:
             heapq.heappush(self._queue, entry)
         return EventHandle(entry, self)
 
-    def call_at(self, when: float, fn: Callable, *args: Any) -> EventHandle:
-        """Run ``fn(*args)`` at absolute virtual time ``when``."""
-        if when < self.now:
-            raise ValueError(f"cannot schedule in the past: {when} < {self.now}")
-        entry = [when, next(self._seq), fn, args]
-        if when == self.now:
-            self._fifo_push(entry)
-        else:
-            heapq.heappush(self._queue, entry)
-        return EventHandle(entry, self)
-
     def post(self, delay: float, fn: Callable, *args: Any) -> None:
         """Fire-and-forget :meth:`schedule`: no cancellation handle.
 
@@ -564,23 +553,6 @@ class Kernel:
             remaining[0] -= 1
             if remaining[0] == 0:
                 out.try_set_result([f._result for f in futures])
-
-        for f in futures:
-            f.add_done_callback(_one_done)
-        return out
-
-    def any_of(self, futures: Iterable[SimFuture]) -> SimFuture:
-        """Future resolving with the first completed input's result."""
-        futures = list(futures)
-        if not futures:
-            raise ValueError("any_of requires at least one future")
-        out = self.create_future()
-
-        def _one_done(fut: SimFuture) -> None:
-            if fut._exception is not None:
-                out.try_set_exception(fut._exception)
-            else:
-                out.try_set_result(fut._result)
 
         for f in futures:
             f.add_done_callback(_one_done)

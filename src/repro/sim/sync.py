@@ -9,10 +9,6 @@ Atomicity contract (what ``racelint`` / ``ysan`` assume of this layer):
   skipped because its future is already done, or renounced explicitly via
   :meth:`Lock.abandon`; otherwise its pending future would soak up a
   grant nobody is awaiting and wedge the lock forever.
-- :class:`Event` wakeups are **edge-triggered one-shots**: ``set()``
-  irrevocably resolves every already-registered waiter, even if
-  ``clear()`` runs before the woken tasks actually resume.  A woken
-  waiter must therefore not assume ``is_set`` still holds when it runs.
 """
 
 from __future__ import annotations
@@ -100,45 +96,3 @@ class Lock:
         """Whether the lock is currently held."""
         return self._locked
 
-
-class Event:
-    """Resettable broadcast event with **one-shot wakeups**.
-
-    ``set()`` resolves every waiter registered so far; those wakeups are
-    irrevocable.  ``clear()`` only re-arms the event for *future*
-    :meth:`wait` calls — it does not (and cannot) revoke wakeups already
-    granted, so a task woken by ``set()`` may observe ``is_set == False``
-    by the time it resumes if an intervening ``clear()`` ran.  Code that
-    needs the condition to still hold must re-check it after waking
-    (``while not ev.is_set: await ev.wait()``).
-    """
-
-    def __init__(self, kernel: Kernel):
-        self.kernel = kernel
-        self._set = False
-        self._waiters: list[SimFuture] = []
-
-    def wait(self) -> SimFuture:
-        """Future resolving when (or immediately if) the event is set."""
-        fut = self.kernel.create_future()
-        if self._set:
-            fut.set_result(None)
-        else:
-            self._waiters.append(fut)
-        return fut
-
-    def set(self) -> None:
-        """Wake all waiters; subsequent waits return immediately."""
-        self._set = True
-        waiters, self._waiters = self._waiters, []
-        for fut in waiters:
-            fut.try_set_result(None)
-
-    def clear(self) -> None:
-        """Re-arm the event (wakeups already granted stay granted)."""
-        self._set = False
-
-    @property
-    def is_set(self) -> bool:
-        """Current state."""
-        return self._set

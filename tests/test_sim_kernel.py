@@ -29,13 +29,6 @@ def test_schedule_negative_delay_rejected(kernel):
         kernel.schedule(-1.0, lambda: None)
 
 
-def test_call_at_past_rejected(kernel):
-    kernel.schedule(5.0, lambda: None)
-    kernel.run()
-    with pytest.raises(ValueError):
-        kernel.call_at(1.0, lambda: None)
-
-
 def test_cancel_prevents_firing(kernel):
     fired = []
     handle = kernel.schedule(1.0, fired.append, 1)
@@ -135,18 +128,6 @@ def test_all_of_empty(kernel):
         return await kernel.all_of([])
 
     assert run(kernel, main()) == []
-
-
-def test_any_of_returns_first(kernel):
-    async def delayed(value, delay):
-        await kernel.sleep(delay)
-        return value
-
-    async def main():
-        futs = [kernel.spawn(delayed("slow", 50.0)), kernel.spawn(delayed("fast", 5.0))]
-        return await kernel.any_of(futs)
-
-    assert run(kernel, main()) == "fast"
 
 
 def test_task_cancellation_raises_inside(kernel):
@@ -363,7 +344,6 @@ def test_mixed_primitives_at_equal_timestamps_fire_in_seq_order(kernel, how):
     def burst():
         order.append("burst")
         kernel.schedule(0.0, order.append, "schedule0")
-        kernel.call_at(kernel.now, order.append, "call_at_now")
         kernel.post(0.0, order.append, "post0")
         kernel.spawn(task("spawn"))
         kernel.post(1.0, order.append, "next-tick")
@@ -371,11 +351,10 @@ def test_mixed_primitives_at_equal_timestamps_fire_in_seq_order(kernel, how):
 
     kernel.post(5.0, burst)
     kernel.schedule(5.0, order.append, "heap-schedule")
-    kernel.call_at(5.0, order.append, "heap-call_at")
     kernel.post(5.0, order.append, "heap-post")
     _drain(kernel, how)
-    assert order == ["burst", "heap-schedule", "heap-call_at", "heap-post",
-                     "schedule0", "call_at_now", "post0", "spawn",
+    assert order == ["burst", "heap-schedule", "heap-post",
+                     "schedule0", "post0", "spawn",
                      "post0-again", "next-tick"]
 
 

@@ -1,9 +1,9 @@
-"""Unit tests for cooperative Lock and Event."""
+"""Unit tests for the cooperative Lock."""
 
 import pytest
 
 from repro.sim import SimTimeoutError
-from repro.sim.sync import Event, Lock
+from repro.sim.sync import Lock
 from tests.conftest import run
 
 
@@ -159,88 +159,3 @@ def test_abandon_pending_future_is_idempotent(kernel):
         assert not lock.locked
 
     run(kernel, main())
-
-
-def test_event_wakes_all_waiters(kernel):
-    event = Event(kernel)
-    woken = []
-
-    async def waiter(i):
-        await event.wait()
-        woken.append(i)
-
-    async def main():
-        tasks = [kernel.spawn(waiter(i)) for i in range(3)]
-        await kernel.sleep(5.0)
-        assert woken == []
-        event.set()
-        await kernel.all_of(tasks)
-
-    run(kernel, main())
-    assert sorted(woken) == [0, 1, 2]
-
-
-def test_event_wait_after_set_is_immediate(kernel):
-    event = Event(kernel)
-    event.set()
-
-    async def main():
-        start = kernel.now
-        await event.wait()
-        return kernel.now - start
-
-    assert run(kernel, main()) == 0.0
-
-
-def test_event_clear_rearms(kernel):
-    event = Event(kernel)
-    event.set()
-    event.clear()
-    assert not event.is_set
-
-
-def test_event_wakeups_are_one_shot_across_clear(kernel):
-    """set() wakeups are irrevocable: a clear() that runs before the woken
-    task resumes does not revoke them — the waiter wakes and may observe
-    is_set == False.  This is the documented one-shot contract."""
-    event = Event(kernel)
-    observed = []
-
-    async def waiter():
-        await event.wait()
-        observed.append(event.is_set)
-
-    async def main():
-        task = kernel.spawn(waiter())
-        await kernel.sleep(1.0)
-        event.set()
-        event.clear()  # before the waiter's resume event is dispatched
-        await task
-
-    run(kernel, main())
-    assert observed == [False]  # woke, but the condition was already gone
-
-
-def test_event_level_check_idiom_rewaits(kernel):
-    """``while not ev.is_set: await ev.wait()`` survives a set/clear pulse
-    that a bare ``await ev.wait()`` would mistake for the condition."""
-    event = Event(kernel)
-    done = []
-
-    async def waiter():
-        while not event.is_set:
-            await event.wait()
-        done.append(kernel.now)
-
-    async def main():
-        task = kernel.spawn(waiter())
-        await kernel.sleep(1.0)
-        event.set()
-        event.clear()  # pulse: waiter wakes, sees clear, re-waits
-        await kernel.sleep(5.0)
-        assert done == []
-        event.set()  # condition now holds for real
-        await task
-
-    run(kernel, main())
-    assert done == [6.0]
